@@ -38,9 +38,12 @@ const tagDataBase = 1 << 27
 // extended two-phase loop runs ntimes rounds of Alltoall dissemination,
 // Isend/Irecv data shuffle, collective-buffer packing and WriteContig; and
 // (5) a final Allreduce exchanges error codes. ROMIO precomputes the
-// my_req/others_req maps once before the loop; this implementation derives
-// the identical per-round sets from the file domains inside the loop,
-// which produces the same message pattern.
+// my_req/others_req maps once before the loop with a single walk of the
+// flattened access list; this implementation plans each round from the
+// file domains instead: clipSegs binary-searches the rank's sorted
+// segments for each aggregator's round window and walks only the
+// overlapping ones, so planning costs O(log segs + overlaps) per window
+// and produces the same per-round sets and message pattern.
 func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 	r, c, log := f.rank, f.comm, f.log
 	total, err := validateSegs(segs)
@@ -143,28 +146,19 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 			trace.I("off", myFD.Off), trace.I("len", myFD.Len))
 	}
 
-	// Step 4: the extended two-phase loop.
+	// Step 4: the extended two-phase loop. The per-round plan vectors are
+	// reused across rounds: Alltoall does not hold the send vector after
+	// it returns, and every extent list is consumed within its round.
 	var firstErr error
+	sendExts := make([][]extent.Extent, naggs)
+	sendSizes := make([]int64, c.Size())
 	for m := 0; m < ntimes; m++ {
 		tag := tagDataBase + (m & 0xffff)
 		roundT0 := r.Now()
 		rsp := tr.Begin(ttk, "adio", "round", int64(r.Now()))
 
 		// What do I send to each aggregator this round?
-		sendExts := make([][]extent.Extent, naggs)
-		sendSizes := make([]int64, c.Size())
-		for a := 0; a < naggs; a++ {
-			win := roundWindow(fds[a], cb, m)
-			if win.Empty() {
-				continue
-			}
-			for _, s := range segs {
-				if ov := s.Intersect(win); !ov.Empty() {
-					sendExts[a] = append(sendExts[a], ov)
-					sendSizes[f.aggList[a]] += ov.Len
-				}
-			}
-		}
+		planRound(sendExts, sendSizes, segs, fds, f.aggList, cb, m)
 
 		// Dissemination: every round starts with an MPI_Alltoall telling
 		// each aggregator how much each process contributes.
@@ -234,6 +228,49 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 	return firstErr
 }
 
+// planRound fills exts[a] with the parts of segs inside aggregator a's
+// round-m window and sizes[aggList[a]] with their byte count, reusing the
+// slices' storage from the previous round.
+func planRound(exts [][]extent.Extent, sizes []int64, segs, fds []extent.Extent, aggList []int, cb int64, m int) {
+	clear(sizes)
+	for a := range exts {
+		exts[a] = clipSegs(exts[a][:0], segs, roundWindow(fds[a], cb, m))
+		for _, e := range exts[a] {
+			sizes[aggList[a]] += e.Len
+		}
+	}
+}
+
+// segSearch returns the index of the first segment ending after off
+// (len(segs) if none). segs must be sorted and non-overlapping, as
+// validateSegs and extent.Set.Gaps guarantee.
+func segSearch(segs []extent.Extent, off int64) int {
+	return sort.Search(len(segs), func(i int) bool { return segs[i].End() > off })
+}
+
+// clipSegs appends to dst the non-empty intersections of segs with win, in
+// order. It binary-searches the first candidate and walks only the
+// segments that overlap win, so the cost is O(log len(segs) + overlaps).
+func clipSegs(dst, segs []extent.Extent, win extent.Extent) []extent.Extent {
+	if win.Empty() {
+		return dst
+	}
+	for i := segSearch(segs, win.Off); i < len(segs) && segs[i].Off < win.End(); i++ {
+		dst = append(dst, segs[i].Intersect(win))
+	}
+	return dst
+}
+
+// segIndexOf locates the segment containing e, which never spans two
+// segments by construction.
+func segIndexOf(segs []extent.Extent, e extent.Extent) int {
+	i := segSearch(segs, e.Off)
+	if i == len(segs) || !segs[i].Covers(e) {
+		panic(fmt.Sprintf("adio: extent %v not within any segment", e))
+	}
+	return i
+}
+
 // roundWindow returns the sub-domain of fd written in round m with a
 // collective buffer of cb bytes.
 func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {
@@ -264,10 +301,7 @@ func buildDataMsg(exts []extent.Extent, segs []extent.Extent, pre []int64, data 
 // segPayload extracts the bytes of e (which lies within one segment) from
 // the rank's concatenated payload.
 func segPayload(e extent.Extent, segs []extent.Extent, pre []int64, data []byte) []byte {
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].End() > e.Off })
-	if i == len(segs) || !segs[i].Covers(e) {
-		panic(fmt.Sprintf("adio: extent %v not within any segment", e))
-	}
+	i := segIndexOf(segs, e)
 	start := pre[i] + (e.Off - segs[i].Off)
 	return data[start : start+e.Len]
 }

@@ -232,23 +232,12 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 	tagBase := tagDataBase + ((epoch & 0x3ff) << 16)
 
 	var firstErr error
+	sendExts := make([][]extent.Extent, naggs)
+	sendSizes := make([]int64, c.Size())
 	for m := 0; m < ntimes; m++ {
 		tag := tagBase + (m & 0xffff)
 
-		sendExts := make([][]extent.Extent, naggs)
-		sendSizes := make([]int64, c.Size())
-		for a := 0; a < naggs; a++ {
-			win := roundWindow(fds[a], cb, m)
-			if win.Empty() {
-				continue
-			}
-			for _, s := range rem {
-				if ov := s.Intersect(win); !ov.Empty() {
-					sendExts[a] = append(sendExts[a], ov)
-					sendSizes[aggList[a]] += ov.Len
-				}
-			}
-		}
+		planRound(sendExts, sendSizes, rem, fds, aggList, cb, m)
 
 		recvSizes, err := c.TryAlltoall(r, sendSizes)
 		if err != nil {

@@ -95,25 +95,14 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	}
 	payload := buf != nil
 
+	wantExts := make([][]extent.Extent, naggs)
+	wantSizes := make([]int64, c.Size())
 	for m := 0; m < ntimes; m++ {
 		reqTag := tagReadBase + 2*(m&0x7fff)
 		repTag := reqTag + 1
 
 		// What do I want from each aggregator this round?
-		wantExts := make([][]extent.Extent, naggs)
-		wantSizes := make([]int64, c.Size())
-		for a := 0; a < naggs; a++ {
-			win := roundWindow(fds[a], cb, m)
-			if win.Empty() {
-				continue
-			}
-			for _, s := range segs {
-				if ov := s.Intersect(win); !ov.Empty() {
-					wantExts[a] = append(wantExts[a], ov)
-					wantSizes[f.aggList[a]] += ov.Len
-				}
-			}
-		}
+		planRound(wantExts, wantSizes, segs, fds, f.aggList, cb, m)
 
 		span = mpe.StartSpan(r.Now())
 		reqSizes := c.Alltoall(r, wantSizes)
@@ -257,11 +246,9 @@ func buildReadReply(exts []extent.Extent, scratch store.Store) mpi.Message {
 // copyIntoSegs places the bytes of file extent e into the caller's
 // segment-ordered buffer.
 func copyIntoSegs(data []byte, e extent.Extent, segs []extent.Extent, pre []int64, buf []byte) {
-	for i, s := range segs {
+	for i := segSearch(segs, e.Off); i < len(segs) && segs[i].Off < e.End(); i++ {
+		s := segs[i]
 		ov := s.Intersect(e)
-		if ov.Empty() {
-			continue
-		}
 		dst := pre[i] + (ov.Off - s.Off)
 		src := ov.Off - e.Off
 		copy(buf[dst:dst+ov.Len], data[src:src+ov.Len])

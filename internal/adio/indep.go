@@ -75,16 +75,14 @@ func (f *File) sieveWrite(spanExt extent.Extent, segs []extent.Extent, pre []int
 		f.Stats.PeakBufBytes = bufSize
 	}
 	p := f.rank.Proc()
+	var pieces []extent.Extent
 	for off := spanExt.Off; off < spanExt.End(); off += bufSize {
 		win := extent.Extent{Off: off, Len: min64(bufSize, spanExt.End()-off)}
 		// Which segments intersect this window?
-		var pieces []extent.Extent
+		pieces = clipSegs(pieces[:0], segs, win)
 		covered := int64(0)
-		for _, s := range segs {
-			if ov := s.Intersect(win); !ov.Empty() {
-				pieces = append(pieces, ov)
-				covered += ov.Len
-			}
+		for _, e := range pieces {
+			covered += e.Len
 		}
 		if len(pieces) == 0 {
 			continue
@@ -127,11 +125,9 @@ func (f *File) sieveWrite(spanExt extent.Extent, segs []extent.Extent, pre []int
 // fillRun assembles the payload bytes of run (a coalesced union of
 // segments) into rd.
 func fillRun(rd []byte, run extent.Extent, segs []extent.Extent, pre []int64, data []byte) {
-	for i, s := range segs {
+	for i := segSearch(segs, run.Off); i < len(segs) && segs[i].Off < run.End(); i++ {
+		s := segs[i]
 		ov := s.Intersect(run)
-		if ov.Empty() {
-			continue
-		}
 		start := pre[i] + (ov.Off - s.Off)
 		copy(rd[ov.Off-run.Off:], data[start:start+ov.Len])
 	}
@@ -190,14 +186,10 @@ func (f *File) sieveRead(spanExt extent.Extent, segs []extent.Extent, pre []int6
 	if bufSize > f.Stats.PeakBufBytes {
 		f.Stats.PeakBufBytes = bufSize
 	}
+	var pieces []extent.Extent
 	for off := spanExt.Off; off < spanExt.End(); off += bufSize {
 		win := extent.Extent{Off: off, Len: min64(bufSize, spanExt.End()-off)}
-		var pieces []extent.Extent
-		for _, s := range segs {
-			if ov := s.Intersect(win); !ov.Empty() {
-				pieces = append(pieces, ov)
-			}
-		}
+		pieces = clipSegs(pieces[:0], segs, win)
 		if len(pieces) == 0 {
 			continue
 		}
@@ -219,15 +211,4 @@ func (f *File) sieveRead(spanExt extent.Extent, segs []extent.Extent, pre []int6
 		}
 	}
 	return nil
-}
-
-// segIndexOf locates the segment containing e (which never spans two
-// segments by construction).
-func segIndexOf(segs []extent.Extent, e extent.Extent) int {
-	for i, s := range segs {
-		if s.Covers(e) {
-			return i
-		}
-	}
-	panic(fmt.Sprintf("adio: extent %v outside all segments", e))
 }

@@ -32,6 +32,7 @@ type Comm struct {
 	model   CollModel
 	states  map[int]*collState
 	callIdx []int
+	zeros   []int64 // shared read-only zero row of settled alltoall tables
 }
 
 func newComm(w *World, ranks []*Rank) *Comm {
@@ -111,6 +112,8 @@ type collState struct {
 	arrived int
 	got     []bool // which comm ranks have contributed
 	bytes   int64  // largest per-rank byte count seen, for held completion
+	// inputs holds the per-rank contributions until the call settles, and
+	// the table its callers read after that (see settle).
 	inputs  [][]int64
 	waiters []*Rank
 	finish  sim.Time
@@ -174,7 +177,7 @@ func (c *Comm) syncErr(r *Rank, kind string, perRankBytes int64, input []int64) 
 		panic(fmt.Sprintf("mpi: rank %d not in communicator", r.id))
 	}
 	if len(c.ranks) == 1 {
-		return [][]int64{input}, nil
+		return c.settle(kind, [][]int64{input}), nil
 	}
 	n := c.callIdx[me]
 	c.callIdx[me]++
@@ -213,6 +216,7 @@ func (c *Comm) syncErr(r *Rank, kind string, perRankBytes int64, input []int64) 
 		if st.timer != nil {
 			st.timer.Stop()
 		}
+		st.inputs = c.settle(kind, st.inputs)
 		cost := c.collCost(kind, perRankBytes)
 		st.finish = r.proc.Now() + cost
 		for _, wr := range st.waiters {
@@ -249,6 +253,7 @@ func (w *World) timeoutColl(st *collState) {
 		}
 	}
 	st.err = &CollTimeoutError{Op: st.kind, Missing: missing}
+	st.inputs = st.comm.settle(st.kind, st.inputs)
 	// The errored state stays registered at its call index: ranks that have
 	// not arrived yet must observe the failure (and fail fast) instead of
 	// opening a fresh rendezvous that can only time out again.
@@ -271,6 +276,7 @@ func (w *World) recheckHeld() {
 			if st.timer != nil {
 				st.timer.Stop()
 			}
+			st.inputs = c.settle(st.kind, st.inputs)
 			cost := c.collCost(st.kind, st.bytes)
 			st.finish = w.k.Now() + cost
 			for _, wr := range st.waiters {
@@ -282,6 +288,43 @@ func (w *World) recheckHeld() {
 		kept = append(kept, st)
 	}
 	w.heldColl = kept
+}
+
+// settle turns a completed rendezvous's inputs into the table its callers
+// read. It runs exactly once per call — at the last arrival, the heal of a
+// held collective, or the timeout — before any participant resumes. Only
+// alltoall changes: its inputs (row i is what rank i sends) become their
+// transpose (row j is what rank j receives), so no caller's send slice is
+// read after the call returns and the caller may reuse it at once, as MPI
+// allows. The transpose is sparse: ranks receiving only zeros share one
+// read-only zero row, so a two-phase round that feeds a few aggregators
+// costs a few rows rather than a dense ranks x ranks block.
+func (c *Comm) settle(kind string, inputs [][]int64) [][]int64 {
+	if kind != "alltoall" {
+		return inputs
+	}
+	p := len(inputs)
+	out := make([][]int64, p)
+	for i, in := range inputs {
+		for j, v := range in {
+			if v == 0 {
+				continue
+			}
+			if out[j] == nil {
+				out[j] = make([]int64, p)
+			}
+			out[j][i] = v
+		}
+	}
+	for j, row := range out {
+		if row == nil {
+			if c.zeros == nil {
+				c.zeros = make([]int64, p)
+			}
+			out[j] = c.zeros
+		}
+	}
+	return out
 }
 
 // dropHeld removes st from the held-collective list.
@@ -471,6 +514,8 @@ func (c *Comm) Allgather(r *Rank, vals []int64) [][]int64 {
 // Alltoall sends send[i] to comm rank i and returns recv where recv[i] is
 // the value sent by rank i (MPI_Alltoall with one int64 per pair). This is
 // the dissemination step at the start of every two-phase exchange round.
+// send may be reused as soon as the call returns. Under Analytic, recv is
+// a row of the rendezvous's shared table (see settle) and is read-only.
 func (c *Comm) Alltoall(r *Rank, send []int64) []int64 {
 	if len(send) != len(c.ranks) {
 		panic("mpi: alltoall send vector must have comm-size entries")
@@ -480,15 +525,7 @@ func (c *Comm) Alltoall(r *Rank, send []int64) []int64 {
 	if c.model == MessagePassing {
 		return c.msgAlltoall(r, send)
 	}
-	inputs := c.sync(r, "alltoall", 8, send)
-	me := c.RankOf(r)
-	out := make([]int64, len(c.ranks))
-	for i, in := range inputs {
-		if in != nil {
-			out[i] = in[me]
-		}
-	}
-	return out
+	return c.sync(r, "alltoall", 8, send)[c.RankOf(r)]
 }
 
 // Bcast distributes root's vals to every rank (MPI_Bcast).
@@ -570,14 +607,8 @@ func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	me := c.RankOf(r)
-	out := make([]int64, len(c.ranks))
-	for i, in := range inputs {
-		if in != nil {
-			out[i] = in[me]
-		}
-	}
-	return out, nil
+	// Shared read-only row of the settled table; see Alltoall.
+	return inputs[c.RankOf(r)], nil
 }
 
 // ---- Message-passing implementations ----

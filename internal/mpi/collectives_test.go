@@ -123,6 +123,55 @@ func TestAlltoallValues(t *testing.T) {
 	}
 }
 
+// The caller may reuse its send vector as soon as Alltoall returns. Under
+// Analytic every rank resumes at the same virtual instant; a rank woken
+// early overwrites its vector before a later rank has read its own result,
+// so results must be fixed when the collective completes.
+func TestAlltoallSendBufferReusable(t *testing.T) {
+	for _, try := range []bool{false, true} {
+		w := testWorld(t, 4, 2)
+		c := w.Comm()
+		n := c.Size()
+		results := make([][]int64, n)
+		err := w.Run(func(r *Rank) {
+			me := c.RankOf(r)
+			send := make([]int64, n)
+			for i := range send {
+				if (me+i)%3 != 0 { // leave some zeros for the shared row
+					send[i] = int64(me*100 + i)
+				}
+			}
+			var recv []int64
+			if try {
+				var err error
+				if recv, err = c.TryAlltoall(r, send); err != nil {
+					t.Error(err)
+				}
+			} else {
+				recv = c.Alltoall(r, send)
+			}
+			for i := range send {
+				send[i] = -1
+			}
+			results[me] = recv
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for me, recv := range results {
+			for src, v := range recv {
+				want := int64(src*100 + me)
+				if (src+me)%3 == 0 {
+					want = 0
+				}
+				if v != want {
+					t.Fatalf("try=%v: recv[%d][%d] = %d, want %d", try, me, src, v, want)
+				}
+			}
+		}
+	}
+}
+
 func TestBcastValues(t *testing.T) {
 	for _, model := range []CollModel{Analytic, MessagePassing} {
 		for root := 0; root < 3; root++ {
@@ -199,7 +248,9 @@ func TestMismatchedCollectivesPanic(t *testing.T) {
 }
 
 // Property: analytic and message-passing modes produce identical data
-// results for random inputs (timings differ, semantics must not).
+// results for random inputs (timings differ, semantics must not). The
+// alltoall vectors are dense for one call and mostly zero — the two-phase
+// dissemination's shape — for Alltoall and TryAlltoall calls after it.
 func TestCollectiveModelsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -207,6 +258,15 @@ func TestCollectiveModelsAgree(t *testing.T) {
 		vals := make([]int64, n)
 		for i := range vals {
 			vals[i] = r.Int63n(1000) - 500
+		}
+		sparse := make([][]int64, n)
+		for i := range sparse {
+			sparse[i] = make([]int64, n)
+			for j := range sparse[i] {
+				if r.Intn(4) == 0 {
+					sparse[i][j] = r.Int63n(1000) + 1
+				}
+			}
 		}
 		run := func(model CollModel) ([][]int64, [][]int64) {
 			k := sim.NewKernel(seed)
@@ -222,7 +282,13 @@ func TestCollectiveModelsAgree(t *testing.T) {
 				for i := range send {
 					send[i] = vals[rk.ID()] * int64(i+1)
 				}
-				a2a[rk.ID()] = c.Alltoall(rk, send)
+				a2a[rk.ID()] = append([]int64(nil), c.Alltoall(rk, send)...)
+				a2a[rk.ID()] = append(a2a[rk.ID()], c.Alltoall(rk, sparse[rk.ID()])...)
+				got, err := c.TryAlltoall(rk, sparse[rk.ID()])
+				if err != nil {
+					t.Error(err)
+				}
+				a2a[rk.ID()] = append(a2a[rk.ID()], got...)
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -244,6 +244,58 @@ func TestCollectiveTimeoutOnDeadRank(t *testing.T) {
 	}
 }
 
+func TestAlltoallWithDeadRank(t *testing.T) {
+	// Rank 1 dies before the alltoall. TryAlltoall surfaces the typed
+	// timeout; the plain call returns the partial result: the values the
+	// live ranks sent, and zero from the dead one.
+	for _, try := range []bool{true, false} {
+		w := testWorld(t, 2, 2)
+		w.SetCollTimeout(10 * sim.Millisecond)
+		n := w.Size()
+		errs := make([]error, n)
+		results := make([][]int64, n)
+		err := w.Run(func(r *Rank) {
+			if r.ID() == 1 {
+				w.Kill(1)
+			}
+			r.checkKilled()
+			send := make([]int64, n)
+			for i := range send {
+				send[i] = int64(r.ID()*100 + i + 1)
+			}
+			if try {
+				results[r.ID()], errs[r.ID()] = w.Comm().TryAlltoall(r, send)
+			} else {
+				results[r.ID()] = w.Comm().Alltoall(r, send)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int{0, 2, 3} {
+			if try {
+				var cte *CollTimeoutError
+				if !errors.As(errs[id], &cte) || len(cte.Missing) != 1 || cte.Missing[0] != 1 {
+					t.Fatalf("rank %d: TryAlltoall error = %v, want *CollTimeoutError naming rank 1", id, errs[id])
+				}
+				if results[id] != nil {
+					t.Fatalf("rank %d: TryAlltoall returned %v with its error", id, results[id])
+				}
+				continue
+			}
+			for src, v := range results[id] {
+				want := int64(src*100 + id + 1)
+				if src == 1 {
+					want = 0
+				}
+				if v != want {
+					t.Fatalf("rank %d: partial alltoall recv[%d] = %d, want %d", id, src, v, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCollectiveHeldAcrossPartitionHeals(t *testing.T) {
 	// A barrier spanning a partition must hold (not complete) while the cut
 	// is up, then complete for everyone once it heals — before the generous
