@@ -53,6 +53,16 @@ var ErrFailoverExhausted = errors.New("adio: resilient collective write exhauste
 // condition (collective timeout, receive deadline, peer-reported timeout).
 var errEpochFailed = errors.New("adio: failover epoch aborted")
 
+// epochAbort reports an epoch aborted by cause. It matches both
+// errEpochFailed and cause under errors.Is/As and reads as
+// fmt.Errorf("%w: %w", errEpochFailed, cause) would, but builds that text
+// only when asked: every survivor of a failed epoch returns one, and the
+// epoch loop discards it.
+type epochAbort struct{ cause error }
+
+func (e *epochAbort) Error() string   { return errEpochFailed.Error() + ": " + e.cause.Error() }
+func (e *epochAbort) Unwrap() []error { return []error{errEpochFailed, e.cause} }
+
 // Round-ack codes, combined with MaxOp so the worst peer status wins.
 const (
 	ackOK      = 0 // round written and acknowledged
@@ -109,19 +119,21 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 		deadline = DefaultRecvDeadline
 	}
 
+	// The round vectors are sized for the file communicator once per call
+	// and reused by every epoch, whose survivor communicators are never
+	// larger: an epoch abandoned at kilo-rank scale would otherwise leave
+	// O(ranks) garbage per rank behind.
+	sendExts := make([][]extent.Extent, len(f.aggList))
+	sendSizes := make([]int64, f.comm.Size())
 	var acked extent.Set
 	for epoch := 0; epoch < maxFailoverEpochs; epoch++ {
 		// Survivor membership, in the file communicator's rank order, so
 		// every live rank derives the same sub-communicator and the same
-		// aggregator placement.
-		var live []int
-		for i := 0; i < f.comm.Size(); i++ {
-			if id := f.comm.Member(i).ID(); w.Alive(id) {
-				live = append(live, id)
-			}
-		}
+		// aggregator placement. The first caller of an epoch filters the
+		// file communicator; later callers that saw no new deaths reuse
+		// its result in O(1).
 		scope := fmt.Sprintf("e10res|%s|c%d|e%d", f.path, call, epoch)
-		sub := w.NewSharedComm(live, scope)
+		sub := f.comm.Survivors(scope)
 		if sub.RankOf(r) < 0 {
 			return fmt.Errorf("adio: rank %d not in survivor set", r.ID())
 		}
@@ -130,10 +142,10 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 			f.metrics().Counter("adio_failover_epochs_total", layerLabel).Inc()
 			if tr != nil {
 				tr.Instant(ttk, "adio", "failover_epoch", int64(r.Now()),
-					trace.I("epoch", int64(epoch)), trace.I("survivors", int64(len(live))))
+					trace.I("epoch", int64(epoch)), trace.I("survivors", int64(sub.Size())))
 			}
 		}
-		err := f.resilientEpoch(sub, epoch, segs, pre, data, &acked, deadline)
+		err := f.resilientEpoch(sub, epoch, segs, pre, data, &acked, deadline, sendExts, sendSizes)
 		if err == nil {
 			return nil
 		}
@@ -148,9 +160,11 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 // unacked remainder. A nil return means the whole write (this rank's part
 // and, via the final code exchange, everyone else's) completed; a
 // retryable abort is reported as errEpochFailed (possibly wrapping the
-// underlying timeout) and a write error is returned as itself.
+// underlying timeout) and a write error is returned as itself. sendExts
+// and sendSizes are the call's round vectors, at least as long as the
+// aggregator list and c.
 func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre []int64,
-	data []byte, acked *extent.Set, deadline sim.Time) error {
+	data []byte, acked *extent.Set, deadline sim.Time, sendExts [][]extent.Extent, sendSizes []int64) error {
 	r := f.rank
 	me := c.RankOf(r)
 
@@ -171,7 +185,7 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 	}
 	offs, err := c.TryAllgather(r, []int64{st, end})
 	if err != nil {
-		return fmt.Errorf("%w: %w", errEpochFailed, err)
+		return &epochAbort{err}
 	}
 	minSt, maxEnd := int64(-1), int64(-1)
 	for _, o := range offs {
@@ -188,7 +202,7 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 	if maxEnd < minSt {
 		// Nothing left anywhere: synchronise final codes and succeed.
 		if _, err := c.TryAllreduce(r, []int64{ackOK}, mpi.MaxOp); err != nil {
-			return fmt.Errorf("%w: %w", errEpochFailed, err)
+			return &epochAbort{err}
 		}
 		return nil
 	}
@@ -232,8 +246,8 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 	tagBase := tagDataBase + ((epoch & 0x3ff) << 16)
 
 	var firstErr error
-	sendExts := make([][]extent.Extent, naggs)
-	sendSizes := make([]int64, c.Size())
+	sendExts = sendExts[:naggs]
+	sendSizes = sendSizes[:c.Size()]
 	for m := 0; m < ntimes; m++ {
 		tag := tagBase + (m & 0xffff)
 
@@ -241,7 +255,7 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 
 		recvSizes, err := c.TryAlltoall(r, sendSizes)
 		if err != nil {
-			return fmt.Errorf("%w: %w", errEpochFailed, err)
+			return &epochAbort{err}
 		}
 
 		var recvReqs []*mpi.Request
@@ -304,7 +318,7 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 		// surviving aggregator confirms the round landed.
 		res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
 		if err != nil {
-			return fmt.Errorf("%w: %w", errEpochFailed, err)
+			return &epochAbort{err}
 		}
 		switch res[0] {
 		case ackIOErr:
@@ -329,7 +343,7 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 	}
 	res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
 	if err != nil {
-		return fmt.Errorf("%w: %w", errEpochFailed, err)
+		return &epochAbort{err}
 	}
 	if res[0] != ackOK && firstErr == nil {
 		firstErr = fmt.Errorf("adio: collective write failed on another rank")

@@ -1,6 +1,8 @@
 package adio
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -166,5 +168,25 @@ func TestResilientWriteDeterministicPerSeed(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("virtual end times differ across identical runs: %v vs %v", a, b)
+	}
+}
+
+func TestEpochAbortMatchesWrappedError(t *testing.T) {
+	for _, cause := range []error{
+		&mpi.CollTimeoutError{Op: "alltoall", Missing: []int{8, 9, 15}},
+		mpi.ErrRecvTimeout,
+	} {
+		got := error(&epochAbort{cause})
+		if want := fmt.Errorf("%w: %w", errEpochFailed, cause).Error(); got.Error() != want {
+			t.Fatalf("Error() = %q, want %q", got.Error(), want)
+		}
+		if !errors.Is(got, errEpochFailed) || !errors.Is(got, cause) {
+			t.Fatalf("%v must match both errEpochFailed and its cause", got)
+		}
+	}
+	got := error(&epochAbort{&mpi.CollTimeoutError{Op: "allreduce", Missing: []int{3}}})
+	var cte *mpi.CollTimeoutError
+	if !errors.Is(got, mpi.ErrCollTimeout) || !errors.As(got, &cte) || cte.Missing[0] != 3 {
+		t.Fatalf("%v must expose its *mpi.CollTimeoutError", got)
 	}
 }

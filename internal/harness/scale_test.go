@@ -32,6 +32,13 @@ var (
 // scaleGoldenRanks are the scales with committed digest files.
 var scaleGoldenRanks = []int{1024, 4096}
 
+// scaleGoldenExtra are committed digest cells outside the variant x scale
+// matrix, by file name: a staggered two-node crash, whose second node dies
+// 1 ms after the first.
+var scaleGoldenExtra = map[string]ScaleConfig{
+	"scale_digest_crash2_1024.json": {Variant: ScaleCrash, Ranks: 1024, CrashNodes: 2},
+}
+
 // scaleTestConfig builds the flag-driven config for one variant.
 func scaleTestConfig(t *testing.T, v ScaleVariant) ScaleConfig {
 	t.Helper()
@@ -207,6 +214,13 @@ func TestScale_GoldenDigests(t *testing.T) {
 				}
 				writeScaleGolden(t, scaleGoldenPath(v, ranks), rep)
 			}
+		}
+		for name, cfg := range scaleGoldenExtra {
+			rep, err := RunScale(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			writeScaleGolden(t, filepath.Join("testdata", name), rep)
 		}
 		return
 	}

@@ -52,3 +52,68 @@ func BenchmarkAlltoallSparse(b *testing.B) {
 		}
 	}
 }
+
+// benchWorld builds an idle world of nodes x perNode ranks for the
+// microbenchmarks.
+func benchWorld(nodes, perNode int) *World {
+	k := sim.NewKernel(1)
+	return NewWorld(k, netsim.New(k, netsim.Config{
+		Nodes: nodes, InjRate: sim.GBps, EjeRate: sim.GBps,
+		Latency: 10 * sim.Microsecond, MemRate: 10 * sim.GBps,
+	}), perNode)
+}
+
+// BenchmarkSurvivorComm measures the failover path's per-rank survivor
+// lookup at 4096 ranks with one node dead: after the first caller derives
+// the communicator, every later caller must get the same one with no
+// allocation.
+func BenchmarkSurvivorComm(b *testing.B) {
+	w := benchWorld(512, 8)
+	w.KillNode(3)
+	parent := w.Comm()
+	const scope = "e10res|bench|c0|e1"
+	first := parent.Survivors(scope)
+	if first.Size() != w.Size()-8 {
+		b.Fatalf("survivor comm has %d members, want %d", first.Size(), w.Size()-8)
+	}
+	if a := testing.AllocsPerRun(100, func() { parent.Survivors(scope) }); a != 0 {
+		b.Fatalf("cached Survivors allocates %.0f times per call, want 0", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if parent.Survivors(scope) != first {
+			b.Fatal("cached Survivors returned a different communicator")
+		}
+	}
+}
+
+// BenchmarkAllreduceFold runs the analytic Allreduce at 4096 ranks, 8
+// calls per run, and checks every rank's result against the directly
+// computed sum.
+func BenchmarkAllreduceFold(b *testing.B) {
+	const calls = 8
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		w := benchWorld(512, 8)
+		c := w.Comm()
+		n := int64(c.Size())
+		bad := 0
+		b.StartTimer()
+		err := w.Run(func(r *Rank) {
+			for m := int64(0); m < calls; m++ {
+				res := c.Allreduce(r, []int64{int64(r.ID()) + m, 1}, SumOp)
+				if res[0] != n*(n-1)/2+n*m || res[1] != n {
+					bad++
+				}
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if bad != 0 {
+			b.Fatalf("%d allreduce results differ from the direct sum", bad)
+		}
+	}
+}

@@ -32,7 +32,15 @@ type Comm struct {
 	model   CollModel
 	states  map[int]*collState
 	callIdx []int
-	zeros   []int64 // shared read-only zero row of settled alltoall tables
+	zeros   []int64                 // shared read-only zero row of settled alltoall tables
+	surv    map[string]survivorComm // Survivors results, by scope
+}
+
+// survivorComm is one cached Survivors result and the World's kill count
+// at the time it was derived.
+type survivorComm struct {
+	kills int
+	comm  *Comm
 }
 
 func newComm(w *World, ranks []*Rank) *Comm {
@@ -58,33 +66,85 @@ func (w *World) NewComm(members []int) *Comm {
 	return newComm(w, ranks)
 }
 
-// internComm returns a shared communicator for the membership, creating it
-// on first use; Comm.Split relies on every member receiving the same
-// object.
-func (w *World) internComm(members []int) *Comm {
-	key := fmt.Sprint(members)
-	if c, ok := w.interned[key]; ok {
-		return c
+// internKey buckets interned communicators by scope and a hash of their
+// member ids. A bucket may hold several communicators whose memberships
+// collide on the hash; intern tells them apart member by member.
+type internKey struct {
+	scope string
+	h     uint64
+}
+
+// hashMembers is FNV-1a over the member ids, one id per step.
+func hashMembers(members []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, m := range members {
+		h ^= uint64(m)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// intern returns the communicator shared by every caller passing the same
+// scope and members, creating it on first use. Comm.Split interns under
+// the empty scope and relies on every member receiving the same object.
+// Distinct scopes yield distinct communicators even over identical
+// membership: Survivors callers use a fresh scope per failover epoch, so
+// retried collectives start from clean rendezvous state instead of
+// colliding with the poisoned call indices of a timed-out epoch.
+func (w *World) intern(scope string, members []int) *Comm {
+	key := internKey{scope: scope, h: hashMembers(members)}
+	for _, c := range w.interned[key] {
+		if c.hasMembers(members) {
+			return c
+		}
 	}
 	c := w.NewComm(members)
-	w.interned[key] = c
+	w.interned[key] = append(w.interned[key], c)
 	return c
 }
 
-// NewSharedComm returns a communicator shared by every caller passing the
-// same members and scope, creating it on first use. Distinct scopes yield
-// distinct communicators even over identical membership — the resilient
-// two-phase write uses a fresh scope per failover epoch so retried
-// collectives start from clean rendezvous state instead of colliding with
-// the poisoned call indices of a timed-out epoch.
-func (w *World) NewSharedComm(members []int, scope string) *Comm {
-	key := scope + "|" + fmt.Sprint(members)
-	if c, ok := w.interned[key]; ok {
-		return c
+// hasMembers reports whether c's world rank ids are exactly members, in
+// order.
+func (c *Comm) hasMembers(members []int) bool {
+	if len(c.ranks) != len(members) {
+		return false
 	}
-	c := w.NewComm(members)
-	w.interned[key] = c
-	return c
+	for i, r := range c.ranks {
+		if r.id != members[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Survivors returns the communicator of c's live members, in c's rank
+// order, interned under scope (which must be non-empty). Every caller
+// that passes the same scope while the same ranks are dead gets the same
+// communicator, so all survivors of a failure derive one shared
+// sub-communicator; a caller that runs after further kills gets the one
+// over its own, smaller view. The result is cached per scope together
+// with the World's kill count, so callers that see no new deaths pay
+// O(1) rather than a filter over c.
+func (c *Comm) Survivors(scope string) *Comm {
+	if scope == "" {
+		panic("mpi: Survivors needs a non-empty scope")
+	}
+	w := c.w
+	if s, ok := c.surv[scope]; ok && s.kills == w.kills {
+		return s.comm
+	}
+	live := make([]int, 0, len(c.ranks))
+	for _, r := range c.ranks {
+		if !w.dead[r.id] {
+			live = append(live, r.id)
+		}
+	}
+	nc := w.intern(scope, live)
+	if c.surv == nil {
+		c.surv = make(map[string]survivorComm)
+	}
+	c.surv[scope] = survivorComm{kills: w.kills, comm: nc}
+	return nc
 }
 
 // SetCollModel selects the collective execution model.
@@ -115,6 +175,7 @@ type collState struct {
 	// inputs holds the per-rank contributions until the call settles, and
 	// the table its callers read after that (see settle).
 	inputs  [][]int64
+	folded  []int64 // the allreduce result, folded by its first reader
 	waiters []*Rank
 	finish  sim.Time
 	err     error // terminal timeout error, set at most once
@@ -171,13 +232,20 @@ func (c *Comm) sync(r *Rank, kind string, perRankBytes int64, input []int64) [][
 // when the timer fires first. On the fault-free path the timer is always
 // cancelled before firing, leaving virtual time untouched.
 func (c *Comm) syncErr(r *Rank, kind string, perRankBytes int64, input []int64) ([][]int64, error) {
+	st, err := c.rendezvous(r, kind, perRankBytes, input)
+	return st.inputs, err
+}
+
+// rendezvous is syncErr returning the call's state itself, for callers
+// that derive one result per call from it (see collState.fold).
+func (c *Comm) rendezvous(r *Rank, kind string, perRankBytes int64, input []int64) (*collState, error) {
 	r.checkKilled()
 	me := c.RankOf(r)
 	if me < 0 {
 		panic(fmt.Sprintf("mpi: rank %d not in communicator", r.id))
 	}
 	if len(c.ranks) == 1 {
-		return c.settle(kind, [][]int64{input}), nil
+		return &collState{inputs: c.settle(kind, [][]int64{input})}, nil
 	}
 	n := c.callIdx[me]
 	c.callIdx[me]++
@@ -201,7 +269,7 @@ func (c *Comm) syncErr(r *Rank, kind string, perRankBytes int64, input []int64) 
 		// instead of parking for a timeout of its own, so a rank that fell
 		// one collective behind (slow open, receive deadline) resynchronises
 		// with the group at the next call rather than trailing forever.
-		return st.inputs, st.err
+		return st, st.err
 	}
 	st.inputs[me] = input
 	st.got[me] = true
@@ -223,7 +291,7 @@ func (c *Comm) syncErr(r *Rank, kind string, perRankBytes int64, input []int64) 
 			c.w.k.WakeAt(st.finish, wr.proc)
 		}
 		r.proc.Sleep(cost)
-		return st.inputs, nil
+		return st, nil
 	}
 	if st.arrived == len(c.ranks) {
 		// All arrived but a partition cuts the communicator: hold the
@@ -236,7 +304,7 @@ func (c *Comm) syncErr(r *Rank, kind string, perRankBytes int64, input []int64) 
 	r.proc.Park()
 	r.collSt = nil
 	r.checkKilled()
-	return st.inputs, st.err
+	return st, st.err
 }
 
 // timeoutColl fails a stalled collective: every parked participant wakes
@@ -460,15 +528,34 @@ func (c *Comm) Barrier(r *Rank) {
 }
 
 // Allreduce combines each rank's vals element-wise with op; every rank
-// receives the combined vector (MPI_Allreduce).
+// receives the combined vector (MPI_Allreduce). Under Analytic each rank
+// gets a copy of its own, which it may modify.
 func (c *Comm) Allreduce(r *Rank, vals []int64, op Op) []int64 {
 	sp := c.beginColl(r, "allreduce")
 	defer func() { sp.end(r) }()
 	if c.model == MessagePassing {
 		return c.msgAllreduce(r, vals, op)
 	}
-	inputs := c.sync(r, "allreduce", int64(8*len(vals)), vals)
-	return foldInputs(inputs, vals, op)
+	st, err := c.rendezvous(r, "allreduce", int64(8*len(vals)), vals)
+	if err != nil {
+		// A timed-out call holds only the ranks that arrived in time.
+		return foldInputs(st.inputs, vals, op)
+	}
+	return st.fold(vals, op)
+}
+
+// fold returns a fresh copy of a completed allreduce's result. The first
+// caller folds every rank's inputs; the rest copy its result, so a call
+// costs O(ranks) in total rather than O(ranks) per caller. Every rank
+// contributed to a completed call, so the fold is the same whoever runs
+// it.
+func (st *collState) fold(own []int64, op Op) []int64 {
+	if st.folded == nil {
+		st.folded = foldInputs(st.inputs, own, op)
+	}
+	out := make([]int64, len(st.folded))
+	copy(out, st.folded)
+	return out
 }
 
 // foldInputs reduces the contributed vectors element-wise, skipping slots
@@ -571,11 +658,11 @@ func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
 	if c.model == MessagePassing {
 		return c.msgAllreduce(r, vals, op), nil
 	}
-	inputs, err := c.syncErr(r, "allreduce", int64(8*len(vals)), vals)
+	st, err := c.rendezvous(r, "allreduce", int64(8*len(vals)), vals)
 	if err != nil {
 		return nil, err
 	}
-	return foldInputs(inputs, vals, op), nil
+	return st.fold(vals, op), nil
 }
 
 // TryAllgather is Allgather with timeout surfacing.

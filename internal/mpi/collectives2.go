@@ -201,7 +201,7 @@ func (c *Comm) Split(r *Rank, color, key int) *Comm {
 	}
 	// All members must share one communicator object so that collective
 	// rendezvous state matches; intern by membership.
-	nc := c.w.internComm(ids)
+	nc := c.w.intern("", ids)
 	nc.model = c.model
 	return nc
 }

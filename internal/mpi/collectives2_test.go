@@ -132,6 +132,7 @@ func TestSendrecvNoDeadlock(t *testing.T) {
 func TestSplitByColor(t *testing.T) {
 	w := testWorld(t, 4, 2) // 8 ranks
 	sums := make([]int64, w.Size())
+	subs := make([]*Comm, w.Size())
 	err := w.Run(func(r *Rank) {
 		c := w.Comm()
 		sub := c.Split(r, r.ID()%2, r.ID())
@@ -139,6 +140,7 @@ func TestSplitByColor(t *testing.T) {
 			t.Errorf("rank %d got nil comm", r.ID())
 			return
 		}
+		subs[r.ID()] = sub
 		if sub.Size() != 4 {
 			t.Errorf("sub size = %d", sub.Size())
 		}
@@ -156,6 +158,13 @@ func TestSplitByColor(t *testing.T) {
 		if s != want {
 			t.Fatalf("sum[%d] = %d, want %d", i, s, want)
 		}
+		// Every member of a color must hold the one shared communicator.
+		if subs[i] != subs[i%2] {
+			t.Fatalf("rank %d got a different communicator than rank %d", i, i%2)
+		}
+	}
+	if subs[0] == subs[1] {
+		t.Fatal("colors 0 and 1 share a communicator")
 	}
 }
 

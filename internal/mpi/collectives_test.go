@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -310,6 +311,95 @@ func TestCollectiveModelsAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Allreduce and TryAllreduce at 64 ranks with both operators: the
+	// analytic result, folded once per call, must match the message-passing
+	// one and the directly computed reduction on every rank.
+	vals := func(id int) []int64 { return []int64{int64(id*7 - 200), int64(-id), int64(id % 5)} }
+	allreduce := func(model CollModel) [][]int64 {
+		return runCollective(t, 8, 8, model, func(c *Comm, r *Rank) []int64 {
+			var out []int64
+			for _, op := range []Op{MaxOp, SumOp} {
+				out = append(out, c.Allreduce(r, vals(r.ID()), op)...)
+				got, err := c.TryAllreduce(r, vals(r.ID()), op)
+				if err != nil {
+					t.Error(err)
+				}
+				out = append(out, got...)
+			}
+			return out
+		})
+	}
+	var want []int64
+	for _, op := range []Op{MaxOp, SumOp} {
+		acc := vals(0)
+		for id := 1; id < 64; id++ {
+			for j, v := range vals(id) {
+				acc[j] = op(acc[j], v)
+			}
+		}
+		want = append(want, acc...)
+		want = append(want, acc...)
+	}
+	ra, rm := allreduce(Analytic), allreduce(MessagePassing)
+	for id := range ra {
+		for j := range want {
+			if ra[id][j] != want[j] || rm[id][j] != want[j] {
+				t.Fatalf("rank %d allreduce[%d]: analytic %d, message-passing %d, want %d",
+					id, j, ra[id][j], rm[id][j], want[j])
+			}
+		}
+	}
+}
+
+func TestAllreduceResultIsCallersOwn(t *testing.T) {
+	// Each rank overwrites its result as soon as it returns; the ranks that
+	// resume after it must still read the true reduction.
+	const n = 64
+	want := int64(n * (n - 1) / 2)
+	out := runCollective(t, 8, 8, Analytic, func(c *Comm, r *Rank) []int64 {
+		res := c.Allreduce(r, []int64{int64(r.ID())}, SumOp)
+		got := res[0]
+		res[0] = -1
+		tres, err := c.TryAllreduce(r, []int64{int64(r.ID())}, SumOp)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		tgot := tres[0]
+		tres[0] = -1
+		return []int64{got, tgot}
+	})
+	for id, o := range out {
+		if o[0] != want || o[1] != want {
+			t.Fatalf("rank %d read %v, want %d twice: another rank's write leaked", id, o, want)
+		}
+	}
+}
+
+func TestTryAllreduceWithDeadRank(t *testing.T) {
+	w := testWorld(t, 2, 2)
+	w.SetCollTimeout(10 * sim.Millisecond)
+	errs := make([]error, w.Size())
+	res := make([][]int64, w.Size())
+	if err := w.Run(func(r *Rank) {
+		if r.ID() == 1 {
+			w.Kill(1)
+		}
+		r.checkKilled()
+		res[r.ID()], errs[r.ID()] = w.Comm().TryAllreduce(r, []int64{int64(r.ID())}, MaxOp)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 2, 3} {
+		var cte *CollTimeoutError
+		if !errors.As(errs[id], &cte) || len(cte.Missing) != 1 || cte.Missing[0] != 1 {
+			t.Fatalf("rank %d error = %v, want *CollTimeoutError naming rank 1", id, errs[id])
+		}
+		if res[id] != nil {
+			t.Fatalf("rank %d got result %v alongside the timeout", id, res[id])
+		}
 	}
 }
 

@@ -32,13 +32,14 @@ type World struct {
 	ranks    []*Rank
 	perNode  int
 	comm     *Comm
-	interned map[string]*Comm // Split results, shared across members
+	interned map[internKey][]*Comm // shared communicators; see intern
 
 	rel         *relState    // reliable-delivery layer, nil when disabled
 	collTimeout sim.Time     // collective timeout; 0 = wait forever
 	heldColl    []*collState // collectives held open by a partition
 	onChangeReg bool         // partition observer registered
-	dead        map[int]bool // ranks removed by Kill
+	dead        []bool       // ranks removed by Kill, indexed by rank id
+	kills       int          // number of ranks killed so far
 
 	// Per-rank collective accounting: calls entered vs calls completed.
 	// A live rank with started != done after the run is wedged inside a
@@ -93,10 +94,10 @@ func NewWorldOn(k *sim.Kernel, fabric *netsim.Fabric, ranksPerNode, computeNodes
 	}
 	w := &World{
 		k: k, fabric: fabric, perNode: ranksPerNode,
-		interned: make(map[string]*Comm),
-		dead:     make(map[int]bool),
+		interned: make(map[internKey][]*Comm),
 	}
 	n := computeNodes * ranksPerNode
+	w.dead = make([]bool, n)
 	for i := 0; i < n; i++ {
 		w.ranks = append(w.ranks, &Rank{
 			w:    w,
@@ -176,6 +177,7 @@ func (w *World) Kill(id int) {
 		return
 	}
 	w.dead[id] = true
+	w.kills++
 	r := w.ranks[id]
 	if r.proc == nil {
 		return // never started

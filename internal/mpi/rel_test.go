@@ -447,15 +447,86 @@ func TestReliableDeterministicPerSeed(t *testing.T) {
 }
 
 func TestNewSharedCommScopesAreDistinct(t *testing.T) {
-	w := testWorld(t, 2, 1)
+	w := testWorld(t, 4, 1)
 	members := []int{0, 1}
-	a := w.NewSharedComm(members, "epoch0")
-	b := w.NewSharedComm(members, "epoch1")
+	a := w.intern("epoch0", members)
+	b := w.intern("epoch1", members)
 	if a == b {
 		t.Fatal("distinct scopes must yield distinct communicators")
 	}
-	if a != w.NewSharedComm(members, "epoch0") {
-		t.Fatal("same scope must intern to the same communicator")
+	if a != w.intern("epoch0", []int{0, 1}) {
+		t.Fatal("same scope and members must intern to the same communicator")
 	}
-	_ = fmt.Sprint(a, b)
+	if c := w.intern("epoch0", []int{0, 2}); c == a || !c.hasMembers([]int{0, 2}) {
+		t.Fatal("different members under one scope must yield distinct communicators")
+	}
+	if w.intern("", members) == a {
+		t.Fatal("Split's scope must not share communicators with a named scope")
+	}
+
+	// A hash collision must never merge two memberships: plant a comm over
+	// {2, 3} in {0, 1}'s bucket, then intern {0, 1} there.
+	key := internKey{scope: "epoch9", h: hashMembers(members)}
+	planted := w.NewComm([]int{2, 3})
+	w.interned[key] = append(w.interned[key], planted)
+	got := w.intern("epoch9", members)
+	if got == planted || !got.hasMembers(members) {
+		t.Fatal("intern merged two memberships that share a bucket")
+	}
+	if len(w.interned[key]) != 2 || w.intern("epoch9", members) != got {
+		t.Fatal("a shared bucket must hold and return both communicators")
+	}
+}
+
+// TestSurvivorsMatchesFilterThenIntern checks the cached Survivors against
+// the direct derivation — filter the parent through Alive, then intern —
+// for every caller, with nodes dying between callers within an epoch, at
+// an epoch's start, and not at all.
+func TestSurvivorsMatchesFilterThenIntern(t *testing.T) {
+	w := testWorld(t, 8, 8) // 64 ranks
+	parent := w.Comm()
+	direct := func(scope string) *Comm {
+		var live []int
+		for i := 0; i < parent.Size(); i++ {
+			if id := parent.Member(i).ID(); w.Alive(id) {
+				live = append(live, id)
+			}
+		}
+		return w.intern(scope, live)
+	}
+	// kills[epoch][id] is the node that dies just before rank id calls.
+	kills := []map[int]int{
+		{20: 5},        // mid-epoch: ranks 0..19 see 64 members, the rest 56
+		{0: 3, 40: 6},  // at the epoch's start, then mid-epoch again
+		{},             // no deaths: every caller shares one comm
+		{63: 7, 10: 1}, // rank 63 is on the killed node; it never calls
+		{0: 2, 1: 4},   // two kills before the second caller
+	}
+	for epoch, killAt := range kills {
+		scope := fmt.Sprintf("e%d", epoch)
+		views := map[*Comm]bool{}
+		for id := 0; id < w.Size(); id++ {
+			if node, ok := killAt[id]; ok {
+				w.KillNode(node)
+			}
+			if !w.Alive(id) {
+				continue
+			}
+			got := parent.Survivors(scope)
+			if want := direct(scope); got != want {
+				t.Fatalf("epoch %d rank %d: Survivors = %d members, direct = %d members",
+					epoch, id, got.Size(), want.Size())
+			}
+			if got.RankOf(w.Rank(id)) < 0 {
+				t.Fatalf("epoch %d: live rank %d missing from its survivor comm", epoch, id)
+			}
+			views[got] = true
+		}
+		if want := len(killAt) + 1; len(views) > want {
+			t.Fatalf("epoch %d: %d distinct survivor comms, want at most %d", epoch, len(views), want)
+		}
+	}
+	if parent.Survivors("e2") == parent.Survivors("e4") {
+		t.Fatal("distinct scopes must yield distinct survivor comms")
+	}
 }

@@ -23,9 +23,9 @@
 # 200-iteration soak. The fuzz corpora also replay once (Fuzz* seeds as
 # regression tests; SKIP_FUZZ=1 skips).
 #
-# The two-phase round-planning and analytic-Alltoall microbenchmarks run
-# once after the tests, so they keep compiling and their built-in equality
-# checks keep running.
+# The two-phase round-planning, analytic-Alltoall, survivor-communicator
+# and Allreduce-fold microbenchmarks run once after the tests, so they keep
+# compiling and their built-in equality and allocation checks keep running.
 #
 # A kilo-rank scale smoke also gates the run: the TestScale_ suite at
 # 1024 ranks (clean, lossy and aggregator-crash collective writes checked
@@ -71,8 +71,8 @@ go vet ./...
 echo "== go test ./...   (tier-1)"
 go test ./...
 
-echo "== microbenchmarks once (two-phase round planning, analytic alltoall)"
-go test -run '^$' -bench 'RoundPlan|Alltoall' -benchtime 1x ./internal/adio ./internal/mpi
+echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold)"
+go test -run '^$' -bench 'RoundPlan|Alltoall|Survivor|Allreduce' -benchtime 1x ./internal/adio ./internal/mpi
 
 if [ "${SKIP_RACE:-}" = "1" ]; then
     echo "== race pass skipped (SKIP_RACE=1)"
