@@ -283,15 +283,19 @@ func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {
 
 // buildDataMsg encodes extents (and payload, when present) into a shuffle
 // message. Vals carries (off, len) pairs; Size adds a 16-byte per-extent
-// header to the payload bytes.
+// header to the payload bytes. The payload is allocated once, at its final
+// length.
 func buildDataMsg(exts []extent.Extent, segs []extent.Extent, pre []int64, data []byte) mpi.Message {
 	vals := make([]int64, 0, 2*len(exts))
-	var payload []byte
 	var bytes int64
 	for _, e := range exts {
 		vals = append(vals, e.Off, e.Len)
 		bytes += e.Len
-		if data != nil {
+	}
+	var payload []byte
+	if data != nil && bytes > 0 {
+		payload = make([]byte, 0, bytes)
+		for _, e := range exts {
 			payload = append(payload, segPayload(e, segs, pre, data)...)
 		}
 	}

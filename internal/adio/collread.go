@@ -228,16 +228,20 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 }
 
 // buildReadReply packs the bytes of exts (from the aggregator's scratch
-// buffer) into a reply message.
+// buffer) into a reply message, reading each extent straight into its
+// slice of a payload allocated once at its final length.
 func buildReadReply(exts []extent.Extent, scratch store.Store) mpi.Message {
 	var bytes int64
-	var payload []byte
 	for _, e := range exts {
 		bytes += e.Len
-		if scratch != nil {
-			b := make([]byte, e.Len)
-			scratch.ReadAt(b, e.Off)
-			payload = append(payload, b...)
+	}
+	var payload []byte
+	if scratch != nil && bytes > 0 {
+		payload = make([]byte, bytes)
+		var cursor int64
+		for _, e := range exts {
+			scratch.ReadAt(payload[cursor:cursor+e.Len], e.Off)
+			cursor += e.Len
 		}
 	}
 	return mpi.Message{Data: payload, Size: bytes + 16*int64(len(exts))}

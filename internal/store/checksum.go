@@ -40,6 +40,7 @@ type ChecksumStore struct {
 	payload bool
 	sums    map[int64]uint32 // chunk index -> CRC-32C of the aligned chunk
 	bad     extent.Set       // injected-corruption ledger
+	chunk   []byte           // payload only: read buffer for rehash and VerifyExtent
 }
 
 // memChecksumStore preserves the PayloadBacked marker of a wrapped
@@ -60,6 +61,7 @@ func Checksummed(inner Store) Store {
 	cs := &ChecksumStore{inner: inner, sums: map[int64]uint32{}}
 	if _, ok := inner.(PayloadBacked); ok {
 		cs.payload = true
+		cs.chunk = make([]byte, ChecksumChunk)
 		return &memChecksumStore{cs}
 	}
 	return cs
@@ -81,7 +83,7 @@ func (cs *ChecksumStore) WriteAt(data []byte, off, size int64) {
 
 // rehash recomputes the CRCs of every chunk touching [lo, hi).
 func (cs *ChecksumStore) rehash(lo, hi int64) {
-	buf := make([]byte, ChecksumChunk)
+	buf := cs.chunk
 	for ci := lo / ChecksumChunk; ci <= (hi-1)/ChecksumChunk; ci++ {
 		cs.inner.ReadAt(buf, ci*ChecksumChunk)
 		cs.sums[ci] = crc32.Checksum(buf, crcTable)
@@ -146,7 +148,7 @@ func (cs *ChecksumStore) VerifyExtent(e extent.Extent) []extent.Extent {
 		}
 	}
 	if cs.payload {
-		buf := make([]byte, ChecksumChunk)
+		buf := cs.chunk
 		for ci := e.Off / ChecksumChunk; ci <= (e.End()-1)/ChecksumChunk; ci++ {
 			want, ok := cs.sums[ci]
 			if !ok {

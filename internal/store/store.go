@@ -1,8 +1,10 @@
 // Package store provides the byte-payload backends used by the simulated
-// file systems. MemStore keeps real data so integration tests can assert
-// byte-exact end-to-end correctness of the collective write and cache flush
-// paths; NullStore tracks only written extents so the 32 GB evaluation runs
-// execute the identical control flow without allocating payload memory.
+// file systems. MemStore keeps real data in fixed-size pages so integration
+// tests can assert byte-exact end-to-end correctness of the collective
+// write and cache flush paths; each of its operations costs O(bytes it
+// touches), however much the file already holds. NullStore tracks only
+// written extents so the 32 GB evaluation runs execute the identical
+// control flow without allocating payload memory.
 package store
 
 import (
@@ -43,24 +45,28 @@ func NewMem() Store { return &MemStore{} }
 // NewNull is a Factory for NullStore.
 func NewNull() Store { return &NullStore{} }
 
-// MemStore holds real file bytes in coalesced chunks.
+// pageSize is MemStore's allocation grain. It is a multiple of
+// ChecksumChunk, so a checksum chunk never straddles two pages. Measured
+// on readback_64 (EXPERIMENTS.md, "Payload path in O(bytes touched)"),
+// 4 KiB and 16 KiB pages were slower and 256 KiB pages no faster, while
+// rounding sparse stores up further.
+const pageSize int64 = 64 << 10
+
+// MemStore holds real file bytes in fixed-size pages, each allocated on
+// the first write that carries data into it. Every operation costs
+// O(bytes it touches): a write copies into the pages it covers, a read
+// copies out of them (zero-filling missing pages), and neither depends on
+// how much the file already holds.
 type MemStore struct {
-	chunks  []memChunk // sorted by off, non-overlapping
+	pages   map[int64][]byte // page index -> pageSize bytes
 	written extent.Set
 	size    int64
 }
 
-type memChunk struct {
-	off  int64
-	data []byte
-}
-
-// WriteAt implements Store.
+// WriteAt implements Store. A nil-data write clears the bytes it covers
+// and allocates no page.
 func (m *MemStore) WriteAt(data []byte, off, size int64) {
-	if data == nil {
-		data = make([]byte, size)
-	}
-	if int64(len(data)) != size {
+	if (data != nil && int64(len(data)) != size) || size < 0 {
 		panic(fmt.Sprintf("store: data length %d != size %d", len(data), size))
 	}
 	if size == 0 {
@@ -70,51 +76,40 @@ func (m *MemStore) WriteAt(data []byte, off, size int64) {
 	if off+size > m.size {
 		m.size = off + size
 	}
-	// Simple approach: collect overlapping chunks, merge into one buffer.
-	e := extent.Extent{Off: off, Len: size}
-	var keep []memChunk
-	lo, hi := off, off+size
-	var overlapping []memChunk
-	for _, c := range m.chunks {
-		ce := extent.Extent{Off: c.off, Len: int64(len(c.data))}
-		if ce.Overlaps(e) || ce.End() == e.Off || e.End() == ce.Off {
-			overlapping = append(overlapping, c)
-			if c.off < lo {
-				lo = c.off
-			}
-			if ce.End() > hi {
-				hi = ce.End()
+	for pos, end := off, off+size; pos < end; {
+		pi, po := pos/pageSize, pos%pageSize
+		n := min(pageSize-po, end-pos)
+		page := m.pages[pi]
+		if data == nil {
+			if page != nil {
+				clear(page[po : po+n])
 			}
 		} else {
-			keep = append(keep, c)
+			if page == nil {
+				if m.pages == nil {
+					m.pages = map[int64][]byte{}
+				}
+				page = make([]byte, pageSize)
+				m.pages[pi] = page
+			}
+			copy(page[po:po+n], data[pos-off:])
 		}
+		pos += n
 	}
-	buf := make([]byte, hi-lo)
-	for _, c := range overlapping {
-		copy(buf[c.off-lo:], c.data)
-	}
-	copy(buf[off-lo:], data)
-	keep = append(keep, memChunk{off: lo, data: buf})
-	// Restore sort order.
-	for i := len(keep) - 1; i > 0 && keep[i].off < keep[i-1].off; i-- {
-		keep[i], keep[i-1] = keep[i-1], keep[i]
-	}
-	m.chunks = keep
 }
 
 // ReadAt implements Store.
 func (m *MemStore) ReadAt(buf []byte, off int64) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	e := extent.Extent{Off: off, Len: int64(len(buf))}
-	for _, c := range m.chunks {
-		ce := extent.Extent{Off: c.off, Len: int64(len(c.data))}
-		ov := ce.Intersect(e)
-		if ov.Empty() {
-			continue
+	for pos, end := off, off+int64(len(buf)); pos < end; {
+		pi, po := pos/pageSize, pos%pageSize
+		n := min(pageSize-po, end-pos)
+		dst := buf[pos-off : pos-off+n]
+		if page := m.pages[pi]; page != nil {
+			copy(dst, page[po:])
+		} else {
+			clear(dst)
 		}
-		copy(buf[ov.Off-off:ov.Off-off+ov.Len], c.data[ov.Off-c.off:])
+		pos += n
 	}
 }
 
@@ -124,7 +119,8 @@ func (m *MemStore) Written() *extent.Set { return &m.written }
 // Size implements Store.
 func (m *MemStore) Size() int64 { return m.size }
 
-// Truncate implements Store.
+// Truncate implements Store. Shrinking drops the pages past size and
+// clears the tail of the boundary page, so a later grow reads zeros.
 func (m *MemStore) Truncate(size int64) {
 	if size >= m.size {
 		m.size = size
@@ -132,19 +128,14 @@ func (m *MemStore) Truncate(size int64) {
 	}
 	m.size = size
 	m.written.Remove(extent.Extent{Off: size, Len: 1<<62 - size})
-	var keep []memChunk
-	for _, c := range m.chunks {
-		end := c.off + int64(len(c.data))
-		switch {
-		case end <= size:
-			keep = append(keep, c)
-		case c.off >= size:
-			// dropped
-		default:
-			keep = append(keep, memChunk{off: c.off, data: c.data[:size-c.off]})
+	for pi := range m.pages {
+		if pi*pageSize >= size {
+			delete(m.pages, pi)
 		}
 	}
-	m.chunks = keep
+	if page := m.pages[size/pageSize]; page != nil {
+		clear(page[size%pageSize:])
+	}
 }
 
 // NullStore tracks only extents and size; content reads as zero.

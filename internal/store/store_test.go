@@ -2,11 +2,7 @@ package store
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/extent"
 )
 
 func TestMemStoreRoundTrip(t *testing.T) {
@@ -98,52 +94,6 @@ func TestNullStoreTruncateShrinksExtents(t *testing.T) {
 	n.Truncate(40)
 	if n.Size() != 40 || n.Written().TotalBytes() != 40 {
 		t.Fatalf("size=%d written=%d", n.Size(), n.Written().TotalBytes())
-	}
-}
-
-// Property: MemStore matches a flat []byte reference model under random
-// writes, and its Written set matches the bytes ever touched.
-func TestMemStoreMatchesFlatModel(t *testing.T) {
-	const universe = 512
-	f := func(seed int64, nOps uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		m := NewMem()
-		ref := make([]byte, universe)
-		touched := make([]bool, universe)
-		for op := 0; op < int(nOps%30)+3; op++ {
-			off := r.Int63n(universe - 1)
-			length := r.Int63n(universe/8) + 1
-			if off+length > universe {
-				length = universe - off
-			}
-			data := make([]byte, length)
-			r.Read(data)
-			m.WriteAt(data, off, length)
-			copy(ref[off:], data)
-			for b := off; b < off+length; b++ {
-				touched[b] = true
-			}
-		}
-		got := make([]byte, universe)
-		m.ReadAt(got, 0)
-		for b := 0; b < universe; b++ {
-			want := byte(0)
-			if touched[b] {
-				want = ref[b]
-			}
-			if got[b] != want {
-				t.Logf("byte %d: got %d want %d", b, got[b], want)
-				return false
-			}
-			if touched[b] != m.Written().Covers(extent.Extent{Off: int64(b), Len: 1}) {
-				t.Logf("written set wrong at byte %d", b)
-				return false
-			}
-		}
-		return m.Written().Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
 	}
 }
 

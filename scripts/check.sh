@@ -23,9 +23,10 @@
 # 200-iteration soak. The fuzz corpora also replay once (Fuzz* seeds as
 # regression tests; SKIP_FUZZ=1 skips).
 #
-# The two-phase round-planning, analytic-Alltoall, survivor-communicator
-# and Allreduce-fold microbenchmarks run once after the tests, so they keep
-# compiling and their built-in equality and allocation checks keep running.
+# The two-phase round-planning, analytic-Alltoall, survivor-communicator,
+# Allreduce-fold and MemStore strided-assembly microbenchmarks run once
+# after the tests, so they keep compiling and their built-in equality and
+# allocation checks keep running.
 #
 # A kilo-rank scale smoke also gates the run: the TestScale_ suite at
 # 1024 ranks (clean, lossy and aggregator-crash collective writes checked
@@ -71,8 +72,8 @@ go vet ./...
 echo "== go test ./...   (tier-1)"
 go test ./...
 
-echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold)"
-go test -run '^$' -bench 'RoundPlan|Alltoall|Survivor|Allreduce' -benchtime 1x ./internal/adio ./internal/mpi
+echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold, MemStore assembly)"
+go test -run '^$' -bench 'RoundPlan|Alltoall|Survivor|Allreduce|MemStore' -benchtime 1x ./internal/adio ./internal/mpi ./internal/store
 
 if [ "${SKIP_RACE:-}" = "1" ]; then
     echo "== race pass skipped (SKIP_RACE=1)"
