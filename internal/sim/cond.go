@@ -24,6 +24,7 @@ func (c *Cond) Signal() bool {
 		return false
 	}
 	p := c.waiters[0]
+	c.waiters[0] = nil // the backing array must not keep p reachable
 	c.waiters = c.waiters[1:]
 	c.k.Wake(p)
 	return true

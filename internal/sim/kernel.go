@@ -10,8 +10,8 @@ import (
 	"repro/internal/trace"
 )
 
-// event is a scheduled occurrence: either a process wake-up or a kernel
-// callback (used to start new processes and for timers).
+// event is a scheduled occurrence: either a process resume (the first one
+// starts the process) or a kernel callback (After and timers).
 type event struct {
 	t   Time
 	seq uint64 // tie-break: FIFO among same-time events
@@ -37,10 +37,10 @@ type Kernel struct {
 	budget     int64 // max events Run may dispatch; 0 = unlimited
 	dispatched int64
 
-	live    map[int]*Proc // all spawned, unfinished processes
-	yield   chan struct{} // process -> kernel: "I blocked or finished"
-	running bool
-	err     error
+	live     map[int]*Proc // all spawned, unfinished processes
+	yield    chan struct{} // process -> Run: "the run has stopped"
+	running  bool
+	panicked interface{} // process or callback panic for Run to re-raise
 
 	tracer *trace.Tracer
 	ktrack trace.TrackID
@@ -175,11 +175,15 @@ func (k *Kernel) SpawnLazy(nameFn func() string, fn func(p *Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Proc {
+	if fn == nil {
+		panic("sim: spawn with a nil process body")
+	}
 	p := &Proc{
 		k:      k,
 		name:   name,
 		nameFn: nameFn,
 		id:     k.nextID,
+		fn:     fn,
 		resume: make(chan struct{}),
 		ttk:    trace.NoTrack,
 	}
@@ -187,36 +191,89 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 	k.live[p.id] = p
 	k.mSpawns.Inc()
 	k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(len(k.live)))
-	k.schedule(event{t: k.now, fn: func() { k.start(p, fn) }})
+	k.schedule(event{t: k.now, p: p}) // the first resume starts it
 	return p
 }
 
-// start launches the process goroutine and immediately transfers control to
-// it. Called from kernel context.
-func (k *Kernel) start(p *Proc, fn func(p *Proc)) {
-	go func() {
-		<-p.resume // wait for the kernel to hand over control
-		defer func() {
-			if r := recover(); r != nil {
-				p.panicked = r
+// next dispatches events until one resumes a live process and returns that
+// process. Cancelled timers are dropped before they touch the clock, and
+// callbacks and stale wakes for finished processes are consumed inline.
+// next returns nil when the queue drains, when the event budget trips, or
+// when a callback panics (the value is kept for Run to re-raise). It runs on
+// whichever goroutine holds control: Run's, or a process's that blocks or
+// finishes.
+func (k *Kernel) next() *Proc {
+	for k.queue.Len() > 0 {
+		if k.budget > 0 && k.dispatched >= k.budget {
+			return nil
+		}
+		ev := k.queue.Pop()
+		if ev.tm != nil && ev.tm.stopped {
+			continue // cancelled timer: dropped before it can touch k.now
+		}
+		k.now = ev.t
+		k.dispatched++
+		k.mEvents.Inc()
+		if ev.fn != nil {
+			if !k.call(ev.fn) {
+				return nil
 			}
-			p.done = true
-			delete(k.live, p.id)
-			k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(len(k.live)))
-			k.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
-	k.transferTo(p)
+			continue
+		}
+		if !ev.p.done { // else a stale wake for a finished process
+			return ev.p
+		}
+	}
+	return nil
 }
 
-// transferTo resumes p and waits until it blocks or finishes.
-func (k *Kernel) transferTo(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.yield
-	if p.panicked != nil {
-		panic(fmt.Sprintf("sim: process %q panicked: %v", p.Name(), p.panicked))
+// call runs a kernel callback, recording a panic for Run to re-raise with
+// its original value rather than letting it unwind the process goroutine the
+// callback happens to run on.
+func (k *Kernel) call(fn func()) (ok bool) {
+	defer func() {
+		if !ok {
+			k.panicked = recover()
+		}
+	}()
+	fn()
+	return true
+}
+
+// handoff passes control to p — starting its goroutine on its first resume
+// — or back to Run when p is nil. The caller must then park or exit without
+// touching kernel state.
+func (k *Kernel) handoff(p *Proc) {
+	switch {
+	case p == nil:
+		k.yield <- struct{}{}
+	case p.fn != nil:
+		fn := p.fn
+		p.fn = nil // a finished Proc may stay reachable; its closure need not
+		go func() {
+			defer p.exit() // however fn ends: return, panic or runtime.Goexit
+			fn(p)
+		}()
+	default:
+		p.resume <- struct{}{}
 	}
+}
+
+// exit retires a finishing process and dispatches the next event from its
+// goroutine, which then ends. A process panic stops the run: control goes
+// straight back to Run, which re-raises it.
+func (p *Proc) exit() {
+	k := p.k
+	r := recover()
+	p.done = true
+	delete(k.live, p.id)
+	k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(len(k.live)))
+	if r != nil {
+		k.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r)
+		k.handoff(nil)
+		return
+	}
+	k.handoff(k.next())
 }
 
 // Run executes events until the queue drains. It returns an error if, when
@@ -228,28 +285,16 @@ func (k *Kernel) Run() error {
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	for k.queue.Len() > 0 {
-		if k.budget > 0 && k.dispatched >= k.budget {
-			k.err = fmt.Errorf("%w: %d events dispatched at t=%v (livelock?)",
-				ErrEventBudget, k.dispatched, k.now)
-			return k.err
-		}
-		ev := k.queue.Pop()
-		if ev.tm != nil && ev.tm.stopped {
-			continue // cancelled timer: dropped before it can touch k.now
-		}
-		k.now = ev.t
-		k.dispatched++
-		k.mEvents.Inc()
-		switch {
-		case ev.fn != nil:
-			ev.fn()
-		case ev.p != nil:
-			if ev.p.done {
-				continue // stale wake for a finished process
-			}
-			k.transferTo(ev.p)
-		}
+	if p := k.next(); p != nil {
+		k.handoff(p)
+		<-k.yield // the run has stopped, on whichever goroutine held control
+	}
+	if v := k.panicked; v != nil {
+		panic(v)
+	}
+	if k.queue.Len() > 0 { // next stops early only for the budget
+		return fmt.Errorf("%w: %d events dispatched at t=%v (livelock?)",
+			ErrEventBudget, k.dispatched, k.now)
 	}
 	if len(k.live) > 0 {
 		names := make([]string, 0, len(k.live))
@@ -257,8 +302,7 @@ func (k *Kernel) Run() error {
 			names = append(names, p.Name())
 		}
 		sort.Strings(names)
-		k.err = fmt.Errorf("sim: deadlock at t=%v: %d process(es) still blocked: %v", k.now, len(names), names)
-		return k.err
+		return fmt.Errorf("sim: deadlock at t=%v: %d process(es) still blocked: %v", k.now, len(names), names)
 	}
 	return nil
 }
@@ -267,14 +311,14 @@ func (k *Kernel) Run() error {
 // virtual time. All Proc methods must be called from the process's own
 // goroutine.
 type Proc struct {
-	k        *Kernel
-	name     string
-	nameFn   func() string // lazy name, resolved on first Name() call
-	id       int
-	resume   chan struct{}
-	done     bool
-	panicked interface{}
-	ttk      trace.TrackID
+	k      *Kernel
+	name   string
+	nameFn func() string // lazy name, resolved on first Name() call
+	id     int
+	fn     func(p *Proc) // body until the first resume starts it; nil = started
+	resume chan struct{}
+	done   bool
+	ttk    trace.TrackID
 }
 
 // Name returns the process name given at Spawn, resolving a SpawnLazy
@@ -304,21 +348,22 @@ func (p *Proc) SetTraceTrack(tk trace.TrackID) { p.ttk = tk }
 // TraceTrack returns the process's trace timeline, or trace.NoTrack.
 func (p *Proc) TraceTrack() trace.TrackID { return p.ttk }
 
-// block transfers control back to the kernel and waits to be resumed. When
-// the process carries a trace track, the blocked interval is recorded as a
-// span (zero-length blocks — pure scheduling yields — are skipped).
+// block gives up control until the process is resumed. The blocking
+// goroutine dispatches the next event itself: when that resumes this same
+// process, block returns without any goroutine switch; otherwise it hands
+// control directly to the next process (or back to Run when the run stops)
+// and parks. When the process carries a trace track, the blocked interval
+// is recorded as a span (zero-length blocks — pure scheduling yields — are
+// skipped).
 func (p *Proc) block() {
-	if tr := p.k.tracer; tr != nil && p.ttk >= 0 {
-		start := p.k.now
-		p.k.yield <- struct{}{}
+	start := p.k.now
+	if q := p.k.next(); q != p {
+		p.k.handoff(q)
 		<-p.resume
-		if p.k.now > start {
-			tr.SpanAt(p.ttk, "sim", "blocked", int64(start), int64(p.k.now))
-		}
-		return
 	}
-	p.k.yield <- struct{}{}
-	<-p.resume
+	if tr := p.k.tracer; tr != nil && p.ttk >= 0 && p.k.now > start {
+		tr.SpanAt(p.ttk, "sim", "blocked", int64(start), int64(p.k.now))
+	}
 }
 
 // Sleep advances the process by d of virtual time.

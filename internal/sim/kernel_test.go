@@ -3,8 +3,10 @@ package sim
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
@@ -416,5 +418,206 @@ func TestTimerFiresWhenNotStopped(t *testing.T) {
 	}
 	if tm.Stop() {
 		t.Fatal("Stop() = true after the timer fired")
+	}
+}
+
+// runPanic runs k and returns the value Run panicked with, or nil.
+func runPanic(k *Kernel) (v interface{}) {
+	defer func() { v = recover() }()
+	_ = k.Run()
+	return nil
+}
+
+func TestProcessPanicNamesProcess(t *testing.T) {
+	k := NewKernel(1)
+	k.Spawn("bystander", func(p *Proc) { p.Sleep(Second) })
+	k.Spawn("faulty", func(p *Proc) {
+		p.Sleep(Millisecond)
+		panic("boom")
+	})
+	v := runPanic(k)
+	if want := `sim: process "faulty" panicked: boom`; v != want {
+		t.Fatalf("Run panicked with %v, want %q", v, want)
+	}
+}
+
+func TestCallbackPanicReachesRunCaller(t *testing.T) {
+	sentinel := errors.New("callback failure")
+	cases := map[string]func(k *Kernel){
+		// The callback is popped by the process's own dispatch while it
+		// blocks in Sleep.
+		"while blocked": func(k *Kernel) {
+			k.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
+		},
+		// The callback is popped right after the only process finishes.
+		"after finish": func(k *Kernel) {
+			k.Spawn("short", func(p *Proc) {})
+		},
+	}
+	for name, setup := range cases {
+		t.Run(name, func(t *testing.T) {
+			k := NewKernel(1)
+			setup(k)
+			k.After(Millisecond, func() { panic(sentinel) })
+			if v := runPanic(k); v != sentinel {
+				t.Fatalf("Run panicked with %v, want the callback's own value", v)
+			}
+		})
+	}
+}
+
+func TestGoexitFinishesProcess(t *testing.T) {
+	k := NewKernel(1)
+	var after, other bool
+	k.Spawn("exiter", func(p *Proc) {
+		p.Sleep(Millisecond)
+		runtime.Goexit()
+		after = true
+	})
+	k.Spawn("other", func(p *Proc) {
+		p.Sleep(Second)
+		other = true
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if after || !other {
+		t.Fatalf("after Goexit ran=%v, other finished=%v; want false, true", after, other)
+	}
+	if k.Now() != Second {
+		t.Fatalf("run ended at %v, want 1s", k.Now())
+	}
+}
+
+func TestNoGoroutineLeak(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		k := NewKernel(int64(i))
+		for j := 0; j < 50; j++ {
+			d := Time(j%7) * Microsecond
+			k.Spawn("short", func(p *Proc) { p.Sleep(d) })
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A finished process's goroutine exits just after its last handoff.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// BenchmarkKernelSleep is one process sleeping b.N times: every resume goes
+// back to the process that just blocked.
+func BenchmarkKernelSleep(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	k.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Nanosecond)
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkKernelPingPong is two processes waking each other b.N times.
+func BenchmarkKernelPingPong(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	var ping, pong *Proc
+	ping = k.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			k.Wake(pong)
+			p.Park()
+		}
+		k.Wake(pong)
+	})
+	pong = k.Spawn("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Park()
+			k.Wake(ping)
+		}
+		p.Park()
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// runSpawns runs a parent process that spawns n short-lived children, one
+// at a time.
+func runSpawns(n int) error {
+	k := NewKernel(1)
+	child := func(c *Proc) {}
+	k.Spawn("parent", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			k.Spawn("child", child)
+			p.Sleep(Nanosecond)
+		}
+	})
+	return k.Run()
+}
+
+// mallocs returns the heap allocations f makes.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// BenchmarkKernelSpawn spawns b.N short-lived children. It first fails if
+// a spawned process costs more than 3 allocations, measured as the
+// difference between runs of 2000 and 1000 spawns so the per-kernel setup
+// cancels out. The 0.1 allowance absorbs amortized growth (the live-process
+// map, the runtime's goroutine cache); a fourth allocation per spawn would
+// show as a full unit.
+func BenchmarkKernelSpawn(b *testing.B) {
+	b.ReportAllocs()
+	const n = 1000
+	var err error
+	small := mallocs(func() { err = runSpawns(n) })
+	large := mallocs(func() { err = errors.Join(err, runSpawns(2*n)) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	if per := float64(int64(large)-int64(small)) / n; per > 3.1 {
+		b.Fatalf("%.3f allocations per spawned process, want <= 3", per)
+	}
+	b.ResetTimer()
+	if err := runSpawns(b.N); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestWokenWaiterSlotReleased checks that Cond.Signal and Station.Release
+// clear the popped waiter slot, so the backing array does not keep a woken
+// (and later finished) process reachable.
+func TestWokenWaiterSlotReleased(t *testing.T) {
+	k := NewKernel(1)
+	c := NewCond(k)
+	s := NewStation(k, "disk", 1)
+	var condBacking, stationBacking []*Proc
+	k.Spawn("waiter", func(p *Proc) { c.Wait(p) })
+	k.Spawn("holder", func(p *Proc) { s.Serve(p, Second) })
+	k.Spawn("queued", func(p *Proc) { s.Serve(p, Second) })
+	k.After(Millisecond, func() {
+		condBacking, stationBacking = c.waiters, s.waiters
+		c.Signal()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if condBacking[0] != nil || stationBacking[0] != nil {
+		t.Fatalf("popped waiter slots still set: cond %v, station %v", condBacking[0], stationBacking[0])
 	}
 }

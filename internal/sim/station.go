@@ -69,6 +69,7 @@ func (s *Station) Acquire(p *Proc) {
 func (s *Station) Release() {
 	if len(s.waiters) > 0 {
 		p := s.waiters[0]
+		s.waiters[0] = nil // the backing array must not keep p reachable
 		s.waiters = s.waiters[1:]
 		if tr := s.k.tracer; tr != nil {
 			tr.Counter(s.TraceTrack(tr), "queue", int64(s.k.now), int64(len(s.waiters)))

@@ -2,14 +2,18 @@
 //
 // The kernel models virtual time as int64 nanoseconds and runs simulation
 // processes as cooperatively scheduled goroutines: at any instant exactly one
-// process executes, and processes hand control back to the kernel whenever
-// they block (Sleep, Park, resource acquisition). Events that fire at the
-// same virtual time are ordered by creation sequence, so a run with a given
-// seed is bit-for-bit reproducible.
+// goroutine runs. There is no scheduler goroutine in the loop. A process
+// that blocks (Sleep, Park, resource acquisition) or finishes dispatches the
+// next event itself — running due callbacks inline — and hands control
+// directly to the process that event resumes. A resume therefore costs one
+// goroutine switch, or none when the blocking process is itself the next to
+// run. Run only starts the chain and waits for it to stop. Events that fire
+// at the same virtual time are ordered by creation sequence, so a run with a
+// given seed is bit-for-bit reproducible.
 //
 // The package also provides the building blocks used by the cluster models
-// layered on top of it: FIFO queueing stations (Station), bandwidth pipes
-// (Pipe), condition variables (Cond) and seeded random distributions.
+// layered on top of it: FIFO queueing stations (Station), condition
+// variables (Cond) and seeded random distributions.
 package sim
 
 import "fmt"
