@@ -44,20 +44,20 @@ chaos:
 # Failover-focused soak: degraded-mode collective scenarios only (lossy
 # links, duplication, partitions, aggregator crashes).
 chaos-failover:
-	go run ./cmd/e10chaos -iters 200 -seed 7 -netfaults
+	go run ./cmd/e10chaos -iters 200 -seed 7 -family netfaults
 
 # Multi-tenant service-mode soak: several jobs contending for undersized
 # shared NVM under quotas, reservations, queued admissions, mid-flush
 # tenant crashes and NVM faults, checked by the tenant_isolation oracle
 # (every unfaulted tenant's file byte-identical to a solo same-seed run).
 chaos-tenants:
-	go run ./cmd/e10chaos -iters 200 -seed 11 -tenants
+	go run ./cmd/e10chaos -iters 200 -seed 11 -family tenants
 
 # Silent-corruption soak: crash-then-corrupt scenarios only (torn journal
 # appends and at-rest NVM bit-rot ahead of recovery), exercising the
 # checksummed scrub-and-repair path and its quarantine accounting.
 chaos-corrupt:
-	go run ./cmd/e10chaos -iters 200 -seed 13 -corrupt
+	go run ./cmd/e10chaos -iters 200 -seed 13 -family corrupt
 
 # The quick variant check.sh runs on every gate.
 chaos-smoke:

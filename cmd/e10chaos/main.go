@@ -4,11 +4,12 @@
 // conservation, no lost acks, journal-replay idempotence, lock release,
 // liveness, trace/metrics consistency).
 //
-//	e10chaos -iters 200 -seed 1          # soak; exit 1 on any violation
-//	e10chaos -iters 200 -json            # same, machine-readable report
-//	e10chaos -iters 200 -tenants         # multi-tenant service-mode soak
-//	e10chaos -iters 200 -corrupt         # corruption-recovery soak
-//	e10chaos -replay chaos_repro.json    # re-execute a committed reproducer
+//	e10chaos -iters 200 -seed 1              # soak; exit 1 on any violation
+//	e10chaos -iters 200 -json                # same, machine-readable report
+//	e10chaos -iters 200 -family netfaults    # degraded-mode collective soak
+//	e10chaos -iters 200 -family tenants      # multi-tenant service-mode soak
+//	e10chaos -iters 200 -family corrupt      # corruption-recovery soak
+//	e10chaos -replay chaos_repro.json        # re-execute a committed reproducer
 //
 // The whole soak is a pure function of (-seed, -iters): two runs print
 // byte-identical reports with the same sha256 digest. When a scenario
@@ -20,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 
 	"repro/internal/chaos"
@@ -35,9 +37,10 @@ func main() {
 		out     = flag.String("out", "", "also write the soak report JSON to this file")
 		repro   = flag.String("repro", "chaos_repro.json", "where to write the shrunk reproducer when the soak fails")
 		noShrnk = flag.Bool("no-shrink", false, "report failures without shrinking them")
-		netOnly = flag.Bool("netfaults", false, "soak only degraded-mode collective scenarios (lossy links, duplication, partitions, aggregator crashes)")
-		tenants = flag.Bool("tenants", false, "soak only multi-tenant service-mode scenarios (quotas, reservations, queued admissions, tenant crashes, NVM faults)")
-		corrupt = flag.Bool("corrupt", false, "soak only corruption-recovery scenarios (crashes followed by torn journal appends and bit-rot, probing scrub-and-repair)")
+		family  = flag.String("family", "cache", "scenario family to soak: cache (the default mix: cache-stack scenarios under crashes, device and target faults, one in four a degraded-mode collective), "+
+			"netfaults (degraded-mode collectives: lossy links, duplication, partitions, aggregator crashes), "+
+			"tenants (multi-tenant service mode: quotas, reservations, queued admissions, tenant crashes, NVM faults) or "+
+			"corrupt (crashes followed by torn journal appends and bit-rot, probing scrub-and-repair)")
 		critf   = flag.Bool("critpath", false, "with -replay: also print the replayed run's critical-path report")
 		timelf  = flag.Bool("timeline", false, "with -replay: also print the replayed run's timeline")
 		metOut  = flag.String("metrics-out", "", "with -replay: write the replayed run's metric snapshot as e10stat input JSON to this file (recovery/scrub counters included)")
@@ -63,15 +66,14 @@ func main() {
 		}
 	}
 
-	gen := chaos.Generate
-	if *netOnly {
-		gen = chaos.GenerateNetFaults
-	}
-	if *tenants {
-		gen = chaos.GenerateTenants
-	}
-	if *corrupt {
-		gen = chaos.GenerateCorrupt
+	gen, ok := map[string]func(*rand.Rand) chaos.Scenario{
+		"cache":     chaos.Generate,
+		"netfaults": chaos.GenerateNetFaults,
+		"tenants":   chaos.GenerateTenants,
+		"corrupt":   chaos.GenerateCorrupt,
+	}[*family]
+	if !ok {
+		fatalf("unknown -family %q (want cache, netfaults, tenants or corrupt)", *family)
 	}
 	rep, err := chaos.ExploreGen(*seed, *iters, gen, progress)
 	if err != nil {

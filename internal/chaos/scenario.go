@@ -407,7 +407,8 @@ func (sc *Scenario) Validate() error {
 
 // Generate draws one scenario from rng. The same rng state always yields
 // the same scenario, which is what makes a whole soak replayable from one
-// master seed. The generated scenario always validates.
+// master seed. The generated scenario always validates. It is e10chaos's
+// default -family cache.
 func Generate(rng *rand.Rand) Scenario {
 	// One in four scenarios exercises the degraded-mode collective path —
 	// lossy/duplicating links, network partitions, aggregator crashes —
@@ -469,9 +470,9 @@ func Generate(rng *rand.Rand) Scenario {
 	return sc
 }
 
-// / GenerateNetFaults draws only degraded-mode collective scenarios —
+// GenerateNetFaults draws only degraded-mode collective scenarios —
 // resilient writes under lossy links, duplication, partitions and
-// aggregator crashes. e10chaos -netfaults soaks with this generator to
+// aggregator crashes. e10chaos -family netfaults soaks with this generator to
 // concentrate iterations on the failover machinery.
 func GenerateNetFaults(rng *rand.Rand) Scenario {
 	return generateCollective(rng)
@@ -538,7 +539,7 @@ func randomNetAction(rng *rand.Rand, nodes int) Action {
 // GenerateCorrupt draws only corruption-recovery scenarios: a crash plus
 // at-rest corruption — a torn journal append, bit-rot, or both — on the
 // crashed node's NVM, followed by scrub-and-repair recovery sessions.
-// e10chaos -corrupt soaks with this generator to concentrate iterations
+// e10chaos -family corrupt soaks with this generator to concentrate iterations
 // on the checksummed journal and quarantine machinery.
 func GenerateCorrupt(rng *rand.Rand) Scenario {
 	sc := Scenario{
@@ -591,7 +592,7 @@ func GenerateCorrupt(rng *rand.Rand) Scenario {
 // GenerateTenants draws only multi-tenant service-mode scenarios: several
 // independent jobs contending for a deliberately undersized shared NVM,
 // with quotas, reservations, queued admissions, mid-flush tenant crashes
-// and NVM-layer faults. e10chaos -tenants soaks with this generator to
+// and NVM-layer faults. e10chaos -family tenants soaks with this generator to
 // concentrate iterations on the capacity arbitration and isolation
 // machinery.
 func GenerateTenants(rng *rand.Rand) Scenario {

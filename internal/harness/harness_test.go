@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -96,6 +97,34 @@ func TestPayloadModeMatchesMetadataOnlyTiming(t *testing.T) {
 	}
 }
 
+// TestBandwidthEq2 pins Equation 2's close-wait rules on 1 GB of data:
+// the 10 ms noise floor, the last-sync rule and the zero denominator.
+func TestBandwidthEq2(t *testing.T) {
+	ms := sim.Millisecond
+	for _, c := range []struct {
+		name     string
+		lastSync bool
+		times    []PhaseMetrics
+		waits    []sim.Time // close waits Eq. 2 counts
+		gbs      float64
+	}{
+		{"wait under the floor is dropped", true, []PhaseMetrics{{100 * ms, 9 * ms}}, []sim.Time{0}, 10},
+		{"last wait excluded", false, []PhaseMetrics{{100 * ms, 50 * ms}, {100 * ms, 50 * ms}}, []sim.Time{50 * ms, 0}, 4},
+		{"last wait counted with lastSync", true, []PhaseMetrics{{100 * ms, 50 * ms}, {50 * ms, 50 * ms}}, []sim.Time{50 * ms, 50 * ms}, 4},
+		{"zero denominator", true, []PhaseMetrics{{0, 5 * ms}}, []sim.Time{0}, 0},
+	} {
+		gbs := bandwidth(job{lastSync: c.lastSync}, c.times, 1e9)
+		if math.Abs(gbs-c.gbs) > 1e-9 {
+			t.Errorf("%s: bandwidth %v GB/s, want %v", c.name, gbs, c.gbs)
+		}
+		for k, tm := range c.times {
+			if tm.CloseWait != c.waits[k] {
+				t.Errorf("%s: file %d counts close wait %v, want %v", c.name, k, tm.CloseWait, c.waits[k])
+			}
+		}
+	}
+}
+
 func TestIncludeLastSyncLowersBandwidth(t *testing.T) {
 	with := tinySpec(CacheEnabled, 2) // few aggregators: sync is slow
 	with.IncludeLastSync = true
@@ -177,29 +206,6 @@ func TestClusterReportContents(t *testing.T) {
 		if !strings.Contains(res.Report, want) {
 			t.Fatalf("report missing %q:\n%s", want, res.Report)
 		}
-	}
-}
-
-func TestTraceSpecProducesTimelines(t *testing.T) {
-	spec := tinySpec(CacheDisabled, 2)
-	spec.Trace = true
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := 0
-	for _, l := range res.Logs {
-		events += len(l.Timeline())
-	}
-	if events == 0 {
-		t.Fatal("trace mode must record timelines")
-	}
-	var sb strings.Builder
-	if err := mpe.WriteChromeTrace(&sb, res.Logs); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "shuffle_all2all") {
-		t.Fatal("trace JSON missing phases")
 	}
 }
 

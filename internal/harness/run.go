@@ -57,7 +57,6 @@ type Spec struct {
 	StripeCount     int    // file stripe count (paper: 4)
 	SyncBuffer      int64  // ind_wr_buffer_size (paper: 512 KB)
 	FlushFlag       string // e10_cache_flush_flag (default flush_immediate)
-	Trace           bool   // record per-rank phase timelines (Result.Logs)
 	// TraceEvents enables the event tracer (internal/trace): spans, instants
 	// and counters across every simulated layer, exposed as Result.Trace.
 	// Tracing records events only — it never perturbs virtual time, so every
@@ -164,9 +163,6 @@ type Result struct {
 	// epochs beyond the first observed on any rank (zero unless an
 	// aggregator crashed mid-write on the resilient path).
 	FailoverEpochs int64
-	// Logs holds the per-rank MPE logs (with timelines when Spec.Trace is
-	// set), for trace export via mpe.WriteChromeTrace.
-	Logs []*mpe.Log
 	// Trace is the event tracer with all recorded events, non-nil only when
 	// Spec.TraceEvents or Spec.TracePath was set.
 	Trace *trace.Tracer
@@ -238,29 +234,27 @@ func (s Spec) hints() mpi.Info {
 // Run executes one experiment cell on a freshly built cluster and computes
 // the perceived bandwidth per Equation 2.
 func Run(spec Spec) (*Result, error) {
+	res, _, err := run(spec)
+	return res, err
+}
+
+// run is Run that also returns the cluster, for post-run oracles.
+func run(spec Spec) (*Result, *Cluster, error) {
+	if spec.Resilient && !spec.Reliable {
+		return nil, nil, fmt.Errorf("harness: Spec.Resilient requires Spec.Reliable (failover needs collective timeouts)")
+	}
 	if spec.Case == BurstBuffer && spec.Cluster.BurstBuffer == nil {
 		bb := burst.DefaultConfig()
 		spec.Cluster.BurstBuffer = &bb
 	}
 	cl := NewCluster(spec.Cluster)
-	var tr *trace.Tracer
-	if spec.TraceEvents || spec.TracePath != "" || spec.CritPath || spec.TimelineBuckets > 0 {
-		tr = trace.New()
-		cl.Kernel.SetTracer(tr)
-	}
-	var reg *metrics.Registry
-	if spec.Metrics {
-		reg = metrics.New()
-		cl.Kernel.SetMetrics(reg)
-	}
+	tr, reg, logs := observe(cl,
+		spec.TraceEvents || spec.TracePath != "" || spec.CritPath || spec.TimelineBuckets > 0, spec.Metrics)
 	switch {
 	case spec.Case == CacheTheoretical:
 		cl.CoreEnv.SkipSync = true
 	case spec.Case == BurstBuffer:
 		cl.Env.Hooks = cl.BB.HooksFactory()
-	}
-	if spec.Resilient && !spec.Reliable {
-		return nil, fmt.Errorf("harness: Spec.Resilient requires Spec.Reliable (failover needs collective timeouts)")
 	}
 	if spec.Reliable {
 		cl.World.EnableReliable(mpi.ReliableConfig{})
@@ -272,115 +266,42 @@ func Run(spec Spec) (*Result, error) {
 	}
 	if spec.PreRun != nil {
 		if err := spec.PreRun(cl); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	var injector *fault.Injector
 	if spec.FaultSpec != "" {
 		sched, err := fault.Parse(spec.FaultSpec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		injector, err = cl.ArmFaults(sched)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	w := cl.World
-	comm := w.Comm()
-	nranks := w.Size()
-	info := spec.hints()
-
-	logs := make([]*mpe.Log, nranks)
-	for i := range logs {
-		logs[i] = mpe.NewLog()
-		if spec.Trace {
-			logs[i].EnableTimeline()
-		}
-		if tr != nil {
-			// Registers the rank tracks 0..n-1 up front, in ascending order.
-			logs[i].BindTracer(tr, w.Rank(i).TraceTrack(tr))
-		}
-		if reg != nil {
-			logs[i].BindMetrics(reg, i)
-		}
-	}
-	writeTimes := make([]sim.Time, spec.NFiles) // identical across ranks (barrier-fenced)
-	closeWaits := make([][]sim.Time, spec.NFiles)
-	for i := range closeWaits {
-		closeWaits[i] = make([]sim.Time, nranks)
-	}
-	peakBuf := make([]int64, nranks)
-	failovers := make([]int64, nranks)
-	var firstErr error
-	fail := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-
-	err := w.Run(func(r *mpi.Rank) {
-		me := comm.RankOf(r)
-		var prev *mpiio.File
-		prevIdx := -1
-		closePrev := func() {
-			if prev == nil {
-				return
-			}
-			comm.Barrier(r)
-			t0 := r.Now()
-			fail(prev.Close())
-			closeWaits[prevIdx][me] = r.Now() - t0
-			peak := prev.Handle().Stats.PeakBufBytes
-			if peak > peakBuf[me] {
-				peakBuf[me] = peak
-			}
-			if fe := prev.Handle().Stats.FailoverEpochs; fe > failovers[me] {
-				failovers[me] = fe
-			}
-			prev, prevIdx = nil, -1
-		}
-		for k := 0; k < spec.NFiles; k++ {
-			// Figure 3 workflow: the previous file's close is deferred to
-			// the beginning of this I/O phase.
-			closePrev()
-			comm.Barrier(r)
-			t0 := r.Now()
-			f, err := cl.Env.OpenWithLog(r, comm, fmt.Sprintf("%s.%04d", spec.Workload.Name(), k),
-				mpiio.ModeCreate|mpiio.ModeWrOnly, info, logs[me])
-			if err != nil {
-				fail(err)
-				return
-			}
-			fail(spec.Workload.WritePhase(r, f, spec.Cluster.Payload))
-			comm.Barrier(r)
-			if me == 0 {
-				writeTimes[k] = r.Now() - t0
-			}
-			prev, prevIdx = f, k
-			if k < spec.NFiles-1 || !spec.IncludeLastSync {
-				// Compute phase C(k+1). With IncludeLastSync (IOR), the
-				// final write has no following compute: C(N) = 0.
-				r.Compute(spec.ComputeDelay)
-			}
-		}
-		closePrev()
-	})
+	nranks := cl.World.Size()
+	j := job{name: spec.Workload.Name(), ranks: nranks, workload: spec.Workload, nfiles: spec.NFiles,
+		compute: spec.ComputeDelay, info: spec.hints(), lastSync: spec.IncludeLastSync}
+	outs, times, err := runJobs(cl, []job{j}, logs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	for _, o := range outs {
+		if o.err != nil {
+			return nil, nil, o.err
+		}
 	}
 
 	res := &Result{
 		Spec:             spec,
 		TotalBytes:       spec.Workload.FileBytes(nranks) * int64(spec.NFiles),
+		Phases:           times[0],
 		Breakdown:        make(map[mpe.Phase]sim.Time),
 		WallTime:         cl.Kernel.Now(),
 		EventsDispatched: cl.Kernel.EventsDispatched(),
-		Logs:             logs,
 	}
+	res.BandwidthGBs = bandwidth(j, res.Phases, res.TotalBytes)
 	res.Report = ClusterReport(cl)
 	if injector != nil {
 		res.FaultReport = injector.Report()
@@ -390,7 +311,7 @@ func Run(spec Spec) (*Result, error) {
 		res.TraceSummary = tr.Summary()
 		if spec.TracePath != "" {
 			if werr := writeTraceFile(tr, spec.TracePath); werr != nil {
-				return nil, werr
+				return nil, nil, werr
 			}
 		}
 	}
@@ -409,42 +330,184 @@ func Run(spec Spec) (*Result, error) {
 		res.Timeline = critpath.BuildTimeline(tr, int64(res.WallTime), spec.TimelineBuckets)
 		res.TimelineReport = res.Timeline.Markdown()
 	}
-	var denom sim.Time
-	for k := 0; k < spec.NFiles; k++ {
-		var wait sim.Time
-		for _, cw := range closeWaits[k] {
-			if cw > wait {
-				wait = cw
-			}
-		}
-		// Close always pays a couple of metadata round trips; only count
-		// waits beyond that noise floor as non-hidden synchronisation.
-		if wait < 10*sim.Millisecond {
-			wait = 0
-		}
-		if k == spec.NFiles-1 && !spec.IncludeLastSync {
-			wait = 0
-		}
-		res.Phases = append(res.Phases, PhaseMetrics{WriteTime: writeTimes[k], CloseWait: wait})
-		denom += writeTimes[k] + wait
-	}
-	if denom > 0 {
-		res.BandwidthGBs = float64(res.TotalBytes) / denom.Seconds() / 1e9
-	}
 	for _, ph := range mpe.BreakdownPhases {
 		res.Breakdown[ph] = mpe.Aggregate(logs, ph).Max
 	}
-	for _, pb := range peakBuf {
-		if pb > res.PeakBufBytes {
-			res.PeakBufBytes = pb
+	for _, o := range outs {
+		res.PeakBufBytes = max(res.PeakBufBytes, o.peakBuf)
+		res.FailoverEpochs = max(res.FailoverEpochs, o.failovers)
+	}
+	return res, cl, nil
+}
+
+// observe arms the event tracer and the metrics registry as asked and
+// returns one MPE log per world rank, bound to both.
+func observe(cl *Cluster, traced, metered bool) (*trace.Tracer, *metrics.Registry, []*mpe.Log) {
+	var tr *trace.Tracer
+	if traced {
+		tr = trace.New()
+		cl.Kernel.SetTracer(tr)
+	}
+	var reg *metrics.Registry
+	if metered {
+		reg = metrics.New()
+		cl.Kernel.SetMetrics(reg)
+	}
+	logs := make([]*mpe.Log, cl.World.Size())
+	for i := range logs {
+		logs[i] = mpe.NewLog()
+		if tr != nil {
+			// Registers the rank tracks 0..n-1 up front, in ascending order.
+			logs[i].BindTracer(tr, cl.World.Rank(i).TraceTrack(tr))
+		}
+		if reg != nil {
+			logs[i].BindMetrics(reg, i)
 		}
 	}
-	for _, fe := range failovers {
-		if fe > res.FailoverEpochs {
-			res.FailoverEpochs = fe
-		}
+	return tr, reg, logs
+}
+
+// job is one application of a run: world ranks [lo, lo+ranks) writing
+// nfiles files through Figure 3's workflow.
+type job struct {
+	name     string // file-name prefix
+	lo       int
+	ranks    int
+	workload workloads.Workload
+	nfiles   int
+	compute  sim.Time // compute phase C(k+1) after each write
+	start    sim.Time // delay before the first open (staggered arrival)
+	info     mpi.Info
+	// lastSync counts the last close's non-hidden sync in Eq. 2 and drops
+	// the compute phase after the last write: C(N) = 0 (IOR, §IV-D).
+	lastSync bool
+}
+
+// rankOut is one rank's outcome: its first error, summed cache stats,
+// uncached sessions, largest collective buffer and failover epochs, and
+// the span from its first open to its last close.
+type rankOut struct {
+	err        error
+	stats      core.Stats
+	fallbacks  int
+	peakBuf    int64
+	failovers  int64
+	start, end sim.Time
+}
+
+// account folds one closed file's statistics into the rank's outcome.
+func (o *rankOut) account(h *adio.File) {
+	o.peakBuf = max(o.peakBuf, h.Stats.PeakBufBytes)
+	o.failovers = max(o.failovers, h.Stats.FailoverEpochs)
+	if h.Stats.CacheFallback {
+		o.fallbacks++
 	}
-	return res, nil
+	if c, ok := h.InstalledHooks().(*core.Cache); ok && c != nil {
+		o.stats = addStats(o.stats, c.Stats)
+	}
+}
+
+// runJobs runs the jobs concurrently on cl, each rank through Figure 3's
+// loop: barrier, open, write phase, barrier, compute, with each close
+// deferred to the start of the next I/O phase. A job spanning the whole
+// world runs on the world communicator; otherwise every rank joins one
+// Split and ranks outside all jobs retire. It returns each world rank's
+// outcome and, per job and file, the write time and the largest close
+// wait over the job's ranks.
+func runJobs(cl *Cluster, jobs []job, logs []*mpe.Log) ([]rankOut, [][]PhaseMetrics, error) {
+	w := cl.World
+	world := w.Comm()
+	whole := len(jobs) == 1 && jobs[0].ranks == w.Size()
+	outs := make([]rankOut, w.Size())
+	times := make([][]PhaseMetrics, len(jobs))
+	for i, j := range jobs {
+		times[i] = make([]PhaseMetrics, j.nfiles)
+	}
+	err := w.Run(func(r *mpi.Rank) {
+		me := world.RankOf(r)
+		ji := -1
+		for i, j := range jobs {
+			if me >= j.lo && me < j.lo+j.ranks {
+				ji = i
+			}
+		}
+		comm := world
+		if !whole {
+			// Split is collective over the world: ranks outside every job
+			// (color < 0) get a nil communicator and retire.
+			if comm = world.Split(r, ji, me); ji < 0 {
+				return
+			}
+		}
+		j, jt, out := &jobs[ji], times[ji], &outs[me]
+		if j.start > 0 {
+			r.Compute(j.start)
+		}
+		out.start = r.Now()
+		fail := func(err error) {
+			if err != nil && out.err == nil {
+				out.err = err
+			}
+		}
+		var prev *mpiio.File
+		prevIdx := -1
+		closePrev := func() {
+			if prev == nil {
+				return
+			}
+			comm.Barrier(r)
+			t0 := r.Now()
+			fail(prev.Close())
+			jt[prevIdx].CloseWait = max(jt[prevIdx].CloseWait, r.Now()-t0)
+			out.account(prev.Handle())
+			prev, prevIdx = nil, -1
+		}
+		for k := 0; k < j.nfiles; k++ {
+			// Figure 3 workflow: the previous file's close is deferred to
+			// the beginning of this I/O phase.
+			closePrev()
+			comm.Barrier(r)
+			t0 := r.Now()
+			f, err := cl.Env.OpenWithLog(r, comm, fmt.Sprintf("%s.%04d", j.name, k),
+				mpiio.ModeCreate|mpiio.ModeWrOnly, j.info, logs[me])
+			if err != nil {
+				fail(err)
+				break
+			}
+			fail(j.workload.WritePhase(r, f, cl.Cfg.Payload))
+			comm.Barrier(r)
+			if me == j.lo {
+				jt[k].WriteTime = r.Now() - t0
+			}
+			prev, prevIdx = f, k
+			if k < j.nfiles-1 || !j.lastSync {
+				r.Compute(j.compute)
+			}
+		}
+		closePrev()
+		out.end = r.Now()
+	})
+	return outs, times, err
+}
+
+// bandwidth is Equation 2: the job's bytes over the summed write times
+// and non-hidden close waits. It zeroes, in times, the waits Eq. 2 does
+// not count: those under the 10 ms noise floor, and the last file's
+// unless lastSync.
+func bandwidth(j job, times []PhaseMetrics, total int64) float64 {
+	var denom sim.Time
+	for k := range times {
+		// Close always pays a couple of metadata round trips; only count
+		// waits beyond that noise floor as non-hidden synchronisation.
+		if times[k].CloseWait < 10*sim.Millisecond || (k == len(times)-1 && !j.lastSync) {
+			times[k].CloseWait = 0
+		}
+		denom += times[k].WriteTime + times[k].CloseWait
+	}
+	if denom <= 0 {
+		return 0
+	}
+	return float64(total) / denom.Seconds() / 1e9
 }
 
 // writeTraceFile exports the tracer as Chrome trace-event JSON at path.

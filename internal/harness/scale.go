@@ -248,19 +248,8 @@ func RunScale(cfg ScaleConfig) (*ScaleReport, error) {
 		return nil, fmt.Errorf("scale: unknown variant %q", cfg.Variant)
 	}
 
-	// Capture the cluster for post-run oracles without widening Result.
-	var cl *Cluster
-	prev := spec.PreRun
-	spec.PreRun = func(c *Cluster) error {
-		cl = c
-		if prev != nil {
-			return prev(c)
-		}
-		return nil
-	}
-
 	host0 := time.Now()
-	res, err := Run(spec)
+	res, cl, err := run(spec)
 	hostNs := time.Since(host0).Nanoseconds()
 	if err != nil {
 		return nil, err

@@ -1,9 +1,17 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -29,20 +37,42 @@ func oneNodeCluster(seed int64, ranks int, ssdCap int64) ClusterConfig {
 	return cfg
 }
 
-// TestMultiTenantAdmissionRejection: two tenants whose reservations cannot
-// both fit. The rejected tenant must complete uncached (fallback), not
-// fail.
-func TestMultiTenantAdmissionRejection(t *testing.T) {
+// admissionRejectionSpec: two tenants whose reservations cannot both fit.
+func admissionRejectionSpec() MultiSpec {
 	a := tinyJob("jobA", 2)
 	a.Reserve = 80 << 10
 	b := tinyJob("jobB", 2)
 	b.Reserve = 50 << 10
 	b.StartDelay = sim.Millisecond // deterministic arrival order: A admits first
-	res, err := RunMulti(MultiSpec{
-		Cluster: oneNodeCluster(1, 4, 100<<10),
-		Jobs:    []JobSpec{a, b},
-		Metrics: true,
-	})
+	return MultiSpec{Cluster: oneNodeCluster(1, 4, 100<<10), Jobs: []JobSpec{a, b}, Metrics: true}
+}
+
+// queuedAdmissionSpec: the second tenant queues for the first's reservation.
+func queuedAdmissionSpec() MultiSpec {
+	a := tinyJob("jobA", 2)
+	a.Reserve = 80 << 10
+	b := tinyJob("jobB", 2)
+	b.Reserve = 80 << 10
+	b.Admit = "queue"
+	b.StartDelay = sim.Millisecond
+	return MultiSpec{Cluster: oneNodeCluster(2, 4, 100<<10), Jobs: []JobSpec{a, b}}
+}
+
+// noisyNeighborSpec: an unreserved two-file tenant beside a reserved one.
+func noisyNeighborSpec() MultiSpec {
+	noisy := tinyJob("noisy", 2)
+	noisy.NFiles = 2
+	quiet := tinyJob("quiet", 2)
+	quiet.Reserve = 40 << 10
+	quiet.StartDelay = sim.Millisecond
+	return MultiSpec{Cluster: oneNodeCluster(5, 4, 64<<10), Jobs: []JobSpec{noisy, quiet}, Metrics: true}
+}
+
+// TestMultiTenantAdmissionRejection: two tenants whose reservations cannot
+// both fit. The rejected tenant must complete uncached (fallback), not
+// fail.
+func TestMultiTenantAdmissionRejection(t *testing.T) {
+	res, err := RunMulti(admissionRejectionSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +104,7 @@ func TestMultiTenantAdmissionRejection(t *testing.T) {
 // TestMultiTenantQueuedAdmission: a queued tenant waits for the first
 // tenant's close to release its reservation, then admits and runs cached.
 func TestMultiTenantQueuedAdmission(t *testing.T) {
-	a := tinyJob("jobA", 2)
-	a.Reserve = 80 << 10
-	b := tinyJob("jobB", 2)
-	b.Reserve = 80 << 10
-	b.Admit = "queue"
-	b.StartDelay = sim.Millisecond
-	res, err := RunMulti(MultiSpec{
-		Cluster: oneNodeCluster(2, 4, 100<<10),
-		Jobs:    []JobSpec{a, b},
-	})
+	res, err := RunMulti(queuedAdmissionSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,16 +190,7 @@ func TestMultiTenantDegradeToWriteThrough(t *testing.T) {
 // starve a tenant holding a reservation; both complete and the reserved
 // tenant runs fully cached.
 func TestMultiTenantNoisyNeighborIsolation(t *testing.T) {
-	noisy := tinyJob("noisy", 2)
-	noisy.NFiles = 2
-	quiet := tinyJob("quiet", 2)
-	quiet.Reserve = 40 << 10
-	quiet.StartDelay = sim.Millisecond
-	res, err := RunMulti(MultiSpec{
-		Cluster: oneNodeCluster(5, 4, 64<<10),
-		Jobs:    []JobSpec{noisy, quiet},
-		Metrics: true,
-	})
+	res, err := RunMulti(noisyNeighborSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +227,93 @@ func TestRunMultiValidation(t *testing.T) {
 	for i, spec := range cases {
 		if _, err := RunMulti(spec); err == nil {
 			t.Errorf("case %d: invalid spec accepted", i)
+		}
+	}
+}
+
+// TestMultiGolden pins the two-job tenant runs' per-job outcomes byte for
+// byte; regenerate deliberately with
+//
+//	go test ./internal/harness -run TestMultiGolden -update
+func TestMultiGolden(t *testing.T) {
+	// One JSON line per job; RunWall is the whole run's MultiResult.WallTime.
+	type jobOut struct {
+		Spec         string
+		RunWall      sim.Time
+		Name         string
+		WallTime     sim.Time
+		TotalBytes   int64
+		BandwidthGBs float64
+		Stats        core.Stats
+		Fallbacks    int
+		Err          string
+	}
+	var lines [][]byte
+	for _, c := range []struct {
+		name string
+		spec MultiSpec
+	}{
+		{"admission_rejection", admissionRejectionSpec()},
+		{"queued_admission", queuedAdmissionSpec()},
+		{"noisy_neighbor", noisyNeighborSpec()},
+	} {
+		res, err := RunMulti(c.spec)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, j := range res.Jobs {
+			jo := jobOut{Spec: c.name, RunWall: res.WallTime, Name: j.Name, WallTime: j.WallTime,
+				TotalBytes: j.TotalBytes, BandwidthGBs: j.BandwidthGBs, Stats: j.Stats, Fallbacks: j.Fallbacks}
+			if j.Err != nil {
+				jo.Err = j.Err.Error()
+			}
+			line, err := json.Marshal(jo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, line)
+		}
+	}
+	got := append(append([]byte("[\n"), bytes.Join(lines, []byte(",\n"))...), "\n]\n"...)
+	golden := filepath.Join("testdata", "multi_golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("multi-tenant outcomes drifted from %s:\n got: %s\nwant: %s", golden, got, want)
+	}
+}
+
+// TestRunMultiObservesEveryJobRank: a traced, metered multi-tenant run
+// mirrors every job rank's MPE phases onto its trace track and into its
+// phase_ns histograms, as Run does.
+func TestRunMultiObservesEveryJobRank(t *testing.T) {
+	spec := admissionRejectionSpec()
+	spec.TraceEvents = true
+	res, err := RunMulti(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phases := make(map[string]int)
+	for _, ev := range res.Trace.Events() {
+		if ev.Cat == "phase" {
+			phases[res.Trace.TrackName(ev.Track)]++
+		}
+	}
+	for rank := 0; rank < 4; rank++ {
+		if phases[fmt.Sprintf("rank %d", rank)] == 0 {
+			t.Errorf("rank %d: no phase spans on its track (phase spans by track: %v)", rank, phases)
+		}
+		if res.Metrics.FindHistogram("phase_ns", metrics.L(metrics.KeyLayer, "adio"),
+			metrics.L(metrics.KeyPhase, "open"), metrics.L(metrics.KeyRank, strconv.Itoa(rank))) == nil {
+			t.Errorf("rank %d: no phase_ns histogram", rank)
 		}
 	}
 }

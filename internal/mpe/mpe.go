@@ -6,7 +6,6 @@
 package mpe
 
 import (
-	"sort"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -42,20 +41,17 @@ var BreakdownPhases = []Phase{
 // Log accumulates per-phase time on one rank. The zero value is unusable;
 // use NewLog.
 type Log struct {
-	totals    map[Phase]sim.Time
-	counts    map[Phase]int64
-	timeline  bool
-	intervals []Interval
-	tracer    *trace.Tracer
-	track     trace.TrackID
-	registry  *metrics.Registry
-	rank      string
-	hists     map[Phase]*metrics.Histogram
+	totals   map[Phase]sim.Time
+	tracer   *trace.Tracer
+	track    trace.TrackID
+	registry *metrics.Registry
+	rank     string
+	hists    map[Phase]*metrics.Histogram
 }
 
 // NewLog creates an empty log.
 func NewLog() *Log {
-	return &Log{totals: make(map[Phase]sim.Time), counts: make(map[Phase]int64)}
+	return &Log{totals: make(map[Phase]sim.Time)}
 }
 
 // Add records d of time spent in phase ph.
@@ -64,7 +60,6 @@ func (l *Log) Add(ph Phase, d sim.Time) {
 		return
 	}
 	l.totals[ph] += d
-	l.counts[ph]++
 	l.phaseHist(ph).Observe(int64(d))
 }
 
@@ -74,38 +69,6 @@ func (l *Log) Total(ph Phase) sim.Time {
 		return 0
 	}
 	return l.totals[ph]
-}
-
-// Count returns the number of intervals recorded for ph.
-func (l *Log) Count(ph Phase) int64 {
-	if l == nil {
-		return 0
-	}
-	return l.counts[ph]
-}
-
-// Phases returns all phases with nonzero time, sorted by name.
-func (l *Log) Phases() []Phase {
-	if l == nil {
-		return nil
-	}
-	out := make([]Phase, 0, len(l.totals))
-	for ph := range l.totals {
-		out = append(out, ph)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Reset clears the log, including any recorded timeline.
-func (l *Log) Reset() {
-	for ph := range l.totals {
-		delete(l.totals, ph)
-	}
-	for ph := range l.counts {
-		delete(l.counts, ph)
-	}
-	l.intervals = nil
 }
 
 // BindTracer mirrors every phase interval recorded through Span.End onto
@@ -159,13 +122,7 @@ func StartSpan(now sim.Time) Span { return Span{start: now} }
 // End records the interval [start, now) into l under ph.
 func (s Span) End(l *Log, ph Phase, now sim.Time) {
 	l.Add(ph, now-s.start)
-	if l == nil {
-		return
-	}
-	if l.timeline && now > s.start {
-		l.intervals = append(l.intervals, Interval{Phase: ph, Start: s.start, End: now})
-	}
-	if l.tracer != nil && now > s.start {
+	if l != nil && l.tracer != nil && now > s.start {
 		l.tracer.SpanAt(l.track, "phase", string(ph), int64(s.start), int64(now))
 	}
 }

@@ -11,12 +11,8 @@ func TestLogAccumulates(t *testing.T) {
 	l.Add(PhaseWrite, 2*sim.Second)
 	l.Add(PhaseWrite, 3*sim.Second)
 	l.Add(PhasePostWrite, sim.Second)
-	if l.Total(PhaseWrite) != 5*sim.Second || l.Count(PhaseWrite) != 2 {
-		t.Fatalf("write total=%v count=%d", l.Total(PhaseWrite), l.Count(PhaseWrite))
-	}
-	phases := l.Phases()
-	if len(phases) != 2 {
-		t.Fatalf("phases = %v", phases)
+	if l.Total(PhaseWrite) != 5*sim.Second || l.Total(PhasePostWrite) != sim.Second {
+		t.Fatalf("write total=%v post_write total=%v", l.Total(PhaseWrite), l.Total(PhasePostWrite))
 	}
 }
 
@@ -28,7 +24,7 @@ func TestNegativeAndNilAreIgnored(t *testing.T) {
 	}
 	var nilLog *Log
 	nilLog.Add(PhaseWrite, sim.Second) // must not panic
-	if nilLog.Total(PhaseWrite) != 0 || nilLog.Count(PhaseWrite) != 0 || nilLog.Phases() != nil {
+	if nilLog.Total(PhaseWrite) != 0 {
 		t.Fatal("nil log must behave as empty")
 	}
 }
@@ -39,15 +35,6 @@ func TestSpan(t *testing.T) {
 	s.End(l, PhaseShuffleA2A, 12*sim.Second)
 	if l.Total(PhaseShuffleA2A) != 2*sim.Second {
 		t.Fatalf("span total = %v", l.Total(PhaseShuffleA2A))
-	}
-}
-
-func TestReset(t *testing.T) {
-	l := NewLog()
-	l.Add(PhaseOpen, sim.Second)
-	l.Reset()
-	if l.Total(PhaseOpen) != 0 || len(l.Phases()) != 0 {
-		t.Fatal("reset failed")
 	}
 }
 

@@ -11,12 +11,12 @@
 #
 # A 25-iteration chaos smoke (see internal/chaos) also gates the run:
 # seeded workload/fault scenarios checked against the end-to-end integrity
-# oracles, plus a 25-iteration failover smoke (-netfaults: degraded-mode
-# collective writes under lossy links, duplication, partitions and
-# aggregator crashes) and a 25-iteration tenant smoke (-tenants:
-# multi-tenant capacity arbitration and isolation under crashes and NVM
-# faults). SKIP_CHAOS=1 skips all three; `make chaos` runs the
-# 200-iteration soak. A 25-iteration corruption smoke (-corrupt:
+# oracles, plus a 25-iteration failover smoke (-family netfaults:
+# degraded-mode collective writes under lossy links, duplication,
+# partitions and aggregator crashes) and a 25-iteration tenant smoke
+# (-family tenants: multi-tenant capacity arbitration and isolation under
+# crashes and NVM faults). SKIP_CHAOS=1 skips all three; `make chaos` runs the
+# 200-iteration soak. A 25-iteration corruption smoke (-family corrupt:
 # crash-then-corrupt scenarios — torn journal appends and NVM bit-rot
 # before recovery, checked by the scrub/quarantine path) also gates the
 # run; SKIP_CORRUPT=1 skips it and `make chaos-corrupt` runs the
@@ -90,16 +90,16 @@ else
     echo "== chaos smoke (25 seeded scenarios through the integrity oracles)"
     go run ./cmd/e10chaos -iters 25 -seed 1
     echo "== failover chaos smoke (25 degraded-mode collective scenarios)"
-    go run ./cmd/e10chaos -iters 25 -seed 2 -netfaults
+    go run ./cmd/e10chaos -iters 25 -seed 2 -family netfaults
     echo "== tenant chaos smoke (25 multi-tenant service-mode scenarios)"
-    go run ./cmd/e10chaos -iters 25 -seed 3 -tenants
+    go run ./cmd/e10chaos -iters 25 -seed 3 -family tenants
 fi
 
 if [ "${SKIP_CORRUPT:-}" = "1" ]; then
     echo "== corruption smoke skipped (SKIP_CORRUPT=1)"
 else
     echo "== corruption chaos smoke (25 crash-then-corrupt scenarios)"
-    go run ./cmd/e10chaos -iters 25 -seed 4 -corrupt
+    go run ./cmd/e10chaos -iters 25 -seed 4 -family corrupt
 fi
 
 if [ "${SKIP_FUZZ:-}" = "1" ]; then
