@@ -1,8 +1,7 @@
 # Tier-1 gate plus static, race and coverage checks; see scripts/check.sh.
 .PHONY: check check-full test build vet fmt-check cover trace-demo \
 	critpath-demo bench-record bench-compare scale-bench-record \
-	scale-smoke scale chaos chaos-smoke chaos-failover chaos-tenants \
-	chaos-corrupt
+	scale-smoke scale chaos chaos-smoke
 
 build:
 	go build ./...
@@ -33,35 +32,24 @@ trace-demo:
 critpath-demo:
 	go run ./cmd/e10bench -critpath -timeline 24 -scale 8x4 -files 2
 
-# Deterministic chaos soak: 200 seeded workload/fault scenarios checked
-# against the end-to-end integrity oracles (byte conservation, lost acks,
-# journal idempotence, lock release, liveness, trace/metrics consistency).
-# The report is byte-identical per (seed, iters); a failure is shrunk to a
-# minimal replayable chaos_repro.json (replay: e10chaos -replay <file>).
+# Deterministic chaos soak: 200 seeded scenarios of each family — cache
+# (cache-stack crashes and device faults), netfaults (degraded-mode
+# collectives under lossy links, duplication, partitions, aggregator
+# crashes), tenants (multi-tenant capacity arbitration and isolation) and
+# corrupt (torn journal appends and bit-rot ahead of recovery) — checked
+# against the end-to-end integrity oracles. Each report is byte-identical
+# per (seed, iters, family); a failure is shrunk to a minimal replayable
+# chaos_repro.json (replay: e10chaos -replay <file>).
 chaos:
-	go run ./cmd/e10chaos -iters 200 -seed 1
-
-# Failover-focused soak: degraded-mode collective scenarios only (lossy
-# links, duplication, partitions, aggregator crashes).
-chaos-failover:
-	go run ./cmd/e10chaos -iters 200 -seed 7 -family netfaults
-
-# Multi-tenant service-mode soak: several jobs contending for undersized
-# shared NVM under quotas, reservations, queued admissions, mid-flush
-# tenant crashes and NVM faults, checked by the tenant_isolation oracle
-# (every unfaulted tenant's file byte-identical to a solo same-seed run).
-chaos-tenants:
-	go run ./cmd/e10chaos -iters 200 -seed 11 -family tenants
-
-# Silent-corruption soak: crash-then-corrupt scenarios only (torn journal
-# appends and at-rest NVM bit-rot ahead of recovery), exercising the
-# checksummed scrub-and-repair path and its quarantine accounting.
-chaos-corrupt:
-	go run ./cmd/e10chaos -iters 200 -seed 13 -family corrupt
+	for run in 1:cache 7:netfaults 11:tenants 13:corrupt; do \
+		go run ./cmd/e10chaos -iters 200 -seed $${run%%:*} -family $${run#*:} || exit 1; \
+	done
 
 # The quick variant check.sh runs on every gate.
 chaos-smoke:
-	go run ./cmd/e10chaos -iters 25 -seed 1
+	for run in 1:cache 2:netfaults 3:tenants 4:corrupt; do \
+		go run ./cmd/e10chaos -iters 25 -seed $${run%%:*} -family $${run#*:} || exit 1; \
+	done
 
 # Run the fixed 18-scenario regression matrix and commit the baseline.
 # The simulation is deterministic, so the file is reproducible per seed.

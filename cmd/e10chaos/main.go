@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"repro/internal/chaos"
@@ -66,16 +65,7 @@ func main() {
 		}
 	}
 
-	gen, ok := map[string]func(*rand.Rand) chaos.Scenario{
-		"cache":     chaos.Generate,
-		"netfaults": chaos.GenerateNetFaults,
-		"tenants":   chaos.GenerateTenants,
-		"corrupt":   chaos.GenerateCorrupt,
-	}[*family]
-	if !ok {
-		fatalf("unknown -family %q (want cache, netfaults, tenants or corrupt)", *family)
-	}
-	rep, err := chaos.ExploreGen(*seed, *iters, gen, progress)
+	rep, err := chaos.Explore(*seed, *iters, chaos.Family(*family), progress)
 	if err != nil {
 		fatalf("%v", err)
 	}

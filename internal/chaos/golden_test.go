@@ -290,10 +290,15 @@ func TestReproFixturesReplay(t *testing.T) {
 	}
 }
 
-// TestFixtureCorpusCoversEveryInvariant pins the corpus contract: at least
-// one committed reproducer per invariant class, and at least two clean
-// degraded-mode fixtures (partition-during-sync, aggregator failover).
+// TestFixtureCorpusCoversEveryInvariant pins the corpus contract, which
+// makes it the oracle self-test table: every injection sabotages at least
+// one committed reproducer (TestReproFixturesReplay asserts the verdict
+// contains the invariant it trips — a checker green under its injection
+// would miss the real bug class), every invariant class has a reproducer,
+// and at least two clean degraded-mode fixtures (partition-during-sync,
+// aggregator failover) pin known-good schedules.
 func TestFixtureCorpusCoversEveryInvariant(t *testing.T) {
+	injected := map[string]bool{}
 	covered := map[string]bool{}
 	clean := 0
 	for _, fx := range fixtures() {
@@ -301,7 +306,13 @@ func TestFixtureCorpusCoversEveryInvariant(t *testing.T) {
 			clean++
 			continue
 		}
+		injected[fx.sc.Injection] = true
 		covered[Trips(fx.sc.Injection)] = true
+	}
+	for name := range injections {
+		if !injected[name] {
+			t.Errorf("no fixture exercises injection %q", name)
+		}
 	}
 	for _, inv := range Invariants {
 		if !covered[inv] {

@@ -152,7 +152,7 @@ func applyInjection(r *run, phase injPhase, mr ...*mpi.Rank) {
 		t := r.sc.Tenants[victim]
 		for lr := 0; lr < t.Ranks; lr++ {
 			for b := 0; b < t.Blocks; b++ {
-				if end := t.offsetFor(r.sc.Shape, lr, b) + t.BlockKB<<10; end > span {
+				if end := offsetFor(r.sc.Shape, t.Ranks, t.Blocks, lr, b, t.BlockKB<<10) + t.BlockKB<<10; end > span {
 					span = end
 				}
 			}

@@ -39,17 +39,13 @@ type Report struct {
 	Failures    []IterRecord   `json:"failures,omitempty"`
 }
 
-// Explore runs iters seeded scenarios and aggregates their verdicts.
-// progress (optional) observes each result as it lands. The whole soak is
-// a pure function of (masterSeed, iters).
-func Explore(masterSeed int64, iters int, progress func(i int, res *Result)) (*Report, error) {
-	return ExploreGen(masterSeed, iters, Generate, progress)
-}
-
-// ExploreGen is Explore with a custom scenario generator — e.g.
-// GenerateNetFaults to soak only degraded-mode collective schedules. The
-// soak is a pure function of (masterSeed, iters, gen).
-func ExploreGen(masterSeed int64, iters int, gen func(*rand.Rand) Scenario, progress func(i int, res *Result)) (*Report, error) {
+// Explore runs iters seeded scenarios of family fam and aggregates their
+// verdicts. progress (optional) observes each result as it lands. The
+// whole soak is a pure function of (masterSeed, iters, fam).
+func Explore(masterSeed int64, iters int, fam Family, progress func(i int, res *Result)) (*Report, error) {
+	if _, ok := families[fam]; !ok {
+		return nil, fmt.Errorf("chaos: unknown family %q (want one of %v)", fam, Families)
+	}
 	rng := rand.New(rand.NewSource(masterSeed))
 	rep := &Report{
 		MasterSeed: masterSeed,
@@ -61,7 +57,7 @@ func ExploreGen(masterSeed int64, iters int, gen func(*rand.Rand) Scenario, prog
 	}
 	for i := 0; i < iters; i++ {
 		seed := rng.Int63()
-		sc := gen(rand.New(rand.NewSource(seed)))
+		sc := Generate(rand.New(rand.NewSource(seed)), fam)
 		sc.Seed = seed
 		res, err := Execute(sc)
 		if err != nil {

@@ -275,33 +275,64 @@ func (r *run) fail(rank int, session string, err error) {
 	}
 }
 
-// open performs one collective open with the scenario's hints. recovery
-// selects the e10_cache_recovery + retain-cache hint set used by sessions
-// 2 and 3.
-func (r *run) open(mr *mpi.Rank, recovery bool) (*adio.File, error) {
-	info := mpi.Info{
-		adio.HintCBWrite:   "enable",
-		core.HintCache:     r.sc.Mode,
-		core.HintFlushFlag: r.sc.FlushFlag,
+// open performs one collective open over comm: uncached with resilient
+// two-phase hints in collective scenarios, otherwise with the cache hints
+// plus, for ti >= 0, tenant ti's file and capacity contract. recovery
+// selects the e10_cache_recovery + retain-cache hint set of sessions 2-3.
+func (r *run) open(mr *mpi.Rank, comm *mpi.Comm, ti int, recovery bool) (*adio.File, error) {
+	args := adio.OpenArgs{Comm: comm, Registry: r.cl.Env.Registry, Path: FilePath, Create: true}
+	if r.sc.Collective {
+		args.Info = mpi.Info{
+			adio.HintCBNodes:        "2",
+			adio.HintCBBufferSize:   "1048576",
+			adio.HintResilientWrite: "enable",
+		}
+	} else {
+		info := mpi.Info{
+			adio.HintCBWrite:   "enable",
+			core.HintCache:     r.sc.Mode,
+			core.HintFlushFlag: r.sc.FlushFlag,
+		}
+		if recovery {
+			info[core.HintCacheRecovery] = "enable"
+			info[core.HintDiscardFlag] = "disable"
+		} else if !r.sc.Discard {
+			info[core.HintDiscardFlag] = "disable"
+		}
+		if ti >= 0 {
+			t := r.sc.Tenants[ti]
+			args.Path = tenantFile(ti)
+			info[core.HintTenant] = tenantName(ti)
+			if t.QuotaKB > 0 {
+				info[core.HintTenantQuotaBytes] = fmt.Sprintf("%d", t.QuotaKB<<10)
+			}
+			if t.ReserveKB > 0 {
+				info[core.HintTenantReserve] = fmt.Sprintf("%d", t.ReserveKB<<10)
+			}
+			if t.Admit != "" {
+				info[core.HintTenantAdmit] = t.Admit
+			}
+			if t.Policy != "" {
+				info[core.HintTenantPolicy] = t.Policy
+			}
+		}
+		args.Info = info
+		args.Hooks = r.cl.CoreEnv.HooksFactory()
 	}
-	if recovery {
-		info[core.HintCacheRecovery] = "enable"
-		info[core.HintDiscardFlag] = "disable"
-	} else if !r.sc.Discard {
-		info[core.HintDiscardFlag] = "disable"
-	}
-	f, err := adio.OpenColl(mr, adio.OpenArgs{
-		Comm: r.cl.World.Comm(), Registry: r.cl.Env.Registry,
-		Path: FilePath, Create: true, Info: info,
-		Hooks: r.cl.CoreEnv.HooksFactory(),
-	})
+	f, err := adio.OpenColl(mr, args)
 	if err != nil {
 		return nil, err
+	}
+	if ti >= 0 && f.Stats.CacheFallback {
+		r.fallbacks++ // e.g. a rejected admission: the job runs uncached
 	}
 	if c, ok := f.InstalledHooks().(*core.Cache); ok && c != nil {
 		node := mr.Node().ID()
 		r.live[node][c] = true
 		r.caches = append(r.caches, c)
+		if ti >= 0 {
+			r.tenantCaches[ti] = append(r.tenantCaches[ti], c)
+		}
 		r.cacheName[mr.ID()] = c.Name()
 		r.cacheNode[mr.ID()] = node
 		r.journalKey[mr.ID()] = c.JournalKey()
@@ -323,90 +354,99 @@ func (r *run) close(f *adio.File, mr *mpi.Rank) error {
 // scenarios; the paired receive deadline is derived from it (timeout/2).
 const collectiveTimeout = 200 * sim.Millisecond
 
-// simulateCollective runs the degraded-mode workload: one resilient
-// two-phase strided write per rank, under whatever the schedule throws at
-// the fabric. Ranks on crashed nodes are killed outright and unwind; a
-// surviving rank whose write returns nil has every byte acked through
-// round-acks, which is exactly what the conservation oracle then checks
-// against the global file.
-func (r *run) simulateCollective() {
-	sc := r.sc
-	r.runErr = r.cl.World.Run(func(mr *mpi.Rank) {
-		me := mr.ID()
-		f, err := adio.OpenColl(mr, adio.OpenArgs{
-			Comm: r.cl.World.Comm(), Registry: r.cl.Env.Registry,
-			Path: FilePath, Create: true,
-			Info: mpi.Info{
-				adio.HintCBNodes:        "2",
-				adio.HintCBBufferSize:   "1048576",
-				adio.HintResilientWrite: "enable",
-			},
-		})
-		if err != nil {
-			r.fail(me, "open", err)
-			return
-		}
-		if me == 0 {
-			applyInjection(r, phaseSession1, mr)
-		}
-		var segs []extent.Extent
-		var data []byte
-		for b := 0; b < sc.Blocks; b++ {
-			off := sc.offsetFor(me, b)
-			segs = append(segs, extent.Extent{Off: off, Len: sc.blockSize()})
-			data = append(data, patternBuf(me, off, sc.blockSize())...)
-		}
-		if werr := f.WriteStridedColl(segs, data); werr != nil {
-			r.fail(me, "write", werr)
-		} else {
-			for _, s := range segs {
-				r.acked = append(r.acked, writeRec{rank: me, ext: s, file: FilePath})
-				r.refFor(FilePath).WriteAt(patternBuf(me, s.Off, s.Len), s.Off, s.Len)
+// write issues rank me's workload on f — in tenant ti's file when ti >= 0
+// — and records every acknowledged block. Cached scenarios issue one
+// WriteContig per block. Collective scenarios issue one resilient
+// two-phase WriteStridedColl covering every block: a nil return means
+// every byte was acked through round-acks, which is exactly what the
+// conservation oracle then checks against the global file.
+func (r *run) write(f *adio.File, me, ti int) {
+	path, ranks, blocks, rank, bs := FilePath, r.sc.ranks(), r.sc.Blocks, me, r.sc.BlockKB<<10
+	if ti >= 0 {
+		t := r.sc.Tenants[ti]
+		path, ranks, blocks, rank, bs = tenantFile(ti), t.Ranks, t.Blocks, me-r.sc.tenantStart(ti), t.BlockKB<<10
+	}
+	ack := func(off int64, data []byte) {
+		r.acked = append(r.acked, writeRec{rank: me, ext: extent.Extent{Off: off, Len: bs}, file: path})
+		r.refFor(path).WriteAt(data, off, bs)
+	}
+	if !r.sc.Collective {
+		for b := 0; b < blocks; b++ {
+			off := offsetFor(r.sc.Shape, ranks, blocks, rank, b, bs)
+			data := patternBuf(me, off, bs)
+			if err := f.WriteContig(data, off, bs); err != nil {
+				r.fail(me, "write", err)
+			} else {
+				ack(off, data)
 			}
 		}
-		if cerr := f.Close(); cerr != nil {
-			r.fail(me, "close", cerr)
-		}
-	})
+		return
+	}
+	segs := make([]extent.Extent, blocks)
+	var data []byte
+	for b := range segs {
+		segs[b] = extent.Extent{Off: offsetFor(r.sc.Shape, ranks, blocks, rank, b, bs), Len: bs}
+		data = append(data, patternBuf(me, segs[b].Off, bs)...)
+	}
+	if err := f.WriteStridedColl(segs, data); err != nil {
+		r.fail(me, "write", err)
+		return
+	}
+	for b, s := range segs {
+		ack(s.Off, data[int64(b)*bs:][:bs])
+	}
 }
 
 // simulate runs every session of the scenario inside one kernel run. All
 // ranks execute the same collective structure unconditionally — OpenColl
 // contains barriers, so the session count must be scenario-driven, never
 // runtime-state-driven.
+//
+// Tenant scenarios split the world into one communicator per tenant (idle
+// ranks, and muted tenants in a solo baseline run, sit out); every other
+// scenario runs on the world communicator. Tenant crashes fire from kernel
+// timers and kill only that tenant's open caches — the node, and every
+// other tenant on it, keeps running.
 func (r *run) simulate() {
-	if r.sc.Collective {
-		r.simulateCollective()
-		return
-	}
-	if len(r.sc.Tenants) > 0 {
-		r.simulateTenants()
-		return
-	}
 	sc := r.sc
-	comm := r.cl.World.Comm()
+	world := r.cl.World.Comm()
+	for i, t := range sc.Tenants {
+		if t.CrashUS <= 0 {
+			continue
+		}
+		i, t := i, t
+		r.cl.Kernel.Spawn(fmt.Sprintf("chaos.tenant.%d.crash", i), func(p *sim.Proc) {
+			p.Sleep(sim.Time(t.CrashUS) * sim.Microsecond)
+			for _, c := range r.tenantCaches[i] {
+				if r.liveCache(c) {
+					c.Crash()
+				}
+			}
+		})
+	}
 	r.runErr = r.cl.World.Run(func(mr *mpi.Rank) {
 		me := mr.ID()
+		comm, ti := world, -1
+		if len(sc.Tenants) > 0 {
+			ti = sc.tenantOf(me)
+			color := ti
+			if ti < 0 || (r.solo >= 0 && ti != r.solo) {
+				color = -1 // idle rank, or muted tenant in a solo baseline run
+			}
+			if comm = world.Split(mr, color, me); comm == nil {
+				return
+			}
+		}
 
 		// Session 1: the write workload.
-		f, err := r.open(mr, false)
+		f, err := r.open(mr, comm, ti, false)
 		if err != nil {
 			r.fail(me, "open", err)
 		} else {
 			if me == 0 {
 				applyInjection(r, phaseSession1, mr)
 			}
-			for b := 0; b < sc.Blocks; b++ {
-				off := sc.offsetFor(me, b)
-				size := sc.blockSize()
-				data := patternBuf(me, off, size)
-				if werr := f.WriteContig(data, off, size); werr != nil {
-					r.fail(me, "write", werr)
-				} else {
-					r.acked = append(r.acked, writeRec{rank: me, ext: extent.Extent{Off: off, Len: size}, file: FilePath})
-					r.refFor(FilePath).WriteAt(data, off, size)
-				}
-			}
+			r.write(f, me, ti)
 			if cerr := r.close(f, mr); cerr != nil {
 				r.fail(me, "close", cerr)
 			}
@@ -417,7 +457,7 @@ func (r *run) simulate() {
 
 		// Session 2: recovery open. Rank 0 snapshots the crash session's
 		// journals between two barriers, before any rank can replay them.
-		comm.Barrier(mr)
+		world.Barrier(mr)
 		if me == 0 && sc.Sessions >= 3 {
 			r.idemKeys = r.cl.CoreEnv.JournalKeys()
 			r.idemJ = make(map[string][]extent.Extent, len(r.idemKeys))
@@ -425,7 +465,7 @@ func (r *run) simulate() {
 				r.idemJ[k] = r.cl.CoreEnv.JournalExtents(k)
 			}
 		}
-		comm.Barrier(mr)
+		world.Barrier(mr)
 		r.runSession(mr, "recover1")
 		if sc.Sessions < 3 {
 			return
@@ -434,7 +474,7 @@ func (r *run) simulate() {
 		// Session 3: re-stage the journal (modelling a crash that lost the
 		// journal trim after the data was already durable) and recover
 		// again. The global file must come out byte-identical.
-		comm.Barrier(mr)
+		world.Barrier(mr)
 		if me == 0 && len(r.idemKeys) > 0 {
 			r.idemA = r.snapshotPFS()
 			for _, k := range r.idemKeys {
@@ -443,9 +483,9 @@ func (r *run) simulate() {
 			applyInjection(r, phaseStaging)
 			r.staged = true
 		}
-		comm.Barrier(mr)
+		world.Barrier(mr)
 		r.runSession(mr, "recover2")
-		comm.Barrier(mr)
+		world.Barrier(mr)
 		if me == 0 && r.staged {
 			r.idemB = r.snapshotPFS()
 		}
@@ -457,7 +497,7 @@ func (r *run) runSession(mr *mpi.Rank, tag string) {
 	if r.recoverStartNS == 0 {
 		r.recoverStartNS = int64(r.cl.Kernel.Now())
 	}
-	f, err := r.open(mr, true)
+	f, err := r.open(mr, r.cl.World.Comm(), -1, true)
 	if err != nil {
 		r.fail(mr.ID(), tag+"/open", err)
 		return

@@ -1,9 +1,10 @@
 // Package chaos is a deterministic chaos/soak harness for the simulated E10
 // stack, in the style of FoundationDB's simulation testing: a seeded
-// explorer generates randomized-but-reproducible scenarios — collective
-// workload shapes crossed with fault schedules over every modelled hardware
-// layer — runs each through the full cluster, and checks a registry of
-// end-to-end integrity oracles (byte conservation against an in-memory
+// explorer (Explore) draws randomized-but-reproducible scenarios of one
+// Family from one generator (Generate) — collective workload shapes crossed
+// with fault schedules over every modelled hardware layer — runs each
+// through the full cluster with one workload driver, and checks a registry
+// of end-to-end integrity oracles (byte conservation against an in-memory
 // reference file, no lost acknowledgements, journal-replay idempotence,
 // lock release on every error path, virtual-time liveness, trace/metrics
 // cross-consistency). A failing scenario is shrunk to a minimal reproducer
@@ -74,21 +75,6 @@ type TenantSpec struct {
 	// (mid-flush when it lands inside the write phase). Only the tenant's
 	// caches die — the node, and every other tenant on it, keeps running.
 	CrashUS int64 `json:"crash_us,omitempty"`
-}
-
-// offsetFor places block b of the tenant's local rank lrank inside the
-// tenant's own file, mirroring the scenario shapes.
-func (t TenantSpec) offsetFor(shape string, lrank, b int) int64 {
-	bs := t.BlockKB << 10
-	R := int64(t.Ranks)
-	switch shape {
-	case ShapeInterleaved:
-		return (int64(b)*R + int64(lrank)) * bs
-	case ShapeStrided:
-		return (int64(b)*(R+1) + int64(lrank)) * bs
-	default: // contiguous
-		return (int64(lrank)*int64(t.Blocks) + int64(b)) * bs
-	}
 }
 
 // bytes returns the tenant's total write footprint.
@@ -191,7 +177,8 @@ func (sc *Scenario) tenantFaulted(i int) bool {
 	for _, a := range sc.Faults {
 		switch a.Kind {
 		case fault.CrashNode, fault.FailDevice, fault.DeviceENOSPC,
-			fault.DegradeLink, fault.LossyLink, fault.DupLink:
+			fault.DegradeLink, fault.LossyLink, fault.DupLink,
+			fault.TornWrite, fault.BitRot:
 			if onNode(a.Node) {
 				return true
 			}
@@ -202,22 +189,20 @@ func (sc *Scenario) tenantFaulted(i int) bool {
 	return false
 }
 
-// blockSize returns the per-write byte count.
-func (sc *Scenario) blockSize() int64 { return sc.BlockKB << 10 }
-
-// offsetFor places block b of rank r in the shared file; extents are
-// disjoint across all (rank, block) pairs for every shape.
-func (sc *Scenario) offsetFor(rank, b int) int64 {
-	bs := sc.blockSize()
-	R := int64(sc.ranks())
-	switch sc.Shape {
+// offsetFor places block b of rank (of ranks, each writing blocks blocks of
+// bs bytes) in its file; extents are disjoint across all (rank, block)
+// pairs for every shape. Tenants pass their own rank count, block count and
+// tenant-local rank.
+func offsetFor(shape string, ranks, blocks, rank, b int, bs int64) int64 {
+	R := int64(ranks)
+	switch shape {
 	case ShapeInterleaved:
 		return (int64(b)*R + int64(rank)) * bs
 	case ShapeStrided:
 		// One hole block between successive rounds of the rank grid.
 		return (int64(b)*(R+1) + int64(rank)) * bs
 	default: // contiguous
-		return (int64(rank)*int64(sc.Blocks) + int64(b)) * bs
+		return (int64(rank)*int64(blocks) + int64(b)) * bs
 	}
 }
 
@@ -405,208 +390,186 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
-// Generate draws one scenario from rng. The same rng state always yields
-// the same scenario, which is what makes a whole soak replayable from one
-// master seed. The generated scenario always validates. It is e10chaos's
-// default -family cache.
-func Generate(rng *rand.Rand) Scenario {
-	// One in four scenarios exercises the degraded-mode collective path —
-	// lossy/duplicating links, network partitions, aggregator crashes —
-	// instead of the cache stack.
-	if rng.Intn(4) == 0 {
-		return generateCollective(rng)
+// Family names one scenario mix; e10chaos -family picks one to soak.
+type Family string
+
+const (
+	// FamilyCache is the default mix: cache-stack scenarios under crashes,
+	// device and target faults, one in four a degraded-mode collective.
+	FamilyCache Family = "cache"
+	// FamilyNetFaults draws only degraded-mode collectives: resilient
+	// writes under lossy links, duplication, partitions and aggregator
+	// crashes.
+	FamilyNetFaults Family = "netfaults"
+	// FamilyTenants draws only multi-tenant service-mode scenarios: several
+	// jobs contending for undersized shared NVM under quotas, reservations,
+	// queued admissions, mid-flush tenant crashes and NVM faults.
+	FamilyTenants Family = "tenants"
+	// FamilyCorrupt draws only corruption-recovery scenarios: a crash plus
+	// a torn journal append, bit-rot or both on the crashed node's NVM,
+	// followed by scrub-and-repair recovery sessions.
+	FamilyCorrupt Family = "corrupt"
+)
+
+// Families lists every scenario family.
+var Families = []Family{FamilyCache, FamilyNetFaults, FamilyTenants, FamilyCorrupt}
+
+// familySpec is one family's shared prelude: the workload ranges Generate
+// draws from before the family's own tail.
+type familySpec struct {
+	nodes, perNode [2]int   // {base, span}: base + rng.Intn(span)
+	blockKB        []int64  // nil: tenants carry their own workload
+	flush          []string // flush flags; drawn only when there are several
+	discard        bool     // draw the discard flag
+}
+
+var allFlush = []string{"flush_immediate", "flush_onclose", "flush_adaptive"}
+
+var families = map[Family]familySpec{
+	FamilyCache:     {nodes: [2]int{1, 3}, perNode: [2]int{1, 2}, blockKB: []int64{16, 64, 128, 256}, flush: allFlush, discard: true},
+	FamilyNetFaults: {nodes: [2]int{2, 2}, perNode: [2]int{1, 2}, blockKB: []int64{16, 64, 128}, flush: []string{"flush_onclose"}},
+	FamilyTenants:   {nodes: [2]int{1, 2}, perNode: [2]int{3, 2}, flush: allFlush, discard: true},
+	FamilyCorrupt:   {nodes: [2]int{1, 3}, perNode: [2]int{1, 2}, blockKB: []int64{16, 64, 128}, flush: []string{"flush_onclose", "flush_adaptive"}},
+}
+
+// Generate draws one scenario of family fam from rng. The same rng state
+// always yields the same scenario, which is what makes a whole soak
+// replayable from one master seed. The generated scenario always
+// validates. Generate panics on a family outside Families.
+func Generate(rng *rand.Rand, fam Family) Scenario {
+	// One in four cache scenarios exercises the degraded-mode collective
+	// path — lossy/duplicating links, network partitions, aggregator
+	// crashes — instead of the cache stack.
+	if fam == FamilyCache && rng.Intn(4) == 0 {
+		fam = FamilyNetFaults
+	}
+	spec, ok := families[fam]
+	if !ok {
+		panic(fmt.Sprintf("chaos: unknown family %q", fam))
 	}
 	sc := Scenario{
-		Nodes:     1 + rng.Intn(3),
-		PerNode:   1 + rng.Intn(2),
+		Nodes:     spec.nodes[0] + rng.Intn(spec.nodes[1]),
+		PerNode:   spec.perNode[0] + rng.Intn(spec.perNode[1]),
 		Shape:     []string{ShapeContiguous, ShapeInterleaved, ShapeStrided}[rng.Intn(3)],
-		BlockKB:   []int64{16, 64, 128, 256}[rng.Intn(4)],
-		Blocks:    1 + rng.Intn(4),
-		Mode:      "enable",
-		FlushFlag: []string{"flush_immediate", "flush_onclose", "flush_adaptive"}[rng.Intn(3)],
-		Discard:   rng.Intn(2) == 0,
-		Sessions:  1,
-	}
-	if rng.Intn(10) < 3 {
-		sc.Mode = "coherent"
-	}
-	switch r := rng.Intn(10); {
-	case r < 3: // crash + recovery
-		sc.Sessions = 2
-	case r < 5: // crash + recovery + idempotence probe
-		sc.Sessions = 3
-	}
-	if sc.Sessions > 1 {
-		// A recovery scenario needs something to recover from: crash one
-		// node somewhere inside the write phase.
-		sc.Faults = append(sc.Faults, Action{
-			Kind: fault.CrashNode, Node: rng.Intn(sc.Nodes),
-			FromUS: int64(1000 + rng.Intn(40_000)),
-		})
-	}
-	// Sprinkle 0..3 additional hardware faults, dropping any candidate that
-	// would make the schedule invalid (same-kind overlap).
-	for n := rng.Intn(4); n > 0; n-- {
-		a := randomAction(rng, sc.Nodes)
-		sc.Faults = append(sc.Faults, a)
-		if sc.Schedule().Validate() != nil {
-			sc.Faults = sc.Faults[:len(sc.Faults)-1]
-		}
-	}
-	// A windowed partition is safe for the cache stack too: it only cuts
-	// the PFS fabric (Analytic collectives pass no messages), and the sync
-	// thread's partition-exempt retries must ride it out.
-	if sc.Nodes >= 2 && rng.Intn(4) == 0 {
-		a := Action{
-			Kind: fault.Partition, Nodes: []int{rng.Intn(sc.Nodes)},
-			FromUS: int64(5_000 + rng.Intn(30_000)),
-		}
-		a.ToUS = a.FromUS + int64(5_000+rng.Intn(40_000))
-		sc.Faults = append(sc.Faults, a)
-		if sc.Schedule().Validate() != nil {
-			sc.Faults = sc.Faults[:len(sc.Faults)-1]
-		}
-	}
-	return sc
-}
-
-// GenerateNetFaults draws only degraded-mode collective scenarios —
-// resilient writes under lossy links, duplication, partitions and
-// aggregator crashes. e10chaos -family netfaults soaks with this generator to
-// concentrate iterations on the failover machinery.
-func GenerateNetFaults(rng *rand.Rand) Scenario {
-	return generateCollective(rng)
-}
-
-// generateCollective draws a degraded-mode collective scenario: a strided
-// resilient write under network faults.
-func generateCollective(rng *rand.Rand) Scenario {
-	sc := Scenario{
-		Collective: true,
-		Nodes:      2 + rng.Intn(2),
-		PerNode:    1 + rng.Intn(2),
-		Shape:      []string{ShapeContiguous, ShapeInterleaved, ShapeStrided}[rng.Intn(3)],
-		BlockKB:    []int64{16, 64, 128}[rng.Intn(3)],
-		Blocks:     1 + rng.Intn(4),
-		Mode:       "enable", // unused by the collective workload, kept valid
-		FlushFlag:  "flush_onclose",
-		Sessions:   1,
-	}
-	for n := 1 + rng.Intn(2); n > 0; n-- {
-		a := randomNetAction(rng, sc.Nodes)
-		sc.Faults = append(sc.Faults, a)
-		if sc.Schedule().Validate() != nil {
-			sc.Faults = sc.Faults[:len(sc.Faults)-1]
-		}
-	}
-	return sc
-}
-
-// randomNetAction draws one degraded-mode network fault.
-func randomNetAction(rng *rand.Rand, nodes int) Action {
-	switch rng.Intn(4) {
-	case 0: // lossy link window
-		a := Action{
-			Kind: fault.LossyLink, Node: rng.Intn(nodes),
-			Factor: 0.02 + 0.25*rng.Float64(),
-			FromUS: int64(1_000 + rng.Intn(20_000)),
-		}
-		a.ToUS = a.FromUS + int64(5_000+rng.Intn(40_000))
-		return a
-	case 1: // duplicating link window
-		a := Action{
-			Kind: fault.DupLink, Node: rng.Intn(nodes),
-			Factor: 0.05 + 0.35*rng.Float64(),
-			FromUS: int64(1_000 + rng.Intn(20_000)),
-		}
-		a.ToUS = a.FromUS + int64(5_000+rng.Intn(40_000))
-		return a
-	case 2: // partition window: cut one node off, then heal
-		a := Action{
-			Kind: fault.Partition, Nodes: []int{rng.Intn(nodes)},
-			FromUS: int64(2_000 + rng.Intn(20_000)),
-		}
-		a.ToUS = a.FromUS + int64(5_000+rng.Intn(40_000))
-		return a
-	default: // crash a node mid-write (aggregator failover when it hosts one)
-		return Action{
-			Kind: fault.CrashNode, Node: rng.Intn(nodes),
-			FromUS: int64(1_000 + rng.Intn(40_000)),
-		}
-	}
-}
-
-// GenerateCorrupt draws only corruption-recovery scenarios: a crash plus
-// at-rest corruption — a torn journal append, bit-rot, or both — on the
-// crashed node's NVM, followed by scrub-and-repair recovery sessions.
-// e10chaos -family corrupt soaks with this generator to concentrate iterations
-// on the checksummed journal and quarantine machinery.
-func GenerateCorrupt(rng *rand.Rand) Scenario {
-	sc := Scenario{
-		Nodes:     1 + rng.Intn(3),
-		PerNode:   1 + rng.Intn(2),
-		Shape:     []string{ShapeContiguous, ShapeInterleaved, ShapeStrided}[rng.Intn(3)],
-		BlockKB:   []int64{16, 64, 128}[rng.Intn(3)],
-		Blocks:    1 + rng.Intn(4),
-		Mode:      "enable",
-		FlushFlag: []string{"flush_onclose", "flush_adaptive"}[rng.Intn(2)],
-		Sessions:  2 + rng.Intn(2),
-	}
-	if rng.Intn(10) < 3 {
-		sc.Mode = "coherent"
-	}
-	// Something to recover from: crash one node inside the write phase so
-	// its journals retain unsynced extents.
-	crash := Action{
-		Kind: fault.CrashNode, Node: rng.Intn(sc.Nodes),
-		FromUS: int64(1_000 + rng.Intn(30_000)),
-	}
-	sc.Faults = append(sc.Faults, crash)
-	// ...then corrupt the crashed node's at-rest state shortly after. A
-	// corruption landing after recovery already replayed is a harmless
-	// no-op, so late times are safe, just less interesting.
-	at := crash.FromUS + int64(100+rng.Intn(2_000))
-	pick := rng.Intn(3) // 0: torn only, 1: rot only, 2: both
-	if pick != 1 {
-		sc.Faults = append(sc.Faults, Action{Kind: fault.TornWrite, Node: crash.Node, FromUS: at})
-		at += int64(50 + rng.Intn(500))
-	}
-	if pick != 0 {
-		sc.Faults = append(sc.Faults, Action{
-			Kind: fault.BitRot, Node: crash.Node,
-			Factor: 0.05 + 0.4*rng.Float64(), FromUS: at,
-		})
-	}
-	// Sprinkle 0..2 additional hardware faults, dropping any candidate that
-	// would make the schedule invalid (same-kind overlap).
-	for n := rng.Intn(3); n > 0; n-- {
-		a := randomAction(rng, sc.Nodes)
-		sc.Faults = append(sc.Faults, a)
-		if sc.Schedule().Validate() != nil {
-			sc.Faults = sc.Faults[:len(sc.Faults)-1]
-		}
-	}
-	return sc
-}
-
-// GenerateTenants draws only multi-tenant service-mode scenarios: several
-// independent jobs contending for a deliberately undersized shared NVM,
-// with quotas, reservations, queued admissions, mid-flush tenant crashes
-// and NVM-layer faults. e10chaos -family tenants soaks with this generator to
-// concentrate iterations on the capacity arbitration and isolation
-// machinery.
-func GenerateTenants(rng *rand.Rand) Scenario {
-	sc := Scenario{
-		Nodes:     1 + rng.Intn(2),
-		PerNode:   3 + rng.Intn(2),
-		Shape:     []string{ShapeContiguous, ShapeInterleaved, ShapeStrided}[rng.Intn(3)],
-		BlockKB:   64, // scenario-level workload fields are unused; tenants carry their own
+		BlockKB:   64, // scenario-level workload fields are unused by tenants
 		Blocks:    1,
 		Mode:      "enable",
-		FlushFlag: []string{"flush_immediate", "flush_onclose", "flush_adaptive"}[rng.Intn(3)],
-		Discard:   rng.Intn(2) == 0,
+		FlushFlag: spec.flush[0],
 		Sessions:  1,
 	}
+	if spec.blockKB != nil {
+		sc.BlockKB = spec.blockKB[rng.Intn(len(spec.blockKB))]
+		sc.Blocks = 1 + rng.Intn(4)
+	}
+	if len(spec.flush) > 1 {
+		sc.FlushFlag = spec.flush[rng.Intn(len(spec.flush))]
+	}
+	if spec.discard {
+		sc.Discard = rng.Intn(2) == 0
+	}
+
+	switch fam {
+	case FamilyNetFaults:
+		// A strided resilient write under 1..2 network faults. Mode stays
+		// "enable": unused by the collective workload, kept valid.
+		sc.Collective = true
+		for n := 1 + rng.Intn(2); n > 0; n-- {
+			sc.tryFault(randomNetAction(rng, sc.Nodes))
+		}
+	case FamilyCache:
+		if rng.Intn(10) < 3 {
+			sc.Mode = "coherent"
+		}
+		switch r := rng.Intn(10); {
+		case r < 3: // crash + recovery
+			sc.Sessions = 2
+		case r < 5: // crash + recovery + idempotence probe
+			sc.Sessions = 3
+		}
+		if sc.Sessions > 1 {
+			// A recovery scenario needs something to recover from: crash one
+			// node somewhere inside the write phase.
+			sc.Faults = append(sc.Faults, Action{
+				Kind: fault.CrashNode, Node: rng.Intn(sc.Nodes),
+				FromUS: int64(1000 + rng.Intn(40_000)),
+			})
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			sc.tryFault(randomAction(rng, sc.Nodes))
+		}
+		// A windowed partition is safe for the cache stack too: it only cuts
+		// the PFS fabric (Analytic collectives pass no messages), and the sync
+		// thread's partition-exempt retries must ride it out.
+		if sc.Nodes >= 2 && rng.Intn(4) == 0 {
+			sc.tryFault(window(rng, Action{Kind: fault.Partition, Nodes: []int{rng.Intn(sc.Nodes)}}, 5_000, 30_000))
+		}
+	case FamilyCorrupt:
+		sc.Sessions = 2 + rng.Intn(2)
+		if rng.Intn(10) < 3 {
+			sc.Mode = "coherent"
+		}
+		// Something to recover from: crash one node inside the write phase so
+		// its journals retain unsynced extents.
+		crash := Action{
+			Kind: fault.CrashNode, Node: rng.Intn(sc.Nodes),
+			FromUS: int64(1_000 + rng.Intn(30_000)),
+		}
+		sc.Faults = append(sc.Faults, crash)
+		// ...then corrupt the crashed node's at-rest state shortly after. A
+		// corruption landing after recovery already replayed is a harmless
+		// no-op, so late times are safe, just less interesting.
+		at := crash.FromUS + int64(100+rng.Intn(2_000))
+		pick := rng.Intn(3) // 0: torn only, 1: rot only, 2: both
+		if pick != 1 {
+			sc.Faults = append(sc.Faults, Action{Kind: fault.TornWrite, Node: crash.Node, FromUS: at})
+			at += int64(50 + rng.Intn(500))
+		}
+		if pick != 0 {
+			sc.Faults = append(sc.Faults, Action{
+				Kind: fault.BitRot, Node: crash.Node,
+				Factor: 0.05 + 0.4*rng.Float64(), FromUS: at,
+			})
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			sc.tryFault(randomAction(rng, sc.Nodes))
+		}
+	case FamilyTenants:
+		sc.carveTenants(rng)
+		// Sprinkle 0..2 NVM-layer faults (transient ENOSPC, device failure).
+		for n := rng.Intn(3); n > 0; n-- {
+			kind := fault.DeviceENOSPC
+			if rng.Intn(3) == 0 {
+				kind = fault.FailDevice
+			}
+			a := Action{Kind: kind, Node: rng.Intn(sc.Nodes),
+				FromUS: int64(1_000 + rng.Intn(30_000))}
+			a.ToUS = a.FromUS + int64(2_000+rng.Intn(20_000))
+			sc.tryFault(a)
+		}
+	}
+	return sc
+}
+
+// tryFault appends a, dropping it again if the schedule no longer
+// validates (same-kind overlap).
+func (sc *Scenario) tryFault(a Action) {
+	sc.Faults = append(sc.Faults, a)
+	if sc.Schedule().Validate() != nil {
+		sc.Faults = sc.Faults[:len(sc.Faults)-1]
+	}
+}
+
+// window opens a at from + [0, spread) µs and heals it 5..45 ms later.
+func window(rng *rand.Rand, a Action, from, spread int) Action {
+	a.FromUS = int64(from + rng.Intn(spread))
+	a.ToUS = a.FromUS + int64(5_000+rng.Intn(40_000))
+	return a
+}
+
+// carveTenants splits the rank pool into 2..4 tenants contending for a
+// deliberately undersized shared NVM, draws their capacity contracts, and
+// crashes one of them mid-flush in half the scenarios.
+func (sc *Scenario) carveTenants(rng *rand.Rand) {
 	// Carve 2..4 tenants out of the rank pool, one rank minimum each.
 	ranks := sc.ranks()
 	nt := 2 + rng.Intn(3)
@@ -659,21 +622,25 @@ func GenerateTenants(rng *rand.Rand) Scenario {
 	if rng.Intn(2) == 0 {
 		sc.Tenants[rng.Intn(len(sc.Tenants))].CrashUS = int64(1_000 + rng.Intn(30_000))
 	}
-	// Sprinkle 0..2 NVM-layer faults (transient ENOSPC, device failure).
-	for n := rng.Intn(3); n > 0; n-- {
-		kind := fault.DeviceENOSPC
-		if rng.Intn(3) == 0 {
-			kind = fault.FailDevice
-		}
-		a := Action{Kind: kind, Node: rng.Intn(sc.Nodes),
-			FromUS: int64(1_000 + rng.Intn(30_000))}
-		a.ToUS = a.FromUS + int64(2_000+rng.Intn(20_000))
-		sc.Faults = append(sc.Faults, a)
-		if sc.Schedule().Validate() != nil {
-			sc.Faults = sc.Faults[:len(sc.Faults)-1]
+}
+
+// randomNetAction draws one degraded-mode network fault.
+func randomNetAction(rng *rand.Rand, nodes int) Action {
+	switch rng.Intn(4) {
+	case 0: // lossy link window
+		return window(rng, Action{Kind: fault.LossyLink, Node: rng.Intn(nodes),
+			Factor: 0.02 + 0.25*rng.Float64()}, 1_000, 20_000)
+	case 1: // duplicating link window
+		return window(rng, Action{Kind: fault.DupLink, Node: rng.Intn(nodes),
+			Factor: 0.05 + 0.35*rng.Float64()}, 1_000, 20_000)
+	case 2: // partition window: cut one node off, then heal
+		return window(rng, Action{Kind: fault.Partition, Nodes: []int{rng.Intn(nodes)}}, 2_000, 20_000)
+	default: // crash a node mid-write (aggregator failover when it hosts one)
+		return Action{
+			Kind: fault.CrashNode, Node: rng.Intn(nodes),
+			FromUS: int64(1_000 + rng.Intn(40_000)),
 		}
 	}
-	return sc
 }
 
 // randomAction draws one non-crash fault action.

@@ -13,11 +13,7 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"repro/internal/adio"
 	"repro/internal/core"
-	"repro/internal/extent"
-	"repro/internal/mpi"
-	"repro/internal/sim"
 )
 
 // tenantName returns tenant i's e10_tenant hint value.
@@ -25,117 +21,6 @@ func tenantName(i int) string { return fmt.Sprintf("t%d", i) }
 
 // tenantFile returns tenant i's private global file path.
 func tenantFile(i int) string { return fmt.Sprintf("chaos.t%d.dat", i) }
-
-// simulateTenants runs the multi-tenant workload: every tenant's rank
-// block opens the tenant's file with its capacity-contract hints and
-// writes its pattern, all inside one kernel run. Tenant crashes fire from
-// kernel timers and kill only that tenant's open caches — the node, and
-// every other tenant on it, keeps running.
-func (r *run) simulateTenants() {
-	sc := r.sc
-	comm := r.cl.World.Comm()
-	for i := range sc.Tenants {
-		t := sc.Tenants[i]
-		if t.CrashUS <= 0 {
-			continue
-		}
-		i := i
-		r.cl.Kernel.Spawn(fmt.Sprintf("chaos.tenant.%d.crash", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(t.CrashUS) * sim.Microsecond)
-			for _, c := range r.tenantCaches[i] {
-				if r.liveCache(c) {
-					c.Crash()
-				}
-			}
-		})
-	}
-	r.runErr = r.cl.World.Run(func(mr *mpi.Rank) {
-		me := mr.ID()
-		ti := sc.tenantOf(me)
-		color := ti
-		if ti < 0 || (r.solo >= 0 && ti != r.solo) {
-			color = -1 // idle rank, or muted tenant in a solo baseline run
-		}
-		jcomm := comm.Split(mr, color, me)
-		if jcomm == nil {
-			return
-		}
-		t := sc.Tenants[ti]
-		lrank := me - sc.tenantStart(ti)
-		f, err := r.openTenant(mr, jcomm, ti)
-		if err != nil {
-			r.fail(me, "open", err)
-			return
-		}
-		if me == 0 {
-			applyInjection(r, phaseSession1, mr)
-		}
-		for b := 0; b < t.Blocks; b++ {
-			off := t.offsetFor(sc.Shape, lrank, b)
-			size := t.BlockKB << 10
-			data := patternBuf(me, off, size)
-			if werr := f.WriteContig(data, off, size); werr != nil {
-				r.fail(me, "write", werr)
-			} else {
-				r.acked = append(r.acked, writeRec{
-					rank: me, ext: extent.Extent{Off: off, Len: size}, file: tenantFile(ti)})
-				r.refFor(tenantFile(ti)).WriteAt(data, off, size)
-			}
-		}
-		if cerr := r.close(f, mr); cerr != nil {
-			r.fail(me, "close", cerr)
-		}
-	})
-}
-
-// openTenant performs one collective open of tenant ti's file over the
-// tenant's sub-communicator, carrying the scenario's cache hints plus the
-// tenant's capacity contract.
-func (r *run) openTenant(mr *mpi.Rank, comm *mpi.Comm, ti int) (*adio.File, error) {
-	t := r.sc.Tenants[ti]
-	info := mpi.Info{
-		adio.HintCBWrite:   "enable",
-		core.HintCache:     r.sc.Mode,
-		core.HintFlushFlag: r.sc.FlushFlag,
-		core.HintTenant:    tenantName(ti),
-	}
-	if !r.sc.Discard {
-		info[core.HintDiscardFlag] = "disable"
-	}
-	if t.QuotaKB > 0 {
-		info[core.HintTenantQuotaBytes] = fmt.Sprintf("%d", t.QuotaKB<<10)
-	}
-	if t.ReserveKB > 0 {
-		info[core.HintTenantReserve] = fmt.Sprintf("%d", t.ReserveKB<<10)
-	}
-	if t.Admit != "" {
-		info[core.HintTenantAdmit] = t.Admit
-	}
-	if t.Policy != "" {
-		info[core.HintTenantPolicy] = t.Policy
-	}
-	f, err := adio.OpenColl(mr, adio.OpenArgs{
-		Comm: comm, Registry: r.cl.Env.Registry,
-		Path: tenantFile(ti), Create: true, Info: info,
-		Hooks: r.cl.CoreEnv.HooksFactory(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if f.Stats.CacheFallback {
-		r.fallbacks++ // e.g. a rejected admission: the job runs uncached
-	}
-	if c, ok := f.InstalledHooks().(*core.Cache); ok && c != nil {
-		node := mr.Node().ID()
-		r.live[node][c] = true
-		r.caches = append(r.caches, c)
-		r.tenantCaches[ti] = append(r.tenantCaches[ti], c)
-		r.cacheName[mr.ID()] = c.Name()
-		r.cacheNode[mr.ID()] = node
-		r.journalKey[mr.ID()] = c.JournalKey()
-	}
-	return f, nil
-}
 
 // liveCache reports whether a cache is still open on any node.
 func (r *run) liveCache(c *core.Cache) bool {

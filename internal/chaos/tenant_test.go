@@ -1,9 +1,10 @@
 package chaos
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // tenanted returns a small healthy two-tenant scenario on one shared NVM.
@@ -19,13 +20,29 @@ func tenanted() Scenario {
 	}
 }
 
-func TestTenantCleanScenarioHasNoViolations(t *testing.T) {
-	res := mustExecute(t, tenanted())
-	if res.Failed() {
-		t.Fatalf("clean tenant scenario violated: %v", res.Violations)
+// offNodeCorruption returns tenanted() on a 2x4 cluster, both tenants on
+// node 0, with a bit-rot and a torn write on the tenant-free node 1. The
+// node-scoped corruption faults victimize no tenant, so the isolation
+// oracle must still check both.
+func offNodeCorruption() Scenario {
+	sc := tenanted()
+	sc.Nodes = 2
+	sc.Faults = []Action{
+		{Kind: fault.BitRot, Node: 1, Factor: 0.1, FromUS: 2_000},
+		{Kind: fault.TornWrite, Node: 1, FromUS: 3_000},
 	}
-	if res.AckedOps != 8 {
-		t.Fatalf("acked %d writes, want 8", res.AckedOps)
+	return sc
+}
+
+func TestTenantCleanScenarioHasNoViolations(t *testing.T) {
+	for name, sc := range map[string]Scenario{"one node": tenanted(), "off-node corruption": offNodeCorruption()} {
+		res := mustExecute(t, sc)
+		if res.Failed() {
+			t.Fatalf("%s: clean tenant scenario violated: %v", name, res.Violations)
+		}
+		if res.AckedOps != 8 {
+			t.Fatalf("%s: acked %d writes, want 8", name, res.AckedOps)
+		}
 	}
 }
 
@@ -84,23 +101,25 @@ func TestTenantCrashMidFlushIsolation(t *testing.T) {
 // TestTenantScribbleTripsOnlyIsolation pins the blast radius of the
 // cross-tenant-scribble injection: the victim's digest diverges, but no
 // acked-write oracle fires (the foreign byte lands outside every acked
-// extent).
+// extent). Corruption faults on a node hosting no tenant must not mute the
+// isolation oracle.
 func TestTenantScribbleTripsOnlyIsolation(t *testing.T) {
-	sc := tenanted()
-	sc.Injection = "cross-tenant-scribble"
-	res := mustExecute(t, sc)
-	invs := res.ViolatedInvariants()
-	if len(invs) != 1 || invs[0] != InvTenantIsolation {
-		t.Fatalf("scribble verdict %v, want exactly [%s]", invs, InvTenantIsolation)
-	}
-	found := false
-	for _, v := range res.Violations {
-		if strings.Contains(v.Detail, "diverged from its solo same-seed run") {
-			found = true
+	for name, sc := range map[string]Scenario{"one node": tenanted(), "off-node corruption": offNodeCorruption()} {
+		sc.Injection = "cross-tenant-scribble"
+		res := mustExecute(t, sc)
+		invs := res.ViolatedInvariants()
+		if len(invs) != 1 || invs[0] != InvTenantIsolation {
+			t.Fatalf("%s: scribble verdict %v, want exactly [%s]", name, invs, InvTenantIsolation)
 		}
-	}
-	if !found {
-		t.Fatalf("violation detail does not name the solo divergence: %v", res.Violations)
+		found := false
+		for _, v := range res.Violations {
+			if strings.Contains(v.Detail, "diverged from its solo same-seed run") {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("%s: violation detail does not name the solo divergence: %v", name, res.Violations)
+		}
 	}
 }
 
@@ -115,38 +134,6 @@ func TestTenantExecuteIsDeterministic(t *testing.T) {
 	if a.WallNS != b.WallNS || a.Events != b.Events || a.AckedOps != b.AckedOps {
 		t.Fatalf("tenant runs diverged: (%d,%d,%d) vs (%d,%d,%d)",
 			a.WallNS, a.Events, a.AckedOps, b.WallNS, b.Events, b.AckedOps)
-	}
-}
-
-func TestGenerateTenantsAlwaysValidates(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		sc := GenerateTenants(rng)
-		if err := sc.Validate(); err != nil {
-			t.Fatalf("iter %d: generated invalid scenario: %v\n%+v", i, err, sc)
-		}
-		if len(sc.Tenants) < 2 {
-			t.Fatalf("iter %d: generated %d tenants, want >= 2", i, len(sc.Tenants))
-		}
-		if sc.SSDCapKB <= 0 {
-			t.Fatalf("iter %d: no SSD cap override", i)
-		}
-	}
-}
-
-// TestTenantSoakIsClean soaks a few generated tenant scenarios end to end:
-// quota pressure, queued admissions, tenant crashes and NVM faults must
-// never trip an invariant on their own.
-func TestTenantSoakIsClean(t *testing.T) {
-	rep, err := ExploreGen(3, 10, GenerateTenants, nil)
-	if err != nil {
-		t.Fatalf("explore: %v", err)
-	}
-	if len(rep.Failures) != 0 {
-		t.Fatalf("tenant soak found violations:\n%s", rep.Text())
-	}
-	if len(rep.Tenants) == 0 {
-		t.Fatal("report carries no tenant coverage")
 	}
 }
 

@@ -9,19 +9,16 @@
 # instead of minutes. Pass -full before a release. SKIP_RACE=1 skips the
 # race pass entirely (for hosts where the race runtime is unavailable).
 #
-# A 25-iteration chaos smoke (see internal/chaos) also gates the run:
-# seeded workload/fault scenarios checked against the end-to-end integrity
-# oracles, plus a 25-iteration failover smoke (-family netfaults:
-# degraded-mode collective writes under lossy links, duplication,
-# partitions and aggregator crashes) and a 25-iteration tenant smoke
-# (-family tenants: multi-tenant capacity arbitration and isolation under
-# crashes and NVM faults). SKIP_CHAOS=1 skips all three; `make chaos` runs the
-# 200-iteration soak. A 25-iteration corruption smoke (-family corrupt:
-# crash-then-corrupt scenarios — torn journal appends and NVM bit-rot
-# before recovery, checked by the scrub/quarantine path) also gates the
-# run; SKIP_CORRUPT=1 skips it and `make chaos-corrupt` runs the
-# 200-iteration soak. The fuzz corpora also replay once (Fuzz* seeds as
-# regression tests; SKIP_FUZZ=1 skips).
+# A chaos smoke (see internal/chaos) also gates the run: 25 seeded
+# scenarios of each family checked against the end-to-end integrity
+# oracles — cache (cache-stack scenarios under crashes and device faults),
+# netfaults (degraded-mode collective writes under lossy links,
+# duplication, partitions and aggregator crashes), tenants (multi-tenant
+# capacity arbitration and isolation under crashes and NVM faults) and
+# corrupt (torn journal appends and NVM bit-rot before recovery, checked
+# by the scrub/quarantine path). SKIP_CHAOS=1 skips it; `make chaos` runs
+# the 200-iteration soaks. The fuzz corpora also replay once (Fuzz* seeds
+# as regression tests; SKIP_FUZZ=1 skips).
 #
 # The two-phase round-planning, analytic-Alltoall, survivor-communicator,
 # Allreduce-fold, MemStore strided-assembly and kernel-dispatch (Sleep,
@@ -87,19 +84,10 @@ fi
 if [ "${SKIP_CHAOS:-}" = "1" ]; then
     echo "== chaos smoke skipped (SKIP_CHAOS=1)"
 else
-    echo "== chaos smoke (25 seeded scenarios through the integrity oracles)"
-    go run ./cmd/e10chaos -iters 25 -seed 1
-    echo "== failover chaos smoke (25 degraded-mode collective scenarios)"
-    go run ./cmd/e10chaos -iters 25 -seed 2 -family netfaults
-    echo "== tenant chaos smoke (25 multi-tenant service-mode scenarios)"
-    go run ./cmd/e10chaos -iters 25 -seed 3 -family tenants
-fi
-
-if [ "${SKIP_CORRUPT:-}" = "1" ]; then
-    echo "== corruption smoke skipped (SKIP_CORRUPT=1)"
-else
-    echo "== corruption chaos smoke (25 crash-then-corrupt scenarios)"
-    go run ./cmd/e10chaos -iters 25 -seed 4 -family corrupt
+    for run in 1:cache 2:netfaults 3:tenants 4:corrupt; do
+        echo "== chaos smoke: 25 seeded ${run#*:} scenarios through the integrity oracles"
+        go run ./cmd/e10chaos -iters 25 -seed "${run%%:*}" -family "${run#*:}"
+    done
 fi
 
 if [ "${SKIP_FUZZ:-}" = "1" ]; then
