@@ -2,6 +2,7 @@ package adio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/extent"
@@ -73,17 +74,125 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 		}()
 	}
 
-	// Step 1: exchange access-pattern information (start and end offsets).
+	// Steps 1-3: offset exchange, interleaving check, file domains.
 	span := mpe.StartSpan(r.Now())
+	p, err := f.plan(c, segs, f.hints.CBWrite)
+	span.End(log, mpe.PhaseCalc, r.Now())
+	if err != nil {
+		return err
+	}
+	if p.indep {
+		return f.WriteStrided(segs, data)
+	}
+	if p.fds == nil {
+		// No rank has data; still synchronise error codes.
+		return f.exchangeErr(nil, "write")
+	}
+	pre := prefixSums(segs, data)
+	if p.myAgg >= 0 {
+		fd := p.fds[p.myAgg]
+		tr.Instant(ttk, "adio", "file_domain", int64(r.Now()), trace.I("off", fd.Off), trace.I("len", fd.Len))
+	}
+
+	// Step 4: the extended two-phase loop. The per-round plan vectors are
+	// reused across rounds: Alltoall does not hold the send vector after
+	// it returns, and every extent list is consumed within its round.
+	var firstErr error
+	sendExts := make([][]extent.Extent, len(p.fds))
+	sendSizes := make([]int64, c.Size())
+	for m := 0; m < p.ntimes; m++ {
+		tag := tagDataBase + (m & 0xffff)
+		roundT0 := r.Now()
+		rsp := tr.Begin(ttk, "adio", "round", int64(r.Now()))
+
+		// What do I send to each aggregator this round?
+		planRound(sendExts, sendSizes, segs, p.fds, p.aggList, p.cb, m)
+
+		// Dissemination: every round starts with an MPI_Alltoall telling
+		// each aggregator how much each process contributes.
+		span = mpe.StartSpan(r.Now())
+		recvSizes := c.Alltoall(r, sendSizes)
+		span.End(log, mpe.PhaseShuffleA2A, r.Now())
+
+		// Data shuffle: post receives, start sends, wait for all.
+		span = mpe.StartSpan(r.Now())
+		recvReqs, sendReqs, selfExts := f.postWriteRound(&p, tag, recvSizes, sendExts, segs, pre, data, mExch)
+		r.Waitall(sendReqs)
+		r.Waitall(recvReqs)
+		span.End(log, mpe.PhaseExchWaitall, r.Now())
+
+		// Aggregator: pack the collective buffer and write the domain.
+		if win := p.window(m); !win.Empty() {
+			var msgs []*mpi.Message
+			for _, q := range recvReqs {
+				msgs = append(msgs, r.Wait(q))
+			}
+			if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil && firstErr == nil {
+				firstErr = err
+			}
+			f.Stats.CollRounds++
+			mRounds.Inc()
+		}
+		rsp.End(int64(r.Now()), trace.I("round", int64(m)), trace.I("ntimes", int64(p.ntimes)))
+		mRoundNs.Observe(int64(r.Now() - roundT0))
+	}
+
+	// Step 5: synchronise and exchange error codes.
+	return f.exchangeErr(firstErr, "write")
+}
+
+// exchangeErr is the two-phase epilogue: the ranks exchange error codes,
+// and a rank whose own part succeeded reports that another's failed.
+func (f *File) exchangeErr(err error, op string) error {
+	r := f.rank
+	span := mpe.StartSpan(r.Now())
+	code := int64(0)
+	if err != nil {
+		code = 1
+	}
+	res := f.comm.Allreduce(r, []int64{code}, mpi.MaxOp)
+	span.End(f.log, mpe.PhasePostWrite, r.Now())
+	if res[0] != 0 && err == nil {
+		err = fmt.Errorf("adio: collective %s failed on another rank", op)
+	}
+	return err
+}
+
+// twoPhasePlan is the prologue every two-phase driver shares (§II-A steps
+// 1-3): which ranks aggregate, which file domain each one owns, and how
+// many cb_buffer_size rounds cover the largest domain.
+type twoPhasePlan struct {
+	c       *mpi.Comm
+	me      int             // this rank's position in c
+	aggList []int           // ranks of c acting as aggregators
+	fds     []extent.Extent // aggregator i's file domain; nil when no rank accesses anything
+	cb      int64           // cb_buffer_size: bytes per aggregator per round
+	ntimes  int             // rounds covering the largest domain
+	myAgg   int             // this rank's index in fds, or -1
+	indep   bool            // independent I/O selected instead (see plan)
+}
+
+// plan runs the two-phase prologue over c for this rank's access segs:
+// the Allgather of every rank's first and last offset, the global range
+// and interleaving check, the aggregator placement, the driver's file
+// domains and the round count. cbMode is the romio_cb_write/_read hint:
+// "disable", or "automatic" with no rank's range overlapping the next
+// one's, selects independent I/O and nothing else is planned. Over a
+// communicator other than the file's (a failover epoch's survivors) the
+// aggregators are placed afresh by the same rule as at open. A timed-out
+// offset exchange returns its error.
+func (f *File) plan(c *mpi.Comm, segs []extent.Extent, cbMode string) (twoPhasePlan, error) {
+	r := f.rank
 	const noData = int64(-1)
 	st, end := noData, noData
 	if len(segs) > 0 {
 		st = segs[0].Off
 		end = segs[len(segs)-1].End() - 1
 	}
-	offs := c.Allgather(r, []int64{st, end})
-
-	// Step 2: interleaving check over adjacent ranks, global range.
+	offs, err := c.TryAllgather(r, []int64{st, end})
+	if err != nil {
+		return twoPhasePlan{}, err
+	}
 	minSt, maxEnd := int64(-1), int64(-1)
 	interleaved := false
 	prevEnd, hasPrev := int64(-1), false
@@ -102,130 +211,89 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 		}
 		prevEnd, hasPrev = o[1], true
 	}
-	span.End(log, mpe.PhaseCalc, r.Now())
 
-	if f.hints.CBWrite == HintDisable || (f.hints.CBWrite == HintAutomatic && !interleaved) {
-		return f.WriteStrided(segs, data)
+	p := twoPhasePlan{c: c, me: c.RankOf(r), cb: f.hints.CBBufferSize, myAgg: -1}
+	if cbMode == HintDisable || (cbMode == HintAutomatic && !interleaved) {
+		p.indep = true
+		return p, nil
 	}
 	if maxEnd < minSt {
-		// No rank has data; still synchronise error codes.
-		span = mpe.StartSpan(r.Now())
-		c.Allreduce(r, []int64{0}, mpi.MaxOp)
-		span.End(log, mpe.PhasePostWrite, r.Now())
-		return nil
+		return p, nil
 	}
-
-	// Step 3: file domains, per the driver's partitioning strategy.
-	fds := f.driver.FileDomains(minSt, maxEnd, len(f.aggList), f.hints)
-	naggs := len(fds)
-	cb := f.hints.CBBufferSize
-	ntimes := 0
-	for _, fd := range fds {
-		if nt := int((fd.Len + cb - 1) / cb); nt > ntimes {
-			ntimes = nt
+	p.aggList, p.myAgg = f.aggList, f.myAgg
+	if c != f.comm {
+		p.aggList = placeAggregators(c, f.hints)
+		p.myAgg = slices.Index(p.aggList, p.me)
+	}
+	p.fds = f.driver.FileDomains(minSt, maxEnd, len(p.aggList), f.hints)
+	for _, fd := range p.fds {
+		if nt := int((fd.Len + p.cb - 1) / p.cb); nt > p.ntimes {
+			p.ntimes = nt
 		}
 	}
-
-	var pre []int64
-	if data != nil {
-		pre = make([]int64, len(segs)+1)
-		for i, s := range segs {
-			pre[i+1] = pre[i] + s.Len
-		}
+	if p.myAgg >= len(p.fds) {
+		p.myAgg = -1
 	}
-
-	me := c.RankOf(r)
-	amAgg := f.myAgg >= 0 && f.myAgg < naggs
-	var myFD extent.Extent
-	if amAgg {
-		myFD = fds[f.myAgg]
-		if buf := min64(cb, myFD.Len); buf > f.Stats.PeakBufBytes {
+	if p.myAgg >= 0 {
+		if buf := min64(p.cb, p.fds[p.myAgg].Len); buf > f.Stats.PeakBufBytes {
 			f.Stats.PeakBufBytes = buf
 		}
-		tr.Instant(ttk, "adio", "file_domain", int64(r.Now()),
-			trace.I("off", myFD.Off), trace.I("len", myFD.Len))
 	}
+	return p, nil
+}
 
-	// Step 4: the extended two-phase loop. The per-round plan vectors are
-	// reused across rounds: Alltoall does not hold the send vector after
-	// it returns, and every extent list is consumed within its round.
-	var firstErr error
-	sendExts := make([][]extent.Extent, naggs)
-	sendSizes := make([]int64, c.Size())
-	for m := 0; m < ntimes; m++ {
-		tag := tagDataBase + (m & 0xffff)
-		roundT0 := r.Now()
-		rsp := tr.Begin(ttk, "adio", "round", int64(r.Now()))
+// window returns the part of this rank's file domain handled in round m:
+// empty when the rank aggregates nothing or its domain is done.
+func (p *twoPhasePlan) window(m int) extent.Extent {
+	if p.myAgg < 0 {
+		return extent.Extent{}
+	}
+	return roundWindow(p.fds[p.myAgg], p.cb, m)
+}
 
-		// What do I send to each aggregator this round?
-		planRound(sendExts, sendSizes, segs, fds, f.aggList, cb, m)
-
-		// Dissemination: every round starts with an MPI_Alltoall telling
-		// each aggregator how much each process contributes.
-		span = mpe.StartSpan(r.Now())
-		recvSizes := c.Alltoall(r, sendSizes)
-		span.End(log, mpe.PhaseShuffleA2A, r.Now())
-
-		// Data shuffle: post receives, start sends, wait for all.
-		span = mpe.StartSpan(r.Now())
-		var recvReqs []*mpi.Request
-		if amAgg {
-			for src := 0; src < c.Size(); src++ {
-				if src == me || recvSizes[src] == 0 {
-					continue
-				}
-				recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
-			}
-		}
-		var sendReqs []*mpi.Request
-		var selfExts []extent.Extent
-		for a := 0; a < naggs; a++ {
-			if len(sendExts[a]) == 0 {
+// postWriteRound starts a write round's data shuffle on tag. An
+// aggregator posts a receive from every other rank with bytes for it
+// (recvSizes, from the round's Alltoall); every rank sends its pieces
+// (sendExts, per aggregator) to the other aggregators. The pieces for this
+// rank's own aggregator are not sent but returned as selfExts.
+func (f *File) postWriteRound(p *twoPhasePlan, tag int, recvSizes []int64, sendExts [][]extent.Extent,
+	segs []extent.Extent, pre []int64, data []byte, mExch *metrics.Counter) (recvReqs, sendReqs []*mpi.Request, selfExts []extent.Extent) {
+	r, c := f.rank, p.c
+	if p.myAgg >= 0 {
+		for src := 0; src < c.Size(); src++ {
+			if src == p.me || recvSizes[src] == 0 {
 				continue
 			}
-			if f.aggList[a] == me {
-				selfExts = sendExts[a]
-				continue
-			}
-			msg := buildDataMsg(sendExts[a], segs, pre, data)
-			f.Stats.BytesExchanged += msg.Size
-			mExch.Add(msg.Size)
-			sendReqs = append(sendReqs, r.Isend(c.Member(f.aggList[a]).ID(), tag, msg))
+			recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
 		}
-		r.Waitall(sendReqs)
-		r.Waitall(recvReqs)
-		span.End(log, mpe.PhaseExchWaitall, r.Now())
-
-		// Aggregator: pack the collective buffer and write the domain.
-		if amAgg {
-			if win := roundWindow(myFD, cb, m); !win.Empty() {
-				var msgs []*mpi.Message
-				for _, q := range recvReqs {
-					msgs = append(msgs, r.Wait(q))
-				}
-				if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				f.Stats.CollRounds++
-				mRounds.Inc()
-			}
+	}
+	for a, exts := range sendExts {
+		if len(exts) == 0 {
+			continue
 		}
-		rsp.End(int64(r.Now()), trace.I("round", int64(m)), trace.I("ntimes", int64(ntimes)))
-		mRoundNs.Observe(int64(r.Now() - roundT0))
+		if p.aggList[a] == p.me {
+			selfExts = exts
+			continue
+		}
+		msg := buildDataMsg(exts, segs, pre, data)
+		f.Stats.BytesExchanged += msg.Size
+		mExch.Add(msg.Size)
+		sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[a]).ID(), tag, msg))
 	}
+	return recvReqs, sendReqs, selfExts
+}
 
-	// Step 5: synchronise and exchange error codes.
-	span = mpe.StartSpan(r.Now())
-	code := int64(0)
-	if firstErr != nil {
-		code = 1
+// prefixSums returns the offset of each segment's bytes in the rank's
+// concatenated payload, with the total last, or nil without a payload.
+func prefixSums(segs []extent.Extent, data []byte) []int64 {
+	if data == nil {
+		return nil
 	}
-	res := c.Allreduce(r, []int64{code}, mpi.MaxOp)
-	span.End(log, mpe.PhasePostWrite, r.Now())
-	if res[0] != 0 && firstErr == nil {
-		firstErr = fmt.Errorf("adio: collective write failed on another rank")
+	pre := make([]int64, len(segs)+1)
+	for i, s := range segs {
+		pre[i+1] = pre[i] + s.Len
 	}
-	return firstErr
+	return pre
 }
 
 // planRound fills exts[a] with the parts of segs inside aggregator a's

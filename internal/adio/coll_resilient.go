@@ -94,13 +94,7 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 		}()
 	}
 
-	var pre []int64
-	if data != nil {
-		pre = make([]int64, len(segs)+1)
-		for i, s := range segs {
-			pre[i+1] = pre[i] + s.Len
-		}
-	}
+	pre := prefixSums(segs, data)
 
 	// Per-file resilient-call counter: collective calls run in lockstep on
 	// every rank, so the counter agrees across the communicator and keys
@@ -166,7 +160,6 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre []int64,
 	data []byte, acked *extent.Set, deadline sim.Time, sendExts [][]extent.Extent, sendSizes []int64) error {
 	r := f.rank
-	me := c.RankOf(r)
 
 	// This rank's pending work: the unacked gaps of each original segment.
 	// Gaps are computed per segment, so every pending extent stays inside
@@ -176,65 +169,19 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 		rem = append(rem, acked.Gaps(s)...)
 	}
 
-	// Offset exchange over the survivor communicator.
-	const noData = int64(-1)
-	st, end := noData, noData
-	if len(rem) > 0 {
-		st = rem[0].Off
-		end = rem[len(rem)-1].End() - 1
-	}
-	offs, err := c.TryAllgather(r, []int64{st, end})
+	// Offset exchange and file domains over the survivors, with the
+	// aggregators placed over them by the file's own rule, so every survivor
+	// derives the same map.
+	p, err := f.plan(c, rem, HintEnable)
 	if err != nil {
 		return &epochAbort{err}
 	}
-	minSt, maxEnd := int64(-1), int64(-1)
-	for _, o := range offs {
-		if o[0] == noData {
-			continue
-		}
-		if minSt == -1 || o[0] < minSt {
-			minSt = o[0]
-		}
-		if o[1] > maxEnd {
-			maxEnd = o[1]
-		}
-	}
-	if maxEnd < minSt {
+	if p.fds == nil {
 		// Nothing left anywhere: synchronise final codes and succeed.
 		if _, err := c.TryAllreduce(r, []int64{ackOK}, mpi.MaxOp); err != nil {
 			return &epochAbort{err}
 		}
 		return nil
-	}
-
-	// File domains recomputed over the survivors: same aggregator count as
-	// the healthy run (capped by the surviving membership), re-placed by
-	// the standard spreading rule so every survivor derives the same map.
-	naggs := len(f.aggList)
-	if naggs > c.Size() {
-		naggs = c.Size()
-	}
-	aggList := aggregatorRanks(c.Size(), naggs)
-	fds := f.driver.FileDomains(minSt, maxEnd, naggs, f.hints)
-	naggs = len(fds)
-	myAgg := -1
-	for i := 0; i < naggs; i++ {
-		if aggList[i] == me {
-			myAgg = i
-		}
-	}
-	amAgg := myAgg >= 0
-	cb := f.hints.CBBufferSize
-	ntimes := 0
-	for _, fd := range fds {
-		if nt := int((fd.Len + cb - 1) / cb); nt > ntimes {
-			ntimes = nt
-		}
-	}
-	if amAgg {
-		if buf := min64(cb, fds[myAgg].Len); buf > f.Stats.PeakBufBytes {
-			f.Stats.PeakBufBytes = buf
-		}
 	}
 
 	mExch := f.metrics().Counter("adio_exchange_bytes_total", layerLabel)
@@ -246,42 +193,19 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 	tagBase := tagDataBase + ((epoch & 0x3ff) << 16)
 
 	var firstErr error
-	sendExts = sendExts[:naggs]
+	sendExts = sendExts[:len(p.fds)]
 	sendSizes = sendSizes[:c.Size()]
-	for m := 0; m < ntimes; m++ {
+	for m := 0; m < p.ntimes; m++ {
 		tag := tagBase + (m & 0xffff)
 
-		planRound(sendExts, sendSizes, rem, fds, aggList, cb, m)
+		planRound(sendExts, sendSizes, rem, p.fds, p.aggList, p.cb, m)
 
 		recvSizes, err := c.TryAlltoall(r, sendSizes)
 		if err != nil {
 			return &epochAbort{err}
 		}
 
-		var recvReqs []*mpi.Request
-		if amAgg {
-			for src := 0; src < c.Size(); src++ {
-				if src == me || recvSizes[src] == 0 {
-					continue
-				}
-				recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
-			}
-		}
-		var sendReqs []*mpi.Request
-		var selfExts []extent.Extent
-		for a := 0; a < naggs; a++ {
-			if len(sendExts[a]) == 0 {
-				continue
-			}
-			if aggList[a] == me {
-				selfExts = sendExts[a]
-				continue
-			}
-			msg := buildDataMsg(sendExts[a], segs, pre, data)
-			f.Stats.BytesExchanged += msg.Size
-			mExch.Add(msg.Size)
-			sendReqs = append(sendReqs, r.Isend(c.Member(aggList[a]).ID(), tag, msg))
-		}
+		recvReqs, sendReqs, selfExts := f.postWriteRound(&p, tag, recvSizes, sendExts, segs, pre, data, mExch)
 		r.Waitall(sendReqs)
 
 		// Aggregator: collect contributions under a deadline — a sender
@@ -290,27 +214,25 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 		// to ackTimeout; the write is not attempted, and the round-ack
 		// sends everyone to the next epoch.
 		code := int64(ackOK)
-		if amAgg {
-			if win := roundWindow(fds[myAgg], cb, m); !win.Empty() {
-				msgs := make([]*mpi.Message, 0, len(recvReqs))
-				for _, q := range recvReqs {
-					msg, rerr := r.WaitDeadline(q, deadline)
-					if rerr != nil {
-						code = ackTimeout
-						break
-					}
-					msgs = append(msgs, msg)
+		if win := p.window(m); !win.Empty() {
+			msgs := make([]*mpi.Message, 0, len(recvReqs))
+			for _, q := range recvReqs {
+				msg, rerr := r.WaitDeadline(q, deadline)
+				if rerr != nil {
+					code = ackTimeout
+					break
 				}
-				if code == ackOK {
-					if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil {
-						code = ackIOErr
-						if firstErr == nil {
-							firstErr = err
-						}
+				msgs = append(msgs, msg)
+			}
+			if code == ackOK {
+				if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil {
+					code = ackIOErr
+					if firstErr == nil {
+						firstErr = err
 					}
-					f.Stats.CollRounds++
-					mRounds.Inc()
 				}
+				f.Stats.CollRounds++
+				mRounds.Inc()
 			}
 		}
 
@@ -329,8 +251,8 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 		case ackTimeout:
 			return fmt.Errorf("%w: %w in round %d", errEpochFailed, mpi.ErrRecvTimeout, m)
 		}
-		for a := 0; a < naggs; a++ {
-			for _, e := range sendExts[a] {
+		for _, exts := range sendExts {
+			for _, e := range exts {
 				acked.Add(e)
 			}
 		}

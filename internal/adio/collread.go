@@ -29,80 +29,33 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		return fmt.Errorf("adio: buffer length %d != segment total %d", len(buf), total)
 	}
 
-	// Offset exchange and interleaving check, as in the write path.
+	// Offset exchange, interleaving check and file domains, as in the
+	// write path.
 	span := mpe.StartSpan(r.Now())
-	const noData = int64(-1)
-	st, end := noData, noData
-	if len(segs) > 0 {
-		st = segs[0].Off
-		end = segs[len(segs)-1].End() - 1
-	}
-	offs := c.Allgather(r, []int64{st, end})
-	minSt, maxEnd := int64(-1), int64(-1)
-	interleaved := false
-	prevEnd, hasPrev := int64(-1), false
-	for _, o := range offs {
-		if o[0] == noData {
-			continue
-		}
-		if minSt == -1 || o[0] < minSt {
-			minSt = o[0]
-		}
-		if o[1] > maxEnd {
-			maxEnd = o[1]
-		}
-		if hasPrev && o[0] < prevEnd {
-			interleaved = true
-		}
-		prevEnd, hasPrev = o[1], true
-	}
+	p, err := f.plan(c, segs, f.hints.CBRead)
 	span.End(log, mpe.PhaseCalc, r.Now())
-
-	if f.hints.CBRead == HintDisable || (f.hints.CBRead == HintAutomatic && !interleaved) {
+	if err != nil {
+		return err
+	}
+	if p.indep {
 		return f.ReadStrided(segs, buf)
 	}
-	if maxEnd < minSt {
+	if p.fds == nil {
 		c.Allreduce(r, []int64{0}, mpi.MaxOp)
 		return nil
 	}
-
-	fds := f.driver.FileDomains(minSt, maxEnd, len(f.aggList), f.hints)
-	naggs := len(fds)
-	cb := f.hints.CBBufferSize
-	ntimes := 0
-	for _, fd := range fds {
-		if nt := int((fd.Len + cb - 1) / cb); nt > ntimes {
-			ntimes = nt
-		}
-	}
-
-	var pre []int64
-	if buf != nil {
-		pre = make([]int64, len(segs)+1)
-		for i, s := range segs {
-			pre[i+1] = pre[i] + s.Len
-		}
-	}
-
-	me := c.RankOf(r)
-	amAgg := f.myAgg >= 0 && f.myAgg < naggs
-	var myFD extent.Extent
-	if amAgg {
-		myFD = fds[f.myAgg]
-		if b := min64(cb, myFD.Len); b > f.Stats.PeakBufBytes {
-			f.Stats.PeakBufBytes = b
-		}
-	}
+	pre := prefixSums(segs, buf)
 	payload := buf != nil
 
-	wantExts := make([][]extent.Extent, naggs)
+	var firstErr error
+	wantExts := make([][]extent.Extent, len(p.fds))
 	wantSizes := make([]int64, c.Size())
-	for m := 0; m < ntimes; m++ {
+	for m := 0; m < p.ntimes; m++ {
 		reqTag := tagReadBase + 2*(m&0x7fff)
 		repTag := reqTag + 1
 
 		// What do I want from each aggregator this round?
-		planRound(wantExts, wantSizes, segs, fds, f.aggList, cb, m)
+		planRound(wantExts, wantSizes, segs, p.fds, p.aggList, p.cb, m)
 
 		span = mpe.StartSpan(r.Now())
 		reqSizes := c.Alltoall(r, wantSizes)
@@ -112,9 +65,9 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		// Aggregators receive the extent requests.
 		var reqReqs []*mpi.Request
 		var reqSrcs []int
-		if amAgg {
+		if p.myAgg >= 0 {
 			for src := 0; src < c.Size(); src++ {
-				if src == me || reqSizes[src] == 0 {
+				if src == p.me || reqSizes[src] == 0 {
 					continue
 				}
 				reqReqs = append(reqReqs, r.Irecv(c.Member(src).ID(), reqTag))
@@ -125,19 +78,19 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		var replyReqs []*mpi.Request
 		var replyAggs []int
 		var selfExts []extent.Extent
-		for a := 0; a < naggs; a++ {
-			if len(wantExts[a]) == 0 {
+		for a, exts := range wantExts {
+			if len(exts) == 0 {
 				continue
 			}
-			if f.aggList[a] == me {
-				selfExts = wantExts[a]
+			if p.aggList[a] == p.me {
+				selfExts = exts
 				continue
 			}
-			vals := make([]int64, 0, 2*len(wantExts[a]))
-			for _, e := range wantExts[a] {
+			vals := make([]int64, 0, 2*len(exts))
+			for _, e := range exts {
 				vals = append(vals, e.Off, e.Len)
 			}
-			aggWorld := c.Member(f.aggList[a]).ID()
+			aggWorld := c.Member(p.aggList[a]).ID()
 			replyReqs = append(replyReqs, r.Irecv(aggWorld, repTag))
 			replyAggs = append(replyAggs, a)
 			r.Send(aggWorld, reqTag, mpi.Message{Vals: vals})
@@ -146,61 +99,60 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 
 		// Aggregator: read the covering range once (data-sieving read) and
 		// answer every request.
-		if amAgg {
-			win := roundWindow(myFD, cb, m)
-			if !win.Empty() {
-				var need extent.Set
-				type request struct {
-					src  int
-					exts []extent.Extent
-				}
-				var reqs []request
-				for i, q := range reqReqs {
-					msg := r.Wait(q)
-					var exts []extent.Extent
-					for j := 0; j+1 < len(msg.Vals); j += 2 {
-						e := extent.Extent{Off: msg.Vals[j], Len: msg.Vals[j+1]}
-						exts = append(exts, e)
-						need.Add(e)
-					}
-					reqs = append(reqs, request{src: reqSrcs[i], exts: exts})
-				}
-				for _, e := range selfExts {
+		if win := p.window(m); !win.Empty() {
+			var need extent.Set
+			type request struct {
+				src  int
+				exts []extent.Extent
+			}
+			var reqs []request
+			for i, q := range reqReqs {
+				msg := r.Wait(q)
+				var exts []extent.Extent
+				for j := 0; j+1 < len(msg.Vals); j += 2 {
+					e := extent.Extent{Off: msg.Vals[j], Len: msg.Vals[j+1]}
+					exts = append(exts, e)
 					need.Add(e)
 				}
-				var scratch store.Store
-				span2 := mpe.StartSpan(r.Now())
-				for _, run := range need.Extents() {
-					run = run.Intersect(win)
-					if run.Empty() {
-						continue
-					}
-					var rd []byte
-					if payload {
-						rd = make([]byte, run.Len)
-					}
-					f.ReadContig(rd, run.Off, run.Len)
-					if payload {
-						if scratch == nil {
-							scratch = store.NewMem()
-						}
-						scratch.WriteAt(rd, run.Off, run.Len)
-					}
+				reqs = append(reqs, request{src: reqSrcs[i], exts: exts})
+			}
+			for _, e := range selfExts {
+				need.Add(e)
+			}
+			var scratch store.Store
+			span2 := mpe.StartSpan(r.Now())
+			for _, run := range need.Extents() {
+				run = run.Intersect(win)
+				if run.Empty() {
+					continue
 				}
-				span2.End(log, mpe.PhaseWrite, r.Now()) // file I/O time
-				// Reply to every requester.
-				for _, q := range reqs {
-					msg := buildReadReply(q.exts, scratch)
-					f.Stats.BytesExchanged += msg.Size
-					r.Send(c.Member(q.src).ID(), repTag, msg)
+				var rd []byte
+				if payload {
+					rd = make([]byte, run.Len)
 				}
-				// Local pieces for this aggregator's own request.
-				if len(selfExts) > 0 && payload {
-					for _, e := range selfExts {
-						rd := make([]byte, e.Len)
-						scratch.ReadAt(rd, e.Off)
-						copyIntoSegs(rd, e, segs, pre, buf)
+				if err := f.ReadContig(rd, run.Off, run.Len); err != nil && firstErr == nil {
+					firstErr = err
+				}
+				if payload {
+					if scratch == nil {
+						scratch = store.NewMem()
 					}
+					scratch.WriteAt(rd, run.Off, run.Len)
+				}
+			}
+			span2.End(log, mpe.PhaseWrite, r.Now()) // file I/O time
+			// Reply to every requester.
+			for _, q := range reqs {
+				msg := buildReadReply(q.exts, scratch)
+				f.Stats.BytesExchanged += msg.Size
+				r.Send(c.Member(q.src).ID(), repTag, msg)
+			}
+			// Local pieces for this aggregator's own request.
+			if len(selfExts) > 0 && payload {
+				for _, e := range selfExts {
+					rd := make([]byte, e.Len)
+					scratch.ReadAt(rd, e.Off)
+					copyIntoSegs(rd, e, segs, pre, buf)
 				}
 			}
 		}
@@ -221,10 +173,9 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		span.End(log, mpe.PhaseExchWaitall, r.Now())
 	}
 
-	span = mpe.StartSpan(r.Now())
-	c.Allreduce(r, []int64{0}, mpi.MaxOp)
-	span.End(log, mpe.PhasePostWrite, r.Now())
-	return nil
+	// Every request was answered even after a failed read, so no rank is
+	// left waiting; the error codes travel as in the write path.
+	return f.exchangeErr(firstErr, "read")
 }
 
 // buildReadReply packs the bytes of exts (from the aggregator's scratch

@@ -2,12 +2,14 @@ package adio
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/extent"
 	"repro/internal/mpi"
+	"repro/internal/pfs"
 	"repro/internal/store"
 )
 
@@ -250,6 +252,51 @@ func TestBeeGFSDriverEndToEndContent(t *testing.T) {
 					t.Fatalf("byte %d = %d, want %d", base+b, got[base+b], want)
 				}
 			}
+		}
+	}
+}
+
+// TestCollectiveReadReportsReadErrors reads an interleaved pattern
+// collectively after every storage target went down: every rank must
+// return (none may wait forever for a reply), an aggregator with its own
+// failed read reports that error, and every other rank reports that the
+// collective read failed elsewhere.
+func TestCollectiveReadReportsReadErrors(t *testing.T) {
+	cl := newCluster(t, 1, 4, 2, store.NewMem)
+	n := cl.w.Size()
+	info := mpi.Info{HintCBWrite: "enable", HintCBRead: "enable", HintCBNodes: "2", HintCBBufferSize: "4096"}
+	errs := make([]error, n)
+	aggs := make([]bool, n)
+	returned := make([]bool, n)
+	err := cl.w.Run(func(r *mpi.Rank) {
+		f, err := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "down.dat", Create: true, Info: info})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		segs, data := blockCyclic(n, r.ID(), 1024, 3)
+		if err := f.WriteStridedColl(segs, data); err != nil {
+			t.Error(err)
+		}
+		f.Comm().Barrier(r)
+		for i := 0; i < cl.fs.Config().Targets; i++ {
+			cl.fs.SetTargetDown(i, true)
+		}
+		errs[r.ID()] = f.ReadStridedColl(segs, make([]byte, len(data)))
+		aggs[r.ID()] = f.IsAggregator()
+		returned[r.ID()] = true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range errs {
+		switch {
+		case !returned[id]:
+			t.Errorf("rank %d never returned from the collective read", id)
+		case aggs[id] && !errors.Is(errs[id], pfs.ErrTargetDown):
+			t.Errorf("aggregator rank %d: error %v, want %v", id, errs[id], pfs.ErrTargetDown)
+		case !aggs[id] && (errs[id] == nil || errs[id].Error() != "adio: collective read failed on another rank"):
+			t.Errorf("rank %d: error %v, want the collective read to fail on another rank", id, errs[id])
 		}
 	}
 }

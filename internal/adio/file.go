@@ -3,6 +3,7 @@ package adio
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/extent"
@@ -135,18 +136,9 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 		driver:  drv,
 		backend: backend,
 		log:     log,
-		myAgg:   -1,
+		aggList: placeAggregators(a.Comm, hints),
 	}
-	if hints.CBPerNode > 0 {
-		f.aggList = aggregatorRanksPacked(a.Comm, hints.CBNodes, hints.CBPerNode)
-	} else {
-		f.aggList = aggregatorRanks(a.Comm.Size(), hints.CBNodes)
-	}
-	for i, a := range f.aggList {
-		if a == me {
-			f.myAgg = i
-		}
-	}
+	f.myAgg = slices.Index(f.aggList, me)
 	if a.Hooks != nil {
 		// Paper: "If for any reason the open of the cache file fails, the
 		// implementation reverts to standard open."
@@ -163,6 +155,16 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 	}
 	span.End(log, mpe.PhaseOpen, r.Now())
 	return f, nil
+}
+
+// placeAggregators returns the ranks of c acting as cb_nodes aggregators:
+// packed per cb_config_list "*:N" when that hint is set, spread over the
+// communicator otherwise.
+func placeAggregators(c *mpi.Comm, h *Hints) []int {
+	if h.CBPerNode > 0 {
+		return aggregatorRanksPacked(c, h.CBNodes, h.CBPerNode)
+	}
+	return aggregatorRanks(c.Size(), h.CBNodes)
 }
 
 // aggregatorRanks spreads naggs aggregators evenly over the communicator.

@@ -26,13 +26,7 @@ func (f *File) WriteStrided(segs []extent.Extent, data []byte) error {
 	f.Stats.IndepWrites++
 	f.metrics().Counter("adio_indep_writes_total", layerLabel).Inc()
 
-	var pre []int64
-	if data != nil {
-		pre = make([]int64, len(segs)+1)
-		for i, s := range segs {
-			pre[i+1] = pre[i] + s.Len
-		}
-	}
+	pre := prefixSums(segs, data)
 
 	// Coalesce the segments into contiguous runs.
 	var cover extent.Set
@@ -150,13 +144,7 @@ func (f *File) ReadStrided(segs []extent.Extent, buf []byte) error {
 	if len(segs) == 0 {
 		return nil
 	}
-	var pre []int64
-	if buf != nil {
-		pre = make([]int64, len(segs)+1)
-		for i, s := range segs {
-			pre[i+1] = pre[i] + s.Len
-		}
-	}
+	pre := prefixSums(segs, buf)
 	spanExt := extent.Extent{Off: segs[0].Off, Len: segs[len(segs)-1].End() - segs[0].Off}
 	holeBytes := spanExt.Len - total
 	if len(segs) > 1 && holeBytes*2 < spanExt.Len {

@@ -190,3 +190,50 @@ func TestEpochAbortMatchesWrappedError(t *testing.T) {
 		t.Fatalf("%v must expose its *mpi.CollTimeoutError", got)
 	}
 }
+
+// TestAggregatorsRunTheRounds checks that the ranks Aggregators reports
+// are the ones that run two-phase rounds, for the plain and the failover
+// write under spread and cb_config_list packed placement: a rank runs
+// rounds exactly when IsAggregator is true.
+func TestAggregatorsRunTheRounds(t *testing.T) {
+	for _, resilient := range []bool{false, true} {
+		for _, configList := range []string{"", "*:2"} {
+			name := fmt.Sprintf("resilient=%v/cb_config_list=%q", resilient, configList)
+			t.Run(name, func(t *testing.T) {
+				cl := newCluster(t, 1, 4, 4, store.NewMem) // 16 ranks, 4 per node
+				info := mpi.Info{HintCBWrite: "enable", HintCBNodes: "4", HintCBBufferSize: "4096"}
+				if configList != "" {
+					info[HintCBConfigList] = configList
+				}
+				if resilient {
+					info[HintResilientWrite] = "enable"
+					cl.w.SetCollTimeout(50 * sim.Millisecond)
+				}
+				n := cl.w.Size()
+				isAgg := make([]bool, n)
+				rounds := make([]int64, n)
+				err := cl.w.Run(func(r *mpi.Rank) {
+					f, err := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "aggs.dat", Create: true, Info: info})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					segs, data := blockCyclic(n, r.ID(), 1024, 4)
+					if err := f.WriteStridedColl(segs, data); err != nil {
+						t.Error(err)
+					}
+					isAgg[r.ID()], rounds[r.ID()] = f.IsAggregator(), f.Stats.CollRounds
+					_ = f.Close()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := range isAgg {
+					if isAgg[id] != (rounds[id] > 0) {
+						t.Errorf("rank %d: IsAggregator %v but ran %d rounds", id, isAgg[id], rounds[id])
+					}
+				}
+			})
+		}
+	}
+}

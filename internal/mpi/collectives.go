@@ -216,28 +216,15 @@ func (c *Comm) cut() bool {
 	return false
 }
 
-// sync is the analytic rendezvous: every rank contributes input, blocks
-// until all have arrived plus the modelled cost, and gets all inputs back.
-// Timeout errors (only possible with SetCollTimeout armed) are dropped;
-// error-aware callers use syncErr via the Try* wrappers.
-func (c *Comm) sync(r *Rank, kind string, perRankBytes int64, input []int64) [][]int64 {
-	inputs, _ := c.syncErr(r, kind, perRankBytes, input)
-	return inputs
-}
-
-// syncErr implements the rendezvous. When a collective timeout is armed, a
-// per-call cancellable timer bounds the wait, and a collective whose
-// communicator spans an active partition is held open — completing when
-// the partition heals, or failing all participants with *CollTimeoutError
-// when the timer fires first. On the fault-free path the timer is always
-// cancelled before firing, leaving virtual time untouched.
-func (c *Comm) syncErr(r *Rank, kind string, perRankBytes int64, input []int64) ([][]int64, error) {
-	st, err := c.rendezvous(r, kind, perRankBytes, input)
-	return st.inputs, err
-}
-
-// rendezvous is syncErr returning the call's state itself, for callers
-// that derive one result per call from it (see collState.fold).
+// rendezvous is the analytic collective: every rank contributes input,
+// blocks until all have arrived plus the modelled cost, and gets the call's
+// state back, whose inputs are the settled table (see settle). When a
+// collective timeout is armed, a per-call cancellable timer bounds the
+// wait, and a collective whose communicator spans an active partition is
+// held open — completing when the partition heals, or failing all
+// participants with *CollTimeoutError when the timer fires first. On the
+// fault-free path the timer is always cancelled before firing, leaving
+// virtual time untouched.
 func (c *Comm) rendezvous(r *Rank, kind string, perRankBytes int64, input []int64) (*collState, error) {
 	r.checkKilled()
 	me := c.RankOf(r)
@@ -516,32 +503,50 @@ var (
 	BorOp Op = func(a, b int64) int64 { return a | b }
 )
 
+// The collectives below surface a *CollTimeoutError from their Try* form
+// when SetCollTimeout is armed and the call stalls (dead ranks, network
+// partition); the plain form drops the error and returns the same partial
+// result. Under the MessagePassing model they run the message algorithms,
+// which have no timeout support — degraded-mode callers (the resilient
+// two-phase write) require Analytic.
+
 // Barrier blocks until every rank of the communicator has entered.
-func (c *Comm) Barrier(r *Rank) {
+func (c *Comm) Barrier(r *Rank) { _ = c.TryBarrier(r) }
+
+// TryBarrier is Barrier with timeout surfacing.
+func (c *Comm) TryBarrier(r *Rank) error {
 	sp := c.beginColl(r, "barrier")
+	var err error
 	if c.model == MessagePassing {
 		c.msgBarrier(r)
 	} else {
-		c.sync(r, "barrier", 0, nil)
+		_, err = c.rendezvous(r, "barrier", 0, nil)
 	}
 	sp.end(r)
+	return err
 }
 
 // Allreduce combines each rank's vals element-wise with op; every rank
 // receives the combined vector (MPI_Allreduce). Under Analytic each rank
 // gets a copy of its own, which it may modify.
 func (c *Comm) Allreduce(r *Rank, vals []int64, op Op) []int64 {
+	out, _ := c.TryAllreduce(r, vals, op)
+	return out
+}
+
+// TryAllreduce is Allreduce with timeout surfacing. A timed-out call
+// returns the fold of the ranks that arrived in time.
+func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
 	sp := c.beginColl(r, "allreduce")
 	defer func() { sp.end(r) }()
 	if c.model == MessagePassing {
-		return c.msgAllreduce(r, vals, op)
+		return c.msgAllreduce(r, vals, op), nil
 	}
 	st, err := c.rendezvous(r, "allreduce", int64(8*len(vals)), vals)
 	if err != nil {
-		// A timed-out call holds only the ranks that arrived in time.
-		return foldInputs(st.inputs, vals, op)
+		return foldInputs(st.inputs, vals, op), err
 	}
-	return st.fold(vals, op)
+	return st.fold(vals, op), nil
 }
 
 // fold returns a fresh copy of a completed allreduce's result. The first
@@ -586,16 +591,24 @@ func foldInputs(inputs [][]int64, own []int64, op Op) []int64 {
 // Allgather collects each rank's vals; result[i] is rank i's contribution
 // (MPI_Allgather / MPI_Allgatherv).
 func (c *Comm) Allgather(r *Rank, vals []int64) [][]int64 {
+	out, _ := c.TryAllgather(r, vals)
+	return out
+}
+
+// TryAllgather is Allgather with timeout surfacing. A timed-out call
+// returns nil in the slots of the ranks that never arrived.
+func (c *Comm) TryAllgather(r *Rank, vals []int64) ([][]int64, error) {
 	sp := c.beginColl(r, "allgather")
 	defer func() { sp.end(r) }()
 	if c.model == MessagePassing {
-		return c.msgAllgather(r, vals)
+		return c.msgAllgather(r, vals), nil
 	}
 	// The rendezvous result is returned as-is: the state it lives in is
 	// released once the collective completes, and callers treat it as
 	// read-only. Copying the outer slice would cost O(ranks) per caller —
 	// 400 MB across one 4096-rank collective write.
-	return c.sync(r, "allgather", int64(8*len(vals)), vals)
+	st, err := c.rendezvous(r, "allgather", int64(8*len(vals)), vals)
+	return st.inputs, err
 }
 
 // Alltoall sends send[i] to comm rank i and returns recv where recv[i] is
@@ -604,83 +617,12 @@ func (c *Comm) Allgather(r *Rank, vals []int64) [][]int64 {
 // send may be reused as soon as the call returns. Under Analytic, recv is
 // a row of the rendezvous's shared table (see settle) and is read-only.
 func (c *Comm) Alltoall(r *Rank, send []int64) []int64 {
-	if len(send) != len(c.ranks) {
-		panic("mpi: alltoall send vector must have comm-size entries")
-	}
-	sp := c.beginColl(r, "alltoall")
-	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAlltoall(r, send)
-	}
-	return c.sync(r, "alltoall", 8, send)[c.RankOf(r)]
+	recv, _ := c.TryAlltoall(r, send)
+	return recv
 }
 
-// Bcast distributes root's vals to every rank (MPI_Bcast).
-func (c *Comm) Bcast(r *Rank, root int, vals []int64) []int64 {
-	sp := c.beginColl(r, "bcast")
-	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgBcast(r, root, vals)
-	}
-	var n int64
-	if c.RankOf(r) == root {
-		n = int64(8 * len(vals))
-	}
-	inputs := c.sync(r, "bcast", n, vals)
-	return inputs[root]
-}
-
-// ---- Error-aware (Try) variants ----
-//
-// The Try* collectives surface a *CollTimeoutError instead of silently
-// returning partial data when SetCollTimeout is armed and the operation
-// stalls (dead ranks, network partition). Under the MessagePassing model
-// they fall back to the plain algorithms, which have no timeout support —
-// degraded-mode callers (the resilient two-phase write) require Analytic.
-
-// TryBarrier is Barrier with timeout surfacing.
-func (c *Comm) TryBarrier(r *Rank) error {
-	sp := c.beginColl(r, "barrier")
-	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		c.msgBarrier(r)
-		return nil
-	}
-	_, err := c.syncErr(r, "barrier", 0, nil)
-	return err
-}
-
-// TryAllreduce is Allreduce with timeout surfacing; on error the partial
-// result is nil.
-func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
-	sp := c.beginColl(r, "allreduce")
-	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAllreduce(r, vals, op), nil
-	}
-	st, err := c.rendezvous(r, "allreduce", int64(8*len(vals)), vals)
-	if err != nil {
-		return nil, err
-	}
-	return st.fold(vals, op), nil
-}
-
-// TryAllgather is Allgather with timeout surfacing.
-func (c *Comm) TryAllgather(r *Rank, vals []int64) ([][]int64, error) {
-	sp := c.beginColl(r, "allgather")
-	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAllgather(r, vals), nil
-	}
-	inputs, err := c.syncErr(r, "allgather", int64(8*len(vals)), vals)
-	if err != nil {
-		return nil, err
-	}
-	// Shared read-only rendezvous result; see Allgather.
-	return inputs, nil
-}
-
-// TryAlltoall is Alltoall with timeout surfacing.
+// TryAlltoall is Alltoall with timeout surfacing. A timed-out call
+// returns zero from the ranks that never arrived.
 func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 	if len(send) != len(c.ranks) {
 		panic("mpi: alltoall send vector must have comm-size entries")
@@ -690,12 +632,61 @@ func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 	if c.model == MessagePassing {
 		return c.msgAlltoall(r, send), nil
 	}
-	inputs, err := c.syncErr(r, "alltoall", 8, send)
-	if err != nil {
-		return nil, err
+	st, err := c.rendezvous(r, "alltoall", 8, send)
+	return st.inputs[c.RankOf(r)], err
+}
+
+// Bcast distributes root's vals to every rank (MPI_Bcast).
+func (c *Comm) Bcast(r *Rank, root int, vals []int64) []int64 {
+	sp := c.beginColl(r, "bcast")
+	defer func() { sp.end(r) }()
+	if c.model == MessagePassing {
+		return c.bcastWithTag(r, root, vals, c.advanceTagFor(c.RankOf(r)))
 	}
-	// Shared read-only row of the settled table; see Alltoall.
-	return inputs[c.RankOf(r)], nil
+	var n int64
+	if c.RankOf(r) == root {
+		n = int64(8 * len(vals))
+	}
+	st, _ := c.rendezvous(r, "bcast", n, vals)
+	return st.inputs[root]
+}
+
+// Split partitions the communicator by color; ranks with equal color land
+// in a new communicator ordered by (key, rank), as MPI_Comm_split. Every
+// member must call it; callers with color < 0 (MPI_UNDEFINED) get nil.
+// The grouping is computed via an Allgather of (color, key) pairs, so it
+// costs one collective.
+func (c *Comm) Split(r *Rank, color, key int) *Comm {
+	pairs := c.Allgather(r, []int64{int64(color), int64(key)})
+	if color < 0 {
+		return nil
+	}
+	type member struct {
+		rank int // position in c
+		key  int64
+	}
+	var members []member
+	for i, p := range pairs {
+		if p[0] == int64(color) {
+			members = append(members, member{rank: i, key: p[1]})
+		}
+	}
+	// Stable order by (key, rank).
+	for i := 1; i < len(members); i++ {
+		for j := i; j > 0 && (members[j].key < members[j-1].key ||
+			(members[j].key == members[j-1].key && members[j].rank < members[j-1].rank)); j-- {
+			members[j], members[j-1] = members[j-1], members[j]
+		}
+	}
+	ids := make([]int, len(members))
+	for i, m := range members {
+		ids[i] = c.ranks[m.rank].id
+	}
+	// All members must share one communicator object so that collective
+	// rendezvous state matches; intern by membership.
+	nc := c.w.intern("", ids)
+	nc.model = c.model
+	return nc
 }
 
 // ---- Message-passing implementations ----
@@ -721,25 +712,6 @@ func (c *Comm) msgBarrier(r *Rank) {
 		r.Send(dst, tag, Message{Size: 1})
 		r.Wait(req)
 	}
-}
-
-func (c *Comm) msgBcast(r *Rank, root int, vals []int64) []int64 {
-	me := c.RankOf(r)
-	tag := c.advanceTagFor(me)
-	p := len(c.ranks)
-	rel := (me - root + p) % p // position in the binomial tree rooted at 0
-	if rel != 0 {
-		src := ((rel - lowestSetBit(rel)) + root) % p
-		m := r.Recv(c.ranks[src].id, tag)
-		vals = m.Vals
-	}
-	for dist := topMask(p); dist >= 1; dist /= 2 {
-		if rel%(2*dist) == 0 && rel+dist < p {
-			dst := (rel + dist + root) % p
-			r.Send(c.ranks[dst].id, tag, Message{Vals: vals})
-		}
-	}
-	return vals
 }
 
 func (c *Comm) msgAllreduce(r *Rank, vals []int64, op Op) []int64 {

@@ -397,8 +397,10 @@ func TestTryAllreduceWithDeadRank(t *testing.T) {
 		if !errors.As(errs[id], &cte) || len(cte.Missing) != 1 || cte.Missing[0] != 1 {
 			t.Fatalf("rank %d error = %v, want *CollTimeoutError naming rank 1", id, errs[id])
 		}
-		if res[id] != nil {
-			t.Fatalf("rank %d got result %v alongside the timeout", id, res[id])
+		// The value is the fold of the ranks that arrived, as Allreduce
+		// returns it: max(0, 2, 3).
+		if len(res[id]) != 1 || res[id][0] != 3 {
+			t.Fatalf("rank %d got result %v alongside the timeout, want the partial fold [3]", id, res[id])
 		}
 	}
 }
@@ -419,5 +421,80 @@ func TestAnalyticAlltoallScalesWithCommSize(t *testing.T) {
 	}
 	if c4, c16 := cost(4), cost(16); c16 <= c4 {
 		t.Fatalf("alltoall cost must grow with comm size: %v vs %v", c4, c16)
+	}
+}
+
+func TestSplitByColor(t *testing.T) {
+	w := testWorld(t, 4, 2) // 8 ranks
+	sums := make([]int64, w.Size())
+	subs := make([]*Comm, w.Size())
+	err := w.Run(func(r *Rank) {
+		c := w.Comm()
+		sub := c.Split(r, r.ID()%2, r.ID())
+		if sub == nil {
+			t.Errorf("rank %d got nil comm", r.ID())
+			return
+		}
+		subs[r.ID()] = sub
+		if sub.Size() != 4 {
+			t.Errorf("sub size = %d", sub.Size())
+		}
+		res := sub.Allreduce(r, []int64{int64(r.ID())}, SumOp)
+		sums[r.ID()] = res[0]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range sums {
+		want := int64(0 + 2 + 4 + 6)
+		if i%2 == 1 {
+			want = 1 + 3 + 5 + 7
+		}
+		if s != want {
+			t.Fatalf("sum[%d] = %d, want %d", i, s, want)
+		}
+		// Every member of a color must hold the one shared communicator.
+		if subs[i] != subs[i%2] {
+			t.Fatalf("rank %d got a different communicator than rank %d", i, i%2)
+		}
+	}
+	if subs[0] == subs[1] {
+		t.Fatal("colors 0 and 1 share a communicator")
+	}
+}
+
+func TestSplitUndefinedColor(t *testing.T) {
+	w := testWorld(t, 2, 1)
+	err := w.Run(func(r *Rank) {
+		c := w.Comm()
+		color := 0
+		if r.ID() == 1 {
+			color = -1 // MPI_UNDEFINED
+		}
+		sub := c.Split(r, color, 0)
+		if r.ID() == 1 && sub != nil {
+			t.Error("undefined color must yield nil")
+		}
+		if r.ID() == 0 && (sub == nil || sub.Size() != 1) {
+			t.Errorf("rank 0 comm wrong: %v", sub)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSplitOrdersByKey(t *testing.T) {
+	w := testWorld(t, 3, 1)
+	err := w.Run(func(r *Rank) {
+		c := w.Comm()
+		// Reverse key order: rank 2 gets key 0, rank 0 key 2.
+		sub := c.Split(r, 0, 2-r.ID())
+		if got := sub.RankOf(r); got != 2-r.ID() {
+			t.Errorf("rank %d: sub rank = %d, want %d", r.ID(), got, 2-r.ID())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

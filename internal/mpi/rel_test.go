@@ -246,8 +246,8 @@ func TestCollectiveTimeoutOnDeadRank(t *testing.T) {
 
 func TestAlltoallWithDeadRank(t *testing.T) {
 	// Rank 1 dies before the alltoall. TryAlltoall surfaces the typed
-	// timeout; the plain call returns the partial result: the values the
-	// live ranks sent, and zero from the dead one.
+	// timeout; both forms return the partial result: the values the live
+	// ranks sent, and zero from the dead one.
 	for _, try := range []bool{true, false} {
 		w := testWorld(t, 2, 2)
 		w.SetCollTimeout(10 * sim.Millisecond)
@@ -278,10 +278,6 @@ func TestAlltoallWithDeadRank(t *testing.T) {
 				if !errors.As(errs[id], &cte) || len(cte.Missing) != 1 || cte.Missing[0] != 1 {
 					t.Fatalf("rank %d: TryAlltoall error = %v, want *CollTimeoutError naming rank 1", id, errs[id])
 				}
-				if results[id] != nil {
-					t.Fatalf("rank %d: TryAlltoall returned %v with its error", id, results[id])
-				}
-				continue
 			}
 			for src, v := range results[id] {
 				want := int64(src*100 + id + 1)

@@ -32,8 +32,9 @@
 # SKIP_SCALE=1 skips it; `make scale` runs the 4096-rank soak.
 #
 # When a BENCH_*.json baseline is committed, the newest one also gates the
-# run: any scenario whose virtual completion time regresses by more than 2%
-# fails (SKIP_BENCH=1 skips this pass). A committed BENCH_SCALE_*.json
+# run: the 18-cell matrix re-recorded with -bench-record must match it byte
+# for byte, and any scenario whose virtual completion time regresses by
+# more than 2% fails (SKIP_BENCH=1 skips this pass). A committed BENCH_SCALE_*.json
 # additionally gates the 4096-rank kernel: its report digest must
 # reproduce exactly and the measured events/sec must stay above the
 # recorded floor (including the critical-path analyzer's own floor).
@@ -111,6 +112,15 @@ else
     # e10bench picks it up itself inside the same -bench-compare run.
     base=$(ls BENCH_*.json 2>/dev/null | grep -v '^BENCH_SCALE_' | sort | tail -1 || true)
     if [ -n "$base" ]; then
+        echo "== bench-record vs $base (the 18-cell matrix must reproduce byte for byte)"
+        rec=$(mktemp)
+        go run ./cmd/e10bench -bench-record "$rec" >/dev/null
+        if ! cmp "$rec" "$base"; then
+            rm -f "$rec"
+            echo "bench-record output differs from $base" >&2
+            exit 1
+        fi
+        rm -f "$rec"
         echo "== bench-compare vs $base (>2% virtual-time regression fails)"
         go run ./cmd/e10bench -bench-compare "$base"
     else
