@@ -43,7 +43,7 @@ func main() {
 		mflags   = cli.RegisterMetrics(flag.CommandLine)
 		brecord  = flag.String("bench-record", "", "run the fixed regression matrix and write the baseline JSON to this file")
 		bcompare = flag.String("bench-compare", "", "run the fixed regression matrix and compare against this baseline JSON (exit 1 on >2% regression); also gates the newest BENCH_SCALE_*.json kilo-rank baseline when one is committed")
-		srecord  = flag.String("scale-bench-record", "", "run the 4096-rank kilo-scale benchmark and write the baseline JSON to this file")
+		srecord  = flag.String("scale-bench-record", "", "run the 4096-rank kilo-scale benchmark 10 times and write the baseline JSON, with floors from the runs' spread, to this file")
 		scrit    = flag.String("scale-critpath", "", "run a kilo-rank scale variant (clean | lossy | crash) with the critical-path analyzer and print the report")
 		sranks   = flag.Int("scale-ranks", 4096, "rank count for -scale-critpath")
 	)
@@ -387,11 +387,11 @@ func runBenchCompare(seed int64, path string) {
 		len(base.Scenarios), benchTolerancePct, path)
 }
 
-// runScaleBenchRecord runs the kilo-rank kernel benchmark and writes its
-// baseline: the deterministic 4096-rank report digest plus a conservative
-// events/sec floor for the throughput gate.
+// runScaleBenchRecord runs the kilo-rank kernel benchmark repeatedly and
+// writes its baseline: the deterministic 4096-rank report digest plus
+// events/sec floors for the throughput gates, set from the runs' spread.
 func runScaleBenchRecord(seed int64, path string) {
-	rep, err := harness.RunScaleBench(seed)
+	rep, err := harness.RecordScaleBench(seed)
 	if err != nil {
 		fatalf("scale-bench-record: %v", err)
 	}

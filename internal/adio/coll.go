@@ -2,7 +2,7 @@ package adio
 
 import (
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 
 	"repro/internal/extent"
@@ -41,10 +41,10 @@ const tagDataBase = 1 << 27
 // (5) a final Allreduce exchanges error codes. ROMIO precomputes the
 // my_req/others_req maps once before the loop with a single walk of the
 // flattened access list; this implementation plans each round from the
-// file domains instead: clipSegs binary-searches the rank's sorted
-// segments for each aggregator's round window and walks only the
-// overlapping ones, so planning costs O(log segs + overlaps) per window
-// and produces the same per-round sets and message pattern.
+// file domains instead: planRound merges the rank's sorted segments with
+// the round's sorted windows, so planning costs O(log) per domain the
+// rank touches plus O(1) per piece, and produces the same per-round sets
+// and message pattern.
 func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 	r, c, log := f.rank, f.comm, f.log
 	total, err := validateSegs(segs)
@@ -94,29 +94,28 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 		tr.Instant(ttk, "adio", "file_domain", int64(r.Now()), trace.I("off", fd.Off), trace.I("len", fd.Len))
 	}
 
-	// Step 4: the extended two-phase loop. The per-round plan vectors are
-	// reused across rounds: Alltoall does not hold the send vector after
-	// it returns, and every extent list is consumed within its round.
+	// Step 4: the extended two-phase loop. The round plan is reused across
+	// rounds: Alltoall does not hold the send list after it returns, and
+	// every extent list is consumed within its round.
 	var firstErr error
-	sendExts := make([][]extent.Extent, len(p.fds))
-	sendSizes := make([]int64, c.Size())
+	rp := &f.round
 	for m := 0; m < p.ntimes; m++ {
 		tag := tagDataBase + (m & 0xffff)
 		roundT0 := r.Now()
 		rsp := tr.Begin(ttk, "adio", "round", int64(r.Now()))
 
 		// What do I send to each aggregator this round?
-		planRound(sendExts, sendSizes, segs, p.fds, p.aggList, p.cb, m)
+		rp.planRound(segs, p.fds, p.aggList, p.cb, m)
 
 		// Dissemination: every round starts with an MPI_Alltoall telling
 		// each aggregator how much each process contributes.
 		span = mpe.StartSpan(r.Now())
-		recvSizes := c.Alltoall(r, sendSizes)
+		recv := c.Alltoall(r, rp.send)
 		span.End(log, mpe.PhaseShuffleA2A, r.Now())
 
 		// Data shuffle: post receives, start sends, wait for all.
 		span = mpe.StartSpan(r.Now())
-		recvReqs, sendReqs, selfExts := f.postWriteRound(&p, tag, recvSizes, sendExts, segs, pre, data, mExch)
+		recvReqs, sendReqs, selfExts := f.postWriteRound(&p, tag, recv, rp, segs, pre, data, mExch)
 		r.Waitall(sendReqs)
 		r.Waitall(recvReqs)
 		span.End(log, mpe.PhaseExchWaitall, r.Now())
@@ -160,16 +159,25 @@ func (f *File) exchangeErr(err error, op string) error {
 
 // twoPhasePlan is the prologue every two-phase driver shares (§II-A steps
 // 1-3): which ranks aggregate, which file domain each one owns, and how
-// many cb_buffer_size rounds cover the largest domain.
+// many cb_buffer_size rounds cover the largest domain. The embedded
+// sharedPlan is one read-only value for every rank of the call; the rest
+// is this rank's own.
 type twoPhasePlan struct {
-	c       *mpi.Comm
-	me      int             // this rank's position in c
-	aggList []int           // ranks of c acting as aggregators
+	*sharedPlan
+	c     *mpi.Comm
+	me    int // this rank's position in c
+	myAgg int // this rank's index in fds, or -1
+}
+
+// sharedPlan is the part of the prologue that is a pure function of the
+// offset table every rank gathers, so the call computes it once (see
+// plan).
+type sharedPlan struct {
+	indep   bool            // independent I/O selected instead (see plan)
+	aggList []int           // ranks of c acting as aggregators, ascending
 	fds     []extent.Extent // aggregator i's file domain; nil when no rank accesses anything
 	cb      int64           // cb_buffer_size: bytes per aggregator per round
 	ntimes  int             // rounds covering the largest domain
-	myAgg   int             // this rank's index in fds, or -1
-	indep   bool            // independent I/O selected instead (see plan)
 }
 
 // plan runs the two-phase prologue over c for this rank's access segs:
@@ -177,22 +185,52 @@ type twoPhasePlan struct {
 // and interleaving check, the aggregator placement, the driver's file
 // domains and the round count. cbMode is the romio_cb_write/_read hint:
 // "disable", or "automatic" with no rank's range overlapping the next
-// one's, selects independent I/O and nothing else is planned. Over a
-// communicator other than the file's (a failover epoch's survivors) the
-// aggregators are placed afresh by the same rule as at open. A timed-out
-// offset exchange returns its error.
+// one's, selects independent I/O and nothing else is planned. The
+// aggregators of c are placed by the same rule as at open, memoized per
+// communicator, so a failover epoch's survivors share one placement. A
+// timed-out offset exchange returns its error.
+//
+// ROMIO has every process compute this summary itself. Here the first
+// rank to read the completed Allgather derives it and every rank shares
+// the result: it depends only on the table, c, the hints and the driver,
+// which every rank of the call agrees on, so each rank's own work is
+// O(log) rather than O(ranks).
 func (f *File) plan(c *mpi.Comm, segs []extent.Extent, cbMode string) (twoPhasePlan, error) {
 	r := f.rank
-	const noData = int64(-1)
 	st, end := noData, noData
 	if len(segs) > 0 {
 		st = segs[0].Off
 		end = segs[len(segs)-1].End() - 1
 	}
-	offs, err := c.TryAllgather(r, []int64{st, end})
+	drv, hints := f.driver, f.hints
+	sp, err := mpi.AllgatherDerive(c, r, []int64{st, end}, func(offs [][]int64) *sharedPlan {
+		return deriveSharedPlan(offs, c, drv, hints, cbMode)
+	})
 	if err != nil {
 		return twoPhasePlan{}, err
 	}
+	p := twoPhasePlan{sharedPlan: sp, c: c, me: c.RankOf(r), myAgg: -1}
+	if sp.fds == nil {
+		return p, nil
+	}
+	if i := aggIndex(sp.aggList, p.me); i < len(sp.fds) {
+		p.myAgg = i
+	}
+	if p.myAgg >= 0 {
+		if buf := min64(sp.cb, sp.fds[p.myAgg].Len); buf > f.Stats.PeakBufBytes {
+			f.Stats.PeakBufBytes = buf
+		}
+	}
+	return p, nil
+}
+
+// noData is the offset a rank with nothing to access contributes to the
+// plan's Allgather.
+const noData = int64(-1)
+
+// deriveSharedPlan computes the shared part of the two-phase prologue from
+// the gathered (first, last) offsets of every rank of c.
+func deriveSharedPlan(offs [][]int64, c *mpi.Comm, drv Driver, h *Hints, cbMode string) *sharedPlan {
 	minSt, maxEnd := int64(-1), int64(-1)
 	interleaved := false
 	prevEnd, hasPrev := int64(-1), false
@@ -211,35 +249,22 @@ func (f *File) plan(c *mpi.Comm, segs []extent.Extent, cbMode string) (twoPhaseP
 		}
 		prevEnd, hasPrev = o[1], true
 	}
-
-	p := twoPhasePlan{c: c, me: c.RankOf(r), cb: f.hints.CBBufferSize, myAgg: -1}
+	sp := &sharedPlan{cb: h.CBBufferSize}
 	if cbMode == HintDisable || (cbMode == HintAutomatic && !interleaved) {
-		p.indep = true
-		return p, nil
+		sp.indep = true
+		return sp
 	}
 	if maxEnd < minSt {
-		return p, nil
+		return sp
 	}
-	p.aggList, p.myAgg = f.aggList, f.myAgg
-	if c != f.comm {
-		p.aggList = placeAggregators(c, f.hints)
-		p.myAgg = slices.Index(p.aggList, p.me)
-	}
-	p.fds = f.driver.FileDomains(minSt, maxEnd, len(p.aggList), f.hints)
-	for _, fd := range p.fds {
-		if nt := int((fd.Len + p.cb - 1) / p.cb); nt > p.ntimes {
-			p.ntimes = nt
+	sp.aggList = placeAggregators(c, h)
+	sp.fds = drv.FileDomains(minSt, maxEnd, len(sp.aggList), h)
+	for _, fd := range sp.fds {
+		if nt := int((fd.Len + sp.cb - 1) / sp.cb); nt > sp.ntimes {
+			sp.ntimes = nt
 		}
 	}
-	if p.myAgg >= len(p.fds) {
-		p.myAgg = -1
-	}
-	if p.myAgg >= 0 {
-		if buf := min64(p.cb, p.fds[p.myAgg].Len); buf > f.Stats.PeakBufBytes {
-			f.Stats.PeakBufBytes = buf
-		}
-	}
-	return p, nil
+	return sp
 }
 
 // window returns the part of this rank's file domain handled in round m:
@@ -253,32 +278,30 @@ func (p *twoPhasePlan) window(m int) extent.Extent {
 
 // postWriteRound starts a write round's data shuffle on tag. An
 // aggregator posts a receive from every other rank with bytes for it
-// (recvSizes, from the round's Alltoall); every rank sends its pieces
-// (sendExts, per aggregator) to the other aggregators. The pieces for this
-// rank's own aggregator are not sent but returned as selfExts.
-func (f *File) postWriteRound(p *twoPhasePlan, tag int, recvSizes []int64, sendExts [][]extent.Extent,
+// (recv, the (src, count) pairs from the round's Alltoall); every rank
+// sends its pieces (rp, grouped per aggregator) to the other aggregators.
+// The pieces for this rank's own aggregator are not sent but returned as
+// selfExts.
+func (f *File) postWriteRound(p *twoPhasePlan, tag int, recv []int64, rp *roundPlan,
 	segs []extent.Extent, pre []int64, data []byte, mExch *metrics.Counter) (recvReqs, sendReqs []*mpi.Request, selfExts []extent.Extent) {
 	r, c := f.rank, p.c
 	if p.myAgg >= 0 {
-		for src := 0; src < c.Size(); src++ {
-			if src == p.me || recvSizes[src] == 0 {
-				continue
+		for k := 0; k < len(recv); k += 2 {
+			if src := int(recv[k]); src != p.me {
+				recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
 			}
-			recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
 		}
 	}
-	for a, exts := range sendExts {
-		if len(exts) == 0 {
-			continue
-		}
-		if p.aggList[a] == p.me {
+	for _, g := range rp.groups {
+		exts := rp.exts(g)
+		if p.aggList[g.agg] == p.me {
 			selfExts = exts
 			continue
 		}
 		msg := buildDataMsg(exts, segs, pre, data)
 		f.Stats.BytesExchanged += msg.Size
 		mExch.Add(msg.Size)
-		sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[a]).ID(), tag, msg))
+		sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
 	}
 	return recvReqs, sendReqs, selfExts
 }
@@ -296,17 +319,90 @@ func prefixSums(segs []extent.Extent, data []byte) []int64 {
 	return pre
 }
 
-// planRound fills exts[a] with the parts of segs inside aggregator a's
-// round-m window and sizes[aggList[a]] with their byte count, reusing the
-// slices' storage from the previous round.
-func planRound(exts [][]extent.Extent, sizes []int64, segs, fds []extent.Extent, aggList []int, cb int64, m int) {
-	clear(sizes)
-	for a := range exts {
-		exts[a] = clipSegs(exts[a][:0], segs, roundWindow(fds[a], cb, m))
-		for _, e := range exts[a] {
-			sizes[aggList[a]] += e.Len
+// roundPlan is one rank's share of a two-phase round: the pieces of its
+// segments inside each aggregator's round window, grouped by aggregator in
+// aggregator order, and the sparse Alltoall send list announcing their
+// sizes. A File keeps one and reuses its storage from round to round and
+// call to call, so its size follows the largest round the rank has
+// planned, never the rank or aggregator count.
+type roundPlan struct {
+	groups []roundGroup
+	pieces []extent.Extent // every group's pieces, group after group
+	send   []int64         // (aggregator rank, bytes) pairs, ascending
+}
+
+// roundGroup is the pieces of a round bound for one aggregator.
+type roundGroup struct {
+	agg    int // index into the plan's aggregator list and file domains
+	lo, hi int // the pieces are roundPlan.pieces[lo:hi], in file order
+}
+
+// exts returns g's pieces.
+func (rp *roundPlan) exts(g roundGroup) []extent.Extent { return rp.pieces[g.lo:g.hi:g.hi] }
+
+// planRound replans rp for round m of segs over the file domains fds
+// (sorted and disjoint), whose aggregators are aggList. It sweeps the
+// sorted segments and domains together: from the end of the last domain
+// handled it gallops to the next segment byte, gallops to the domain
+// holding that byte, gallops to the first segment reaching into the
+// domain's round-m window, and clips the segments overlapping the window.
+// Domains holding no byte of segs are never visited, so the cost is
+// O((domains touched + pieces) × log) and independent of the rank count.
+// Each group equals clipSegs(segs, window) for its aggregator; aggregators
+// with no piece get no group.
+func (rp *roundPlan) planRound(segs, fds []extent.Extent, aggList []int, cb int64, m int) {
+	rp.groups, rp.pieces, rp.send = rp.groups[:0], rp.pieces[:0], rp.send[:0]
+	x := int64(math.MinInt64) // every domain before x is planned
+	for i, a := 0, 0; ; a++ {
+		if i = gallopEnd(segs, i, x); i == len(segs) {
+			return
+		}
+		if a = gallopEnd(fds, a, max(x, segs[i].Off)); a == len(fds) {
+			return
+		}
+		x = fds[a].End()
+		w := roundWindow(fds[a], cb, m)
+		if w.Empty() {
+			continue
+		}
+		if i = gallopEnd(segs, i, w.Off); i == len(segs) || segs[i].Off >= w.End() {
+			continue
+		}
+		g := roundGroup{agg: a, lo: len(rp.pieces)}
+		var bytes int64
+		for k := i; k < len(segs) && segs[k].Off < w.End(); k++ {
+			e := segs[k].Intersect(w)
+			rp.pieces = append(rp.pieces, e)
+			bytes += e.Len
+		}
+		g.hi = len(rp.pieces)
+		rp.groups = append(rp.groups, g)
+		rp.send = append(rp.send, int64(aggList[a]), bytes)
+	}
+}
+
+// gallopEnd returns the index of the first extent at or after lo ending
+// after off (len(exts) if none); exts must be sorted and disjoint. It
+// probes lo, lo+1, lo+3, lo+7, ... and binary-searches the last stride,
+// so it costs O(log distance): a sweep that moves forward a little at a
+// time pays for how far it moves, not for the length of the list.
+func gallopEnd(exts []extent.Extent, lo int, off int64) int {
+	hi, step := lo, 1
+	for hi < len(exts) && exts[hi].End() <= off {
+		lo = hi + 1
+		hi += step
+		step *= 2
+	}
+	hi = min(hi, len(exts))
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if exts[mid].End() > off {
+			hi = mid
+		} else {
+			lo = mid + 1
 		}
 	}
+	return lo
 }
 
 // segSearch returns the index of the first segment ending after off

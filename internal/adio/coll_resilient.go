@@ -113,12 +113,6 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 		deadline = DefaultRecvDeadline
 	}
 
-	// The round vectors are sized for the file communicator once per call
-	// and reused by every epoch, whose survivor communicators are never
-	// larger: an epoch abandoned at kilo-rank scale would otherwise leave
-	// O(ranks) garbage per rank behind.
-	sendExts := make([][]extent.Extent, len(f.aggList))
-	sendSizes := make([]int64, f.comm.Size())
 	var acked extent.Set
 	for epoch := 0; epoch < maxFailoverEpochs; epoch++ {
 		// Survivor membership, in the file communicator's rank order, so
@@ -139,7 +133,7 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 					trace.I("epoch", int64(epoch)), trace.I("survivors", int64(sub.Size())))
 			}
 		}
-		err := f.resilientEpoch(sub, epoch, segs, pre, data, &acked, deadline, sendExts, sendSizes)
+		err := f.resilientEpoch(sub, epoch, segs, pre, data, &acked, deadline)
 		if err == nil {
 			return nil
 		}
@@ -154,11 +148,9 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, tota
 // unacked remainder. A nil return means the whole write (this rank's part
 // and, via the final code exchange, everyone else's) completed; a
 // retryable abort is reported as errEpochFailed (possibly wrapping the
-// underlying timeout) and a write error is returned as itself. sendExts
-// and sendSizes are the call's round vectors, at least as long as the
-// aggregator list and c.
+// underlying timeout) and a write error is returned as itself.
 func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre []int64,
-	data []byte, acked *extent.Set, deadline sim.Time, sendExts [][]extent.Extent, sendSizes []int64) error {
+	data []byte, acked *extent.Set, deadline sim.Time) error {
 	r := f.rank
 
 	// This rank's pending work: the unacked gaps of each original segment.
@@ -193,19 +185,18 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 	tagBase := tagDataBase + ((epoch & 0x3ff) << 16)
 
 	var firstErr error
-	sendExts = sendExts[:len(p.fds)]
-	sendSizes = sendSizes[:c.Size()]
+	rp := &f.round
 	for m := 0; m < p.ntimes; m++ {
 		tag := tagBase + (m & 0xffff)
 
-		planRound(sendExts, sendSizes, rem, p.fds, p.aggList, p.cb, m)
+		rp.planRound(rem, p.fds, p.aggList, p.cb, m)
 
-		recvSizes, err := c.TryAlltoall(r, sendSizes)
+		recv, err := c.TryAlltoall(r, rp.send)
 		if err != nil {
 			return &epochAbort{err}
 		}
 
-		recvReqs, sendReqs, selfExts := f.postWriteRound(&p, tag, recvSizes, sendExts, segs, pre, data, mExch)
+		recvReqs, sendReqs, selfExts := f.postWriteRound(&p, tag, recv, rp, segs, pre, data, mExch)
 		r.Waitall(sendReqs)
 
 		// Aggregator: collect contributions under a deadline — a sender
@@ -251,10 +242,8 @@ func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre 
 		case ackTimeout:
 			return fmt.Errorf("%w: %w in round %d", errEpochFailed, mpi.ErrRecvTimeout, m)
 		}
-		for _, exts := range sendExts {
-			for _, e := range exts {
-				acked.Add(e)
-			}
+		for _, e := range rp.pieces {
+			acked.Add(e)
 		}
 	}
 

@@ -48,17 +48,16 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	payload := buf != nil
 
 	var firstErr error
-	wantExts := make([][]extent.Extent, len(p.fds))
-	wantSizes := make([]int64, c.Size())
+	rp := &f.round
 	for m := 0; m < p.ntimes; m++ {
 		reqTag := tagReadBase + 2*(m&0x7fff)
 		repTag := reqTag + 1
 
 		// What do I want from each aggregator this round?
-		planRound(wantExts, wantSizes, segs, p.fds, p.aggList, p.cb, m)
+		rp.planRound(segs, p.fds, p.aggList, p.cb, m)
 
 		span = mpe.StartSpan(r.Now())
-		reqSizes := c.Alltoall(r, wantSizes)
+		reqCounts := c.Alltoall(r, rp.send)
 		span.End(log, mpe.PhaseShuffleA2A, r.Now())
 
 		span = mpe.StartSpan(r.Now())
@@ -66,23 +65,20 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		var reqReqs []*mpi.Request
 		var reqSrcs []int
 		if p.myAgg >= 0 {
-			for src := 0; src < c.Size(); src++ {
-				if src == p.me || reqSizes[src] == 0 {
-					continue
+			for k := 0; k < len(reqCounts); k += 2 {
+				if src := int(reqCounts[k]); src != p.me {
+					reqReqs = append(reqReqs, r.Irecv(c.Member(src).ID(), reqTag))
+					reqSrcs = append(reqSrcs, src)
 				}
-				reqReqs = append(reqReqs, r.Irecv(c.Member(src).ID(), reqTag))
-				reqSrcs = append(reqSrcs, src)
 			}
 		}
 		// Send extent requests; post receives for the replies.
 		var replyReqs []*mpi.Request
-		var replyAggs []int
+		var replyExts [][]extent.Extent
 		var selfExts []extent.Extent
-		for a, exts := range wantExts {
-			if len(exts) == 0 {
-				continue
-			}
-			if p.aggList[a] == p.me {
+		for _, g := range rp.groups {
+			exts := rp.exts(g)
+			if p.aggList[g.agg] == p.me {
 				selfExts = exts
 				continue
 			}
@@ -90,9 +86,9 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 			for _, e := range exts {
 				vals = append(vals, e.Off, e.Len)
 			}
-			aggWorld := c.Member(p.aggList[a]).ID()
+			aggWorld := c.Member(p.aggList[g.agg]).ID()
 			replyReqs = append(replyReqs, r.Irecv(aggWorld, repTag))
-			replyAggs = append(replyAggs, a)
+			replyExts = append(replyExts, exts)
 			r.Send(aggWorld, reqTag, mpi.Message{Vals: vals})
 		}
 		r.Waitall(reqReqs)
@@ -165,7 +161,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 				continue
 			}
 			var cursor int64
-			for _, e := range wantExts[replyAggs[i]] {
+			for _, e := range replyExts[i] {
 				copyIntoSegs(msg.Data[cursor:cursor+e.Len], e, segs, pre, buf)
 				cursor += e.Len
 			}

@@ -67,10 +67,11 @@ type File struct {
 	backend DriverFile
 	hooks   Hooks
 	log     *mpe.Log
-	aggList []int // comm ranks acting as aggregators
+	aggList []int // comm ranks acting as aggregators, shared read-only (see placeAggregators)
 	myAgg   int   // my index in aggList, or -1
 	atomic  bool
 	closed  bool
+	round   roundPlan // the two-phase drivers' reused round plan
 
 	resilCall int // resilient collective-write call counter (epoch comm scoping)
 
@@ -138,7 +139,7 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 		log:     log,
 		aggList: placeAggregators(a.Comm, hints),
 	}
-	f.myAgg = slices.Index(f.aggList, me)
+	f.myAgg = aggIndex(f.aggList, me)
 	if a.Hooks != nil {
 		// Paper: "If for any reason the open of the cache file fails, the
 		// implementation reverts to standard open."
@@ -157,14 +158,30 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 	return f, nil
 }
 
-// placeAggregators returns the ranks of c acting as cb_nodes aggregators:
-// packed per cb_config_list "*:N" when that hint is set, spread over the
-// communicator otherwise.
+// placementKey keys the aggregator placement memoized on a communicator
+// by the hints it depends on: cb_nodes and cb_config_list.
+type placementKey struct{ nodes, perNode int }
+
+// placeAggregators returns the ranks of c acting as cb_nodes aggregators,
+// in ascending order: packed per cb_config_list "*:N" when that hint is
+// set, spread over the communicator otherwise. The placement is computed
+// once per communicator and hint pair and shared read-only by every
+// caller: at open and in every failover epoch's plan.
 func placeAggregators(c *mpi.Comm, h *Hints) []int {
-	if h.CBPerNode > 0 {
-		return aggregatorRanksPacked(c, h.CBNodes, h.CBPerNode)
+	return c.Memo(placementKey{h.CBNodes, h.CBPerNode}, func() any {
+		if h.CBPerNode > 0 {
+			return aggregatorRanksPacked(c, h.CBNodes, h.CBPerNode)
+		}
+		return aggregatorRanks(c.Size(), h.CBNodes)
+	}).([]int)
+}
+
+// aggIndex returns me's index in the ascending aggregator list, or -1.
+func aggIndex(aggList []int, me int) int {
+	if i, ok := slices.BinarySearch(aggList, me); ok {
+		return i
 	}
-	return aggregatorRanks(c.Size(), h.CBNodes)
+	return -1
 }
 
 // aggregatorRanks spreads naggs aggregators evenly over the communicator.

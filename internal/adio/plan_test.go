@@ -106,29 +106,115 @@ func paperShape(r int) (segs, fds []extent.Extent) {
 	return segs, fds
 }
 
+// brutePlan is the reference round plan: clipSegs against every
+// aggregator's round-m window, keeping the aggregators that get a piece.
+func brutePlan(segs, fds []extent.Extent, aggList []int, cb int64, m int) (groups []int, exts [][]extent.Extent, send []int64) {
+	for a := range fds {
+		w := bruteClip(segs, roundWindow(fds[a], cb, m))
+		if len(w) == 0 {
+			continue
+		}
+		var bytes int64
+		for _, e := range w {
+			bytes += e.Len
+		}
+		groups = append(groups, a)
+		exts = append(exts, w)
+		send = append(send, int64(aggList[a]), bytes)
+	}
+	return groups, exts, send
+}
+
+// checkRound compares rp, just planned for round m, with brutePlan.
+func checkRound(t *testing.T, rp *roundPlan, segs, fds []extent.Extent, aggList []int, cb int64, m int) {
+	t.Helper()
+	groups, exts, send := brutePlan(segs, fds, aggList, cb, m)
+	if len(rp.groups) != len(groups) {
+		t.Fatalf("round %d of segs %v over fds %v (cb %d): %d groups, want %d (%v)",
+			m, segs, fds, cb, len(rp.groups), len(groups), exts)
+	}
+	for k, g := range rp.groups {
+		if g.agg != groups[k] || !reflect.DeepEqual(rp.exts(g), exts[k]) {
+			t.Fatalf("round %d of segs %v over fds %v (cb %d): group %d is agg %d %v, want agg %d %v",
+				m, segs, fds, cb, k, g.agg, rp.exts(g), groups[k], exts[k])
+		}
+	}
+	if len(rp.send) != len(send) || (len(send) > 0 && !reflect.DeepEqual(rp.send, send)) {
+		t.Fatalf("round %d: send list %v, want %v", m, rp.send, send)
+	}
+}
+
+// randDomains returns n contiguous file domains from off whose lengths
+// straddle cb: some shorter than one round, some many rounds long, so a
+// late round has empty windows between non-empty ones.
+func randDomains(rng *rand.Rand, off int64, n int, cb int64) []extent.Extent {
+	fds := make([]extent.Extent, n)
+	for a := range fds {
+		l := 1 + rng.Int63n(cb)
+		if rng.Intn(2) == 0 {
+			l += rng.Int63n(4 * cb)
+		}
+		fds[a] = extent.Extent{Off: off, Len: l}
+		off += l
+	}
+	return fds
+}
+
+// TestPlanRoundMergeMatchesBruteForce checks the merge against clipSegs per
+// aggregator on random shapes: no segments; segments shorter and longer
+// than the domains, so some span several; domains shorter than cb and
+// fewer domains than aggregators; every round past the last, where windows
+// are empty and segments fall in the gaps between the remaining windows.
+// One round plan is reused throughout, as a File reuses its own.
+func TestPlanRoundMergeMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var rp roundPlan
+	for iter := 0; iter < 3000; iter++ {
+		cb := 1 + rng.Int63n(40)
+		var segs []extent.Extent
+		if n := rng.Intn(16); n > 0 {
+			segs = randSegs(rng, n)
+			if rng.Intn(3) == 0 { // long segments spanning several domains
+				for i := range segs {
+					segs[i].Off *= 8
+					segs[i].Len *= 1 + rng.Int63n(8)
+				}
+			}
+		}
+		naggs := 1 + rng.Intn(12)
+		var fds []extent.Extent
+		switch rng.Intn(3) {
+		case 0:
+			fds = randDomains(rng, rng.Int63n(64), 1+rng.Intn(naggs), cb)
+		case 1: // ROMIO's even split; fewer domains than aggregators when the range is short
+			lo := rng.Int63n(64)
+			fds = genFileDomains(lo, lo+rng.Int63n(400), naggs)
+		default:
+			lo := rng.Int63n(64)
+			fds = alignedFileDomains(lo, lo+rng.Int63n(400), naggs, 1+rng.Int63n(24))
+		}
+		aggList := aggregatorRanks(naggs+rng.Intn(40), naggs)
+		ntimes := 0
+		for _, fd := range fds {
+			ntimes = max(ntimes, int((fd.Len+cb-1)/cb))
+		}
+		for m := 0; m <= ntimes+1; m++ {
+			rp.planRound(segs, fds, aggList, cb, m)
+			checkRound(t, &rp, segs, fds, aggList, cb, m)
+		}
+	}
+}
+
 func TestPlanRoundMatchesBruteForce(t *testing.T) {
 	segs, fds := paperShape(77)
 	aggList := aggregatorRanks(planRanks, planAggs)
-	exts := make([][]extent.Extent, planAggs)
-	sizes := make([]int64, planRanks)
+	var rp roundPlan
 	var total int64
 	for m := 0; m < planRounds; m++ {
-		planRound(exts, sizes, segs, fds, aggList, planCB, m)
-		want := make([]int64, planRanks)
-		for a := range fds {
-			w := bruteClip(segs, roundWindow(fds[a], planCB, m))
-			if len(w) != len(exts[a]) || (len(w) > 0 && !reflect.DeepEqual(w, exts[a])) {
-				t.Fatalf("round %d agg %d: plan %v, want %v", m, a, exts[a], w)
-			}
-			for _, e := range w {
-				want[aggList[a]] += e.Len
-			}
-		}
-		if !reflect.DeepEqual(sizes, want) {
-			t.Fatalf("round %d: sizes differ from brute force", m)
-		}
-		for _, s := range sizes {
-			total += s
+		rp.planRound(segs, fds, aggList, planCB, m)
+		checkRound(t, &rp, segs, fds, aggList, planCB, m)
+		for k := 1; k < len(rp.send); k += 2 {
+			total += rp.send[k]
 		}
 	}
 	if total != planSegs*segs[0].Len {
@@ -137,18 +223,17 @@ func TestPlanRoundMatchesBruteForce(t *testing.T) {
 }
 
 // BenchmarkRoundPlan plans every round of one paper_512 rank's collective
-// write, reusing the per-round vectors as the two-phase loops do.
+// write, reusing one round plan as the two-phase loops do, and checks the
+// planned bytes against brute force.
 func BenchmarkRoundPlan(b *testing.B) {
 	segs, fds := paperShape(77)
 	aggList := aggregatorRanks(planRanks, planAggs)
-	exts := make([][]extent.Extent, planAggs)
-	sizes := make([]int64, planRanks)
+	var rp roundPlan
 	var want int64
 	for m := 0; m < planRounds; m++ {
-		for a := range fds {
-			for _, e := range bruteClip(segs, roundWindow(fds[a], planCB, m)) {
-				want += e.Len
-			}
+		_, _, send := brutePlan(segs, fds, aggList, planCB, m)
+		for k := 1; k < len(send); k += 2 {
+			want += send[k]
 		}
 	}
 	b.ReportAllocs()
@@ -156,9 +241,9 @@ func BenchmarkRoundPlan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var got int64
 		for m := 0; m < planRounds; m++ {
-			planRound(exts, sizes, segs, fds, aggList, planCB, m)
-			for _, s := range sizes {
-				got += s
+			rp.planRound(segs, fds, aggList, planCB, m)
+			for k := 1; k < len(rp.send); k += 2 {
+				got += rp.send[k]
 			}
 		}
 		if got != want {

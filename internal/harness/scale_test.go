@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -114,6 +115,39 @@ func TestScale_Crash(t *testing.T) {
 	rep := runScaleDeterministic(t, cfg)
 	if rep.FailoverEpochs == 0 {
 		t.Error("crash run recorded no failover epochs; the crash was not detected")
+	}
+}
+
+// scaleAllocGrowthMax bounds how much the bytes allocated per rank may grow
+// when a clean scale run goes from 512 to 2048 ranks. Per-rank work that
+// is O(its own pieces) keeps the ratio near 1; one O(ranks) vector per
+// rank per collective round makes it about 2.3.
+const scaleAllocGrowthMax = 1.5
+
+// TestScaleAllocPerRankFlat is the host-cost gate of the collective
+// planner: a clean scale run at 2048 ranks may allocate at most
+// scaleAllocGrowthMax times the bytes per rank of the same run at 512.
+// Unlike host time, allocation is stable enough to gate on every run.
+func TestScaleAllocPerRankFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two kilo-rank runs; skipped under -short")
+	}
+	perRank := func(ranks int) float64 {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunScale(ScaleConfig{Variant: ScaleClean, Ranks: ranks}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(ranks)
+	}
+	small, large := perRank(512), perRank(2048)
+	t.Logf("allocated per rank: %.1f KiB at 512 ranks, %.1f KiB at 2048 (%.2fx)",
+		small/1024, large/1024, large/small)
+	if large > scaleAllocGrowthMax*small {
+		t.Errorf("allocation per rank grew %.2fx from 512 to 2048 ranks (%.1f -> %.1f KiB), want <= %.1fx",
+			large/small, small/1024, large/1024, scaleAllocGrowthMax)
 	}
 }
 
@@ -264,5 +298,24 @@ func TestScale_GoldenDigests(t *testing.T) {
 					got, g.Digest, rep.Text(), g.Report.Text())
 			}
 		})
+	}
+}
+
+// A recorded floor sits at q1 - 3×IQR of the runs, and never below half
+// the median, the fixed rule of the first baselines.
+func TestSpreadFloor(t *testing.T) {
+	for _, tc := range []struct {
+		xs            []float64
+		median, floor float64
+	}{
+		// q1 = 102.25, q3 = 106.75: floor 102.25 - 3×4.5.
+		{[]float64{108, 101, 109, 105, 104, 100, 106, 103, 107, 102}, 104.5, 88.75},
+		// A wide spread would put the floor under median/2.
+		{[]float64{10, 100, 200, 300, 400}, 200, 100},
+		{[]float64{7}, 7, 7},
+	} {
+		if m, f := spreadFloor(tc.xs); m != tc.median || f != tc.floor {
+			t.Errorf("spreadFloor(%v) = (%v, %v), want (%v, %v)", tc.xs, m, f, tc.median, tc.floor)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/critpath"
@@ -18,10 +19,11 @@ const ScaleBenchRanks = 4096
 
 // ScaleBenchReport is the kilo-rank kernel-throughput baseline. Digest,
 // WallTimeNs and Events are deterministic and must reproduce exactly;
-// EventsPerSec is the host-side measurement at record time, and
-// EventsPerSecFloor the conservative gate derived from it — a later run
-// whose throughput falls below the floor fails the compare, catching
-// kernel-performance regressions that virtual time cannot see.
+// EventsPerSec is the host-side measurement (the median of the recorded
+// runs in a baseline), and EventsPerSecFloor the gate derived from the
+// runs' spread — a later run whose throughput falls below the floor fails
+// the compare, catching kernel-performance regressions that virtual time
+// cannot see.
 type ScaleBenchReport struct {
 	Schema            string       `json:"schema"`
 	Variant           ScaleVariant `json:"variant"`
@@ -41,20 +43,22 @@ type ScaleBenchReport struct {
 	CritPathFloor        float64 `json:"critpath_floor,omitempty"`
 }
 
-// scaleBenchFloorDiv sets the recorded floor at measured/2: enough headroom
-// for slower hosts and noisy neighbours, while still failing on an
-// order-of-magnitude kernel regression (the pre-optimisation kernel ran
-// below half the optimised throughput).
+// scaleBenchRecordRuns is how many times a record runs the bench: enough
+// for quartiles that one noisy run cannot move.
+const scaleBenchRecordRuns = 10
+
+// scaleBenchFloorDiv bounds a recorded floor from below by measured/2, the
+// fixed rule of the first baselines, so a record with a wide spread never
+// gates more loosely than that rule did.
 const scaleBenchFloorDiv = 2
 
-// RunScaleBench runs the 4096-rank clean collective write and returns the
-// throughput report.
+// RunScaleBench runs the 4096-rank clean collective write once and returns
+// its throughput report, with no floors set.
 func RunScaleBench(seed int64) (*ScaleBenchReport, error) {
 	rep, err := RunScale(ScaleConfig{Variant: ScaleClean, Ranks: ScaleBenchRanks, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	cpPerSec := measureCritPathThroughput()
 	return &ScaleBenchReport{
 		Schema:               ScaleBenchSchema,
 		Variant:              ScaleClean,
@@ -64,10 +68,52 @@ func RunScaleBench(seed int64) (*ScaleBenchReport, error) {
 		WallTimeNs:           rep.WallTimeNs,
 		Events:               rep.Events,
 		EventsPerSec:         rep.EventsPerSec,
-		EventsPerSecFloor:    rep.EventsPerSec / scaleBenchFloorDiv,
-		CritPathEventsPerSec: cpPerSec,
-		CritPathFloor:        cpPerSec / scaleBenchFloorDiv,
+		CritPathEventsPerSec: measureCritPathThroughput(),
 	}, nil
+}
+
+// RecordScaleBench runs the bench scaleBenchRecordRuns times and returns
+// the baseline: the deterministic fields, which every run must reproduce;
+// each throughput's median; and each floor at q1 - 3×IQR of its runs, but
+// never below median/scaleBenchFloorDiv.
+func RecordScaleBench(seed int64) (*ScaleBenchReport, error) {
+	var base *ScaleBenchReport
+	var evs, cps []float64
+	for i := 0; i < scaleBenchRecordRuns; i++ {
+		rep, err := RunScaleBench(seed)
+		if err != nil {
+			return nil, err
+		}
+		if base == nil {
+			base = rep
+		} else if err := sameScaleRun(base, rep); err != nil {
+			return nil, err
+		}
+		evs = append(evs, rep.EventsPerSec)
+		cps = append(cps, rep.CritPathEventsPerSec)
+	}
+	base.EventsPerSec, base.EventsPerSecFloor = spreadFloor(evs)
+	base.CritPathEventsPerSec, base.CritPathFloor = spreadFloor(cps)
+	return base, nil
+}
+
+// spreadFloor returns the median of xs and the floor a baseline records
+// for them: q1 - 3×IQR, raised to median/scaleBenchFloorDiv when the
+// spread is wide. Quartiles interpolate linearly between order statistics.
+func spreadFloor(xs []float64) (median, floor float64) {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	q := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		i := int(pos)
+		if i+1 >= len(s) {
+			return s[len(s)-1]
+		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+	}
+	median = q(0.5)
+	q1, q3 := q(0.25), q(0.75)
+	return median, max(q1-3*(q3-q1), median/scaleBenchFloorDiv)
 }
 
 // critPathBenchIters trades measurement noise against record time: three
@@ -117,12 +163,8 @@ func ParseScaleBench(data []byte) (*ScaleBenchReport, error) {
 // is deterministic), and the measured throughput must not fall below the
 // recorded floor.
 func CompareScaleBench(base, cur *ScaleBenchReport) error {
-	if cur.Digest != base.Digest {
-		return fmt.Errorf("scalebench: digest %s, baseline %s — the simulation diverged", cur.Digest, base.Digest)
-	}
-	if cur.WallTimeNs != base.WallTimeNs || cur.Events != base.Events {
-		return fmt.Errorf("scalebench: wall=%dns events=%d, baseline wall=%dns events=%d",
-			cur.WallTimeNs, cur.Events, base.WallTimeNs, base.Events)
+	if err := sameScaleRun(base, cur); err != nil {
+		return err
 	}
 	if cur.EventsPerSec < base.EventsPerSecFloor {
 		return fmt.Errorf("scalebench: %.0f events/sec is below the recorded floor %.0f (baseline measured %.0f)",
@@ -131,6 +173,18 @@ func CompareScaleBench(base, cur *ScaleBenchReport) error {
 	if base.CritPathFloor > 0 && cur.CritPathEventsPerSec < base.CritPathFloor {
 		return fmt.Errorf("scalebench: critpath analyzer at %.0f events/sec is below the recorded floor %.0f (baseline measured %.0f)",
 			cur.CritPathEventsPerSec, base.CritPathFloor, base.CritPathEventsPerSec)
+	}
+	return nil
+}
+
+// sameScaleRun fails unless cur reproduces base's deterministic fields.
+func sameScaleRun(base, cur *ScaleBenchReport) error {
+	if cur.Digest != base.Digest {
+		return fmt.Errorf("scalebench: digest %s, baseline %s — the simulation diverged", cur.Digest, base.Digest)
+	}
+	if cur.WallTimeNs != base.WallTimeNs || cur.Events != base.Events {
+		return fmt.Errorf("scalebench: wall=%dns events=%d, baseline wall=%dns events=%d",
+			cur.WallTimeNs, cur.Events, base.WallTimeNs, base.Events)
 	}
 	return nil
 }

@@ -9,8 +9,8 @@ import (
 
 // BenchmarkAlltoallSparse runs the analytic Alltoall in the two-phase
 // dissemination's shape: 512 ranks, each sending a non-zero count to 64
-// aggregators only, 32 rounds per run, one send vector reused across
-// rounds. Every received value is checked.
+// aggregators only, 32 rounds per run, one send list reused across
+// rounds. Every received pair is checked.
 func BenchmarkAlltoallSparse(b *testing.B) {
 	const nodes, perNode, aggStride, rounds = 64, 8, 8, 32
 	b.ReportAllocs()
@@ -27,18 +27,23 @@ func BenchmarkAlltoallSparse(b *testing.B) {
 		b.StartTimer()
 		err := w.Run(func(r *Rank) {
 			me := c.RankOf(r)
-			send := make([]int64, n)
+			send := make([]int64, 0, 2*n/aggStride)
 			for m := 0; m < rounds; m++ {
+				send = send[:0]
 				for a := 0; a < n; a += aggStride {
-					send[a] = int64(me + m + 1)
+					send = append(send, int64(a), int64(me+m+1))
 				}
 				recv := c.Alltoall(r, send)
-				for src, v := range recv {
-					want := int64(0)
-					if me%aggStride == 0 {
-						want = int64(src + m + 1)
-					}
-					if v != want {
+				want := 0
+				if me%aggStride == 0 {
+					want = n
+				}
+				if len(recv) != 2*want {
+					bad++
+					continue
+				}
+				for k := 0; k < len(recv); k += 2 {
+					if src := recv[k]; src != int64(k/2) || recv[k+1] != src+int64(m+1) {
 						bad++
 					}
 				}

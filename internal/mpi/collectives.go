@@ -32,8 +32,8 @@ type Comm struct {
 	model   CollModel
 	states  map[int]*collState
 	callIdx []int
-	zeros   []int64                 // shared read-only zero row of settled alltoall tables
 	surv    map[string]survivorComm // Survivors results, by scope
+	memo    map[any]any             // Memo values, by key
 }
 
 // survivorComm is one cached Survivors result and the World's kill count
@@ -147,6 +147,22 @@ func (c *Comm) Survivors(scope string) *Comm {
 	return nc
 }
 
+// Memo returns the value c holds under key, calling build to make it on
+// the first request. Callers on every member share the one value and must
+// treat it as read-only, so build may depend only on what every member
+// agrees on: the communicator and the key.
+func (c *Comm) Memo(key any, build func() any) any {
+	if v, ok := c.memo[key]; ok {
+		return v
+	}
+	v := build()
+	if c.memo == nil {
+		c.memo = make(map[any]any)
+	}
+	c.memo[key] = v
+	return v
+}
+
 // SetCollModel selects the collective execution model.
 func (c *Comm) SetCollModel(m CollModel) { c.model = m }
 
@@ -174,8 +190,11 @@ type collState struct {
 	bytes   int64  // largest per-rank byte count seen, for held completion
 	// inputs holds the per-rank contributions until the call settles, and
 	// the table its callers read after that (see settle).
-	inputs  [][]int64
-	folded  []int64 // the allreduce result, folded by its first reader
+	inputs [][]int64
+	// derived is the value the call's first reader computes from the
+	// settled table and every later reader shares: the allreduce fold (see
+	// fold) or an AllgatherDerive result.
+	derived any
 	waiters []*Rank
 	finish  sim.Time
 	err     error // terminal timeout error, set at most once
@@ -348,35 +367,39 @@ func (w *World) recheckHeld() {
 // settle turns a completed rendezvous's inputs into the table its callers
 // read. It runs exactly once per call — at the last arrival, the heal of a
 // held collective, or the timeout — before any participant resumes. Only
-// alltoall changes: its inputs (row i is what rank i sends) become their
-// transpose (row j is what rank j receives), so no caller's send slice is
-// read after the call returns and the caller may reuse it at once, as MPI
-// allows. The transpose is sparse: ranks receiving only zeros share one
-// read-only zero row, so a two-phase round that feeds a few aggregators
-// costs a few rows rather than a dense ranks x ranks block.
+// alltoall changes: its inputs (row i holds rank i's (dest, count) pairs)
+// become their transpose (row j holds the (src, count) pairs rank j
+// receives, in ascending src order), so no caller's send slice is read
+// after the call returns and the caller may reuse it at once, as MPI
+// allows. The transpose costs O(ranks + pairs): one count per rank, then
+// every pair copied once into a shared backing array. Zero counts are
+// dropped; a rank receiving nothing gets an empty row.
 func (c *Comm) settle(kind string, inputs [][]int64) [][]int64 {
 	if kind != "alltoall" {
 		return inputs
 	}
 	p := len(inputs)
-	out := make([][]int64, p)
-	for i, in := range inputs {
-		for j, v := range in {
-			if v == 0 {
-				continue
+	start := make([]int, p+1) // start[j+1] counts rank j's received pairs, then offsets
+	for _, in := range inputs {
+		for k := 0; k < len(in); k += 2 {
+			if in[k+1] != 0 {
+				start[in[k]+1] += 2
 			}
-			if out[j] == nil {
-				out[j] = make([]int64, p)
-			}
-			out[j][i] = v
 		}
 	}
-	for j, row := range out {
-		if row == nil {
-			if c.zeros == nil {
-				c.zeros = make([]int64, p)
+	for j := 0; j < p; j++ {
+		start[j+1] += start[j]
+	}
+	pairs := make([]int64, start[p])
+	out := make([][]int64, p)
+	for j := range out {
+		out[j] = pairs[start[j]:start[j]:start[j+1]]
+	}
+	for src, in := range inputs {
+		for k := 0; k < len(in); k += 2 {
+			if dst, n := in[k], in[k+1]; n != 0 {
+				out[dst] = append(out[dst], int64(src), n)
 			}
-			out[j] = c.zeros
 		}
 	}
 	return out
@@ -555,11 +578,12 @@ func (c *Comm) TryAllreduce(r *Rank, vals []int64, op Op) ([]int64, error) {
 // contributed to a completed call, so the fold is the same whoever runs
 // it.
 func (st *collState) fold(own []int64, op Op) []int64 {
-	if st.folded == nil {
-		st.folded = foldInputs(st.inputs, own, op)
+	if st.derived == nil {
+		st.derived = foldInputs(st.inputs, own, op)
 	}
-	out := make([]int64, len(st.folded))
-	copy(out, st.folded)
+	folded := st.derived.([]int64)
+	out := make([]int64, len(folded))
+	copy(out, folded)
 	return out
 }
 
@@ -611,21 +635,58 @@ func (c *Comm) TryAllgather(r *Rank, vals []int64) ([][]int64, error) {
 	return st.inputs, err
 }
 
-// Alltoall sends send[i] to comm rank i and returns recv where recv[i] is
-// the value sent by rank i (MPI_Alltoall with one int64 per pair). This is
-// the dissemination step at the start of every two-phase exchange round.
-// send may be reused as soon as the call returns. Under Analytic, recv is
-// a row of the rendezvous's shared table (see settle) and is read-only.
+// derivedValue boxes an AllgatherDerive result, so a zero T still marks
+// the call's value as derived.
+type derivedValue[T any] struct{ v T }
+
+// AllgatherDerive is Allgather for callers that need only a value computed
+// from the gathered table, the same on every rank: the first rank to read
+// the completed call runs derive(table) and every rank gets that one
+// value, which it must treat as read-only. A call thus costs one derive
+// rather than one per rank. derive may read only what every rank of the
+// call shares (the table, the communicator, inputs agreed on beforehand).
+// A timed-out call returns its *CollTimeoutError and runs no derive.
+// Under MessagePassing every rank derives from its own gathered table.
+func AllgatherDerive[T any](c *Comm, r *Rank, vals []int64, derive func(table [][]int64) T) (T, error) {
+	sp := c.beginColl(r, "allgather")
+	defer func() { sp.end(r) }()
+	if c.model == MessagePassing {
+		return derive(c.msgAllgather(r, vals)), nil
+	}
+	st, err := c.rendezvous(r, "allgather", int64(8*len(vals)), vals)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	if st.derived == nil {
+		st.derived = derivedValue[T]{derive(st.inputs)}
+	}
+	return st.derived.(derivedValue[T]).v, nil
+}
+
+// Alltoall is the sparse MPI_Alltoall with one int64 per pair of ranks:
+// send lists (dest, count) pairs, flattened, for the non-zero entries only,
+// in strictly ascending dest order; the result lists the (src, count) pairs
+// sent to this rank, in ascending src order. Zero counts are dropped. This
+// is the dissemination step at the start of every two-phase exchange
+// round, where each rank sends to a few aggregators. send may be reused as
+// soon as the call returns. Under Analytic the result is a row of the
+// rendezvous's shared table (see settle) and is read-only.
 func (c *Comm) Alltoall(r *Rank, send []int64) []int64 {
 	recv, _ := c.TryAlltoall(r, send)
 	return recv
 }
 
 // TryAlltoall is Alltoall with timeout surfacing. A timed-out call
-// returns zero from the ranks that never arrived.
+// returns nothing from the ranks that never arrived.
 func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
-	if len(send) != len(c.ranks) {
-		panic("mpi: alltoall send vector must have comm-size entries")
+	if len(send)%2 != 0 {
+		panic("mpi: alltoall send list must hold (dest, count) pairs")
+	}
+	for k := 0; k < len(send); k += 2 {
+		if send[k] < 0 || send[k] >= int64(len(c.ranks)) || (k > 0 && send[k] <= send[k-2]) {
+			panic(fmt.Sprintf("mpi: alltoall destination %d out of range or order", send[k]))
+		}
 	}
 	sp := c.beginColl(r, "alltoall")
 	defer func() { sp.end(r) }()
@@ -778,19 +839,31 @@ func (c *Comm) msgAllgather(r *Rank, vals []int64) [][]int64 {
 	return out
 }
 
+// msgAlltoall runs the pairwise exchange over the dense vector the sparse
+// send list stands for, and returns the non-zero entries received.
 func (c *Comm) msgAlltoall(r *Rank, send []int64) []int64 {
 	me := c.RankOf(r)
 	tag := c.advanceTagFor(me)
 	p := len(c.ranks)
-	out := make([]int64, p)
-	out[me] = send[me]
+	dense := make([]int64, p)
+	for k := 0; k < len(send); k += 2 {
+		dense[send[k]] = send[k+1]
+	}
+	in := make([]int64, p)
+	in[me] = dense[me]
 	for round := 1; round < p; round++ {
 		dst := (me + round) % p
 		src := (me - round + p) % p
 		req := r.Irecv(c.ranks[src].id, tag)
-		r.Send(c.ranks[dst].id, tag, Message{Vals: []int64{send[dst]}})
+		r.Send(c.ranks[dst].id, tag, Message{Vals: []int64{dense[dst]}})
 		m := r.Wait(req)
-		out[src] = m.Vals[0]
+		in[src] = m.Vals[0]
+	}
+	var out []int64
+	for src, n := range in {
+		if n != 0 {
+			out = append(out, int64(src), n)
+		}
 	}
 	return out
 }

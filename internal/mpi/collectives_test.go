@@ -98,6 +98,31 @@ func TestAllgatherValues(t *testing.T) {
 	}
 }
 
+// pairsOf returns the sparse Alltoall list of vec's non-zero entries.
+func pairsOf(vec []int64) []int64 {
+	var out []int64
+	for i, v := range vec {
+		if v != 0 {
+			out = append(out, int64(i), v)
+		}
+	}
+	return out
+}
+
+// denseOf expands a received (src, count) list to an n-entry vector,
+// failing unless the sources ascend.
+func denseOf(t testing.TB, pairs []int64, n int) []int64 {
+	t.Helper()
+	out := make([]int64, n)
+	for k := 0; k < len(pairs); k += 2 {
+		if k > 0 && pairs[k] <= pairs[k-2] {
+			t.Fatalf("alltoall result %v: sources not ascending", pairs)
+		}
+		out[pairs[k]] = pairs[k+1]
+	}
+	return out
+}
+
 func TestAlltoallValues(t *testing.T) {
 	for _, model := range []CollModel{Analytic, MessagePassing} {
 		w := testWorld(t, 5, 1)
@@ -105,18 +130,18 @@ func TestAlltoallValues(t *testing.T) {
 		c.SetCollModel(model)
 		results := make([][]int64, w.Size())
 		err := w.Run(func(r *Rank) {
-			send := make([]int64, c.Size())
-			for i := range send {
-				send[i] = int64(r.ID()*100 + i)
+			send := make([]int64, 0, 2*c.Size())
+			for i := 0; i < c.Size(); i++ {
+				send = append(send, int64(i), int64(r.ID()*100+i+1))
 			}
-			results[r.ID()] = c.Alltoall(r, send)
+			results[r.ID()] = denseOf(t, c.Alltoall(r, send), c.Size())
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for me, recv := range results {
 			for src, v := range recv {
-				if want := int64(src*100 + me); v != want {
+				if want := int64(src*100 + me + 1); v != want {
 					t.Fatalf("model %v: recv[%d][%d] = %d, want %d", model, me, src, v, want)
 				}
 			}
@@ -124,9 +149,9 @@ func TestAlltoallValues(t *testing.T) {
 	}
 }
 
-// The caller may reuse its send vector as soon as Alltoall returns. Under
+// The caller may reuse its send list as soon as Alltoall returns. Under
 // Analytic every rank resumes at the same virtual instant; a rank woken
-// early overwrites its vector before a later rank has read its own result,
+// early overwrites its list before a later rank has read its own result,
 // so results must be fixed when the collective completes.
 func TestAlltoallSendBufferReusable(t *testing.T) {
 	for _, try := range []bool{false, true} {
@@ -136,10 +161,10 @@ func TestAlltoallSendBufferReusable(t *testing.T) {
 		results := make([][]int64, n)
 		err := w.Run(func(r *Rank) {
 			me := c.RankOf(r)
-			send := make([]int64, n)
-			for i := range send {
-				if (me+i)%3 != 0 { // leave some zeros for the shared row
-					send[i] = int64(me*100 + i)
+			var send []int64
+			for i := 0; i < n; i++ {
+				if (me+i)%3 != 0 { // leave some ranks receiving nothing from me
+					send = append(send, int64(i), int64(me*100+i))
 				}
 			}
 			var recv []int64
@@ -160,7 +185,7 @@ func TestAlltoallSendBufferReusable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for me, recv := range results {
-			for src, v := range recv {
+			for src, v := range denseOf(t, recv, n) {
 				want := int64(src*100 + me)
 				if (src+me)%3 == 0 {
 					want = 0
@@ -170,6 +195,109 @@ func TestAlltoallSendBufferReusable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// A malformed send list is a caller bug: odd length, a destination out of
+// range, or destinations not strictly ascending. Alltoall panics on it
+// before entering the collective.
+func TestAlltoallRejectsMalformedSend(t *testing.T) {
+	c := testWorld(t, 4, 1).Comm()
+	for _, send := range [][]int64{{1}, {4, 1}, {-1, 1}, {2, 1, 1, 1}, {2, 1, 2, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Alltoall accepted send list %v", send)
+				}
+			}()
+			c.Alltoall(nil, send)
+		}()
+	}
+}
+
+// AllgatherDerive runs derive once per completed call and hands every
+// rank that one value; a timed-out call runs none; MessagePassing derives
+// per rank and agrees.
+func TestAllgatherDerive(t *testing.T) {
+	type summary struct{ sum, max int64 }
+	derive := func(calls *int) func([][]int64) *summary {
+		return func(table [][]int64) *summary {
+			*calls++
+			s := &summary{}
+			for _, row := range table {
+				s.sum += row[0]
+				s.max = max(s.max, row[1])
+			}
+			return s
+		}
+	}
+	const rounds = 3
+	got := map[CollModel][][]*summary{}
+	for _, model := range []CollModel{Analytic, MessagePassing} {
+		w := testWorld(t, 4, 2)
+		c := w.Comm()
+		c.SetCollModel(model)
+		calls := 0
+		out := make([][]*summary, rounds)
+		for m := range out {
+			out[m] = make([]*summary, w.Size())
+		}
+		if err := w.Run(func(r *Rank) {
+			for m := 0; m < rounds; m++ {
+				v, err := AllgatherDerive(c, r, []int64{int64(r.ID() + m), int64(r.ID() * m)}, derive(&calls))
+				if err != nil {
+					t.Error(err)
+				}
+				out[m][r.ID()] = v
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := rounds
+		if model == MessagePassing {
+			want *= w.Size()
+		}
+		if calls != want {
+			t.Fatalf("model %v: derive ran %d times over %d calls, want %d", model, calls, rounds, want)
+		}
+		for m, row := range out {
+			for id, v := range row {
+				if v == nil || *v != (summary{sum: int64(28 + 8*m), max: int64(7 * m)}) {
+					t.Fatalf("model %v call %d rank %d: derived %v", model, m, id, v)
+				}
+				if model == Analytic && v != row[0] {
+					t.Fatalf("call %d: rank %d got its own value, not the shared one", m, id)
+				}
+			}
+		}
+		got[model] = out
+	}
+
+	w := testWorld(t, 2, 2)
+	w.SetCollTimeout(10 * sim.Millisecond)
+	calls := 0
+	errs := make([]error, w.Size())
+	if err := w.Run(func(r *Rank) {
+		if r.ID() == 1 {
+			w.Kill(1)
+		}
+		r.checkKilled()
+		v, err := AllgatherDerive(w.Comm(), r, []int64{1, 1}, derive(&calls))
+		if v != nil {
+			t.Errorf("rank %d: timed-out call returned %v", r.ID(), v)
+		}
+		errs[r.ID()] = err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{0, 2, 3} {
+		var cte *CollTimeoutError
+		if !errors.As(errs[id], &cte) || len(cte.Missing) != 1 || cte.Missing[0] != 1 {
+			t.Fatalf("rank %d error = %v, want *CollTimeoutError naming rank 1", id, errs[id])
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("derive ran %d times on a timed-out call", calls)
 	}
 }
 
@@ -218,8 +346,8 @@ func TestSingleRankCollectivesAreFree(t *testing.T) {
 		c.Barrier(r)
 		v := c.Allreduce(r, []int64{9}, MaxOp)
 		g := c.Allgather(r, []int64{7})
-		a := c.Alltoall(r, []int64{5})
-		if v[0] != 9 || g[0][0] != 7 || a[0] != 5 {
+		a := c.Alltoall(r, []int64{0, 5})
+		if v[0] != 9 || g[0][0] != 7 || len(a) != 2 || a[0] != 0 || a[1] != 5 {
 			t.Error("single-rank collectives wrong")
 		}
 		if r.Now() != 0 {
@@ -250,8 +378,9 @@ func TestMismatchedCollectivesPanic(t *testing.T) {
 
 // Property: analytic and message-passing modes produce identical data
 // results for random inputs (timings differ, semantics must not). The
-// alltoall vectors are dense for one call and mostly zero — the two-phase
-// dissemination's shape — for Alltoall and TryAlltoall calls after it.
+// alltoall lists are dense for one call and mostly empty — the two-phase
+// dissemination's shape — for Alltoall and TryAlltoall calls after it,
+// then hold only a self pair, then nothing at all.
 func TestCollectiveModelsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -262,12 +391,13 @@ func TestCollectiveModelsAgree(t *testing.T) {
 		}
 		sparse := make([][]int64, n)
 		for i := range sparse {
-			sparse[i] = make([]int64, n)
-			for j := range sparse[i] {
+			vec := make([]int64, n)
+			for j := range vec {
 				if r.Intn(4) == 0 {
-					sparse[i][j] = r.Int63n(1000) + 1
+					vec[j] = r.Int63n(1000) + 1
 				}
 			}
+			sparse[i] = pairsOf(vec)
 		}
 		run := func(model CollModel) ([][]int64, [][]int64) {
 			k := sim.NewKernel(seed)
@@ -278,18 +408,23 @@ func TestCollectiveModelsAgree(t *testing.T) {
 			red := make([][]int64, n)
 			a2a := make([][]int64, n)
 			if err := w.Run(func(rk *Rank) {
-				red[rk.ID()] = c.Allreduce(rk, []int64{vals[rk.ID()]}, MaxOp)
-				send := make([]int64, n)
-				for i := range send {
-					send[i] = vals[rk.ID()] * int64(i+1)
+				me := rk.ID()
+				red[me] = c.Allreduce(rk, []int64{vals[me]}, MaxOp)
+				dense := make([]int64, n)
+				for i := range dense {
+					dense[i] = vals[me] * int64(i+1)
 				}
-				a2a[rk.ID()] = append([]int64(nil), c.Alltoall(rk, send)...)
-				a2a[rk.ID()] = append(a2a[rk.ID()], c.Alltoall(rk, sparse[rk.ID()])...)
-				got, err := c.TryAlltoall(rk, sparse[rk.ID()])
+				a2a[me] = append(a2a[me], denseOf(t, c.Alltoall(rk, pairsOf(dense)), n)...)
+				a2a[me] = append(a2a[me], denseOf(t, c.Alltoall(rk, sparse[me]), n)...)
+				got, err := c.TryAlltoall(rk, sparse[me])
 				if err != nil {
 					t.Error(err)
 				}
-				a2a[rk.ID()] = append(a2a[rk.ID()], got...)
+				a2a[me] = append(a2a[me], denseOf(t, got, n)...)
+				a2a[me] = append(a2a[me], denseOf(t, c.Alltoall(rk, []int64{int64(me), vals[me] + 1000}), n)...)
+				if got := c.Alltoall(rk, nil); len(got) != 0 {
+					t.Errorf("model %v: empty alltoall delivered %v", model, got)
+				}
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +433,7 @@ func TestCollectiveModelsAgree(t *testing.T) {
 		ra, aa := run(Analytic)
 		rm, am := run(MessagePassing)
 		for i := range ra {
-			if ra[i][0] != rm[i][0] {
+			if ra[i][0] != rm[i][0] || len(aa[i]) != 4*n || len(am[i]) != 4*n {
 				return false
 			}
 			for j := range aa[i] {
@@ -411,8 +546,7 @@ func TestAnalyticAlltoallScalesWithCommSize(t *testing.T) {
 		c := w.Comm()
 		var end sim.Time
 		if err := w.Run(func(r *Rank) {
-			send := make([]int64, n)
-			c.Alltoall(r, send)
+			c.Alltoall(r, nil)
 			end = r.Now()
 		}); err != nil {
 			t.Fatal(err)
