@@ -1,8 +1,11 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 
@@ -38,7 +41,9 @@ type Kernel struct {
 	dispatched int64
 
 	live     map[int]*Proc // all spawned, unfinished processes
-	yield    chan struct{} // process -> Run: "the run has stopped"
+	cur      *Proc         // process the driver resumes next; nil stops the run
+	idle     []*worker     // workers of finished processes, reused LIFO
+	stopped  chan struct{} // driver -> Run: "the run has stopped"
 	running  bool
 	panicked interface{} // process or callback panic for Run to re-raise
 
@@ -54,9 +59,9 @@ type Kernel struct {
 // NewKernel creates a kernel whose random number stream is seeded with seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		rng:   rand.New(rand.NewSource(seed)),
-		live:  make(map[int]*Proc),
-		yield: make(chan struct{}),
+		rng:     rand.New(rand.NewSource(seed)),
+		live:    make(map[int]*Proc),
+		stopped: make(chan struct{}),
 	}
 }
 
@@ -184,7 +189,6 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 		nameFn: nameFn,
 		id:     k.nextID,
 		fn:     fn,
-		resume: make(chan struct{}),
 		ttk:    trace.NoTrack,
 	}
 	k.nextID++
@@ -200,8 +204,8 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 // callbacks and stale wakes for finished processes are consumed inline.
 // next returns nil when the queue drains, when the event budget trips, or
 // when a callback panics (the value is kept for Run to re-raise). It runs on
-// whichever goroutine holds control: Run's, or a process's that blocks or
-// finishes.
+// Run's goroutine to start a run, and otherwise on the worker of the process
+// that blocks or finishes.
 func (k *Kernel) next() *Proc {
 	for k.queue.Len() > 0 {
 		if k.budget > 0 && k.dispatched >= k.budget {
@@ -228,7 +232,7 @@ func (k *Kernel) next() *Proc {
 }
 
 // call runs a kernel callback, recording a panic for Run to re-raise with
-// its original value rather than letting it unwind the process goroutine the
+// its original value rather than letting it unwind the process worker the
 // callback happens to run on.
 func (k *Kernel) call(fn func()) (ok bool) {
 	defer func() {
@@ -240,56 +244,121 @@ func (k *Kernel) call(fn func()) (ok bool) {
 	return true
 }
 
-// handoff passes control to p — starting its goroutine on its first resume
-// — or back to Run when p is nil. The caller must then park or exit without
-// touching kernel state.
-func (k *Kernel) handoff(p *Proc) {
-	switch {
-	case p == nil:
-		k.yield <- struct{}{}
-	case p.fn != nil:
-		fn := p.fn
-		p.fn = nil // a finished Proc may stay reachable; its closure need not
-		go func() {
-			defer p.exit() // however fn ends: return, panic or runtime.Goexit
-			fn(p)
-		}()
-	default:
-		p.resume <- struct{}{}
+// worker is a coroutine that runs process bodies, one at a time. A process
+// gets a worker at its first resume and keeps it until its body ends; the
+// worker then goes back on the kernel's idle list for the next process to
+// start. A body that panics still returns its worker there; one that calls
+// runtime.Goexit ends the worker, so it never gets there.
+type worker struct {
+	p      *Proc                   // process whose body the worker runs
+	resume func() (struct{}, bool) // driver -> worker
+	yield  func(struct{}) bool     // worker -> driver
+	stop   func()                  // ends an idle worker
+}
+
+// attach gives p, which has not started, the most recently idled worker, or
+// a new one when none is idle.
+func (k *Kernel) attach(p *Proc) {
+	var w *worker
+	if n := len(k.idle); n > 0 {
+		w = k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+	} else {
+		w = k.newWorker()
 	}
+	w.p, p.w = p, w
+}
+
+// newWorker creates a worker. Its coroutine starts at the driver's first
+// resume, with w.p already set.
+func (k *Kernel) newWorker() *worker {
+	w := &worker{}
+	w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for {
+			w.p.run()
+			w.p = nil
+			k.idle = append(k.idle, w)
+			if !yield(struct{}{}) {
+				return // Run stopped the idle worker
+			}
+		}
+	})
+	return w
+}
+
+// run executes p's body on its worker.
+func (p *Proc) run() {
+	fn := p.fn
+	p.fn = nil // a finished Proc may stay reachable; its closure need not
+	// exit runs however fn ends: return, panic or runtime.Goexit.
+	defer p.exit()
+	fn(p)
 }
 
 // exit retires a finishing process and dispatches the next event from its
-// goroutine, which then ends. A process panic stops the run: control goes
-// straight back to Run, which re-raises it.
+// worker. A process panic stops the run: control goes straight back to Run,
+// which re-raises it.
 func (p *Proc) exit() {
 	k := p.k
 	r := recover()
 	p.done = true
+	p.w = nil
 	delete(k.live, p.id)
 	k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(len(k.live)))
 	if r != nil {
 		k.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r)
-		k.handoff(nil)
+		k.cur = nil
 		return
 	}
-	k.handoff(k.next())
+	k.cur = k.next()
+}
+
+// drive resumes k.cur until the run stops, then tells Run. A body that calls
+// runtime.Goexit ends its worker, and iter.Pull passes the Goexit on to the
+// goroutine that resumed the worker: this one. The deferred handler then
+// carries the run on from a fresh driver.
+func (k *Kernel) drive() {
+	defer func() {
+		if k.cur != nil {
+			go k.drive()
+			return
+		}
+		k.stopped <- struct{}{}
+	}()
+	for p := k.cur; p != nil; p = k.cur {
+		if p.w == nil {
+			k.attach(p)
+		}
+		if _, ok := p.w.resume(); !ok {
+			panic(fmt.Sprintf("sim: process %q resumed on an ended worker", p.Name()))
+		}
+	}
 }
 
 // Run executes events until the queue drains. It returns an error if, when
 // the queue is empty, some processes are still parked (a deadlock in the
-// simulated system), identifying the stuck processes.
+// simulated system), identifying the stuck processes. The driver runs on a
+// goroutine of its own, so a process's runtime.Goexit never reaches Run's
+// caller; Run waits for it to stop, then ends the idle workers. Parked
+// processes keep theirs, so a later Run can resume them.
 func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sim: kernel already running")
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	if p := k.next(); p != nil {
-		k.handoff(p)
-		<-k.yield // the run has stopped, on whichever goroutine held control
+	if k.cur = k.next(); k.cur != nil {
+		go k.drive()
+		<-k.stopped
 	}
+	for _, w := range k.idle {
+		w.stop()
+	}
+	k.idle = nil
 	if v := k.panicked; v != nil {
+		k.panicked = nil
 		panic(v)
 	}
 	if k.queue.Len() > 0 { // next stops early only for the budget
@@ -307,16 +376,16 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// Proc is a simulation process: a goroutine that the kernel schedules in
-// virtual time. All Proc methods must be called from the process's own
-// goroutine.
+// Proc is a simulation process: a body that the kernel runs on a worker
+// coroutine and schedules in virtual time. All Proc methods must be called
+// from the process's own body.
 type Proc struct {
 	k      *Kernel
 	name   string
 	nameFn func() string // lazy name, resolved on first Name() call
 	id     int
 	fn     func(p *Proc) // body until the first resume starts it; nil = started
-	resume chan struct{}
+	w      *worker       // worker running the body; nil before start and after exit
 	done   bool
 	ttk    trace.TrackID
 }
@@ -349,20 +418,21 @@ func (p *Proc) SetTraceTrack(tk trace.TrackID) { p.ttk = tk }
 func (p *Proc) TraceTrack() trace.TrackID { return p.ttk }
 
 // block gives up control until the process is resumed. The blocking
-// goroutine dispatches the next event itself: when that resumes this same
-// process, block returns without any goroutine switch; otherwise it hands
-// control directly to the next process (or back to Run when the run stops)
-// and parks. When the process carries a trace track, the blocked interval
-// is recorded as a span (zero-length blocks — pure scheduling yields — are
-// skipped).
+// process dispatches the next event itself: when that resumes this same
+// process, block returns without any switch; otherwise it names the next
+// process (nil when the run stops) and yields to the driver, which resumes
+// that process's worker. When the process carries a trace track, the
+// blocked interval is recorded as a span (zero-length blocks — pure
+// scheduling yields — are skipped).
 func (p *Proc) block() {
-	start := p.k.now
-	if q := p.k.next(); q != p {
-		p.k.handoff(q)
-		<-p.resume
+	k := p.k
+	start := k.now
+	if q := k.next(); q != p {
+		k.cur = q
+		p.w.yield(struct{}{})
 	}
-	if tr := p.k.tracer; tr != nil && p.ttk >= 0 && p.k.now > start {
-		tr.SpanAt(p.ttk, "sim", "blocked", int64(start), int64(p.k.now))
+	if tr := k.tracer; tr != nil && p.ttk >= 0 && k.now > start {
+		tr.SpanAt(p.ttk, "sim", "blocked", int64(start), int64(k.now))
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel models virtual time as int64 nanoseconds and runs simulation
-// processes as cooperatively scheduled goroutines: at any instant exactly one
-// goroutine runs. There is no scheduler goroutine in the loop. A process
-// that blocks (Sleep, Park, resource acquisition) or finishes dispatches the
-// next event itself — running due callbacks inline — and hands control
-// directly to the process that event resumes. A resume therefore costs one
-// goroutine switch, or none when the blocking process is itself the next to
-// run. Run only starts the chain and waits for it to stop. Events that fire
-// at the same virtual time are ordered by creation sequence, so a run with a
-// given seed is bit-for-bit reproducible.
+// The kernel models virtual time as int64 nanoseconds and runs each
+// simulation process's body on a worker, a coroutine from iter.Pull: at any
+// instant exactly one body runs. A process that blocks (Sleep, Park,
+// resource acquisition) or finishes dispatches the next event itself,
+// running due callbacks inline. When that event resumes the same process,
+// it just keeps running; otherwise it yields to the one driver loop, which
+// resumes the next process's worker. A switch therefore costs two coroutine
+// switches and never enters the Go scheduler. A finished process leaves its
+// worker on an idle list, and the next process to start reuses it. Events
+// that fire at the same virtual time are ordered by creation sequence, so a
+// run with a given seed is bit-for-bit reproducible.
 //
 // The package also provides the building blocks used by the cluster models
 // layered on top of it: FIFO queueing stations (Station), condition

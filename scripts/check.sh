@@ -71,6 +71,12 @@ go vet ./...
 echo "== go test ./...   (tier-1)"
 go test ./...
 
+# benchmark/ is a module of its own, which the root's ./... skips. Vet and
+# test it in place (read-only), so a build-tag or go.mod change that would
+# break bash benchmark/run.sh fails here too.
+echo "== benchmark module: go vet ./... && go test ./..."
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold, MemStore assembly, kernel dispatch)"
 go test -run '^$' -bench 'RoundPlan|Alltoall|Survivor|Allreduce|MemStore|Kernel' -benchtime 1x ./internal/adio ./internal/mpi ./internal/store ./internal/sim
 
