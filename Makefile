@@ -1,7 +1,7 @@
 # Tier-1 gate plus static, race and coverage checks; see scripts/check.sh.
 .PHONY: check check-full test build vet fmt-check cover trace-demo \
 	critpath-demo bench-record bench-compare scale-bench-record \
-	scale-smoke scale chaos chaos-smoke
+	scale-smoke scale chaos chaos-smoke linedelta
 
 build:
 	go build ./...
@@ -79,6 +79,11 @@ scale-smoke:
 # Kilo-rank soak: the same suite at 4096 ranks (512 nodes x 8).
 scale:
 	go test ./internal/harness -run '^TestScale_' -count=1 -timeout 600s -scale.ranks=4096 -v
+
+# Lean-aim ledger: +/-/net lines of program code and of tests (Go files
+# outside benchmark/) since BASE, e.g. make linedelta BASE=HEAD~1.
+linedelta:
+	scripts/linedelta.sh $(BASE)
 
 check:
 	scripts/check.sh

@@ -17,6 +17,7 @@ import (
 // cluster bundles a small simulated machine for adio tests.
 type cluster struct {
 	k   *sim.Kernel
+	fab *netsim.Fabric
 	fs  *pfs.System
 	w   *mpi.World
 	reg *Registry
@@ -40,7 +41,7 @@ func newCluster(t *testing.T, seed int64, nodes, perNode int, factory store.Fact
 	drv := NewUFSDriver(func(n int) *pfs.Client { return clients[n] })
 	reg := NewRegistry(drv)
 	reg.Mount("beegfs", NewBeeGFSDriver(func(n int) *pfs.Client { return clients[n] }))
-	return &cluster{k: k, fs: fs, w: w, reg: reg}
+	return &cluster{k: k, fab: fab, fs: fs, w: w, reg: reg}
 }
 
 func TestParseHintsDefaults(t *testing.T) {

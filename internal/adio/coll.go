@@ -1,6 +1,8 @@
 package adio
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -24,29 +26,42 @@ func (f *File) metrics() *metrics.Registry {
 // tagDataBase is the tag space for two-phase data-exchange messages.
 const tagDataBase = 1 << 27
 
+// epochTags is what epochTag keeps in a communicator's Memo.
+type epochTags struct {
+	serial int   // the communicator's number, unique within its World
+	epochs []int // write epochs each member has started on it
+}
+
+// epochTag starts this rank's next write epoch on c and returns the tag of
+// its round 0 (round m adds m mod 2^16). The tag holds c's serial above
+// bit 40 and the epoch's index on c, which every member counts alike as
+// collective calls run in lockstep, in bits 16-39. No two epochs share a
+// tag, so a shuffle message that an aggregator gave up on at its receive
+// deadline and that arrives later cannot match the receive of a later
+// epoch, call or file.
+func epochTag(c *mpi.Comm, r *mpi.Rank) int {
+	type tagsKey struct{}
+	type serialKey struct{}
+	st := c.Memo(tagsKey{}, func() any {
+		last := r.World().Comm().Memo(serialKey{}, func() any { return new(int) }).(*int)
+		*last++
+		return &epochTags{serial: *last, epochs: make([]int, c.Size())}
+	}).(*epochTags)
+	me := c.RankOf(r)
+	st.epochs[me]++
+	return tagDataBase + st.serial<<40 + ((st.epochs[me]-1)%(1<<24))<<16
+}
+
 // WriteStridedColl is ADIOI_GEN_WriteStridedColl, the collective write
 // entry point (Figure 2 of the paper). segs is this rank's flattened file
 // access (sorted, non-overlapping extents); data optionally carries the
 // concatenated payload bytes in segment order. Payload use is
 // all-or-nothing per communicator: either every rank passes real bytes
 // (verification mode) or every rank passes nil (metadata-only mode);
-// mixing the two writes zeros for the nil ranks' extents.
-//
-// The implementation follows §II-A: (1) all ranks exchange start/end
-// offsets; (2) the interleaving check selects collective vs independent
-// I/O, overridable with romio_cb_write; (3) the accessed range is split
-// into file domains by the driver's partitioning strategy; (4) the
-// extended two-phase loop runs ntimes rounds of Alltoall dissemination,
-// Isend/Irecv data shuffle, collective-buffer packing and WriteContig; and
-// (5) a final Allreduce exchanges error codes. ROMIO precomputes the
-// my_req/others_req maps once before the loop with a single walk of the
-// flattened access list; this implementation plans each round from the
-// file domains instead: planRound merges the rank's sorted segments with
-// the round's sorted windows, so planning costs O(log) per domain the
-// rank touches plus O(1) per piece, and produces the same per-round sets
-// and message pattern.
+// mixing the two writes zeros for the nil ranks' extents. The
+// e10_resilient_write hint selects the failover write (coll_resilient.go).
 func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
-	r, c, log := f.rank, f.comm, f.log
+	r := f.rank
 	total, err := validateSegs(segs)
 	if err != nil {
 		return err
@@ -54,31 +69,63 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 	if data != nil && int64(len(data)) != total {
 		return fmt.Errorf("adio: payload length %d != segment total %d", len(data), total)
 	}
-	if f.resilientEnabled() {
-		return f.writeStridedCollResilient(segs, data, total)
+	resilient, name := f.hints.Extra[HintResilientWrite] == "enable", "coll_write"
+	if resilient {
+		name = "coll_write_resilient"
 	}
 	f.Stats.CollWrites++
-
-	mt := f.metrics()
-	mt.Counter("adio_coll_writes_total", layerLabel).Inc()
-	mRoundNs := mt.Histogram("adio_round_ns", layerLabel)
-	mRounds := mt.Counter("adio_coll_rounds_total", layerLabel)
-	mExch := mt.Counter("adio_exchange_bytes_total", layerLabel)
-
+	f.metrics().Counter("adio_coll_writes_total", layerLabel).Inc()
 	tr := r.World().Kernel().Tracer()
-	ttk := r.TraceTrack(tr)
-	if tr != nil {
-		csp := tr.Begin(ttk, "adio", "coll_write", int64(r.Now()))
-		defer func() {
-			csp.End(int64(r.Now()), trace.I("segs", int64(len(segs))), trace.I("bytes", total))
-		}()
+	csp := tr.Begin(r.TraceTrack(tr), "adio", name, int64(r.Now()))
+	defer func() { csp.End(int64(r.Now()), trace.I("segs", int64(len(segs))), trace.I("bytes", total)) }()
+	pre := prefixSums(segs, data)
+	if resilient {
+		return f.writeStridedCollResilient(segs, pre, data)
+	}
+	return f.writeEpoch(f.comm, segs, segs, pre, data, nil)
+}
+
+// writeEpoch runs one extended two-phase write over c for rem, the extents
+// of this rank's access segs still to write (pre and data locate their
+// payload in segs). It follows §II-A: (1) all ranks exchange start/end
+// offsets; (2) the interleaving check selects collective vs independent
+// I/O, overridable with romio_cb_write; (3) the accessed range is split
+// into file domains by the driver's partitioning strategy; (4) ntimes
+// rounds of Alltoall dissemination, Isend/Irecv data shuffle,
+// collective-buffer packing and WriteContig; and (5) a final Allreduce
+// exchanges error codes. ROMIO precomputes the my_req/others_req maps once
+// before the loop with a single walk of the flattened access list; this
+// implementation plans each round from the file domains instead:
+// planRound merges the rank's sorted segments with the round's sorted
+// windows, so planning costs O(log) per domain the rank touches plus O(1)
+// per piece, and produces the same per-round sets and message pattern.
+//
+// fo is nil for the plain collective write, which runs one epoch on the
+// file's communicator. The failover write runs one per membership epoch
+// and passes its state; coll_resilient.go says what that changes.
+func (f *File) writeEpoch(c *mpi.Comm, rem, segs []extent.Extent, pre []int64, data []byte, fo *failover) error {
+	r := f.rank
+	tag0 := epochTag(c, r)
+	mt := f.metrics()
+	cbMode, log, tr, mRoundNs := HintEnable, (*mpe.Log)(nil), (*trace.Tracer)(nil), (*metrics.Histogram)(nil)
+	if fo == nil {
+		// Only the plain write logs, traces and times its rounds. It
+		// registers its round series before planning, so a call that falls
+		// back to independent I/O still reports them.
+		cbMode, log, tr = f.hints.CBWrite, f.log, r.World().Kernel().Tracer()
+		mRoundNs = mt.Histogram("adio_round_ns", layerLabel)
+		mt.Counter("adio_coll_rounds_total", layerLabel)
+		mt.Counter("adio_exchange_bytes_total", layerLabel)
 	}
 
 	// Steps 1-3: offset exchange, interleaving check, file domains.
 	span := mpe.StartSpan(r.Now())
-	p, err := f.plan(c, segs, f.hints.CBWrite)
+	p, err := f.plan(c, rem, cbMode)
 	span.End(log, mpe.PhaseCalc, r.Now())
 	if err != nil {
+		if fo != nil {
+			err = &epochAbort{err}
+		}
 		return err
 	}
 	if p.indep {
@@ -86,13 +133,15 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 	}
 	if p.fds == nil {
 		// No rank has data; still synchronise error codes.
-		return f.exchangeErr(nil, "write")
+		return f.exchangeErr(c, fo, nil, "write")
 	}
-	pre := prefixSums(segs, data)
+	ttk := r.TraceTrack(tr)
 	if p.myAgg >= 0 {
 		fd := p.fds[p.myAgg]
 		tr.Instant(ttk, "adio", "file_domain", int64(r.Now()), trace.I("off", fd.Off), trace.I("len", fd.Len))
 	}
+	mExch := mt.Counter("adio_exchange_bytes_total", layerLabel)
+	mRounds := mt.Counter("adio_coll_rounds_total", layerLabel)
 
 	// Step 4: the extended two-phase loop. The round plan is reused across
 	// rounds: Alltoall does not hold the send list after it returns, and
@@ -100,58 +149,119 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 	var firstErr error
 	rp := &f.round
 	for m := 0; m < p.ntimes; m++ {
-		tag := tagDataBase + (m & 0xffff)
 		roundT0 := r.Now()
-		rsp := tr.Begin(ttk, "adio", "round", int64(r.Now()))
+		rsp := tr.Begin(ttk, "adio", "round", int64(roundT0))
 
 		// What do I send to each aggregator this round?
-		rp.planRound(segs, p.fds, p.aggList, p.cb, m)
+		rp.planRound(rem, p.fds, p.aggList, p.cb, m)
 
 		// Dissemination: every round starts with an MPI_Alltoall telling
 		// each aggregator how much each process contributes.
 		span = mpe.StartSpan(r.Now())
-		recv := c.Alltoall(r, rp.send)
+		recv, err := c.TryAlltoall(r, rp.send)
 		span.End(log, mpe.PhaseShuffleA2A, r.Now())
+		if err != nil && fo != nil {
+			return &epochAbort{err}
+		}
 
-		// Data shuffle: post receives, start sends, wait for all.
+		// Data shuffle: an aggregator posts a receive from every other rank
+		// with bytes for it (the (src, count) pairs of recv); every rank
+		// sends its pieces for the other aggregators and keeps those for its
+		// own; then all wait. On the failover write a sender that died
+		// mid-round must not park the aggregator forever: a missed message
+		// fails the round with ackTimeout, nothing is written, and the
+		// round-ack sends everyone to the next epoch.
 		span = mpe.StartSpan(r.Now())
-		recvReqs, sendReqs, selfExts := f.postWriteRound(&p, tag, recv, rp, segs, pre, data, mExch)
+		tag := tag0 + (m & 0xffff)
+		var recvReqs, sendReqs []*mpi.Request
+		var selfExts []extent.Extent
+		if p.myAgg >= 0 {
+			for k := 0; k < len(recv); k += 2 {
+				if src := int(recv[k]); src != p.me {
+					recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
+				}
+			}
+		}
+		for _, g := range rp.groups {
+			exts := rp.exts(g)
+			if p.aggList[g.agg] == p.me {
+				selfExts = exts
+				continue
+			}
+			msg := buildDataMsg(exts, segs, pre, data)
+			f.Stats.BytesExchanged += msg.Size
+			mExch.Add(msg.Size)
+			sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
+		}
 		r.Waitall(sendReqs)
-		r.Waitall(recvReqs)
+		code, msgs := int64(ackOK), make([]*mpi.Message, 0, len(recvReqs))
+		for _, q := range recvReqs {
+			var msg *mpi.Message
+			if fo == nil {
+				msg = r.Wait(q)
+			} else if msg, err = r.WaitDeadline(q, fo.deadline); err != nil {
+				code = ackTimeout
+				break
+			}
+			msgs = append(msgs, msg)
+		}
 		span.End(log, mpe.PhaseExchWaitall, r.Now())
 
 		// Aggregator: pack the collective buffer and write the domain.
-		if win := p.window(m); !win.Empty() {
-			var msgs []*mpi.Message
-			for _, q := range recvReqs {
-				msgs = append(msgs, r.Wait(q))
-			}
-			if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil && firstErr == nil {
-				firstErr = err
+		if win := p.window(m); !win.Empty() && code == ackOK {
+			if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil {
+				code = ackIOErr
+				if firstErr == nil {
+					firstErr = err
+				}
 			}
 			f.Stats.CollRounds++
 			mRounds.Inc()
 		}
 		rsp.End(int64(r.Now()), trace.I("round", int64(m)), trace.I("ntimes", int64(p.ntimes)))
 		mRoundNs.Observe(int64(r.Now() - roundT0))
+		if fo == nil {
+			continue
+		}
+
+		// Round-ack: senders release this round's extents only when every
+		// surviving aggregator confirms the round landed.
+		switch res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp); {
+		case err != nil:
+			return &epochAbort{err}
+		case res[0] == ackTimeout:
+			return &epochAbort{mpi.ErrRecvTimeout}
+		case res[0] == ackIOErr:
+			return cmp.Or(firstErr, errors.New("adio: collective write failed on another rank"))
+		}
+		for _, e := range rp.pieces {
+			fo.acked.Add(e)
+		}
 	}
 
 	// Step 5: synchronise and exchange error codes.
-	return f.exchangeErr(firstErr, "write")
+	return f.exchangeErr(c, fo, firstErr, "write")
 }
 
-// exchangeErr is the two-phase epilogue: the ranks exchange error codes,
-// and a rank whose own part succeeded reports that another's failed.
-func (f *File) exchangeErr(err error, op string) error {
+// exchangeErr is the two-phase epilogue over c: the ranks exchange error
+// codes, and a rank whose own part succeeded reports that another's
+// failed. On the failover write (fo non-nil) a timed-out exchange aborts
+// the epoch and is not logged; the plain drivers go on with the partial
+// result, as the plain Allreduce does.
+func (f *File) exchangeErr(c *mpi.Comm, fo *failover, err error, op string) error {
 	r := f.rank
 	span := mpe.StartSpan(r.Now())
-	code := int64(0)
+	code := int64(ackOK)
 	if err != nil {
-		code = 1
+		code = ackIOErr
 	}
-	res := f.comm.Allreduce(r, []int64{code}, mpi.MaxOp)
-	span.End(f.log, mpe.PhasePostWrite, r.Now())
-	if res[0] != 0 && err == nil {
+	res, terr := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
+	if fo == nil {
+		span.End(f.log, mpe.PhasePostWrite, r.Now())
+	} else if terr != nil {
+		return &epochAbort{terr}
+	}
+	if res[0] != ackOK && err == nil {
 		err = fmt.Errorf("adio: collective %s failed on another rank", op)
 	}
 	return err
@@ -217,7 +327,7 @@ func (f *File) plan(c *mpi.Comm, segs []extent.Extent, cbMode string) (twoPhaseP
 		p.myAgg = i
 	}
 	if p.myAgg >= 0 {
-		if buf := min64(sp.cb, sp.fds[p.myAgg].Len); buf > f.Stats.PeakBufBytes {
+		if buf := min(sp.cb, sp.fds[p.myAgg].Len); buf > f.Stats.PeakBufBytes {
 			f.Stats.PeakBufBytes = buf
 		}
 	}
@@ -274,36 +384,6 @@ func (p *twoPhasePlan) window(m int) extent.Extent {
 		return extent.Extent{}
 	}
 	return roundWindow(p.fds[p.myAgg], p.cb, m)
-}
-
-// postWriteRound starts a write round's data shuffle on tag. An
-// aggregator posts a receive from every other rank with bytes for it
-// (recv, the (src, count) pairs from the round's Alltoall); every rank
-// sends its pieces (rp, grouped per aggregator) to the other aggregators.
-// The pieces for this rank's own aggregator are not sent but returned as
-// selfExts.
-func (f *File) postWriteRound(p *twoPhasePlan, tag int, recv []int64, rp *roundPlan,
-	segs []extent.Extent, pre []int64, data []byte, mExch *metrics.Counter) (recvReqs, sendReqs []*mpi.Request, selfExts []extent.Extent) {
-	r, c := f.rank, p.c
-	if p.myAgg >= 0 {
-		for k := 0; k < len(recv); k += 2 {
-			if src := int(recv[k]); src != p.me {
-				recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
-			}
-		}
-	}
-	for _, g := range rp.groups {
-		exts := rp.exts(g)
-		if p.aggList[g.agg] == p.me {
-			selfExts = exts
-			continue
-		}
-		msg := buildDataMsg(exts, segs, pre, data)
-		f.Stats.BytesExchanged += msg.Size
-		mExch.Add(msg.Size)
-		sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
-	}
-	return recvReqs, sendReqs, selfExts
 }
 
 // prefixSums returns the offset of each segment's bytes in the rank's
@@ -442,7 +522,7 @@ func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {
 	if off >= fd.End() {
 		return extent.Extent{}
 	}
-	return extent.Extent{Off: off, Len: min64(cb, fd.End()-off)}
+	return extent.Extent{Off: off, Len: min(cb, fd.End()-off)}
 }
 
 // buildDataMsg encodes extents (and payload, when present) into a shuffle
@@ -564,11 +644,4 @@ func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []e
 		}
 	}
 	return err
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

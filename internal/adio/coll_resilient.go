@@ -5,31 +5,31 @@ import (
 	"fmt"
 
 	"repro/internal/extent"
-	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// This file is the degraded-mode variant of the extended two-phase
-// collective write: the same round structure as WriteStridedColl, wrapped
-// in a failover-epoch loop that survives aggregator death and network
-// partitions.
+// This file is the failover write: the collective write as a loop of
+// membership epochs that survives aggregator death and network partitions.
+// Each epoch runs writeEpoch (coll.go) over the survivors of the file
+// communicator, for the extents of this rank not yet acknowledged, with
+// the failover state, which changes three things:
 //
-// The protocol adds one collective per round — a round-ack Allreduce — and
-// treats the acked extent set as the unit of progress: a sender releases a
-// round's buffers (here: stops considering those extents pending) only
-// once the round-ack succeeds, so anything an aggregator had in flight
-// when it died is replayed from the sender's retained data in the next
-// epoch. Epochs are delimited by collective failures: any timed-out
-// collective or receive aborts the epoch, the survivors recompute the live
-// membership and the file-domain partitioning over it (deterministically —
-// same survivor set, same domains), and only the unacked remainder is
-// re-exchanged. Re-writing an extent is idempotent: the bytes are the
-// same, so byte conservation holds across failover.
+//   - a timed-out collective aborts the epoch with an epochAbort;
+//   - an aggregator waits for each shuffle message under a deadline, and a
+//     missed message fails the round;
+//   - each round ends with a round-ack Allreduce, and only then do its
+//     extents count as acknowledged.
 //
-// The failover machinery requires World.SetCollTimeout to be armed; with
-// no timeout a collective involving a dead rank waits forever and the
-// epoch loop never advances.
+// So an extent an aggregator had in flight when it died is replayed from
+// the sender's data in the next epoch, over the domains of the new
+// membership (same survivors, same domains). Re-writing an extent is
+// idempotent, so byte conservation holds across failover. Epochs draw
+// fresh shuffle tags (epochTag), so a message given up on at its deadline
+// and delivered late never counts as a later epoch's data, and the epochs'
+// survivor communicators are freed when the call returns. Failover needs
+// World.SetCollTimeout armed: without it a collective with a dead rank
+// waits forever.
 
 // HintResilientWrite enables the failover-capable collective write path
 // ("enable"/"disable"). It rides in the hint Extra set, like the e10_*
@@ -70,194 +70,61 @@ const (
 	ackTimeout = 2 // an aggregator missed a shuffle message: retry epoch
 )
 
-// resilientEnabled reports whether the e10_resilient_write hint selects
-// the failover path.
-func (f *File) resilientEnabled() bool {
-	v, _ := f.hints.Extra.Get(HintResilientWrite)
-	return v == "enable"
+// failover is the failover write's state across the epochs of one call.
+// A nil *failover in writeEpoch is the plain collective write.
+type failover struct {
+	deadline sim.Time   // an aggregator's wait for one shuffle message
+	acked    extent.Set // this rank's extents whose round was acknowledged
 }
 
-// writeStridedCollResilient runs the failover-epoch loop around
-// resilientEpoch. acked accumulates every extent of this rank whose round
-// was acknowledged; each epoch replays only the gaps.
-func (f *File) writeStridedCollResilient(segs []extent.Extent, data []byte, total int64) error {
+// writeStridedCollResilient runs the failover epoch loop. Each epoch
+// writes only the gaps the acknowledged extents leave in segs.
+func (f *File) writeStridedCollResilient(segs []extent.Extent, pre []int64, data []byte) error {
 	r, w := f.rank, f.rank.World()
-	f.Stats.CollWrites++
-	f.metrics().Counter("adio_coll_writes_total", layerLabel).Inc()
-
 	tr := w.Kernel().Tracer()
-	ttk := r.TraceTrack(tr)
-	if tr != nil {
-		csp := tr.Begin(ttk, "adio", "coll_write_resilient", int64(r.Now()))
-		defer func() {
-			csp.End(int64(r.Now()), trace.I("segs", int64(len(segs))), trace.I("bytes", total))
-		}()
-	}
 
-	pre := prefixSums(segs, data)
-
-	// Per-file resilient-call counter: collective calls run in lockstep on
-	// every rank, so the counter agrees across the communicator and keys
-	// the per-epoch communicator scopes.
+	// Collective calls run in lockstep, so this per-file call counter agrees
+	// across the communicator and keys the epochs' communicator scopes.
 	call := f.resilCall
 	f.resilCall++
 
 	// The receive deadline must undercut the collective timeout: an
 	// aggregator that gives up on a dead sender has to reach the round-ack
-	// before the other survivors' round-ack timer fires, so every survivor
-	// observes the same failed collective and enters the next epoch at the
-	// same instant. A deadline >= the timeout leaves the aggregator one
-	// collective behind for the rest of the call.
-	deadline := w.CollTimeout() / 2
-	if deadline <= 0 {
-		deadline = DefaultRecvDeadline
+	// before the other survivors' round-ack timer fires, so that all see
+	// the same failed collective and enter the next epoch at once. A longer
+	// deadline leaves the aggregator one collective behind for good.
+	fo := &failover{deadline: w.CollTimeout() / 2}
+	if fo.deadline <= 0 {
+		fo.deadline = DefaultRecvDeadline
 	}
 
-	var acked extent.Set
 	for epoch := 0; epoch < maxFailoverEpochs; epoch++ {
 		// Survivor membership, in the file communicator's rank order, so
-		// every live rank derives the same sub-communicator and the same
-		// aggregator placement. The first caller of an epoch filters the
-		// file communicator; later callers that saw no new deaths reuse
-		// its result in O(1).
-		scope := fmt.Sprintf("e10res|%s|c%d|e%d", f.path, call, epoch)
-		sub := f.comm.Survivors(scope)
+		// every live rank derives the same sub-communicator and aggregator
+		// placement. No survivor returns before every other one has passed
+		// here for each epoch, so freeing on return is safe.
+		sub := f.comm.Survivors(fmt.Sprintf("e10res|%s|c%d|e%d", f.path, call, epoch))
+		defer sub.Free()
 		if sub.RankOf(r) < 0 {
 			return fmt.Errorf("adio: rank %d not in survivor set", r.ID())
 		}
 		if epoch > 0 {
 			f.Stats.FailoverEpochs++
 			f.metrics().Counter("adio_failover_epochs_total", layerLabel).Inc()
-			if tr != nil {
-				tr.Instant(ttk, "adio", "failover_epoch", int64(r.Now()),
-					trace.I("epoch", int64(epoch)), trace.I("survivors", int64(sub.Size())))
-			}
+			tr.Instant(r.TraceTrack(tr), "adio", "failover_epoch", int64(r.Now()),
+				trace.I("epoch", int64(epoch)), trace.I("survivors", int64(sub.Size())))
 		}
-		err := f.resilientEpoch(sub, epoch, segs, pre, data, &acked, deadline)
-		if err == nil {
-			return nil
+		// This rank's pending work: the unacked gaps of each original
+		// segment. Gaps are computed per segment, so every pending extent
+		// stays inside one segment and segPayload can locate its bytes.
+		var rem []extent.Extent
+		for _, s := range segs {
+			rem = append(rem, fo.acked.Gaps(s)...)
 		}
-		if !errors.Is(err, errEpochFailed) && !errors.Is(err, mpi.ErrCollTimeout) {
+		err := f.writeEpoch(sub, rem, segs, pre, data, fo)
+		if err == nil || !errors.Is(err, errEpochFailed) {
 			return err
 		}
 	}
 	return fmt.Errorf("%w (after %d epochs)", ErrFailoverExhausted, maxFailoverEpochs)
-}
-
-// resilientEpoch runs one membership epoch of the two-phase loop over the
-// unacked remainder. A nil return means the whole write (this rank's part
-// and, via the final code exchange, everyone else's) completed; a
-// retryable abort is reported as errEpochFailed (possibly wrapping the
-// underlying timeout) and a write error is returned as itself.
-func (f *File) resilientEpoch(c *mpi.Comm, epoch int, segs []extent.Extent, pre []int64,
-	data []byte, acked *extent.Set, deadline sim.Time) error {
-	r := f.rank
-
-	// This rank's pending work: the unacked gaps of each original segment.
-	// Gaps are computed per segment, so every pending extent stays inside
-	// one segment and segPayload can locate its bytes.
-	var rem []extent.Extent
-	for _, s := range segs {
-		rem = append(rem, acked.Gaps(s)...)
-	}
-
-	// Offset exchange and file domains over the survivors, with the
-	// aggregators placed over them by the file's own rule, so every survivor
-	// derives the same map.
-	p, err := f.plan(c, rem, HintEnable)
-	if err != nil {
-		return &epochAbort{err}
-	}
-	if p.fds == nil {
-		// Nothing left anywhere: synchronise final codes and succeed.
-		if _, err := c.TryAllreduce(r, []int64{ackOK}, mpi.MaxOp); err != nil {
-			return &epochAbort{err}
-		}
-		return nil
-	}
-
-	mExch := f.metrics().Counter("adio_exchange_bytes_total", layerLabel)
-	mRounds := f.metrics().Counter("adio_coll_rounds_total", layerLabel)
-
-	// The epoch's tag space: rounds live in the low 16 bits, the epoch
-	// above them, so a straggler retransmit from a failed epoch can never
-	// match a later epoch's receives.
-	tagBase := tagDataBase + ((epoch & 0x3ff) << 16)
-
-	var firstErr error
-	rp := &f.round
-	for m := 0; m < p.ntimes; m++ {
-		tag := tagBase + (m & 0xffff)
-
-		rp.planRound(rem, p.fds, p.aggList, p.cb, m)
-
-		recv, err := c.TryAlltoall(r, rp.send)
-		if err != nil {
-			return &epochAbort{err}
-		}
-
-		recvReqs, sendReqs, selfExts := f.postWriteRound(&p, tag, recv, rp, segs, pre, data, mExch)
-		r.Waitall(sendReqs)
-
-		// Aggregator: collect contributions under a deadline — a sender
-		// that died mid-round must not park this rank forever — then pack
-		// and write whatever arrived. A missed message degrades the round
-		// to ackTimeout; the write is not attempted, and the round-ack
-		// sends everyone to the next epoch.
-		code := int64(ackOK)
-		if win := p.window(m); !win.Empty() {
-			msgs := make([]*mpi.Message, 0, len(recvReqs))
-			for _, q := range recvReqs {
-				msg, rerr := r.WaitDeadline(q, deadline)
-				if rerr != nil {
-					code = ackTimeout
-					break
-				}
-				msgs = append(msgs, msg)
-			}
-			if code == ackOK {
-				if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil {
-					code = ackIOErr
-					if firstErr == nil {
-						firstErr = err
-					}
-				}
-				f.Stats.CollRounds++
-				mRounds.Inc()
-			}
-		}
-
-		// Round-ack: senders release this round's extents only when every
-		// surviving aggregator confirms the round landed.
-		res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
-		if err != nil {
-			return &epochAbort{err}
-		}
-		switch res[0] {
-		case ackIOErr:
-			if firstErr == nil {
-				firstErr = fmt.Errorf("adio: collective write failed on another rank")
-			}
-			return firstErr
-		case ackTimeout:
-			return fmt.Errorf("%w: %w in round %d", errEpochFailed, mpi.ErrRecvTimeout, m)
-		}
-		for _, e := range rp.pieces {
-			acked.Add(e)
-		}
-	}
-
-	// Final code exchange, as in the standard path.
-	code := int64(ackOK)
-	if firstErr != nil {
-		code = ackIOErr
-	}
-	res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp)
-	if err != nil {
-		return &epochAbort{err}
-	}
-	if res[0] != ackOK && firstErr == nil {
-		firstErr = fmt.Errorf("adio: collective write failed on another rank")
-	}
-	return firstErr
 }

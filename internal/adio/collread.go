@@ -171,7 +171,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 
 	// Every request was answered even after a failed read, so no rank is
 	// left waiting; the error codes travel as in the write path.
-	return f.exchangeErr(firstErr, "read")
+	return f.exchangeErr(c, nil, firstErr, "read")
 }
 
 // buildReadReply packs the bytes of exts (from the aggregator's scratch

@@ -71,7 +71,7 @@ func (f *File) sieveWrite(spanExt extent.Extent, segs []extent.Extent, pre []int
 	p := f.rank.Proc()
 	var pieces []extent.Extent
 	for off := spanExt.Off; off < spanExt.End(); off += bufSize {
-		win := extent.Extent{Off: off, Len: min64(bufSize, spanExt.End()-off)}
+		win := extent.Extent{Off: off, Len: min(bufSize, spanExt.End()-off)}
 		// Which segments intersect this window?
 		pieces = clipSegs(pieces[:0], segs, win)
 		covered := int64(0)
@@ -176,7 +176,7 @@ func (f *File) sieveRead(spanExt extent.Extent, segs []extent.Extent, pre []int6
 	}
 	var pieces []extent.Extent
 	for off := spanExt.Off; off < spanExt.End(); off += bufSize {
-		win := extent.Extent{Off: off, Len: min64(bufSize, spanExt.End()-off)}
+		win := extent.Extent{Off: off, Len: min(bufSize, spanExt.End()-off)}
 		pieces = clipSegs(pieces[:0], segs, win)
 		if len(pieces) == 0 {
 			continue

@@ -1,6 +1,7 @@
 package adio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -35,28 +36,43 @@ func blockCyclic(nranks, rank, chunk, cycles int) ([]extent.Extent, []byte) {
 	return segs, data
 }
 
-// TestResilientWriteFaultFree checks the degraded-mode path is a drop-in
-// replacement when nothing fails: same bytes, no failover epochs.
+// TestResilientWriteFaultFree checks the failover write is a drop-in
+// replacement for the plain one when nothing fails, over the two-phase
+// golden pattern on both drivers and both aggregator placements: no
+// failover epoch, every rank's bytes in the file, the same file bytes as
+// the plain write, and the same per-rank exchange, write, round and
+// sieving counts.
 func TestResilientWriteFaultFree(t *testing.T) {
-	const chunk, cycles = 1024, 4
-	cl := newCluster(t, 1, 4, 2, store.NewMem)
-	cl.w.SetCollTimeout(50 * sim.Millisecond)
-	nranks := cl.w.Size()
-	meta := writeColl(t, cl, resilientInfo, func(rank int) ([]extent.Extent, []byte) {
-		return blockCyclic(nranks, rank, chunk, cycles)
-	})
-	got := make([]byte, meta.Size())
-	meta.Store().ReadAt(got, 0)
-	for rank := 0; rank < nranks; rank++ {
-		segs, data := blockCyclic(nranks, rank, chunk, cycles)
-		var cursor int64
-		for _, s := range segs {
-			for b := int64(0); b < s.Len; b++ {
-				if got[s.Off+b] != data[cursor+b] {
-					t.Fatalf("byte %d = %d, want %d", s.Off+b, got[s.Off+b], data[cursor+b])
+	for _, driver := range []string{"ufs", "beegfs"} {
+		for _, placement := range []string{"spread", "packed"} {
+			t.Run(driver+"/"+placement, func(t *testing.T) {
+				plain := twoPhaseGoldenRun(t, "write", true, driver, placement)
+				res := twoPhaseGoldenRun(t, "resilient", true, driver, placement)
+				n := len(res.Ranks)
+				for rank := 0; rank < n; rank++ {
+					segs, data := twoPhasePattern(n, rank, true)
+					var cursor int64
+					for _, s := range segs {
+						if !bytes.Equal(res.file[s.Off:s.End()], data[cursor:cursor+s.Len]) {
+							t.Fatalf("rank %d segment %v: other bytes than written", rank, s)
+						}
+						cursor += s.Len
+					}
 				}
-			}
-			cursor += s.Len
+				if !bytes.Equal(res.file, plain.file) {
+					t.Fatal("the failover write left other file bytes than the plain write")
+				}
+				for id := range res.Ranks {
+					p, q := plain.Ranks[id].Stats, res.Ranks[id].Stats
+					if q.FailoverEpochs != 0 {
+						t.Fatalf("rank %d: %d failover epochs without a fault", id, q.FailoverEpochs)
+					}
+					if p.BytesExchanged != q.BytesExchanged || p.BytesWritten != q.BytesWritten ||
+						p.CollRounds != q.CollRounds || p.SievedWrites != q.SievedWrites {
+						t.Errorf("rank %d: failover write %+v, plain write %+v", id, q, p)
+					}
+				}
+			})
 		}
 	}
 }
@@ -235,5 +251,96 @@ func TestAggregatorsRunTheRounds(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStaleShuffleMessageCannotCorruptLaterWrite replays a partition that
+// outlasts an aggregator's receive deadline. The failover write gives up
+// on the cut-off sender's shuffle message, and the reliable layer later
+// delivers it after the partition heals. That late copy must not satisfy
+// a receive of the next collective write: not on the same handle, not on
+// the plain path and not on another file. Each second write carries other
+// bytes than the first, so a stale message shows as old bytes in the file.
+func TestStaleShuffleMessageCannotCorruptLaterWrite(t *testing.T) {
+	const chunk, cycles = 16 << 10, 4
+	plainInfo := mpi.Info{HintCBNodes: "2", HintCBBufferSize: "4096"}
+	for _, tc := range []struct {
+		name   string
+		info   mpi.Info // the second write's hints
+		second string   // the second write's file
+	}{
+		{"resilient-same-handle", nil, "out.dat"},
+		{"plain-same-file", plainInfo, "out.dat"},
+		{"resilient-second-file", resilientInfo, "other.dat"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := newCluster(t, 3, 2, 2, store.NewMem)
+			cl.w.EnableReliable(mpi.ReliableConfig{})
+			cl.w.SetCollTimeout(50 * sim.Millisecond)
+			cl.k.After(16250*sim.Microsecond, func() { cl.fab.SetPartition([]int{1}, true) })
+			cl.k.After(48250*sim.Microsecond, func() { cl.fab.SetPartition(nil, false) })
+			nranks := cl.w.Size()
+			second := func(rank int) ([]extent.Extent, []byte) {
+				segs, data := blockCyclic(nranks, rank, chunk, cycles)
+				for i := range data {
+					data[i] ^= 0xff
+				}
+				return segs, data
+			}
+			var failovers int64
+			err := cl.w.Run(func(r *mpi.Rank) {
+				open := func(path string, info mpi.Info) *File {
+					f, err := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: path, Create: true, Info: info})
+					if err != nil {
+						t.Error(err)
+					}
+					return f
+				}
+				f := open("out.dat", resilientInfo)
+				if f == nil {
+					return
+				}
+				segs, data := blockCyclic(nranks, r.ID(), chunk, cycles)
+				if err := f.WriteStridedColl(segs, data); err != nil {
+					t.Errorf("rank %d: first write: %v", r.ID(), err)
+				}
+				if r.ID() == 0 {
+					failovers = f.Stats.FailoverEpochs
+				}
+				g := f
+				if tc.info != nil {
+					if g = open(tc.second, tc.info); g == nil {
+						return
+					}
+				}
+				segs, data = second(r.ID())
+				if err := g.WriteStridedColl(segs, data); err != nil {
+					t.Errorf("rank %d: second write: %v", r.ID(), err)
+				}
+				if g != f {
+					g.Close()
+				}
+				f.Close()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if failovers == 0 {
+				t.Fatal("the partition did not abort an epoch of the first write")
+			}
+			meta := cl.fs.Lookup(tc.second)
+			got := make([]byte, meta.Size())
+			meta.Store().ReadAt(got, 0)
+			for rank := 0; rank < nranks; rank++ {
+				segs, data := second(rank)
+				var cursor int64
+				for _, s := range segs {
+					if b := got[s.Off : s.Off+s.Len]; !bytes.Equal(b, data[cursor:cursor+s.Len]) {
+						t.Errorf("rank %d segment %v: file holds other bytes than the second write's", rank, s)
+					}
+					cursor += s.Len
+				}
+			}
+		})
 	}
 }

@@ -35,6 +35,7 @@ type twoPhaseRun struct {
 	End    int64          `json:"end_ns"`
 	Events int64          `json:"events"`
 	Ranks  []twoPhaseRank `json:"ranks"`
+	file   []byte         // the file's bytes after the run
 }
 
 // twoPhasePattern is rank's access in the golden runs: an interleaved,
@@ -51,10 +52,15 @@ func twoPhasePattern(nranks, rank int, payload bool) ([]extent.Extent, []byte) {
 	return segs, data
 }
 
+// twoPhaseCrashAt is when the "failover" golden run kills node 1, which
+// hosts an aggregator under both placements: inside the write's round loop.
+const twoPhaseCrashAt = 30 * sim.Millisecond
+
 // twoPhaseGoldenRun runs one collective call on 4 nodes x 4 ranks and
 // records it. op is "write" (WriteStridedColl), "resilient" (the
-// fault-free failover write) or "read" (ReadStridedColl over what a
-// collective write left behind).
+// fault-free failover write), "failover" (the failover write with node 1
+// killed mid-write) or "read" (ReadStridedColl over what a collective
+// write left behind). A killed rank's record is its trace alone.
 func twoPhaseGoldenRun(t *testing.T, op string, payload bool, driver, placement string) twoPhaseRun {
 	t.Helper()
 	factory := store.NewNull
@@ -69,9 +75,12 @@ func twoPhaseGoldenRun(t *testing.T, op string, payload bool, driver, placement 
 	if placement == "packed" {
 		info[HintCBConfigList] = "*:2"
 	}
-	if op == "resilient" {
+	if op == "resilient" || op == "failover" {
 		info[HintResilientWrite] = "enable"
 		cl.w.SetCollTimeout(50 * sim.Millisecond)
+	}
+	if op == "failover" {
+		cl.k.After(twoPhaseCrashAt, func() { cl.w.KillNode(1) })
 	}
 	path := "golden.dat"
 	if driver == "beegfs" {
@@ -120,15 +129,18 @@ func twoPhaseGoldenRun(t *testing.T, op string, payload bool, driver, placement 
 		}
 		ranks[id].Trace = hex.EncodeToString(h.Sum(nil))
 	}
-	return twoPhaseRun{End: int64(cl.k.Now()), Events: cl.k.EventsDispatched(), Ranks: ranks}
+	meta := cl.fs.Lookup("golden.dat")
+	file := make([]byte, meta.Size())
+	meta.Store().ReadAt(file, 0)
+	return twoPhaseRun{End: int64(cl.k.Now()), Events: cl.k.EventsDispatched(), Ranks: ranks, file: file}
 }
 
 // TestTwoPhaseGolden pins the two-phase drivers' virtual timing, Stats and
 // per-rank traces: the collective write, the fault-free failover write and
 // the collective read, each with payload and metadata-only, on the ufs and
-// beegfs drivers, with spread aggregator placement and (except for the
-// failover write) packed cb_config_list placement. Regenerate deliberately
-// with
+// beegfs drivers, with spread and packed cb_config_list aggregator
+// placement; and one failover write that loses an aggregator node
+// mid-write, so the epoch loop replays. Regenerate deliberately with
 //
 //	go test ./internal/adio -run TestTwoPhaseGolden -update
 func TestTwoPhaseGolden(t *testing.T) {
@@ -137,15 +149,17 @@ func TestTwoPhaseGolden(t *testing.T) {
 		for _, mode := range []string{"payload", "meta"} {
 			for _, driver := range []string{"ufs", "beegfs"} {
 				for _, placement := range []string{"spread", "packed"} {
-					if op == "resilient" && placement == "packed" {
-						continue
-					}
 					key := op + "/" + mode + "/" + driver + "/" + placement
 					got[key] = twoPhaseGoldenRun(t, op, mode == "payload", driver, placement)
 				}
 			}
 		}
 	}
+	failover := twoPhaseGoldenRun(t, "failover", true, "ufs", "spread")
+	if failover.Ranks[0].Stats.FailoverEpochs == 0 {
+		t.Fatal("failover: the crash missed the write's round loop")
+	}
+	got["failover/payload/ufs/spread"] = failover
 	golden := filepath.Join("testdata", "twophase_golden.json")
 	if *updateTwoPhase {
 		b, err := json.MarshalIndent(got, "", "  ")

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -34,6 +35,12 @@ type Comm struct {
 	callIdx []int
 	surv    map[string]survivorComm // Survivors results, by scope
 	memo    map[any]any             // Memo values, by key
+
+	// Where c is registered, for Free: its intern key when interned, and
+	// the communicators whose Survivors cache holds it.
+	key      internKey
+	interned bool
+	holders  []*Comm
 }
 
 // survivorComm is one cached Survivors result and the World's kill count
@@ -99,6 +106,7 @@ func (w *World) intern(scope string, members []int) *Comm {
 		}
 	}
 	c := w.NewComm(members)
+	c.key, c.interned = key, true
 	w.interned[key] = append(w.interned[key], c)
 	return c
 }
@@ -144,7 +152,36 @@ func (c *Comm) Survivors(scope string) *Comm {
 		c.surv = make(map[string]survivorComm)
 	}
 	c.surv[scope] = survivorComm{kills: w.kills, comm: nc}
+	if !slices.Contains(nc.holders, c) {
+		nc.holders = append(nc.holders, c)
+	}
 	return nc
+}
+
+// Free releases c, as MPI_Comm_free does: the World no longer hands c out
+// for its scope and members, and no Survivors cache returns it, so a later
+// Survivors or Split call over the same scope and members builds a fresh
+// communicator. Ranks that still hold c may finish using it. Each map entry
+// is removed only while it is still c, so Free never drops a communicator
+// that has since replaced c, and freeing twice is a no-op.
+func (c *Comm) Free() {
+	w := c.w
+	if c.interned {
+		b := w.interned[c.key]
+		if i := slices.Index(b, c); i >= 0 {
+			if b = slices.Delete(b, i, i+1); len(b) == 0 {
+				delete(w.interned, c.key)
+			} else {
+				w.interned[c.key] = b
+			}
+		}
+	}
+	for _, p := range c.holders {
+		if s, ok := p.surv[c.key.scope]; ok && s.comm == c {
+			delete(p.surv, c.key.scope)
+		}
+	}
+	c.holders = nil
 }
 
 // Memo returns the value c holds under key, calling build to make it on

@@ -526,3 +526,37 @@ func TestSurvivorsMatchesFilterThenIntern(t *testing.T) {
 		t.Fatal("distinct scopes must yield distinct survivor comms")
 	}
 }
+
+// TestCommFreeReleasesSurvivorComm checks Free against both maps that
+// hold a survivor communicator: it empties them, a second Free is a no-op,
+// a later Survivors call over the same scope builds a fresh communicator,
+// and freeing a communicator that a re-derivation has replaced leaves the
+// replacement cached.
+func TestCommFreeReleasesSurvivorComm(t *testing.T) {
+	w := testWorld(t, 4, 4) // 16 ranks
+	parent := w.Comm()
+	w.KillNode(1)
+	old := parent.Survivors("e0")
+	old.Free()
+	if len(w.interned) != 0 || len(parent.surv) != 0 {
+		t.Fatalf("after Free: %d interned buckets, %d cached scopes, want 0 and 0", len(w.interned), len(parent.surv))
+	}
+	old.Free()
+	fresh := parent.Survivors("e0")
+	if fresh == old || fresh.Size() != old.Size() {
+		t.Fatalf("Survivors after Free: same object %v, %d members, want a fresh comm of %d", fresh == old, fresh.Size(), old.Size())
+	}
+	w.KillNode(2)
+	newer := parent.Survivors("e0")
+	if newer == fresh {
+		t.Fatal("a kill must re-derive the survivor comm")
+	}
+	fresh.Free()
+	if parent.surv["e0"].comm != newer || len(w.interned) != 1 || parent.Survivors("e0") != newer {
+		t.Fatal("freeing a replaced comm must leave its replacement interned and cached")
+	}
+	newer.Free()
+	if len(w.interned) != 0 || len(parent.surv) != 0 {
+		t.Fatalf("after the last Free: %d interned buckets, %d cached scopes, want 0 and 0", len(w.interned), len(parent.surv))
+	}
+}
