@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -23,17 +22,19 @@ func (f *File) metrics() *metrics.Registry {
 	return f.rank.World().Kernel().Metrics()
 }
 
-// tagDataBase is the tag space for two-phase data-exchange messages.
+// tagDataBase is the tag space for two-phase messages.
 const tagDataBase = 1 << 27
 
 // epochTags is what epochTag keeps in a communicator's Memo.
 type epochTags struct {
 	serial int   // the communicator's number, unique within its World
-	epochs []int // write epochs each member has started on it
+	epochs []int // two-phase epochs each member has started on it
 }
 
-// epochTag starts this rank's next write epoch on c and returns the tag of
-// its round 0 (round m adds m mod 2^16). The tag holds c's serial above
+// epochTag starts this rank's next two-phase epoch on c (a write epoch or
+// a collective read) and returns the first tag of its rounds: a write's
+// round m adds m mod 2^16, a read's round m adds 2(m mod 2^15) for its
+// requests and one more for its replies. The tag holds c's serial above
 // bit 40 and the epoch's index on c, which every member counts alike as
 // collective calls run in lockstep, in bits 16-39. No two epochs share a
 // tag, so a shuffle message that an aggregator gave up on at its receive
@@ -505,16 +506,6 @@ func clipSegs(dst, segs []extent.Extent, win extent.Extent) []extent.Extent {
 	return dst
 }
 
-// segIndexOf locates the segment containing e, which never spans two
-// segments by construction.
-func segIndexOf(segs []extent.Extent, e extent.Extent) int {
-	i := segSearch(segs, e.Off)
-	if i == len(segs) || !segs[i].Covers(e) {
-		panic(fmt.Sprintf("adio: extent %v not within any segment", e))
-	}
-	return i
-}
-
 // roundWindow returns the sub-domain of fd written in round m with a
 // collective buffer of cb bytes.
 func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {
@@ -528,7 +519,8 @@ func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {
 // buildDataMsg encodes extents (and payload, when present) into a shuffle
 // message. Vals carries (off, len) pairs; Size adds a 16-byte per-extent
 // header to the payload bytes. The payload is allocated once, at its final
-// length.
+// length, and never shared: reliable delivery may keep the message for a
+// retransmit after the round.
 func buildDataMsg(exts []extent.Extent, segs []extent.Extent, pre []int64, data []byte) mpi.Message {
 	vals := make([]int64, 0, 2*len(exts))
 	var bytes int64
@@ -538,61 +530,37 @@ func buildDataMsg(exts []extent.Extent, segs []extent.Extent, pre []int64, data 
 	}
 	var payload []byte
 	if data != nil && bytes > 0 {
-		payload = make([]byte, 0, bytes)
+		payload = make([]byte, bytes)
+		var cursor int64
 		for _, e := range exts {
-			payload = append(payload, segPayload(e, segs, pre, data)...)
+			copyFromSegs(payload[cursor:], e, segs, pre, data)
+			cursor += e.Len
 		}
 	}
 	return mpi.Message{Vals: vals, Data: payload, Size: bytes + 16*int64(len(exts))}
 }
 
-// segPayload extracts the bytes of e (which lies within one segment) from
-// the rank's concatenated payload.
-func segPayload(e extent.Extent, segs []extent.Extent, pre []int64, data []byte) []byte {
-	i := segIndexOf(segs, e)
-	start := pre[i] + (e.Off - segs[i].Off)
-	return data[start : start+e.Len]
-}
-
 // packAndWrite fills the collective buffer with the received and local
 // contributions for win, charges the memory-copy cost, and writes every
 // contiguous covered run via WriteContig (holes are skipped, as ROMIO does
-// when hole detection shows no read-modify-write is needed).
+// when hole detection shows no read-modify-write is needed). A piece from a
+// metadata-only sender (nil Data, or nil data here) is written as zeros.
 func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []extent.Extent,
 	segs []extent.Extent, pre []int64, data []byte) error {
 	r := f.rank
 	var cover extent.Set
-	var scratch store.Store
 	var packed int64
-
-	addPiece := func(e extent.Extent, b []byte) {
-		cover.Add(e)
-		packed += e.Len
-		if b != nil {
-			if scratch == nil {
-				scratch = store.NewMem()
-			}
-			scratch.WriteAt(b, e.Off, e.Len)
-		}
-	}
+	payload := data != nil && len(selfExts) > 0
 	for _, m := range msgs {
-		var cursor int64
+		payload = payload || m.Data != nil
 		for i := 0; i+1 < len(m.Vals); i += 2 {
-			e := extent.Extent{Off: m.Vals[i], Len: m.Vals[i+1]}
-			var b []byte
-			if m.Data != nil {
-				b = m.Data[cursor : cursor+e.Len]
-			}
-			cursor += e.Len
-			addPiece(e, b)
+			cover.Add(extent.Extent{Off: m.Vals[i], Len: m.Vals[i+1]})
+			packed += m.Vals[i+1]
 		}
 	}
 	for _, e := range selfExts {
-		var b []byte
-		if data != nil {
-			b = segPayload(e, segs, pre, data)
-		}
-		addPiece(e, b)
+		cover.Add(e)
+		packed += e.Len
 	}
 
 	// Packing cost: one memory copy of the collective buffer contents.
@@ -604,44 +572,73 @@ func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []e
 	defer func() { span.End(f.log, mpe.PhaseWrite, r.Now()) }()
 
 	runs := cover.Extents()
+	var buf []byte
+	if payload {
+		buf = f.collBuf(win.Len)
+	}
 	// Hole handling, as in ADIOI_Exch_and_write: when the window is
 	// fragmented but mostly covered, read-modify-write the whole window
-	// once instead of issuing one write per fragment. Sparse coverage
-	// writes the runs individually.
-	if len(runs) > 1 && packed*2 >= win.Len {
+	// once instead of issuing one write per fragment. Sparse coverage,
+	// or any under a hook (sievesHoles), writes the runs individually.
+	if len(runs) > 1 && packed*2 >= win.Len && f.sievesHoles() {
 		f.Stats.SievedWrites++
-		var wd []byte
-		if scratch != nil {
-			wd = make([]byte, win.Len)
-		}
-		if err := f.ReadContig(wd, win.Off, win.Len); err != nil {
+		if err := f.ReadContig(buf, win.Off, win.Len); err != nil {
 			return err
 		}
-		if scratch != nil {
-			for _, run := range runs {
-				run = run.Intersect(win)
-				if run.Empty() {
-					continue
+		runs = append(runs[:0], win)
+	}
+	if payload {
+		for _, m := range msgs {
+			var cursor int64
+			for i := 0; i+1 < len(m.Vals); i += 2 {
+				e := extent.Extent{Off: m.Vals[i], Len: m.Vals[i+1]}
+				if dst := buf[e.Off-win.Off : e.End()-win.Off]; m.Data == nil {
+					clear(dst)
+				} else {
+					copy(dst, m.Data[cursor:])
 				}
-				scratch.ReadAt(wd[run.Off-win.Off:run.Off-win.Off+run.Len], run.Off)
+				cursor += e.Len
 			}
 		}
-		return f.WriteContig(wd, win.Off, win.Len)
+		for _, e := range selfExts {
+			if dst := buf[e.Off-win.Off : e.End()-win.Off]; data == nil {
+				clear(dst)
+			} else {
+				copyFromSegs(dst, e, segs, pre, data)
+			}
+		}
 	}
 	var err error
 	for _, run := range runs {
-		run = run.Intersect(win)
-		if run.Empty() {
-			continue
-		}
 		var rd []byte
-		if scratch != nil {
-			rd = make([]byte, run.Len)
-			scratch.ReadAt(rd, run.Off)
+		if payload {
+			rd = buf[run.Off-win.Off : run.End()-win.Off]
 		}
 		if werr := f.WriteContig(rd, run.Off, run.Len); werr != nil && err == nil {
 			err = werr
 		}
 	}
 	return err
+}
+
+// copyFromSegs copies the bytes of file extent e from data, the rank's
+// payload in segment order (pre as from prefixSums), into dst, which holds
+// e from its first byte. Bytes of e in no segment keep what dst holds.
+func copyFromSegs(dst []byte, e extent.Extent, segs []extent.Extent, pre []int64, data []byte) {
+	for i := segSearch(segs, e.Off); i < len(segs) && segs[i].Off < e.End(); i++ {
+		ov := segs[i].Intersect(e)
+		at := pre[i] + ov.Off - segs[i].Off
+		copy(dst[ov.Off-e.Off:ov.End()-e.Off], data[at:at+ov.Len])
+	}
+}
+
+// copyIntoSegs is the reverse of copyFromSegs: it copies the bytes of file
+// extent e from src, which holds e from its first byte, into buf, the
+// rank's buffer in segment order. Bytes of e in no segment are dropped.
+func copyIntoSegs(src []byte, e extent.Extent, segs []extent.Extent, pre []int64, buf []byte) {
+	for i := segSearch(segs, e.Off); i < len(segs) && segs[i].Off < e.End(); i++ {
+		ov := segs[i].Intersect(e)
+		at := pre[i] + ov.Off - segs[i].Off
+		copy(buf[at:at+ov.Len], src[ov.Off-e.Off:ov.End()-e.Off])
+	}
 }

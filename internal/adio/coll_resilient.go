@@ -115,8 +115,7 @@ func (f *File) writeStridedCollResilient(segs []extent.Extent, pre []int64, data
 				trace.I("epoch", int64(epoch)), trace.I("survivors", int64(sub.Size())))
 		}
 		// This rank's pending work: the unacked gaps of each original
-		// segment. Gaps are computed per segment, so every pending extent
-		// stays inside one segment and segPayload can locate its bytes.
+		// segment, sorted and disjoint like segs.
 		var rem []extent.Extent
 		for _, s := range segs {
 			rem = append(rem, fo.acked.Gaps(s)...)

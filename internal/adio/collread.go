@@ -6,11 +6,7 @@ import (
 	"repro/internal/extent"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
-	"repro/internal/store"
 )
-
-// tagReadBase is the tag space for collective-read request/reply messages.
-const tagReadBase = 1 << 26
 
 // ReadStridedColl is ADIOI_GEN_ReadStridedColl: the collective read twin of
 // the extended two-phase algorithm. Aggregators read their file-domain
@@ -31,6 +27,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 
 	// Offset exchange, interleaving check and file domains, as in the
 	// write path.
+	tag0 := epochTag(c, r)
 	span := mpe.StartSpan(r.Now())
 	p, err := f.plan(c, segs, f.hints.CBRead)
 	span.End(log, mpe.PhaseCalc, r.Now())
@@ -50,7 +47,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	var firstErr error
 	rp := &f.round
 	for m := 0; m < p.ntimes; m++ {
-		reqTag := tagReadBase + 2*(m&0x7fff)
+		reqTag := tag0 + 2*(m&0x7fff)
 		repTag := reqTag + 1
 
 		// What do I want from each aggregator this round?
@@ -115,40 +112,37 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 			for _, e := range selfExts {
 				need.Add(e)
 			}
-			var scratch store.Store
+			// Each needed run is read to its offset in the collective
+			// buffer; a failed read leaves zeros, never an earlier round's
+			// bytes.
+			var wbuf []byte
+			if payload {
+				wbuf = f.collBuf(win.Len)
+			}
 			span2 := mpe.StartSpan(r.Now())
 			for _, run := range need.Extents() {
-				run = run.Intersect(win)
-				if run.Empty() {
-					continue
-				}
 				var rd []byte
 				if payload {
-					rd = make([]byte, run.Len)
+					rd = wbuf[run.Off-win.Off : run.End()-win.Off]
 				}
-				if err := f.ReadContig(rd, run.Off, run.Len); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if payload {
-					if scratch == nil {
-						scratch = store.NewMem()
+				if err := f.ReadContig(rd, run.Off, run.Len); err != nil {
+					clear(rd)
+					if firstErr == nil {
+						firstErr = err
 					}
-					scratch.WriteAt(rd, run.Off, run.Len)
 				}
 			}
 			span2.End(log, mpe.PhaseWrite, r.Now()) // file I/O time
 			// Reply to every requester.
 			for _, q := range reqs {
-				msg := buildReadReply(q.exts, scratch)
+				msg := buildReadReply(q.exts, win, wbuf)
 				f.Stats.BytesExchanged += msg.Size
 				r.Send(c.Member(q.src).ID(), repTag, msg)
 			}
 			// Local pieces for this aggregator's own request.
-			if len(selfExts) > 0 && payload {
+			if payload {
 				for _, e := range selfExts {
-					rd := make([]byte, e.Len)
-					scratch.ReadAt(rd, e.Off)
-					copyIntoSegs(rd, e, segs, pre, buf)
+					copyIntoSegs(wbuf[e.Off-win.Off:e.End()-win.Off], e, segs, pre, buf)
 				}
 			}
 		}
@@ -174,34 +168,20 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	return f.exchangeErr(c, nil, firstErr, "read")
 }
 
-// buildReadReply packs the bytes of exts (from the aggregator's scratch
-// buffer) into a reply message, reading each extent straight into its
-// slice of a payload allocated once at its final length.
-func buildReadReply(exts []extent.Extent, scratch store.Store) mpi.Message {
+// buildReadReply packs the bytes of exts, read into wbuf for the window
+// win (nil without a payload), into a reply message whose payload is
+// allocated once at its final length and never shares wbuf.
+func buildReadReply(exts []extent.Extent, win extent.Extent, wbuf []byte) mpi.Message {
 	var bytes int64
 	for _, e := range exts {
 		bytes += e.Len
 	}
 	var payload []byte
-	if scratch != nil && bytes > 0 {
-		payload = make([]byte, bytes)
-		var cursor int64
+	if wbuf != nil && bytes > 0 {
+		payload = make([]byte, 0, bytes)
 		for _, e := range exts {
-			scratch.ReadAt(payload[cursor:cursor+e.Len], e.Off)
-			cursor += e.Len
+			payload = append(payload, wbuf[e.Off-win.Off:e.End()-win.Off]...)
 		}
 	}
 	return mpi.Message{Data: payload, Size: bytes + 16*int64(len(exts))}
-}
-
-// copyIntoSegs places the bytes of file extent e into the caller's
-// segment-ordered buffer.
-func copyIntoSegs(data []byte, e extent.Extent, segs []extent.Extent, pre []int64, buf []byte) {
-	for i := segSearch(segs, e.Off); i < len(segs) && segs[i].Off < e.End(); i++ {
-		s := segs[i]
-		ov := s.Intersect(e)
-		dst := pre[i] + (ov.Off - s.Off)
-		src := ov.Off - e.Off
-		copy(buf[dst:dst+ov.Len], data[src:src+ov.Len])
-	}
 }

@@ -259,8 +259,8 @@ func TestBeeGFSDriverEndToEndContent(t *testing.T) {
 // TestCollectiveReadReportsReadErrors reads an interleaved pattern
 // collectively after every storage target went down: every rank must
 // return (none may wait forever for a reply), an aggregator with its own
-// failed read reports that error, and every other rank reports that the
-// collective read failed elsewhere.
+// failed read reports that error, every other rank reports that the
+// collective read failed elsewhere, and no rank gets bytes back.
 func TestCollectiveReadReportsReadErrors(t *testing.T) {
 	cl := newCluster(t, 1, 4, 2, store.NewMem)
 	n := cl.w.Size()
@@ -282,7 +282,13 @@ func TestCollectiveReadReportsReadErrors(t *testing.T) {
 		for i := 0; i < cl.fs.Config().Targets; i++ {
 			cl.fs.SetTargetDown(i, true)
 		}
-		errs[r.ID()] = f.ReadStridedColl(segs, make([]byte, len(data)))
+		got := make([]byte, len(data))
+		errs[r.ID()] = f.ReadStridedColl(segs, got)
+		// The write left its last window in each aggregator's collective
+		// buffer; a failed read must not hand those bytes back.
+		if !bytes.Equal(got, make([]byte, len(got))) {
+			t.Errorf("rank %d: a failed collective read returned stale bytes", r.ID())
+		}
 		aggs[r.ID()] = f.IsAggregator()
 		returned[r.ID()] = true
 	})

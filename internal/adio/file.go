@@ -72,6 +72,7 @@ type File struct {
 	atomic  bool
 	closed  bool
 	round   roundPlan // the two-phase drivers' reused round plan
+	buf     []byte    // the collective buffer (see collBuf)
 
 	resilCall int // resilient collective-write call counter (epoch comm scoping)
 
@@ -313,6 +314,26 @@ func (f *File) Flush() error {
 	return nil
 }
 
+// collBuf returns the file's collective buffer cut to n bytes. It is the
+// one staging area for two-phase and sieved windows, as ROMIO's
+// cb_buffer_size buffer is, so a window's bytes last until the next
+// window. It grows to the largest window served, only payload mode asks
+// for it, and Close releases it. A message never points into it: reliable
+// delivery may keep a message for retransmit.
+func (f *File) collBuf(n int64) []byte {
+	if int64(cap(f.buf)) < n {
+		f.buf = make([]byte, n)
+	}
+	return f.buf[:n]
+}
+
+// sievesHoles reports whether a write whose window has holes may fill them
+// by read-modify-write of the whole window (data sieving). Not under a
+// hook: the global file may hold stale bytes for a hole whose current
+// bytes sit in a write-back cache, possibly on another node, and writing
+// the window back through the hook would overwrite them.
+func (f *File) sievesHoles() bool { return f.hooks == nil }
+
 // Close is ADIO_Close: complete all cache synchronisation, close the cache
 // file, then close the global file. Collective semantics (the final
 // barrier) are provided by the mpiio layer.
@@ -326,7 +347,7 @@ func (f *File) Close() error {
 		err = f.hooks.AtClose(f)
 	}
 	f.backend.Close(f.rank.Proc())
-	f.closed = true
+	f.closed, f.buf = true, nil
 	span.End(f.log, mpe.PhaseClose, f.rank.Now())
 	return err
 }

@@ -42,14 +42,14 @@ func (f *File) WriteStrided(segs []extent.Extent, data []byte) error {
 	holeBytes := spanExt.Len - total
 	// Sieve when the pattern is hole-y but dense: the extra bytes moved by
 	// read-modify-write are less than half the window.
-	if len(runs) > 1 && holeBytes*2 < spanExt.Len {
+	if len(runs) > 1 && holeBytes*2 < spanExt.Len && f.sievesHoles() {
 		return f.sieveWrite(spanExt, segs, pre, data)
 	}
 	for _, run := range runs {
 		var rd []byte
 		if data != nil {
-			rd = make([]byte, run.Len)
-			fillRun(rd, run, segs, pre, data)
+			rd = f.collBuf(run.Len)
+			copyFromSegs(rd, run, segs, pre, data)
 		}
 		if err := f.WriteContig(rd, run.Off, run.Len); err != nil {
 			return err
@@ -59,7 +59,8 @@ func (f *File) WriteStrided(segs []extent.Extent, data []byte) error {
 }
 
 // sieveWrite performs data sieving over spanExt in ind_wr_buffer_size
-// windows: read the window, overlay the new bytes, write it back.
+// windows: read a window with holes, overlay the new bytes, write it
+// back. A fully covered window is written without the read.
 func (f *File) sieveWrite(spanExt extent.Extent, segs []extent.Extent, pre []int64, data []byte) error {
 	bufSize := f.hints.IndWrBufferSize
 	if bufSize <= 0 {
@@ -68,63 +69,36 @@ func (f *File) sieveWrite(spanExt extent.Extent, segs []extent.Extent, pre []int
 	if bufSize > f.Stats.PeakBufBytes {
 		f.Stats.PeakBufBytes = bufSize
 	}
-	p := f.rank.Proc()
 	var pieces []extent.Extent
 	for off := spanExt.Off; off < spanExt.End(); off += bufSize {
 		win := extent.Extent{Off: off, Len: min(bufSize, spanExt.End()-off)}
 		// Which segments intersect this window?
 		pieces = clipSegs(pieces[:0], segs, win)
+		if len(pieces) == 0 {
+			continue
+		}
 		covered := int64(0)
 		for _, e := range pieces {
 			covered += e.Len
 		}
-		if len(pieces) == 0 {
-			continue
-		}
-		if covered == win.Len {
-			// Fully covered: no read needed.
-			var wd []byte
-			if data != nil {
-				wd = make([]byte, win.Len)
-				for _, e := range pieces {
-					copy(wd[e.Off-win.Off:], segPayload(e, segs, pre, data))
-				}
-			}
-			if err := f.WriteContig(wd, win.Off, win.Len); err != nil {
-				return err
-			}
-			continue
-		}
-		// Read-modify-write.
-		f.Stats.SievedWrites++
 		var wd []byte
 		if data != nil {
-			wd = make([]byte, win.Len)
+			wd = f.collBuf(win.Len)
 		}
-		if err := f.backend.ReadContig(p, wd, win.Off, win.Len); err != nil {
-			return err
+		if covered < win.Len {
+			f.Stats.SievedWrites++
+			if err := f.ReadContig(wd, win.Off, win.Len); err != nil {
+				return err
+			}
 		}
 		if data != nil {
-			for _, e := range pieces {
-				copy(wd[e.Off-win.Off:], segPayload(e, segs, pre, data))
-			}
+			copyFromSegs(wd, win, segs, pre, data)
 		}
 		if err := f.WriteContig(wd, win.Off, win.Len); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// fillRun assembles the payload bytes of run (a coalesced union of
-// segments) into rd.
-func fillRun(rd []byte, run extent.Extent, segs []extent.Extent, pre []int64, data []byte) {
-	for i := segSearch(segs, run.Off); i < len(segs) && segs[i].Off < run.End(); i++ {
-		s := segs[i]
-		ov := s.Intersect(run)
-		start := pre[i] + (ov.Off - s.Off)
-		copy(rd[ov.Off-run.Off:], data[start:start+ov.Len])
-	}
 }
 
 // ReadStrided is ADIOI_GEN_ReadStrided: an independent strided read.
@@ -184,18 +158,13 @@ func (f *File) sieveRead(spanExt extent.Extent, segs []extent.Extent, pre []int6
 		f.Stats.SievedReads++
 		var wd []byte
 		if buf != nil {
-			wd = make([]byte, win.Len)
+			wd = f.collBuf(win.Len)
 		}
 		if err := f.ReadContig(wd, win.Off, win.Len); err != nil {
 			return err
 		}
-		if buf == nil {
-			continue
-		}
-		for _, e := range pieces {
-			i := segIndexOf(segs, e)
-			dst := pre[i] + (e.Off - segs[i].Off)
-			copy(buf[dst:dst+e.Len], wd[e.Off-win.Off:])
+		if buf != nil {
+			copyIntoSegs(wd, win, segs, pre, buf)
 		}
 	}
 	return nil

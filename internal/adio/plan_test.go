@@ -1,6 +1,7 @@
 package adio
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -77,6 +78,57 @@ func TestClipSegsMatchesBruteForce(t *testing.T) {
 	}
 	if got := clipSegs(nil, nil, extent.Extent{Off: 0, Len: 10}); len(got) != 0 {
 		t.Fatalf("clipSegs over no segments = %v", got)
+	}
+}
+
+// TestSegCopiesMatchBruteForce checks copyFromSegs and copyIntoSegs
+// against a byte-by-byte map from file offset to payload index, for
+// extents that start, end and span anywhere: inside one segment, across
+// several segments and the holes between them, or in no segment at all.
+// Only the bytes of e in a segment move; every other destination byte,
+// including those past e, keeps its value.
+func TestSegCopiesMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for iter := 0; iter < 2000; iter++ {
+		segs := randSegs(rng, 1+rng.Intn(12))
+		data := make([]byte, segs[len(segs)-1].End())
+		rng.Read(data)
+		pre := prefixSums(segs, data)
+		data = data[:pre[len(segs)]]
+		at := map[int64]int64{} // file offset -> payload index
+		for i, s := range segs {
+			for b := int64(0); b < s.Len; b++ {
+				at[s.Off+b] = pre[i] + b
+			}
+		}
+		for _, e := range probeWindows(rng, segs) {
+			const pad = 3
+			dst := bytes.Repeat([]byte{0xee}, int(e.Len)+pad)
+			copyFromSegs(dst, e, segs, pre, data)
+			for k := range dst {
+				want := byte(0xee)
+				if i, ok := at[e.Off+int64(k)]; ok && int64(k) < e.Len {
+					want = data[i]
+				}
+				if dst[k] != want {
+					t.Fatalf("copyFromSegs(%v) over %v: dst[%d] = %#x, want %#x", e, segs, k, dst[k], want)
+				}
+			}
+
+			src := make([]byte, e.Len)
+			rng.Read(src)
+			buf := bytes.Repeat([]byte{0xee}, len(data))
+			want := bytes.Clone(buf)
+			for k := range src {
+				if i, ok := at[e.Off+int64(k)]; ok {
+					want[i] = src[k]
+				}
+			}
+			copyIntoSegs(src, e, segs, pre, buf)
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("copyIntoSegs(%v) over %v:\n got %x\nwant %x", e, segs, buf, want)
+			}
+		}
 	}
 }
 

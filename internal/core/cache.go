@@ -381,7 +381,7 @@ func (c *Cache) recover(f *adio.File) error {
 			if c.crashed {
 				return ErrCrashed
 			}
-			n := min64(bufSize, ext.End()-off)
+			n := min(bufSize, ext.End()-off)
 			chunk := extent.Extent{Off: off, Len: n}
 			buf, err := c.readChunk(p, off, n)
 			if err != nil {
@@ -859,7 +859,7 @@ func (st *syncThread) syncExtent(p *sim.Proc, req *syncReq, bufSize int64) error
 		if st.crashed {
 			return ErrCrashed
 		}
-		n := min64(bufSize, req.ext.End()-off)
+		n := min(bufSize, req.ext.End()-off)
 		start := p.Now()
 		tr := st.k.Tracer()
 		csp := tr.Begin(st.tk, "cache", "sync_chunk", int64(start))
@@ -982,11 +982,4 @@ func (c *Cache) readChunk(p *sim.Proc, off, n int64) ([]byte, error) {
 		return nil, err
 	}
 	return nil, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -127,7 +127,7 @@ func ParseReport(data []byte) (*Report, error) {
 func (t *Timeline) Markdown() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## run timeline (%s)\n\n", t.Schema)
-	fmt.Fprintf(&b, "wall %s in %d buckets of %s\n\n", msStr(t.WallNs), t.Buckets, msStr(t.WallNs/int64(maxInt(t.Buckets, 1))))
+	fmt.Fprintf(&b, "wall %s in %d buckets of %s\n\n", msStr(t.WallNs), t.Buckets, msStr(t.WallNs/int64(max(t.Buckets, 1))))
 	b.WriteString("| series |")
 	for _, te := range t.BucketNs {
 		fmt.Fprintf(&b, " %s |", msStr(te))
@@ -179,11 +179,4 @@ func ParseTimeline(data []byte) (*Timeline, error) {
 		return nil, fmt.Errorf("critpath: parse timeline: schema %q, want %q", t.Schema, TimelineSchema)
 	}
 	return &t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -30,8 +30,8 @@ func (e Extent) Overlaps(o Extent) bool {
 
 // Intersect returns the overlapping part of e and o (possibly empty).
 func (e Extent) Intersect(o Extent) Extent {
-	off := max64(e.Off, o.Off)
-	end := min64(e.End(), o.End())
+	off := max(e.Off, o.Off)
+	end := min(e.End(), o.End())
 	if end <= off {
 		return Extent{Off: off, Len: 0}
 	}
@@ -44,8 +44,8 @@ func (e Extent) Union(o Extent) Extent {
 	if !e.Overlaps(o) && e.End() != o.Off && o.End() != e.Off {
 		panic(fmt.Sprintf("extent: union of disjoint extents %v and %v", e, o))
 	}
-	off := min64(e.Off, o.Off)
-	end := max64(e.End(), o.End())
+	off := min(e.Off, o.Off)
+	end := max(e.End(), o.End())
 	return Extent{Off: off, Len: end - off}
 }
 
@@ -83,8 +83,8 @@ func (s *Set) Add(e Extent) {
 func mergeInto(ext []Extent, i, j int, e Extent) []Extent {
 	lo, hi := e.Off, e.End()
 	for k := i; k < j; k++ {
-		lo = min64(lo, ext[k].Off)
-		hi = max64(hi, ext[k].End())
+		lo = min(lo, ext[k].Off)
+		hi = max(hi, ext[k].End())
 	}
 	merged := Extent{Off: lo, Len: hi - lo}
 	switch {
@@ -244,18 +244,4 @@ func (s *Set) Validate() error {
 		}
 	}
 	return nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

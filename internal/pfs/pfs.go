@@ -325,10 +325,10 @@ func (h *Handle) planRPCs(off, size int64) []rpc {
 	end := off + size
 	for cur < end {
 		stripeEnd := (cur/st.StripeSize + 1) * st.StripeSize
-		chunkEnd := min64(end, stripeEnd)
+		chunkEnd := min(end, stripeEnd)
 		tgt := h.targetFor(cur)
 		for cur < chunkEnd {
-			n := min64(h.client.sys.cfg.MaxRPC, chunkEnd-cur)
+			n := min(h.client.sys.cfg.MaxRPC, chunkEnd-cur)
 			out = append(out, rpc{target: tgt, ext: extent.Extent{Off: cur, Len: n}})
 			cur += n
 		}
@@ -506,11 +506,4 @@ func (h *Handle) Truncate(p *sim.Proc, size int64) {
 	s := h.client.sys
 	s.metaServe(p)
 	h.meta.data.Truncate(size)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
