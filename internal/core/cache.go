@@ -373,7 +373,12 @@ func (c *Cache) recover(f *adio.File) error {
 	_, cachePayload := c.cfile.Store().(store.PayloadBacked)
 	verifier, _ := f.Backend().(interface{ PayloadBacked() bool })
 	verify := cachePayload && verifier != nil && verifier.PayloadBacked()
-	for _, ext := range c.dirty.Extents() {
+	exts := c.dirty.Extents()
+	var rbuf []byte // recovery's own buffer: the sync thread keeps its own
+	if cachePayload && len(exts) > 0 {
+		rbuf = make([]byte, bufSize)
+	}
+	for _, ext := range exts {
 		for off := ext.Off; off < ext.End(); off += bufSize {
 			// A second crash can land while this node replays the first
 			// crash's journal; abort the replay at a chunk boundary so the
@@ -383,7 +388,7 @@ func (c *Cache) recover(f *adio.File) error {
 			}
 			n := min(bufSize, ext.End()-off)
 			chunk := extent.Extent{Off: off, Len: n}
-			buf, err := c.readChunk(p, off, n)
+			buf, err := c.readChunk(p, rbuf, off, n)
 			if err != nil {
 				return err
 			}
@@ -727,7 +732,7 @@ func (c *Cache) Outstanding() int {
 
 // syncThread is the background cache-synchronisation agent
 // (ADIOI_Sync_thread_start): a dedicated simulated thread that reads data
-// back from the cache file into the synchronisation buffer
+// back from the cache file into its synchronisation buffer
 // (ind_wr_buffer_size bytes at a time) and writes it to the global file,
 // then calls MPI_Grequest_complete on the request handle.
 type syncThread struct {
@@ -739,13 +744,17 @@ type syncThread struct {
 	crashed bool
 	proc    *sim.Proc
 	tk      trace.TrackID
+	buf     []byte // the synchronisation buffer; nil while idle or without a payload
 }
 
+// startSyncThread starts the thread as a step process: it waits for its
+// first request without a worker, and only a thread that gets one takes a
+// worker to run the synchronisation loop.
 func startSyncThread(c *Cache) *syncThread {
 	k := c.f.Rank().Proc().Kernel()
 	st := &syncThread{c: c, k: k, cond: sim.NewCond(k), tk: trace.NoTrack}
 	name := fmt.Sprintf("sync.%s.r%d", c.f.Path(), c.f.Rank().ID())
-	st.proc = k.Spawn(name, st.run)
+	st.proc = k.SpawnStep(name, nil, st.idle)
 	if tr := k.Tracer(); tr != nil {
 		st.tk = tr.Track(trace.GroupSync, name)
 		st.proc.SetTraceTrack(st.tk)
@@ -784,18 +793,39 @@ func (st *syncThread) crash() {
 	st.cond.Signal()
 }
 
+// idle is the thread's step until its first request: run's loop head,
+// waiting on the condition variable without a worker.
+func (st *syncThread) idle(p *sim.Proc) {
+	if len(st.queue) == 0 {
+		if !st.stopped && !st.crashed {
+			st.cond.WaitThen(p)
+		}
+		return
+	}
+	p.Become(st.run)
+}
+
 func (st *syncThread) run(p *sim.Proc) {
 	c := st.c
 	bufSize := c.f.Hints().IndWrBufferSize
 	if bufSize <= 0 {
 		bufSize = adio.DefaultIndWrBufferSize
 	}
+	// The thread holds its synchronisation buffer only while it has work,
+	// so an idle thread keeps no chunk-sized buffer alive. While it works,
+	// every chunk goes through that one buffer; no backend keeps a slice
+	// it was given to write.
+	_, payload := c.cfile.Store().(store.PayloadBacked)
 	for {
 		for len(st.queue) == 0 {
+			st.buf = nil
 			if st.stopped || st.crashed {
 				return
 			}
 			st.cond.Wait(p)
+		}
+		if payload && st.buf == nil {
+			st.buf = make([]byte, bufSize)
 		}
 		if st.crashed {
 			return
@@ -922,7 +952,7 @@ func (st *syncThread) syncChunk(p *sim.Proc, off, n int64) error {
 	var err error
 	for attempt := 0; ; {
 		var buf []byte
-		buf, err = c.readChunk(p, off, n)
+		buf, err = c.readChunk(p, st.buf, off, n)
 		if err == nil {
 			// The crash can land while the cache read is in flight; the
 			// device op completes, but a dead node must not issue a fresh
@@ -967,12 +997,12 @@ func (st *syncThread) syncChunk(p *sim.Proc, off, n int64) error {
 	}
 }
 
-// readChunk reads n bytes at off from the cache file, returning real bytes
-// when a payload-carrying store backs the cache file and nil otherwise
-// (the device time cost is charged either way).
-func (c *Cache) readChunk(p *sim.Proc, off, n int64) ([]byte, error) {
-	if _, isMem := c.cfile.Store().(store.PayloadBacked); isMem {
-		buf := make([]byte, n)
+// readChunk reads n bytes at off from the cache file into buf and returns
+// buf[:n]. buf is nil when no payload-carrying store backs the cache file;
+// readChunk then returns nil (the device time cost is charged either way).
+func (c *Cache) readChunk(p *sim.Proc, buf []byte, off, n int64) ([]byte, error) {
+	if buf != nil {
+		buf = buf[:n]
 		if err := c.cfile.ReadAt(p, buf, off, n); err != nil {
 			return nil, err
 		}

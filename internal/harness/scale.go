@@ -136,6 +136,12 @@ type ScaleReport struct {
 	HostNs       int64   `json:"host_ns"`
 	EventsPerSec float64 `json:"events_per_sec"`
 
+	// Workers is how many worker coroutines the kernel started
+	// (sim.Kernel.WorkersStarted): deterministic, but a property of the
+	// simulator rather than of the simulated run, so it stays out of the
+	// digest and the committed files.
+	Workers int64 `json:"-"`
+
 	// CritPath holds the critical path's category shares when
 	// ScaleConfig.CritPath was set. Excluded from the digest text so the
 	// committed digests stay byte-identical with analysis on or off (the
@@ -275,6 +281,7 @@ func RunScale(cfg ScaleConfig) (*ScaleReport, error) {
 
 		FailoverEpochs: res.FailoverEpochs,
 		HostNs:         hostNs,
+		Workers:        cl.Kernel.WorkersStarted(),
 	}
 	rep.NetDrops = cl.Fabric.Drops()
 	if hostNs > 0 {

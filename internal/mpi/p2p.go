@@ -23,13 +23,6 @@ type Message struct {
 	relSeq uint64 // reliable-delivery stream sequence number
 }
 
-// procName names the simulation process that carries this message. It is
-// passed lazily to SpawnLazy: the formatting only runs if a deadlock
-// report or panic ever needs the name.
-func (m Message) procName() string {
-	return fmt.Sprintf("msg.%d->%d.t%d", m.Src, m.Dst, m.Tag)
-}
-
 // Request is a nonblocking-operation handle (MPI_Request). A Request is
 // also the unit of MPI generalized requests: external agents — such as the
 // cache sync thread — complete it via Complete.
@@ -180,7 +173,7 @@ func (r *Rank) Isend(dst, tag int, m Message) *Request {
 	if r.node == dstRank.node {
 		// Same-node messages never touch the wire: no fate, no sequence
 		// numbers, identical to the pre-reliability fast path.
-		r.w.sendLocal(r, dstRank, m, req)
+		r.w.send(&transfer{w: r.w, m: m, req: req, local: true})
 		return req
 	}
 	fate := r.w.fabric.MessageFate(r.node.ID(), dstRank.node.ID())
@@ -190,99 +183,122 @@ func (r *Rank) Isend(dst, tag int, m Message) *Request {
 		rel.nextSeq[k]++
 		rel.retain(k, m)
 	}
-	r.w.sendPhysical(m, req, fate, false)
+	r.w.send(&transfer{w: r.w, m: m, req: req, fate: fate})
 	return req
 }
 
-// sendLocal runs the intra-node message path (shared memory copy).
-func (w *World) sendLocal(r *Rank, dstRank *Rank, m Message, req *Request) {
-	tr := w.k.Tracer()
-	var aid uint64
-	if tr != nil {
-		aid = tr.AsyncBegin(r.TraceTrack(tr), "mpi", "p2p", int64(r.proc.Now()),
-			trace.I("dst", int64(m.Dst)), trace.I("bytes", m.Size))
-	}
-	var p2pNs *metrics.Histogram
-	var t0 sim.Time
-	if w.metricsOn() {
-		w.mP2PMsgs.Inc()
-		w.mP2PBytes.Add(m.Size)
-		p2pNs = w.mP2PNs
-		t0 = r.proc.Now()
-	}
-	node := r.node
-	w.k.SpawnLazy(func() string { return m.procName() }, func(p *sim.Proc) {
-		node.LocalCopy(p, m.Size)
-		req.Complete()
-		if tr != nil {
-			tr.AsyncEnd(dstRank.TraceTrack(tr), "mpi", "p2p", aid, int64(p.Now()))
-		}
-		p2pNs.Observe(int64(p.Now() - t0))
-		dstRank.deliver(&m)
-	})
+// transfer is one message in flight. The step process that carries it
+// walks the record through the sender's NIC, the wire and the receiver's
+// NIC (or through the node's memory path), one stage per resume, so a
+// message holds no worker while it waits. A retransmit charges the NIC and
+// wire again, but the logical message was already traced and counted. A
+// dropped or partitioned message charges the sender's injection port and
+// vanishes; the reliable layer's loss reaction schedules the retransmit.
+type transfer struct {
+	w       *World
+	m       Message
+	req     *Request // send request to complete, nil for a retransmit
+	fate    netsim.Fate
+	local   bool // same-node message: the memory path
+	retrans bool
+	stage   int8
+	tr      *trace.Tracer // nil unless the message's lifetime is traced
+	aid     uint64
+	p2pNs   *metrics.Histogram // p2p latency histogram, nil when not sampled
+	t0      sim.Time           // Isend time, for the latency sample
+	tSvc    sim.Time           // start of the current NIC service
 }
 
-// sendPhysical runs the inter-node wire path for an initial send (req
-// non-nil, retrans false: full trace/metric accounting, byte-identical to
-// the pre-reliability code when the fate is FateDeliver) or a retransmit
-// (req nil, retrans true: the NIC and wire are charged but the logical
-// message was already accounted for). A dropped or partitioned message
-// charges the sender's injection port and vanishes; the reliable layer's
-// loss reaction schedules the retransmit.
-func (w *World) sendPhysical(m Message, req *Request, fate netsim.Fate, retrans bool) {
-	srcRank, dstRank := w.ranks[m.Src], w.ranks[m.Dst]
-	srcNode, dstNode := srcRank.node, dstRank.node
-	var tr *trace.Tracer
-	var aid uint64
-	var p2pNs *metrics.Histogram
-	var t0 sim.Time
-	if !retrans {
-		// Trace the message lifetime as an async span: begun on the
-		// sender's timeline at Isend, ended on the receiver's timeline at
-		// delivery (or on the sender's at the drop point).
-		if tr = w.k.Tracer(); tr != nil {
-			aid = tr.AsyncBegin(srcRank.TraceTrack(tr), "mpi", "p2p", int64(w.k.Now()),
-				trace.I("dst", int64(m.Dst)), trace.I("bytes", m.Size))
-		}
-		// The same lifetime — Isend to delivery — is one sample in the p2p
-		// latency histogram.
-		if w.metricsOn() {
-			w.mP2PMsgs.Inc()
-			w.mP2PBytes.Add(m.Size)
-			p2pNs = w.mP2PNs
-			t0 = w.k.Now()
-		}
+// name names the process that carries the message. It is passed lazily to
+// SpawnStep: the formatting only runs if a deadlock report or panic ever
+// needs the name.
+func (x *transfer) name() string {
+	name := fmt.Sprintf("msg.%d->%d.t%d", x.m.Src, x.m.Dst, x.m.Tag)
+	if x.retrans {
+		return "re" + name
 	}
-	name := func() string { return m.procName() }
-	if retrans {
-		name = func() string { return "re" + m.procName() }
+	return name
+}
+
+// start traces the message's lifetime as an async span, begun on the
+// sender's timeline at Isend and ended where the message is delivered or
+// dropped, and samples the same lifetime in the p2p latency histogram.
+func (x *transfer) start() {
+	w := x.w
+	src := w.ranks[x.m.Src]
+	if x.tr = w.k.Tracer(); x.tr != nil {
+		x.aid = x.tr.AsyncBegin(src.TraceTrack(x.tr), "mpi", "p2p", int64(w.k.Now()),
+			trace.I("dst", int64(x.m.Dst)), trace.I("bytes", x.m.Size))
 	}
-	w.k.SpawnLazy(name, func(p *sim.Proc) {
-		srcNode.Inject(p, m.Size)
-		if req != nil {
-			req.Complete() // eager semantics: the send buffer has left the node
+	if w.metricsOn() {
+		w.mP2PMsgs.Inc()
+		w.mP2PBytes.Add(x.m.Size)
+		x.p2pNs = w.mP2PNs
+		x.t0 = w.k.Now()
+	}
+}
+
+// end closes the traced lifetime on rank r's timeline.
+func (x *transfer) end(r *Rank, now sim.Time) {
+	if x.tr != nil {
+		x.tr.AsyncEnd(r.TraceTrack(x.tr), "mpi", "p2p", x.aid, int64(now))
+	}
+}
+
+// send starts the step process that carries x.
+func (w *World) send(x *transfer) {
+	if !x.retrans {
+		x.start()
+	}
+	w.k.SpawnStep("", x.name, x.step)
+}
+
+// step advances the message by one stage at each resume of its process.
+func (x *transfer) step(p *sim.Proc) {
+	w := x.w
+	src, dst := w.ranks[x.m.Src], w.ranks[x.m.Dst]
+	switch x.stage {
+	case 0:
+		if x.local {
+			src.node.LocalCopyThen(p, x.m.Size)
+		} else {
+			x.tSvc = src.node.InjectThen(p, x.m.Size)
 		}
-		if fate == netsim.FateDrop || fate == netsim.FatePartition {
-			srcNode.CountDrop()
-			if tr != nil {
-				tr.AsyncEnd(srcRank.TraceTrack(tr), "mpi", "p2p", aid, int64(p.Now()))
-			}
-			w.onLost(m)
+	case 1:
+		if x.local {
+			src.node.LocalCopyDone(x.m.Size)
+			x.req.Complete()
+			x.end(dst, p.Now())
+			x.p2pNs.Observe(int64(p.Now() - x.t0))
+			dst.deliver(&x.m)
 			return
 		}
-		p.Sleep(w.fabric.Latency())
-		dstNode.Eject(p, m.Size)
-		if tr != nil {
-			tr.AsyncEnd(dstRank.TraceTrack(tr), "mpi", "p2p", aid, int64(p.Now()))
+		src.node.InjectDone(x.tSvc, x.m.Size)
+		if x.req != nil {
+			x.req.Complete() // eager semantics: the send buffer has left the node
 		}
-		p2pNs.Observe(int64(p.Now() - t0))
-		w.arrived(dstRank, &m)
-		if fate == netsim.FateDup {
-			dstNode.CountDup()
-			dup := m
-			w.arrived(dstRank, &dup)
+		if x.fate == netsim.FateDrop || x.fate == netsim.FatePartition {
+			src.node.CountDrop()
+			x.end(src, p.Now())
+			w.onLost(x.m)
+			return
 		}
-	})
+		p.Then(w.fabric.Latency())
+	case 2:
+		x.tSvc = dst.node.EjectThen(p, x.m.Size)
+	case 3:
+		dst.node.EjectDone(x.tSvc, x.m.Size)
+		x.end(dst, p.Now())
+		x.p2pNs.Observe(int64(p.Now() - x.t0))
+		w.arrived(dst, &x.m)
+		if x.fate == netsim.FateDup {
+			dst.node.CountDup()
+			dup := x.m
+			w.arrived(dst, &dup)
+		}
+		return
+	}
+	x.stage++
 }
 
 // Send is a blocking send (Isend + Wait).

@@ -213,7 +213,7 @@ func (w *World) onLost(m Message) {
 		srcNode := w.ranks[m.Src].node
 		dstNode := w.ranks[m.Dst].node
 		fate := w.fabric.MessageFate(srcNode.ID(), dstNode.ID())
-		w.sendPhysical(om.msg, nil, fate, true)
+		w.send(&transfer{w: w, m: om.msg, fate: fate, retrans: true})
 	})
 }
 

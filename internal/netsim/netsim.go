@@ -306,30 +306,57 @@ func (n *Node) stretch(d sim.Time) sim.Time {
 // Inject occupies the node's TX port for the injection time of size bytes.
 // It returns after the message has fully left the sender.
 func (n *Node) Inject(p *sim.Proc, size int64) {
+	t0 := n.InjectThen(p, size)
+	p.Park()
+	n.InjectDone(t0, size)
+}
+
+// InjectThen is Inject's step form: it queues the injection, and p resumes
+// once the message has fully left the sender. The resumed step must call
+// InjectDone with the returned start time.
+func (n *Node) InjectThen(p *sim.Proc, size int64) (t0 sim.Time) {
 	cfg := n.fabric.cfg
 	d := sim.Jitter(n.fabric.k.Rand(), cfg.InjJitter, cfg.InjRate.DurationFor(size))
 	if n.metricsOn() {
-		t0 := n.fabric.k.Now()
-		n.inj.Serve(p, n.stretch(d))
+		t0 = n.fabric.k.Now()
+	}
+	n.inj.ServeThen(p, n.stretch(d))
+	return t0
+}
+
+// InjectDone accounts an injection that InjectThen started at t0.
+func (n *Node) InjectDone(t0 sim.Time, size int64) {
+	if n.metricsOn() {
 		n.mInjNs.Observe(int64(n.fabric.k.Now() - t0))
 		n.mTx.Add(size)
-	} else {
-		n.inj.Serve(p, n.stretch(d))
 	}
 	n.inj.Bytes += size
 }
 
 // Eject occupies the node's RX port for the ejection time of size bytes.
 func (n *Node) Eject(p *sim.Proc, size int64) {
-	cfg := n.fabric.cfg
-	d := n.stretch(cfg.EjeRate.DurationFor(size))
+	t0 := n.EjectThen(p, size)
+	p.Park()
+	n.EjectDone(t0, size)
+}
+
+// EjectThen is Eject's step form: p resumes once the message has been
+// received, and the resumed step must call EjectDone with the returned
+// start time.
+func (n *Node) EjectThen(p *sim.Proc, size int64) (t0 sim.Time) {
+	d := n.stretch(n.fabric.cfg.EjeRate.DurationFor(size))
 	if n.metricsOn() {
-		t0 := n.fabric.k.Now()
-		n.eje.Serve(p, d)
+		t0 = n.fabric.k.Now()
+	}
+	n.eje.ServeThen(p, d)
+	return t0
+}
+
+// EjectDone accounts an ejection that EjectThen started at t0.
+func (n *Node) EjectDone(t0 sim.Time, size int64) {
+	if n.metricsOn() {
 		n.mEjeNs.Observe(int64(n.fabric.k.Now() - t0))
 		n.mRx.Add(size)
-	} else {
-		n.eje.Serve(p, d)
 	}
 	n.eje.Bytes += size
 }
@@ -337,8 +364,21 @@ func (n *Node) Eject(p *sim.Proc, size int64) {
 // LocalCopy charges the shared intra-node memory path for size bytes; used
 // for messages between ranks on the same node and for buffer packing.
 func (n *Node) LocalCopy(p *sim.Proc, size int64) {
+	n.LocalCopyThen(p, size)
+	p.Park()
+	n.LocalCopyDone(size)
+}
+
+// LocalCopyThen is LocalCopy's step form: p resumes once the copy is done,
+// and the resumed step must call LocalCopyDone.
+func (n *Node) LocalCopyThen(p *sim.Proc, size int64) {
 	cfg := n.fabric.cfg
-	n.mem.ServeBytes(p, cfg.MemLatency, cfg.MemRate, size)
+	n.mem.ServeThen(p, cfg.MemLatency+cfg.MemRate.DurationFor(size))
+}
+
+// LocalCopyDone accounts a copy that LocalCopyThen started.
+func (n *Node) LocalCopyDone(size int64) {
+	n.mem.Bytes += size
 	if n.metricsOn() {
 		n.mCopy.Add(size)
 	}

@@ -13,8 +13,16 @@ func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 
 // Wait parks p until a Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
+	p.mustBlock()
+	c.WaitThen(p)
+	p.block()
+}
+
+// WaitThen queues the step process p to resume at the Signal or Broadcast
+// that wakes it (Wait is WaitThen followed by a block).
+func (c *Cond) WaitThen(p *Proc) {
+	p.armed = true
 	c.waiters = append(c.waiters, p)
-	p.Park()
 }
 
 // Signal wakes the longest-waiting process, if any, and reports whether a

@@ -43,6 +43,7 @@ type Kernel struct {
 	live     map[int]*Proc // all spawned, unfinished processes
 	cur      *Proc         // process the driver resumes next; nil stops the run
 	idle     []*worker     // workers of finished processes, reused LIFO
+	workers  int64         // workers started over the kernel's lifetime
 	stopped  chan struct{} // driver -> Run: "the run has stopped"
 	running  bool
 	panicked interface{} // process or callback panic for Run to re-raise
@@ -168,19 +169,29 @@ func (k *Kernel) AfterTimer(d Time, fn func()) *Timer {
 // Spawn creates a new simulation process that begins executing fn at the
 // current virtual time (or, when called before Run, at time zero).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, nil, fn)
+	return k.spawn(name, nil, fn, nil)
 }
 
-// SpawnLazy is Spawn for hot paths that create many short-lived processes
-// (one per simulated message): the name is computed only when actually
-// observed — a deadlock report, a panic, an explicit Name() call — so the
-// fast path never pays for formatting it.
-func (k *Kernel) SpawnLazy(nameFn func() string, fn func(p *Proc)) *Proc {
-	return k.spawn("", nameFn, fn)
+// SpawnStep creates a step process: a process that never gets a worker.
+// step runs inline in the kernel at the process's first resume (the current
+// virtual time) and at every resume after it. Each run must do one of:
+//
+//   - arrange the next resume with Then, Station.ServeThen or Cond.WaitThen;
+//   - hand the process to a worker with Become;
+//   - return having done neither, which ends the process.
+//
+// A step must not block: Sleep, Park, Serve and Cond.Wait panic on a step
+// process. Step processes suit the many short, waiting-mostly processes
+// (one per simulated message) whose worker stacks would dominate memory.
+// When name is empty, nameFn computes it the first time it is observed — a
+// deadlock report, a panic, an explicit Name() call — so the fast path
+// never pays for formatting it.
+func (k *Kernel) SpawnStep(name string, nameFn func() string, step func(p *Proc)) *Proc {
+	return k.spawn(name, nameFn, nil, step)
 }
 
-func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Proc {
-	if fn == nil {
+func (k *Kernel) spawn(name string, nameFn func() string, fn, step func(p *Proc)) *Proc {
+	if fn == nil && step == nil {
 		panic("sim: spawn with a nil process body")
 	}
 	p := &Proc{
@@ -189,6 +200,8 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 		nameFn: nameFn,
 		id:     k.nextID,
 		fn:     fn,
+		step:   step,
+		since:  k.now,
 		ttk:    trace.NoTrack,
 	}
 	k.nextID++
@@ -199,13 +212,14 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn func(p *Proc)) *Pro
 	return p
 }
 
-// next dispatches events until one resumes a live process and returns that
-// process. Cancelled timers are dropped before they touch the clock, and
-// callbacks and stale wakes for finished processes are consumed inline.
-// next returns nil when the queue drains, when the event budget trips, or
-// when a callback panics (the value is kept for Run to re-raise). It runs on
-// Run's goroutine to start a run, and otherwise on the worker of the process
-// that blocks or finishes.
+// next dispatches events until one resumes a live worker process and
+// returns that process. Cancelled timers are dropped before they touch the
+// clock; callbacks, service starts, step processes' steps and stale wakes
+// for finished processes are consumed inline. next returns nil when the
+// queue drains, when the event budget trips, or when a callback or a step
+// panics (the value is kept for Run to re-raise). It runs on Run's
+// goroutine to start a run, and otherwise on the worker of the process that
+// blocks or finishes.
 func (k *Kernel) next() *Proc {
 	for k.queue.Len() > 0 {
 		if k.budget > 0 && k.dispatched >= k.budget {
@@ -224,11 +238,72 @@ func (k *Kernel) next() *Proc {
 			}
 			continue
 		}
-		if !ev.p.done { // else a stale wake for a finished process
-			return ev.p
+		p := ev.p
+		if p.done || !k.resume(p) {
+			continue // a stale wake for a finished process, or a service start
 		}
+		if p.step != nil {
+			if !k.runStep(p) {
+				return nil
+			}
+			if p.fn == nil {
+				continue // still a step process, or finished
+			}
+		}
+		return p
 	}
 	return nil
+}
+
+// resume ends p's wait. It records the blocked interval on p's trace track
+// (zero-length blocks, pure scheduling yields, are skipped) and moves on a
+// service p waits for at a station. It reports whether p runs now: false
+// means the station has just handed p a server, and p stays blocked until
+// the service ends.
+func (k *Kernel) resume(p *Proc) bool {
+	if tr := k.tracer; tr != nil && p.ttk >= 0 && k.now > p.since {
+		tr.SpanAt(p.ttk, "sim", "blocked", int64(p.since), int64(k.now))
+	}
+	p.since = k.now
+	s := p.svc
+	if s == nil {
+		return true
+	}
+	if !p.serving {
+		p.serving = true
+		k.schedule(event{t: k.now + p.svcD, p: p})
+		return false
+	}
+	p.svc, p.serving = nil, false
+	s.finish(p.svcD)
+	return true
+}
+
+// runStep runs the step of step process p. A step that arranges no resume
+// and hands p to no worker ends p. A panicking step ends p and stops the
+// run; Run re-raises the panic naming p.
+func (k *Kernel) runStep(p *Proc) (ok bool) {
+	defer func() {
+		if !ok {
+			r := recover()
+			k.retire(p)
+			k.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r)
+		}
+	}()
+	p.armed = false
+	p.step(p)
+	if p.step != nil && !p.armed {
+		k.retire(p)
+	}
+	return true
+}
+
+// retire removes a finished process from the live set.
+func (k *Kernel) retire(p *Proc) {
+	p.done = true
+	p.w, p.step = nil, nil
+	delete(k.live, p.id)
+	k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(len(k.live)))
 }
 
 // call runs a kernel callback, recording a panic for Run to re-raise with
@@ -273,6 +348,7 @@ func (k *Kernel) attach(p *Proc) {
 // newWorker creates a worker. Its coroutine starts at the driver's first
 // resume, with w.p already set.
 func (k *Kernel) newWorker() *worker {
+	k.workers++
 	w := &worker{}
 	w.resume, w.stop = iter.Pull(func(yield func(struct{}) bool) {
 		w.yield = yield
@@ -303,10 +379,7 @@ func (p *Proc) run() {
 func (p *Proc) exit() {
 	k := p.k
 	r := recover()
-	p.done = true
-	p.w = nil
-	delete(k.live, p.id)
-	k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(len(k.live)))
+	k.retire(p)
 	if r != nil {
 		k.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r)
 		k.cur = nil
@@ -336,6 +409,12 @@ func (k *Kernel) drive() {
 		}
 	}
 }
+
+// WorkersStarted returns how many worker coroutines the kernel has started
+// over its lifetime. Finished processes hand theirs on, so the count tracks
+// the peak number of live worker processes, not how many ran; step
+// processes take none.
+func (k *Kernel) WorkersStarted() int64 { return k.workers }
 
 // Run executes events until the queue drains. It returns an error if, when
 // the queue is empty, some processes are still parked (a deadlock in the
@@ -377,21 +456,29 @@ func (k *Kernel) Run() error {
 }
 
 // Proc is a simulation process: a body that the kernel runs on a worker
-// coroutine and schedules in virtual time. All Proc methods must be called
-// from the process's own body.
+// coroutine, or a step function that it runs inline (SpawnStep), scheduled
+// in virtual time. All Proc methods must be called from the process's own
+// body or step.
 type Proc struct {
 	k      *Kernel
 	name   string
 	nameFn func() string // lazy name, resolved on first Name() call
 	id     int
-	fn     func(p *Proc) // body until the first resume starts it; nil = started
-	w      *worker       // worker running the body; nil before start and after exit
-	done   bool
+	fn     func(p *Proc) // worker body until the first resume starts it; nil = started
+	step   func(p *Proc) // step function of a step process; nil for a worker process
+	w      *worker       // worker running the body; nil for steps, before start and after exit
+	since  Time          // when the process last gave up control
+	svc    *Station      // station the process waits on, or nil
+	svcD   Time          // service time at svc
 	ttk    trace.TrackID
+
+	done    bool
+	armed   bool // the running step has arranged its next resume
+	serving bool // svc is serving the process (else it queues there)
 }
 
-// Name returns the process name given at Spawn, resolving a SpawnLazy
-// name on first use.
+// Name returns the process name given at Spawn, resolving a lazily named
+// step process's name on first use.
 func (p *Proc) Name() string {
 	if p.name == "" && p.nameFn != nil {
 		p.name = p.nameFn()
@@ -417,43 +504,61 @@ func (p *Proc) SetTraceTrack(tk trace.TrackID) { p.ttk = tk }
 // TraceTrack returns the process's trace timeline, or trace.NoTrack.
 func (p *Proc) TraceTrack() trace.TrackID { return p.ttk }
 
+// mustBlock panics unless p has a worker to block on: a step process
+// cannot block.
+func (p *Proc) mustBlock() {
+	if p.w == nil {
+		panic(fmt.Sprintf("sim: step process %q cannot block", p.Name()))
+	}
+}
+
 // block gives up control until the process is resumed. The blocking
 // process dispatches the next event itself: when that resumes this same
 // process, block returns without any switch; otherwise it names the next
 // process (nil when the run stops) and yields to the driver, which resumes
-// that process's worker. When the process carries a trace track, the
-// blocked interval is recorded as a span (zero-length blocks — pure
-// scheduling yields — are skipped).
+// that process's worker.
 func (p *Proc) block() {
 	k := p.k
-	start := k.now
 	if q := k.next(); q != p {
 		k.cur = q
 		p.w.yield(struct{}{})
 	}
-	if tr := k.tracer; tr != nil && p.ttk >= 0 && k.now > start {
-		tr.SpanAt(p.ttk, "sim", "blocked", int64(start), int64(k.now))
+}
+
+// Then arranges for the step process p to resume after d of virtual time
+// (Sleep is Then followed by a block). With d == 0 the resume still waits
+// behind the same-time events scheduled earlier.
+func (p *Proc) Then(d Time) {
+	if d < 0 {
+		panic("sim: negative sleep")
 	}
+	p.armed = true
+	p.k.schedule(event{t: p.k.now + d, p: p})
+}
+
+// Become hands the step process p to a worker: body starts on one when the
+// current step returns, at the same virtual time, and runs from then on as
+// a Spawned body would. The step must arrange no resume of its own.
+func (p *Proc) Become(body func(p *Proc)) {
+	if p.step == nil || body == nil {
+		panic("sim: Become needs a step process and a body")
+	}
+	p.step, p.fn = nil, body
 }
 
 // Sleep advances the process by d of virtual time.
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		panic("sim: negative sleep")
-	}
-	if d == 0 {
-		// Still yield, so that same-time events scheduled earlier run first.
-		p.k.schedule(event{t: p.k.now, p: p})
-		p.block()
-		return
-	}
-	p.k.schedule(event{t: p.k.now + d, p: p})
+	p.mustBlock()
+	p.Then(d)
 	p.block()
 }
 
-// Park blocks the process until another process (or a kernel callback) wakes
-// it via Kernel.Wake. Each Park must be matched by exactly one Wake.
+// Park blocks the process until its next resume: a Kernel.Wake from another
+// process or a kernel callback, or one the process arranged itself with
+// Then, Station.ServeThen or Cond.WaitThen. Each Park must be matched by
+// exactly one resume.
 func (p *Proc) Park() {
+	p.mustBlock()
 	p.block()
 }
 

@@ -48,10 +48,21 @@ func (s *Station) TraceTrack(tr *trace.Tracer) trace.TrackID {
 	return s.ttk
 }
 
-// Acquire obtains one server, queueing FIFO behind earlier requests.
-func (s *Station) Acquire(p *Proc) {
+// ServeThen occupies one server for duration d on p's behalf, queueing FIFO
+// behind earlier requests, and resumes p when the service ends. The kernel
+// starts and ends the service, so p does not run in between: a step
+// process calls ServeThen as its resume, and Serve is ServeThen followed by
+// a block.
+func (s *Station) ServeThen(p *Proc, d Time) {
+	if d < 0 {
+		panic("sim: negative service time")
+	}
+	p.armed = true
+	p.svc, p.svcD = s, d
 	if s.busy < s.servers {
 		s.busy++
+		p.serving = true
+		s.k.schedule(event{t: s.k.now + d, p: p})
 		return
 	}
 	s.waiters = append(s.waiters, p)
@@ -61,12 +72,30 @@ func (s *Station) Acquire(p *Proc) {
 	if tr := s.k.tracer; tr != nil {
 		tr.Counter(s.TraceTrack(tr), "queue", int64(s.k.now), int64(len(s.waiters)))
 	}
-	p.Park()
-	// The releaser transferred the server to us: busy stays constant.
+	// release hands the server on with a wake; the kernel then times the
+	// service from that instant.
 }
 
-// Release frees one server, handing it to the head waiter if present.
-func (s *Station) Release() {
+// Serve occupies one server for duration d.
+func (s *Station) Serve(p *Proc, d Time) {
+	p.mustBlock()
+	s.ServeThen(p, d)
+	p.block()
+}
+
+// finish ends a service of duration d, which the kernel does just before it
+// resumes the served process.
+func (s *Station) finish(d Time) {
+	if tr := s.k.tracer; tr != nil {
+		tr.SpanAt(s.TraceTrack(tr), "station", s.name, int64(s.k.now-d), int64(s.k.now))
+	}
+	s.BusyTime += d
+	s.Served++
+	s.release()
+}
+
+// release frees one server, handing it to the head waiter if present.
+func (s *Station) release() {
 	if len(s.waiters) > 0 {
 		p := s.waiters[0]
 		s.waiters[0] = nil // the backing array must not keep p reachable
@@ -78,24 +107,6 @@ func (s *Station) Release() {
 		return
 	}
 	s.busy--
-	if s.busy < 0 {
-		panic("sim: station released more than acquired")
-	}
-}
-
-// Serve occupies one server for duration d.
-func (s *Station) Serve(p *Proc, d Time) {
-	s.Acquire(p)
-	if tr := s.k.tracer; tr != nil {
-		start := s.k.now
-		p.Sleep(d)
-		tr.SpanAt(s.TraceTrack(tr), "station", s.name, int64(start), int64(s.k.now))
-	} else {
-		p.Sleep(d)
-	}
-	s.BusyTime += d
-	s.Served++
-	s.Release()
 }
 
 // ServeBytes occupies one server for latency plus the transfer time of n

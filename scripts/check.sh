@@ -22,9 +22,9 @@
 #
 # The two-phase round-planning, analytic-Alltoall, survivor-communicator,
 # Allreduce-fold, MemStore strided-assembly and kernel-dispatch (Sleep,
-# ping-pong, Spawn, timer churn) microbenchmarks run once after the tests,
-# so they keep compiling and their built-in equality and allocation checks
-# keep running.
+# ping-pong, Spawn, step messages, timer churn) microbenchmarks run once
+# after the tests, so they keep compiling and their built-in equality and
+# allocation checks keep running.
 #
 # A kilo-rank scale smoke also gates the run: the TestScale_ suite at
 # 1024 ranks (clean, lossy and aggregator-crash collective writes checked
@@ -77,7 +77,7 @@ go test ./...
 echo "== benchmark module: go vet ./... && go test ./..."
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold, MemStore assembly, kernel dispatch)"
+echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold, MemStore assembly, kernel dispatch and step messages)"
 go test -run '^$' -bench 'RoundPlan|Alltoall|Survivor|Allreduce|MemStore|Kernel' -benchtime 1x ./internal/adio ./internal/mpi ./internal/store ./internal/sim
 
 if [ "${SKIP_RACE:-}" = "1" ]; then
