@@ -13,7 +13,7 @@ import (
 
 // stepOp is one operation of a stepProgram process.
 type stepOp struct {
-	kind int  // opServe, opSleep, opWait or opSpawn
+	kind int  // opServe, opSleep, opWait, opSpawn or opBecome
 	idx  int  // station or cond index
 	d    Time // service or sleep time; for opWait, the signal's delay
 	bc   bool // opWait: the signal is a Broadcast
@@ -25,13 +25,14 @@ const (
 	opSleep
 	opWait
 	opSpawn
+	opBecome // a step process hands the rest of its ops to a worker
 )
 
 // genStepOps draws n random operations; depth bounds nested spawns.
 func genStepOps(rng *rand.Rand, n, depth int) []stepOp {
 	ops := make([]stepOp, n)
 	for i := range ops {
-		o := stepOp{kind: rng.Intn(4), d: Time(rng.Intn(4)) * Microsecond}
+		o := stepOp{kind: rng.Intn(5), d: Time(rng.Intn(4)) * Microsecond}
 		switch o.kind {
 		case opServe:
 			o.idx = rng.Intn(3)
@@ -96,23 +97,29 @@ func (r *stepRun) spawn(name string, ops []stepOp) {
 		s := &stepper{r: r, ops: ops}
 		p = r.k.SpawnStep(name, nil, s.step)
 	} else {
-		p = r.k.Spawn(name, func(p *Proc) {
-			for i, o := range ops {
-				r.start(p, i, o)
-				switch o.kind {
-				case opServe:
-					r.sts[o.idx].Serve(p, o.d)
-				case opSleep:
-					p.Sleep(o.d)
-				case opWait:
-					r.cs[o.idx].Wait(p)
-				}
-			}
-			r.logf(p.ID(), "done")
-		})
+		p = r.k.Spawn(name, r.body(ops, 0))
 	}
 	if r.tr != nil {
 		p.SetTraceTrack(r.tr.Track(trace.GroupRanks, name))
+	}
+}
+
+// body returns a worker body running ops from index from on.
+func (r *stepRun) body(ops []stepOp, from int) func(p *Proc) {
+	return func(p *Proc) {
+		for i := from; i < len(ops); i++ {
+			o := ops[i]
+			r.start(p, i, o)
+			switch o.kind {
+			case opServe:
+				r.sts[o.idx].Serve(p, o.d)
+			case opSleep:
+				p.Sleep(o.d)
+			case opWait:
+				r.cs[o.idx].Wait(p)
+			}
+		}
+		r.logf(p.ID(), "done")
 	}
 }
 
@@ -135,6 +142,8 @@ func (s *stepper) step(p *Proc) {
 			p.Then(o.d)
 		case opWait:
 			r.cs[o.idx].WaitThen(p)
+		case opBecome:
+			p.Become(r.body(s.ops, s.i+1))
 		default:
 			continue
 		}
@@ -192,9 +201,9 @@ func runStepProgram(t *testing.T, seed int64, traced bool, asStep func(id int) b
 
 // TestStepProcessesMatchWorkers is the step-process equivalence property:
 // the same seeded programs, run with every process as a worker, every
-// process as a step process, and a mix, dispatch the same events in the
-// same order, leave the same station statistics and, traced, write the
-// same trace.
+// process as a step process (which may Become a worker part way), and a
+// mix, dispatch the same events in the same order, leave the same station
+// statistics and, traced, write the same trace.
 func TestStepProcessesMatchWorkers(t *testing.T) {
 	forms := map[string]func(id int) bool{
 		"steps": func(int) bool { return true },
