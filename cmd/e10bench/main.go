@@ -286,29 +286,33 @@ func runFaultDemo(sw harness.Sweep) {
 	fmt.Print(report)
 }
 
-// runTraceDemo runs one representative cache-enabled coll_perf cell (16
-// aggregators, 16 MB collective buffers — the middle of Figure 4's grid)
-// with the event tracer attached, writes the Perfetto-loadable trace file
-// and prints the trace digest. Traces are deterministic: the same seed and
-// scale reproduce the file byte for byte.
-func runTraceDemo(sw harness.Sweep, path string) {
-	w := workloads.DefaultCollPerf()
-	aggs := 16
-	if n := sw.Cluster.Nodes * sw.Cluster.RanksPerNode; aggs > n {
-		aggs = n
-	}
-	spec := harness.DefaultSpec(w, harness.CacheEnabled, aggs, 16<<20)
+// demoSpec builds the demos' representative cache-enabled coll_perf cell:
+// 16 aggregators (at most one per rank) and 16 MB collective buffers — the
+// middle of Figure 4's grid — on the sweep's cluster, file count, compute
+// time and fault schedule.
+func demoSpec(sw harness.Sweep) harness.Spec {
+	aggs := min(16, sw.Cluster.Nodes*sw.Cluster.RanksPerNode)
+	spec := harness.DefaultSpec(workloads.DefaultCollPerf(), harness.CacheEnabled, aggs, 16<<20)
 	spec.Cluster = sw.Cluster
 	spec.NFiles = sw.NFiles
 	spec.ComputeDelay = sw.Compute
 	spec.FaultSpec = sw.FaultSpec
+	return spec
+}
+
+// runTraceDemo runs the representative cell (demoSpec) with the event
+// tracer attached, writes the Perfetto-loadable trace file and prints the
+// trace digest. Traces are deterministic: the same seed and scale
+// reproduce the file byte for byte.
+func runTraceDemo(sw harness.Sweep, path string) {
+	spec := demoSpec(sw)
 	spec.TracePath = path
 	res, err := harness.Run(spec)
 	if err != nil {
 		fatalf("trace: %v", err)
 	}
 	fmt.Printf("traced %s cell=%s case=%s: %.2f GB/s, %.2f s simulated\n",
-		w.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
+		spec.Workload.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
 	fmt.Print(res.TraceSummary)
 	fmt.Printf("wrote %s (%d events on %d tracks); open with https://ui.perfetto.dev or chrome://tracing\n",
 		path, res.Trace.Len(), res.Trace.Tracks())
@@ -319,16 +323,7 @@ func runTraceDemo(sw harness.Sweep, path string) {
 // and prints the reports. The analysis is post-hoc: the cell's virtual
 // times are identical to an unobserved run.
 func runCritPathDemo(sw harness.Sweep, critpath bool, timelineBuckets int) {
-	w := workloads.DefaultCollPerf()
-	aggs := 16
-	if n := sw.Cluster.Nodes * sw.Cluster.RanksPerNode; aggs > n {
-		aggs = n
-	}
-	spec := harness.DefaultSpec(w, harness.CacheEnabled, aggs, 16<<20)
-	spec.Cluster = sw.Cluster
-	spec.NFiles = sw.NFiles
-	spec.ComputeDelay = sw.Compute
-	spec.FaultSpec = sw.FaultSpec
+	spec := demoSpec(sw)
 	spec.CritPath = critpath
 	spec.TimelineBuckets = timelineBuckets
 	res, err := harness.Run(spec)
@@ -336,7 +331,7 @@ func runCritPathDemo(sw harness.Sweep, critpath bool, timelineBuckets int) {
 		fatalf("critpath: %v", err)
 	}
 	fmt.Printf("analyzed %s cell=%s case=%s: %.2f GB/s, %.2f s simulated\n",
-		w.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
+		spec.Workload.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
 	fmt.Print(res.CritPathReport)
 	fmt.Print(res.TimelineReport)
 }
@@ -472,23 +467,14 @@ func runScaleCritPath(variant string, ranks int) {
 // Metrics are deterministic: the same seed and scale reproduce the
 // registry text byte for byte.
 func runMetricsDemo(sw harness.Sweep, mflags *cli.MetricsFlags) {
-	w := workloads.DefaultCollPerf()
-	aggs := 16
-	if n := sw.Cluster.Nodes * sw.Cluster.RanksPerNode; aggs > n {
-		aggs = n
-	}
-	spec := harness.DefaultSpec(w, harness.CacheEnabled, aggs, 16<<20)
-	spec.Cluster = sw.Cluster
-	spec.NFiles = sw.NFiles
-	spec.ComputeDelay = sw.Compute
-	spec.FaultSpec = sw.FaultSpec
+	spec := demoSpec(sw)
 	mflags.Apply(&spec)
 	res, err := harness.Run(spec)
 	if err != nil {
 		fatalf("metrics: %v", err)
 	}
 	fmt.Printf("measured %s cell=%s case=%s: %.2f GB/s, %.2f s simulated\n",
-		w.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
+		spec.Workload.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
 	if err := mflags.Report(os.Stdout, res); err != nil {
 		fatalf("%v", err)
 	}

@@ -208,39 +208,9 @@ func offsetFor(shape string, ranks, blocks, rank, b int, bs int64) int64 {
 
 // Schedule converts the scenario's actions into an armable fault schedule.
 func (sc *Scenario) Schedule() *fault.Schedule {
-	s := &fault.Schedule{}
-	for _, a := range sc.Faults {
-		f := a.fault()
-		var c *fault.Clause
-		if f.To > 0 {
-			c = s.Between(f.From, f.To)
-		} else {
-			c = s.At(f.From)
-		}
-		switch a.Kind {
-		case fault.FailDevice:
-			c.FailDevice(a.Node)
-		case fault.DeviceENOSPC:
-			c.DeviceENOSPC(a.Node)
-		case fault.FailTarget:
-			c.FailTarget(a.Target)
-		case fault.DegradeTarget:
-			c.DegradeTarget(a.Target, a.Factor)
-		case fault.DegradeLink:
-			c.DegradeLink(a.Node, a.Factor)
-		case fault.CrashNode:
-			c.CrashNode(a.Node)
-		case fault.LossyLink:
-			c.LossyLink(a.Node, a.Factor)
-		case fault.DupLink:
-			c.DupLink(a.Node, a.Factor)
-		case fault.Partition:
-			c.Partition(a.Nodes...)
-		case fault.TornWrite:
-			c.TornWrite(a.Node)
-		case fault.BitRot:
-			c.BitRot(a.Node, a.Factor)
-		}
+	s := &fault.Schedule{Faults: make([]fault.Fault, len(sc.Faults))}
+	for i, a := range sc.Faults {
+		s.Faults[i] = a.fault()
 	}
 	return s
 }
@@ -327,16 +297,26 @@ func (sc *Scenario) Validate() error {
 	if sc.SSDCapKB < 0 {
 		return fmt.Errorf("chaos: negative ssd_cap_kb %d", sc.SSDCapKB)
 	}
+	// The per-fault rules live in fault.Schedule.Validate; the scenario
+	// adds only where its cluster and workload mode allow a fault.
+	if err := sc.Schedule().Validate(); err != nil {
+		return err
+	}
 	for i, a := range sc.Faults {
 		switch a.Kind {
-		case fault.FailDevice, fault.DeviceENOSPC, fault.DegradeLink, fault.CrashNode:
-			if a.Node < 0 || a.Node >= sc.Nodes {
-				return fmt.Errorf("chaos: fault %d (%s): node %d outside cluster", i, a, a.Node)
-			}
 		case fault.FailTarget, fault.DegradeTarget:
 			// Target count fixed by pfs.DefaultConfig (4 targets).
-			if a.Target < 0 || a.Target >= 4 {
+			if a.Target >= 4 {
 				return fmt.Errorf("chaos: fault %d (%s): target %d outside PFS", i, a, a.Target)
+			}
+		case fault.Partition:
+			if len(a.Nodes) >= sc.Nodes {
+				return fmt.Errorf("chaos: fault %d (%s): partition group must be a strict subset of the cluster", i, a)
+			}
+			for _, n := range a.Nodes {
+				if n >= sc.Nodes {
+					return fmt.Errorf("chaos: fault %d (%s): node %d outside cluster", i, a, n)
+				}
 			}
 		case fault.LossyLink, fault.DupLink:
 			// Without the reliable-delivery layer a single dropped message
@@ -344,37 +324,12 @@ func (sc *Scenario) Validate() error {
 			if !sc.Collective {
 				return fmt.Errorf("chaos: fault %d (%s): %s requires a collective scenario (reliable delivery armed)", i, a, a.Kind)
 			}
-			if a.Node < 0 || a.Node >= sc.Nodes {
-				return fmt.Errorf("chaos: fault %d (%s): node %d outside cluster", i, a, a.Node)
-			}
-		case fault.TornWrite, fault.BitRot:
-			if a.Node < 0 || a.Node >= sc.Nodes {
-				return fmt.Errorf("chaos: fault %d (%s): node %d outside cluster", i, a, a.Node)
-			}
-			if a.ToUS != 0 {
-				return fmt.Errorf("chaos: fault %d (%s): %s cannot revert (to_us must be 0)", i, a, a.Kind)
-			}
-			if a.Kind == fault.BitRot && (a.Factor <= 0 || a.Factor >= 1) {
-				return fmt.Errorf("chaos: fault %d (%s): rate %v outside (0,1)", i, a, a.Factor)
-			}
-		case fault.Partition:
-			if a.ToUS == 0 {
-				return fmt.Errorf("chaos: fault %d (%s): a partition needs a healing window (to_us)", i, a)
-			}
-			if len(a.Nodes) == 0 || len(a.Nodes) >= sc.Nodes {
-				return fmt.Errorf("chaos: fault %d (%s): partition group must be a non-empty strict subset of the cluster", i, a)
-			}
-			for _, n := range a.Nodes {
-				if n < 0 || n >= sc.Nodes {
-					return fmt.Errorf("chaos: fault %d (%s): node %d outside cluster", i, a, n)
-				}
-			}
+			fallthrough
 		default:
-			return fmt.Errorf("chaos: fault %d: unknown kind %q", i, a.Kind)
+			if a.Node >= sc.Nodes {
+				return fmt.Errorf("chaos: fault %d (%s): node %d outside cluster", i, a, a.Node)
+			}
 		}
-	}
-	if err := sc.Schedule().Validate(); err != nil {
-		return err
 	}
 	if sc.Injection != "" {
 		if _, ok := injections[sc.Injection]; !ok {

@@ -22,6 +22,7 @@ func TestParseAnyCommittedArtifacts(t *testing.T) {
 	}{
 		{"../harness/testdata/scale_digest_*.json", KindScale},
 		{"../../BENCH_SCALE_*.json", KindScaleBench},
+		{"../../BENCH_2*.json", KindBench},
 	}
 	seen := 0
 	for _, g := range globs {
@@ -58,6 +59,9 @@ func TestParseAnyCommittedArtifacts(t *testing.T) {
 				}
 				if art.Kind == KindScale && art.Scale.Digest == "" {
 					t.Error("scale digest golden lost its digest")
+				}
+				if art.Kind == KindBench && len(art.Bench.Scenarios) == 0 {
+					t.Error("bench baseline has no scenarios")
 				}
 			})
 			seen++

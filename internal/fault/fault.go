@@ -2,9 +2,9 @@
 // for the simulated cluster: timed faults are injected into every modelled
 // hardware layer — SSD failure and ENOSPC (internal/nvm), parallel-file-
 // system target outage and transient slowdown (internal/pfs), NIC/link
-// degradation (internal/netsim) — from a declarative schedule built in code
-// (At/Between builders) or parsed from a textual spec (Parse), so whole
-// fault scenarios replay bit-for-bit from one config.
+// degradation (internal/netsim) — from a declarative schedule, a list of
+// Fault values written in code or parsed from a textual spec (Parse), so
+// whole fault scenarios replay bit-for-bit from one config.
 //
 // Faults fire as kernel callbacks at exact virtual times: a schedule armed
 // on a seeded kernel perturbs the simulation identically on every run,
@@ -79,11 +79,11 @@ const (
 )
 
 // Fault is one scheduled fault. From is when it is applied; To, when
-// non-zero, is when it reverts (Between). A zero To means the fault holds
-// for the rest of the run (At).
+// non-zero, is when it reverts (a from=/to= window). A zero To means the
+// fault holds for the rest of the run (at=).
 type Fault struct {
 	Kind   Kind
-	Node   int     // FailDevice, DeviceENOSPC, DegradeLink, LossyLink, DupLink
+	Node   int     // every kind but FailTarget, DegradeTarget and Partition
 	Nodes  []int   // Partition: the node group cut from the rest
 	Target int     // FailTarget, DegradeTarget
 	Factor float64 // DegradeTarget, DegradeLink: speed factor in (0, 1]; LossyLink, DupLink, BitRot: probability in (0, 1)
@@ -121,100 +121,21 @@ func (f Fault) String() string {
 	return s
 }
 
-// Schedule is an ordered collection of faults.
+// Schedule is an ordered list of faults, written in code as a literal:
+//
+//	&fault.Schedule{Faults: []fault.Fault{
+//		{Kind: fault.FailDevice, Node: 0, From: 5 * sim.Second},
+//		{Kind: fault.DegradeTarget, Target: 1, Factor: 0.2, From: 2 * sim.Second, To: 8 * sim.Second},
+//	}}
+//
+// or parsed from a textual spec (Parse). Validate holds the rules every
+// fault must meet.
 type Schedule struct {
-	faults []Fault
-}
-
-// Faults returns the scheduled faults.
-func (s *Schedule) Faults() []Fault {
-	out := make([]Fault, len(s.faults))
-	copy(out, s.faults)
-	return out
+	Faults []Fault
 }
 
 // Empty reports whether the schedule holds no faults.
-func (s *Schedule) Empty() bool { return s == nil || len(s.faults) == 0 }
-
-// Clause is a builder handle scoping faults to a time window.
-type Clause struct {
-	s        *Schedule
-	from, to sim.Time
-}
-
-// At starts a clause applying faults permanently from t on.
-func (s *Schedule) At(t sim.Time) *Clause { return &Clause{s: s, from: t} }
-
-// Between starts a clause applying faults during [from, to).
-func (s *Schedule) Between(from, to sim.Time) *Clause {
-	return &Clause{s: s, from: from, to: to}
-}
-
-func (c *Clause) add(f Fault) *Clause {
-	f.From, f.To = c.from, c.to
-	c.s.faults = append(c.s.faults, f)
-	return c
-}
-
-// FailDevice fails node's SSD.
-func (c *Clause) FailDevice(node int) *Clause {
-	return c.add(Fault{Kind: FailDevice, Node: node})
-}
-
-// DeviceENOSPC fills node's SSD.
-func (c *Clause) DeviceENOSPC(node int) *Clause {
-	return c.add(Fault{Kind: DeviceENOSPC, Node: node})
-}
-
-// FailTarget takes PFS target i offline.
-func (c *Clause) FailTarget(i int) *Clause {
-	return c.add(Fault{Kind: FailTarget, Target: i})
-}
-
-// DegradeTarget slows PFS target i to factor of nominal speed.
-func (c *Clause) DegradeTarget(i int, factor float64) *Clause {
-	return c.add(Fault{Kind: DegradeTarget, Target: i, Factor: factor})
-}
-
-// DegradeLink slows node's NIC to factor of nominal bandwidth.
-func (c *Clause) DegradeLink(node int, factor float64) *Clause {
-	return c.add(Fault{Kind: DegradeLink, Node: node, Factor: factor})
-}
-
-// CrashNode kills node's cache layer. Only valid on At clauses (a crash
-// does not revert); Validate rejects it inside a Between window.
-func (c *Clause) CrashNode(node int) *Clause {
-	return c.add(Fault{Kind: CrashNode, Node: node})
-}
-
-// LossyLink makes node's outbound link drop each message with probability p.
-func (c *Clause) LossyLink(node int, p float64) *Clause {
-	return c.add(Fault{Kind: LossyLink, Node: node, Factor: p})
-}
-
-// DupLink makes node's outbound link duplicate each message with
-// probability p.
-func (c *Clause) DupLink(node int, p float64) *Clause {
-	return c.add(Fault{Kind: DupLink, Node: node, Factor: p})
-}
-
-// Partition cuts the fabric between nodes and the rest of the cluster.
-func (c *Clause) Partition(nodes ...int) *Clause {
-	return c.add(Fault{Kind: Partition, Nodes: nodes})
-}
-
-// TornWrite tears node's in-flight journal append. Only valid on At
-// clauses (a tear is a one-shot corruption); Validate rejects it inside a
-// Between window.
-func (c *Clause) TornWrite(node int) *Clause {
-	return c.add(Fault{Kind: TornWrite, Node: node})
-}
-
-// BitRot flips at-rest bytes on node's NVM: each written chunk rots with
-// probability rate. Only valid on At clauses.
-func (c *Clause) BitRot(node int, rate float64) *Clause {
-	return c.add(Fault{Kind: BitRot, Node: node, Factor: rate})
-}
+func (s *Schedule) Empty() bool { return s == nil || len(s.Faults) == 0 }
 
 // Parse builds a schedule from a textual spec: semicolon-separated clauses
 // of comma-separated fields, e.g.
@@ -231,9 +152,11 @@ func (c *Clause) BitRot(node int, rate float64) *Clause {
 //	bit-rot,node=1,rate=0.1,at=5s
 //
 // Durations use Go syntax (time.ParseDuration). "at=" schedules a permanent
-// fault; "from="/"to=" a reverting window. "nodes=" takes a colon-separated
-// node-id list (partition only). "rate=" is the per-chunk rot probability
-// (bit-rot only).
+// fault; "from="/"to=" a reverting window, so from= needs a to=. "factor="
+// belongs to the degrade, lossy and dup kinds, which need it; "rate=" (the
+// per-chunk rot probability) to bit-rot, which needs it; "nodes=", a
+// colon-separated node-id list, to partition. Parse checks only this
+// grammar; the parsed schedule must then pass Validate.
 func Parse(spec string) (*Schedule, error) {
 	s := &Schedule{}
 	for _, clause := range strings.Split(spec, ";") {
@@ -241,115 +164,82 @@ func Parse(spec string) (*Schedule, error) {
 		if clause == "" {
 			continue
 		}
-		fields := strings.Split(clause, ",")
-		f := Fault{Kind: Kind(strings.TrimSpace(fields[0])), Factor: 1}
-		switch f.Kind {
-		case FailDevice, DeviceENOSPC, FailTarget, DegradeTarget, DegradeLink, CrashNode,
-			LossyLink, DupLink, Partition, TornWrite, BitRot:
-		default:
-			return nil, fmt.Errorf("fault: unknown kind %q in clause %q", f.Kind, clause)
+		f, err := parseClause(clause)
+		if err != nil {
+			return nil, fmt.Errorf("fault: clause %q: %w", clause, err)
 		}
-		var haveAt, haveFrom, haveRate bool
-		for _, field := range fields[1:] {
-			field = strings.TrimSpace(field)
-			key, val, ok := strings.Cut(field, "=")
-			if !ok {
-				return nil, fmt.Errorf("fault: malformed field %q in clause %q", field, clause)
-			}
-			switch key {
-			case "node":
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("fault: bad node %q in clause %q", val, clause)
-				}
-				f.Node = n
-			case "nodes":
-				for _, part := range strings.Split(val, ":") {
-					n, err := strconv.Atoi(part)
-					if err != nil || n < 0 {
-						return nil, fmt.Errorf("fault: bad nodes list %q in clause %q", val, clause)
-					}
-					f.Nodes = append(f.Nodes, n)
-				}
-			case "target":
-				n, err := strconv.Atoi(val)
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("fault: bad target %q in clause %q", val, clause)
-				}
-				f.Target = n
-			case "factor":
-				x, err := strconv.ParseFloat(val, 64)
-				if err != nil || x <= 0 || x > 1 {
-					return nil, fmt.Errorf("fault: bad factor %q in clause %q (need (0,1])", val, clause)
-				}
-				f.Factor = x
-			case "rate":
-				x, err := strconv.ParseFloat(val, 64)
-				if err != nil || x <= 0 || x >= 1 {
-					return nil, fmt.Errorf("fault: bad rate %q in clause %q (need (0,1))", val, clause)
-				}
-				f.Factor = x
-				haveRate = true
-			case "at":
-				d, err := time.ParseDuration(val)
-				if err != nil || d < 0 {
-					return nil, fmt.Errorf("fault: bad time %q in clause %q", val, clause)
-				}
-				f.From = sim.Time(d.Nanoseconds())
-				haveAt = true
-			case "from":
-				d, err := time.ParseDuration(val)
-				if err != nil || d < 0 {
-					return nil, fmt.Errorf("fault: bad time %q in clause %q", val, clause)
-				}
-				f.From = sim.Time(d.Nanoseconds())
-				haveFrom = true
-			case "to":
-				d, err := time.ParseDuration(val)
-				if err != nil || d < 0 {
-					return nil, fmt.Errorf("fault: bad time %q in clause %q", val, clause)
-				}
-				f.To = sim.Time(d.Nanoseconds())
-			default:
-				return nil, fmt.Errorf("fault: unknown field %q in clause %q", key, clause)
-			}
-		}
-		if haveAt && (haveFrom || f.To > 0) {
-			return nil, fmt.Errorf("fault: clause %q mixes at= with from=/to=", clause)
-		}
-		if f.To > 0 && f.To <= f.From {
-			return nil, fmt.Errorf("fault: clause %q has to <= from", clause)
-		}
-		if (f.Kind == DegradeTarget || f.Kind == DegradeLink || f.Kind == LossyLink || f.Kind == DupLink) && f.Factor == 1 {
-			return nil, fmt.Errorf("fault: clause %q needs factor= in (0,1)", clause)
-		}
-		if f.Kind == CrashNode && (haveFrom || f.To > 0) {
-			return nil, fmt.Errorf("fault: clause %q: crash-node takes at= only (a crash does not revert)", clause)
-		}
-		if (f.Kind == TornWrite || f.Kind == BitRot) && (haveFrom || f.To > 0) {
-			return nil, fmt.Errorf("fault: clause %q: %s takes at= only (a corruption does not revert)", clause, f.Kind)
-		}
-		if f.Kind == BitRot && !haveRate {
-			return nil, fmt.Errorf("fault: clause %q needs rate= in (0,1)", clause)
-		}
-		if f.Kind != BitRot && haveRate {
-			return nil, fmt.Errorf("fault: clause %q: rate= is bit-rot-only (use factor=)", clause)
-		}
-		if f.Kind == Partition && len(f.Nodes) == 0 {
-			return nil, fmt.Errorf("fault: clause %q: partition needs a nodes= list", clause)
-		}
-		if f.Kind != Partition && len(f.Nodes) > 0 {
-			return nil, fmt.Errorf("fault: clause %q: nodes= is partition-only (use node=)", clause)
-		}
-		s.faults = append(s.faults, f)
+		s.Faults = append(s.Faults, f)
 	}
-	if len(s.faults) == 0 {
+	if len(s.Faults) == 0 {
 		return nil, errors.New("fault: empty schedule")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// parseClause parses one clause of a Parse spec.
+func parseClause(clause string) (Fault, error) {
+	fields := strings.Split(clause, ",")
+	f := Fault{Kind: Kind(strings.TrimSpace(fields[0])), Factor: 1}
+	seen := map[string]bool{}
+	for _, field := range fields[1:] {
+		field = strings.TrimSpace(field)
+		key, val, ok := strings.Cut(field, "=")
+		if !ok {
+			return f, fmt.Errorf("malformed field %q", field)
+		}
+		seen[key] = true
+		var err error
+		switch key {
+		case "node":
+			f.Node, err = strconv.Atoi(val)
+		case "target":
+			f.Target, err = strconv.Atoi(val)
+		case "nodes":
+			for _, part := range strings.Split(val, ":") {
+				var n int
+				if n, err = strconv.Atoi(part); err != nil {
+					break
+				}
+				f.Nodes = append(f.Nodes, n)
+			}
+		case "factor", "rate":
+			f.Factor, err = strconv.ParseFloat(val, 64)
+		case "at", "from", "to":
+			var d time.Duration
+			d, err = time.ParseDuration(val)
+			if key == "to" {
+				f.To = sim.Time(d.Nanoseconds())
+			} else {
+				f.From = sim.Time(d.Nanoseconds())
+			}
+		default:
+			return f, fmt.Errorf("unknown field %q", key)
+		}
+		if err != nil {
+			return f, fmt.Errorf("bad %s %q", key, val)
+		}
+	}
+	takesFactor := f.Kind == DegradeTarget || f.Kind == DegradeLink || f.Kind == LossyLink || f.Kind == DupLink
+	switch {
+	case seen["at"] && (seen["from"] || f.To != 0):
+		return f, errors.New("mixes at= with from=/to=")
+	case seen["from"] && f.To == 0:
+		return f, errors.New("from= needs a to= (at= schedules a permanent fault)")
+	case takesFactor && !seen["factor"]:
+		return f, fmt.Errorf("%s needs factor=", f.Kind)
+	case !takesFactor && seen["factor"]:
+		return f, errors.New("factor= is for degrade-target, degrade-link, lossy-link and dup-link only")
+	case f.Kind == BitRot && !seen["rate"]:
+		return f, errors.New("bit-rot needs rate=")
+	case f.Kind != BitRot && seen["rate"]:
+		return f, errors.New("rate= is bit-rot-only (use factor=)")
+	case f.Kind != Partition && seen["nodes"]:
+		return f, errors.New("nodes= is partition-only (use node=)")
+	}
+	return f, nil
 }
 
 // location identifies what a fault acts on, for overlap detection: faults of
@@ -366,58 +256,26 @@ func (f Fault) location() int {
 	return f.Node
 }
 
-// Validate checks the schedule's internal consistency independent of any
-// hardware: every action must have a non-negative start, a window (when
-// present) that ends after it starts, a factor in (0,1] for degrade kinds,
-// no revert window on crash-node, a mandatory heal window on partition,
-// and no two actions of the same kind on the same node/target with
-// overlapping active windows (a permanent fault, To == 0, is active
-// forever). Errors name the offending action index so a
-// generated schedule can be debugged from the message alone. Arm and Parse
-// call this; builders that assemble schedules directly can call it early.
+// Validate is the one place that states the rules a schedule's faults must
+// meet, independent of any hardware; Parse checks only the spec grammar and
+// Arm only the bounds of the hardware it arms against. Every fault needs a
+// known kind, a non-negative start, node, target and group nodes, and a
+// window (when present) that ends after it starts. Degrade factors lie in
+// (0,1]; link loss/dup probabilities and bit-rot rates in (0,1). Crash-node,
+// torn-write and bit-rot cannot revert. A partition needs a non-empty node
+// group and a heal window. No two faults of the same kind on the same
+// node/target may have overlapping active windows (a permanent fault,
+// To == 0, is active forever). Errors name the offending action index so a
+// generated schedule can be debugged from the message alone.
 func (s *Schedule) Validate() error {
-	for i, f := range s.faults {
-		if f.From < 0 {
-			return fmt.Errorf("fault: action %d (%s): negative start time %v", i, f, f.From)
-		}
-		if f.To < 0 {
-			return fmt.Errorf("fault: action %d (%s): negative end time %v", i, f, f.To)
-		}
-		if f.To > 0 && f.To <= f.From {
-			return fmt.Errorf("fault: action %d (%s): window ends at or before it starts", i, f)
-		}
-		if (f.Kind == DegradeTarget || f.Kind == DegradeLink) && (f.Factor <= 0 || f.Factor > 1) {
-			return fmt.Errorf("fault: action %d (%s): factor %v outside (0,1]", i, f, f.Factor)
-		}
-		if (f.Kind == LossyLink || f.Kind == DupLink) && (f.Factor <= 0 || f.Factor >= 1) {
-			return fmt.Errorf("fault: action %d (%s): probability %v outside (0,1)", i, f, f.Factor)
-		}
-		if f.Kind == CrashNode && f.To > 0 {
-			return fmt.Errorf("fault: action %d (%s): crash-node cannot revert (no to= window)", i, f)
-		}
-		if (f.Kind == TornWrite || f.Kind == BitRot) && f.To > 0 {
-			return fmt.Errorf("fault: action %d (%s): %s cannot revert (no to= window)", i, f, f.Kind)
-		}
-		if f.Kind == BitRot && (f.Factor <= 0 || f.Factor >= 1) {
-			return fmt.Errorf("fault: action %d (%s): rate %v outside (0,1)", i, f, f.Factor)
-		}
-		if f.Kind == Partition && len(f.Nodes) == 0 {
-			return fmt.Errorf("fault: action %d (%s): partition needs a non-empty node group", i, f)
-		}
-		if f.Kind == Partition && f.To == 0 {
-			// A cut that never heals means partition-exempt retries spin
-			// forever: the schedule guarantees a livelock, not a finding.
-			return fmt.Errorf("fault: action %d (%s): partition needs a heal window (from=/to=, not at=)", i, f)
-		}
-		for _, n := range f.Nodes {
-			if n < 0 {
-				return fmt.Errorf("fault: action %d (%s): negative node %d in group", i, f, n)
-			}
+	for i, f := range s.Faults {
+		if err := f.check(); err != nil {
+			return fmt.Errorf("fault: action %d (%s): %w", i, f, err)
 		}
 	}
-	for i := 0; i < len(s.faults); i++ {
-		for j := i + 1; j < len(s.faults); j++ {
-			a, b := s.faults[i], s.faults[j]
+	for i := 0; i < len(s.Faults); i++ {
+		for j := i + 1; j < len(s.Faults); j++ {
+			a, b := s.Faults[i], s.Faults[j]
 			if a.Kind != b.Kind || a.location() != b.location() {
 				continue
 			}
@@ -426,6 +284,58 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("fault: action %d (%s) overlaps action %d (%s)", i, a, j, b)
 			}
 		}
+	}
+	return nil
+}
+
+// check applies Validate's per-fault rules to f.
+func (f Fault) check() error {
+	switch {
+	case f.From < 0:
+		return fmt.Errorf("negative start time %v", f.From)
+	case f.To < 0:
+		return fmt.Errorf("negative end time %v", f.To)
+	case f.To > 0 && f.To <= f.From:
+		return errors.New("window ends at or before it starts")
+	case f.Node < 0:
+		return fmt.Errorf("negative node %d", f.Node)
+	case f.Target < 0:
+		return fmt.Errorf("negative target %d", f.Target)
+	}
+	for _, n := range f.Nodes {
+		if n < 0 {
+			return fmt.Errorf("negative node %d in group", n)
+		}
+	}
+	// The range tests are written so that a NaN factor fails them too.
+	switch f.Kind {
+	case FailDevice, DeviceENOSPC, FailTarget:
+	case DegradeTarget, DegradeLink:
+		if !(f.Factor > 0 && f.Factor <= 1) {
+			return fmt.Errorf("factor %v outside (0,1]", f.Factor)
+		}
+	case LossyLink, DupLink:
+		if !(f.Factor > 0 && f.Factor < 1) {
+			return fmt.Errorf("probability %v outside (0,1)", f.Factor)
+		}
+	case CrashNode, TornWrite, BitRot:
+		if f.To > 0 {
+			return fmt.Errorf("%s cannot revert (no to= window)", f.Kind)
+		}
+		if f.Kind == BitRot && !(f.Factor > 0 && f.Factor < 1) {
+			return fmt.Errorf("rate %v outside (0,1)", f.Factor)
+		}
+	case Partition:
+		if len(f.Nodes) == 0 {
+			return errors.New("partition needs a non-empty node group")
+		}
+		if f.To == 0 {
+			// A cut that never heals means partition-exempt retries spin
+			// forever: the schedule guarantees a livelock, not a finding.
+			return errors.New("partition needs a heal window (from=/to=, not at=)")
+		}
+	default:
+		return fmt.Errorf("unknown kind %q", f.Kind)
 	}
 	return nil
 }
@@ -477,8 +387,8 @@ func Arm(k *sim.Kernel, s *Schedule, tg Targets) (*Injector, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	inj := &Injector{stats: make([]Stat, len(s.faults))}
-	for i, f := range s.faults {
+	inj := &Injector{stats: make([]Stat, len(s.Faults))}
+	for i, f := range s.Faults {
 		if err := validate(f, tg); err != nil {
 			return nil, fmt.Errorf("fault: action %d (%s): %w", i, f, err)
 		}
@@ -529,7 +439,9 @@ func traceFault(k *sim.Kernel, f Fault, on bool) {
 }
 
 // validate checks that tg can host f, failing at arm time rather than
-// mid-run. Arm wraps any error with the offending action index.
+// mid-run: the upper bounds of f's node and target, and the hooks its kind
+// needs. Validate has already checked f itself. Arm wraps any error with
+// the offending action index.
 func validate(f Fault, tg Targets) error {
 	switch f.Kind {
 	case FailDevice, DeviceENOSPC:
@@ -575,11 +487,6 @@ func validate(f Fault, tg Targets) error {
 		}
 		if f.Kind == BitRot && tg.BitRot == nil {
 			return errors.New("no bit-rot hook wired")
-		}
-	}
-	if f.Kind == DegradeTarget || f.Kind == DegradeLink {
-		if f.Factor <= 0 || f.Factor > 1 {
-			return fmt.Errorf("factor %v outside (0,1]", f.Factor)
 		}
 	}
 	return nil

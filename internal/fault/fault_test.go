@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,7 +46,7 @@ func TestParseAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := s.Faults()
+	fs := s.Faults
 	if len(fs) != 5 {
 		t.Fatalf("parsed %d faults, want 5", len(fs))
 	}
@@ -79,6 +81,12 @@ func TestParseErrors(t *testing.T) {
 		"fail-device,node=0,from=2s,to=1s",         // to <= from
 		"fail-device,node=0,at=zzz",                // bad duration
 		"fail-device,node=0,huh=1",                 // unknown field
+		"fail-device,node=0,from=1s",               // from= without to=
+		"crash-node,node=0,from=1s",                // from= without to=
+		"fail-device,node=0,factor=0.5,at=1s",      // factor= on a kind without one
+		"bit-rot,node=0,rate=0.1,factor=0.5,at=1s", // factor= must not override rate=
+		"degrade-link,node=0,factor=NaN,at=1s",     // NaN factor
+		"bit-rot,node=0,rate=NaN,at=1s",            // NaN rate
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) must fail", spec)
@@ -86,21 +94,42 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestBuilderClauses(t *testing.T) {
-	s := &Schedule{}
-	s.At(sim.Second).FailDevice(0).DeviceENOSPC(1)
-	s.Between(2*sim.Second, 8*sim.Second).DegradeTarget(1, 0.2).FailTarget(2).DegradeLink(0, 0.5)
-	fs := s.Faults()
-	if len(fs) != 5 {
-		t.Fatalf("built %d faults, want 5", len(fs))
+// TestParseEveryKind pins the Fault value Parse yields for one clause of
+// every kind: the spec grammar maps onto the Fault fields and nothing else.
+func TestParseEveryKind(t *testing.T) {
+	s := sim.Second
+	cases := []struct {
+		spec string
+		want Fault
+	}{
+		{"fail-device,node=0,at=5s", Fault{Kind: FailDevice, Factor: 1, From: 5 * s}},
+		{"device-enospc,node=1,from=1s,to=3s", Fault{Kind: DeviceENOSPC, Node: 1, Factor: 1, From: s, To: 3 * s}},
+		{"fail-target,target=2,from=2s,to=8s", Fault{Kind: FailTarget, Target: 2, Factor: 1, From: 2 * s, To: 8 * s}},
+		{"degrade-target,target=1,factor=0.2,from=2s,to=8s", Fault{Kind: DegradeTarget, Target: 1, Factor: 0.2, From: 2 * s, To: 8 * s}},
+		{"degrade-link,node=0,factor=0.5,at=500ms", Fault{Kind: DegradeLink, Factor: 0.5, From: 500 * sim.Millisecond}},
+		{"crash-node,node=1,at=4s", Fault{Kind: CrashNode, Node: 1, Factor: 1, From: 4 * s}},
+		{"lossy-link,node=0,factor=0.1,from=1s,to=4s", Fault{Kind: LossyLink, Factor: 0.1, From: s, To: 4 * s}},
+		{"dup-link,node=1,factor=0.05,at=2s", Fault{Kind: DupLink, Node: 1, Factor: 0.05, From: 2 * s}},
+		{"partition,nodes=0:2,from=3s,to=6s", Fault{Kind: Partition, Nodes: []int{0, 2}, Factor: 1, From: 3 * s, To: 6 * s}},
+		{"torn-write,node=0,at=5s", Fault{Kind: TornWrite, Factor: 1, From: 5 * s}},
+		{"bit-rot,node=1,rate=0.1,at=5s", Fault{Kind: BitRot, Node: 1, Factor: 0.1, From: 5 * s}},
 	}
-	if fs[0].From != sim.Second || fs[0].To != 0 {
-		t.Errorf("At fault = %+v", fs[0])
+	kinds := map[Kind]bool{}
+	for _, tc := range cases {
+		got, err := Parse(tc.spec)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.spec, err)
+			continue
+		}
+		if want := []Fault{tc.want}; !reflect.DeepEqual(got.Faults, want) {
+			t.Errorf("Parse(%q) = %+v, want %+v", tc.spec, got.Faults, want)
+		}
+		kinds[tc.want.Kind] = true
 	}
-	if fs[2].From != 2*sim.Second || fs[2].To != 8*sim.Second || fs[2].Factor != 0.2 {
-		t.Errorf("Between fault = %+v", fs[2])
+	if len(kinds) != 11 {
+		t.Errorf("table covers %d kinds, want all 11", len(kinds))
 	}
-	if (&Schedule{}).Empty() == false || s.Empty() {
+	if (&Schedule{}).Empty() == false || (&Schedule{Faults: []Fault{cases[0].want}}).Empty() {
 		t.Error("Empty() wrong")
 	}
 }
@@ -108,10 +137,14 @@ func TestBuilderClauses(t *testing.T) {
 func TestArmAppliesAndClearsAtExactTimes(t *testing.T) {
 	k := sim.NewKernel(1)
 	tg := testTargets(k)
-	s := &Schedule{}
-	s.Between(1*sim.Millisecond, 3*sim.Millisecond).FailDevice(0).DegradeLink(0, 0.5)
-	s.Between(2*sim.Millisecond, 4*sim.Millisecond).DegradeTarget(1, 0.25).FailTarget(2)
-	s.At(5 * sim.Millisecond).DeviceENOSPC(0)
+	ms := sim.Millisecond
+	s := &Schedule{Faults: []Fault{
+		{Kind: FailDevice, Node: 0, From: 1 * ms, To: 3 * ms},
+		{Kind: DegradeLink, Node: 0, Factor: 0.5, From: 1 * ms, To: 3 * ms},
+		{Kind: DegradeTarget, Target: 1, Factor: 0.25, From: 2 * ms, To: 4 * ms},
+		{Kind: FailTarget, Target: 2, From: 2 * ms, To: 4 * ms},
+		{Kind: DeviceENOSPC, Node: 0, From: 5 * ms},
+	}}
 	inj, err := Arm(k, s, tg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,14 +199,15 @@ func TestArmAppliesAndClearsAtExactTimes(t *testing.T) {
 func TestArmValidatesEagerly(t *testing.T) {
 	k := sim.NewKernel(1)
 	tg := testTargets(k)
-	for _, s := range []*Schedule{
-		(&Schedule{}).At(0).FailDevice(7).s,        // node without device
-		(&Schedule{}).At(0).FailTarget(99).s,       // target out of range
-		(&Schedule{}).At(0).DegradeLink(99, 0.5).s, // node out of range
-		(&Schedule{}).At(0).DegradeTarget(0, 0).s,  // bad factor
+	for _, f := range []Fault{
+		{Kind: FailDevice, Node: 7},                // node without device
+		{Kind: FailTarget, Target: 99},             // target out of range
+		{Kind: DegradeLink, Node: 99, Factor: 0.5}, // node out of range
+		{Kind: DegradeLink, Node: -1, Factor: 0.5}, // negative node
+		{Kind: DegradeTarget, Target: 0},           // bad factor
 	} {
-		if _, err := Arm(k, s, tg); err == nil {
-			t.Errorf("Arm(%v) must fail", s.Faults())
+		if _, err := Arm(k, &Schedule{Faults: []Fault{f}}, tg); err == nil {
+			t.Errorf("Arm(%v) must fail", f)
 		}
 	}
 	if _, err := Arm(k, nil, tg); err != nil {
@@ -182,99 +216,99 @@ func TestArmValidatesEagerly(t *testing.T) {
 }
 
 func TestValidateRejectsBadSchedules(t *testing.T) {
+	sec := sim.Second
 	cases := []struct {
-		name  string
-		build func() *Schedule
-		want  string // substring the error must contain
+		name   string
+		faults []Fault
+		want   string // substring the error must contain
 	}{
 		{
-			name: "negative start",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.faults = append(s.faults, Fault{Kind: FailDevice, Node: 0, From: -sim.Second})
-				return s
-			},
-			want: "action 0",
+			name:   "negative start",
+			faults: []Fault{{Kind: FailDevice, Node: 0, From: -sec}},
+			want:   "action 0",
 		},
 		{
-			name: "negative end",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.faults = append(s.faults, Fault{Kind: FailDevice, Node: 0, From: sim.Second, To: -sim.Second})
-				return s
-			},
-			want: "action 0",
+			name:   "negative end",
+			faults: []Fault{{Kind: FailDevice, Node: 0, From: sec, To: -sec}},
+			want:   "action 0",
 		},
 		{
-			name: "window ends before start",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.faults = append(s.faults, Fault{Kind: FailTarget, Target: 1, From: 2 * sim.Second, To: sim.Second})
-				return s
-			},
-			want: "action 0",
+			name:   "window ends before start",
+			faults: []Fault{{Kind: FailTarget, Target: 1, From: 2 * sec, To: sec}},
+			want:   "action 0",
 		},
 		{
 			name: "overlapping windows same kind same node",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.Between(1*sim.Second, 5*sim.Second).FailDevice(0)
-				s.Between(3*sim.Second, 7*sim.Second).FailDevice(0)
-				return s
+			faults: []Fault{
+				{Kind: FailDevice, Node: 0, From: 1 * sec, To: 5 * sec},
+				{Kind: FailDevice, Node: 0, From: 3 * sec, To: 7 * sec},
 			},
 			want: "action 0 (fail-device(n0)@1.000s-5.000s) overlaps action 1",
 		},
 		{
 			name: "window overlapping permanent fault",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.At(1 * sim.Second).DeviceENOSPC(2)
-				s.Between(10*sim.Second, 11*sim.Second).DeviceENOSPC(2)
-				return s
+			faults: []Fault{
+				{Kind: DeviceENOSPC, Node: 2, From: 1 * sec},
+				{Kind: DeviceENOSPC, Node: 2, From: 10 * sec, To: 11 * sec},
 			},
 			want: "overlaps action 1",
 		},
 		{
 			name: "two permanent faults same location",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.At(1 * sim.Second).FailTarget(3)
-				s.At(9 * sim.Second).FailTarget(3)
-				return s
+			faults: []Fault{
+				{Kind: FailTarget, Target: 3, From: 1 * sec},
+				{Kind: FailTarget, Target: 3, From: 9 * sec},
 			},
 			want: "overlaps",
 		},
 		{
 			name: "double crash same node",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.At(1 * sim.Second).CrashNode(0)
-				s.At(2 * sim.Second).CrashNode(0)
-				return s
+			faults: []Fault{
+				{Kind: CrashNode, Node: 0, From: 1 * sec},
+				{Kind: CrashNode, Node: 0, From: 2 * sec},
 			},
 			want: "overlaps",
 		},
 		{
-			name: "crash with revert window",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.Between(1*sim.Second, 2*sim.Second).CrashNode(0)
-				return s
-			},
-			want: "cannot revert",
+			name:   "crash with revert window",
+			faults: []Fault{{Kind: CrashNode, Node: 0, From: 1 * sec, To: 2 * sec}},
+			want:   "cannot revert",
 		},
 		{
-			name: "bad degrade factor",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.At(0).DegradeLink(0, 1.5)
-				return s
-			},
-			want: "factor",
+			name:   "bad degrade factor",
+			faults: []Fault{{Kind: DegradeLink, Node: 0, Factor: 1.5}},
+			want:   "factor",
+		},
+		{
+			name:   "NaN degrade factor",
+			faults: []Fault{{Kind: DegradeTarget, Target: 0, Factor: math.NaN()}},
+			want:   "factor NaN outside (0,1]",
+		},
+		// A negative node or target would index the hardware out of range
+		// when the fault fires, so Validate rejects it before Arm.
+		{
+			name:   "degrade-link on a negative node",
+			faults: []Fault{{Kind: DegradeLink, Node: -1, Factor: 0.5}},
+			want:   "negative node -1",
+		},
+		{
+			name:   "lossy-link on a negative node",
+			faults: []Fault{{Kind: LossyLink, Node: -1, Factor: 0.1}},
+			want:   "negative node -1",
+		},
+		{
+			name:   "fail-target on a negative target",
+			faults: []Fault{{Kind: FailTarget, Target: -1}},
+			want:   "negative target -1",
+		},
+		{
+			name:   "degrade-target on a negative target",
+			faults: []Fault{{Kind: DegradeTarget, Target: -1, Factor: 0.5}},
+			want:   "negative target -1",
 		},
 	}
 	for _, tc := range cases {
-		err := tc.build().Validate()
+		err := (&Schedule{Faults: tc.faults}).Validate()
 		if err == nil {
 			t.Errorf("%s: Validate() = nil, want error containing %q", tc.name, tc.want)
 			continue
@@ -286,13 +320,15 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 }
 
 func TestValidateAcceptsDisjointAndCrossKind(t *testing.T) {
-	s := &Schedule{}
-	s.Between(1*sim.Second, 2*sim.Second).FailDevice(0)
-	s.Between(2*sim.Second, 3*sim.Second).FailDevice(0)   // back-to-back, no overlap
-	s.Between(1*sim.Second, 5*sim.Second).DeviceENOSPC(0) // same node, other kind
-	s.Between(1*sim.Second, 5*sim.Second).FailDevice(1)   // same kind, other node
-	s.At(10 * sim.Second).FailDevice(0)                   // permanent after windows end
-	s.At(3 * sim.Second).CrashNode(1)
+	sec := sim.Second
+	s := &Schedule{Faults: []Fault{
+		{Kind: FailDevice, Node: 0, From: 1 * sec, To: 2 * sec},
+		{Kind: FailDevice, Node: 0, From: 2 * sec, To: 3 * sec},   // back-to-back, no overlap
+		{Kind: DeviceENOSPC, Node: 0, From: 1 * sec, To: 5 * sec}, // same node, other kind
+		{Kind: FailDevice, Node: 1, From: 1 * sec, To: 5 * sec},   // same kind, other node
+		{Kind: FailDevice, Node: 0, From: 10 * sec},               // permanent after windows end
+		{Kind: CrashNode, Node: 1, From: 3 * sec},
+	}}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate() = %v, want nil", err)
 	}
@@ -303,7 +339,7 @@ func TestParseCrashNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := s.Faults()
+	fs := s.Faults
 	if len(fs) != 1 || fs[0].Kind != CrashNode || fs[0].Node != 1 || fs[0].From != 4*sim.Second || fs[0].To != 0 {
 		t.Fatalf("parsed %+v", fs)
 	}
@@ -325,8 +361,7 @@ func TestArmCrashNodeFiresOnce(t *testing.T) {
 	tg := testTargets(k)
 	var crashed []int
 	tg.Crash = func(node int) { crashed = append(crashed, node) }
-	s := &Schedule{}
-	s.At(2 * sim.Millisecond).CrashNode(1)
+	s := &Schedule{Faults: []Fault{{Kind: CrashNode, Node: 1, From: 2 * sim.Millisecond}}}
 	inj, err := Arm(k, s, tg)
 	if err != nil {
 		t.Fatal(err)
@@ -346,8 +381,7 @@ func TestArmCrashNodeFiresOnce(t *testing.T) {
 func TestArmCrashNodeRequiresHook(t *testing.T) {
 	k := sim.NewKernel(1)
 	tg := testTargets(k) // no Crash hook wired
-	s := &Schedule{}
-	s.At(sim.Second).CrashNode(0)
+	s := &Schedule{Faults: []Fault{{Kind: CrashNode, Node: 0, From: sim.Second}}}
 	if _, err := Arm(k, s, tg); err == nil {
 		t.Fatal("Arm must reject crash-node without a crash hook")
 	}
@@ -356,9 +390,10 @@ func TestArmCrashNodeRequiresHook(t *testing.T) {
 func TestArmRejectsOverlapNamingIndex(t *testing.T) {
 	k := sim.NewKernel(1)
 	tg := testTargets(k)
-	s := &Schedule{}
-	s.Between(1*sim.Second, 4*sim.Second).FailTarget(2)
-	s.Between(2*sim.Second, 3*sim.Second).FailTarget(2)
+	s := &Schedule{Faults: []Fault{
+		{Kind: FailTarget, Target: 2, From: 1 * sim.Second, To: 4 * sim.Second},
+		{Kind: FailTarget, Target: 2, From: 2 * sim.Second, To: 3 * sim.Second},
+	}}
 	_, err := Arm(k, s, tg)
 	if err == nil || !strings.Contains(err.Error(), "action 0") || !strings.Contains(err.Error(), "action 1") {
 		t.Fatalf("Arm error = %v, want overlap naming actions 0 and 1", err)
@@ -399,7 +434,7 @@ func TestParseNetworkFaultKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := s.Faults()
+	fs := s.Faults
 	if len(fs) != 3 {
 		t.Fatalf("parsed %d faults, want 3", len(fs))
 	}
@@ -440,87 +475,63 @@ func TestParseNetworkFaultErrors(t *testing.T) {
 }
 
 func TestValidateNetworkKinds(t *testing.T) {
+	sec := sim.Second
 	cases := []struct {
 		name    string
-		build   func() *Schedule
+		faults  []Fault
 		wantErr string // substring; "" = must pass
 	}{
 		{
 			name: "overlapping partitions rejected even on disjoint groups",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.Between(1*sim.Second, 5*sim.Second).Partition(0)
-				s.Between(3*sim.Second, 8*sim.Second).Partition(1)
-				return s
+			faults: []Fault{
+				{Kind: Partition, Nodes: []int{0}, From: 1 * sec, To: 5 * sec},
+				{Kind: Partition, Nodes: []int{1}, From: 3 * sec, To: 8 * sec},
 			},
 			wantErr: "action 0",
 		},
 		{
 			name: "sequential partitions allowed",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.Between(1*sim.Second, 3*sim.Second).Partition(0)
-				s.Between(3*sim.Second, 8*sim.Second).Partition(1)
-				return s
+			faults: []Fault{
+				{Kind: Partition, Nodes: []int{0}, From: 1 * sec, To: 3 * sec},
+				{Kind: Partition, Nodes: []int{1}, From: 3 * sec, To: 8 * sec},
 			},
 		},
 		{
-			name: "lossy probability 1 rejected",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.At(sim.Second).LossyLink(0, 1)
-				return s
-			},
+			name:    "lossy probability 1 rejected",
+			faults:  []Fault{{Kind: LossyLink, Node: 0, Factor: 1, From: sec}},
 			wantErr: "probability 1 outside (0,1)",
 		},
 		{
-			name: "dup probability 0 rejected",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.At(sim.Second).DupLink(0, 0)
-				return s
-			},
+			name:    "dup probability 0 rejected",
+			faults:  []Fault{{Kind: DupLink, Node: 0, Factor: 0, From: sec}},
 			wantErr: "probability 0 outside (0,1)",
 		},
 		{
-			name: "empty partition group rejected",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.Between(1*sim.Second, 2*sim.Second).Partition()
-				return s
-			},
+			name:    "empty partition group rejected",
+			faults:  []Fault{{Kind: Partition, From: 1 * sec, To: 2 * sec}},
 			wantErr: "non-empty node group",
 		},
 		{
-			name: "negative node in group rejected",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.Between(1*sim.Second, 2*sim.Second).Partition(0, -3)
-				return s
-			},
+			name:    "negative node in group rejected",
+			faults:  []Fault{{Kind: Partition, Nodes: []int{0, -3}, From: 1 * sec, To: 2 * sec}},
 			wantErr: "negative node -3",
 		},
 		{
-			name: "permanent partition rejected",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.At(sim.Second).Partition(0)
-				return s
-			},
+			name:    "permanent partition rejected",
+			faults:  []Fault{{Kind: Partition, Nodes: []int{0}, From: sec}},
 			wantErr: "heal window",
 		},
 		{
 			name: "lossy and dup on the same node may overlap (different kinds)",
-			build: func() *Schedule {
-				s := &Schedule{}
-				s.Between(1*sim.Second, 5*sim.Second).LossyLink(0, 0.1).DupLink(0, 0.1)
-				return s
+			faults: []Fault{
+				{Kind: LossyLink, Node: 0, Factor: 0.1, From: 1 * sec, To: 5 * sec},
+				{Kind: DupLink, Node: 0, Factor: 0.1, From: 1 * sec, To: 5 * sec},
 			},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.build().Validate()
+			err := (&Schedule{Faults: tc.faults}).Validate()
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("Validate() = %v, want nil", err)
@@ -537,9 +548,12 @@ func TestValidateNetworkKinds(t *testing.T) {
 func TestArmNetworkFaultsAppliesAndReverts(t *testing.T) {
 	k := sim.NewKernel(1)
 	tg := testTargets(k)
-	s := &Schedule{}
-	s.Between(1*sim.Millisecond, 3*sim.Millisecond).LossyLink(0, 0.25).DupLink(1, 0.1)
-	s.Between(2*sim.Millisecond, 4*sim.Millisecond).Partition(0)
+	ms := sim.Millisecond
+	s := &Schedule{Faults: []Fault{
+		{Kind: LossyLink, Node: 0, Factor: 0.25, From: 1 * ms, To: 3 * ms},
+		{Kind: DupLink, Node: 1, Factor: 0.1, From: 1 * ms, To: 3 * ms},
+		{Kind: Partition, Nodes: []int{0}, From: 2 * ms, To: 4 * ms},
+	}}
 	if _, err := Arm(k, s, tg); err != nil {
 		t.Fatal(err)
 	}

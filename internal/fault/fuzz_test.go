@@ -28,6 +28,8 @@ func FuzzParse(f *testing.F) {
 		"torn-write,node=0,at=5s",
 		"bit-rot,node=1,rate=0.1,at=6s",
 		"torn-write,node=0,at=5s,from=1s",
+		"fail-device,node=0,from=1s",
+		"crash-node,node=0,from=1s",
 		"bit-rot,node=1,factor=0.1,at=6s",
 		"bit-rot,node=1,rate=1.5,at=6s",
 		",,,",
@@ -43,7 +45,7 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		}
-		faults := s.Faults()
+		faults := s.Faults
 		if len(faults) == 0 {
 			t.Fatalf("Parse(%q) accepted an empty schedule", spec)
 		}
@@ -81,8 +83,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Parse(%q) not deterministic: second call failed: %v", spec, err)
 		}
-		if len(again.Faults()) != len(faults) {
-			t.Fatalf("Parse(%q) not deterministic: %d vs %d faults", spec, len(faults), len(again.Faults()))
+		if len(again.Faults) != len(faults) {
+			t.Fatalf("Parse(%q) not deterministic: %d vs %d faults", spec, len(faults), len(again.Faults))
 		}
 	})
 }

@@ -85,9 +85,10 @@ func TestTwoNodeCrashesInOneRun(t *testing.T) {
 	cl := NewCluster(cfg)
 	ct := trackCrashes(cl)
 
-	sched := &fault.Schedule{}
-	sched.At(10 * sim.Millisecond).CrashNode(0)
-	sched.At(14 * sim.Millisecond).CrashNode(1)
+	sched := &fault.Schedule{Faults: []fault.Fault{
+		{Kind: fault.CrashNode, Node: 0, From: 10 * sim.Millisecond},
+		{Kind: fault.CrashNode, Node: 1, From: 14 * sim.Millisecond},
+	}}
 	if _, err := cl.ArmFaults(sched); err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +167,7 @@ func TestSecondCrashDuringJournalReplay(t *testing.T) {
 	cl := NewCluster(cfg)
 	ct := trackCrashes(cl)
 
-	sched := &fault.Schedule{}
-	sched.At(10 * sim.Millisecond).CrashNode(0)
+	sched := &fault.Schedule{Faults: []fault.Fault{{Kind: fault.CrashNode, Node: 0, From: 10 * sim.Millisecond}}}
 	if _, err := cl.ArmFaults(sched); err != nil {
 		t.Fatal(err)
 	}
