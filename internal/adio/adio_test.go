@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bufpool"
 	"repro/internal/extent"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
@@ -34,6 +35,7 @@ func newCluster(t *testing.T, seed int64, nodes, perNode int, factory store.Fact
 	cfg.TargetJitter = nil // deterministic content tests
 	fs := pfs.New(k, cfg, factory)
 	w := mpi.NewWorld(k, fab, perNode)
+	w.SetPool(bufpool.New())
 	clients := make([]*pfs.Client, nodes)
 	for i := 0; i < nodes; i++ {
 		clients[i] = fs.NewClient(fab.Node(i))

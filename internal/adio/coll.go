@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/bufpool"
 	"repro/internal/extent"
 	"repro/internal/metrics"
 	"repro/internal/mpe"
@@ -189,7 +190,7 @@ func (f *File) writeEpoch(c *mpi.Comm, rem, segs []extent.Extent, pre []int64, d
 				selfExts = exts
 				continue
 			}
-			msg := buildDataMsg(exts, segs, pre, data)
+			msg := buildDataMsg(r.World().Pool(), exts, segs, pre, data)
 			f.Stats.BytesExchanged += msg.Size
 			mExch.Add(msg.Size)
 			sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
@@ -518,10 +519,11 @@ func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {
 
 // buildDataMsg encodes extents (and payload, when present) into a shuffle
 // message. Vals carries (off, len) pairs; Size adds a 16-byte per-extent
-// header to the payload bytes. The payload is allocated once, at its final
-// length, and never shared: reliable delivery may keep the message for a
-// retransmit after the round.
-func buildDataMsg(exts []extent.Extent, segs []extent.Extent, pre []int64, data []byte) mpi.Message {
+// header to the payload bytes. The payload comes from pool at its final
+// length and belongs to the message: the sender hands it over at Isend,
+// and the aggregator releases it in packAndWrite once it is copied into
+// the collective buffer.
+func buildDataMsg(pool *bufpool.Pool, exts []extent.Extent, segs []extent.Extent, pre []int64, data []byte) mpi.Message {
 	vals := make([]int64, 0, 2*len(exts))
 	var bytes int64
 	for _, e := range exts {
@@ -530,7 +532,7 @@ func buildDataMsg(exts []extent.Extent, segs []extent.Extent, pre []int64, data 
 	}
 	var payload []byte
 	if data != nil && bytes > 0 {
-		payload = make([]byte, bytes)
+		payload = pool.Get(int(bytes))
 		var cursor int64
 		for _, e := range exts {
 			copyFromSegs(payload[cursor:], e, segs, pre, data)
@@ -545,6 +547,7 @@ func buildDataMsg(exts []extent.Extent, segs []extent.Extent, pre []int64, data 
 // contiguous covered run via WriteContig (holes are skipped, as ROMIO does
 // when hole detection shows no read-modify-write is needed). A piece from a
 // metadata-only sender (nil Data, or nil data here) is written as zeros.
+// Each message's payload is released once it is copied in.
 func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []extent.Extent,
 	segs []extent.Extent, pre []int64, data []byte) error {
 	r := f.rank
@@ -599,6 +602,7 @@ func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []e
 				}
 				cursor += e.Len
 			}
+			r.World().Release(m)
 		}
 		for _, e := range selfExts {
 			if dst := buf[e.Off-win.Off : e.End()-win.Off]; data == nil {

@@ -3,6 +3,7 @@ package adio
 import (
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/extent"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
@@ -135,7 +136,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 			span2.End(log, mpe.PhaseWrite, r.Now()) // file I/O time
 			// Reply to every requester.
 			for _, q := range reqs {
-				msg := buildReadReply(q.exts, win, wbuf)
+				msg := buildReadReply(r.World().Pool(), q.exts, win, wbuf)
 				f.Stats.BytesExchanged += msg.Size
 				r.Send(c.Member(q.src).ID(), repTag, msg)
 			}
@@ -147,7 +148,8 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 			}
 		}
 
-		// Collect the replies and place them into the caller's buffer.
+		// Collect the replies, place them into the caller's buffer and
+		// release their payloads.
 		r.Waitall(replyReqs)
 		for i, q := range replyReqs {
 			msg := r.Wait(q)
@@ -159,6 +161,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 				copyIntoSegs(msg.Data[cursor:cursor+e.Len], e, segs, pre, buf)
 				cursor += e.Len
 			}
+			r.World().Release(msg)
 		}
 		span.End(log, mpe.PhaseExchWaitall, r.Now())
 	}
@@ -169,16 +172,17 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 }
 
 // buildReadReply packs the bytes of exts, read into wbuf for the window
-// win (nil without a payload), into a reply message whose payload is
-// allocated once at its final length and never shares wbuf.
-func buildReadReply(exts []extent.Extent, win extent.Extent, wbuf []byte) mpi.Message {
+// win (nil without a payload), into a reply message. Its payload comes
+// from pool at its final length, never shares wbuf, and is released by
+// the requester once it is copied out.
+func buildReadReply(pool *bufpool.Pool, exts []extent.Extent, win extent.Extent, wbuf []byte) mpi.Message {
 	var bytes int64
 	for _, e := range exts {
 		bytes += e.Len
 	}
 	var payload []byte
 	if wbuf != nil && bytes > 0 {
-		payload = make([]byte, 0, bytes)
+		payload = pool.Get(int(bytes))[:0]
 		for _, e := range exts {
 			payload = append(payload, wbuf[e.Off-win.Off:e.End()-win.Off]...)
 		}

@@ -317,12 +317,15 @@ func (f *File) Flush() error {
 // collBuf returns the file's collective buffer cut to n bytes. It is the
 // one staging area for two-phase and sieved windows, as ROMIO's
 // cb_buffer_size buffer is, so a window's bytes last until the next
-// window. It grows to the largest window served, only payload mode asks
-// for it, and Close releases it. A message never points into it: reliable
-// delivery may keep a message for retransmit.
+// window. It comes from the World's pool, grows to the largest window
+// served (handing the smaller one back), only payload mode asks for it,
+// and Close returns it to the pool for the next file. A message never
+// points into it: payloads are copied into messages of their own.
 func (f *File) collBuf(n int64) []byte {
 	if int64(cap(f.buf)) < n {
-		f.buf = make([]byte, n)
+		pool := f.rank.World().Pool()
+		pool.Put(f.buf)
+		f.buf = pool.Get(int(n))
 	}
 	return f.buf[:n]
 }
@@ -347,6 +350,7 @@ func (f *File) Close() error {
 		err = f.hooks.AtClose(f)
 	}
 	f.backend.Close(f.rank.Proc())
+	f.rank.World().Pool().Put(f.buf)
 	f.closed, f.buf = true, nil
 	span.End(f.log, mpe.PhaseClose, f.rank.Now())
 	return err

@@ -374,9 +374,17 @@ func (c *Cache) recover(f *adio.File) error {
 	verifier, _ := f.Backend().(interface{ PayloadBacked() bool })
 	verify := cachePayload && verifier != nil && verifier.PayloadBacked()
 	exts := c.dirty.Extents()
-	var rbuf []byte // recovery's own buffer: the sync thread keeps its own
+	// Recovery's own buffers (the sync thread keeps its own) come from the
+	// World's pool and go back to it when the replay ends.
+	pool := f.Rank().World().Pool()
+	var rbuf, vbuf []byte
 	if cachePayload && len(exts) > 0 {
-		rbuf = make([]byte, bufSize)
+		rbuf = pool.Get(int(bufSize))
+		defer pool.Put(rbuf)
+		if verify {
+			vbuf = pool.Get(int(bufSize))
+			defer pool.Put(vbuf)
+		}
 	}
 	for _, ext := range exts {
 		for off := ext.Off; off < ext.End(); off += bufSize {
@@ -418,11 +426,11 @@ func (c *Cache) recover(f *adio.File) error {
 					return err
 				}
 				if verify && gbuf != nil {
-					vbuf := make([]byte, g.Len)
-					if err := f.Backend().ReadContig(p, vbuf, g.Off, g.Len); err != nil {
+					vb := vbuf[:g.Len]
+					if err := f.Backend().ReadContig(p, vb, g.Off, g.Len); err != nil {
 						return err
 					}
-					if !bytes.Equal(gbuf, vbuf) {
+					if !bytes.Equal(gbuf, vb) {
 						return fmt.Errorf("core: recovery verification failed at [%d,+%d)", g.Off, g.Len)
 					}
 				}
@@ -811,13 +819,16 @@ func (st *syncThread) run(p *sim.Proc) {
 	if bufSize <= 0 {
 		bufSize = adio.DefaultIndWrBufferSize
 	}
-	// The thread holds its synchronisation buffer only while it has work,
-	// so an idle thread keeps no chunk-sized buffer alive. While it works,
-	// every chunk goes through that one buffer; no backend keeps a slice
-	// it was given to write.
+	// The thread holds its synchronisation buffer only while it has work:
+	// it takes it from the World's pool and an idle thread hands it back,
+	// so no idle thread keeps a chunk-sized buffer. While it works, every
+	// chunk goes through that one buffer; no backend keeps a slice it was
+	// given to write.
 	_, payload := c.cfile.Store().(store.PayloadBacked)
+	pool := c.f.Rank().World().Pool()
 	for {
 		for len(st.queue) == 0 {
+			pool.Put(st.buf)
 			st.buf = nil
 			if st.stopped || st.crashed {
 				return
@@ -825,7 +836,7 @@ func (st *syncThread) run(p *sim.Proc) {
 			st.cond.Wait(p)
 		}
 		if payload && st.buf == nil {
-			st.buf = make([]byte, bufSize)
+			st.buf = pool.Get(int(bufSize))
 		}
 		if st.crashed {
 			return

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adio"
+	"repro/internal/bufpool"
 	"repro/internal/extent"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
@@ -42,6 +43,7 @@ func newRigSeed(t *testing.T, seed int64, nodes, perNode int, factory store.Fact
 	cfg.TargetJitter = nil
 	fs := pfs.New(k, cfg, factory)
 	w := mpi.NewWorld(k, fab, perNode)
+	w.SetPool(bufpool.New())
 	clients := make([]*pfs.Client, nodes)
 	nvms := make([]*nvm.FS, nodes)
 	for i := 0; i < nodes; i++ {

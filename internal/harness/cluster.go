@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"repro/internal/adio"
+	"repro/internal/bufpool"
 	"repro/internal/burst"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -91,9 +92,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		netCfg.Nodes = cfg.Nodes + bbProxies
 	}
 	fab := netsim.New(k, netCfg)
+	// One byte pool serves the cluster's whole payload path: file pages,
+	// message payloads, collective and sync buffers. A run without a
+	// payload never draws from it.
+	pool := bufpool.New()
 	factory := store.NewNull
 	if cfg.Payload {
-		factory = store.NewMem
+		factory = store.PooledMem(pool)
 	}
 	fs := pfs.New(k, cfg.PFS, factory)
 	// Node-local NVM gets the checksummed variant: at-rest corruption
@@ -101,7 +106,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	// charges no simulated time, so fault-free runs are byte-identical.
 	nvmFactory := store.NewNullChecksummed
 	if cfg.Payload {
-		nvmFactory = store.NewMemChecksummed
+		nvmFactory = store.PooledMemChecksummed(pool)
 	}
 	clients := make([]*pfs.Client, cfg.Nodes)
 	nvms := make([]*nvm.FS, cfg.Nodes)
@@ -111,6 +116,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		nvms[i] = nvm.NewFS(dev, nvm.FSConfig{SupportsFallocate: true}, nvmFactory)
 	}
 	w := mpi.NewWorldOn(k, fab, cfg.RanksPerNode, cfg.Nodes)
+	w.SetPool(pool)
 	drv := adio.NewBeeGFSDriver(func(n int) *pfs.Client { return clients[n] })
 	reg := adio.NewRegistry(drv)
 	reg.Mount("ufs", adio.NewUFSDriver(func(n int) *pfs.Client { return clients[n] }))

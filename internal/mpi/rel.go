@@ -160,17 +160,20 @@ func (rel *relState) retain(k relKey, m Message) {
 	rel.outstanding[k][m.relSeq] = rel.getOut(m)
 }
 
-// ack releases the retained copy of (k, seq); the receiver has it.
-func (rel *relState) ack(k relKey, seq uint64) {
+// ack releases the retained copy of (k, seq), the receiver has it, and
+// returns the payload the copy held.
+func (rel *relState) ack(k relKey, seq uint64) []byte {
 	om := rel.outstanding[k][seq]
 	if om == nil {
-		return
+		return nil
 	}
 	if om.timer != nil {
 		om.timer.Stop()
 	}
 	delete(rel.outstanding[k], seq)
+	data := om.msg.Data
 	rel.putOut(om)
+	return data
 }
 
 // onLost is the sender-side loss reaction: schedule a retransmit with the
@@ -193,6 +196,7 @@ func (w *World) onLost(m Message) {
 			om.timer.Stop()
 		}
 		delete(rel.outstanding[k], m.relSeq)
+		w.drop(om.msg.Data)
 		rel.putOut(om)
 		return
 	}
@@ -213,6 +217,7 @@ func (w *World) onLost(m Message) {
 		srcNode := w.ranks[m.Src].node
 		dstNode := w.ranks[m.Dst].node
 		fate := w.fabric.MessageFate(srcNode.ID(), dstNode.ID())
+		w.hold(om.msg.Data)
 		w.send(&transfer{w: w, m: om.msg, fate: fate, retrans: true})
 	})
 }
@@ -239,9 +244,10 @@ func (w *World) arrived(dst *Rank, m *Message) {
 		if mt := w.k.Metrics(); mt != nil {
 			mt.Counter("mpi_dedup_drops_total", metrics.L(metrics.KeyLayer, "mpi")).Inc()
 		}
+		w.drop(m.Data)
 		return
 	}
-	rel.ack(k, m.relSeq)
+	w.drop(rel.ack(k, m.relSeq))
 	if m.relSeq > next {
 		if rel.pending[k] == nil {
 			rel.pending[k] = make(map[uint64]*Message)

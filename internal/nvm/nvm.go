@@ -259,10 +259,12 @@ func (fs *FS) OpenTenant(name, tenant string, create bool) (*File, error) {
 	return fs.CreateTenant(name, tenant)
 }
 
-// Remove unlinks a file, returning its allocated space to the device. The
-// handle goes stale: this file system models a cache, where Remove means
-// discard/evict, so letting a stale handle keep writing would reserve
-// capacity that no later Remove could return (the stranded-bytes bug).
+// Remove unlinks a file, returning its allocated space to the device and
+// its payload memory to the store's pool, so another file can reuse those
+// pages. The handle goes stale: this file system models a cache, where
+// Remove means discard/evict, so letting a stale handle keep writing
+// would reserve capacity that no later Remove could return (the
+// stranded-bytes bug), and its released store no longer holds the pages.
 func (fs *FS) Remove(name string) error {
 	f, ok := fs.files[name]
 	if !ok {
@@ -274,6 +276,9 @@ func (fs *FS) Remove(name string) error {
 	}
 	f.unlinked = true
 	f.reserved.Clear()
+	if r, ok := f.data.(store.Releaser); ok {
+		r.Release()
+	}
 	delete(fs.files, name)
 	return nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bufpool"
+	"repro/internal/extent"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -117,6 +119,62 @@ func TestStaleHandleCannotStrandBytes(t *testing.T) {
 		}
 		if err := g.WriteAt(p, nil, 0, 1000); err != nil {
 			t.Errorf("fresh file denied reclaimed capacity: %v", err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRemovedPagesStayOutOfReach removes a payload file whose pages a
+// second file then reuses from the cluster's pool. The removed handle
+// must read ErrStale and FS.Files must not list it, so fault injection,
+// which walks Files, cannot corrupt the recycled pages; and even a
+// CorruptAt through the stale handle's own store leaves the new file's
+// bytes alone, because Release dropped its pages.
+func TestRemovedPagesStayOutOfReach(t *testing.T) {
+	k := sim.NewKernel(1)
+	pool := bufpool.New()
+	fs := NewFS(testDevice(k, 1<<30), FSConfig{SupportsFallocate: true}, store.PooledMemChecksummed(pool))
+	const size = 256 << 10
+	old := bytes.Repeat([]byte{0x11}, size)
+	fresh := bytes.Repeat([]byte{0x22}, size)
+	k.Spawn("w", func(p *sim.Proc) {
+		f, _ := fs.Create("discarded")
+		if err := f.WriteAt(p, old, 0, size); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := fs.Remove("discarded"); err != nil {
+			t.Error(err)
+			return
+		}
+		g, _ := fs.Create("reuser")
+		if err := g.WriteAt(p, fresh, 0, size); err != nil {
+			t.Error(err)
+			return
+		}
+		if n := f.Store().Written().TotalBytes(); n != 0 {
+			t.Errorf("the removed file's store still holds %d bytes", n)
+		}
+		if err := f.ReadAt(p, make([]byte, 4), 0, 4); !errors.Is(err, ErrStale) {
+			t.Errorf("removed handle's read: want ErrStale, got %v", err)
+		}
+		for _, h := range fs.Files() {
+			if h == f {
+				t.Error("FS.Files lists the removed file")
+			}
+		}
+		f.Store().(store.Integrity).CorruptAt(0, size)
+		got := make([]byte, size)
+		if err := g.ReadAt(p, got, 0, size); err != nil {
+			t.Error(err)
+		}
+		if !bytes.Equal(got, fresh) {
+			t.Error("the removed file's store still reaches the recycled pages")
+		}
+		if bad := g.Store().(store.Integrity).VerifyExtent(extent.Extent{Len: size}); len(bad) != 0 {
+			t.Errorf("the reusing file verifies corrupt at %v", bad)
 		}
 	})
 	if err := k.Run(); err != nil {

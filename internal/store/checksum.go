@@ -3,6 +3,7 @@ package store
 import (
 	"hash/crc32"
 
+	"repro/internal/bufpool"
 	"repro/internal/extent"
 )
 
@@ -14,6 +15,9 @@ const ChecksumChunk int64 = 4 << 10
 // crcTable is CRC-32C (Castagnoli), the checksum NVM-aware storage stacks
 // use for at-rest data.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// zeroChunkSum is the CRC of a chunk that was never written.
+var zeroChunkSum = crc32.Checksum(make([]byte, ChecksumChunk), crcTable)
 
 // Integrity is the verification surface of a checksummed store: scrub
 // paths use VerifyExtent to find corrupt subranges, fault injection uses
@@ -32,15 +36,14 @@ type Integrity interface {
 	CorruptAt(off, n int64)
 }
 
-// ChecksumStore wraps a Store with per-chunk CRCs (payload-backed inner)
-// or an extent-granularity corruption ledger (payload-free inner). All
-// Store methods delegate; the wrapper adds zero simulated time.
+// ChecksumStore wraps a Store with per-chunk CRCs (a MemStore inner) or an
+// extent-granularity corruption ledger (any other inner). All Store
+// methods delegate; the wrapper adds zero simulated time.
 type ChecksumStore struct {
-	inner   Store
-	payload bool
-	sums    map[int64]uint32 // chunk index -> CRC-32C of the aligned chunk
-	bad     extent.Set       // injected-corruption ledger
-	chunk   []byte           // payload only: read buffer for rehash and VerifyExtent
+	inner Store
+	mem   *MemStore        // the inner MemStore, nil without a payload
+	sums  map[int64]uint32 // chunk index -> CRC-32C of the aligned chunk
+	bad   extent.Set       // injected-corruption ledger
 }
 
 // memChecksumStore preserves the PayloadBacked marker of a wrapped
@@ -55,13 +58,18 @@ func NewMemChecksummed() Store { return Checksummed(NewMem()) }
 // NewNullChecksummed is a Factory for a checksummed NullStore.
 func NewNullChecksummed() Store { return Checksummed(NewNull()) }
 
-// Checksummed wraps inner with integrity tracking. A payload-backed inner
-// keeps its PayloadBacked marker.
+// PooledMemChecksummed returns a Factory for checksummed MemStores that
+// take their pages from p (see PooledMem).
+func PooledMemChecksummed(p *bufpool.Pool) Factory {
+	return func() Store { return Checksummed(&MemStore{pool: p}) }
+}
+
+// Checksummed wraps inner with integrity tracking. A MemStore inner keeps
+// its PayloadBacked marker.
 func Checksummed(inner Store) Store {
 	cs := &ChecksumStore{inner: inner, sums: map[int64]uint32{}}
-	if _, ok := inner.(PayloadBacked); ok {
-		cs.payload = true
-		cs.chunk = make([]byte, ChecksumChunk)
+	if m, ok := inner.(*MemStore); ok {
+		cs.mem = m
 		return &memChecksumStore{cs}
 	}
 	return cs
@@ -76,18 +84,25 @@ func (cs *ChecksumStore) WriteAt(data []byte, off, size int64) {
 	if cs.bad.Len() > 0 {
 		cs.bad.Remove(extent.Extent{Off: off, Len: size})
 	}
-	if cs.payload {
+	if cs.mem != nil {
 		cs.rehash(off, off+size)
 	}
 }
 
 // rehash recomputes the CRCs of every chunk touching [lo, hi).
 func (cs *ChecksumStore) rehash(lo, hi int64) {
-	buf := cs.chunk
 	for ci := lo / ChecksumChunk; ci <= (hi-1)/ChecksumChunk; ci++ {
-		cs.inner.ReadAt(buf, ci*ChecksumChunk)
-		cs.sums[ci] = crc32.Checksum(buf, crcTable)
+		cs.sums[ci] = cs.chunkSum(ci)
 	}
+}
+
+// chunkSum hashes chunk ci where the MemStore holds it: pageSize is a
+// multiple of ChecksumChunk, so the chunk lies in one page.
+func (cs *ChecksumStore) chunkSum(ci int64) uint32 {
+	if b := cs.mem.view(ci*ChecksumChunk, ChecksumChunk); b != nil {
+		return crc32.Checksum(b, crcTable)
+	}
+	return zeroChunkSum
 }
 
 // ReadAt implements Store.
@@ -107,7 +122,7 @@ func (cs *ChecksumStore) Truncate(size int64) {
 		return
 	}
 	cs.bad.Remove(extent.Extent{Off: size, Len: 1<<62 - size})
-	if cs.payload {
+	if cs.mem != nil {
 		for ci := size / ChecksumChunk; ci <= (old-1)/ChecksumChunk; ci++ {
 			delete(cs.sums, ci)
 		}
@@ -123,7 +138,7 @@ func (cs *ChecksumStore) CorruptAt(off, n int64) {
 		return
 	}
 	cs.bad.Add(extent.Extent{Off: off, Len: n})
-	if !cs.payload {
+	if cs.mem == nil {
 		return
 	}
 	// Really flip the stored bytes, bypassing the checksum update, so a
@@ -147,16 +162,11 @@ func (cs *ChecksumStore) VerifyExtent(e extent.Extent) []extent.Extent {
 			out.Add(ov)
 		}
 	}
-	if cs.payload {
-		buf := cs.chunk
+	if cs.mem != nil {
 		for ci := e.Off / ChecksumChunk; ci <= (e.End()-1)/ChecksumChunk; ci++ {
 			want, ok := cs.sums[ci]
-			if !ok {
-				continue // never written through the wrapper
-			}
-			cs.inner.ReadAt(buf, ci*ChecksumChunk)
-			if crc32.Checksum(buf, crcTable) == want {
-				continue
+			if !ok || cs.chunkSum(ci) == want {
+				continue // clean, or never written through the wrapper
 			}
 			if ov := (extent.Extent{Off: ci * ChecksumChunk, Len: ChecksumChunk}).Intersect(e); !ov.Empty() {
 				out.Add(ov)
@@ -164,4 +174,14 @@ func (cs *ChecksumStore) VerifyExtent(e extent.Extent) []extent.Extent {
 		}
 	}
 	return out.Extents()
+}
+
+// Release implements Releaser: the inner MemStore hands its pages back
+// and the wrapper forgets its sums and ledger.
+func (cs *ChecksumStore) Release() {
+	if cs.mem != nil {
+		cs.mem.Release()
+	}
+	clear(cs.sums)
+	cs.bad.Clear()
 }

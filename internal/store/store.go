@@ -10,6 +10,7 @@ package store
 import (
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/extent"
 )
 
@@ -33,6 +34,11 @@ type Store interface {
 // Factory creates a Store for a newly created file.
 type Factory func() Store
 
+// Releaser is a store that can hand its memory back when its file is
+// discarded. After Release the store is empty, as if newly created, and
+// shares no memory with what it held.
+type Releaser interface{ Release() }
+
 // PayloadBacked marks stores that hold real bytes (MemStore); consumers use
 // it to decide whether reading back content is meaningful.
 type PayloadBacked interface{ payloadBacked() }
@@ -41,6 +47,10 @@ func (m *MemStore) payloadBacked() {}
 
 // NewMem is a Factory for MemStore.
 func NewMem() Store { return &MemStore{} }
+
+// PooledMem returns a Factory for MemStores that take their pages from p
+// and hand them back when Truncate or Release drops them.
+func PooledMem(p *bufpool.Pool) Factory { return func() Store { return &MemStore{pool: p} } }
 
 // NewNull is a Factory for NullStore.
 func NewNull() Store { return &NullStore{} }
@@ -61,6 +71,7 @@ type MemStore struct {
 	pages   map[int64][]byte // page index -> pageSize bytes
 	written extent.Set
 	size    int64
+	pool    *bufpool.Pool // where pages come from and go back to; nil allocates
 }
 
 // WriteAt implements Store. A nil-data write clears the bytes it covers
@@ -89,7 +100,11 @@ func (m *MemStore) WriteAt(data []byte, off, size int64) {
 				if m.pages == nil {
 					m.pages = map[int64][]byte{}
 				}
-				page = make([]byte, pageSize)
+				// A recycled page holds its last user's bytes: clear
+				// what this write does not cover.
+				page = m.pool.Get(int(pageSize))
+				clear(page[:po])
+				clear(page[po+n:])
 				m.pages[pi] = page
 			}
 			copy(page[po:po+n], data[pos-off:])
@@ -113,14 +128,26 @@ func (m *MemStore) ReadAt(buf []byte, off int64) {
 	}
 }
 
+// view returns the n stored bytes at off, which must lie in one page, or
+// nil when that page was never written (its bytes read as zero).
+func (m *MemStore) view(off, n int64) []byte {
+	page := m.pages[off/pageSize]
+	if page == nil {
+		return nil
+	}
+	po := off % pageSize
+	return page[po : po+n]
+}
+
 // Written implements Store.
 func (m *MemStore) Written() *extent.Set { return &m.written }
 
 // Size implements Store.
 func (m *MemStore) Size() int64 { return m.size }
 
-// Truncate implements Store. Shrinking drops the pages past size and
-// clears the tail of the boundary page, so a later grow reads zeros.
+// Truncate implements Store. Shrinking hands the pages past size back to
+// the pool and clears the tail of the boundary page, so a later grow
+// reads zeros.
 func (m *MemStore) Truncate(size int64) {
 	if size >= m.size {
 		m.size = size
@@ -130,12 +157,21 @@ func (m *MemStore) Truncate(size int64) {
 	m.written.Remove(extent.Extent{Off: size, Len: 1<<62 - size})
 	for pi := range m.pages {
 		if pi*pageSize >= size {
+			m.pool.Put(m.pages[pi])
 			delete(m.pages, pi)
 		}
 	}
 	if page := m.pages[size/pageSize]; page != nil {
 		clear(page[size%pageSize:])
 	}
+}
+
+// Release implements Releaser: every page goes back to the pool.
+func (m *MemStore) Release() {
+	for _, page := range m.pages {
+		m.pool.Put(page)
+	}
+	*m = MemStore{pool: m.pool}
 }
 
 // NullStore tracks only extents and size; content reads as zero.
