@@ -3,6 +3,7 @@ package adio
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -98,7 +99,7 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 	if a.Comm == nil || a.Registry == nil {
 		return nil, errors.New("adio: OpenColl needs a communicator and a registry")
 	}
-	hints, err := ParseHints(a.Info, a.Comm.Size())
+	hints, err := sharedHints(a.Comm, a.Info)
 	if err != nil {
 		return nil, err
 	}
@@ -157,6 +158,35 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 	}
 	span.End(log, mpe.PhaseOpen, r.Now())
 	return f, nil
+}
+
+// hintsKey keys the parsed hint sets memoized on a communicator.
+type hintsKey struct{}
+
+// parsedHints is one Info content and the Hints parsed from it.
+type parsedHints struct {
+	info  mpi.Info // a private copy, so a caller reusing its map cannot alias it
+	hints *Hints
+}
+
+// sharedHints parses info once per communicator and Info content: every
+// rank of a collective open whose Info is equal to one already parsed on c
+// shares that *Hints. A different Info gets its own parse; an invalid one
+// is parsed, and fails, on every rank. Sharing is safe because a Hints and
+// its Extra are read-only once ParseHints returns: nothing may mutate them.
+func sharedHints(c *mpi.Comm, info mpi.Info) (*Hints, error) {
+	memo := c.Memo(hintsKey{}, func() any { return new([]parsedHints) }).(*[]parsedHints)
+	for _, p := range *memo {
+		if maps.Equal(p.info, info) {
+			return p.hints, nil
+		}
+	}
+	h, err := ParseHints(info, c.Size())
+	if err != nil {
+		return nil, err
+	}
+	*memo = append(*memo, parsedHints{info: maps.Clone(info), hints: h})
+	return h, nil
 }
 
 // placementKey keys the aggregator placement memoized on a communicator

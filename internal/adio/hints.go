@@ -48,7 +48,10 @@ const (
 	DefaultIndRdBufferSize = 4 << 20   // 4 MB, ROMIO's read-sieving buffer default
 )
 
-// Hints is the parsed, normalized hint set attached to an open file.
+// Hints is the parsed, normalized hint set attached to an open file. A
+// collective open shares one Hints among all ranks whose Info is equal
+// (see sharedHints), so a Hints and its Extra are read-only after
+// ParseHints returns: no layer may mutate them.
 type Hints struct {
 	CBWrite         string // enable | disable | automatic
 	CBRead          string

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 
 	"repro/internal/adio"
 	"repro/internal/extent"
@@ -53,6 +54,10 @@ type Env struct {
 	// mid-replay, so external oracles can always distinguish detected
 	// corruption from silent loss.
 	scrubLost map[string]*extent.Set
+
+	// meters holds the cache layer's metric handles, shared by every cache
+	// of this Env (see Cache.meters).
+	meters *cacheMetrics
 }
 
 // journal returns (creating on demand) the dirty-extent journal for key.
@@ -91,18 +96,34 @@ func (e *Env) noteScrubLoss(key string, exts []extent.Extent) {
 	}
 }
 
+// optionsKey keys the Options memoized on a communicator by the shared
+// hint set they were parsed from.
+type optionsKey struct{ h *adio.Hints }
+
+// parsedOptions is the outcome of parsing one hint set's e10_* hints.
+type parsedOptions struct {
+	opts Options
+	err  error
+}
+
 // HooksFactory returns the adio hook factory that installs a cache on
-// files opened with e10_cache set to enable or coherent.
+// files opened with e10_cache set to enable or coherent. The options are
+// parsed once per communicator and shared hint set, and every rank's cache
+// shares them read-only.
 func (e *Env) HooksFactory() adio.HooksFactory {
 	return func(f *adio.File) (adio.Hooks, error) {
-		opts, err := ParseOptions(f.Hints().Extra)
-		if err != nil {
-			return nil, err
+		h := f.Hints()
+		p := f.Comm().Memo(optionsKey{h}, func() any {
+			opts, err := ParseOptions(h.Extra)
+			return &parsedOptions{opts, err}
+		}).(*parsedOptions)
+		if p.err != nil {
+			return nil, p.err
 		}
-		if !opts.Enabled() {
+		if !p.opts.Enabled() {
 			return nil, nil
 		}
-		return newCache(e, f, opts)
+		return newCache(e, f, &p.opts)
 	}
 }
 
@@ -150,10 +171,11 @@ type syncReq struct {
 type Cache struct {
 	env   *Env
 	f     *adio.File
-	opts  Options
+	opts  *Options // shared read-only by the ranks of one collective open
 	fs    *nvm.FS
 	cfile *nvm.File
-	name  string
+	key   string // journal-registry key: "n<node>:" + name
+	name  string // cache file path on the node-local file system; a suffix of key
 
 	// dirty is the cache file's persistent journal: cached-but-unsynced
 	// extents. Shared with the Env registry so it survives close/crash.
@@ -179,63 +201,69 @@ type Cache struct {
 	pending     []*syncReq // created but not yet submitted (flush_onclose)
 	outstanding []*syncReq // submitted or pending; waited on at flush
 
-	// Metric handles, registered lazily on first use. The series carry only
-	// the layer label, so every rank's cache feeds the same aggregate — the
-	// per-run totals Equation 1 is stated in.
-	mreg        bool
-	mWrites     *metrics.Counter
-	mBytes      *metrics.Counter
-	mThrough    *metrics.Counter
-	mDevErr     *metrics.Counter
-	mSyncReqs   *metrics.Counter
-	mSynced     *metrics.Counter
-	mRetries    *metrics.Counter
-	mFailures   *metrics.Counter
-	mBackoffs   *metrics.Counter
-	mFlushWaits *metrics.Counter
-	mNotHidden  *metrics.Counter
-	mReplays    *metrics.Counter
-	mRecovered  *metrics.Counter
-	mExtentNs   *metrics.Histogram
-	mChunkNs    *metrics.Histogram
-
 	Stats Stats
 }
 
-// metricsOn resolves (and caches) the cache's metric handles; it returns
-// false when metrics are disabled.
-func (c *Cache) metricsOn() bool {
+// cacheMetrics is the cache layer's set of metric handles, one per Env and
+// registry. The series carry only the layer label, so every rank's cache
+// feeds the same aggregate — the per-run totals Equation 1 is stated in.
+type cacheMetrics struct {
+	reg        *metrics.Registry
+	writes     *metrics.Counter
+	bytes      *metrics.Counter
+	through    *metrics.Counter
+	devErr     *metrics.Counter
+	syncReqs   *metrics.Counter
+	synced     *metrics.Counter
+	retries    *metrics.Counter
+	failures   *metrics.Counter
+	backoffs   *metrics.Counter
+	flushWaits *metrics.Counter
+	notHidden  *metrics.Counter
+	replays    *metrics.Counter
+	recovered  *metrics.Counter
+	extentNs   *metrics.Histogram
+	chunkNs    *metrics.Histogram
+}
+
+// meters returns the cache layer's metric handles, registering them with
+// the run's registry on first use; nil when metrics are disabled.
+func (c *Cache) meters() *cacheMetrics {
 	m := c.f.Rank().World().Kernel().Metrics()
 	if m == nil {
-		return false
+		return nil
 	}
-	if !c.mreg {
-		layer := metrics.L(metrics.KeyLayer, "core")
-		c.mWrites = m.Counter("cache_writes_total", layer)
-		c.mBytes = m.Counter("cache_bytes_total", layer)
-		c.mThrough = m.Counter("cache_write_through_total", layer)
-		c.mDevErr = m.Counter("cache_device_errors_total", layer)
-		c.mSyncReqs = m.Counter("cache_sync_reqs_total", layer)
-		c.mSynced = m.Counter("cache_synced_bytes_total", layer)
-		c.mRetries = m.Counter("cache_sync_retries_total", layer)
-		c.mFailures = m.Counter("cache_sync_failures_total", layer)
-		c.mBackoffs = m.Counter("cache_adaptive_backoffs_total", layer)
-		c.mFlushWaits = m.Counter("cache_flush_waits_total", layer)
-		c.mNotHidden = m.Counter("not_hidden_sync_ns_total", layer)
-		c.mReplays = m.Counter("cache_journal_replays_total", layer)
-		c.mRecovered = m.Counter("cache_recovered_bytes_total", layer)
-		c.mExtentNs = m.Histogram("cache_sync_extent_ns", layer)
-		c.mChunkNs = m.Histogram("cache_sync_chunk_ns", layer)
-		c.mreg = true
+	if cm := c.env.meters; cm != nil && cm.reg == m {
+		return cm
 	}
-	return true
+	layer := metrics.L(metrics.KeyLayer, "core")
+	cm := &cacheMetrics{
+		reg:        m,
+		writes:     m.Counter("cache_writes_total", layer),
+		bytes:      m.Counter("cache_bytes_total", layer),
+		through:    m.Counter("cache_write_through_total", layer),
+		devErr:     m.Counter("cache_device_errors_total", layer),
+		syncReqs:   m.Counter("cache_sync_reqs_total", layer),
+		synced:     m.Counter("cache_synced_bytes_total", layer),
+		retries:    m.Counter("cache_sync_retries_total", layer),
+		failures:   m.Counter("cache_sync_failures_total", layer),
+		backoffs:   m.Counter("cache_adaptive_backoffs_total", layer),
+		flushWaits: m.Counter("cache_flush_waits_total", layer),
+		notHidden:  m.Counter("not_hidden_sync_ns_total", layer),
+		replays:    m.Counter("cache_journal_replays_total", layer),
+		recovered:  m.Counter("cache_recovered_bytes_total", layer),
+		extentNs:   m.Histogram("cache_sync_extent_ns", layer),
+		chunkNs:    m.Histogram("cache_sync_chunk_ns", layer),
+	}
+	c.env.meters = cm
+	return cm
 }
 
 var _ adio.Hooks = (*Cache)(nil)
 
 // newCache opens the cache file (ADIOI_GEN_OpenColl extension). An error
 // here makes adio revert to the standard path.
-func newCache(env *Env, f *adio.File, opts Options) (*Cache, error) {
+func newCache(env *Env, f *adio.File, opts *Options) (*Cache, error) {
 	if env.LocalFS == nil {
 		return nil, errors.New("core: no local file system provider")
 	}
@@ -244,7 +272,8 @@ func newCache(env *Env, f *adio.File, opts Options) (*Cache, error) {
 		return nil, fmt.Errorf("core: node %d has no local cache storage", f.Rank().Node().ID())
 	}
 	c := &Cache{env: env, f: f, opts: opts, fs: fs}
-	c.name = fmt.Sprintf("%s/%s.cache.r%d", opts.Path, f.Path(), f.Rank().ID())
+	c.key = fmt.Sprintf("n%d:%s/%s.cache.r%d", f.Rank().Node().ID(), opts.Path, f.Path(), f.Rank().ID())
+	c.name = c.key[strings.IndexByte(c.key, ':')+1:]
 	return c, nil
 }
 
@@ -256,11 +285,6 @@ func (c *Cache) tracer() (*trace.Tracer, trace.TrackID) {
 		return nil, trace.NoTrack
 	}
 	return tr, c.f.Rank().TraceTrack(tr)
-}
-
-// journalKey identifies this cache file in the Env's journal registry.
-func (c *Cache) journalKey() string {
-	return fmt.Sprintf("n%d:%s", c.f.Rank().Node().ID(), c.name)
 }
 
 // AtOpenColl implements adio.Hooks: create the cache file, replay any
@@ -279,7 +303,7 @@ func (c *Cache) AtOpenColl(f *adio.File) error {
 		return err
 	}
 	c.cfile = cf
-	c.dirty = c.env.journal(c.journalKey())
+	c.dirty = c.env.journal(c.key)
 	if c.opts.Recover {
 		c.scrub(f)
 	}
@@ -295,9 +319,9 @@ func (c *Cache) AtOpenColl(f *adio.File) error {
 			return fmt.Errorf("core: cache recovery: %w", err)
 		}
 		rsp.End(int64(f.Rank().Now()), trace.I("bytes", c.Stats.RecoveredBytes))
-		if c.metricsOn() {
-			c.mReplays.Inc()
-			c.mRecovered.Add(c.Stats.RecoveredBytes)
+		if m := c.meters(); m != nil {
+			m.replays.Inc()
+			m.recovered.Add(c.Stats.RecoveredBytes)
 		}
 	}
 	if !c.env.SkipSync {
@@ -346,7 +370,7 @@ func (c *Cache) condemn(f *adio.File, lost []extent.Extent) {
 		bytes += e.Len
 	}
 	c.Stats.QuarantinedBytes += bytes
-	c.env.noteScrubLoss(c.journalKey(), qs.Extents())
+	c.env.noteScrubLoss(c.key, qs.Extents())
 	if m := f.Rank().World().Kernel().Metrics(); m != nil {
 		layer := metrics.L(metrics.KeyLayer, "core")
 		m.Counter("cache_corrupt_extents_total", layer).Add(int64(qs.Len()))
@@ -448,8 +472,8 @@ func (c *Cache) recover(f *adio.File) error {
 // device dead for the rest of the run (all further writes go through),
 // while ENOSPC stays per-write — space may free up later.
 func (c *Cache) noteCacheError(err error) {
-	if c.metricsOn() {
-		c.mDevErr.Inc()
+	if m := c.meters(); m != nil {
+		m.devErr.Inc()
 	}
 	if errors.Is(err, nvm.ErrIO) {
 		c.degraded = true
@@ -463,8 +487,8 @@ func (c *Cache) noteCacheError(err error) {
 // noteWriteThrough accounts a write that bypassed the cache.
 func (c *Cache) noteWriteThrough(off, size int64) {
 	c.Stats.WriteThroughs++
-	if c.metricsOn() {
-		c.mThrough.Inc()
+	if m := c.meters(); m != nil {
+		m.through.Inc()
 	}
 	if tr, tk := c.tracer(); tr != nil {
 		tr.Instant(tk, "cache", "write_through", int64(c.f.Rank().Now()),
@@ -533,9 +557,10 @@ func (c *Cache) WriteContig(f *adio.File, data []byte, off, size int64) (bool, e
 	}
 	c.Stats.CacheWrites++
 	c.Stats.CacheBytes += size
-	if c.metricsOn() {
-		c.mWrites.Inc()
-		c.mBytes.Add(size)
+	m := c.meters()
+	if m != nil {
+		m.writes.Inc()
+		m.bytes.Add(size)
 	}
 	c.dirty.Add(e)
 	tr, tk := c.tracer()
@@ -566,7 +591,9 @@ func (c *Cache) WriteContig(f *adio.File, data []byte, off, size int64) (bool, e
 	req.aid = tr.AsyncBegin(tk, "cache", "sync_req", int64(r.Now()),
 		trace.I("off", off), trace.I("len", size))
 	c.Stats.SyncRequests++
-	c.mSyncReqs.Inc()
+	if m != nil {
+		m.syncReqs.Inc()
+	}
 	c.outstanding = append(c.outstanding, req)
 	if c.opts.FlushFlag == FlushOnClose {
 		c.pending = append(c.pending, req)
@@ -638,9 +665,9 @@ func (c *Cache) AtFlush(f *adio.File) error {
 	if wait := r.Now() - start; wait > 0 {
 		c.Stats.FlushWaits++
 		c.Stats.FlushWaitTime += wait
-		if c.metricsOn() {
-			c.mFlushWaits.Inc()
-			c.mNotHidden.Add(int64(wait))
+		if m := c.meters(); m != nil {
+			m.flushWaits.Inc()
+			m.notHidden.Add(int64(wait))
 		}
 		f.Log().Add(mpe.PhaseNotHiddenSync, wait)
 		// This wait IS Equation 1's not_hidden_sync term; give it its own
@@ -673,7 +700,7 @@ func (c *Cache) AtClose(f *adio.File) error {
 		if rerr := c.fs.Remove(c.name); rerr != nil {
 			err = rerr
 		} else {
-			c.env.dropJournal(c.journalKey())
+			c.env.dropJournal(c.key)
 		}
 		c.cfile = nil
 	}
@@ -761,10 +788,11 @@ type syncThread struct {
 func startSyncThread(c *Cache) *syncThread {
 	k := c.f.Rank().Proc().Kernel()
 	st := &syncThread{c: c, k: k, cond: sim.NewCond(k), tk: trace.NoTrack}
-	name := fmt.Sprintf("sync.%s.r%d", c.f.Path(), c.f.Rank().ID())
-	st.proc = k.SpawnStep(name, nil, st.idle)
+	st.proc = k.SpawnStep("", func() string {
+		return fmt.Sprintf("sync.%s.r%d", c.f.Path(), c.f.Rank().ID())
+	}, st.idle)
 	if tr := k.Tracer(); tr != nil {
-		st.tk = tr.Track(trace.GroupSync, name)
+		st.tk = tr.Track(trace.GroupSync, st.proc.Name())
 		st.proc.SetTraceTrack(st.tk)
 	}
 	return st
@@ -851,8 +879,9 @@ func (st *syncThread) run(p *sim.Proc) {
 		esp := tr.Begin(st.tk, "cache", "sync_extent", int64(p.Now()))
 		err := st.syncExtent(p, req, bufSize)
 		esp.End(int64(p.Now()), trace.I("off", req.ext.Off), trace.I("len", req.ext.Len))
-		if c.metricsOn() {
-			c.mExtentNs.Observe(int64(p.Now() - extT0))
+		m := c.meters()
+		if m != nil {
+			m.extentNs.Observe(int64(p.Now() - extT0))
 		}
 		if st.crashed {
 			// The node died mid-extent: abort the request without leaking
@@ -874,7 +903,9 @@ func (st *syncThread) run(p *sim.Proc) {
 		}
 		if err != nil {
 			c.Stats.SyncFailures++
-			c.mFailures.Inc()
+			if m != nil {
+				m.failures.Inc()
+			}
 			if tr != nil {
 				tr.Instant(st.tk, "cache", "sync_failed", int64(p.Now()),
 					trace.I("off", req.ext.Off), trace.I("len", req.ext.Len))
@@ -895,6 +926,7 @@ func (st *syncThread) run(p *sim.Proc) {
 func (st *syncThread) syncExtent(p *sim.Proc, req *syncReq, bufSize int64) error {
 	c := st.c
 	adaptive := c.opts.FlushFlag == FlushAdaptive
+	m := c.meters()
 	var baseline sim.Time
 	for off := req.ext.Off; off < req.ext.End(); off += bufSize {
 		if st.crashed {
@@ -906,17 +938,17 @@ func (st *syncThread) syncExtent(p *sim.Proc, req *syncReq, bufSize int64) error
 		csp := tr.Begin(st.tk, "cache", "sync_chunk", int64(start))
 		if err := st.syncChunk(p, off, n); err != nil {
 			csp.End(int64(p.Now()), trace.I("off", off), trace.I("len", n))
-			if c.metricsOn() {
-				c.mChunkNs.Observe(int64(p.Now() - start))
+			if m != nil {
+				m.chunkNs.Observe(int64(p.Now() - start))
 			}
 			return err
 		}
 		csp.End(int64(p.Now()), trace.I("off", off), trace.I("len", n))
-		if c.metricsOn() {
-			c.mChunkNs.Observe(int64(p.Now() - start))
-		}
 		c.Stats.SyncedBytes += n
-		c.mSynced.Add(n)
+		if m != nil {
+			m.chunkNs.Observe(int64(p.Now() - start))
+			m.synced.Add(n)
+		}
 		c.dirty.Remove(extent.Extent{Off: off, Len: n})
 		if tr != nil {
 			tr.Counter(st.tk, "dirty_bytes", int64(p.Now()), c.dirty.TotalBytes())
@@ -934,7 +966,9 @@ func (st *syncThread) syncExtent(p *sim.Proc, req *syncReq, bufSize int64) error
 		}
 		if took > 2*baseline {
 			c.Stats.Backoffs++
-			c.mBackoffs.Inc()
+			if m != nil {
+				m.backoffs.Inc()
+			}
 			if tr != nil {
 				tr.Instant(st.tk, "cache", "adaptive_backoff", int64(p.Now()),
 					trace.I("excess_ns", int64(took-baseline)))
@@ -989,8 +1023,8 @@ func (st *syncThread) syncChunk(p *sim.Proc, off, n int64) error {
 			attempt++
 		}
 		c.Stats.SyncRetries++
-		if c.metricsOn() {
-			c.mRetries.Inc()
+		if m := c.meters(); m != nil {
+			m.retries.Inc()
 		}
 		if tr := st.k.Tracer(); tr != nil {
 			tr.Instant(st.tk, "cache", "sync_retry", int64(p.Now()),

@@ -8,6 +8,7 @@ import (
 	"repro/internal/adio"
 	"repro/internal/bufpool"
 	"repro/internal/extent"
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/netsim"
 	"repro/internal/nvm"
@@ -525,5 +526,49 @@ func TestDeviceFailureFallsThroughToGlobalFS(t *testing.T) {
 	}
 	if rg.fs.TotalBytesWritten() < 8<<20 {
 		t.Fatalf("global FS got %d, want all 8 MB", rg.fs.TotalBytesWritten())
+	}
+}
+
+// TestCachesShareOptionsAndMeters checks that the caches of one collective
+// open share what is the same on every rank: the parsed options and the
+// metric handles. An invalid e10_* hint still makes every rank fall back to
+// the uncached path.
+func TestCachesShareOptionsAndMeters(t *testing.T) {
+	rg := newRig(t, 2, 2, store.NewMem)
+	rg.k.SetMetrics(metrics.New())
+	caches := make([]*Cache, rg.w.Size())
+	fallbacks := 0
+	err := rg.w.Run(func(r *mpi.Rank) {
+		me := rg.w.Comm().RankOf(r)
+		f := rg.open(r, t, mpi.Info{HintCache: CacheEnable})
+		caches[me] = f.InstalledHooks().(*Cache)
+		if err := f.WriteContig(nil, int64(me)<<20, 1<<20); err != nil {
+			t.Error(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+		bad := rg.open(r, t, mpi.Info{HintCache: CacheEnable, HintFlushFlag: "sometimes"})
+		if bad.Stats.CacheFallback {
+			fallbacks++
+		}
+		_ = bad.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for me, c := range caches {
+		if c.opts != caches[0].opts {
+			t.Errorf("rank %d parsed its own options", me)
+		}
+		if m := c.meters(); m == nil || m != caches[0].meters() {
+			t.Errorf("rank %d: metric handles not shared", me)
+		}
+	}
+	if got := caches[0].meters().writes.Total(); got != int64(len(caches)) {
+		t.Errorf("shared cache_writes_total = %d, want %d", got, len(caches))
+	}
+	if fallbacks != len(caches) {
+		t.Errorf("%d of %d ranks fell back on an invalid e10 hint", fallbacks, len(caches))
 	}
 }

@@ -68,7 +68,7 @@ func (e *Env) ScrubLost(key string) []extent.Extent {
 
 // JournalKey identifies this cache file in the Env's journal registry
 // (exported for oracles that correlate a live cache with its journal).
-func (c *Cache) JournalKey() string { return c.journalKey() }
+func (c *Cache) JournalKey() string { return c.key }
 
 // Name returns the cache file's path on the node-local file system.
 func (c *Cache) Name() string { return c.name }

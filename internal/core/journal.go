@@ -39,28 +39,25 @@ const (
 
 var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
-type journalRec struct {
-	seq uint64
-	op  byte
-	ext extent.Extent
-}
-
-// Journal is one cache file's dirty-extent journal: the logical record
-// list, its physical at-rest encoding (img — the bytes that would sit on
-// the NVM device, and the only thing corruption faults touch), and the
-// folded extent set the cache layer reads. It outlives the open, like the
-// cache file itself.
+// Journal is one cache file's dirty-extent journal: its at-rest image
+// (img — the committed records as they would sit on the NVM device, and
+// the only thing corruption faults touch) and the folded extent set the
+// cache layer reads. The image is the only copy of the records. It
+// outlives the open, like the cache file itself.
 type Journal struct {
-	recs []journalRec
 	img  []byte
+	recs int // records appended and not truncated by Scrub; the image may hold fewer whole ones
 	seq  uint64
 	set  extent.Set
 }
 
+// append encodes one commit record in place at the tail of the image.
 func (j *Journal) append(op byte, e extent.Extent) {
 	j.seq++
-	j.recs = append(j.recs, journalRec{seq: j.seq, op: op, ext: e})
-	var frame [journalRecSize]byte
+	j.recs++
+	off := len(j.img)
+	j.img = append(j.img, make([]byte, journalRecSize)...)
+	frame := j.img[off:]
 	frame[0] = journalMagic
 	frame[1] = op
 	binary.LittleEndian.PutUint16(frame[2:4], journalPayload)
@@ -68,7 +65,6 @@ func (j *Journal) append(op byte, e extent.Extent) {
 	binary.LittleEndian.PutUint64(frame[12:20], uint64(e.Off))
 	binary.LittleEndian.PutUint64(frame[20:28], uint64(e.Len))
 	binary.LittleEndian.PutUint32(frame[28:32], crc32.Checksum(frame[:28], journalCRC))
-	j.img = append(j.img, frame[:]...)
 }
 
 // Add journals e as dirty (a committed cache write).
@@ -129,8 +125,9 @@ func (j *Journal) Rot(off int) {
 
 // Scrub decodes the at-rest image and truncates the journal to its
 // longest valid record prefix — the write-ahead-log read path. It returns
-// the dirty ranges lost to the truncation (covered by the full record
-// list but not by the surviving prefix); the caller quarantines those. A
+// the dirty ranges lost to the truncation (covered by the folded view of
+// every record appended but not by the surviving prefix, which Scrub
+// folds again from the image); the caller quarantines those. A
 // pristine image returns nil without reshaping anything, so scrubbing a
 // clean journal costs nothing and perturbs nothing.
 //
@@ -149,22 +146,27 @@ func (j *Journal) Scrub() []extent.Extent {
 		}
 		valid++
 	}
-	if valid >= len(j.recs) && len(j.img) == len(j.recs)*journalRecSize {
+	if valid >= j.recs && len(j.img) == j.recs*journalRecSize {
 		return nil
 	}
 	var kept extent.Set
-	for _, r := range j.recs[:valid] {
-		if r.op == opAdd {
-			kept.Add(r.ext)
+	for off := 0; off < valid*journalRecSize; off += journalRecSize {
+		frame := j.img[off : off+journalRecSize]
+		e := extent.Extent{
+			Off: int64(binary.LittleEndian.Uint64(frame[12:20])),
+			Len: int64(binary.LittleEndian.Uint64(frame[20:28])),
+		}
+		if frame[1] == opAdd {
+			kept.Add(e)
 		} else {
-			kept.Remove(r.ext)
+			kept.Remove(e)
 		}
 	}
 	var lost []extent.Extent
 	for _, e := range j.set.Extents() {
 		lost = append(lost, kept.Gaps(e)...)
 	}
-	j.recs = j.recs[:valid]
+	j.recs = valid
 	j.img = j.img[:valid*journalRecSize]
 	j.set = kept
 	return lost

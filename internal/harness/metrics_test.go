@@ -125,6 +125,34 @@ func TestGoldenStatReport(t *testing.T) {
 	}
 }
 
+// TestGoldenMetricsText locks the rendered metrics registry of the metered
+// golden cell byte for byte: every series, label set and value. Regenerate
+// deliberately with
+//
+//	go test ./internal/harness -run TestGoldenMetricsText -update
+func TestGoldenMetricsText(t *testing.T) {
+	res, err := Run(metricsSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "golden_metrics.txt")
+	got := res.MetricsSummary
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", golden, len(got))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("metrics registry diverges from golden:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestTraceSummaryDeterministicUnderFaults re-runs a faulted cell and
 // requires the trace digest to be byte-identical: the counter section is
 // sorted by track and first-sample time, so summaries no longer depend on

@@ -151,6 +151,40 @@ func TestScaleAllocPerRankFlat(t *testing.T) {
 	}
 }
 
+// scaleBytesPerRank is the measured heap allocation per rank of one warm
+// 1024-rank clean RunScale (TotalAlloc delta / ranks; 5,037–5,052 over
+// repeated runs on a 2-core x86-64 VM with go1.24). The collective open
+// shares its parsed hints, cache options and cache metric handles across
+// ranks; a change that makes some of that per-rank again shows up here.
+const scaleBytesPerRank = 5052
+
+// TestScaleBytesPerRank gates the simulator's allocation per simulated rank:
+// one warm 1024-rank clean RunScale may allocate at most 5% more bytes per
+// rank than scaleBytesPerRank.
+func TestScaleBytesPerRank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two kilo-rank runs; skipped under -short")
+	}
+	const ranks = 1024
+	cfg := ScaleConfig{Variant: ScaleClean, Ranks: ranks}
+	if _, err := RunScale(cfg); err != nil { // warm: first-run package state
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := RunScale(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perRank := float64(after.TotalAlloc-before.TotalAlloc) / ranks
+	t.Logf("allocated per rank: %.0f bytes (recorded %d)", perRank, scaleBytesPerRank)
+	if limit := scaleBytesPerRank * 1.05; perRank > limit {
+		t.Errorf("allocated %.0f bytes per rank at %d ranks, want <= %.0f (recorded %d + 5%%)",
+			perRank, ranks, limit, scaleBytesPerRank)
+	}
+}
+
 // TestScale_ObservabilityNoPerturbation asserts that attaching the tracer
 // and metrics registry does not perturb the simulation: virtual time,
 // event counts and every other digest-covered field stay identical. The

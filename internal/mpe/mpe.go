@@ -38,29 +38,46 @@ var BreakdownPhases = []Phase{
 	PhaseWrite, PhasePostWrite, PhaseNotHiddenSync,
 }
 
+// phases lists every named phase; a phase's position here is its index in
+// a Log's fixed-size tables.
+var phases = [...]Phase{
+	PhaseOpen, PhaseCalc, PhaseShuffleA2A, PhaseExchWaitall, PhasePack,
+	PhaseWrite, PhasePostWrite, PhaseClose, PhaseNotHiddenSync,
+}
+
+// index returns ph's position in phases. A phase outside the named
+// constants is a programming error: it panics and names the phase.
+func (ph Phase) index() int {
+	for i, p := range phases {
+		if p == ph {
+			return i
+		}
+	}
+	panic("mpe: unknown phase " + strconv.Quote(string(ph)))
+}
+
 // Log accumulates per-phase time on one rank. The zero value is unusable;
 // use NewLog.
 type Log struct {
-	totals   map[Phase]sim.Time
+	totals   [len(phases)]sim.Time
 	tracer   *trace.Tracer
 	track    trace.TrackID
 	registry *metrics.Registry
 	rank     string
-	hists    map[Phase]*metrics.Histogram
+	hists    *[len(phases)]*metrics.Histogram // bound phases' histograms, resolved on first Add
 }
 
 // NewLog creates an empty log.
-func NewLog() *Log {
-	return &Log{totals: make(map[Phase]sim.Time)}
-}
+func NewLog() *Log { return &Log{} }
 
 // Add records d of time spent in phase ph.
 func (l *Log) Add(ph Phase, d sim.Time) {
 	if l == nil || d < 0 {
 		return
 	}
-	l.totals[ph] += d
-	l.phaseHist(ph).Observe(int64(d))
+	i := ph.index()
+	l.totals[i] += d
+	l.phaseHist(i).Observe(int64(d))
 }
 
 // Total returns the accumulated time in ph.
@@ -68,7 +85,7 @@ func (l *Log) Total(ph Phase) sim.Time {
 	if l == nil {
 		return 0
 	}
-	return l.totals[ph]
+	return l.totals[ph.index()]
 }
 
 // BindTracer mirrors every phase interval recorded through Span.End onto
@@ -93,22 +110,22 @@ func (l *Log) BindMetrics(m *metrics.Registry, rank int) {
 	}
 	l.registry = m
 	l.rank = strconv.Itoa(rank)
-	l.hists = make(map[Phase]*metrics.Histogram)
+	l.hists = new([len(phases)]*metrics.Histogram)
 }
 
-// phaseHist resolves (and caches) the histogram for ph, or nil when no
-// registry is bound.
-func (l *Log) phaseHist(ph Phase) *metrics.Histogram {
-	if l == nil || l.registry == nil {
+// phaseHist resolves (and caches) the histogram of phases[i], or nil when
+// no registry is bound.
+func (l *Log) phaseHist(i int) *metrics.Histogram {
+	if l.hists == nil {
 		return nil
 	}
-	h, ok := l.hists[ph]
-	if !ok {
+	h := l.hists[i]
+	if h == nil {
 		h = l.registry.Histogram("phase_ns",
 			metrics.L(metrics.KeyLayer, "adio"),
-			metrics.L(metrics.KeyPhase, string(ph)),
+			metrics.L(metrics.KeyPhase, string(phases[i])),
 			metrics.L(metrics.KeyRank, l.rank))
-		l.hists[ph] = h
+		l.hists[i] = h
 	}
 	return h
 }

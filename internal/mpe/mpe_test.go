@@ -1,6 +1,7 @@
 package mpe
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -63,5 +64,28 @@ func TestBreakdownPhasesIncludeNotHiddenSync(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("not_hidden_sync missing from breakdown phases")
+	}
+}
+
+func TestAddUnknownPhasePanicsNamingIt(t *testing.T) {
+	defer func() {
+		r := recover()
+		msg, _ := r.(string)
+		if !strings.Contains(msg, `"gather"`) {
+			t.Fatalf("recovered %v, want a panic naming the phase", r)
+		}
+	}()
+	NewLog().Add(Phase("gather"), sim.Second)
+}
+
+func TestEveryNamedPhaseHasItsOwnSlot(t *testing.T) {
+	l := NewLog()
+	for i, ph := range phases {
+		l.Add(ph, sim.Time(i+1))
+	}
+	for i, ph := range phases {
+		if got := l.Total(ph); got != sim.Time(i+1) {
+			t.Errorf("%s total = %v, want %v", ph, got, sim.Time(i+1))
+		}
 	}
 }

@@ -310,30 +310,40 @@ func (h *Handle) targetFor(off int64) int {
 	return (st.FirstTarget + int(stripe%int64(st.StripeCount))) % h.client.sys.cfg.Targets
 }
 
-// rpc is one bounded transfer to or from a single target.
-type rpc struct {
-	target int
-	ext    extent.Extent
+// streams returns how many targets [off, off+size) touches, one stream
+// each. StripeCount never exceeds the target count, so the stripes of any
+// StripeCount consecutive stripe indices live on distinct targets: the
+// range's targets in order of first appearance are those of its stripes
+// first, first+1, ..., and stream i serves stripes first+i, first+i+StripeCount, ...
+func (h *Handle) streams(off, size int64) int {
+	if size <= 0 {
+		return 0
+	}
+	st := h.meta.striping
+	stripes := (off+size-1)/st.StripeSize - off/st.StripeSize + 1
+	return int(min(stripes, int64(st.StripeCount)))
 }
 
-// planRPCs splits [off, off+size) into per-target RPCs of at most MaxRPC
-// bytes, never crossing a stripe boundary.
-func (h *Handle) planRPCs(off, size int64) []rpc {
-	var out []rpc
+// walkStream calls rpc, in offset order, for each RPC of stream i of
+// [off, off+size) (see streams): every piece of the stream's stripes inside
+// the range, split into RPCs of at most MaxRPC bytes. It stops at the
+// first error rpc returns and returns it.
+func (h *Handle) walkStream(i int, off, size int64, rpc func(target int, ext extent.Extent) error) error {
 	st := h.meta.striping
-	cur := off
 	end := off + size
-	for cur < end {
-		stripeEnd := (cur/st.StripeSize + 1) * st.StripeSize
-		chunkEnd := min(end, stripeEnd)
-		tgt := h.targetFor(cur)
+	tgt := h.targetFor(off + int64(i)*st.StripeSize)
+	for stripe := off/st.StripeSize + int64(i); stripe*st.StripeSize < end; stripe += int64(st.StripeCount) {
+		cur := max(off, stripe*st.StripeSize)
+		chunkEnd := min(end, (stripe+1)*st.StripeSize)
 		for cur < chunkEnd {
 			n := min(h.client.sys.cfg.MaxRPC, chunkEnd-cur)
-			out = append(out, rpc{target: tgt, ext: extent.Extent{Off: cur, Len: n}})
+			if err := rpc(tgt, extent.Extent{Off: cur, Len: n}); err != nil {
+				return err
+			}
 			cur += n
 		}
 	}
-	return out
+	return nil
 }
 
 // WriteAt writes size bytes at off. data may be nil for metadata-only
@@ -386,21 +396,12 @@ func (h *Handle) ReadAt(p *sim.Proc, buf []byte, off, size int64) error {
 // On error the payload is not committed; the first failing target (in
 // stripe order) determines the returned error, keeping runs deterministic.
 func (h *Handle) transfer(p *sim.Proc, data []byte, off, size int64, isWrite bool) error {
-	s := h.client.sys
-	rpcs := h.planRPCs(off, size)
-	// Group RPCs by target and run one pipelined stream per target.
-	byTarget := make(map[int][]rpc)
-	order := make([]int, 0, 4)
-	for _, r := range rpcs {
-		if _, ok := byTarget[r.target]; !ok {
-			order = append(order, r.target)
-		}
-		byTarget[r.target] = append(byTarget[r.target], r)
-	}
-	k := s.k
-	if len(order) == 1 {
+	k := h.client.sys.k
+	// One pipelined stream per target.
+	n := h.streams(off, size)
+	if n == 1 {
 		// Single-target fast path: stream inline on the calling process.
-		if err := h.stream(p, byTarget[order[0]], isWrite); err != nil {
+		if err := h.stream(p, 0, off, size, isWrite); err != nil {
 			return err
 		}
 		if isWrite {
@@ -408,13 +409,13 @@ func (h *Handle) transfer(p *sim.Proc, data []byte, off, size int64, isWrite boo
 		}
 		return nil
 	}
-	remaining := len(order)
-	errs := make([]error, len(order))
+	remaining := n
+	errs := make([]error, n)
 	done := sim.NewCond(k)
-	for oi, tgt := range order {
-		oi, chunks := oi, byTarget[tgt]
+	for i := range n {
+		tgt := h.targetFor(off + int64(i)*h.meta.striping.StripeSize)
 		k.Spawn(fmt.Sprintf("pfs.stream.n%d.t%d", h.client.node.ID(), tgt), func(sp *sim.Proc) {
-			errs[oi] = h.stream(sp, chunks, isWrite)
+			errs[i] = h.stream(sp, i, off, size, isWrite)
 			remaining--
 			if remaining == 0 {
 				done.Signal()
@@ -435,13 +436,14 @@ func (h *Handle) transfer(p *sim.Proc, data []byte, off, size int64, isWrite boo
 	return nil
 }
 
-// stream pushes one target's chunk list through the client stack, NIC and
-// target station, serialized per chunk (a pipelined RPC stream). A chunk
-// addressed to a down target burns the RPC latency waiting for the timeout
-// and aborts the stream; a slowed target stretches its service time.
-func (h *Handle) stream(sp *sim.Proc, chunks []rpc, isWrite bool) error {
+// stream pushes the RPCs of stream i of [off, off+size) (see walkStream)
+// through the client stack, NIC and target station, serialized per RPC (a
+// pipelined RPC stream). An RPC addressed to a down target burns the RPC
+// latency waiting for the timeout and aborts the stream; a slowed target
+// stretches its service time.
+func (h *Handle) stream(sp *sim.Proc, i int, off, size int64, isWrite bool) error {
 	s := h.client.sys
-	for _, r := range chunks {
+	return h.walkStream(i, off, size, func(target int, ext extent.Extent) error {
 		// A partitioned client cannot reach any target: the RPC burns the
 		// client stack latency plus the target-side timeout and fails with
 		// ErrPartitioned, which (unlike ErrTargetDown) heals when the
@@ -452,17 +454,17 @@ func (h *Handle) stream(sp *sim.Proc, chunks []rpc, isWrite bool) error {
 			return fmt.Errorf("%w: node %d", ErrPartitioned, h.client.node.ID())
 		}
 		// Client-side stack (shared cap) then NIC, then target.
-		h.client.cap.ServeBytes(sp, s.cfg.ClientRPCLatency, s.cfg.ClientRate, r.ext.Len)
+		h.client.cap.ServeBytes(sp, s.cfg.ClientRPCLatency, s.cfg.ClientRate, ext.Len)
 		if isWrite {
-			h.client.node.Inject(sp, r.ext.Len)
+			h.client.node.Inject(sp, ext.Len)
 		}
 		sp.Sleep(2 * sim.Microsecond) // fabric hop to storage
-		ts := s.tstate[r.target]
+		ts := s.tstate[target]
 		if ts.down {
 			sp.Sleep(s.cfg.TargetLatency) // RPC timeout
 			if tr := s.k.Tracer(); tr != nil {
-				tr.Instant(s.targets[r.target].TraceTrack(tr), "pfs", "rpc_timeout",
-					int64(sp.Now()), trace.I("bytes", r.ext.Len))
+				tr.Instant(s.targets[target].TraceTrack(tr), "pfs", "rpc_timeout",
+					int64(sp.Now()), trace.I("bytes", ext.Len))
 			}
 			if m := s.k.Metrics(); m != nil {
 				if s.mTimeouts == nil {
@@ -470,28 +472,28 @@ func (h *Handle) stream(sp *sim.Proc, chunks []rpc, isWrite bool) error {
 				}
 				s.mTimeouts.Inc()
 			}
-			return fmt.Errorf("%w: tgt%d", ErrTargetDown, r.target)
+			return fmt.Errorf("%w: tgt%d", ErrTargetDown, target)
 		}
-		d := s.cfg.TargetLatency + s.cfg.TargetRate.DurationFor(r.ext.Len)
+		d := s.cfg.TargetLatency + s.cfg.TargetRate.DurationFor(ext.Len)
 		d = sim.Jitter(s.k.Rand(), s.cfg.TargetJitter, d)
 		if ts.speed != 1 {
 			d = sim.Time(float64(d) / ts.speed)
 		}
-		st := s.targets[r.target]
-		if tgtNs, tgtBytes := s.targetMetrics(r.target); tgtNs != nil {
+		st := s.targets[target]
+		if tgtNs, tgtBytes := s.targetMetrics(target); tgtNs != nil {
 			t0 := sp.Now()
 			st.Serve(sp, d)
 			tgtNs.Observe(int64(sp.Now() - t0))
-			tgtBytes.Add(r.ext.Len)
+			tgtBytes.Add(ext.Len)
 		} else {
 			st.Serve(sp, d)
 		}
-		st.Bytes += r.ext.Len
+		st.Bytes += ext.Len
 		if !isWrite {
-			h.client.node.Eject(sp, r.ext.Len)
+			h.client.node.Eject(sp, ext.Len)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Sync charges a metadata round trip (data is written through in this

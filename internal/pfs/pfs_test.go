@@ -2,7 +2,11 @@ package pfs
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,13 +113,33 @@ func TestStripingUsesMultipleTargetsInParallel(t *testing.T) {
 	}
 }
 
+// plannedRPC is one RPC of a transfer: the stream that issues it, the
+// target it goes to and the bytes it moves.
+type plannedRPC struct {
+	stream, target int
+	ext            extent.Extent
+}
+
+// plan collects the RPCs transfer issues for [off, off+size), stream by
+// stream, each stream's in its issue order.
+func plan(h *Handle, off, size int64) []plannedRPC {
+	var out []plannedRPC
+	for i := range h.streams(off, size) {
+		h.walkStream(i, off, size, func(target int, ext extent.Extent) error {
+			out = append(out, plannedRPC{stream: i, target: target, ext: ext})
+			return nil
+		})
+	}
+	return out
+}
+
 func TestRPCPlanRespectsStripeAndMaxRPC(t *testing.T) {
 	k := sim.NewKernel(1)
 	s, f := testSystem(k, 4)
 	c := s.NewClient(f.Node(0))
 	k.Spawn("client", func(p *sim.Proc) {
 		h, _ := c.Open(p, "f", true, Striping{StripeSize: 1 << 21, StripeCount: 4})
-		rpcs := h.planRPCs(100, 5<<20)
+		rpcs := plan(h, 100, 5<<20)
 		var total int64
 		for i, r := range rpcs {
 			if r.ext.Len > s.cfg.MaxRPC {
@@ -153,9 +177,12 @@ func TestPlanCoversRangeProperty(t *testing.T) {
 	}
 	f := func(off uint16, size uint16) bool {
 		if size == 0 {
-			return len(h.planRPCs(int64(off), 0)) == 0
+			return len(plan(h, int64(off), 0)) == 0
 		}
-		rpcs := h.planRPCs(int64(off), int64(size))
+		// Streams run side by side; in offset order their RPCs must tile
+		// the range exactly.
+		rpcs := plan(h, int64(off), int64(size))
+		slices.SortFunc(rpcs, func(a, b plannedRPC) int { return cmp.Compare(a.ext.Off, b.ext.Off) })
 		cur := int64(off)
 		for _, r := range rpcs {
 			if r.ext.Off != cur {
@@ -167,6 +194,87 @@ func TestPlanCoversRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referencePlan is the RPC planner the stripe walk replaced: split the
+// range stripe by stripe into RPCs of at most MaxRPC bytes, then group
+// them by target, targets in order of first appearance.
+func referencePlan(h *Handle, off, size int64) []plannedRPC {
+	type rpc struct {
+		target int
+		ext    extent.Extent
+	}
+	var rpcs []rpc
+	st := h.meta.striping
+	cur, end := off, off+size
+	for cur < end {
+		chunkEnd := min(end, (cur/st.StripeSize+1)*st.StripeSize)
+		tgt := h.targetFor(cur)
+		for cur < chunkEnd {
+			n := min(h.client.sys.cfg.MaxRPC, chunkEnd-cur)
+			rpcs = append(rpcs, rpc{target: tgt, ext: extent.Extent{Off: cur, Len: n}})
+			cur += n
+		}
+	}
+	byTarget := make(map[int][]rpc)
+	var order []int
+	for _, r := range rpcs {
+		if _, ok := byTarget[r.target]; !ok {
+			order = append(order, r.target)
+		}
+		byTarget[r.target] = append(byTarget[r.target], r)
+	}
+	var out []plannedRPC
+	for i, tgt := range order {
+		for _, r := range byTarget[tgt] {
+			out = append(out, plannedRPC{stream: i, target: r.target, ext: r.ext})
+		}
+	}
+	return out
+}
+
+// TestStripeWalkMatchesReferencePlan checks the per-stream stripe walk
+// against the reference planner over many stripings, RPC sizes and ranges:
+// the same streams, in the same order, issuing the same RPCs.
+func TestStripeWalkMatchesReferencePlan(t *testing.T) {
+	k := sim.NewKernel(1)
+	s, fb := testSystem(k, 5)
+	c := s.NewClient(fb.Node(0))
+	var handles []*Handle
+	k.Spawn("setup", func(p *sim.Proc) {
+		for i, st := range []Striping{
+			{StripeSize: 4096, StripeCount: 1},
+			{StripeSize: 4096, StripeCount: 3},
+			{StripeSize: 4096, StripeCount: 5},
+			{StripeSize: 1000, StripeCount: 4},
+			{StripeSize: 1 << 16, StripeCount: 2},
+		} {
+			h, err := c.Open(p, fmt.Sprintf("f%d", i), true, st)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			handles = append(handles, h)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, maxRPC := range []int64{1 << 20, 4096, 1500, 333} {
+		s.cfg.MaxRPC = maxRPC
+		for _, h := range handles {
+			for range 200 {
+				off := rng.Int63n(1 << 18)
+				size := 1 + rng.Int63n(1<<17)
+				got, want := plan(h, off, size), referencePlan(h, off, size)
+				if !slices.Equal(got, want) {
+					t.Fatalf("striping %+v, MaxRPC %d, [%d,+%d):\n got %v\nwant %v",
+						h.meta.striping, maxRPC, off, size, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -21,10 +21,11 @@
 # as regression tests; SKIP_FUZZ=1 skips).
 #
 # The two-phase round-planning, analytic-Alltoall, survivor-communicator,
-# Allreduce-fold, MemStore strided-assembly and kernel-dispatch (Sleep,
-# ping-pong, Spawn, step messages, timer churn) microbenchmarks run once
-# after the tests, so they keep compiling and their built-in equality and
-# allocation checks keep running.
+# Allreduce-fold, MemStore strided-assembly, kernel-dispatch (Sleep,
+# ping-pong, Spawn, step messages, timer churn) and journal-append
+# microbenchmarks run once after the tests, so they keep compiling and
+# their built-in equality and allocation checks keep running (an append
+# into a pre-grown cache journal must not allocate).
 #
 # A kilo-rank scale smoke also gates the run: the TestScale_ suite at
 # 1024 ranks (clean, lossy and aggregator-crash collective writes checked
@@ -77,8 +78,8 @@ go test ./...
 echo "== benchmark module: go vet ./... && go test ./..."
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold, MemStore assembly, kernel dispatch and step messages)"
-go test -run '^$' -bench 'RoundPlan|Alltoall|Survivor|Allreduce|MemStore|Kernel' -benchtime 1x ./internal/adio ./internal/mpi ./internal/store ./internal/sim
+echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold, MemStore assembly, kernel dispatch, step messages and journal append)"
+go test -run '^$' -bench 'RoundPlan|Alltoall|Survivor|Allreduce|MemStore|Kernel|JournalAppend' -benchtime 1x ./internal/adio ./internal/mpi ./internal/store ./internal/sim ./internal/core
 
 if [ "${SKIP_RACE:-}" = "1" ]; then
     echo "== race pass skipped (SKIP_RACE=1)"
