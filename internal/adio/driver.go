@@ -30,6 +30,9 @@ type Driver interface {
 type DriverFile interface {
 	// WriteContig writes size contiguous bytes at off (ADIO_WriteContig).
 	WriteContig(p *sim.Proc, data []byte, off, size int64) error
+	// StartWrite sets op up as WriteContig's step form, for a step
+	// process: op.Step runs the write to each of its waits.
+	StartWrite(op *pfs.Op, data []byte, off, size int64)
 	// ReadContig reads into buf (or size bytes metadata-only when buf nil).
 	ReadContig(p *sim.Proc, buf []byte, off, size int64) error
 	// Flush pushes dirty state to stable storage.
@@ -180,6 +183,10 @@ type ufsFile struct {
 
 func (f *ufsFile) WriteContig(p *sim.Proc, data []byte, off, size int64) error {
 	return f.h.WriteAt(p, data, off, size)
+}
+
+func (f *ufsFile) StartWrite(op *pfs.Op, data []byte, off, size int64) {
+	f.h.StartWrite(op, data, off, size)
 }
 
 func (f *ufsFile) ReadContig(p *sim.Proc, buf []byte, off, size int64) error {

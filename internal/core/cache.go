@@ -769,7 +769,8 @@ func (c *Cache) Outstanding() int {
 // (ADIOI_Sync_thread_start): a dedicated simulated thread that reads data
 // back from the cache file into its synchronisation buffer
 // (ind_wr_buffer_size bytes at a time) and writes it to the global file,
-// then calls MPI_Grequest_complete on the request handle.
+// then calls MPI_Grequest_complete on the request handle. It is a step
+// process: it never takes a worker, waiting or working.
 type syncThread struct {
 	c       *Cache
 	k       *sim.Kernel
@@ -779,18 +780,46 @@ type syncThread struct {
 	crashed bool
 	proc    *sim.Proc
 	tk      trace.TrackID
-	buf     []byte // the synchronisation buffer; nil while idle or without a payload
+	w       *syncWork // nil until the first request
 }
 
-// startSyncThread starts the thread as a step process: it waits for its
-// first request without a worker, and only a thread that gets one takes a
-// worker to run the synchronisation loop.
+// syncWork is a sync thread's working state, made at its first request so
+// that a thread that never gets one stays small.
+type syncWork struct {
+	stage   syncStage
+	bufSize int64
+	payload bool   // the cache file carries bytes
+	buf     []byte // the synchronisation buffer; nil while idle or without a payload
+
+	req      *syncReq
+	extT0    sim.Time // when the request's extent began to sync
+	baseline sim.Time // flush_adaptive: the extent's best chunk time so far
+	off, n   int64    // the chunk in flight
+	start    sim.Time // when the chunk began
+	attempt  int      // failed attempts charged to RetryLimit
+	backoff  sim.Time // the chunk's next retry backoff
+	rd       nvm.Read // the chunk's cache read
+	wr       pfs.Op   // the chunk's global write
+}
+
+type syncStage int8
+
+const (
+	syncIdle  syncStage = iota // take the next request, or wait for one
+	syncChunk                  // start the extent's next chunk, or end the extent
+	syncRead                   // reading the chunk from the cache file
+	syncWrite                  // writing the chunk to the global file
+	syncRetry                  // backing off before the chunk's next attempt
+	syncPace                   // flush_adaptive backoff after a congested chunk
+)
+
+// startSyncThread starts the thread, idle until its first request.
 func startSyncThread(c *Cache) *syncThread {
 	k := c.f.Rank().Proc().Kernel()
 	st := &syncThread{c: c, k: k, cond: sim.NewCond(k), tk: trace.NoTrack}
 	st.proc = k.SpawnStep("", func() string {
 		return fmt.Sprintf("sync.%s.r%d", c.f.Path(), c.f.Rank().ID())
-	}, st.idle)
+	}, st.step)
 	if tr := k.Tracer(); tr != nil {
 		st.tk = tr.Track(trace.GroupSync, st.proc.Name())
 		st.proc.SetTraceTrack(st.tk)
@@ -829,217 +858,266 @@ func (st *syncThread) crash() {
 	st.cond.Signal()
 }
 
-// idle is the thread's step until its first request: run's loop head,
-// waiting on the condition variable without a worker.
-func (st *syncThread) idle(p *sim.Proc) {
+// step runs the thread up to its next wait. The thread drains its queue a
+// request at a time, each request's extent through the synchronisation
+// buffer: a serial read(cache) -> write(global) pipeline in bufSize chunks,
+// exactly like the pthread implementation in the paper. Failed chunks
+// (cache read or global write) are retried with exponential backoff up to
+// the RetryLimit budget; the extent's journal entry is cleared chunk by
+// chunk as data reaches the global file.
+func (st *syncThread) step(p *sim.Proc) {
+	for !st.advance(p) {
+	}
+}
+
+// advance runs the thread's current stage and reports whether the step is
+// over: a resume is arranged, or the thread has ended.
+func (st *syncThread) advance(p *sim.Proc) bool {
+	w := st.w
+	if w == nil || w.stage == syncIdle {
+		return st.take(p)
+	}
+	switch w.stage {
+	case syncChunk:
+		if w.off >= w.req.ext.End() {
+			return st.endExtent(p, nil)
+		}
+		if st.crashed {
+			return st.endExtent(p, ErrCrashed)
+		}
+		w.n = min(w.bufSize, w.req.ext.End()-w.off)
+		w.start, w.attempt = p.Now(), 0
+		if w.backoff = st.c.opts.RetryBackoff; w.backoff <= 0 {
+			w.backoff = DefaultRetryBackoff
+		}
+		return st.read(p)
+	case syncRead:
+		if err := st.c.cfile.ReadDone(w.rd); err != nil {
+			return st.retry(p, err)
+		}
+		// The crash can land while the cache read is in flight; the
+		// device op completes, but a dead node must not issue a fresh
+		// global write with whatever the read captured (the at-rest
+		// bytes may have rotted since). The chunk stays journalled for
+		// recovery, where it is checksum-scrubbed before replay.
+		if st.crashed {
+			return st.endChunk(p, ErrCrashed)
+		}
+		st.c.f.Backend().StartWrite(&w.wr, w.chunk(), w.off, w.n)
+		w.stage = syncWrite
+	case syncWrite:
+		if w.wr.Step(p) {
+			return true
+		}
+		if err := w.wr.Err(); err != nil {
+			return st.retry(p, err)
+		}
+		return st.endChunk(p, nil)
+	case syncRetry:
+		return st.read(p)
+	case syncPace:
+		w.off += w.bufSize
+		w.stage = syncChunk
+	}
+	return false
+}
+
+// take is the thread's loop head: it takes the next request, or, with an
+// empty queue, hands the buffer back to the World's pool and waits for a
+// request — or ends, once stopped or crashed. The thread holds its buffer
+// only while it has work, so no idle thread keeps a chunk-sized buffer;
+// while it works, every chunk goes through that one buffer, and no backend
+// keeps a slice it was given to write.
+func (st *syncThread) take(p *sim.Proc) bool {
+	c := st.c
+	pool := c.f.Rank().World().Pool()
+	w := st.w
 	if len(st.queue) == 0 {
+		if w != nil {
+			pool.Put(w.buf)
+			w.buf = nil
+		}
 		if !st.stopped && !st.crashed {
 			st.cond.WaitThen(p)
 		}
-		return
+		return true
 	}
-	p.Become(st.run)
+	if w == nil {
+		w = &syncWork{bufSize: c.f.Hints().IndWrBufferSize}
+		if w.bufSize <= 0 {
+			w.bufSize = adio.DefaultIndWrBufferSize
+		}
+		_, w.payload = c.cfile.Store().(store.PayloadBacked)
+		st.w = w
+	}
+	if w.payload && w.buf == nil {
+		w.buf = pool.Get(int(w.bufSize))
+	}
+	if st.crashed {
+		return true
+	}
+	w.req = st.queue[0]
+	st.queue = st.queue[1:]
+	if tr := st.k.Tracer(); tr != nil {
+		tr.Counter(st.tk, "sync_queue", int64(p.Now()), int64(len(st.queue)))
+	}
+	w.extT0, w.baseline, w.off = p.Now(), 0, w.req.ext.Off
+	w.stage = syncChunk
+	return false
 }
 
-func (st *syncThread) run(p *sim.Proc) {
-	c := st.c
-	bufSize := c.f.Hints().IndWrBufferSize
-	if bufSize <= 0 {
-		bufSize = adio.DefaultIndWrBufferSize
+// chunk returns the synchronisation buffer cut to the chunk in flight, or
+// nil when no payload-carrying store backs the cache file (the device time
+// is charged either way).
+func (w *syncWork) chunk() []byte {
+	if w.buf == nil {
+		return nil
 	}
-	// The thread holds its synchronisation buffer only while it has work:
-	// it takes it from the World's pool and an idle thread hands it back,
-	// so no idle thread keeps a chunk-sized buffer. While it works, every
-	// chunk goes through that one buffer; no backend keeps a slice it was
-	// given to write.
-	_, payload := c.cfile.Store().(store.PayloadBacked)
-	pool := c.f.Rank().World().Pool()
-	for {
-		for len(st.queue) == 0 {
-			pool.Put(st.buf)
-			st.buf = nil
-			if st.stopped || st.crashed {
-				return
-			}
-			st.cond.Wait(p)
-		}
-		if payload && st.buf == nil {
-			st.buf = pool.Get(int(bufSize))
-		}
-		if st.crashed {
-			return
-		}
-		req := st.queue[0]
-		st.queue = st.queue[1:]
-		tr := st.k.Tracer()
-		if tr != nil {
-			tr.Counter(st.tk, "sync_queue", int64(p.Now()), int64(len(st.queue)))
-		}
-		extT0 := p.Now()
-		esp := tr.Begin(st.tk, "cache", "sync_extent", int64(p.Now()))
-		err := st.syncExtent(p, req, bufSize)
-		esp.End(int64(p.Now()), trace.I("off", req.ext.Off), trace.I("len", req.ext.Len))
-		m := c.meters()
-		if m != nil {
-			m.extentNs.Observe(int64(p.Now() - extT0))
-		}
-		if st.crashed {
-			// The node died mid-extent: abort the request without leaking
-			// its lock, and complete the handle with ErrCrashed so a rank
-			// parked in AtFlush waiting on it wakes instead of deadlocking.
-			if req.lock != nil {
-				c.env.Locks.Unlock(req.lock)
-			}
-			req.greq.CompleteWithError(ErrCrashed)
-			return
-		}
-		// The lock is released whether the sync succeeded or aborted —
-		// a terminal failure must not leave the extent locked forever.
-		if req.lock != nil {
-			c.env.Locks.Unlock(req.lock)
-		}
-		if tr != nil {
-			tr.AsyncEnd(st.tk, "cache", "sync_req", req.aid, int64(p.Now()))
-		}
-		if err != nil {
-			c.Stats.SyncFailures++
-			if m != nil {
-				m.failures.Inc()
-			}
-			if tr != nil {
-				tr.Instant(st.tk, "cache", "sync_failed", int64(p.Now()),
-					trace.I("off", req.ext.Off), trace.I("len", req.ext.Len))
-			}
-			req.greq.CompleteWithError(fmt.Errorf("core: sync [%d,+%d): %w", req.ext.Off, req.ext.Len, err))
-			continue
-		}
-		req.greq.Complete()
-	}
+	return w.buf[:w.n]
 }
 
-// syncExtent drains one extent through the synchronisation buffer: a
-// serial read(cache) -> write(global) pipeline in bufSize chunks, exactly
-// like the pthread implementation in the paper. Failed chunks (cache read
-// or global write) are retried with exponential backoff up to the
-// RetryLimit budget; the extent's journal entry is cleared chunk by chunk
-// as data reaches the global file.
-func (st *syncThread) syncExtent(p *sim.Proc, req *syncReq, bufSize int64) error {
-	c := st.c
-	adaptive := c.opts.FlushFlag == FlushAdaptive
+// read starts an attempt at the chunk: its read from the cache file.
+func (st *syncThread) read(p *sim.Proc) bool {
+	w := st.w
+	rd, err := st.c.cfile.ReadThen(p, w.chunk(), w.off, w.n)
+	if err != nil {
+		return st.retry(p, err)
+	}
+	w.rd, w.stage = rd, syncRead
+	return true
+}
+
+// retry handles a failed attempt at the chunk. Both legs can fail: the
+// cache read (SSD died) and the global write (storage target down); either
+// way the data is still safe in one of the two copies, so retrying is
+// always sound. A network partition (pfs.ErrPartitioned) is environmental
+// rather than a fault of either copy: it heals when the fabric does, so
+// partition retries do not consume the RetryLimit budget — they back off
+// (capped, so a long partition polls instead of sleeping geometrically)
+// until the fabric heals or the node crashes.
+func (st *syncThread) retry(p *sim.Proc, err error) bool {
+	c, w := st.c, st.w
+	if st.crashed {
+		return st.endChunk(p, err)
+	}
+	partitioned := errors.Is(err, pfs.ErrPartitioned)
+	if !partitioned {
+		if w.attempt >= c.opts.RetryLimit {
+			return st.endChunk(p, fmt.Errorf("%w (after %d attempts)", err, w.attempt+1))
+		}
+		w.attempt++
+	}
+	c.Stats.SyncRetries++
+	if m := c.meters(); m != nil {
+		m.retries.Inc()
+	}
+	if tr := st.k.Tracer(); tr != nil {
+		tr.Instant(st.tk, "cache", "sync_retry", int64(p.Now()),
+			trace.I("attempt", int64(w.attempt)), trace.I("backoff_ns", int64(w.backoff)))
+	}
+	p.Then(w.backoff)
+	if w.backoff < PartitionBackoffCap {
+		w.backoff *= 2
+		if partitioned && w.backoff > PartitionBackoffCap {
+			w.backoff = PartitionBackoffCap
+		}
+	} else if !partitioned {
+		w.backoff *= 2
+	}
+	w.stage = syncRetry
+	return true
+}
+
+// endChunk ends the chunk in flight, failed with err or synced. A synced
+// chunk leaves the journal; under flush_adaptive the thread then paces
+// itself (§III suggestion): it tracks the extent's best chunk time as the
+// uncongested baseline and, when a chunk runs far above it, backs off by
+// the excess, ceding the I/O servers to foreground traffic.
+func (st *syncThread) endChunk(p *sim.Proc, err error) bool {
+	c, w := st.c, st.w
+	tr := st.k.Tracer()
 	m := c.meters()
-	var baseline sim.Time
-	for off := req.ext.Off; off < req.ext.End(); off += bufSize {
-		if st.crashed {
-			return ErrCrashed
+	tr.SpanAt(st.tk, "cache", "sync_chunk", int64(w.start), int64(p.Now()),
+		trace.I("off", w.off), trace.I("len", w.n))
+	if m != nil {
+		m.chunkNs.Observe(int64(p.Now() - w.start))
+	}
+	if err != nil {
+		return st.endExtent(p, err)
+	}
+	c.Stats.SyncedBytes += w.n
+	if m != nil {
+		m.synced.Add(w.n)
+	}
+	c.dirty.Remove(extent.Extent{Off: w.off, Len: w.n})
+	if tr != nil {
+		tr.Counter(st.tk, "dirty_bytes", int64(p.Now()), c.dirty.TotalBytes())
+	}
+	w.stage = syncChunk
+	if c.opts.FlushFlag == FlushAdaptive {
+		took := p.Now() - w.start
+		if w.baseline == 0 || took < w.baseline {
+			w.baseline = took
 		}
-		n := min(bufSize, req.ext.End()-off)
-		start := p.Now()
-		tr := st.k.Tracer()
-		csp := tr.Begin(st.tk, "cache", "sync_chunk", int64(start))
-		if err := st.syncChunk(p, off, n); err != nil {
-			csp.End(int64(p.Now()), trace.I("off", off), trace.I("len", n))
-			if m != nil {
-				m.chunkNs.Observe(int64(p.Now() - start))
-			}
-			return err
-		}
-		csp.End(int64(p.Now()), trace.I("off", off), trace.I("len", n))
-		c.Stats.SyncedBytes += n
-		if m != nil {
-			m.chunkNs.Observe(int64(p.Now() - start))
-			m.synced.Add(n)
-		}
-		c.dirty.Remove(extent.Extent{Off: off, Len: n})
-		if tr != nil {
-			tr.Counter(st.tk, "dirty_bytes", int64(p.Now()), c.dirty.TotalBytes())
-		}
-		if !adaptive {
-			continue
-		}
-		// Congestion-aware pacing (§III suggestion): track the best
-		// observed chunk time as the uncongested baseline and back off
-		// by the excess when a chunk runs far above it, ceding the
-		// I/O servers to foreground traffic.
-		took := p.Now() - start
-		if baseline == 0 || took < baseline {
-			baseline = took
-		}
-		if took > 2*baseline {
+		if took > 2*w.baseline {
 			c.Stats.Backoffs++
 			if m != nil {
 				m.backoffs.Inc()
 			}
 			if tr != nil {
 				tr.Instant(st.tk, "cache", "adaptive_backoff", int64(p.Now()),
-					trace.I("excess_ns", int64(took-baseline)))
+					trace.I("excess_ns", int64(took-w.baseline)))
 			}
-			p.Sleep(took - baseline)
+			p.Then(took - w.baseline)
+			w.stage = syncPace
+			return true
 		}
 	}
-	return nil
+	w.off += w.bufSize
+	return false
 }
 
-// syncChunk moves one chunk cache -> global, retrying transient failures
-// with exponential backoff. Both legs can fail: the cache read (SSD died)
-// and the global write (storage target down); either way the data is still
-// safe in one of the two copies, so retrying is always sound. A network
-// partition (pfs.ErrPartitioned) is environmental rather than a fault of
-// either copy: it heals when the fabric does, so partition retries do not
-// consume the RetryLimit budget — they back off (capped, so a long
-// partition polls instead of sleeping geometrically) until the fabric
-// heals or the node crashes.
-func (st *syncThread) syncChunk(p *sim.Proc, off, n int64) error {
-	c := st.c
-	backoff := c.opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = DefaultRetryBackoff
+// endExtent ends the request in flight, its extent synced or failed with
+// err, and reports whether the thread ends: it does when the node died
+// mid-extent. The lock is released whether the sync succeeded or aborted —
+// a terminal failure must not leave the extent locked forever — and the
+// handle always completes, with ErrCrashed after a crash, so a rank parked
+// in AtFlush waiting on it wakes instead of deadlocking.
+func (st *syncThread) endExtent(p *sim.Proc, err error) bool {
+	c, w := st.c, st.w
+	req := w.req
+	w.req, w.stage = nil, syncIdle
+	tr := st.k.Tracer()
+	tr.SpanAt(st.tk, "cache", "sync_extent", int64(w.extT0), int64(p.Now()),
+		trace.I("off", req.ext.Off), trace.I("len", req.ext.Len))
+	m := c.meters()
+	if m != nil {
+		m.extentNs.Observe(int64(p.Now() - w.extT0))
 	}
-	var err error
-	for attempt := 0; ; {
-		var buf []byte
-		buf, err = c.readChunk(p, st.buf, off, n)
-		if err == nil {
-			// The crash can land while the cache read is in flight; the
-			// device op completes, but a dead node must not issue a fresh
-			// global write with whatever the read captured (the at-rest
-			// bytes may have rotted since). The chunk stays journalled for
-			// recovery, where it is checksum-scrubbed before replay.
-			if st.crashed {
-				return ErrCrashed
-			}
-			err = c.f.Backend().WriteContig(p, buf, off, n)
-			if err == nil {
-				return nil
-			}
-		}
-		if st.crashed {
-			return err
-		}
-		partitioned := errors.Is(err, pfs.ErrPartitioned)
-		if !partitioned {
-			if attempt >= c.opts.RetryLimit {
-				return fmt.Errorf("%w (after %d attempts)", err, attempt+1)
-			}
-			attempt++
-		}
-		c.Stats.SyncRetries++
-		if m := c.meters(); m != nil {
-			m.retries.Inc()
-		}
-		if tr := st.k.Tracer(); tr != nil {
-			tr.Instant(st.tk, "cache", "sync_retry", int64(p.Now()),
-				trace.I("attempt", int64(attempt)), trace.I("backoff_ns", int64(backoff)))
-		}
-		p.Sleep(backoff)
-		if backoff < PartitionBackoffCap {
-			backoff *= 2
-			if partitioned && backoff > PartitionBackoffCap {
-				backoff = PartitionBackoffCap
-			}
-		} else if !partitioned {
-			backoff *= 2
-		}
+	if req.lock != nil {
+		c.env.Locks.Unlock(req.lock)
 	}
+	if st.crashed {
+		req.greq.CompleteWithError(ErrCrashed)
+		return true
+	}
+	if tr != nil {
+		tr.AsyncEnd(st.tk, "cache", "sync_req", req.aid, int64(p.Now()))
+	}
+	if err != nil {
+		c.Stats.SyncFailures++
+		if m != nil {
+			m.failures.Inc()
+		}
+		if tr != nil {
+			tr.Instant(st.tk, "cache", "sync_failed", int64(p.Now()),
+				trace.I("off", req.ext.Off), trace.I("len", req.ext.Len))
+		}
+		req.greq.CompleteWithError(fmt.Errorf("core: sync [%d,+%d): %w", req.ext.Off, req.ext.Len, err))
+		return false
+	}
+	req.greq.Complete()
+	return false
 }
 
 // readChunk reads n bytes at off from the cache file into buf and returns

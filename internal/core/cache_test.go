@@ -26,6 +26,8 @@ type rig struct {
 	reg  *adio.Registry
 	env  *Env
 	nvms []*nvm.FS
+
+	caches []*Cache // every cache opened through hooks, in open order
 }
 
 func newRig(t *testing.T, nodes, perNode int, factory store.Factory) *rig {
@@ -60,14 +62,34 @@ func newRigSeed(t *testing.T, seed int64, nodes, perNode int, factory store.Fact
 		LocalFS: func(n int) *nvm.FS { return nvms[n] },
 		Locks:   fs.Locks,
 	}
-	return &rig{k: k, fab: fab, fs: fs, w: w, reg: reg, env: env, nvms: nvms}
+	rg := &rig{k: k, fab: fab, fs: fs, w: w, reg: reg, env: env, nvms: nvms}
+	if observeRig != nil {
+		observeRig(rg)
+	}
+	return rg
+}
+
+// observeRig, when set, is called with every rig as it is built, before it
+// runs (the fault-path golden test attaches its tracer here).
+var observeRig func(rg *rig)
+
+// hooks is the Env's hook factory, noting every cache it installs.
+func (rg *rig) hooks() adio.HooksFactory {
+	hf := rg.env.HooksFactory()
+	return func(f *adio.File) (adio.Hooks, error) {
+		h, err := hf(f)
+		if c, ok := h.(*Cache); ok && err == nil && c != nil {
+			rg.caches = append(rg.caches, c)
+		}
+		return h, err
+	}
 }
 
 func (rg *rig) open(r *mpi.Rank, t *testing.T, info mpi.Info) *adio.File {
 	t.Helper()
 	f, err := adio.OpenColl(r, adio.OpenArgs{
 		Comm: rg.w.Comm(), Registry: rg.reg, Path: "global.dat", Create: true,
-		Info: info, Hooks: rg.env.HooksFactory(),
+		Info: info, Hooks: rg.hooks(),
 	})
 	if err != nil {
 		t.Fatal(err)

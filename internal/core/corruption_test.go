@@ -129,7 +129,7 @@ func TestRecoverTornLastRecord(t *testing.T) {
 				adio.HintCBWrite: "enable", HintCache: "enable",
 				HintCacheRecovery: "enable",
 			},
-			Hooks: rg.env.HooksFactory(),
+			Hooks: rg.hooks(),
 		})
 		if err != nil {
 			t.Errorf("recovery open after a torn journal must not error: %v", err)
@@ -232,7 +232,7 @@ func TestDoubleCrashDuringRecoveryIsIdempotent(t *testing.T) {
 					adio.HintCBWrite: "enable", HintCache: "enable",
 					HintCacheRecovery: "enable", HintDiscardFlag: "disable",
 				},
-				Hooks: rg.env.HooksFactory(),
+				Hooks: rg.hooks(),
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)

@@ -125,7 +125,7 @@ func TestAdaptiveFlushBacksOffUnderCongestion(t *testing.T) {
 					HintCache:        "enable",
 					HintFlushFlag:    FlushAdaptive,
 				},
-				Hooks: rg.env.HooksFactory(),
+				Hooks: rg.hooks(),
 			})
 			if err != nil {
 				t.Error(err)

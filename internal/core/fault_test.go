@@ -163,7 +163,7 @@ func TestCrashRecoveryReplaysJournalWithVerification(t *testing.T) {
 					adio.HintCBWrite: "enable", HintCache: "enable",
 					HintCacheRecovery: "enable",
 				},
-				Hooks: rg.env.HooksFactory(),
+				Hooks: rg.hooks(),
 			})
 			if err != nil {
 				t.Error(err)
@@ -304,7 +304,7 @@ func TestDoubleFaultDeviceDiesDuringReplay(t *testing.T) {
 			Info: mpi.Info{
 				adio.HintCBWrite: "enable", HintCache: "coherent", HintCacheRecovery: "enable",
 			},
-			Hooks: rg.env.HooksFactory(),
+			Hooks: rg.hooks(),
 		})
 		if err != nil {
 			t.Errorf("open must fall back, not fail: %v", err)
@@ -357,7 +357,7 @@ func TestDoubleFaultENOSPCDuringReplayStillRecovers(t *testing.T) {
 			Info: mpi.Info{
 				adio.HintCBWrite: "enable", HintCache: "enable", HintCacheRecovery: "enable",
 			},
-			Hooks: rg.env.HooksFactory(),
+			Hooks: rg.hooks(),
 		})
 		if err != nil {
 			t.Error(err)
@@ -430,7 +430,7 @@ func TestRecoveryReplayIsIdempotent(t *testing.T) {
 		open := func() *adio.File {
 			f, err := adio.OpenColl(r, adio.OpenArgs{
 				Comm: rg.w.Comm(), Registry: rg.reg, Path: "global.dat", Create: true,
-				Info: recInfo, Hooks: rg.env.HooksFactory(),
+				Info: recInfo, Hooks: rg.hooks(),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -42,6 +42,32 @@ func TestRunProducesBandwidthAndBreakdown(t *testing.T) {
 	}
 }
 
+// TestCollPerfWorkersAreRanks checks that only ranks take worker
+// coroutines in a coll_perf cell. With the cache disabled, the aggregators'
+// 16 MB windows each stream to four PFS targets from step processes; with
+// it enabled, the sync threads drain the cache as step processes too.
+func TestCollPerfWorkersAreRanks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two coll_perf cells; skipped under -short")
+	}
+	for _, c := range []Case{CacheDisabled, CacheEnabled} {
+		spec := tinySpec(c, 4)
+		spec.CBBuffer = 16 << 20
+		spec.ComputeDelay = 0 // nothing hides the sync: every close waits on it
+		res, cl, err := run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ranks := int64(cl.World.Size())
+		if got := cl.Kernel.WorkersStarted(); got != ranks {
+			t.Errorf("%s: %d workers started, want %d, one per rank", c, got, ranks)
+		}
+		if c == CacheEnabled && res.Breakdown[mpe.PhaseNotHiddenSync] <= 0 {
+			t.Errorf("%s: no flush waited on a sync thread", c)
+		}
+	}
+}
+
 func TestCacheCasesOrdering(t *testing.T) {
 	// Theoretical >= enabled, and with plenty of aggregators both beat
 	// disabled: the paper's headline result at small scale.

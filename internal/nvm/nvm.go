@@ -122,15 +122,29 @@ func (d *Device) NoSpace() bool { return d.noSpace }
 // serve charges one device command. op names the command class for the
 // per-operation latency histogram, which measures queueing plus service.
 func (d *Device) serve(p *sim.Proc, op string, rate sim.Rate, n int64) {
+	t0 := d.serveThen(p, op, rate, n)
+	p.Park()
+	d.serveDone(op, t0)
+}
+
+// serveThen is serve's step form: p resumes once the device has served the
+// command, and the resumed step must call serveDone with the returned
+// start time.
+func (d *Device) serveThen(p *sim.Proc, op string, rate sim.Rate, n int64) (t0 sim.Time) {
 	dur := d.cfg.Latency + rate.DurationFor(n)
 	dur = sim.Jitter(d.k.Rand(), d.cfg.Jitter, dur)
 	if h := d.opHist(op); h != nil {
-		t0 := d.k.Now()
-		d.ch.Serve(p, dur)
-		h.Observe(int64(d.k.Now() - t0))
-		return
+		t0 = d.k.Now()
 	}
-	d.ch.Serve(p, dur)
+	d.ch.ServeThen(p, dur)
+	return t0
+}
+
+// serveDone accounts a command that serveThen started at t0.
+func (d *Device) serveDone(op string, t0 sim.Time) {
+	if h := d.opHist(op); h != nil {
+		h.Observe(int64(d.k.Now() - t0))
+	}
 }
 
 // write charges a write of n bytes.
@@ -143,9 +157,9 @@ func (d *Device) write(p *sim.Proc, n int64) {
 	}
 }
 
-// read charges a read of n bytes.
-func (d *Device) read(p *sim.Proc, n int64) {
-	d.serve(p, "read", d.cfg.ReadRate, n)
+// readDone accounts a read of n bytes that serveThen started at t0.
+func (d *Device) readDone(t0 sim.Time, n int64) {
+	d.serveDone("read", t0)
 	d.BytesRead += n
 	if m := d.k.Metrics(); m != nil {
 		m.Counter("nvm_read_bytes_total", metrics.L(metrics.KeyLayer, "nvm"),
@@ -428,20 +442,52 @@ func (f *File) WriteAt(p *sim.Proc, data []byte, off, size int64) error {
 // device returns ErrIO after charging the attempt's latency, mirroring a
 // timed-out block-layer read.
 func (f *File) ReadAt(p *sim.Proc, buf []byte, off, size int64) error {
+	rd, err := f.ReadThen(p, buf, off, size)
+	if err != nil {
+		return err
+	}
+	p.Park()
+	return f.ReadDone(rd)
+}
+
+// Read is a read that ReadThen queued on the device, for ReadDone.
+type Read struct {
+	buf       []byte
+	off, size int64
+	t0        sim.Time
+	failed    bool // the device had failed when the read was queued
+}
+
+// ReadThen is ReadAt's step form: it queues the read, and p resumes once
+// the device has served it; the resumed step must call ReadDone with the
+// returned Read. An error means nothing was queued: the file was removed.
+func (f *File) ReadThen(p *sim.Proc, buf []byte, off, size int64) (Read, error) {
 	if buf != nil {
 		size = int64(len(buf))
 	}
 	if f.unlinked {
-		return fmt.Errorf("%w: %s", ErrStale, f.name)
+		return Read{}, fmt.Errorf("%w: %s", ErrStale, f.name)
 	}
-	if f.fs.dev.failed {
-		f.fs.dev.serve(p, "read", 0, 0)
+	rd := Read{buf: buf, off: off, size: size, failed: f.fs.dev.failed}
+	if rd.failed {
+		rd.t0 = f.fs.dev.serveThen(p, "read", 0, 0)
+	} else {
+		rd.t0 = f.fs.dev.serveThen(p, "read", f.fs.dev.cfg.ReadRate, size)
+	}
+	return rd, nil
+}
+
+// ReadDone completes a read that ReadThen queued: it copies the bytes out
+// into the buffer, or returns ErrIO when the device had failed.
+func (f *File) ReadDone(rd Read) error {
+	if rd.failed {
+		f.fs.dev.serveDone("read", rd.t0)
 		f.fs.dev.traceError("io_error")
 		return fmt.Errorf("%w: %s", ErrIO, f.fs.dev.name)
 	}
-	f.fs.dev.read(p, size)
-	if buf != nil {
-		f.data.ReadAt(buf, off)
+	f.fs.dev.readDone(rd.t0, rd.size)
+	if rd.buf != nil {
+		f.data.ReadAt(rd.buf, rd.off)
 	}
 	return nil
 }

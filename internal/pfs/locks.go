@@ -37,6 +37,7 @@ type lockReq struct {
 	proc    *sim.Proc
 	mode    LockMode
 	ext     extent.Extent
+	since   sim.Time // when the request was queued
 	granted bool
 }
 
@@ -84,25 +85,41 @@ func (fl *fileLocks) grantable(req *lockReq) bool {
 
 // Acquire blocks p until the requested byte range is locked.
 func (m *LockManager) Acquire(p *sim.Proc, file string, mode LockMode, e extent.Extent) *Lock {
+	l, wait := m.acquireThen(p, file, mode, e)
+	if wait {
+		p.Park()
+		m.granted(l, p.Now())
+	}
+	return l
+}
+
+// acquireThen is Acquire's step form. It queues the request and returns
+// its lock; when the lock is not granted at once, wait is true, p resumes
+// at the grant, and the resumed step must call granted.
+func (m *LockManager) acquireThen(p *sim.Proc, file string, mode LockMode, e extent.Extent) (l *Lock, wait bool) {
 	fl := m.files[file]
 	if fl == nil {
 		fl = &fileLocks{}
 		m.files[file] = fl
 	}
-	req := &lockReq{proc: p, mode: mode, ext: e}
+	req := &lockReq{proc: p, mode: mode, ext: e, since: p.Now()}
 	fl.queue = append(fl.queue, req)
+	l = &Lock{file: file, mode: mode, ext: e, req: req}
 	if fl.grantable(req) {
 		req.granted = true
-		return &Lock{file: file, mode: mode, ext: e, req: req}
+		return l, false
 	}
 	m.Waits++
-	start := p.Now()
-	p.Park()
-	m.WaitTime += p.Now() - start
-	if !req.granted {
+	return l, true
+}
+
+// granted accounts the wait of a lock that acquireThen queued and that
+// was granted at now.
+func (m *LockManager) granted(l *Lock, now sim.Time) {
+	if !l.req.granted {
 		panic("pfs: lock wakeup without grant")
 	}
-	return &Lock{file: file, mode: mode, ext: e, req: req}
+	m.WaitTime += now - l.req.since
 }
 
 // Unlock releases l and grants any newly compatible waiters in FIFO order.

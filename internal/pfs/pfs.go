@@ -324,26 +324,37 @@ func (h *Handle) streams(off, size int64) int {
 	return int(min(stripes, int64(st.StripeCount)))
 }
 
-// walkStream calls rpc, in offset order, for each RPC of stream i of
-// [off, off+size) (see streams): every piece of the stream's stripes inside
-// the range, split into RPCs of at most MaxRPC bytes. It stops at the
-// first error rpc returns and returns it.
-func (h *Handle) walkStream(i int, off, size int64, rpc func(target int, ext extent.Extent) error) error {
-	st := h.meta.striping
-	end := off + size
-	tgt := h.targetFor(off + int64(i)*st.StripeSize)
-	for stripe := off/st.StripeSize + int64(i); stripe*st.StripeSize < end; stripe += int64(st.StripeCount) {
-		cur := max(off, stripe*st.StripeSize)
-		chunkEnd := min(end, (stripe+1)*st.StripeSize)
-		for cur < chunkEnd {
-			n := min(h.client.sys.cfg.MaxRPC, chunkEnd-cur)
-			if err := rpc(tgt, extent.Extent{Off: cur, Len: n}); err != nil {
-				return err
-			}
-			cur += n
+// rpcCursor walks the RPCs of stream i of [off, off+size) in offset order
+// (see streams): every piece of the stream's stripes inside the range,
+// split into RPCs of at most MaxRPC bytes.
+type rpcCursor struct {
+	h        *Handle
+	tgt      int   // the stream's target
+	stripe   int64 // stripe index of the next RPC
+	cur, end int64 // next offset, end of the range
+}
+
+// cursor starts the walk of stream i of [off, off+size).
+func (h *Handle) cursor(i int, off, size int64) rpcCursor {
+	ss := h.meta.striping.StripeSize
+	stripe := off/ss + int64(i)
+	return rpcCursor{h: h, tgt: h.targetFor(off + int64(i)*ss), stripe: stripe,
+		cur: max(off, stripe*ss), end: off + size}
+}
+
+// next returns the stream's next RPC, or false when the walk is over.
+func (c *rpcCursor) next() (extent.Extent, bool) {
+	st := c.h.meta.striping
+	for c.stripe*st.StripeSize < c.end {
+		if chunkEnd := min(c.end, (c.stripe+1)*st.StripeSize); c.cur < chunkEnd {
+			e := extent.Extent{Off: c.cur, Len: min(c.h.client.sys.cfg.MaxRPC, chunkEnd-c.cur)}
+			c.cur = e.End()
+			return e, true
 		}
+		c.stripe += int64(st.StripeCount)
+		c.cur = c.stripe * st.StripeSize
 	}
-	return nil
+	return extent.Extent{}, false
 }
 
 // WriteAt writes size bytes at off. data may be nil for metadata-only
@@ -353,118 +364,298 @@ func (h *Handle) walkStream(i int, off, size int64, rpc func(target int, ext ext
 // down target fails the whole write with ErrTargetDown; no payload is
 // committed in that case.
 func (h *Handle) WriteAt(p *sim.Proc, data []byte, off, size int64) error {
-	if size == 0 {
-		return nil
+	var op Op
+	h.StartWrite(&op, data, off, size)
+	for op.Step(p) {
+		p.Park()
 	}
-	s := h.client.sys
-	var lock *Lock
-	if g := s.cfg.LockGranularity; g > 0 {
-		lo := off / g * g
-		hi := (off + size + g - 1) / g * g
-		lock = s.Locks.Acquire(p, h.meta.name, WriteLock, extent.Extent{Off: lo, Len: hi - lo})
-	}
-	err := h.transfer(p, data, off, size, true)
-	if lock != nil {
-		s.Locks.Unlock(lock)
-	}
-	if err != nil {
-		return err
-	}
-	h.client.BytesWritten += size
-	return nil
+	return op.Err()
 }
 
 // ReadAt reads into buf (or size bytes metadata-only when buf is nil).
 func (h *Handle) ReadAt(p *sim.Proc, buf []byte, off, size int64) error {
+	var op Op
+	h.StartRead(&op, buf, off, size)
+	for op.Step(p) {
+		p.Park()
+	}
+	return op.Err()
+}
+
+// Op is a WriteAt or ReadAt in flight as steps of the process that started
+// it: Step does the op's work up to its next wait and reports whether the
+// process must wait for the resume it arranged. Once Step reports false
+// the op is over and Err holds its result. A range on one target streams
+// on the calling process; a range over several streams to each target from
+// a step process of its own while the caller waits for the last. An Op is
+// reusable once it is over.
+type Op struct {
+	h     *Handle
+	data  []byte // payload written, or read into
+	off   int64
+	size  int64
+	write bool
+	stage opStage
+	lock  *Lock
+	one   stream // the stream of a one-target range
+	join  *join  // the streams of a multi-target range; kept for reuse
+	err   error
+}
+
+// join is the streams of a multi-target op, each on a process of its own,
+// and what they report back. Only the streams point to it, so an Op that
+// streams inline stays where its caller put it.
+type join struct {
+	streams []stream
+	left    int // streams still running
+	caller  *sim.Proc
+	err     error
+	errAt   int // the stream err came from: the first failing one in stripe order wins
+}
+
+type opStage int8
+
+const (
+	opStart  opStage = iota
+	opLocked         // waiting for the write lock
+	opStream         // streaming on the calling process
+	opJoin           // waiting for the stream processes
+	opDone
+)
+
+// StartWrite sets op up as WriteAt's step form.
+func (h *Handle) StartWrite(op *Op, data []byte, off, size int64) {
+	op.start(h, data, off, size, true)
+}
+
+// StartRead sets op up as ReadAt's step form.
+func (h *Handle) StartRead(op *Op, buf []byte, off, size int64) {
 	if buf != nil {
 		size = int64(len(buf))
 	}
-	if size == 0 {
-		return nil
-	}
-	if err := h.transfer(p, nil, off, size, false); err != nil {
-		return err
-	}
-	if buf != nil {
-		h.meta.data.ReadAt(buf, off)
-	}
-	h.client.BytesRead += size
-	return nil
+	op.start(h, buf, off, size, false)
 }
 
-// transfer moves the byte range between client and targets, blocking p.
-// On error the payload is not committed; the first failing target (in
-// stripe order) determines the returned error, keeping runs deterministic.
-func (h *Handle) transfer(p *sim.Proc, data []byte, off, size int64, isWrite bool) error {
-	k := h.client.sys.k
-	// One pipelined stream per target.
-	n := h.streams(off, size)
-	if n == 1 {
-		// Single-target fast path: stream inline on the calling process.
-		if err := h.stream(p, 0, off, size, isWrite); err != nil {
-			return err
-		}
-		if isWrite {
-			h.meta.data.WriteAt(data, off, size)
-		}
-		return nil
-	}
-	remaining := n
-	errs := make([]error, n)
-	done := sim.NewCond(k)
-	for i := range n {
-		tgt := h.targetFor(off + int64(i)*h.meta.striping.StripeSize)
-		k.Spawn(fmt.Sprintf("pfs.stream.n%d.t%d", h.client.node.ID(), tgt), func(sp *sim.Proc) {
-			errs[i] = h.stream(sp, i, off, size, isWrite)
-			remaining--
-			if remaining == 0 {
-				done.Signal()
-			}
-		})
-	}
-	if remaining > 0 {
-		done.Wait(p)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if isWrite {
-		h.meta.data.WriteAt(data, off, size)
-	}
-	return nil
+// start resets op for a new transfer, field by field: Step sets up the
+// streams, and the join is kept for reuse.
+func (op *Op) start(h *Handle, data []byte, off, size int64, write bool) {
+	op.h, op.data, op.off, op.size, op.write = h, data, off, size, write
+	op.stage, op.lock, op.err = opStart, nil, nil
 }
 
-// stream pushes the RPCs of stream i of [off, off+size) (see walkStream)
-// through the client stack, NIC and target station, serialized per RPC (a
-// pipelined RPC stream). An RPC addressed to a down target burns the RPC
-// latency waiting for the timeout and aborts the stream; a slowed target
-// stretches its service time.
-func (h *Handle) stream(sp *sim.Proc, i int, off, size int64, isWrite bool) error {
+// Err returns the result of an op that is over. On error the payload is
+// not committed; the first failing stream (in stripe order) determines it,
+// keeping runs deterministic.
+func (op *Op) Err() error { return op.err }
+
+// Step runs the op up to its next wait (see Op).
+func (op *Op) Step(p *sim.Proc) bool {
+	h := op.h
 	s := h.client.sys
-	return h.walkStream(i, off, size, func(target int, ext extent.Extent) error {
-		// A partitioned client cannot reach any target: the RPC burns the
-		// client stack latency plus the target-side timeout and fails with
-		// ErrPartitioned, which (unlike ErrTargetDown) heals when the
-		// partition does — callers may retry without consuming their fault
-		// budget.
-		if h.client.node.Isolated() {
-			sp.Sleep(s.cfg.ClientRPCLatency + s.cfg.TargetLatency)
-			return fmt.Errorf("%w: node %d", ErrPartitioned, h.client.node.ID())
+	switch op.stage {
+	case opStart:
+		if op.size == 0 {
+			op.stage = opDone
+			return false
 		}
-		// Client-side stack (shared cap) then NIC, then target.
-		h.client.cap.ServeBytes(sp, s.cfg.ClientRPCLatency, s.cfg.ClientRate, ext.Len)
-		if isWrite {
-			h.client.node.Inject(sp, ext.Len)
+		if g := s.cfg.LockGranularity; g > 0 && op.write {
+			lo := op.off / g * g
+			hi := (op.off + op.size + g - 1) / g * g
+			var wait bool
+			op.lock, wait = s.Locks.acquireThen(p, h.meta.name, WriteLock, extent.Extent{Off: lo, Len: hi - lo})
+			if wait {
+				op.stage = opLocked
+				p.ParkThen()
+				return true
+			}
 		}
-		sp.Sleep(2 * sim.Microsecond) // fabric hop to storage
-		ts := s.tstate[target]
-		if ts.down {
-			sp.Sleep(s.cfg.TargetLatency) // RPC timeout
+		return op.stream(p)
+	case opLocked:
+		s.Locks.granted(op.lock, p.Now())
+		return op.stream(p)
+	case opStream:
+		if op.one.step(p) {
+			return true
+		}
+		op.err = op.one.err
+	case opJoin:
+		op.err = op.join.err
+	default:
+		return false
+	}
+	op.finish()
+	return false
+}
+
+// stream starts the op's streams: inline for one target, else one step
+// process per target, joined by the last to end.
+func (op *Op) stream(p *sim.Proc) bool {
+	h := op.h
+	n := h.streams(op.off, op.size)
+	if n == 1 {
+		s := &op.one
+		s.write, s.cur, s.stage, s.err = op.write, h.cursor(0, op.off, op.size), rpcNext, nil
+		op.stage = opStream
+		return op.Step(p)
+	}
+	j := op.join
+	if j == nil || cap(j.streams) < n {
+		j = &join{streams: make([]stream, n)}
+		op.join = j
+	}
+	*j = join{streams: j.streams[:n], left: n, caller: p}
+	for i := range j.streams {
+		s := &j.streams[i]
+		*s = stream{join: j, i: i, write: op.write, cur: h.cursor(i, op.off, op.size)}
+		h.client.sys.k.SpawnStep("", s.name, s.run)
+	}
+	op.stage = opJoin
+	p.ParkThen()
+	return true
+}
+
+// finish commits a successful write's payload or copies a read's out,
+// releases the write lock and counts the bytes.
+func (op *Op) finish() {
+	h := op.h
+	op.stage = opDone
+	if op.write && op.err == nil {
+		h.meta.data.WriteAt(op.data, op.off, op.size)
+	}
+	if op.lock != nil {
+		h.client.sys.Locks.Unlock(op.lock)
+		op.lock = nil
+	}
+	switch {
+	case op.err != nil:
+	case op.write:
+		h.client.BytesWritten += op.size
+	default:
+		if op.data != nil {
+			h.meta.data.ReadAt(op.data, op.off)
+		}
+		h.client.BytesRead += op.size
+	}
+}
+
+// stream is one pipelined RPC stream of an op. Each RPC goes through the
+// client stack (the shared cap) and, writing, the NIC, then the fabric hop
+// to its target and the target's service, and, reading, back through the
+// NIC. A partitioned client burns the client stack latency plus the target
+// timeout and fails with ErrPartitioned, which (unlike ErrTargetDown)
+// heals when the partition does, so callers may retry without consuming
+// their fault budget. An RPC to a down target burns the RPC latency
+// waiting for the timeout and aborts the stream; a slowed target stretches
+// its service time.
+type stream struct {
+	join  *join // the join a stream process reports to; nil for an inline stream
+	i     int
+	write bool
+	cur   rpcCursor
+	rpc   extent.Extent // the RPC in flight
+	stage rpcStage
+	t0    sim.Time // start of the NIC or target service, for its histogram
+	err   error
+}
+
+type rpcStage int8
+
+const (
+	rpcNext        rpcStage = iota
+	rpcPartitioned          // burning the timeout of a partitioned client
+	rpcCap                  // in the client stack
+	rpcInject               // in the NIC's injection port
+	rpcHop                  // on the fabric hop to the target
+	rpcTimeout              // waiting out a down target's timeout
+	rpcTarget               // in the target's service
+	rpcEject                // in the NIC's ejection port
+)
+
+// run is the step of a stream's own process: it reports to its join when
+// the stream ends, and the last stream to end wakes the op's caller, which
+// finishes the op.
+func (st *stream) run(p *sim.Proc) {
+	if st.step(p) {
+		return
+	}
+	j := st.join
+	if st.err != nil && (j.err == nil || st.i < j.errAt) {
+		j.err, j.errAt = st.err, st.i
+	}
+	if j.left--; j.left == 0 {
+		st.cur.h.client.sys.k.Wake(j.caller)
+	}
+}
+
+// name names a stream's process by node and target.
+func (st *stream) name() string {
+	return fmt.Sprintf("pfs.stream.n%d.t%d", st.cur.h.client.node.ID(), st.cur.tgt)
+}
+
+// step runs the stream up to its next wait and reports whether there is
+// one; false means the stream is over, with err set when it failed.
+func (st *stream) step(p *sim.Proc) bool {
+	c := st.cur.h.client
+	s := c.sys
+	n := st.rpc.Len
+	for {
+		switch st.stage {
+		case rpcNext:
+			var ok bool
+			if st.rpc, ok = st.cur.next(); !ok {
+				return false
+			}
+			n = st.rpc.Len
+			if c.node.Isolated() {
+				st.stage = rpcPartitioned
+				p.Then(s.cfg.ClientRPCLatency + s.cfg.TargetLatency)
+				return true
+			}
+			st.stage = rpcCap
+			c.cap.ServeThen(p, s.cfg.ClientRPCLatency+s.cfg.ClientRate.DurationFor(n))
+			return true
+		case rpcPartitioned:
+			st.err = fmt.Errorf("%w: node %d", ErrPartitioned, c.node.ID())
+			return false
+		case rpcCap:
+			c.cap.Bytes += n
+			if st.write {
+				st.stage = rpcInject
+				st.t0 = c.node.InjectThen(p, n)
+				return true
+			}
+			st.stage = rpcHop
+			p.Then(2 * sim.Microsecond) // fabric hop to storage
+			return true
+		case rpcInject:
+			c.node.InjectDone(st.t0, n)
+			st.stage = rpcHop
+			p.Then(2 * sim.Microsecond) // fabric hop to storage
+			return true
+		case rpcHop:
+			tgt := st.cur.tgt
+			ts := s.tstate[tgt]
+			if ts.down {
+				st.stage = rpcTimeout
+				p.Then(s.cfg.TargetLatency) // RPC timeout
+				return true
+			}
+			d := s.cfg.TargetLatency + s.cfg.TargetRate.DurationFor(n)
+			d = sim.Jitter(s.k.Rand(), s.cfg.TargetJitter, d)
+			if ts.speed != 1 {
+				d = sim.Time(float64(d) / ts.speed)
+			}
+			if tgtNs, _ := s.targetMetrics(tgt); tgtNs != nil {
+				st.t0 = p.Now()
+			}
+			st.stage = rpcTarget
+			s.targets[tgt].ServeThen(p, d)
+			return true
+		case rpcTimeout:
+			tgt := st.cur.tgt
 			if tr := s.k.Tracer(); tr != nil {
-				tr.Instant(s.targets[target].TraceTrack(tr), "pfs", "rpc_timeout",
-					int64(sp.Now()), trace.I("bytes", ext.Len))
+				tr.Instant(s.targets[tgt].TraceTrack(tr), "pfs", "rpc_timeout",
+					int64(p.Now()), trace.I("bytes", n))
 			}
 			if m := s.k.Metrics(); m != nil {
 				if s.mTimeouts == nil {
@@ -472,28 +663,26 @@ func (h *Handle) stream(sp *sim.Proc, i int, off, size int64, isWrite bool) erro
 				}
 				s.mTimeouts.Inc()
 			}
-			return fmt.Errorf("%w: tgt%d", ErrTargetDown, target)
+			st.err = fmt.Errorf("%w: tgt%d", ErrTargetDown, tgt)
+			return false
+		case rpcTarget:
+			tgt := st.cur.tgt
+			if tgtNs, tgtBytes := s.targetMetrics(tgt); tgtNs != nil {
+				tgtNs.Observe(int64(p.Now() - st.t0))
+				tgtBytes.Add(n)
+			}
+			s.targets[tgt].Bytes += n
+			if !st.write {
+				st.stage = rpcEject
+				st.t0 = c.node.EjectThen(p, n)
+				return true
+			}
+			st.stage = rpcNext
+		case rpcEject:
+			c.node.EjectDone(st.t0, n)
+			st.stage = rpcNext
 		}
-		d := s.cfg.TargetLatency + s.cfg.TargetRate.DurationFor(ext.Len)
-		d = sim.Jitter(s.k.Rand(), s.cfg.TargetJitter, d)
-		if ts.speed != 1 {
-			d = sim.Time(float64(d) / ts.speed)
-		}
-		st := s.targets[target]
-		if tgtNs, tgtBytes := s.targetMetrics(target); tgtNs != nil {
-			t0 := sp.Now()
-			st.Serve(sp, d)
-			tgtNs.Observe(int64(sp.Now() - t0))
-			tgtBytes.Add(ext.Len)
-		} else {
-			st.Serve(sp, d)
-		}
-		st.Bytes += ext.Len
-		if !isWrite {
-			h.client.node.Eject(sp, ext.Len)
-		}
-		return nil
-	})
+	}
 }
 
 // Sync charges a metadata round trip (data is written through in this

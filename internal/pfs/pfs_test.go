@@ -120,15 +120,15 @@ type plannedRPC struct {
 	ext            extent.Extent
 }
 
-// plan collects the RPCs transfer issues for [off, off+size), stream by
+// plan collects the RPCs an op issues for [off, off+size), stream by
 // stream, each stream's in its issue order.
 func plan(h *Handle, off, size int64) []plannedRPC {
 	var out []plannedRPC
 	for i := range h.streams(off, size) {
-		h.walkStream(i, off, size, func(target int, ext extent.Extent) error {
-			out = append(out, plannedRPC{stream: i, target: target, ext: ext})
-			return nil
-		})
+		cur := h.cursor(i, off, size)
+		for ext, ok := cur.next(); ok; ext, ok = cur.next() {
+			out = append(out, plannedRPC{stream: i, target: cur.tgt, ext: ext})
+		}
 	}
 	return out
 }
@@ -504,6 +504,17 @@ func TestTargetDownFailsWrites(t *testing.T) {
 		if err := h.WriteAt(p, nil, 0, 4096); err != nil {
 			t.Errorf("healthy target write failed: %v", err)
 		}
+		// Over several targets, the first failing stream in stripe order
+		// names the error, and nothing is committed.
+		s.SetTargetDown(3, true)
+		want := "pfs: storage target unreachable: tgt1"
+		if err := h.WriteAt(p, nil, 0, 4*4096); err == nil || err.Error() != want {
+			t.Errorf("write over down targets 1 and 3: got %v, want %q", err, want)
+		}
+		if got := h.Meta().Size(); got != 4096 {
+			t.Errorf("failed write changed the size to %d", got)
+		}
+		s.SetTargetDown(3, false)
 		s.SetTargetDown(1, false)
 		if err := h.WriteAt(p, nil, 4096, 4096); err != nil {
 			t.Errorf("write after target restore: %v", err)

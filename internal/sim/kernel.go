@@ -174,15 +174,15 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnStep creates a step process: a process that never gets a worker.
 // step runs inline in the kernel at the process's first resume (the current
-// virtual time) and at every resume after it. Each run must do one of:
-//
-//   - arrange the next resume with Then, Station.ServeThen or Cond.WaitThen;
-//   - hand the process to a worker with Become;
-//   - return having done neither, which ends the process.
+// virtual time) and at every resume after it. Each run either arranges the
+// next resume, with Then, ParkThen, Station.ServeThen or Cond.WaitThen, or
+// returns without one, which ends the process.
 //
 // A step must not block: Sleep, Park, Serve and Cond.Wait panic on a step
-// process. Step processes suit the many short, waiting-mostly processes
-// (one per simulated message) whose worker stacks would dominate memory.
+// process. Step processes suit the many waiting-mostly processes (one per
+// simulated message, PFS stream or cache sync thread) whose worker stacks
+// would dominate memory; a blocking call has a step form for them, and
+// the blocking form is that step form followed by Park.
 // When name is empty, nameFn computes it the first time it is observed — a
 // deadlock report, a panic, an explicit Name() call — so the fast path
 // never pays for formatting it.
@@ -246,9 +246,7 @@ func (k *Kernel) next() *Proc {
 			if !k.runStep(p) {
 				return nil
 			}
-			if p.fn == nil {
-				continue // still a step process, or finished
-			}
+			continue
 		}
 		return p
 	}
@@ -280,8 +278,8 @@ func (k *Kernel) resume(p *Proc) bool {
 }
 
 // runStep runs the step of step process p. A step that arranges no resume
-// and hands p to no worker ends p. A panicking step ends p and stops the
-// run; Run re-raises the panic naming p.
+// ends p. A panicking step ends p and stops the run; Run re-raises the
+// panic naming p.
 func (k *Kernel) runStep(p *Proc) (ok bool) {
 	defer func() {
 		if !ok {
@@ -292,7 +290,7 @@ func (k *Kernel) runStep(p *Proc) (ok bool) {
 	}()
 	p.armed = false
 	p.step(p)
-	if p.step != nil && !p.armed {
+	if !p.armed {
 		k.retire(p)
 	}
 	return true
@@ -536,16 +534,6 @@ func (p *Proc) Then(d Time) {
 	p.k.schedule(event{t: p.k.now + d, p: p})
 }
 
-// Become hands the step process p to a worker: body starts on one when the
-// current step returns, at the same virtual time, and runs from then on as
-// a Spawned body would. The step must arrange no resume of its own.
-func (p *Proc) Become(body func(p *Proc)) {
-	if p.step == nil || body == nil {
-		panic("sim: Become needs a step process and a body")
-	}
-	p.step, p.fn = nil, body
-}
-
 // Sleep advances the process by d of virtual time.
 func (p *Proc) Sleep(d Time) {
 	p.mustBlock()
@@ -561,6 +549,11 @@ func (p *Proc) Park() {
 	p.mustBlock()
 	p.block()
 }
+
+// ParkThen arranges for the step process p to resume at its next
+// Kernel.Wake from another process or a kernel callback (Park, for a
+// worker process, is the wait itself).
+func (p *Proc) ParkThen() { p.armed = true }
 
 // Wake schedules p to resume at the current virtual time. It must only be
 // called for a process that is currently parked (or about to park at the

@@ -13,7 +13,7 @@ import (
 
 // stepOp is one operation of a stepProgram process.
 type stepOp struct {
-	kind int  // opServe, opSleep, opWait, opSpawn or opBecome
+	kind int  // opServe, opSleep, opWait, opSpawn or opPark
 	idx  int  // station or cond index
 	d    Time // service or sleep time; for opWait, the signal's delay
 	bc   bool // opWait: the signal is a Broadcast
@@ -25,7 +25,7 @@ const (
 	opSleep
 	opWait
 	opSpawn
-	opBecome // a step process hands the rest of its ops to a worker
+	opPark // wait for a Wake from a callback d later
 )
 
 // genStepOps draws n random operations; depth bounds nested spawns.
@@ -87,6 +87,11 @@ func (r *stepRun) start(p *Proc, i int, o stepOp) {
 		})
 	case opSpawn:
 		r.spawn(fmt.Sprintf("child%d", p.ID()), o.kids)
+	case opPark:
+		r.k.After(o.d, func() {
+			r.logf(-1, "wake %d", p.ID())
+			r.k.Wake(p)
+		})
 	}
 }
 
@@ -97,17 +102,17 @@ func (r *stepRun) spawn(name string, ops []stepOp) {
 		s := &stepper{r: r, ops: ops}
 		p = r.k.SpawnStep(name, nil, s.step)
 	} else {
-		p = r.k.Spawn(name, r.body(ops, 0))
+		p = r.k.Spawn(name, r.body(ops))
 	}
 	if r.tr != nil {
 		p.SetTraceTrack(r.tr.Track(trace.GroupRanks, name))
 	}
 }
 
-// body returns a worker body running ops from index from on.
-func (r *stepRun) body(ops []stepOp, from int) func(p *Proc) {
+// body returns a worker body running ops.
+func (r *stepRun) body(ops []stepOp) func(p *Proc) {
 	return func(p *Proc) {
-		for i := from; i < len(ops); i++ {
+		for i := range ops {
 			o := ops[i]
 			r.start(p, i, o)
 			switch o.kind {
@@ -117,6 +122,8 @@ func (r *stepRun) body(ops []stepOp, from int) func(p *Proc) {
 				p.Sleep(o.d)
 			case opWait:
 				r.cs[o.idx].Wait(p)
+			case opPark:
+				p.Park()
 			}
 		}
 		r.logf(p.ID(), "done")
@@ -142,8 +149,8 @@ func (s *stepper) step(p *Proc) {
 			p.Then(o.d)
 		case opWait:
 			r.cs[o.idx].WaitThen(p)
-		case opBecome:
-			p.Become(r.body(s.ops, s.i+1))
+		case opPark:
+			p.ParkThen()
 		default:
 			continue
 		}
@@ -201,9 +208,9 @@ func runStepProgram(t *testing.T, seed int64, traced bool, asStep func(id int) b
 
 // TestStepProcessesMatchWorkers is the step-process equivalence property:
 // the same seeded programs, run with every process as a worker, every
-// process as a step process (which may Become a worker part way), and a
-// mix, dispatch the same events in the same order, leave the same station
-// statistics and, traced, write the same trace.
+// process as a step process, and a mix, dispatch the same events in the
+// same order, leave the same station statistics and, traced, write the
+// same trace.
 func TestStepProcessesMatchWorkers(t *testing.T) {
 	forms := map[string]func(id int) bool{
 		"steps": func(int) bool { return true },
@@ -279,45 +286,6 @@ func TestStepDeadlockNamesProcess(t *testing.T) {
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "[holder queued-step]") {
 		t.Fatalf("Run = %v, want a deadlock naming holder and queued-step", err)
-	}
-}
-
-// TestStepBecomeStartsWorker checks that only a step process that calls
-// Become takes a worker, that its body starts at the resume that called
-// it, and that the others end without one.
-func TestStepBecomeStartsWorker(t *testing.T) {
-	k := NewKernel(1)
-	c := NewCond(k)
-	var ran, ended int
-	var started Time
-	for i := 0; i < 4; i++ {
-		work, waited := i == 2, false
-		k.SpawnStep(fmt.Sprintf("s%d", i), nil, func(p *Proc) {
-			if !waited {
-				waited = true
-				c.WaitThen(p)
-				return
-			}
-			if !work {
-				ended++
-				return
-			}
-			p.Become(func(p *Proc) {
-				started = p.Now()
-				p.Sleep(Second)
-				ran++
-			})
-		})
-	}
-	k.After(Millisecond, c.Broadcast)
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 1 || ended != 3 || started != Millisecond || k.Now() != Millisecond+Second {
-		t.Fatalf("ran %d, ended %d, body started at %v, run ended at %v", ran, ended, started, k.Now())
-	}
-	if got := k.WorkersStarted(); got != 1 {
-		t.Fatalf("%d workers started, want 1 (the Become)", got)
 	}
 }
 

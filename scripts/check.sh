@@ -22,10 +22,11 @@
 #
 # The two-phase round-planning, analytic-Alltoall, survivor-communicator,
 # Allreduce-fold, MemStore strided-assembly, kernel-dispatch (Sleep,
-# ping-pong, Spawn, step messages, timer churn) and journal-append
-# microbenchmarks run once after the tests, so they keep compiling and
-# their built-in equality and allocation checks keep running (an append
-# into a pre-grown cache journal must not allocate).
+# ping-pong, Spawn, step messages, timer churn), journal-append and PFS
+# write microbenchmarks run once after the tests, so they keep compiling
+# and their built-in equality and allocation checks keep running (an
+# append into a pre-grown cache journal must not allocate; a one-stream
+# PFS write must not allocate, a four-stream one at most 16 times).
 #
 # A kilo-rank scale smoke also gates the run: the TestScale_ suite at
 # 1024 ranks (clean, lossy and aggregator-crash collective writes checked
@@ -78,8 +79,8 @@ go test ./...
 echo "== benchmark module: go vet ./... && go test ./..."
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold, MemStore assembly, kernel dispatch, step messages and journal append)"
-go test -run '^$' -bench 'RoundPlan|Alltoall|Survivor|Allreduce|MemStore|Kernel|JournalAppend' -benchtime 1x ./internal/adio ./internal/mpi ./internal/store ./internal/sim ./internal/core
+echo "== microbenchmarks once (round planning, alltoall, survivor comms, allreduce fold, MemStore assembly, kernel dispatch, step messages, journal append and PFS writes)"
+go test -run '^$' -bench 'RoundPlan|Alltoall|Survivor|Allreduce|MemStore|Kernel|JournalAppend|PFSWrite' -benchtime 1x ./internal/adio ./internal/mpi ./internal/store ./internal/sim ./internal/core ./internal/pfs
 
 if [ "${SKIP_RACE:-}" = "1" ]; then
     echo "== race pass skipped (SKIP_RACE=1)"
