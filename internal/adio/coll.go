@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/bufpool"
 	"repro/internal/extent"
 	"repro/internal/metrics"
 	"repro/internal/mpe"
@@ -190,7 +189,7 @@ func (f *File) writeEpoch(c *mpi.Comm, rem, segs []extent.Extent, pre []int64, d
 				selfExts = exts
 				continue
 			}
-			msg := buildDataMsg(r.World().Pool(), exts, segs, pre, data)
+			msg := exchangeMsg(exts, true, view{segs: segs, pre: pre, buf: data})
 			f.Stats.BytesExchanged += msg.Size
 			mExch.Add(msg.Size)
 			sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
@@ -517,29 +516,56 @@ func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {
 	return extent.Extent{Off: off, Len: min(cb, fd.End()-off)}
 }
 
-// buildDataMsg encodes extents (and payload, when present) into a shuffle
-// message. Vals carries (off, len) pairs; Size adds a 16-byte per-extent
-// header to the payload bytes. The payload comes from pool at its final
-// length and belongs to the message: the sender hands it over at Isend,
-// and the aggregator releases it in packAndWrite once it is copied into
-// the collective buffer.
-func buildDataMsg(pool *bufpool.Pool, exts []extent.Extent, segs []extent.Extent, pre []int64, data []byte) mpi.Message {
-	vals := make([]int64, 0, 2*len(exts))
+// exchangeMsg builds the shuffle message (vals set) or read reply that
+// carries the bytes of exts. A shuffle message lists the extents in Vals
+// as (off, len) pairs, and a reply answers a request that listed them.
+// Size adds a 16-byte per-extent header to the bytes. When src has a
+// buffer, the payload is a view of the bytes in it.
+func exchangeMsg(exts []extent.Extent, vals bool, src view) mpi.Message {
+	var m mpi.Message
+	if vals {
+		m.Vals = make([]int64, 0, 2*len(exts))
+	}
 	var bytes int64
 	for _, e := range exts {
-		vals = append(vals, e.Off, e.Len)
+		if vals {
+			m.Vals = append(m.Vals, e.Off, e.Len)
+		}
 		bytes += e.Len
 	}
-	var payload []byte
-	if data != nil && bytes > 0 {
-		payload = pool.Get(int(bytes))
-		var cursor int64
-		for _, e := range exts {
-			copyFromSegs(payload[cursor:], e, segs, pre, data)
-			cursor += e.Len
-		}
+	m.Size = bytes + 16*int64(len(exts))
+	if src.buf != nil && bytes > 0 {
+		v := src
+		v.n = bytes
+		m.Data = &v
 	}
-	return mpi.Message{Vals: vals, Data: payload, Size: bytes + 16*int64(len(exts))}
+	return m
+}
+
+// view is the payload of a shuffle message or read reply: n bytes of file
+// extents, which the receiver reads in place from buf, memory the sender
+// holds. Byte off of segs[i] lies at buf[pre[i]+off-segs[i].Off], and each
+// extent the message names lies inside one segment. A shuffle message
+// names its extents in Vals and views the sender's payload in segment
+// order; a read reply answers its request's extents and views the
+// aggregator's collective buffer holding window win, as segs [win] and pre
+// [0, win.Len]. The sender keeps buf valid and unchanged until the
+// collective call has returned on every rank (DESIGN.md, adio).
+type view struct {
+	n    int64
+	segs []extent.Extent
+	pre  []int64
+	buf  []byte
+}
+
+// Len implements mpi.Payload.
+func (v *view) Len() int64 { return v.n }
+
+// at returns the bytes of file extent e.
+func (v *view) at(e extent.Extent) []byte {
+	i := segSearch(v.segs, e.Off)
+	o := v.pre[i] + e.Off - v.segs[i].Off
+	return v.buf[o : o+e.Len]
 }
 
 // packAndWrite fills the collective buffer with the received and local
@@ -547,7 +573,6 @@ func buildDataMsg(pool *bufpool.Pool, exts []extent.Extent, segs []extent.Extent
 // contiguous covered run via WriteContig (holes are skipped, as ROMIO does
 // when hole detection shows no read-modify-write is needed). A piece from a
 // metadata-only sender (nil Data, or nil data here) is written as zeros.
-// Each message's payload is released once it is copied in.
 func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []extent.Extent,
 	segs []extent.Extent, pre []int64, data []byte) error {
 	r := f.rank
@@ -592,17 +617,15 @@ func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []e
 	}
 	if payload {
 		for _, m := range msgs {
-			var cursor int64
+			v, _ := m.Data.(*view)
 			for i := 0; i+1 < len(m.Vals); i += 2 {
 				e := extent.Extent{Off: m.Vals[i], Len: m.Vals[i+1]}
-				if dst := buf[e.Off-win.Off : e.End()-win.Off]; m.Data == nil {
+				if dst := buf[e.Off-win.Off : e.End()-win.Off]; v == nil {
 					clear(dst)
 				} else {
-					copy(dst, m.Data[cursor:])
+					copy(dst, v.at(e))
 				}
-				cursor += e.Len
 			}
-			r.World().Release(m)
 		}
 		for _, e := range selfExts {
 			if dst := buf[e.Off-win.Off : e.End()-win.Off]; data == nil {

@@ -92,8 +92,8 @@ func TestMixedPayloadWritesZeros(t *testing.T) {
 // TestCollectiveBufferAllocation gates the bytes a payload two-phase
 // write and read allocate per payload byte they move. Past the first
 // call, a File stages every window in its one collective buffer, and the
-// shuffle and read-reply payloads come from the World's pool, which the
-// receivers hand them back to once copied out. What remains is the
+// shuffle messages and read replies borrow their payload from the sender's
+// buffer instead of carrying a copy. What remains is the
 // per-round plan and message bookkeeping; a payload, buffer or window
 // allocated afresh per round shows up as at least one more byte per
 // byte.

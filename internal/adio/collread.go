@@ -3,7 +3,6 @@ package adio
 import (
 	"fmt"
 
-	"repro/internal/bufpool"
 	"repro/internal/extent"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
@@ -115,10 +114,12 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 			}
 			// Each needed run is read to its offset in the collective
 			// buffer; a failed read leaves zeros, never an earlier round's
-			// bytes.
+			// bytes. The replies view the window in place.
 			var wbuf []byte
+			var wv view
 			if payload {
 				wbuf = f.collBuf(win.Len)
+				wv = view{segs: []extent.Extent{win}, pre: []int64{0, win.Len}, buf: wbuf}
 			}
 			span2 := mpe.StartSpan(r.Now())
 			for _, run := range need.Extents() {
@@ -136,32 +137,32 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 			span2.End(log, mpe.PhaseWrite, r.Now()) // file I/O time
 			// Reply to every requester.
 			for _, q := range reqs {
-				msg := buildReadReply(r.World().Pool(), q.exts, win, wbuf)
+				msg := exchangeMsg(q.exts, false, wv)
 				f.Stats.BytesExchanged += msg.Size
 				r.Send(c.Member(q.src).ID(), repTag, msg)
+			}
+			if repliesSent != nil {
+				repliesSent(wbuf)
 			}
 			// Local pieces for this aggregator's own request.
 			if payload {
 				for _, e := range selfExts {
-					copyIntoSegs(wbuf[e.Off-win.Off:e.End()-win.Off], e, segs, pre, buf)
+					copyIntoSegs(wv.at(e), e, segs, pre, buf)
 				}
 			}
 		}
 
-		// Collect the replies, place them into the caller's buffer and
-		// release their payloads.
+		// Collect the replies and place them into the caller's buffer.
 		r.Waitall(replyReqs)
 		for i, q := range replyReqs {
 			msg := r.Wait(q)
 			if !payload {
 				continue
 			}
-			var cursor int64
+			v := msg.Data.(*view)
 			for _, e := range replyExts[i] {
-				copyIntoSegs(msg.Data[cursor:cursor+e.Len], e, segs, pre, buf)
-				cursor += e.Len
+				copyIntoSegs(v.at(e), e, segs, pre, buf)
 			}
-			r.World().Release(msg)
 		}
 		span.End(log, mpe.PhaseExchWaitall, r.Now())
 	}
@@ -171,21 +172,8 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	return f.exchangeErr(c, nil, firstErr, "read")
 }
 
-// buildReadReply packs the bytes of exts, read into wbuf for the window
-// win (nil without a payload), into a reply message. Its payload comes
-// from pool at its final length, never shares wbuf, and is released by
-// the requester once it is copied out.
-func buildReadReply(pool *bufpool.Pool, exts []extent.Extent, win extent.Extent, wbuf []byte) mpi.Message {
-	var bytes int64
-	for _, e := range exts {
-		bytes += e.Len
-	}
-	var payload []byte
-	if wbuf != nil && bytes > 0 {
-		payload = pool.Get(int(bytes))[:0]
-		for _, e := range exts {
-			payload = append(payload, wbuf[e.Off-win.Off:e.End()-win.Off]...)
-		}
-	}
-	return mpi.Message{Data: payload, Size: bytes + 16*int64(len(exts))}
-}
+// repliesSent, when set, sees an aggregator's window right after the
+// aggregator has sent a round's replies. It is a test-only hook: a test
+// clears the window to check that the read-back check catches a window
+// changed while replies still view it.
+var repliesSent func(window []byte)

@@ -349,8 +349,8 @@ func (f *File) Flush() error {
 // cb_buffer_size buffer is, so a window's bytes last until the next
 // window. It comes from the World's pool, grows to the largest window
 // served (handing the smaller one back), only payload mode asks for it,
-// and Close returns it to the pool for the next file. A message never
-// points into it: payloads are copied into messages of their own.
+// and Close returns it to the pool for the next file. A collective read's
+// replies view the window in place (see view).
 func (f *File) collBuf(n int64) []byte {
 	if int64(cap(f.buf)) < n {
 		pool := f.rank.World().Pool()

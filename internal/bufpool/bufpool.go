@@ -1,11 +1,12 @@
 // Package bufpool is the payload path's byte pool: one size-classed free
 // list per simulated cluster. Every layer that stages payload bytes draws
 // from the cluster's pool and hands its buffers back when their lifetime
-// ends: MemStore pages (freed by a cache discard or a Truncate), MPI
-// message payloads (freed by the receiver once it has copied them out),
-// ADIO collective buffers (freed at Close) and the cache sync and recovery
-// buffers. ROMIO likewise stages every window in one cb_buffer_size buffer
-// that it keeps from call to call instead of allocating a fresh one.
+// ends: MemStore pages (freed by a cache discard or a Truncate), ADIO
+// collective buffers (freed at Close) and the cache sync and recovery
+// buffers. MPI messages stage nothing: a shuffle message or read reply
+// borrows its payload from the sender's buffer. ROMIO likewise stages
+// every window in one cb_buffer_size buffer that it keeps from call to
+// call instead of allocating a fresh one.
 //
 // A buffer nobody hands back is simply collected by the garbage collector,
 // so a lost release costs memory, never correctness. A release that comes
@@ -41,16 +42,13 @@ var poisonNew atomic.Bool
 
 // SetPoison makes every Pool created afterwards poison the buffers handed
 // back to it, and returns the previous setting. It is a test-only hook:
-// Put fills a released buffer with a fixed pattern, Get panics when a
-// recycled buffer no longer holds it (a write after release), and a
-// reader that checks Poisoned sees a read after release.
+// Put fills a released buffer with a fixed pattern, so a read after
+// release sees the pattern, and Get panics when a recycled buffer no
+// longer holds it (a write after release).
 func SetPoison(on bool) bool { return poisonNew.Swap(on) }
 
 // New returns an empty pool.
 func New() *Pool { return &Pool{poison: poisonNew.Load()} }
-
-// Poisoning reports whether p poisons released buffers.
-func (p *Pool) Poisoning() bool { return p != nil && p.poison }
 
 // class returns the size class of an n-byte buffer and whether the pool
 // serves that size.
@@ -76,7 +74,7 @@ func (p *Pool) Get(n int) []byte {
 	b := l[len(l)-1]
 	l[len(l)-1] = nil
 	p.free[c] = l[:len(l)-1]
-	if p.poison && !Poisoned(b) {
+	if p.poison && !poisoned(b) {
 		panic(fmt.Sprintf("bufpool: a %d-byte buffer was written after its release", len(b)))
 	}
 	return b[:n]
@@ -105,10 +103,9 @@ func (p *Pool) Put(b []byte) {
 // pattern is what a poisoning pool writes over a released buffer.
 var pattern = [8]byte{0xde, 0xad, 0xbe, 0xef, 0xfe, 0xe1, 0xde, 0xad}
 
-// Poisoned reports whether b, read from its first byte, holds nothing but
-// the poison pattern: a non-empty payload that does was released before
-// this read.
-func Poisoned(b []byte) bool {
+// poisoned reports whether b, read from its first byte, holds nothing but
+// the poison pattern.
+func poisoned(b []byte) bool {
 	if len(b) == 0 {
 		return false
 	}

@@ -45,9 +45,6 @@ func TestNilPoolAllocates(t *testing.T) {
 		t.Fatalf("nil pool Get(100) returned %d bytes", len(b))
 	}
 	p.Put(b)
-	if p.Poisoning() {
-		t.Fatal("nil pool reports poisoning")
-	}
 }
 
 // mustPanic runs f and returns its panic message, failing when it does
@@ -70,7 +67,7 @@ func mustPanic(t *testing.T, f func()) string {
 func TestPoisonCatchesMisuse(t *testing.T) {
 	defer SetPoison(SetPoison(true))
 	p := New()
-	if !p.Poisoning() {
+	if !p.poison {
 		t.Fatal("pool created under SetPoison(true) does not poison")
 	}
 	b := p.Get(64)
@@ -78,18 +75,18 @@ func TestPoisonCatchesMisuse(t *testing.T) {
 		b[i] = byte(i)
 	}
 	p.Put(b)
-	if !Poisoned(b) {
+	if !poisoned(b) {
 		t.Fatal("a released buffer does not read as poisoned")
 	}
 	b[3] = 0 // a write after release
 	if msg := mustPanic(t, func() { p.Get(64) }); !strings.Contains(msg, "written after its release") {
 		t.Fatalf("write after release: panic %q", msg)
 	}
-	if Poisoned(nil) || Poisoned([]byte{1, 2, 3}) {
-		t.Fatal("Poisoned reports true for live bytes")
+	if poisoned(nil) || poisoned([]byte{1, 2, 3}) {
+		t.Fatal("poisoned reports true for live bytes")
 	}
 	SetPoison(false)
-	if New().Poisoning() {
+	if New().poison {
 		t.Fatal("pool created under SetPoison(false) poisons")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // These tests cover the future-work extensions (§VI of the paper) that
@@ -155,6 +156,77 @@ func TestAdaptiveFlushBacksOffUnderCongestion(t *testing.T) {
 	}
 	if busyT <= quietT {
 		t.Fatalf("congested adaptive flush should take longer: %v vs %v", quietT, busyT)
+	}
+}
+
+// TestAdaptiveFlushBaselineIsBestChunk: the adaptive baseline is the
+// extent's fastest chunk so far, not its first. Foreground writes start
+// just before the sync thread does, so the extent's first chunk runs slow,
+// the next ones run at full speed, and one more collides with the tail of
+// the foreground traffic. That chunk runs about as slow as the first, so
+// only a baseline lowered to the fast chunks backs off there, and the
+// backoff's excess is the chunk's time minus the fastest chunk's.
+func TestAdaptiveFlushBaselineIsBestChunk(t *testing.T) {
+	rg := newRig(t, 4, 1, store.NewNull)
+	tr := trace.New()
+	rg.k.SetTracer(tr)
+	var backoffs int64
+	err := rg.w.Run(func(r *mpi.Rank) {
+		if r.ID() >= 1 {
+			// The cache write of rank 0 ends at about 134 ms.
+			r.Compute(110 * sim.Millisecond)
+			h, err := rg.fs.NewClient(r.Node()).Open(r.Proc(), "noise", true, pfs.Striping{})
+			if err == nil {
+				err = h.WriteAt(r.Proc(), nil, 0, 16<<20)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			return
+		}
+		f, err := adio.OpenColl(r, adio.OpenArgs{
+			Comm: rg.w.NewComm([]int{0}), Registry: rg.reg, Path: "g", Create: true,
+			Info:  mpi.Info{HintCache: "enable", HintFlushFlag: FlushAdaptive},
+			Hooks: rg.hooks(),
+		})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.WriteContig(nil, 0, 64<<20); err != nil {
+			t.Error(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+		backoffs = f.InstalledHooks().(*Cache).Stats.Backoffs
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunks []int64 // chunk durations, in completion order
+	best, checked := int64(0), 0
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Name == "sync_chunk":
+			chunks = append(chunks, ev.Dur)
+			if best == 0 || ev.Dur < best {
+				best = ev.Dur
+			}
+		case ev.Name == "adaptive_backoff":
+			took := chunks[len(chunks)-1]
+			if excess := ev.Args[0].Val; excess != took-best {
+				t.Errorf("chunk %d took %d ns and backed off by %d ns, want %d over the best chunk so far (%d ns)",
+					len(chunks)-1, took, excess, took-best, best)
+			}
+			checked++
+		}
+	}
+	if len(chunks) < 2 || chunks[1] >= chunks[0] {
+		t.Fatalf("chunk times %v: the scenario needs a second chunk faster than the first", chunks)
+	}
+	if backoffs == 0 || int64(checked) != backoffs {
+		t.Fatalf("%d backoffs, %d traced: a chunk as slow as the first must back off against the faster ones", backoffs, checked)
 	}
 }
 

@@ -35,13 +35,7 @@ type World struct {
 	comm     *Comm
 	interned map[internKey][]*Comm // shared communicators; see intern
 
-	// pool is the cluster's byte pool payload senders draw from (nil: no
-	// pool, payloads are plain allocations). refs counts the references
-	// the transport holds to a payload beyond the one its delivery
-	// carries (see hold), keyed by the payload's first byte; only
-	// payloads with such references have an entry.
-	pool *bufpool.Pool
-	refs map[*byte]int32
+	pool *bufpool.Pool // the cluster's byte pool (see SetPool)
 
 	rel         *relState    // reliable-delivery layer, nil when disabled
 	collTimeout sim.Time     // collective timeout; 0 = wait forever

@@ -34,10 +34,10 @@ func TestSendRecvPayload(t *testing.T) {
 	err := w.Run(func(r *Rank) {
 		switch r.ID() {
 		case 0:
-			r.Send(1, 42, Message{Data: []byte("hello"), Size: 5})
+			r.Send(1, 42, Message{Data: &window{buf: []byte("hello"), n: 5}, Size: 5})
 		case 1:
 			m := r.Recv(0, 42)
-			got = m.Data
+			got = m.Data.(*window).bytes()
 		}
 	})
 	if err != nil {

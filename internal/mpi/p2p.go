@@ -10,20 +10,30 @@ import (
 	"repro/internal/trace"
 )
 
-// Message is a point-to-point payload. Size is the wire size in bytes;
+// Message is a point-to-point message. Size is the wire size in bytes;
 // Data and Vals optionally carry real content (Data for file payloads,
 // Vals for control integers such as the two-phase size dissemination).
-// A sender that takes Data from the World's pool hands it over at Isend;
-// the receiver calls Release once it has copied the bytes out.
 type Message struct {
 	Src  int
 	Dst  int
 	Tag  int
 	Size int64
-	Data []byte
+	Data Payload
 	Vals []int64
 
 	relSeq uint64 // reliable-delivery stream sequence number
+}
+
+// Payload is a message's payload bytes, which the message borrows from its
+// sender and never owns: the receiver reads them in place from memory the
+// sender holds, and the sender keeps them valid and unchanged until every
+// receiver is done with them. A duplicated or retransmitted copy of the
+// message borrows the same bytes. The sender and receiver agree on the
+// concrete type and on where each byte lies.
+type Payload interface {
+	// Len returns the number of payload bytes the message carries on the
+	// wire, which may be fewer than the memory it points into.
+	Len() int64
 }
 
 // Request is a nonblocking-operation handle (MPI_Request). A Request is
@@ -116,10 +126,8 @@ func match(src, tag int, m *Message) bool {
 // or queues it as unexpected. Messages for a dead rank are discarded.
 func (r *Rank) deliver(m *Message) {
 	if r.w.dead[r.id] {
-		r.w.drop(m.Data)
 		return
 	}
-	r.w.checkLive(m)
 	for i, pr := range r.mbox.posted {
 		if match(pr.src, pr.tag, m) {
 			r.mbox.posted = append(r.mbox.posted[:i], r.mbox.posted[i+1:]...)
@@ -139,7 +147,6 @@ func (r *Rank) Irecv(src, tag int) *Request {
 	for i, m := range r.mbox.unexpected {
 		if match(src, tag, m) {
 			r.mbox.unexpected = append(r.mbox.unexpected[:i], r.mbox.unexpected[i+1:]...)
-			r.w.checkLive(m)
 			req.msg = m
 			req.done = true
 			return req
@@ -162,11 +169,8 @@ func (r *Rank) Isend(dst, tag int, m Message) *Request {
 	if dst < 0 || dst >= len(r.w.ranks) {
 		panic(fmt.Sprintf("mpi: send to invalid rank %d", dst))
 	}
-	if m.Data != nil && int64(len(m.Data)) > m.Size {
-		panic("mpi: message data exceeds declared size")
-	}
-	if m.Size == 0 && m.Data != nil {
-		m.Size = int64(len(m.Data))
+	if m.Data != nil && m.Data.Len() > m.Size {
+		panic("mpi: message payload exceeds declared size")
 	}
 	if m.Size == 0 && m.Vals != nil {
 		m.Size = int64(8 * len(m.Vals))
@@ -188,7 +192,6 @@ func (r *Rank) Isend(dst, tag int, m Message) *Request {
 		m.relSeq = rel.nextSeq[k]
 		rel.nextSeq[k]++
 		rel.retain(k, m)
-		r.w.hold(m.Data)
 	}
 	r.w.send(&transfer{w: r.w, m: m, req: req, fate: fate})
 	return req
@@ -287,7 +290,6 @@ func (x *transfer) step(p *sim.Proc) {
 		if x.fate == netsim.FateDrop || x.fate == netsim.FatePartition {
 			src.node.CountDrop()
 			x.end(src, p.Now())
-			w.drop(x.m.Data)
 			w.onLost(x.m)
 			return
 		}
@@ -302,7 +304,6 @@ func (x *transfer) step(p *sim.Proc) {
 		if x.fate == netsim.FateDup {
 			dst.node.CountDup()
 			dup := x.m
-			w.hold(dup.Data)
 			w.arrived(dst, &dup)
 		}
 		return
@@ -315,62 +316,10 @@ func (r *Rank) Send(dst, tag int, m Message) {
 	r.Wait(r.Isend(dst, tag, m))
 }
 
-// SetPool makes p the pool payload senders draw from and Release returns
-// payloads to. Call it before Run.
+// SetPool makes p the cluster's byte pool, which the layers above reach
+// through the World for their staging buffers. Call it before Run.
 func (w *World) SetPool(p *bufpool.Pool) { w.pool = p }
 
 // Pool returns the world's byte pool. It is nil when none was set; a nil
 // pool still serves Get, by allocating.
 func (w *World) Pool() *bufpool.Pool { return w.pool }
-
-// Release ends the receiver's use of m's payload, which must come from
-// the world's pool and must not be read again. The payload goes back to
-// the pool unless the transport still holds it: the reliable layer's
-// retention record, kept until the ack, or a duplicate copy still on its
-// way or queued. A payload nobody releases is left to the garbage
-// collector.
-func (w *World) Release(m *Message) {
-	if w.drop(m.Data) {
-		w.pool.Put(m.Data)
-	}
-}
-
-// hold records one more transport reference to payload data: a retention
-// record, a retransmitted copy or a duplicate.
-func (w *World) hold(data []byte) {
-	if w.pool == nil || len(data) == 0 {
-		return
-	}
-	if w.refs == nil {
-		w.refs = make(map[*byte]int32)
-	}
-	w.refs[&data[0]]++
-}
-
-// drop ends one reference to payload data and reports whether it was the
-// last. Only Release pools a payload: a transport that drops the last
-// reference (a lost or discarded message) leaves it to the collector.
-func (w *World) drop(data []byte) bool {
-	if w.pool == nil || len(data) == 0 {
-		return false
-	}
-	k := &data[0]
-	switch n, ok := w.refs[k]; {
-	case !ok:
-		return true
-	case n == 1:
-		delete(w.refs, k)
-	default:
-		w.refs[k] = n - 1
-	}
-	return false
-}
-
-// checkLive is the poison check: under a poisoning pool it panics when m
-// reaches a receiver with a payload that was already released.
-func (w *World) checkLive(m *Message) {
-	if w.pool.Poisoning() && bufpool.Poisoned(m.Data) {
-		panic(fmt.Sprintf("mpi: message %d->%d tag %d carries a payload released before it was received",
-			m.Src, m.Dst, m.Tag))
-	}
-}

@@ -88,10 +88,10 @@ func (rel *relState) getOut(m Message) *outMsg {
 	return &outMsg{msg: m, backoff: rel.cfg.RetransmitAfter}
 }
 
-// putOut releases om for reuse, dropping its payload reference. Safe
-// against the stale-timer race: a recycled record can never be re-keyed
-// under its old (stream, seq) — sequence numbers are never reused — so
-// the pointer-identity check in the retransmit callback stays sound.
+// putOut releases om for reuse. Safe against the stale-timer race: a
+// recycled record can never be re-keyed under its old (stream, seq) —
+// sequence numbers are never reused — so the pointer-identity check in the
+// retransmit callback stays sound.
 func (rel *relState) putOut(om *outMsg) {
 	*om = outMsg{}
 	rel.free = append(rel.free, om)
@@ -160,20 +160,17 @@ func (rel *relState) retain(k relKey, m Message) {
 	rel.outstanding[k][m.relSeq] = rel.getOut(m)
 }
 
-// ack releases the retained copy of (k, seq), the receiver has it, and
-// returns the payload the copy held.
-func (rel *relState) ack(k relKey, seq uint64) []byte {
+// ack releases the retained copy of (k, seq): the receiver has it.
+func (rel *relState) ack(k relKey, seq uint64) {
 	om := rel.outstanding[k][seq]
 	if om == nil {
-		return nil
+		return
 	}
 	if om.timer != nil {
 		om.timer.Stop()
 	}
 	delete(rel.outstanding[k], seq)
-	data := om.msg.Data
 	rel.putOut(om)
-	return data
 }
 
 // onLost is the sender-side loss reaction: schedule a retransmit with the
@@ -196,7 +193,6 @@ func (w *World) onLost(m Message) {
 			om.timer.Stop()
 		}
 		delete(rel.outstanding[k], m.relSeq)
-		w.drop(om.msg.Data)
 		rel.putOut(om)
 		return
 	}
@@ -217,7 +213,6 @@ func (w *World) onLost(m Message) {
 		srcNode := w.ranks[m.Src].node
 		dstNode := w.ranks[m.Dst].node
 		fate := w.fabric.MessageFate(srcNode.ID(), dstNode.ID())
-		w.hold(om.msg.Data)
 		w.send(&transfer{w: w, m: om.msg, fate: fate, retrans: true})
 	})
 }
@@ -244,10 +239,9 @@ func (w *World) arrived(dst *Rank, m *Message) {
 		if mt := w.k.Metrics(); mt != nil {
 			mt.Counter("mpi_dedup_drops_total", metrics.L(metrics.KeyLayer, "mpi")).Inc()
 		}
-		w.drop(m.Data)
 		return
 	}
-	w.drop(rel.ack(k, m.relSeq))
+	rel.ack(k, m.relSeq)
 	if m.relSeq > next {
 		if rel.pending[k] == nil {
 			rel.pending[k] = make(map[uint64]*Message)

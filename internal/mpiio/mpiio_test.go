@@ -90,7 +90,8 @@ func TestViewMapMergesAdjacent(t *testing.T) {
 }
 
 // Property: Map covers exactly n bytes, monotonically increasing, within
-// the data regions of the filetype.
+// the data regions of the filetype, in a slice sized once by maxExtents
+// (dense vectors, stride == block, merge across segments and tiles).
 func TestViewMapProperty(t *testing.T) {
 	f := func(voRaw, nRaw uint16, blockRaw, strideRaw uint8) bool {
 		block := int64(blockRaw%32) + 1
@@ -100,6 +101,9 @@ func TestViewMapProperty(t *testing.T) {
 		segs, err := v.Map(vo, n)
 		if err != nil {
 			return false
+		}
+		if n > 0 && int64(cap(segs)) != maxExtents(v.Filetype, v.Filetype.Size(), vo, n) {
+			return false // Map regrew its output past the bound
 		}
 		var total int64
 		last := int64(-1)

@@ -104,6 +104,26 @@ func DefaultView() View {
 // isDefault reports whether the view is the identity mapping.
 func (v View) isDefault() bool { return len(v.Filetype.Segs) == 0 }
 
+// maxExtents bounds the extents Map returns for the range [vo, vo+n) of
+// filetype ft: one, plus, for every tile the range touches, the segments
+// that do not continue the segment before them (the previous tile's last
+// one for the first), and never more than n.
+func maxExtents(ft FlatType, size, vo, n int64) int64 {
+	var breaks int64
+	prevEnd := ft.Segs[len(ft.Segs)-1].End() - ft.Extent
+	for _, s := range ft.Segs {
+		if s.Off != prevEnd {
+			breaks++
+		}
+		prevEnd = s.End()
+	}
+	tiles := (vo+n-1)/size - vo/size + 1
+	if breaks > 0 && tiles > (n-1)/breaks {
+		return n
+	}
+	return min(n, tiles*breaks+1)
+}
+
 // Map translates the view-space byte range [vo, vo+n) into file extents,
 // in ascending file offset order with adjacent extents merged.
 func (v View) Map(vo, n int64) ([]extent.Extent, error) {
@@ -121,7 +141,7 @@ func (v View) Map(vo, n int64) ([]extent.Extent, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("mpiio: filetype has no data bytes")
 	}
-	var out []extent.Extent
+	out := make([]extent.Extent, 0, maxExtents(ft, size, vo, n))
 	appendExt := func(e extent.Extent) {
 		if len(out) > 0 && out[len(out)-1].End() == e.Off {
 			out[len(out)-1].Len += e.Len

@@ -740,7 +740,7 @@ func TestWokenWaiterSlotReleased(t *testing.T) {
 	k.Spawn("holder", func(p *Proc) { s.Serve(p, Second) })
 	k.Spawn("queued", func(p *Proc) { s.Serve(p, Second) })
 	k.After(Millisecond, func() {
-		condBacking, stationBacking = c.waiters, s.waiters
+		condBacking, stationBacking = c.waiters.ps, s.waiters.ps
 		c.Signal()
 	})
 	if err := k.Run(); err != nil {
@@ -748,5 +748,37 @@ func TestWokenWaiterSlotReleased(t *testing.T) {
 	}
 	if condBacking[0] != nil || stationBacking[0] != nil {
 		t.Fatalf("popped waiter slots still set: cond %v, station %v", condBacking[0], stationBacking[0])
+	}
+}
+
+// TestWaitQueueKeepsItsArray drives a procQueue through random pushes and
+// pops against a plain slice: it must pop in strict FIFO order, and a
+// queue that never holds more than 8 processes must keep one array of at
+// most twice that, however often it fills and drains.
+func TestWaitQueueKeepsItsArray(t *testing.T) {
+	procs := make([]*Proc, 64)
+	for i := range procs {
+		procs[i] = &Proc{}
+	}
+	var q procQueue
+	var ref []*Proc
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 100000; step++ {
+		if n := q.len(); n != len(ref) {
+			t.Fatalf("step %d: len %d, want %d", step, n, len(ref))
+		}
+		if len(ref) < 8 && (len(ref) == 0 || rng.Intn(2) == 0) {
+			p := procs[step%len(procs)]
+			q.push(p)
+			ref = append(ref, p)
+			continue
+		}
+		if p := q.pop(); p != ref[0] {
+			t.Fatalf("step %d: popped %p, want %p", step, p, ref[0])
+		}
+		ref = ref[1:]
+	}
+	if c := cap(q.ps); c > 16 {
+		t.Fatalf("the queue's array holds %d slots for at most 8 processes", c)
 	}
 }

@@ -11,7 +11,7 @@ type Station struct {
 	name    string
 	servers int
 	busy    int
-	waiters []*Proc
+	waiters procQueue
 
 	// Statistics, accumulated over the run.
 	BusyTime  Time  // total server-occupancy time (sum over servers)
@@ -65,12 +65,12 @@ func (s *Station) ServeThen(p *Proc, d Time) {
 		s.k.schedule(event{t: s.k.now + d, p: p})
 		return
 	}
-	s.waiters = append(s.waiters, p)
-	if len(s.waiters) > s.QueuedMax {
-		s.QueuedMax = len(s.waiters)
+	s.waiters.push(p)
+	if s.waiters.len() > s.QueuedMax {
+		s.QueuedMax = s.waiters.len()
 	}
 	if tr := s.k.tracer; tr != nil {
-		tr.Counter(s.TraceTrack(tr), "queue", int64(s.k.now), int64(len(s.waiters)))
+		tr.Counter(s.TraceTrack(tr), "queue", int64(s.k.now), int64(s.waiters.len()))
 	}
 	// release hands the server on with a wake; the kernel then times the
 	// service from that instant.
@@ -96,12 +96,10 @@ func (s *Station) finish(d Time) {
 
 // release frees one server, handing it to the head waiter if present.
 func (s *Station) release() {
-	if len(s.waiters) > 0 {
-		p := s.waiters[0]
-		s.waiters[0] = nil // the backing array must not keep p reachable
-		s.waiters = s.waiters[1:]
+	if s.waiters.len() > 0 {
+		p := s.waiters.pop()
 		if tr := s.k.tracer; tr != nil {
-			tr.Counter(s.TraceTrack(tr), "queue", int64(s.k.now), int64(len(s.waiters)))
+			tr.Counter(s.TraceTrack(tr), "queue", int64(s.k.now), int64(s.waiters.len()))
 		}
 		s.k.Wake(p)
 		return

@@ -140,7 +140,7 @@ func (c CollPerf) WritePhase(r *mpi.Rank, f *mpiio.File, payload bool) error {
 	nranks := f.Comm().Size()
 	segs := c.Segments(f.Comm().RankOf(r), nranks)
 	base := segs[0].Off
-	ft := mpiio.FlatType{Extent: segs[len(segs)-1].End() - base}
+	ft := mpiio.FlatType{Extent: segs[len(segs)-1].End() - base, Segs: make([]extent.Extent, 0, len(segs))}
 	for _, s := range segs {
 		ft.Segs = append(ft.Segs, extent.Extent{Off: s.Off - base, Len: s.Len})
 	}
