@@ -1,7 +1,7 @@
 # Tier-1 gate plus static, race and coverage checks; see scripts/check.sh.
 .PHONY: check check-full test build vet fmt-check cover trace-demo \
 	critpath-demo bench-record bench-compare scale-bench-record \
-	scale-smoke scale chaos chaos-smoke linedelta
+	scale-smoke scale chaos chaos-smoke linedelta reach
 
 build:
 	go build ./...
@@ -79,6 +79,12 @@ scale-smoke:
 # Kilo-rank soak: the same suite at 4096 ranks (512 nodes x 8).
 scale:
 	go test ./internal/harness -run '^TestScale_' -count=1 -timeout 600s -scale.ranks=4096 -v
+
+# Reachability gate: run the artifact-producing targets on
+# cover-instrumented binaries and fail on any function none of them
+# reaches that scripts/reach.allow does not name (about 3 minutes).
+reach:
+	scripts/reach.sh
 
 # Lean-aim ledger: +/-/net lines of program code and of tests (Go files
 # outside benchmark/) since BASE, e.g. make linedelta BASE=HEAD~1.

@@ -313,7 +313,7 @@ func runTraceDemo(sw harness.Sweep, path string) {
 	}
 	fmt.Printf("traced %s cell=%s case=%s: %.2f GB/s, %.2f s simulated\n",
 		spec.Workload.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
-	fmt.Print(res.TraceSummary)
+	fmt.Print(res.Trace.Summary())
 	fmt.Printf("wrote %s (%d events on %d tracks); open with https://ui.perfetto.dev or chrome://tracing\n",
 		path, res.Trace.Len(), res.Trace.Tracks())
 }
@@ -332,8 +332,12 @@ func runCritPathDemo(sw harness.Sweep, critpath bool, timelineBuckets int) {
 	}
 	fmt.Printf("analyzed %s cell=%s case=%s: %.2f GB/s, %.2f s simulated\n",
 		spec.Workload.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
-	fmt.Print(res.CritPathReport)
-	fmt.Print(res.TimelineReport)
+	if res.CritPath != nil {
+		fmt.Print(res.CritPath.Markdown())
+	}
+	if res.Timeline != nil {
+		fmt.Print(res.Timeline.Markdown())
+	}
 }
 
 // benchTolerancePct is the wall-time regression the compare gate accepts.

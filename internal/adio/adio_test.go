@@ -425,52 +425,49 @@ func TestBeeGFSDriverAlignsDomains(t *testing.T) {
 	}
 }
 
-func TestIndependentSievingOnDensePattern(t *testing.T) {
+// TestIndependentStridedWriteBytes writes a dense strided pattern over
+// existing bytes: each covered run (adjacent segments merge) reaches the
+// file in one write, and the holes keep the bytes that were there.
+func TestIndependentStridedWriteBytes(t *testing.T) {
 	cl := newCluster(t, 1, 1, 1, store.NewMem)
 	err := cl.w.Run(func(r *mpi.Rank) {
-		f, _ := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "f", Create: true,
-			Info: mpi.Info{HintIndWrBufferSize: "4096"}})
-		// Dense hole-y pattern: 100 bytes written, 20-byte holes.
-		var segs []extent.Extent
-		var data []byte
-		for i := 0; i < 50; i++ {
+		f, _ := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "f", Create: true})
+		old := bytes.Repeat([]byte{0xEE}, 50*120)
+		if err := f.WriteContig(old, 0, int64(len(old))); err != nil {
+			t.Fatal(err)
+		}
+		// Dense hole-y pattern: 100 bytes written, 20-byte holes; the
+		// first two segments are adjacent and form one run.
+		segs := []extent.Extent{{Off: 0, Len: 60}, {Off: 60, Len: 40}}
+		for i := 1; i < 50; i++ {
 			segs = append(segs, extent.Extent{Off: int64(i * 120), Len: 100})
+		}
+		data := make([]byte, 0, 50*100)
+		for i := 0; i < 50; i++ {
 			for b := 0; b < 100; b++ {
 				data = append(data, byte(i+b))
 			}
 		}
+		before := f.Stats.BytesWritten
 		if err := f.WriteStrided(segs, data); err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
-		if f.Stats.SievedWrites == 0 {
-			t.Error("dense hole-y pattern should trigger data sieving")
+		if got := f.Stats.BytesWritten - before; got != int64(len(data)) {
+			t.Errorf("wrote %d bytes, want exactly the %d segment bytes", got, len(data))
 		}
-		// Verify content.
-		buf := make([]byte, 100)
-		f.ReadContig(buf, 120*7, 100)
-		for b := range buf {
-			if buf[b] != byte(7+b) {
-				t.Errorf("sieved byte wrong at %d", b)
-				break
+		got := make([]byte, len(old))
+		if err := f.ReadContig(got, 0, int64(len(got))); err != nil {
+			t.Fatal(err)
+		}
+		for off, b := range got {
+			i, in := off/120, off%120
+			want := byte(0xEE)
+			if in < 100 {
+				want = byte(i + in)
 			}
-		}
-		_ = f.Close()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIndependentSparsePatternAvoidsSieving(t *testing.T) {
-	cl := newCluster(t, 1, 1, 1, store.NewMem)
-	err := cl.w.Run(func(r *mpi.Rank) {
-		f, _ := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "f", Create: true})
-		segs := []extent.Extent{{Off: 0, Len: 64}, {Off: 1 << 20, Len: 64}}
-		if err := f.WriteStrided(segs, nil); err != nil {
-			t.Error(err)
-		}
-		if f.Stats.SievedWrites != 0 {
-			t.Error("sparse pattern must not sieve")
+			if b != want {
+				t.Fatalf("byte %d = %#x, want %#x", off, b, want)
+			}
 		}
 		_ = f.Close()
 	})
@@ -497,11 +494,11 @@ func TestRegistryResolution(t *testing.T) {
 		t.Fatal("unknown prefix must fail")
 	}
 	d, rest, err := cl.reg.Resolve("beegfs:dir/file")
-	if err != nil || d.Name() != "beegfs" || rest != "dir/file" {
+	if err != nil || !d.(*UFSDriver).aligned || rest != "dir/file" {
 		t.Fatalf("resolve: %v %v %v", d, rest, err)
 	}
 	d, rest, err = cl.reg.Resolve("plain")
-	if err != nil || d.Name() != "ufs" || rest != "plain" {
+	if err != nil || d.(*UFSDriver).aligned || rest != "plain" {
 		t.Fatalf("default resolve: %v %v %v", d, rest, err)
 	}
 }
@@ -583,12 +580,12 @@ func TestCBConfigListRejectsBadValues(t *testing.T) {
 	}
 }
 
-func TestReadSievingDensePattern(t *testing.T) {
+// TestIndependentStridedReadBytes reads a dense hole-y subset of known
+// content back into segment order.
+func TestIndependentStridedReadBytes(t *testing.T) {
 	cl := newCluster(t, 1, 1, 1, store.NewMem)
 	err := cl.w.Run(func(r *mpi.Rank) {
-		f, _ := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "f", Create: true,
-			Info: mpi.Info{HintIndRdBufferSize: "4096"}})
-		// Write known content, then read a dense hole-y subset back.
+		f, _ := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "f", Create: true})
 		content := make([]byte, 12000)
 		for i := range content {
 			content[i] = byte(i % 251)
@@ -597,9 +594,10 @@ func TestReadSievingDensePattern(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		var segs []extent.Extent
-		var total int64
-		for i := 0; i < 50; i++ {
+		// The first two segments are adjacent and form one run.
+		segs := []extent.Extent{{Off: 0, Len: 100}, {Off: 100, Len: 50}}
+		total := int64(150)
+		for i := 1; i < 50; i++ {
 			segs = append(segs, extent.Extent{Off: int64(i * 200), Len: 150})
 			total += 150
 		}
@@ -608,14 +606,11 @@ func TestReadSievingDensePattern(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if f.Stats.SievedReads == 0 {
-			t.Error("dense read must sieve")
-		}
 		cursor := 0
 		for _, s := range segs {
 			for b := int64(0); b < s.Len; b++ {
 				if buf[cursor] != byte((s.Off+b)%251) {
-					t.Fatalf("sieved read wrong at seg %v byte %d", s, b)
+					t.Fatalf("strided read wrong at seg %v byte %d", s, b)
 				}
 				cursor++
 			}
@@ -624,48 +619,6 @@ func TestReadSievingDensePattern(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReadSievingFewerBackendOps(t *testing.T) {
-	// Sieving must reduce the number of PFS read ops versus per-segment
-	// reads: check via accumulated read time at equal byte counts.
-	run := func(sieve bool) sim.Time {
-		k := sim.NewKernel(1)
-		cl := newCluster(t, 1, 1, 1, store.NewMem)
-		_ = k
-		var took sim.Time
-		err := cl.w.Run(func(r *mpi.Rank) {
-			info := mpi.Info{HintIndRdBufferSize: "65536"}
-			f, _ := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "f", Create: true, Info: info})
-			if err := f.WriteContig(nil, 0, 1<<20); err != nil {
-				t.Error(err)
-				return
-			}
-			var segs []extent.Extent
-			for i := 0; i < 256; i++ {
-				l := int64(2048)
-				if !sieve {
-					// Sparse version of the same request count: gaps too
-					// large to sieve.
-					segs = append(segs, extent.Extent{Off: int64(i) * 40960, Len: l})
-				} else {
-					segs = append(segs, extent.Extent{Off: int64(i) * 4096, Len: l})
-				}
-			}
-			t0 := r.Now()
-			if err := f.ReadStrided(segs, nil); err != nil {
-				t.Error(err)
-			}
-			took = r.Now() - t0
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return took
-	}
-	if dense, sparse := run(true), run(false); dense >= sparse {
-		t.Fatalf("sieved dense read (%v) should beat scattered reads (%v)", dense, sparse)
 	}
 }
 

@@ -493,19 +493,6 @@ func segSearch(segs []extent.Extent, off int64) int {
 	return sort.Search(len(segs), func(i int) bool { return segs[i].End() > off })
 }
 
-// clipSegs appends to dst the non-empty intersections of segs with win, in
-// order. It binary-searches the first candidate and walks only the
-// segments that overlap win, so the cost is O(log len(segs) + overlaps).
-func clipSegs(dst, segs []extent.Extent, win extent.Extent) []extent.Extent {
-	if win.Empty() {
-		return dst
-	}
-	for i := segSearch(segs, win.Off); i < len(segs) && segs[i].Off < win.End(); i++ {
-		dst = append(dst, segs[i].Intersect(win))
-	}
-	return dst
-}
-
 // roundWindow returns the sub-domain of fd written in round m with a
 // collective buffer of cb bytes.
 func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {

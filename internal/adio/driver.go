@@ -15,8 +15,6 @@ import (
 // handles and defines the file-domain partitioning strategy best suited to
 // the file system's locking/striping protocol.
 type Driver interface {
-	// Name identifies the driver ("ufs", "beegfs").
-	Name() string
 	// Open opens (optionally creating) path for the calling rank.
 	Open(r *mpi.Rank, path string, create bool, h *Hints) (DriverFile, error)
 	// Unlink removes the file.
@@ -116,7 +114,6 @@ func alignedFileDomains(min, max int64, naggs int, unit int64) []extent.Extent {
 // parallel file system model; it uses ROMIO's generic even file-domain
 // partitioning.
 type UFSDriver struct {
-	name    string
 	clients func(node int) *pfs.Client
 	aligned bool // stripe-align file domains (BeeGFS/Lustre behaviour)
 }
@@ -124,7 +121,7 @@ type UFSDriver struct {
 // NewUFSDriver creates the generic driver. clients maps a node id to that
 // node's file-system client.
 func NewUFSDriver(clients func(node int) *pfs.Client) *UFSDriver {
-	return &UFSDriver{name: "ufs", clients: clients}
+	return &UFSDriver{clients: clients}
 }
 
 // NewBeeGFSDriver creates the stripe-aligned driver the paper's authors
@@ -132,11 +129,8 @@ func NewUFSDriver(clients func(node int) *pfs.Client) *UFSDriver {
 // aligned to stripe boundaries to avoid stripe collisions between
 // aggregators.
 func NewBeeGFSDriver(clients func(node int) *pfs.Client) *UFSDriver {
-	return &UFSDriver{name: "beegfs", clients: clients, aligned: true}
+	return &UFSDriver{clients: clients, aligned: true}
 }
-
-// Name implements Driver.
-func (d *UFSDriver) Name() string { return d.name }
 
 // Open implements Driver.
 func (d *UFSDriver) Open(r *mpi.Rank, path string, create bool, h *Hints) (DriverFile, error) {

@@ -52,8 +52,7 @@ type Stats struct {
 	BytesExchanged int64 // bytes this rank sent during data shuffle
 	BytesWritten   int64 // bytes this rank wrote via WriteContig
 	PeakBufBytes   int64 // peak collective buffer allocation on this rank
-	SievedWrites   int64 // read-modify-write cycles in write data sieving
-	SievedReads    int64 // sieved windows in read data sieving
+	SievedWrites   int64 // two-phase windows filled by read-modify-write
 	FailoverEpochs int64 // resilient-write membership epochs beyond the first
 	CacheFallback  bool  // cache open failed, reverted to standard path
 }
@@ -70,7 +69,6 @@ type File struct {
 	log     *mpe.Log
 	aggList []int // comm ranks acting as aggregators, shared read-only (see placeAggregators)
 	myAgg   int   // my index in aggList, or -1
-	atomic  bool
 	closed  bool
 	round   roundPlan // the two-phase drivers' reused round plan
 	buf     []byte    // the collective buffer (see collBuf)
@@ -265,9 +263,6 @@ func (f *File) Hints() *Hints { return f.hints }
 // Log returns the rank's MPE log for this file.
 func (f *File) Log() *mpe.Log { return f.log }
 
-// Driver returns the backing driver.
-func (f *File) Driver() Driver { return f.driver }
-
 // Backend returns the rank's backend handle (used by the cache sync path
 // to write through to the global file).
 func (f *File) Backend() DriverFile { return f.backend }
@@ -276,26 +271,12 @@ func (f *File) Backend() DriverFile { return f.backend }
 // letting callers inspect cache-layer statistics.
 func (f *File) InstalledHooks() Hooks { return f.hooks }
 
-// IsAggregator reports whether this rank is one of the cb_nodes
-// aggregators for this file.
-func (f *File) IsAggregator() bool { return f.myAgg >= 0 }
-
-// AggregatorIndex returns this rank's position in the aggregator list, or
-// -1 when it is not an aggregator.
-func (f *File) AggregatorIndex() int { return f.myAgg }
-
 // Aggregators returns the comm ranks of the aggregators.
 func (f *File) Aggregators() []int {
 	out := make([]int, len(f.aggList))
 	copy(out, f.aggList)
 	return out
 }
-
-// SetAtomicity toggles MPI_File_set_atomicity.
-func (f *File) SetAtomicity(v bool) { f.atomic = v }
-
-// Atomicity reports the current atomic mode.
-func (f *File) Atomicity() bool { return f.atomic }
 
 // WriteContig is ADIOI_GEN_WriteContig: the cache hook may intercept it;
 // otherwise data goes straight to the backend file system.
@@ -345,7 +326,7 @@ func (f *File) Flush() error {
 }
 
 // collBuf returns the file's collective buffer cut to n bytes. It is the
-// one staging area for two-phase and sieved windows, as ROMIO's
+// one staging area for two-phase windows, as ROMIO's
 // cb_buffer_size buffer is, so a window's bytes last until the next
 // window. It comes from the World's pool, grows to the largest window
 // served (handing the smaller one back), only payload mode asks for it,

@@ -38,7 +38,7 @@ func FuzzParseHints(f *testing.F) {
 		if h.CBNodes < 1 || h.CBNodes > commSize {
 			t.Fatalf("ParseHints(%v, %d): cb_nodes = %d outside [1,%d]", info, commSize, h.CBNodes, commSize)
 		}
-		if h.CBBufferSize <= 0 || h.IndWrBufferSize <= 0 || h.IndRdBufferSize <= 0 {
+		if h.CBBufferSize <= 0 || h.IndWrBufferSize <= 0 {
 			t.Fatalf("ParseHints(%v): non-positive buffer size %+v", info, h)
 		}
 		switch h.CBWrite {
@@ -59,7 +59,7 @@ func FuzzParseHints(f *testing.F) {
 		for k, v := range h.Extra {
 			switch k {
 			case HintCBWrite, HintCBRead, HintCBNodes, HintCBBufferSize,
-				HintIndWrBufferSize, HintIndRdBufferSize,
+				HintIndWrBufferSize,
 				HintStripingFactor, HintStripingUnit, HintCBConfigList:
 				t.Fatalf("ParseHints(%v): interpreted key %q leaked into Extra", info, k)
 			}

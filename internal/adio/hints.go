@@ -1,7 +1,7 @@
 // Package adio re-implements the ADIO layer of ROMIO: file-system drivers,
 // collective open, the extended two-phase collective write algorithm
-// (ADIOI_GEN_WriteStridedColl / ADIOI_Exch_and_write), independent I/O with
-// data sieving, and the MPI-IO hint machinery of Table I of the paper.
+// (ADIOI_GEN_WriteStridedColl / ADIOI_Exch_and_write), independent strided
+// I/O, and the MPI-IO hint machinery of Table I of the paper.
 //
 // The persistent-cache extension of the paper (Table II) plugs in through
 // the Hooks interface, implemented by package core; adio itself stays
@@ -24,7 +24,6 @@ const (
 	HintCBBufferSize    = "cb_buffer_size"
 	HintCBNodes         = "cb_nodes"
 	HintIndWrBufferSize = "ind_wr_buffer_size"
-	HintIndRdBufferSize = "ind_rd_buffer_size"
 	HintStripingFactor  = "striping_factor"
 	HintStripingUnit    = "striping_unit"
 	// HintCBConfigList is ROMIO's aggregator-placement hint, supported in
@@ -45,7 +44,6 @@ const (
 const (
 	DefaultCBBufferSize    = 16 << 20  // 16 MB
 	DefaultIndWrBufferSize = 512 << 10 // 512 KB, "the standard independent I/O buffer size"
-	DefaultIndRdBufferSize = 4 << 20   // 4 MB, ROMIO's read-sieving buffer default
 )
 
 // Hints is the parsed, normalized hint set attached to an open file. A
@@ -58,7 +56,6 @@ type Hints struct {
 	CBNodes         int   // number of aggregator processes
 	CBBufferSize    int64 // collective buffer size in bytes
 	IndWrBufferSize int64 // independent-write / cache-sync buffer size
-	IndRdBufferSize int64 // read data-sieving buffer size
 	StripingFactor  int   // stripe count for file creation
 	StripingUnit    int64 // stripe size for file creation
 	CBPerNode       int   // cb_config_list "*:N": aggregators per node (0 = spread)
@@ -78,7 +75,6 @@ func ParseHints(info mpi.Info, commSize int) (*Hints, error) {
 		CBNodes:         commSize,
 		CBBufferSize:    DefaultCBBufferSize,
 		IndWrBufferSize: DefaultIndWrBufferSize,
-		IndRdBufferSize: DefaultIndRdBufferSize,
 		Extra:           mpi.Info{},
 	}
 	for k, v := range info {
@@ -114,12 +110,6 @@ func ParseHints(info mpi.Info, commSize int) (*Hints, error) {
 				return nil, err
 			}
 			h.IndWrBufferSize = int64(n)
-		case HintIndRdBufferSize:
-			n, err := parsePositiveInt(k, v)
-			if err != nil {
-				return nil, err
-			}
-			h.IndRdBufferSize = int64(n)
 		case HintStripingFactor:
 			n, err := parsePositiveInt(k, v)
 			if err != nil {
@@ -154,7 +144,6 @@ func (h *Hints) Echo() mpi.Info {
 		HintCBNodes:         strconv.Itoa(h.CBNodes),
 		HintCBBufferSize:    strconv.FormatInt(h.CBBufferSize, 10),
 		HintIndWrBufferSize: strconv.FormatInt(h.IndWrBufferSize, 10),
-		HintIndRdBufferSize: strconv.FormatInt(h.IndRdBufferSize, 10),
 	}
 	if h.StripingFactor > 0 {
 		out[HintStripingFactor] = strconv.Itoa(h.StripingFactor)

@@ -9,6 +9,19 @@ import (
 	"repro/internal/extent"
 )
 
+// clipSegs appends to dst the non-empty intersections of segs with win, in
+// order. It binary-searches the first candidate and walks only the
+// segments that overlap win, so the cost is O(log len(segs) + overlaps).
+func clipSegs(dst, segs []extent.Extent, win extent.Extent) []extent.Extent {
+	if win.Empty() {
+		return dst
+	}
+	for i := segSearch(segs, win.Off); i < len(segs) && segs[i].Off < win.End(); i++ {
+		dst = append(dst, segs[i].Intersect(win))
+	}
+	return dst
+}
+
 // bruteClip is the reference clipSegs: intersect win with every segment.
 func bruteClip(segs []extent.Extent, win extent.Extent) []extent.Extent {
 	var out []extent.Extent

@@ -275,7 +275,7 @@ func TestStaleShuffleMessageCannotCorruptLaterWrite(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := newCluster(t, 3, 2, 2, store.NewMem)
-			cl.w.EnableReliable(mpi.ReliableConfig{})
+			cl.w.EnableReliable()
 			cl.w.SetCollTimeout(50 * sim.Millisecond)
 			cl.k.After(16250*sim.Microsecond, func() { cl.fab.SetPartition([]int{1}, true) })
 			cl.k.After(48250*sim.Microsecond, func() { cl.fab.SetPartition(nil, false) })

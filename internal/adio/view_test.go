@@ -3,6 +3,7 @@ package adio
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/mpi"
@@ -49,12 +50,12 @@ func TestShuffleOverLossyLinksWritesOriginalBytes(t *testing.T) {
 	for _, mode := range []string{"plain", "resilient"} {
 		t.Run(mode, func(t *testing.T) {
 			cl := newCluster(t, 3, 4, 2, store.NewMem)
-			cl.w.EnableReliable(mpi.ReliableConfig{})
+			cl.w.EnableReliable()
 			for node := 0; node < 4; node++ {
 				cl.fab.Node(node).SetLossy(0.2)
 				cl.fab.Node(node).SetDup(0.2)
 			}
-			info := viewInfo.Clone()
+			info := maps.Clone(viewInfo)
 			if mode == "resilient" {
 				info[HintResilientWrite] = "enable"
 			}

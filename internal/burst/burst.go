@@ -259,12 +259,3 @@ func (h *hooks) AtClose(f *adio.File) error {
 	}
 	return err
 }
-
-// PendingDrains reports queued (not yet drained) requests.
-func (p *Pool) PendingDrains() int {
-	n := 0
-	for _, px := range p.proxies {
-		n += len(px.queue)
-	}
-	return n
-}

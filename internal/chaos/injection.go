@@ -61,10 +61,6 @@ var injections = map[string]struct {
 	"silent-corrupt": {phasePostRun, InvRecoveryEquivalence},
 }
 
-// Trips returns the invariant an injection is designed to violate ("" for
-// unknown names); fixtures and self-tests assert against it.
-func Trips(injection string) string { return injections[injection].trips }
-
 // applyInjection fires the scenario's injection if it belongs to phase.
 // mr is the acting rank for in-run phases.
 func applyInjection(r *run, phase injPhase, mr ...*mpi.Rank) {

@@ -257,8 +257,8 @@ func (r *run) setup() error {
 		// collectives, so lost messages and partitions surface as typed
 		// errors instead of deadlocks. The timeout must exceed one
 		// two-phase round's aggregator I/O at the chaos block sizes.
-		r.cl.World.EnableReliable(mpi.ReliableConfig{})
-		r.cl.World.SetCollTimeout(collectiveTimeout)
+		r.cl.World.EnableReliable()
+		r.cl.World.SetCollTimeout(harness.DefaultCollTimeout)
 	}
 	if _, err := r.cl.ArmFaults(r.sc.Schedule()); err != nil {
 		return fmt.Errorf("chaos: arming schedule: %w", err)
@@ -349,10 +349,6 @@ func (r *run) close(f *adio.File, mr *mpi.Rank) error {
 	}
 	return err
 }
-
-// collectiveTimeout bounds every collective call in degraded-mode
-// scenarios; the paired receive deadline is derived from it (timeout/2).
-const collectiveTimeout = 200 * sim.Millisecond
 
 // write issues rank me's workload on f — in tenant ti's file when ti >= 0
 // — and records every acknowledged block. Cached scenarios issue one

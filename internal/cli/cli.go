@@ -68,7 +68,7 @@ func (m *MetricsFlags) Apply(spec *harness.Spec) {
 // according to the flags.
 func (m *MetricsFlags) Report(out io.Writer, res *harness.Result) error {
 	if *m.Show {
-		fmt.Fprint(out, res.MetricsSummary)
+		fmt.Fprint(out, res.Metrics.Text())
 	}
 	if *m.Out != "" {
 		b, err := json.MarshalIndent(res.StatInput(), "", "  ")
@@ -138,7 +138,7 @@ func (f *Flags) Spec(w workloads.Workload) (harness.Spec, error) {
 	spec.CritPath = *f.CritPath
 	spec.TimelineBuckets = *f.Timeline
 	spec.FaultSpec = *f.Faults
-	spec.Reliable = *f.Reliable || *f.Resilient
+	spec.Reliable = *f.Reliable
 	spec.Resilient = *f.Resilient
 	f.Metrics.Apply(&spec)
 	return spec, nil
@@ -152,13 +152,13 @@ func (f *Flags) ReportTrace(out io.Writer, res *harness.Result) {
 			*f.Trace, res.Trace.Len(), res.Trace.Tracks())
 	}
 	if *f.TraceSum {
-		fmt.Fprint(out, res.TraceSummary)
+		fmt.Fprint(out, res.Trace.Summary())
 	}
-	if res.CritPathReport != "" {
-		fmt.Fprint(out, res.CritPathReport)
+	if res.CritPath != nil {
+		fmt.Fprint(out, res.CritPath.Markdown())
 	}
-	if res.TimelineReport != "" {
-		fmt.Fprint(out, res.TimelineReport)
+	if res.Timeline != nil {
+		fmt.Fprint(out, res.Timeline.Markdown())
 	}
 }
 

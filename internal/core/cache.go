@@ -737,33 +737,12 @@ func (c *Cache) Crash() {
 	}
 }
 
-// Crashed reports whether Crash was called.
-func (c *Cache) Crashed() bool { return c.crashed }
-
-// Dirty returns the unsynced-extent journal (tests inspect it).
-func (c *Cache) Dirty() *Journal { return c.dirty }
-
 // Quarantined returns the ranges the recovery scrub refused to replay
 // (still quarantined: not yet superseded by a fresh write).
 func (c *Cache) Quarantined() []extent.Extent { return c.quarantine.Extents() }
 
 // Recovered returns the ranges this cache replayed to the global file.
 func (c *Cache) Recovered() []extent.Extent { return c.recovered.Extents() }
-
-// CacheFile exposes the underlying cache file (nil after a discarding
-// close); tests use it to inspect retained cache contents.
-func (c *Cache) CacheFile() *nvm.File { return c.cfile }
-
-// Outstanding returns the number of sync requests not yet completed.
-func (c *Cache) Outstanding() int {
-	n := 0
-	for _, req := range c.outstanding {
-		if !req.greq.Done() {
-			n++
-		}
-	}
-	return n
-}
 
 // syncThread is the background cache-synchronisation agent
 // (ADIOI_Sync_thread_start): a dedicated simulated thread that reads data

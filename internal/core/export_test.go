@@ -1,0 +1,38 @@
+package core
+
+import "repro/internal/extent"
+
+// Tenancy reports whether multi-tenant service mode is active.
+func (o Options) Tenancy() bool { return o.Tenant.Name != "" }
+
+// Covers reports whether the folded view covers e entirely.
+func (j *Journal) Covers(e extent.Extent) bool { return j.set.Covers(e) }
+
+// Seq returns the last committed sequence number.
+func (j *Journal) Seq() uint64 { return j.seq }
+
+// Rot flips one image byte (bit-rot at rest). The offset wraps so any
+// non-negative off hits a real byte. No-op on an empty journal.
+func (j *Journal) Rot(off int) {
+	if len(j.img) == 0 || off < 0 {
+		return
+	}
+	j.img[off%len(j.img)] ^= 0xFF
+}
+
+// Crashed reports whether Crash was called.
+func (c *Cache) Crashed() bool { return c.crashed }
+
+// Dirty returns the unsynced-extent journal (tests inspect it).
+func (c *Cache) Dirty() *Journal { return c.dirty }
+
+// Outstanding returns the number of sync requests not yet completed.
+func (c *Cache) Outstanding() int {
+	n := 0
+	for _, req := range c.outstanding {
+		if !req.greq.Done() {
+			n++
+		}
+	}
+	return n
+}

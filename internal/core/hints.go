@@ -347,8 +347,5 @@ func parseTenantOptions(extra mpi.Info) (TenantOptions, error) {
 	return t, nil
 }
 
-// Tenancy reports whether multi-tenant service mode is active.
-func (o Options) Tenancy() bool { return o.Tenant.Name != "" }
-
 // Enabled reports whether the cache data path is active.
 func (o Options) Enabled() bool { return o.Mode != CacheDisable }

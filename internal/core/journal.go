@@ -94,14 +94,8 @@ func (j *Journal) TotalBytes() int64 { return j.set.TotalBytes() }
 // Extents returns the folded dirty extents.
 func (j *Journal) Extents() []extent.Extent { return j.set.Extents() }
 
-// Covers reports whether the folded view covers e entirely.
-func (j *Journal) Covers(e extent.Extent) bool { return j.set.Covers(e) }
-
 // Gaps returns the subranges of e not covered by the folded view.
 func (j *Journal) Gaps(e extent.Extent) []extent.Extent { return j.set.Gaps(e) }
-
-// Seq returns the last committed sequence number.
-func (j *Journal) Seq() uint64 { return j.seq }
 
 // Tear simulates a crash mid-append: the tail of the image — the last
 // record's commit CRC plus one payload byte — is lost, leaving a prefix
@@ -112,15 +106,6 @@ func (j *Journal) Tear() {
 		return
 	}
 	j.img = j.img[:len(j.img)-lost]
-}
-
-// Rot flips one image byte (bit-rot at rest). The offset wraps so any
-// non-negative off hits a real byte. No-op on an empty journal.
-func (j *Journal) Rot(off int) {
-	if len(j.img) == 0 || off < 0 {
-		return
-	}
-	j.img[off%len(j.img)] ^= 0xFF
 }
 
 // Scrub decodes the at-rest image and truncates the journal to its

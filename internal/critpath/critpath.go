@@ -46,7 +46,7 @@ var Categories = []Category{
 
 // dropGraceNs extends each dropped-message window: a receiver stalls past the
 // drop instant until the sender's retransmit lands, which the reliable layer
-// paces at 10ms doubling to an 80ms cap (mpi.DefaultBackoffCap). Two capped
+// paces at 10ms doubling to an 80ms cap (backoffCap in internal/mpi). Two capped
 // backoffs bound the common case.
 const dropGraceNs = int64(160_000_000)
 

@@ -110,7 +110,4 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// TotalBytes reports the file size consumed so far.
-func (w *Writer) TotalBytes() int64 { return w.cursor }
-
 func align(x, a int64) int64 { return (x + a - 1) / a * a }

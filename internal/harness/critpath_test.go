@@ -25,10 +25,10 @@ func runCrit(t *testing.T) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CritPath == nil || res.CritPathReport == "" {
+	if res.CritPath == nil {
 		t.Fatal("CritPath requested but no report produced")
 	}
-	if res.Timeline == nil || res.TimelineReport == "" {
+	if res.Timeline == nil {
 		t.Fatal("TimelineBuckets requested but no timeline produced")
 	}
 	return res
@@ -46,8 +46,8 @@ func TestGoldenCritPath(t *testing.T) {
 		file string
 		got  string
 	}{
-		{"golden_critpath.md", res.CritPathReport},
-		{"golden_timeline.md", res.TimelineReport},
+		{"golden_critpath.md", res.CritPath.Markdown()},
+		{"golden_timeline.md", res.Timeline.Markdown()},
 	}
 	for _, g := range goldens {
 		path := filepath.Join("testdata", g.file)
@@ -74,10 +74,10 @@ func TestGoldenCritPath(t *testing.T) {
 // the reports are pure functions of the deterministic trace.
 func TestCritPathRunDeterminism(t *testing.T) {
 	a, b := runCrit(t), runCrit(t)
-	if a.CritPathReport != b.CritPathReport {
+	if a.CritPath.Markdown() != b.CritPath.Markdown() {
 		t.Error("two identical runs produced different critical-path reports")
 	}
-	if a.TimelineReport != b.TimelineReport {
+	if a.Timeline.Markdown() != b.Timeline.Markdown() {
 		t.Error("two identical runs produced different timeline reports")
 	}
 	aj, err := a.CritPath.JSON()

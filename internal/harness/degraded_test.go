@@ -25,13 +25,36 @@ func TestReliableNoFaultTraceUnchanged(t *testing.T) {
 	}
 }
 
-// TestResilientRequiresReliable pins the Spec contract: the failover
-// write path cannot run without collective timeouts.
-func TestResilientRequiresReliable(t *testing.T) {
-	spec := traceSpec()
-	spec.Resilient = true
-	if _, err := Run(spec); err == nil {
-		t.Fatal("Resilient without Reliable did not error")
+// TestResilientImpliesReliable pins the Spec contract: the failover
+// write path arms reliable delivery and collective timeouts itself, so a
+// Resilient-only spec runs exactly as Resilient plus Reliable.
+func TestResilientImpliesReliable(t *testing.T) {
+	run := func(reliable bool) (*Result, []byte) {
+		spec := traceSpec()
+		spec.Resilient = true
+		spec.Reliable = reliable
+		spec.FaultSpec = "lossy-link,node=0,factor=0.1,from=0s,to=1h"
+		spec.PreRun = func(cl *Cluster) error {
+			if !cl.World.ReliableEnabled() {
+				t.Errorf("Reliable=%v: reliable delivery not armed", reliable)
+			}
+			return nil
+		}
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.Trace.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		res.Spec, res.Trace = Spec{}, nil
+		return res, buf.Bytes()
+	}
+	alone, aloneTrace := run(false)
+	both, bothTrace := run(true)
+	if !reflect.DeepEqual(alone, both) || !bytes.Equal(aloneTrace, bothTrace) {
+		t.Fatalf("Resilient alone ran differently from Resilient+Reliable:\n%+v\n%+v", alone, both)
 	}
 }
 

@@ -60,10 +60,10 @@ func TestMetricsRunDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Metrics == nil || res.MetricsSummary == "" {
+		if res.Metrics == nil {
 			t.Fatal("metrics enabled but no registry recorded")
 		}
-		return res.MetricsSummary
+		return res.Metrics.Text()
 	}
 	a, b := render(), render()
 	if a != b {
@@ -136,7 +136,7 @@ func TestGoldenMetricsText(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "golden_metrics.txt")
-	got := res.MetricsSummary
+	got := res.Metrics.Text()
 	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -165,10 +165,10 @@ func TestTraceSummaryDeterministicUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.TraceSummary == "" {
+		if res.Trace == nil {
 			t.Fatal("tracing enabled but no summary recorded")
 		}
-		return res.TraceSummary
+		return res.Trace.Summary()
 	}
 	a, b := render(), render()
 	if a != b {

@@ -16,12 +16,16 @@ import (
 // every rank writes its strided share of each of 2 files collectively
 // through the E10 cache, syncs, reads it back collectively, compares and
 // closes (discarding the cache file). data and got are the ranks' user
-// buffers, kept across reps. It returns the payload bytes written.
-func payloadReadback(t *testing.T, data, got [][]byte) int64 {
+// buffers, kept across reps; prep, when non-nil, sees the cluster before
+// the ranks start. It returns the payload bytes written.
+func payloadReadback(t *testing.T, data, got [][]byte, prep func(*Cluster)) int64 {
 	const nodes, perNode, files, blocks, block = 8, 8, 2, 32, 16 << 10
 	cfg := Scaled(42, nodes, perNode)
 	cfg.Payload = true
 	cl := NewCluster(cfg)
+	if prep != nil {
+		prep(cl)
+	}
 	w := cl.World
 	comm := w.Comm()
 	n := w.Size()
@@ -90,11 +94,11 @@ func TestPayloadAllocationPerByte(t *testing.T) {
 	}
 	const recorded, maxPerByte = 2.13, 2.13 * 1.1
 	data, got := make([][]byte, 64), make([][]byte, 64)
-	payloadReadback(t, data, got)
+	payloadReadback(t, data, got, nil)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	from := ms.TotalAlloc
-	written := payloadReadback(t, data, got)
+	written := payloadReadback(t, data, got, nil)
 	runtime.ReadMemStats(&ms)
 	perByte := float64(ms.TotalAlloc-from) / float64(written)
 	t.Logf("%.3f bytes allocated per payload byte written (recorded %.2f)", perByte, recorded)

@@ -100,9 +100,8 @@ type Spec struct {
 	CollTimeout sim.Time
 	// Resilient selects the failover-capable collective write path
 	// (e10_resilient_write): aggregator crash detection, deterministic
-	// file-domain recompute over survivors, unacked-round replay.
-	// Requires Reliable (the failover protocol needs collective
-	// timeouts).
+	// file-domain recompute over survivors, unacked-round replay. It
+	// implies Reliable: the failover protocol needs collective timeouts.
 	Resilient bool
 	// PreRun, when non-nil, runs against the freshly assembled cluster
 	// after the reliability layer is armed but before faults are scheduled
@@ -113,9 +112,9 @@ type Spec struct {
 }
 
 // DefaultCollTimeout is the collective timeout Run arms when
-// Spec.Reliable is set and Spec.CollTimeout is zero. It bounds how long
-// a collective waits for a crashed or partitioned peer before returning
-// a typed timeout error.
+// Spec.Reliable or Spec.Resilient is set and Spec.CollTimeout is zero. It
+// bounds how long a collective waits for a crashed or partitioned peer
+// before returning a typed timeout error.
 const DefaultCollTimeout = 200 * sim.Millisecond
 
 // DefaultSpec returns the paper's experiment parameters for a workload and
@@ -164,26 +163,17 @@ type Result struct {
 	// aggregator crashed mid-write on the resilient path).
 	FailoverEpochs int64
 	// Trace is the event tracer with all recorded events, non-nil only when
-	// Spec.TraceEvents or Spec.TracePath was set.
+	// tracing was on (Trace.Summary renders its digest).
 	Trace *trace.Tracer
-	// TraceSummary is the plain-text trace digest (top spans, counter
-	// high-water marks), empty when tracing was off.
-	TraceSummary string
 	// CritPath is the critical-path analysis of the recorded trace, non-nil
-	// only when Spec.CritPath was set; CritPathReport is its markdown
-	// rendering.
-	CritPath       *critpath.Report
-	CritPathReport string
+	// only when Spec.CritPath was set.
+	CritPath *critpath.Report
 	// Timeline is the interval-sampled run timeline, non-nil only when
-	// Spec.TimelineBuckets > 0; TimelineReport is its markdown rendering.
-	Timeline       *critpath.Timeline
-	TimelineReport string
+	// Spec.TimelineBuckets > 0.
+	Timeline *critpath.Timeline
 	// Metrics is the populated registry, non-nil only when Spec.Metrics was
-	// set.
+	// set (Metrics.Text renders its digest).
 	Metrics *metrics.Registry
-	// MetricsSummary is the registry's plain-text digest (sorted, integer
-	// only, byte-deterministic per seed), empty when metrics were off.
-	MetricsSummary string
 	// Report is the post-run cluster resource summary (ClusterReport).
 	Report string
 	// FaultReport is the armed fault schedule's lifecycle rendering, empty
@@ -240,9 +230,6 @@ func Run(spec Spec) (*Result, error) {
 
 // run is Run that also returns the cluster, for post-run oracles.
 func run(spec Spec) (*Result, *Cluster, error) {
-	if spec.Resilient && !spec.Reliable {
-		return nil, nil, fmt.Errorf("harness: Spec.Resilient requires Spec.Reliable (failover needs collective timeouts)")
-	}
 	if spec.Case == BurstBuffer && spec.Cluster.BurstBuffer == nil {
 		bb := burst.DefaultConfig()
 		spec.Cluster.BurstBuffer = &bb
@@ -256,8 +243,8 @@ func run(spec Spec) (*Result, *Cluster, error) {
 	case spec.Case == BurstBuffer:
 		cl.Env.Hooks = cl.BB.HooksFactory()
 	}
-	if spec.Reliable {
-		cl.World.EnableReliable(mpi.ReliableConfig{})
+	if spec.Reliable || spec.Resilient {
+		cl.World.EnableReliable()
 		ct := spec.CollTimeout
 		if ct == 0 {
 			ct = DefaultCollTimeout
@@ -308,7 +295,6 @@ func run(spec Spec) (*Result, *Cluster, error) {
 	}
 	if tr != nil {
 		res.Trace = tr
-		res.TraceSummary = tr.Summary()
 		if spec.TracePath != "" {
 			if werr := writeTraceFile(tr, spec.TracePath); werr != nil {
 				return nil, nil, werr
@@ -317,18 +303,15 @@ func run(spec Spec) (*Result, *Cluster, error) {
 	}
 	if reg != nil {
 		res.Metrics = reg
-		res.MetricsSummary = reg.Text()
 	}
 	// Post-hoc analyses: both only read the already-recorded trace, so the
 	// trace bytes and every measured virtual time are identical with or
 	// without them.
 	if spec.CritPath {
 		res.CritPath = critpath.Analyze(tr, int64(res.WallTime))
-		res.CritPathReport = res.CritPath.Markdown()
 	}
 	if spec.TimelineBuckets > 0 {
 		res.Timeline = critpath.BuildTimeline(tr, int64(res.WallTime), spec.TimelineBuckets)
-		res.TimelineReport = res.Timeline.Markdown()
 	}
 	for _, ph := range mpe.BreakdownPhases {
 		res.Breakdown[ph] = mpe.Aggregate(logs, ph).Max

@@ -103,9 +103,6 @@ func New() *Registry {
 	}
 }
 
-// Enabled reports whether the registry records anything.
-func (r *Registry) Enabled() bool { return r != nil }
-
 // Counter registers (or looks up) the counter series named name with the
 // given labels. A nil registry returns a nil handle, which is safe to use.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
@@ -232,22 +229,6 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Last returns the most recent value (0 on a nil or never-set handle).
-func (g *Gauge) Last() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.last
-}
-
-// Max returns the high-water mark.
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max
-}
-
 // Histogram is a fixed-bucket distribution that additionally retains every
 // sample, so percentiles are exact (nearest-rank over the sorted samples,
 // integer arithmetic only) rather than bucket-interpolated. The simulation
@@ -287,38 +268,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i]++
 	h.samples = append(h.samples, v)
 	h.sorted = false
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Min returns the smallest sample (0 when empty).
-func (h *Histogram) Min() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
-
-// Max returns the largest sample (0 when empty).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
 }
 
 // Percentile returns the exact p-th percentile (nearest-rank definition:

@@ -94,18 +94,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// FindCounter returns the total of the named counter series, or 0 when it
-// was never registered. Lookup order of labels does not matter.
-func (r *Registry) FindCounter(name string, labels ...Label) int64 {
-	if r == nil {
-		return 0
-	}
-	if c, ok := r.counterIdx[canonKey(name, sortLabels(labels))]; ok {
-		return c.total
-	}
-	return 0
-}
-
 // FindHistogram returns the named histogram series, or nil.
 func (r *Registry) FindHistogram(name string, labels ...Label) *Histogram {
 	if r == nil {
@@ -127,21 +115,6 @@ func (r *Registry) SumCounters(name string) int64 {
 		}
 	}
 	return total
-}
-
-// SumHistograms aggregates count and sum over every histogram series with
-// the given name.
-func (r *Registry) SumHistograms(name string) (count, sum int64) {
-	if r == nil {
-		return 0, 0
-	}
-	for _, h := range r.hists {
-		if h.name == name {
-			count += h.count
-			sum += h.sum
-		}
-	}
-	return count, sum
 }
 
 // WriteText writes a plain-text digest of the registry: every series in

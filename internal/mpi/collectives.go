@@ -734,21 +734,6 @@ func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 	return st.inputs[c.RankOf(r)], err
 }
 
-// Bcast distributes root's vals to every rank (MPI_Bcast).
-func (c *Comm) Bcast(r *Rank, root int, vals []int64) []int64 {
-	sp := c.beginColl(r, "bcast")
-	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.bcastWithTag(r, root, vals, c.advanceTagFor(c.RankOf(r)))
-	}
-	var n int64
-	if c.RankOf(r) == root {
-		n = int64(8 * len(vals))
-	}
-	st, _ := c.rendezvous(r, "bcast", n, vals)
-	return st.inputs[root]
-}
-
 // Split partitions the communicator by color; ranks with equal color land
 // in a new communicator ordered by (key, rank), as MPI_Comm_split. Every
 // member must call it; callers with color < 0 (MPI_UNDEFINED) get nil.

@@ -1,0 +1,49 @@
+package mpi
+
+// Bcast distributes root's vals to every rank (MPI_Bcast).
+func (c *Comm) Bcast(r *Rank, root int, vals []int64) []int64 {
+	sp := c.beginColl(r, "bcast")
+	defer func() { sp.end(r) }()
+	if c.model == MessagePassing {
+		return c.bcastWithTag(r, root, vals, c.advanceTagFor(c.RankOf(r)))
+	}
+	var n int64
+	if c.RankOf(r) == root {
+		n = int64(8 * len(vals))
+	}
+	st, _ := c.rendezvous(r, "bcast", n, vals)
+	return st.inputs[root]
+}
+
+// RanksPerNode returns the process-per-node count.
+func (w *World) RanksPerNode() int { return w.perNode }
+
+// GetDefault returns the hint value, or def when unset.
+func (i Info) GetDefault(key, def string) string {
+	if v, ok := i.Get(key); ok {
+		return v
+	}
+	return def
+}
+
+// Clone returns a copy of the info object.
+func (i Info) Clone() Info {
+	out := make(Info, len(i))
+	for k, v := range i {
+		out[k] = v
+	}
+	return out
+}
+
+// Outstanding returns how many sent messages are still retained awaiting
+// an ack (lost messages whose retransmit budget ran out are released).
+func (w *World) Outstanding() int {
+	if w.rel == nil {
+		return 0
+	}
+	n := 0
+	for _, m := range w.rel.outstanding {
+		n += len(m)
+	}
+	return n
+}

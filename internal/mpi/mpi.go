@@ -134,9 +134,6 @@ func (w *World) Kernel() *sim.Kernel { return w.k }
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.ranks) }
 
-// RanksPerNode returns the process-per-node count.
-func (w *World) RanksPerNode() int { return w.perNode }
-
 // Rank returns rank i's handle (for inspection; MPI calls must run on the
 // rank's own process).
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
@@ -288,9 +285,6 @@ func (r *Rank) Node() *netsim.Node { return r.node }
 // body function passed to World.Run.
 func (r *Rank) Proc() *sim.Proc { return r.proc }
 
-// Wtime returns the current virtual time in seconds (MPI_Wtime).
-func (r *Rank) Wtime() float64 { return r.proc.Now().Seconds() }
-
 // Now returns the current virtual time.
 func (r *Rank) Now() sim.Time { return r.proc.Now() }
 
@@ -310,22 +304,5 @@ func (i Info) Get(key string) (string, bool) {
 	return v, ok
 }
 
-// GetDefault returns the hint value, or def when unset.
-func (i Info) GetDefault(key, def string) string {
-	if v, ok := i.Get(key); ok {
-		return v
-	}
-	return def
-}
-
 // Set stores a hint.
 func (i Info) Set(key, value string) { i[key] = value }
-
-// Clone returns a copy of the info object.
-func (i Info) Clone() Info {
-	out := make(Info, len(i))
-	for k, v := range i {
-		out[k] = v
-	}
-	return out
-}

@@ -28,19 +28,11 @@ import (
 // arrives within the deadline.
 var ErrRecvTimeout = errors.New("mpi: receive timed out")
 
-// ReliableConfig tunes the reliable-delivery layer. Zero fields take the
-// defaults below.
-type ReliableConfig struct {
-	RetransmitAfter sim.Time // initial retransmit backoff (default 10ms)
-	BackoffCap      sim.Time // backoff ceiling (default 80ms)
-	MaxAttempts     int      // retransmits per message before giving up (default 8)
-}
-
-// Defaults for ReliableConfig.
+// The reliable-delivery layer's timing.
 const (
-	DefaultRetransmitAfter = 10 * sim.Millisecond
-	DefaultBackoffCap      = 80 * sim.Millisecond
-	DefaultMaxAttempts     = 8
+	retransmitAfter = 10 * sim.Millisecond // initial retransmit backoff
+	backoffCap      = 80 * sim.Millisecond // backoff ceiling
+	maxAttempts     = 8                    // retransmits per message before giving up
 )
 
 // relKey identifies one message stream.
@@ -60,7 +52,6 @@ type outMsg struct {
 // is single-threaded, so one shared structure stands in for every rank's
 // protocol endpoint).
 type relState struct {
-	cfg         ReliableConfig
 	nextSeq     map[relKey]uint64              // sender: next seq per stream
 	outstanding map[relKey]map[uint64]*outMsg  // sender: unacked messages
 	nextDeliver map[relKey]uint64              // receiver: next in-order seq
@@ -82,10 +73,10 @@ func (rel *relState) getOut(m Message) *outMsg {
 	if n := len(rel.free); n > 0 {
 		om := rel.free[n-1]
 		rel.free = rel.free[:n-1]
-		*om = outMsg{msg: m, backoff: rel.cfg.RetransmitAfter}
+		*om = outMsg{msg: m, backoff: retransmitAfter}
 		return om
 	}
-	return &outMsg{msg: m, backoff: rel.cfg.RetransmitAfter}
+	return &outMsg{msg: m, backoff: retransmitAfter}
 }
 
 // putOut releases om for reuse. Safe against the stale-timer race: a
@@ -100,18 +91,8 @@ func (rel *relState) putOut(om *outMsg) {
 // EnableReliable arms the reliable-delivery layer for all inter-node
 // point-to-point traffic (same-node messages never touch the wire and need
 // no protection). Must be called before Run.
-func (w *World) EnableReliable(cfg ReliableConfig) {
-	if cfg.RetransmitAfter <= 0 {
-		cfg.RetransmitAfter = DefaultRetransmitAfter
-	}
-	if cfg.BackoffCap <= 0 {
-		cfg.BackoffCap = DefaultBackoffCap
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
-	}
+func (w *World) EnableReliable() {
 	w.rel = &relState{
-		cfg:         cfg,
 		nextSeq:     make(map[relKey]uint64),
 		outstanding: make(map[relKey]map[uint64]*outMsg),
 		nextDeliver: make(map[relKey]uint64),
@@ -137,19 +118,6 @@ func (w *World) DedupDrops() int64 {
 		return 0
 	}
 	return w.rel.dedups
-}
-
-// Outstanding returns how many sent messages are still retained awaiting
-// an ack (lost messages whose retransmit budget ran out are released).
-func (w *World) Outstanding() int {
-	if w.rel == nil {
-		return 0
-	}
-	n := 0
-	for _, m := range w.rel.outstanding {
-		n += len(m)
-	}
-	return n
 }
 
 // retain registers a freshly sequenced message as awaiting its ack.
@@ -187,7 +155,7 @@ func (w *World) onLost(m Message) {
 	if om == nil {
 		return // already acked or given up
 	}
-	if om.attempts >= rel.cfg.MaxAttempts {
+	if om.attempts >= maxAttempts {
 		rel.giveUps++
 		if om.timer != nil {
 			om.timer.Stop()
@@ -199,8 +167,8 @@ func (w *World) onLost(m Message) {
 	om.attempts++
 	d := om.backoff
 	om.backoff *= 2
-	if om.backoff > rel.cfg.BackoffCap {
-		om.backoff = rel.cfg.BackoffCap
+	if om.backoff > backoffCap {
+		om.backoff = backoffCap
 	}
 	om.timer = w.k.AfterTimer(d, func() {
 		if rel.outstanding[k][m.relSeq] != om {

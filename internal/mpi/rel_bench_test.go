@@ -2,15 +2,10 @@ package mpi
 
 import "testing"
 
-// newBenchRelState builds a relState with the default protocol config,
+// newBenchRelState builds a relState with the protocol's fixed timing,
 // bypassing World so the bookkeeping can be driven directly.
 func newBenchRelState() *relState {
 	return &relState{
-		cfg: ReliableConfig{
-			RetransmitAfter: DefaultRetransmitAfter,
-			BackoffCap:      DefaultBackoffCap,
-			MaxAttempts:     DefaultMaxAttempts,
-		},
 		nextSeq:     make(map[relKey]uint64),
 		outstanding: make(map[relKey]map[uint64]*outMsg),
 		nextDeliver: make(map[relKey]uint64),

@@ -25,7 +25,7 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 	// A 30% lossy link must not lose a single one of 50 messages once the
 	// reliable layer is on: every drop is retransmitted until delivered.
 	w := testWorldSeed(t, 3, 2, 1)
-	w.EnableReliable(ReliableConfig{})
+	w.EnableReliable()
 	w.Kernel().Rand() // fabric built; arm loss directly
 	w.fabric.Node(0).SetLossy(0.3)
 	const n = 50
@@ -64,7 +64,7 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 
 func TestReliableDedupUnderDuplication(t *testing.T) {
 	w := testWorldSeed(t, 5, 2, 1)
-	w.EnableReliable(ReliableConfig{})
+	w.EnableReliable()
 	w.fabric.Node(0).SetDup(0.5)
 	const n = 40
 	recvd := 0
@@ -133,7 +133,7 @@ func TestRetransmitGivesUpUnderPermanentPartition(t *testing.T) {
 	// drain and the sender must release the retained message — the run ends
 	// instead of looping.
 	w := testWorldSeed(t, 1, 2, 1)
-	w.EnableReliable(ReliableConfig{RetransmitAfter: sim.Millisecond, MaxAttempts: 3})
+	w.EnableReliable()
 	w.fabric.SetPartition([]int{1}, true)
 	err := w.Run(func(r *Rank) {
 		if r.ID() == 0 {
@@ -382,7 +382,7 @@ func TestReliableNoFaultsNoPerturbation(t *testing.T) {
 	run := func(reliable bool) (sim.Time, int64) {
 		w := testWorld(t, 2, 2)
 		if reliable {
-			w.EnableReliable(ReliableConfig{})
+			w.EnableReliable()
 			w.SetCollTimeout(sim.Second)
 		}
 		err := w.Run(func(r *Rank) {
@@ -416,7 +416,7 @@ func TestReliableDeterministicPerSeed(t *testing.T) {
 	// final time, same retransmit count.
 	run := func() (sim.Time, int64) {
 		w := testWorldSeed(t, 11, 2, 1)
-		w.EnableReliable(ReliableConfig{})
+		w.EnableReliable()
 		w.fabric.Node(0).SetLossy(0.2)
 		err := w.Run(func(r *Rank) {
 			switch r.ID() {

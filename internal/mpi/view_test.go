@@ -35,7 +35,7 @@ func lent(t *testing.T, m *Message) []byte {
 // time or as a retransmit, and duplicates are absorbed.
 func TestBorrowedPayloadSurvivesLossAndDuplication(t *testing.T) {
 	w := testWorld(t, 2, 1)
-	w.EnableReliable(ReliableConfig{})
+	w.EnableReliable()
 	w.fabric.Node(0).SetLossy(0.3)
 	w.fabric.Node(0).SetDup(0.3)
 	const msgs, size = 64, 512

@@ -80,14 +80,8 @@ func (f *File) SetView(disp int64, filetype FlatType) error {
 	return nil
 }
 
-// View returns the current file view.
-func (f *File) View() View { return f.view }
-
 // GetInfo is MPI_File_get_info: the hints in use, as normalized.
 func (f *File) GetInfo() mpi.Info { return f.fh.Hints().Echo() }
-
-// SetAtomicity is MPI_File_set_atomicity.
-func (f *File) SetAtomicity(v bool) { f.fh.SetAtomicity(v) }
 
 // WriteAtAll is MPI_File_write_at_all: a collective write of n bytes at
 // view offset vo. data may be nil for metadata-only simulation; otherwise

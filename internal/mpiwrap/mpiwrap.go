@@ -208,6 +208,3 @@ func (w *Wrapper) Finalize() error {
 	}
 	return first
 }
-
-// Outstanding reports how many files are internally held open.
-func (w *Wrapper) Outstanding() int { return len(w.outstanding) }

@@ -75,9 +75,6 @@ func New(k *sim.Kernel, cfg Config) *Fabric {
 	return f
 }
 
-// Kernel returns the owning simulation kernel.
-func (f *Fabric) Kernel() *sim.Kernel { return f.k }
-
 // Nodes returns the node count.
 func (f *Fabric) Nodes() int { return len(f.nodes) }
 
@@ -280,9 +277,6 @@ func (n *Node) CountDrop() {
 		n.mDrops.Inc()
 	}
 }
-
-// Drops returns how many outbound messages this node has lost.
-func (n *Node) Drops() int64 { return n.drops }
 
 // CountDup records one message duplicated on this node's outbound link.
 func (n *Node) CountDup() {

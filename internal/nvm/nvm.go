@@ -100,9 +100,6 @@ func (d *Device) Name() string { return d.name }
 // Used returns the allocated byte count.
 func (d *Device) Used() int64 { return d.used }
 
-// Capacity returns the configured capacity.
-func (d *Device) Capacity() int64 { return d.cfg.Capacity }
-
 // SetFailed injects (or clears) a device failure: subsequent writes and
 // allocations return ErrIO. Used for failure-injection tests — the cache
 // layer must fall back to the global file system.
@@ -184,9 +181,6 @@ func (d *Device) reserveAs(tenant string, n int64) error {
 	return nil
 }
 
-// reserve claims n bytes of capacity (anonymous path).
-func (d *Device) reserve(n int64) error { return d.reserveAs("", n) }
-
 // releaseAs frees n bytes of tenant's capacity.
 func (d *Device) releaseAs(tenant string, n int64) {
 	if d.arb != nil {
@@ -237,9 +231,6 @@ func NewFS(dev *Device, cfg FSConfig, factory store.Factory) *FS {
 
 // Device returns the underlying SSD.
 func (fs *FS) Device() *Device { return fs.dev }
-
-// Create creates a new file, failing if it already exists.
-func (fs *FS) Create(name string) (*File, error) { return fs.CreateTenant(name, "") }
 
 // CreateTenant creates a new file owned by tenant, charging the tenant's
 // file-count quota. tenant "" is the anonymous single-tenant path.
@@ -329,15 +320,6 @@ type File struct {
 	data     store.Store
 	reserved extent.Set // ranges holding allocated blocks
 }
-
-// Name returns the file name.
-func (f *File) Name() string { return f.name }
-
-// Tenant returns the owning tenant ("" for single-tenant runs).
-func (f *File) Tenant() string { return f.tenant }
-
-// Size returns the current file size.
-func (f *File) Size() int64 { return f.data.Size() }
 
 // Store exposes the payload backend (used by tests and the cache layer).
 func (f *File) Store() store.Store { return f.data }

@@ -15,13 +15,6 @@ const (
 	WriteLock
 )
 
-func (m LockMode) String() string {
-	if m == ReadLock {
-		return "read"
-	}
-	return "write"
-}
-
 // Lock is a granted byte-range lock; release it with LockManager.Unlock.
 type Lock struct {
 	file string
@@ -29,9 +22,6 @@ type Lock struct {
 	ext  extent.Extent
 	req  *lockReq
 }
-
-// Extent returns the locked byte range.
-func (l *Lock) Extent() extent.Extent { return l.ext }
 
 type lockReq struct {
 	proc    *sim.Proc

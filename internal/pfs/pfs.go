@@ -218,12 +218,6 @@ type FileMeta struct {
 	data     store.Store
 }
 
-// Name returns the file name.
-func (f *FileMeta) Name() string { return f.name }
-
-// Striping returns the file layout.
-func (f *FileMeta) Striping() Striping { return f.striping }
-
 // Size returns the current file size.
 func (f *FileMeta) Size() int64 { return f.data.Size() }
 

@@ -42,9 +42,6 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Waiting returns the number of parked processes.
-func (c *Cond) Waiting() int { return c.waiters.len() }
-
 // procQueue is a FIFO of parked processes that keeps its backing array: a
 // pop advances a head index, and a push into a full array whose front half
 // is popped slides the queue to the front instead of growing it (O(1)

@@ -152,9 +152,6 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// Fired reports whether the timer's callback has run.
-func (t *Timer) Fired() bool { return t.fired }
-
 // AfterTimer schedules fn like After but returns a handle that can cancel
 // the callback before it fires. fn must not block.
 func (k *Kernel) AfterTimer(d Time, fn func()) *Timer {
@@ -485,9 +482,6 @@ func (p *Proc) Name() string {
 	return p.name
 }
 
-// ID returns the process's unique id within its kernel.
-func (p *Proc) ID() int { return p.id }
-
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
@@ -498,9 +492,6 @@ func (p *Proc) Now() Time { return p.k.now }
 // intervals are recorded on. Processes without a track (the default) record
 // nothing.
 func (p *Proc) SetTraceTrack(tk trace.TrackID) { p.ttk = tk }
-
-// TraceTrack returns the process's trace timeline, or trace.NoTrack.
-func (p *Proc) TraceTrack() trace.TrackID { return p.ttk }
 
 // mustBlock panics unless p has a worker to block on: a step process
 // cannot block.

@@ -11,18 +11,6 @@ type Dist interface {
 	Sample(r *rand.Rand) float64
 }
 
-// Constant is a degenerate distribution that always yields Value.
-type Constant float64
-
-// Sample implements Dist.
-func (c Constant) Sample(*rand.Rand) float64 { return float64(c) }
-
-// Uniform is a uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Dist.
-func (u Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
-
 // LogNormal is a log-normal distribution parameterised by the mean and
 // standard deviation of the underlying normal.
 type LogNormal struct{ Mu, Sigma float64 }
@@ -39,12 +27,6 @@ func (l LogNormal) Sample(r *rand.Rand) float64 {
 func UnitLogNormal(sigma float64) LogNormal {
 	return LogNormal{Mu: -sigma * sigma / 2, Sigma: sigma}
 }
-
-// Exponential is an exponential distribution with the given mean.
-type Exponential struct{ Mean float64 }
-
-// Sample implements Dist.
-func (e Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() * e.Mean }
 
 // Jitter scales duration d by a sample of dist, never returning a negative
 // duration.

@@ -31,9 +31,6 @@ func NewStation(k *Kernel, name string, servers int) *Station {
 	return &Station{k: k, name: name, servers: servers}
 }
 
-// Name returns the station name.
-func (s *Station) Name() string { return s.name }
-
 // TraceTrack lazily registers and returns this station's trace timeline
 // (first use wins the registration, which is deterministic in a seeded
 // run). Layers above can use it to attach events to the device's track.

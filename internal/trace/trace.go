@@ -139,9 +139,6 @@ func New() *Tracer {
 	}
 }
 
-// Enabled reports whether the tracer records events.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Len returns the number of recorded events.
 func (t *Tracer) Len() int {
 	if t == nil {
@@ -282,18 +279,6 @@ func (t *Tracer) Counter(tk TrackID, name string, now, val int64) {
 		st.max = val
 	}
 	t.events = append(t.events, Event{Kind: KindCounter, Track: tk, Name: name, Start: now, Value: val})
-}
-
-// CounterMax returns the high-water mark of a counter series, or 0 when the
-// series was never recorded.
-func (t *Tracer) CounterMax(tk TrackID, name string) int64 {
-	if t == nil {
-		return 0
-	}
-	if i, ok := t.counterIdx[counterKey{track: tk, name: name}]; ok {
-		return t.counters[i].max
-	}
-	return 0
 }
 
 // AsyncBegin opens an async span (an operation whose begin and end may lie

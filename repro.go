@@ -106,7 +106,6 @@ const (
 	HintCBNodes         = adio.HintCBNodes
 	HintCBConfigList    = adio.HintCBConfigList
 	HintIndWrBufferSize = adio.HintIndWrBufferSize
-	HintIndRdBufferSize = adio.HintIndRdBufferSize
 	HintStripingFactor  = adio.HintStripingFactor
 	HintStripingUnit    = adio.HintStripingUnit
 )

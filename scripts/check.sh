@@ -41,6 +41,12 @@
 # reproduce exactly and the measured events/sec must stay above the
 # recorded floor (including the critical-path analyzer's own floor).
 #
+# A reachability gate follows the scale smoke: scripts/reach.sh runs the
+# repo's artifact-producing targets on cover-instrumented binaries and
+# fails when a function none of them reaches is missing from
+# scripts/reach.allow; a sabotage self-test then drops one allowlisted
+# function and requires the gate to fail naming it. SKIP_REACH=1 skips it.
+#
 # A cardinality lint also gates the run: e10stat -lint rejects unbounded
 # metric-label values and trace-name vocabularies (a raw rank id leaking
 # into a label, say) over the demo pair's metrics and every committed JSON
@@ -111,6 +117,30 @@ if [ "${SKIP_SCALE:-}" = "1" ]; then
 else
     echo "== scale smoke (1024-rank collective writes: clean, lossy, crash)"
     go test ./internal/harness -run '^TestScale_' -count=1 -timeout 300s
+fi
+
+if [ "${SKIP_REACH:-}" = "1" ]; then
+    echo "== reachability gate skipped (SKIP_REACH=1)"
+else
+    echo "== reachability gate (every function no target reaches is allowlisted)"
+    funcs=$(mktemp)
+    scripts/reach.sh -save "$funcs"
+    # Sabotage self-test: without its first entry the allowlist must fail
+    # the gate, naming that function.
+    victim=$(grep -v '^[[:space:]]*\(#\|$\)' scripts/reach.allow | head -1 | awk '{ print $1 }')
+    allow=$(mktemp)
+    grep -v "^$victim[[:space:]]" scripts/reach.allow >"$allow"
+    if out=$(scripts/reach.sh -funcs "$funcs" -allow "$allow" 2>&1); then
+        echo "reach self-test: the gate passed without $victim on the allowlist" >&2
+        exit 1
+    fi
+    if ! echo "$out" | grep -q "^  $victim\$"; then
+        echo "reach self-test: the gate failed without naming $victim:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+    echo "reach self-test: dropping $victim from the allowlist fails the gate"
+    rm -f "$funcs" "$allow"
 fi
 
 if [ "${SKIP_BENCH:-}" = "1" ]; then
