@@ -125,6 +125,34 @@ func fixtures() []struct {
 			},
 		},
 		{
+			file: "admission_reject.json",
+			note: "clean: two tenants whose reservations cannot both fit the NVM device; the tenant admitted second is rejected and completes uncached through the global file system, no invariant trips",
+			sc: Scenario{
+				Seed: 42, Nodes: 1, PerNode: 4,
+				Shape: ShapeContiguous, BlockKB: 64, Blocks: 1,
+				Mode: "enable", FlushFlag: "flush_immediate", Sessions: 1,
+				SSDCapKB: 512,
+				Tenants: []TenantSpec{
+					{Ranks: 2, Blocks: 2, BlockKB: 64, ReserveKB: 320},
+					{Ranks: 2, Blocks: 2, BlockKB: 64, ReserveKB: 256},
+				},
+			},
+		},
+		{
+			file: "admission_queue.json",
+			note: "clean: the same two reservations, both tenants queueing for admission; the tenant admitted second waits for its neighbour to close, then runs cached, no fallback and no invariant trips",
+			sc: Scenario{
+				Seed: 42, Nodes: 1, PerNode: 4,
+				Shape: ShapeContiguous, BlockKB: 64, Blocks: 1,
+				Mode: "enable", FlushFlag: "flush_immediate", Sessions: 1,
+				SSDCapKB: 512,
+				Tenants: []TenantSpec{
+					{Ranks: 2, Blocks: 2, BlockKB: 64, ReserveKB: 320, Admit: "queue"},
+					{Ranks: 2, Blocks: 2, BlockKB: 64, ReserveKB: 256, Admit: "queue"},
+				},
+			},
+		},
+		{
 			file: "tenant_crash_isolation.json",
 			note: "clean: one of three tenants crashes mid-flush while another runs at a starvation quota; the victims' journals conserve every acked byte and the survivors' files match their solo same-seed runs, no invariant trips",
 			sc: Scenario{

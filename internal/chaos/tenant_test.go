@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 )
 
 // tenanted returns a small healthy two-tenant scenario on one shared NVM.
@@ -166,4 +167,134 @@ func TestTenantScenarioValidateRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: invalid scenario accepted", name)
 		}
 	}
+}
+
+// fixtureRun runs a committed fixture's scenario through the run
+// internals and requires a clean verdict and the pinned wall_ns, events
+// and fallbacks.
+func fixtureRun(t *testing.T, file string, wallNS, events int64, fallbacks int) (*run, *Result) {
+	t.Helper()
+	for _, fx := range fixtures() {
+		if fx.file != file {
+			continue
+		}
+		r := &run{sc: fx.sc, solo: -1}
+		if err := r.setup(); err != nil {
+			t.Fatal(err)
+		}
+		r.simulate()
+		res := r.check()
+		if res.Failed() {
+			t.Fatalf("%s violated: %v", file, res.Violations)
+		}
+		if res.WallNS != wallNS || res.Events != events || res.Fallbacks != fallbacks {
+			t.Errorf("%s: wall_ns %d, events %d, fallbacks %d; want %d, %d, %d",
+				file, res.WallNS, res.Events, res.Fallbacks, wallNS, events, fallbacks)
+		}
+		return r, res
+	}
+	t.Fatalf("no fixture %s", file)
+	return nil, nil
+}
+
+// tenantInstants returns, per tenant, the virtual times of the tenant-layer
+// instants named name on its ranks' tracks.
+func tenantInstants(r *run, name string) [][]int64 {
+	out := make([][]int64, len(r.sc.Tenants))
+	for _, ev := range r.tracer.Events() {
+		if ev.Cat != "tenant" || ev.Name != name {
+			continue
+		}
+		for rank := 0; rank < r.sc.ranks(); rank++ {
+			if r.cl.World.Rank(rank).TraceTrack(r.tracer) == ev.Track {
+				if ti := r.sc.tenantOf(rank); ti >= 0 {
+					out[ti] = append(out[ti], ev.Start)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// cacheWrites sums tenant i's cache writes over every cache it opened.
+func (r *run) cacheWrites(i int) int64 {
+	var n int64
+	for _, c := range r.tenantCaches[i] {
+		n += c.Stats.CacheWrites
+	}
+	return n
+}
+
+// TestTenantAdmission checks the admission fixtures and the noisy
+// neighbour through the run internals: a rejected reservation falls back
+// to the uncached path and is counted, a queued one admits once its
+// neighbour has closed, and a reserved tenant is never displaced.
+func TestTenantAdmission(t *testing.T) {
+	t.Run("reject", func(t *testing.T) {
+		r, res := fixtureRun(t, "admission_reject.json", 12978858, 91, 2)
+		rejects := tenantInstants(r, "tenant_admit_reject")
+		if len(rejects[0]) != 0 || len(rejects[1]) != r.sc.Tenants[1].Ranks {
+			t.Fatalf("reject instants per tenant = %v, want none for t0 and one per t1 rank", rejects)
+		}
+		if r.cacheWrites(0) == 0 {
+			t.Error("admitted tenant never reached the cache")
+		}
+		if len(r.tenantCaches[1]) != 0 || res.Fallbacks != r.sc.Tenants[1].Ranks {
+			t.Errorf("rejected tenant should fall back uncached: %d caches, %d fallbacks",
+				len(r.tenantCaches[1]), res.Fallbacks)
+		}
+		counted := false
+		for _, c := range res.Metrics.Counters {
+			if c.Name == "cache_tenant_admit_rejects_total" && c.Labels["tenant"] == tenantName(1) && c.Total > 0 {
+				counted = true
+			}
+		}
+		if !counted {
+			t.Error("admission rejection not counted in cache_tenant_admit_rejects_total")
+		}
+	})
+
+	t.Run("queue", func(t *testing.T) {
+		r, res := fixtureRun(t, "admission_queue.json", 20967171, 131, 0)
+		queued, admitted := tenantInstants(r, "tenant_admit_queued"), tenantInstants(r, "tenant_admitted")
+		if len(queued[0]) != 0 || len(queued[1]) != r.sc.Tenants[1].Ranks {
+			t.Fatalf("queued instants per tenant = %v, want none for t0 and one per t1 rank", queued)
+		}
+		if res.Fallbacks != 0 || r.cacheWrites(1) == 0 {
+			t.Errorf("queued tenant should admit and run cached: %d fallbacks, %d cache writes",
+				res.Fallbacks, r.cacheWrites(1))
+		}
+		// The neighbour's close waits for its sync threads, and only the
+		// close releases its reservation.
+		var closed int64
+		for _, ev := range r.tracer.Events() {
+			if strings.HasPrefix(r.tracer.TrackName(ev.Track), "sync."+tenantFile(0)) {
+				closed = max(closed, ev.Start+ev.Dur)
+			}
+		}
+		for k, at := range admitted[1] {
+			if at < queued[1][k]+int64(sim.Millisecond) || at < closed {
+				t.Errorf("queued tenant admitted at %d ns: queued at %d, neighbour synced by %d", at, queued[1][k], closed)
+			}
+		}
+	})
+
+	t.Run("noisy neighbour", func(t *testing.T) {
+		r, res := fixtureRun(t, "noisy_neighbor.json", 25380059, 169, 0)
+		reserved := 1
+		if r.sc.Tenants[reserved].ReserveKB == 0 {
+			t.Fatal("noisy_neighbor.json: tenant 1 holds no reservation")
+		}
+		if res.Fallbacks != 0 || len(r.tenantCaches[reserved]) != r.sc.Tenants[reserved].Ranks {
+			t.Errorf("reserved tenant displaced: %d fallbacks, %d caches", res.Fallbacks, len(r.tenantCaches[reserved]))
+		}
+		for _, c := range r.tenantCaches[reserved] {
+			if c.Stats.AdmitRejects != 0 {
+				t.Errorf("reserved tenant saw %d admission rejects", c.Stats.AdmitRejects)
+			}
+		}
+		if r.cacheWrites(reserved) == 0 {
+			t.Error("reserved tenant never reached the cache")
+		}
+	})
 }

@@ -139,7 +139,7 @@ func TestBandwidthEq2(t *testing.T) {
 		{"last wait counted with lastSync", true, []PhaseMetrics{{100 * ms, 50 * ms}, {50 * ms, 50 * ms}}, []sim.Time{50 * ms, 50 * ms}, 4},
 		{"zero denominator", true, []PhaseMetrics{{0, 5 * ms}}, []sim.Time{0}, 0},
 	} {
-		gbs := bandwidth(job{lastSync: c.lastSync}, c.times, 1e9)
+		gbs := bandwidth(c.times, 1e9, c.lastSync)
 		if math.Abs(gbs-c.gbs) > 1e-9 {
 			t.Errorf("%s: bandwidth %v GB/s, want %v", c.name, gbs, c.gbs)
 		}

@@ -268,27 +268,75 @@ func run(spec Spec) (*Result, *Cluster, error) {
 		}
 	}
 	nranks := cl.World.Size()
-	j := job{name: spec.Workload.Name(), ranks: nranks, workload: spec.Workload, nfiles: spec.NFiles,
-		compute: spec.ComputeDelay, info: spec.hints(), lastSync: spec.IncludeLastSync}
-	outs, times, err := runJobs(cl, []job{j}, logs)
+	res := &Result{
+		Spec:       spec,
+		TotalBytes: spec.Workload.FileBytes(nranks) * int64(spec.NFiles),
+		Phases:     make([]PhaseMetrics, spec.NFiles),
+		Breakdown:  make(map[mpe.Phase]sim.Time),
+	}
+	// Every rank runs Figure 3's loop on the world communicator: barrier,
+	// open, write phase, barrier, compute, with each close deferred to the
+	// start of the next I/O phase. Phases gets each file's write time and
+	// its largest close wait over the ranks.
+	world, info := cl.World.Comm(), spec.hints()
+	errs := make([]error, nranks)
+	err := cl.World.Run(func(r *mpi.Rank) {
+		me := r.ID()
+		fail := func(err error) {
+			if err != nil && errs[me] == nil {
+				errs[me] = err
+			}
+		}
+		var prev *mpiio.File
+		closePrev := func(k int) { // k is prev's file index
+			if prev == nil {
+				return
+			}
+			world.Barrier(r)
+			t0 := r.Now()
+			fail(prev.Close())
+			res.Phases[k].CloseWait = max(res.Phases[k].CloseWait, r.Now()-t0)
+			st := &prev.Handle().Stats
+			res.PeakBufBytes = max(res.PeakBufBytes, st.PeakBufBytes)
+			res.FailoverEpochs = max(res.FailoverEpochs, st.FailoverEpochs)
+			prev = nil
+		}
+		for k := 0; k < spec.NFiles; k++ {
+			closePrev(k - 1)
+			world.Barrier(r)
+			t0 := r.Now()
+			f, err := cl.Env.OpenWithLog(r, world, fmt.Sprintf("%s.%04d", spec.Workload.Name(), k),
+				mpiio.ModeCreate|mpiio.ModeWrOnly, info, logs[me])
+			if err != nil {
+				fail(err)
+				break
+			}
+			fail(spec.Workload.WritePhase(r, f, cl.Cfg.Payload))
+			world.Barrier(r)
+			if me == 0 {
+				res.Phases[k].WriteTime = r.Now() - t0
+			}
+			prev = f
+			// With IncludeLastSync the last write has no compute phase
+			// after it: C(N) = 0 (IOR, §IV-D).
+			if k < spec.NFiles-1 || !spec.IncludeLastSync {
+				r.Compute(spec.ComputeDelay)
+			}
+		}
+		closePrev(spec.NFiles - 1)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, nil, o.err
+	// Report the lowest-ranked failing rank's first error.
+	for _, e := range errs {
+		if e != nil {
+			return nil, nil, e
 		}
 	}
-
-	res := &Result{
-		Spec:             spec,
-		TotalBytes:       spec.Workload.FileBytes(nranks) * int64(spec.NFiles),
-		Phases:           times[0],
-		Breakdown:        make(map[mpe.Phase]sim.Time),
-		WallTime:         cl.Kernel.Now(),
-		EventsDispatched: cl.Kernel.EventsDispatched(),
-	}
-	res.BandwidthGBs = bandwidth(j, res.Phases, res.TotalBytes)
+	res.WallTime = cl.Kernel.Now()
+	res.EventsDispatched = cl.Kernel.EventsDispatched()
+	res.BandwidthGBs = bandwidth(res.Phases, res.TotalBytes, spec.IncludeLastSync)
 	res.Report = ClusterReport(cl)
 	if injector != nil {
 		res.FaultReport = injector.Report()
@@ -315,10 +363,6 @@ func run(spec Spec) (*Result, *Cluster, error) {
 	}
 	for _, ph := range mpe.BreakdownPhases {
 		res.Breakdown[ph] = mpe.Aggregate(logs, ph).Max
-	}
-	for _, o := range outs {
-		res.PeakBufBytes = max(res.PeakBufBytes, o.peakBuf)
-		res.FailoverEpochs = max(res.FailoverEpochs, o.failovers)
 	}
 	return res, cl, nil
 }
@@ -350,139 +394,16 @@ func observe(cl *Cluster, traced, metered bool) (*trace.Tracer, *metrics.Registr
 	return tr, reg, logs
 }
 
-// job is one application of a run: world ranks [lo, lo+ranks) writing
-// nfiles files through Figure 3's workflow.
-type job struct {
-	name     string // file-name prefix
-	lo       int
-	ranks    int
-	workload workloads.Workload
-	nfiles   int
-	compute  sim.Time // compute phase C(k+1) after each write
-	start    sim.Time // delay before the first open (staggered arrival)
-	info     mpi.Info
-	// lastSync counts the last close's non-hidden sync in Eq. 2 and drops
-	// the compute phase after the last write: C(N) = 0 (IOR, §IV-D).
-	lastSync bool
-}
-
-// rankOut is one rank's outcome: its first error, summed cache stats,
-// uncached sessions, largest collective buffer and failover epochs, and
-// the span from its first open to its last close.
-type rankOut struct {
-	err        error
-	stats      core.Stats
-	fallbacks  int
-	peakBuf    int64
-	failovers  int64
-	start, end sim.Time
-}
-
-// account folds one closed file's statistics into the rank's outcome.
-func (o *rankOut) account(h *adio.File) {
-	o.peakBuf = max(o.peakBuf, h.Stats.PeakBufBytes)
-	o.failovers = max(o.failovers, h.Stats.FailoverEpochs)
-	if h.Stats.CacheFallback {
-		o.fallbacks++
-	}
-	if c, ok := h.InstalledHooks().(*core.Cache); ok && c != nil {
-		o.stats = addStats(o.stats, c.Stats)
-	}
-}
-
-// runJobs runs the jobs concurrently on cl, each rank through Figure 3's
-// loop: barrier, open, write phase, barrier, compute, with each close
-// deferred to the start of the next I/O phase. A job spanning the whole
-// world runs on the world communicator; otherwise every rank joins one
-// Split and ranks outside all jobs retire. It returns each world rank's
-// outcome and, per job and file, the write time and the largest close
-// wait over the job's ranks.
-func runJobs(cl *Cluster, jobs []job, logs []*mpe.Log) ([]rankOut, [][]PhaseMetrics, error) {
-	w := cl.World
-	world := w.Comm()
-	whole := len(jobs) == 1 && jobs[0].ranks == w.Size()
-	outs := make([]rankOut, w.Size())
-	times := make([][]PhaseMetrics, len(jobs))
-	for i, j := range jobs {
-		times[i] = make([]PhaseMetrics, j.nfiles)
-	}
-	err := w.Run(func(r *mpi.Rank) {
-		me := world.RankOf(r)
-		ji := -1
-		for i, j := range jobs {
-			if me >= j.lo && me < j.lo+j.ranks {
-				ji = i
-			}
-		}
-		comm := world
-		if !whole {
-			// Split is collective over the world: ranks outside every job
-			// (color < 0) get a nil communicator and retire.
-			if comm = world.Split(r, ji, me); ji < 0 {
-				return
-			}
-		}
-		j, jt, out := &jobs[ji], times[ji], &outs[me]
-		if j.start > 0 {
-			r.Compute(j.start)
-		}
-		out.start = r.Now()
-		fail := func(err error) {
-			if err != nil && out.err == nil {
-				out.err = err
-			}
-		}
-		var prev *mpiio.File
-		prevIdx := -1
-		closePrev := func() {
-			if prev == nil {
-				return
-			}
-			comm.Barrier(r)
-			t0 := r.Now()
-			fail(prev.Close())
-			jt[prevIdx].CloseWait = max(jt[prevIdx].CloseWait, r.Now()-t0)
-			out.account(prev.Handle())
-			prev, prevIdx = nil, -1
-		}
-		for k := 0; k < j.nfiles; k++ {
-			// Figure 3 workflow: the previous file's close is deferred to
-			// the beginning of this I/O phase.
-			closePrev()
-			comm.Barrier(r)
-			t0 := r.Now()
-			f, err := cl.Env.OpenWithLog(r, comm, fmt.Sprintf("%s.%04d", j.name, k),
-				mpiio.ModeCreate|mpiio.ModeWrOnly, j.info, logs[me])
-			if err != nil {
-				fail(err)
-				break
-			}
-			fail(j.workload.WritePhase(r, f, cl.Cfg.Payload))
-			comm.Barrier(r)
-			if me == j.lo {
-				jt[k].WriteTime = r.Now() - t0
-			}
-			prev, prevIdx = f, k
-			if k < j.nfiles-1 || !j.lastSync {
-				r.Compute(j.compute)
-			}
-		}
-		closePrev()
-		out.end = r.Now()
-	})
-	return outs, times, err
-}
-
-// bandwidth is Equation 2: the job's bytes over the summed write times
-// and non-hidden close waits. It zeroes, in times, the waits Eq. 2 does
-// not count: those under the 10 ms noise floor, and the last file's
-// unless lastSync.
-func bandwidth(j job, times []PhaseMetrics, total int64) float64 {
+// bandwidth is Equation 2: total bytes over the summed write times and
+// non-hidden close waits. It zeroes, in times, the waits Eq. 2 does not
+// count: those under the 10 ms noise floor, and the last file's unless
+// lastSync.
+func bandwidth(times []PhaseMetrics, total int64, lastSync bool) float64 {
 	var denom sim.Time
 	for k := range times {
 		// Close always pays a couple of metadata round trips; only count
 		// waits beyond that noise floor as non-hidden synchronisation.
-		if times[k].CloseWait < 10*sim.Millisecond || (k == len(times)-1 && !j.lastSync) {
+		if times[k].CloseWait < 10*sim.Millisecond || (k == len(times)-1 && !lastSync) {
 			times[k].CloseWait = 0
 		}
 		denom += times[k].WriteTime + times[k].CloseWait

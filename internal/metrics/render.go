@@ -94,14 +94,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// FindHistogram returns the named histogram series, or nil.
-func (r *Registry) FindHistogram(name string, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.histIdx[canonKey(name, sortLabels(labels))]
-}
-
 // SumCounters sums every counter series with the given name across all
 // label sets (e.g. a per-rank counter aggregated over ranks).
 func (r *Registry) SumCounters(name string) int64 {

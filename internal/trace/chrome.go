@@ -92,15 +92,18 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 				writeArgs(bw, ev)
 				bw.WriteString("}")
 			case KindCounter:
-				// Chrome keys counter series by (pid, name); qualify the
-				// name with the track so same-named counters on different
-				// stations stay separate series.
+				// Chrome keys a counter series by (pid, name, id); the
+				// track name as id keeps same-named counters on different
+				// stations separate series without widening the name
+				// vocabulary.
 				bw.WriteString("{\"ph\":\"C\",\"pid\":")
 				writeInt(bw, int64(tk.group))
 				bw.WriteString(",\"tid\":")
 				writeInt(bw, int64(tk.tid))
 				bw.WriteString(",\"name\":")
-				writeString(bw, tk.name+":"+ev.Name)
+				writeString(bw, ev.Name)
+				bw.WriteString(",\"id\":")
+				writeString(bw, tk.name)
 				bw.WriteString(",\"ts\":")
 				writeMicros(bw, ev.Start)
 				bw.WriteString(",\"args\":{\"value\":")

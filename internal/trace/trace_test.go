@@ -99,9 +99,13 @@ func TestChromeExport(t *testing.T) {
 		t.Fatalf("unmarshal: %v", err)
 	}
 	phases := map[string]int{}
+	tgtQueue := 0
 	for _, ev := range doc.TraceEvents {
 		ph, _ := ev["ph"].(string)
 		phases[ph]++
+		if ph == "C" && ev["name"] == "queue" && ev["id"] == "pfs.tgt0" {
+			tgtQueue++
+		}
 	}
 	// 3 tracks -> 3 thread_name + 2 groups * 2 process metadata events.
 	if phases["M"] != 7 {
@@ -114,9 +118,10 @@ func TestChromeExport(t *testing.T) {
 	if !strings.Contains(out, "\"ts\":90.123") {
 		t.Fatalf("expected integer-math timestamp 90.123 in output:\n%s", out)
 	}
-	// Counter series must be qualified by track name.
-	if !strings.Contains(out, "\"pfs.tgt0:queue\"") {
-		t.Fatalf("counter name not track-qualified:\n%s", out)
+	// Counter series are keyed by the bare counter name plus the track
+	// name as id, so the name vocabulary stays bounded.
+	if tgtQueue == 0 {
+		t.Fatalf("no counter event named queue with id pfs.tgt0:\n%s", out)
 	}
 }
 

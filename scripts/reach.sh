@@ -97,12 +97,10 @@ if [ -z "$funcs" ]; then
         exit 1
     fi
     # e10stat reports on what the runs wrote plus every committed artifact,
-    # and lints the metrics and the committed artifacts as check.sh does.
-    # (The 8x4 demo trace is not linted: its per-node counter names exceed
-    # the name budget.)
+    # and lints the demo metrics and trace and the committed artifacts.
     for t in "stat $bin/e10stat $out/metrics.json $out/trace.json $out/bench.json $out/replay-bitrot_replay.json $artifacts" \
         "stat-csv $bin/e10stat -format csv $out/metrics.json $out/scale.json $artifacts" \
-        "stat-lint $bin/e10stat -lint -run $out/metrics.json $artifacts"; do
+        "stat-lint $bin/e10stat -lint -run $out/metrics.json $out/trace.json $artifacts"; do
         # shellcheck disable=SC2086 # t is intentionally word-split
         set -- $t
         name=$1; shift
