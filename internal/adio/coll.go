@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -62,7 +63,6 @@ func epochTag(c *mpi.Comm, r *mpi.Rank) int {
 // mixing the two writes zeros for the nil ranks' extents. The
 // e10_resilient_write hint selects the failover write (coll_resilient.go).
 func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
-	r := f.rank
 	total, err := validateSegs(segs)
 	if err != nil {
 		return err
@@ -70,25 +70,43 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 	if data != nil && int64(len(data)) != total {
 		return fmt.Errorf("adio: payload length %d != segment total %d", len(data), total)
 	}
-	resilient, name := f.hints.Extra[HintResilientWrite] == "enable", "coll_write"
+	resilient := f.hints.Extra[HintResilientWrite] == "enable"
+	t0 := f.beginCollWrite()
+	defer f.endCollWrite(t0, resilient, len(segs), total)
+	own := view{segs: segs, pre: prefixSums(segs, data), buf: data}
+	if resilient {
+		return f.writeStridedCollResilient(&own)
+	}
+	return f.writeEpoch(f.comm, segs, &own, nil)
+}
+
+// beginCollWrite counts a collective write and returns its start. It
+// looks up the rank's trace track, registering it as the call's span
+// would at its start; endCollWrite records the span.
+func (f *File) beginCollWrite() sim.Time {
+	r := f.rank
+	f.Stats.CollWrites++
+	f.metrics().Counter("adio_coll_writes_total", layerLabel).Inc()
+	r.TraceTrack(r.World().Kernel().Tracer())
+	return r.Now()
+}
+
+// endCollWrite traces the collective write that began at t0 with nsegs
+// segments of total bytes.
+func (f *File) endCollWrite(t0 sim.Time, resilient bool, nsegs int, total int64) {
+	r := f.rank
+	name := "coll_write"
 	if resilient {
 		name = "coll_write_resilient"
 	}
-	f.Stats.CollWrites++
-	f.metrics().Counter("adio_coll_writes_total", layerLabel).Inc()
 	tr := r.World().Kernel().Tracer()
-	csp := tr.Begin(r.TraceTrack(tr), "adio", name, int64(r.Now()))
-	defer func() { csp.End(int64(r.Now()), trace.I("segs", int64(len(segs))), trace.I("bytes", total)) }()
-	pre := prefixSums(segs, data)
-	if resilient {
-		return f.writeStridedCollResilient(segs, pre, data)
-	}
-	return f.writeEpoch(f.comm, segs, segs, pre, data, nil)
+	tr.SpanAt(r.TraceTrack(tr), "adio", name, int64(t0), int64(r.Now()),
+		trace.I("segs", int64(nsegs)), trace.I("bytes", total))
 }
 
 // writeEpoch runs one extended two-phase write over c for rem, the extents
-// of this rank's access segs still to write (pre and data locate their
-// payload in segs). It follows §II-A: (1) all ranks exchange start/end
+// of this rank's access still to write; own views the whole access, its
+// segments and their payload. It follows §II-A: (1) all ranks exchange start/end
 // offsets; (2) the interleaving check selects collective vs independent
 // I/O, overridable with romio_cb_write; (3) the accessed range is split
 // into file domains by the driver's partitioning strategy; (4) ntimes
@@ -104,144 +122,224 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 // fo is nil for the plain collective write, which runs one epoch on the
 // file's communicator. The failover write runs one per membership epoch
 // and passes its state; coll_resilient.go says what that changes.
-func (f *File) writeEpoch(c *mpi.Comm, rem, segs []extent.Extent, pre []int64, data []byte, fo *failover) error {
-	r := f.rank
-	tag0 := epochTag(c, r)
-	mt := f.metrics()
-	cbMode, log, tr, mRoundNs := HintEnable, (*mpe.Log)(nil), (*trace.Tracer)(nil), (*metrics.Histogram)(nil)
-	if fo == nil {
-		// Only the plain write logs, traces and times its rounds. It
-		// registers its round series before planning, so a call that falls
-		// back to independent I/O still reports them.
-		cbMode, log, tr = f.hints.CBWrite, f.log, r.World().Kernel().Tracer()
-		mRoundNs = mt.Histogram("adio_round_ns", layerLabel)
-		mt.Counter("adio_coll_rounds_total", layerLabel)
-		mt.Counter("adio_exchange_bytes_total", layerLabel)
-	}
-
-	// Steps 1-3: offset exchange, interleaving check, file domains.
-	span := mpe.StartSpan(r.Now())
-	p, err := f.plan(c, rem, cbMode)
-	span.End(log, mpe.PhaseCalc, r.Now())
-	if err != nil {
-		if fo != nil {
-			err = &epochAbort{err}
-		}
+func (f *File) writeEpoch(c *mpi.Comm, rem []extent.Extent, own *view, fo *failover) error {
+	var ep epoch // assigned field by field: a literal would take a second copy's room
+	ep.c, ep.rem, ep.own, ep.fo = c, rem, own, fo
+	if done, err := f.planEpoch(&ep); done {
 		return err
 	}
-	if p.indep {
-		return f.WriteStrided(segs, data)
+	// Step 4: the extended two-phase loop.
+	for m := 0; m < ep.p.ntimes; m++ {
+		if err := f.writeRound(&ep, m); err != nil {
+			return err
+		}
 	}
-	if p.fds == nil {
+	// Step 5: synchronise and exchange error codes.
+	return f.exchangeErr(c, fo, ep.firstErr, "write")
+}
+
+// epoch is the state of one writeEpoch call, which its steps share. It
+// lives in writeEpoch's frame, and each step runs under a frame of its
+// own: a rank parks at a blocking call under the frames of the one step
+// that made it, not under one frame sized for all of them.
+type epoch struct {
+	c        *mpi.Comm
+	rem      []extent.Extent
+	own      *view // this rank's access: its segments and their payload
+	fo       *failover
+	p        twoPhasePlan
+	tag0     int // first shuffle tag of the epoch's rounds
+	firstErr error
+
+	// This round's shuffle result: the messages the aggregator received
+	// and the pieces of its own access it keeps.
+	msgs     []*mpi.Message
+	selfExts []extent.Extent
+
+	// Observers: only the plain write logs, traces and times its rounds.
+	log      *mpe.Log
+	tr       *trace.Tracer
+	ttk      trace.TrackID
+	mRoundNs *metrics.Histogram
+	mExch    *metrics.Counter
+	mRounds  *metrics.Counter
+}
+
+// planEpoch is the epoch's prologue (§II-A steps 1-3). It reports done
+// when the epoch ends there, with the epoch's result: the plan failed,
+// selected independent I/O, or found no data on any rank.
+func (f *File) planEpoch(ep *epoch) (done bool, err error) {
+	r := f.rank
+	ep.tag0 = epochTag(ep.c, r)
+	cbMode := f.observeEpoch(ep)
+	span := mpe.StartSpan(r.Now())
+	ep.p, err = f.plan(ep.c, ep.rem, cbMode)
+	span.End(ep.log, mpe.PhaseCalc, r.Now())
+	switch {
+	case err != nil:
+		if ep.fo != nil {
+			err = &epochAbort{err}
+		}
+		return true, err
+	case ep.p.indep:
+		return true, f.WriteStrided(ep.own.segs, ep.own.buf)
+	case ep.p.fds == nil:
 		// No rank has data; still synchronise error codes.
-		return f.exchangeErr(c, fo, nil, "write")
+		return true, f.exchangeErr(ep.c, ep.fo, nil, "write")
 	}
-	ttk := r.TraceTrack(tr)
+	f.startRounds(ep)
+	return false, nil
+}
+
+// observeEpoch arms the plain write's observers and returns its
+// romio_cb_write mode; the failover write always runs collectively. It
+// registers the round series before planning, so a call that falls back
+// to independent I/O still reports them.
+func (f *File) observeEpoch(ep *epoch) string {
+	if ep.fo != nil {
+		return HintEnable
+	}
+	mt := f.metrics()
+	ep.log, ep.tr = f.log, f.rank.World().Kernel().Tracer()
+	ep.mRoundNs = mt.Histogram("adio_round_ns", layerLabel)
+	mt.Counter("adio_coll_rounds_total", layerLabel)
+	mt.Counter("adio_exchange_bytes_total", layerLabel)
+	return f.hints.CBWrite
+}
+
+// startRounds traces this rank's file domain and looks up the round
+// counters.
+func (f *File) startRounds(ep *epoch) {
+	r := f.rank
+	ep.ttk = r.TraceTrack(ep.tr)
+	if ep.p.myAgg >= 0 {
+		fd := ep.p.fds[ep.p.myAgg]
+		ep.tr.Instant(ep.ttk, "adio", "file_domain", int64(r.Now()), trace.I("off", fd.Off), trace.I("len", fd.Len))
+	}
+	mt := f.metrics()
+	ep.mExch = mt.Counter("adio_exchange_bytes_total", layerLabel)
+	ep.mRounds = mt.Counter("adio_coll_rounds_total", layerLabel)
+}
+
+// writeRound runs round m of the two-phase loop and returns an error only
+// when it ends the epoch. The round plan is reused across rounds:
+// Alltoall does not hold the send list after it returns, and every extent
+// list is consumed within its round.
+func (f *File) writeRound(ep *epoch, m int) error {
+	r := f.rank
+	roundT0 := r.Now()
+
+	// What do I send to each aggregator this round?
+	f.round.planRound(ep.rem, ep.p.fds, ep.p.aggList, ep.p.cb, m)
+
+	// Dissemination: every round starts with an MPI_Alltoall telling
+	// each aggregator how much each process contributes.
+	span := mpe.StartSpan(r.Now())
+	recv, err := ep.c.TryAlltoall(r, f.round.send)
+	span.End(ep.log, mpe.PhaseShuffleA2A, r.Now())
+	if err != nil && ep.fo != nil {
+		return &epochAbort{err}
+	}
+
+	code := f.shuffle(ep, recv, m)
+
+	// Aggregator: pack the collective buffer and write the domain.
+	if win := ep.p.window(m); !win.Empty() && code == ackOK {
+		if err := f.packAndWrite(ep, win); err != nil {
+			code = ackIOErr
+			ep.firstErr = cmp.Or(ep.firstErr, err)
+		}
+		f.Stats.CollRounds++
+		ep.mRounds.Inc()
+	}
+	ep.msgs, ep.selfExts = nil, nil
+	f.endRound(ep, m, roundT0)
+	if ep.fo == nil {
+		return nil
+	}
+	return f.ackRound(ep, code)
+}
+
+// shuffle is round m's data shuffle. An aggregator posts a receive from
+// every other rank with bytes for it (the (src, count) pairs of recv);
+// every rank sends its pieces for the other aggregators and keeps those
+// for its own; then all wait. It leaves the received messages and the
+// kept pieces in ep and returns the round's ack code. On the failover
+// write a sender that died mid-round must not park the aggregator
+// forever: a missed message fails the round with ackTimeout, nothing is
+// written, and the round-ack sends everyone to the next epoch.
+func (f *File) shuffle(ep *epoch, recv []int64, m int) int64 {
+	r := f.rank
+	span := mpe.StartSpan(r.Now())
+	recvReqs, sendReqs := f.postShuffle(ep, recv, ep.tag0+(m&0xffff))
+	r.Waitall(sendReqs)
+	code := int64(ackOK)
+	ep.msgs = make([]*mpi.Message, 0, len(recvReqs))
+	for _, q := range recvReqs {
+		var msg *mpi.Message
+		var err error
+		if ep.fo == nil {
+			msg = r.Wait(q)
+		} else if msg, err = r.WaitDeadline(q, ep.fo.deadline); err != nil {
+			code = ackTimeout
+			break
+		}
+		ep.msgs = append(ep.msgs, msg)
+	}
+	span.End(ep.log, mpe.PhaseExchWaitall, r.Now())
+	return code
+}
+
+// postShuffle posts the shuffle's receives (an aggregator's, from every
+// other rank that sends to it) and sends under tag, and keeps this rank's
+// pieces for its own domain in ep.
+func (f *File) postShuffle(ep *epoch, recv []int64, tag int) (recvReqs, sendReqs []*mpi.Request) {
+	r, c, p, rp := f.rank, ep.c, &ep.p, &f.round
 	if p.myAgg >= 0 {
-		fd := p.fds[p.myAgg]
-		tr.Instant(ttk, "adio", "file_domain", int64(r.Now()), trace.I("off", fd.Off), trace.I("len", fd.Len))
+		for k := 0; k < len(recv); k += 2 {
+			if src := int(recv[k]); src != p.me {
+				recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
+			}
+		}
 	}
-	mExch := mt.Counter("adio_exchange_bytes_total", layerLabel)
-	mRounds := mt.Counter("adio_coll_rounds_total", layerLabel)
-
-	// Step 4: the extended two-phase loop. The round plan is reused across
-	// rounds: Alltoall does not hold the send list after it returns, and
-	// every extent list is consumed within its round.
-	var firstErr error
-	rp := &f.round
-	for m := 0; m < p.ntimes; m++ {
-		roundT0 := r.Now()
-		rsp := tr.Begin(ttk, "adio", "round", int64(roundT0))
-
-		// What do I send to each aggregator this round?
-		rp.planRound(rem, p.fds, p.aggList, p.cb, m)
-
-		// Dissemination: every round starts with an MPI_Alltoall telling
-		// each aggregator how much each process contributes.
-		span = mpe.StartSpan(r.Now())
-		recv, err := c.TryAlltoall(r, rp.send)
-		span.End(log, mpe.PhaseShuffleA2A, r.Now())
-		if err != nil && fo != nil {
-			return &epochAbort{err}
-		}
-
-		// Data shuffle: an aggregator posts a receive from every other rank
-		// with bytes for it (the (src, count) pairs of recv); every rank
-		// sends its pieces for the other aggregators and keeps those for its
-		// own; then all wait. On the failover write a sender that died
-		// mid-round must not park the aggregator forever: a missed message
-		// fails the round with ackTimeout, nothing is written, and the
-		// round-ack sends everyone to the next epoch.
-		span = mpe.StartSpan(r.Now())
-		tag := tag0 + (m & 0xffff)
-		var recvReqs, sendReqs []*mpi.Request
-		var selfExts []extent.Extent
-		if p.myAgg >= 0 {
-			for k := 0; k < len(recv); k += 2 {
-				if src := int(recv[k]); src != p.me {
-					recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
-				}
-			}
-		}
-		for _, g := range rp.groups {
-			exts := rp.exts(g)
-			if p.aggList[g.agg] == p.me {
-				selfExts = exts
-				continue
-			}
-			msg := exchangeMsg(exts, true, view{segs: segs, pre: pre, buf: data})
-			f.Stats.BytesExchanged += msg.Size
-			mExch.Add(msg.Size)
-			sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
-		}
-		r.Waitall(sendReqs)
-		code, msgs := int64(ackOK), make([]*mpi.Message, 0, len(recvReqs))
-		for _, q := range recvReqs {
-			var msg *mpi.Message
-			if fo == nil {
-				msg = r.Wait(q)
-			} else if msg, err = r.WaitDeadline(q, fo.deadline); err != nil {
-				code = ackTimeout
-				break
-			}
-			msgs = append(msgs, msg)
-		}
-		span.End(log, mpe.PhaseExchWaitall, r.Now())
-
-		// Aggregator: pack the collective buffer and write the domain.
-		if win := p.window(m); !win.Empty() && code == ackOK {
-			if err := f.packAndWrite(win, msgs, selfExts, segs, pre, data); err != nil {
-				code = ackIOErr
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-			f.Stats.CollRounds++
-			mRounds.Inc()
-		}
-		rsp.End(int64(r.Now()), trace.I("round", int64(m)), trace.I("ntimes", int64(p.ntimes)))
-		mRoundNs.Observe(int64(r.Now() - roundT0))
-		if fo == nil {
+	for _, g := range rp.groups {
+		exts := rp.exts(g)
+		if p.aggList[g.agg] == p.me {
+			ep.selfExts = exts
 			continue
 		}
-
-		// Round-ack: senders release this round's extents only when every
-		// surviving aggregator confirms the round landed.
-		switch res, err := c.TryAllreduce(r, []int64{code}, mpi.MaxOp); {
-		case err != nil:
-			return &epochAbort{err}
-		case res[0] == ackTimeout:
-			return &epochAbort{mpi.ErrRecvTimeout}
-		case res[0] == ackIOErr:
-			return cmp.Or(firstErr, errors.New("adio: collective write failed on another rank"))
-		}
-		for _, e := range rp.pieces {
-			fo.acked.Add(e)
-		}
+		msg := exchangeMsg(exts, true, ep.own)
+		f.Stats.BytesExchanged += msg.Size
+		ep.mExch.Add(msg.Size)
+		sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
 	}
+	return recvReqs, sendReqs
+}
 
-	// Step 5: synchronise and exchange error codes.
-	return f.exchangeErr(c, fo, firstErr, "write")
+// endRound traces round m, which started at t0, and times it.
+func (f *File) endRound(ep *epoch, m int, t0 sim.Time) {
+	now := f.rank.Now()
+	ep.tr.SpanAt(ep.ttk, "adio", "round", int64(t0), int64(now),
+		trace.I("round", int64(m)), trace.I("ntimes", int64(ep.p.ntimes)))
+	ep.mRoundNs.Observe(int64(now - t0))
+}
+
+// ackRound is the failover write's round-ack: senders release this
+// round's extents only when every surviving aggregator confirms the round
+// landed. code is this rank's status for the round.
+func (f *File) ackRound(ep *epoch, code int64) error {
+	switch res, err := ep.c.TryAllreduce(f.rank, []int64{code}, mpi.MaxOp); {
+	case err != nil:
+		return &epochAbort{err}
+	case res[0] == ackTimeout:
+		return &epochAbort{mpi.ErrRecvTimeout}
+	case res[0] == ackIOErr:
+		return cmp.Or(ep.firstErr, errors.New("adio: collective write failed on another rank"))
+	}
+	for _, e := range f.round.pieces {
+		ep.fo.acked.Add(e)
+	}
+	return nil
 }
 
 // exchangeErr is the two-phase epilogue over c: the ranks exchange error
@@ -508,7 +606,7 @@ func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {
 // as (off, len) pairs, and a reply answers a request that listed them.
 // Size adds a 16-byte per-extent header to the bytes. When src has a
 // buffer, the payload is a view of the bytes in it.
-func exchangeMsg(exts []extent.Extent, vals bool, src view) mpi.Message {
+func exchangeMsg(exts []extent.Extent, vals bool, src *view) mpi.Message {
 	var m mpi.Message
 	if vals {
 		m.Vals = make([]int64, 0, 2*len(exts))
@@ -522,7 +620,7 @@ func exchangeMsg(exts []extent.Extent, vals bool, src view) mpi.Message {
 	}
 	m.Size = bytes + 16*int64(len(exts))
 	if src.buf != nil && bytes > 0 {
-		v := src
+		v := *src
 		v.n = bytes
 		m.Data = &v
 	}
@@ -536,8 +634,10 @@ func exchangeMsg(exts []extent.Extent, vals bool, src view) mpi.Message {
 // names its extents in Vals and views the sender's payload in segment
 // order; a read reply answers its request's extents and views the
 // aggregator's collective buffer holding window win, as segs [win] and pre
-// [0, win.Len]. The sender keeps buf valid and unchanged until the
-// collective call has returned on every rank (DESIGN.md, adio).
+// [0, win.Len]. A collective write's own view of the rank's access, with n
+// unset, is what its shuffle messages copy. The sender keeps buf valid
+// and unchanged until the collective call has returned on every rank
+// (DESIGN.md, adio).
 type view struct {
 	n    int64
 	segs []extent.Extent
@@ -560,33 +660,44 @@ func (v *view) at(e extent.Extent) []byte {
 // contiguous covered run via WriteContig (holes are skipped, as ROMIO does
 // when hole detection shows no read-modify-write is needed). A piece from a
 // metadata-only sender (nil Data, or nil data here) is written as zeros.
-func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []extent.Extent,
-	segs []extent.Extent, pre []int64, data []byte) error {
+func (f *File) packAndWrite(ep *epoch, win extent.Extent) error {
 	r := f.rank
+	runs, packed, payload := ep.cover()
+
+	// Packing cost: one memory copy of the collective buffer contents.
+	span := mpe.StartSpan(r.Now())
+	r.Node().LocalCopy(r.Proc(), packed)
+	span.End(f.log, mpe.PhasePack, r.Now())
+	return f.writeRuns(ep, win, runs, packed, payload)
+}
+
+// cover returns the round's covered runs, the union of the pieces the
+// aggregator received and kept, with the bytes packed and whether any
+// piece carries payload.
+func (ep *epoch) cover() (runs []extent.Extent, packed int64, payload bool) {
 	var cover extent.Set
-	var packed int64
-	payload := data != nil && len(selfExts) > 0
-	for _, m := range msgs {
+	payload = ep.own.buf != nil && len(ep.selfExts) > 0
+	for _, m := range ep.msgs {
 		payload = payload || m.Data != nil
 		for i := 0; i+1 < len(m.Vals); i += 2 {
 			cover.Add(extent.Extent{Off: m.Vals[i], Len: m.Vals[i+1]})
 			packed += m.Vals[i+1]
 		}
 	}
-	for _, e := range selfExts {
+	for _, e := range ep.selfExts {
 		cover.Add(e)
 		packed += e.Len
 	}
+	return cover.Extents(), packed, payload
+}
 
-	// Packing cost: one memory copy of the collective buffer contents.
+// writeRuns writes the covered runs of win from the collective buffer,
+// which it fills first when the round carries payload.
+func (f *File) writeRuns(ep *epoch, win extent.Extent, runs []extent.Extent, packed int64, payload bool) error {
+	r := f.rank
 	span := mpe.StartSpan(r.Now())
-	r.Node().LocalCopy(r.Proc(), packed)
-	span.End(f.log, mpe.PhasePack, r.Now())
-
-	span = mpe.StartSpan(r.Now())
 	defer func() { span.End(f.log, mpe.PhaseWrite, r.Now()) }()
 
-	runs := cover.Extents()
 	var buf []byte
 	if payload {
 		buf = f.collBuf(win.Len)
@@ -603,24 +714,7 @@ func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []e
 		runs = append(runs[:0], win)
 	}
 	if payload {
-		for _, m := range msgs {
-			v, _ := m.Data.(*view)
-			for i := 0; i+1 < len(m.Vals); i += 2 {
-				e := extent.Extent{Off: m.Vals[i], Len: m.Vals[i+1]}
-				if dst := buf[e.Off-win.Off : e.End()-win.Off]; v == nil {
-					clear(dst)
-				} else {
-					copy(dst, v.at(e))
-				}
-			}
-		}
-		for _, e := range selfExts {
-			if dst := buf[e.Off-win.Off : e.End()-win.Off]; data == nil {
-				clear(dst)
-			} else {
-				copyFromSegs(dst, e, segs, pre, data)
-			}
-		}
+		ep.fill(buf, win)
 	}
 	var err error
 	for _, run := range runs {
@@ -633,6 +727,30 @@ func (f *File) packAndWrite(win extent.Extent, msgs []*mpi.Message, selfExts []e
 		}
 	}
 	return err
+}
+
+// fill copies the round's pieces into buf, which holds win: received
+// bytes from the views their senders lent, kept ones from this rank's
+// payload, and a metadata-only piece as zeros.
+func (ep *epoch) fill(buf []byte, win extent.Extent) {
+	for _, m := range ep.msgs {
+		v, _ := m.Data.(*view)
+		for i := 0; i+1 < len(m.Vals); i += 2 {
+			e := extent.Extent{Off: m.Vals[i], Len: m.Vals[i+1]}
+			if dst := buf[e.Off-win.Off : e.End()-win.Off]; v == nil {
+				clear(dst)
+			} else {
+				copy(dst, v.at(e))
+			}
+		}
+	}
+	for _, e := range ep.selfExts {
+		if dst := buf[e.Off-win.Off : e.End()-win.Off]; ep.own.buf == nil {
+			clear(dst)
+		} else {
+			copyFromSegs(dst, e, ep.own.segs, ep.own.pre, ep.own.buf)
+		}
+	}
 }
 
 // copyFromSegs copies the bytes of file extent e from data, the rank's

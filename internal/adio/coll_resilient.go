@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/extent"
+	"repro/internal/mpi"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -77,53 +78,74 @@ type failover struct {
 	acked    extent.Set // this rank's extents whose round was acknowledged
 }
 
-// writeStridedCollResilient runs the failover epoch loop. Each epoch
-// writes only the gaps the acknowledged extents leave in segs.
-func (f *File) writeStridedCollResilient(segs []extent.Extent, pre []int64, data []byte) error {
-	r, w := f.rank, f.rank.World()
-	tr := w.Kernel().Tracer()
-
+// writeStridedCollResilient runs the failover epoch loop over this rank's
+// access own. Each epoch writes only the gaps the acknowledged extents
+// leave in its segments.
+func (f *File) writeStridedCollResilient(own *view) error {
 	// Collective calls run in lockstep, so this per-file call counter agrees
 	// across the communicator and keys the epochs' communicator scopes.
 	call := f.resilCall
 	f.resilCall++
-
-	// The receive deadline must undercut the collective timeout: an
-	// aggregator that gives up on a dead sender has to reach the round-ack
-	// before the other survivors' round-ack timer fires, so that all see
-	// the same failed collective and enter the next epoch at once. A longer
-	// deadline leaves the aggregator one collective behind for good.
-	fo := &failover{deadline: w.CollTimeout() / 2}
-	if fo.deadline <= 0 {
-		fo.deadline = DefaultRecvDeadline
-	}
-
+	fo := f.newFailover()
 	for epoch := 0; epoch < maxFailoverEpochs; epoch++ {
-		// Survivor membership, in the file communicator's rank order, so
-		// every live rank derives the same sub-communicator and aggregator
-		// placement. No survivor returns before every other one has passed
-		// here for each epoch, so freeing on return is safe.
-		sub := f.comm.Survivors(fmt.Sprintf("e10res|%s|c%d|e%d", f.path, call, epoch))
+		// No survivor returns before every other one has passed here for
+		// each epoch, so freeing on return is safe.
+		sub, err := f.survivors(call, epoch)
 		defer sub.Free()
-		if sub.RankOf(r) < 0 {
-			return fmt.Errorf("adio: rank %d not in survivor set", r.ID())
+		if err != nil {
+			return err
 		}
-		if epoch > 0 {
-			f.Stats.FailoverEpochs++
-			f.metrics().Counter("adio_failover_epochs_total", layerLabel).Inc()
-			tr.Instant(r.TraceTrack(tr), "adio", "failover_epoch", int64(r.Now()),
-				trace.I("epoch", int64(epoch)), trace.I("survivors", int64(sub.Size())))
-		}
-		// This rank's pending work: the unacked gaps of each original
-		// segment, sorted and disjoint like segs.
-		var rem []extent.Extent
-		for _, s := range segs {
-			rem = append(rem, fo.acked.Gaps(s)...)
-		}
-		err := f.writeEpoch(sub, rem, segs, pre, data, fo)
+		err = f.writeEpoch(sub, f.pending(own, fo, sub, epoch), own, fo)
 		if err == nil || !errors.Is(err, errEpochFailed) {
 			return err
 		}
 	}
 	return fmt.Errorf("%w (after %d epochs)", ErrFailoverExhausted, maxFailoverEpochs)
+}
+
+// newFailover returns the failover state of one call. The receive
+// deadline must undercut the collective timeout: an aggregator that gives
+// up on a dead sender has to reach the round-ack before the other
+// survivors' round-ack timer fires, so that all see the same failed
+// collective and enter the next epoch at once. A longer deadline leaves
+// the aggregator one collective behind for good.
+func (f *File) newFailover() *failover {
+	fo := &failover{deadline: f.rank.World().CollTimeout() / 2}
+	if fo.deadline <= 0 {
+		fo.deadline = DefaultRecvDeadline
+	}
+	return fo
+}
+
+// survivors returns the survivor communicator of the file's communicator
+// for epoch of failover write call, with the members in the file
+// communicator's rank order, so every live rank derives the same
+// sub-communicator and aggregator placement. It fails when this rank is
+// not a survivor.
+func (f *File) survivors(call, epoch int) (*mpi.Comm, error) {
+	r := f.rank
+	sub := f.comm.Survivors(fmt.Sprintf("e10res|%s|c%d|e%d", f.path, call, epoch))
+	if sub.RankOf(r) < 0 {
+		return sub, fmt.Errorf("adio: rank %d not in survivor set", r.ID())
+	}
+	return sub, nil
+}
+
+// pending counts and traces a failover epoch after the first, and returns
+// this rank's pending work for it: the unacked gaps of each segment of
+// own, sorted and disjoint like them.
+func (f *File) pending(own *view, fo *failover, sub *mpi.Comm, epoch int) []extent.Extent {
+	if epoch > 0 {
+		r := f.rank
+		f.Stats.FailoverEpochs++
+		f.metrics().Counter("adio_failover_epochs_total", layerLabel).Inc()
+		tr := r.World().Kernel().Tracer()
+		tr.Instant(r.TraceTrack(tr), "adio", "failover_epoch", int64(r.Now()),
+			trace.I("epoch", int64(epoch)), trace.I("survivors", int64(sub.Size())))
+	}
+	var rem []extent.Extent
+	for _, s := range own.segs {
+		rem = append(rem, fo.acked.Gaps(s)...)
+	}
+	return rem
 }

@@ -137,7 +137,7 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 			span2.End(log, mpe.PhaseWrite, r.Now()) // file I/O time
 			// Reply to every requester.
 			for _, q := range reqs {
-				msg := exchangeMsg(q.exts, false, wv)
+				msg := exchangeMsg(q.exts, false, &wv)
 				f.Stats.BytesExchanged += msg.Size
 				r.Send(c.Member(q.src).ID(), repTag, msg)
 			}

@@ -97,7 +97,7 @@ func NewPool(k *sim.Kernel, cfg Config, nodes []*netsim.Node, clients []*pfs.Cli
 	}
 	p := &Pool{k: k, cfg: cfg}
 	for i := 0; i < cfg.Proxies; i++ {
-		dev := nvm.NewDevice(k, fmt.Sprintf("bb%d.nvme", i), cfg.Device)
+		dev := nvm.NewDevice(k, "bb.nvme", fmt.Sprintf("bb%d.nvme", i), cfg.Device)
 		px := &proxy{
 			pool:   p,
 			node:   nodes[i],

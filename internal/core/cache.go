@@ -236,6 +236,15 @@ func (c *Cache) meters() *cacheMetrics {
 	if cm := c.env.meters; cm != nil && cm.reg == m {
 		return cm
 	}
+	return c.env.registerMeters(m)
+}
+
+// registerMeters registers the cache layer's metric handles with m. It
+// stays out of line: its frame is larger than the rest of a cache write's
+// frames together.
+//
+//go:noinline
+func (env *Env) registerMeters(m *metrics.Registry) *cacheMetrics {
 	layer := metrics.L(metrics.KeyLayer, "core")
 	cm := &cacheMetrics{
 		reg:        m,
@@ -255,7 +264,7 @@ func (c *Cache) meters() *cacheMetrics {
 		extentNs:   m.Histogram("cache_sync_extent_ns", layer),
 		chunkNs:    m.Histogram("cache_sync_chunk_ns", layer),
 	}
-	c.env.meters = cm
+	env.meters = cm
 	return cm
 }
 
@@ -509,8 +518,6 @@ func (c *Cache) WriteContig(f *adio.File, data []byte, off, size int64) (bool, e
 		c.noteWriteThrough(off, size)
 		return false, nil
 	}
-	r := f.Rank()
-	p := r.Proc()
 	e := extent.Extent{Off: off, Len: size}
 
 	// A write over a quarantined range supersedes the corrupt bytes with
@@ -521,51 +528,81 @@ func (c *Cache) WriteContig(f *adio.File, data []byte, off, size int64) (bool, e
 		c.noteWriteThrough(off, size)
 		return false, nil
 	}
+	lock, ok, err := c.writeLocal(f, data, e)
+	if !ok {
+		return false, err
+	}
+	return c.postSync(f.Rank(), e, lock)
+}
 
-	var lock *pfs.Lock
+// writeLocal is the blocking part of a cache write: the coherent mode's
+// extent lock, the cache space and the device write. It reports ok with
+// the lock held (nil outside coherent mode) once the bytes are in the
+// cache file; otherwise the lock is released and the write goes to the
+// global file, or fails with ErrCrashed.
+func (c *Cache) writeLocal(f *adio.File, data []byte, e extent.Extent) (lock *pfs.Lock, ok bool, err error) {
+	p := f.Rank().Proc()
 	if c.opts.Mode == CacheCoherent && c.env.Locks != nil {
 		lock = c.env.Locks.Acquire(p, f.Path(), pfs.WriteLock, e)
 		c.Stats.CoherentLockHeld++
 	}
-
 	// allocCache is Fallocate plus, under tenancy, the backpressure ladder:
 	// reclaim clean extents, then block-and-poll up to the tenant's
 	// BlockTimeout before surfacing the pressure error.
-	if err := c.allocCache(p, off, size); err != nil {
-		if lock != nil {
-			c.env.Locks.Unlock(lock)
-		}
-		if errors.Is(err, ErrCrashed) {
-			// The node died while the write was blocked on capacity.
-			return false, ErrCrashed
-		}
-		// No space or dead device: let the write go to the global file
-		// directly. Quota pressure is not a device error.
-		if !errors.Is(err, nvm.ErrQuota) {
-			c.noteCacheError(err)
-		}
-		c.noteWriteThrough(off, size)
-		return false, nil
+	if err := c.allocCache(p, e.Off, e.Len); err != nil {
+		return nil, false, c.allocFailed(lock, e, err)
 	}
-	if err := c.cfile.WriteAt(p, data, off, size); err != nil {
-		if lock != nil {
-			c.env.Locks.Unlock(lock)
-		}
+	if err := c.cfile.WriteAt(p, data, e.Off, e.Len); err != nil {
+		c.writeFailed(lock, e, err)
+		return nil, false, nil
+	}
+	return lock, true, nil
+}
+
+// allocFailed releases lock after the cache space for e could not be
+// allocated. A node that died while the write was blocked on capacity
+// fails the write with ErrCrashed. Otherwise, with no space or a dead
+// device, the write goes to the global file directly; quota pressure is
+// not a device error.
+func (c *Cache) allocFailed(lock *pfs.Lock, e extent.Extent, err error) error {
+	if lock != nil {
+		c.env.Locks.Unlock(lock)
+	}
+	if errors.Is(err, ErrCrashed) {
+		return ErrCrashed
+	}
+	if !errors.Is(err, nvm.ErrQuota) {
 		c.noteCacheError(err)
-		c.noteWriteThrough(off, size)
-		return false, nil
 	}
+	c.noteWriteThrough(e.Off, e.Len)
+	return nil
+}
+
+// writeFailed releases lock after the device write of e failed; the
+// write goes to the global file directly.
+func (c *Cache) writeFailed(lock *pfs.Lock, e extent.Extent, err error) {
+	if lock != nil {
+		c.env.Locks.Unlock(lock)
+	}
+	c.noteCacheError(err)
+	c.noteWriteThrough(e.Off, e.Len)
+}
+
+// postSync is the tail of a cache write whose bytes are in the cache
+// file: it accounts and traces the write and posts its synchronisation
+// request, which holds lock until the sync thread completes it.
+func (c *Cache) postSync(r *mpi.Rank, e extent.Extent, lock *pfs.Lock) (bool, error) {
 	c.Stats.CacheWrites++
-	c.Stats.CacheBytes += size
+	c.Stats.CacheBytes += e.Len
 	m := c.meters()
 	if m != nil {
 		m.writes.Inc()
-		m.bytes.Add(size)
+		m.bytes.Add(e.Len)
 	}
 	c.dirty.Add(e)
 	tr, tk := c.tracer()
 	tr.Instant(tk, "cache", "cache_write", int64(r.Now()),
-		trace.I("off", off), trace.I("bytes", size))
+		trace.I("off", e.Off), trace.I("bytes", e.Len))
 
 	// The lock acquisition and the device write both block, so the node may
 	// have crashed underneath us. The bytes are in the cache file and the
@@ -589,7 +626,7 @@ func (c *Cache) WriteContig(f *adio.File, data []byte, off, size int64) (bool, e
 	// sync thread — is the window in which sync can hide behind compute;
 	// trace it as an async span.
 	req.aid = tr.AsyncBegin(tk, "cache", "sync_req", int64(r.Now()),
-		trace.I("off", off), trace.I("len", size))
+		trace.I("off", e.Off), trace.I("len", e.Len))
 	c.Stats.SyncRequests++
 	if m != nil {
 		m.syncReqs.Inc()

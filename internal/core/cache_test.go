@@ -51,7 +51,7 @@ func newRigSeed(t *testing.T, seed int64, nodes, perNode int, factory store.Fact
 	nvms := make([]*nvm.FS, nodes)
 	for i := 0; i < nodes; i++ {
 		clients[i] = fs.NewClient(fab.Node(i))
-		dev := nvm.NewDevice(k, "ssd", nvm.DeviceConfig{
+		dev := nvm.NewDevice(k, "ssd", "ssd", nvm.DeviceConfig{
 			WriteRate: 500 * sim.MBps, ReadRate: 520 * sim.MBps,
 			Latency: 60 * sim.Microsecond, Capacity: 1 << 30,
 		})
@@ -336,7 +336,7 @@ func TestFallbackWhenNoLocalStorage(t *testing.T) {
 func TestFullCacheWritesThrough(t *testing.T) {
 	rg := newRig(t, 1, 1, store.NewNull)
 	// Shrink the SSD to 1 MB.
-	dev := nvm.NewDevice(rg.k, "tiny", nvm.DeviceConfig{
+	dev := nvm.NewDevice(rg.k, "ssd", "tiny", nvm.DeviceConfig{
 		WriteRate: 500 * sim.MBps, ReadRate: 500 * sim.MBps, Capacity: 1 << 20,
 	})
 	tiny := nvm.NewFS(dev, nvm.FSConfig{SupportsFallocate: true}, store.NewNull)

@@ -119,10 +119,16 @@ func pressureErr(err error) bool {
 // Returns ErrCrashed if the node dies while blocked.
 func (c *Cache) allocCache(p *sim.Proc, off, size int64) error {
 	err := c.cfile.Fallocate(p, off, size)
-	t := c.opts.Tenant
-	if err == nil || t.Name == "" || !pressureErr(err) {
+	if err == nil || c.opts.Tenant.Name == "" || !pressureErr(err) {
 		return err
 	}
+	return c.allocUnderPressure(p, off, size, err)
+}
+
+// allocUnderPressure is allocCache's backpressure ladder after the first
+// Fallocate failed with err under capacity pressure.
+func (c *Cache) allocUnderPressure(p *sim.Proc, off, size int64, err error) error {
+	t := c.opts.Tenant
 	arb := c.tenantArb()
 	if arb.Reclaim(t.Name, size) > 0 {
 		if err = c.cfile.Fallocate(p, off, size); err == nil || !pressureErr(err) {

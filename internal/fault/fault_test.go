@@ -16,7 +16,7 @@ import (
 // testTargets builds a minimal machine: one SSD, a 4-target PFS, a 2-node
 // fabric.
 func testTargets(k *sim.Kernel) Targets {
-	dev := nvm.NewDevice(k, "ssd0", nvm.DeviceConfig{
+	dev := nvm.NewDevice(k, "ssd", "ssd0", nvm.DeviceConfig{
 		WriteRate: 100 * sim.MBps, ReadRate: 100 * sim.MBps, Capacity: 1 << 30,
 	})
 	cfg := pfs.DefaultConfig()

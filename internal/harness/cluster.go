@@ -112,7 +112,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	nvms := make([]*nvm.FS, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		clients[i] = fs.NewClient(fab.Node(i))
-		dev := nvm.NewDevice(k, fmt.Sprintf("ssd.n%d", i), cfg.SSD)
+		dev := nvm.NewDevice(k, "ssd", fmt.Sprintf("ssd.n%d", i), cfg.SSD)
 		nvms[i] = nvm.NewFS(dev, nvm.FSConfig{SupportsFallocate: true}, nvmFactory)
 	}
 	w := mpi.NewWorldOn(k, fab, cfg.RanksPerNode, cfg.Nodes)

@@ -109,6 +109,9 @@ type Spec struct {
 	// Cluster.OnCrash, arm per-node loss probabilities, or schedule
 	// virtual-time callbacks. Everything it does must be deterministic.
 	PreRun func(cl *Cluster) error
+	// blockProbe is attached to the kernel with SetBlockProbe; the stack
+	// gate's tests set it, and every other run leaves it nil.
+	blockProbe func()
 }
 
 // DefaultCollTimeout is the collective timeout Run arms when
@@ -251,6 +254,7 @@ func run(spec Spec) (*Result, *Cluster, error) {
 		}
 		cl.World.SetCollTimeout(ct)
 	}
+	cl.Kernel.SetBlockProbe(spec.blockProbe)
 	if spec.PreRun != nil {
 		if err := spec.PreRun(cl); err != nil {
 			return nil, nil, err
@@ -274,62 +278,14 @@ func run(spec Spec) (*Result, *Cluster, error) {
 		Phases:     make([]PhaseMetrics, spec.NFiles),
 		Breakdown:  make(map[mpe.Phase]sim.Time),
 	}
-	// Every rank runs Figure 3's loop on the world communicator: barrier,
-	// open, write phase, barrier, compute, with each close deferred to the
-	// start of the next I/O phase. Phases gets each file's write time and
-	// its largest close wait over the ranks.
-	world, info := cl.World.Comm(), spec.hints()
-	errs := make([]error, nranks)
-	err := cl.World.Run(func(r *mpi.Rank) {
-		me := r.ID()
-		fail := func(err error) {
-			if err != nil && errs[me] == nil {
-				errs[me] = err
-			}
-		}
-		var prev *mpiio.File
-		closePrev := func(k int) { // k is prev's file index
-			if prev == nil {
-				return
-			}
-			world.Barrier(r)
-			t0 := r.Now()
-			fail(prev.Close())
-			res.Phases[k].CloseWait = max(res.Phases[k].CloseWait, r.Now()-t0)
-			st := &prev.Handle().Stats
-			res.PeakBufBytes = max(res.PeakBufBytes, st.PeakBufBytes)
-			res.FailoverEpochs = max(res.FailoverEpochs, st.FailoverEpochs)
-			prev = nil
-		}
-		for k := 0; k < spec.NFiles; k++ {
-			closePrev(k - 1)
-			world.Barrier(r)
-			t0 := r.Now()
-			f, err := cl.Env.OpenWithLog(r, world, fmt.Sprintf("%s.%04d", spec.Workload.Name(), k),
-				mpiio.ModeCreate|mpiio.ModeWrOnly, info, logs[me])
-			if err != nil {
-				fail(err)
-				break
-			}
-			fail(spec.Workload.WritePhase(r, f, cl.Cfg.Payload))
-			world.Barrier(r)
-			if me == 0 {
-				res.Phases[k].WriteTime = r.Now() - t0
-			}
-			prev = f
-			// With IncludeLastSync the last write has no compute phase
-			// after it: C(N) = 0 (IOR, §IV-D).
-			if k < spec.NFiles-1 || !spec.IncludeLastSync {
-				r.Compute(spec.ComputeDelay)
-			}
-		}
-		closePrev(spec.NFiles - 1)
-	})
+	fig := &figure3{cl: cl, spec: &spec, res: res, world: cl.World.Comm(), info: spec.hints(),
+		logs: logs, errs: make([]error, nranks)}
+	err := cl.World.Run(fig.rank)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Report the lowest-ranked failing rank's first error.
-	for _, e := range errs {
+	for _, e := range fig.errs {
 		if e != nil {
 			return nil, nil, e
 		}
@@ -365,6 +321,79 @@ func run(spec Spec) (*Result, *Cluster, error) {
 		res.Breakdown[ph] = mpe.Aggregate(logs, ph).Max
 	}
 	return res, cl, nil
+}
+
+// figure3 is the rank program of a run, which every rank runs on the
+// world communicator: Figure 3's loop of barrier, open, write phase,
+// barrier and compute, with each close deferred to the start of the next
+// I/O phase. Phases gets each file's write time and its largest close
+// wait over the ranks. The program's state lives here, on the heap, so a
+// rank's own frames stay small: every rank parks under them.
+type figure3 struct {
+	cl    *Cluster
+	spec  *Spec
+	res   *Result
+	world *mpi.Comm
+	info  mpi.Info
+	logs  []*mpe.Log // per world rank
+	errs  []error    // each world rank's first error
+}
+
+// rank runs the program on r.
+func (g *figure3) rank(r *mpi.Rank) {
+	var prev *mpiio.File
+	for k := 0; k < g.spec.NFiles; k++ {
+		g.closeFile(r, prev, k-1)
+		prev = nil
+		g.world.Barrier(r)
+		t0 := r.Now()
+		f, err := g.open(r, k)
+		if err != nil {
+			g.fail(r, err)
+			break
+		}
+		g.fail(r, g.spec.Workload.WritePhase(r, f, g.cl.Cfg.Payload))
+		g.world.Barrier(r)
+		if r.ID() == 0 {
+			g.res.Phases[k].WriteTime = r.Now() - t0
+		}
+		prev = f
+		// With IncludeLastSync the last write has no compute phase
+		// after it: C(N) = 0 (IOR, §IV-D).
+		if k < g.spec.NFiles-1 || !g.spec.IncludeLastSync {
+			r.Compute(g.spec.ComputeDelay)
+		}
+	}
+	g.closeFile(r, prev, g.spec.NFiles-1)
+}
+
+// open opens file k of the run on r.
+func (g *figure3) open(r *mpi.Rank, k int) (*mpiio.File, error) {
+	return g.cl.Env.OpenWithLog(r, g.world, fmt.Sprintf("%s.%04d", g.spec.Workload.Name(), k),
+		mpiio.ModeCreate|mpiio.ModeWrOnly, g.info, g.logs[r.ID()])
+}
+
+// closeFile closes f, file k of the run, after a barrier (nothing when f
+// is nil), and records its close wait and the file's statistics.
+func (g *figure3) closeFile(r *mpi.Rank, f *mpiio.File, k int) {
+	if f == nil {
+		return
+	}
+	g.world.Barrier(r)
+	t0 := r.Now()
+	g.fail(r, f.Close())
+	res := g.res
+	res.Phases[k].CloseWait = max(res.Phases[k].CloseWait, r.Now()-t0)
+	st := &f.Handle().Stats
+	res.PeakBufBytes = max(res.PeakBufBytes, st.PeakBufBytes)
+	res.FailoverEpochs = max(res.FailoverEpochs, st.FailoverEpochs)
+}
+
+// fail keeps err as r's error unless r already has one.
+func (g *figure3) fail(r *mpi.Rank, err error) {
+	if err != nil && g.errs[r.ID()] == nil {
+		g.errs[r.ID()] = err
+	}
 }
 
 // observe arms the event tracer and the metrics registry as asked and

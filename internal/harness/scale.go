@@ -197,7 +197,10 @@ func crashTargets(cfg ScaleConfig, nodes int) []int {
 // RunScale executes one kilo-rank collective write and returns its
 // report. The run is deterministic: every digest-covered field is a pure
 // function of the config.
-func RunScale(cfg ScaleConfig) (*ScaleReport, error) {
+func RunScale(cfg ScaleConfig) (*ScaleReport, error) { return runScale(cfg, nil) }
+
+// runScale is RunScale with a block probe for the kernel (nil for none).
+func runScale(cfg ScaleConfig, probe func()) (*ScaleReport, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Ranks%cfg.PerNode != 0 {
 		return nil, fmt.Errorf("scale: ranks %d not divisible by per-node %d", cfg.Ranks, cfg.PerNode)
@@ -219,6 +222,7 @@ func RunScale(cfg ScaleConfig) (*ScaleReport, error) {
 		Metrics:      cfg.Metrics,
 		TraceEvents:  cfg.TraceEvents,
 		CritPath:     cfg.CritPath,
+		blockProbe:   probe,
 	}
 	switch cfg.Variant {
 	case ScaleClean:

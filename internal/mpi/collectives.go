@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // CollModel selects how collectives are executed.
@@ -283,12 +282,64 @@ func (c *Comm) cut() bool {
 // virtual time untouched.
 func (c *Comm) rendezvous(r *Rank, kind string, perRankBytes int64, input []int64) (*collState, error) {
 	r.checkKilled()
+	me, st := c.arrive(r, kind)
+	if st == nil {
+		return &collState{inputs: c.settle(kind, [][]int64{input})}, nil
+	}
+	if st.err != nil {
+		// The call slot already timed out: a straggler fails immediately
+		// instead of parking for a timeout of its own, so a rank that fell
+		// one collective behind (slow open, receive deadline) resynchronises
+		// with the group at the next call rather than trailing forever.
+		return st, st.err
+	}
+	st.inputs[me] = input
+	st.got[me] = true
+	st.arrived++
+	if perRankBytes > st.bytes {
+		st.bytes = perRankBytes
+	}
+	if st.arrived == len(c.ranks) && !(st.timer != nil && c.cut()) {
+		// Last arrival, communicator reachable: everyone resumes after the
+		// modelled completion time.
+		delete(c.states, st.n)
+		if st.timer != nil {
+			st.timer.Stop()
+		}
+		st.inputs = c.settle(kind, st.inputs)
+		cost := c.collCost(kind, perRankBytes)
+		st.finish = r.proc.Now() + cost
+		for _, wr := range st.waiters {
+			c.w.k.WakeAt(st.finish, wr.proc)
+		}
+		r.proc.Sleep(cost)
+		return st, nil
+	}
+	if st.arrived == len(c.ranks) {
+		// All arrived but a partition cuts the communicator: hold the
+		// collective open until the fabric heals or the timer fires.
+		delete(c.states, st.n)
+		c.w.heldColl = append(c.w.heldColl, st)
+	}
+	st.waiters = append(st.waiters, r)
+	r.collSt = st
+	r.proc.Park()
+	r.collSt = nil
+	r.checkKilled()
+	return st, st.err
+}
+
+// arrive returns r's position in c and the state of r's next call on c,
+// which the first rank to arrive creates, arming the collective timeout.
+// A communicator of one has no call state: arrive returns nil. It panics
+// when r is not in c or the call's kind differs from the others'.
+func (c *Comm) arrive(r *Rank, kind string) (int, *collState) {
 	me := c.RankOf(r)
 	if me < 0 {
 		panic(fmt.Sprintf("mpi: rank %d not in communicator", r.id))
 	}
 	if len(c.ranks) == 1 {
-		return &collState{inputs: c.settle(kind, [][]int64{input})}, nil
+		return me, nil
 	}
 	n := c.callIdx[me]
 	c.callIdx[me]++
@@ -307,47 +358,7 @@ func (c *Comm) rendezvous(r *Rank, kind string, perRankBytes int64, input []int6
 	if st.kind != kind {
 		panic(fmt.Sprintf("mpi: mismatched collectives: rank %d calls %s, others called %s", r.id, kind, st.kind))
 	}
-	if st.err != nil {
-		// The call slot already timed out: a straggler fails immediately
-		// instead of parking for a timeout of its own, so a rank that fell
-		// one collective behind (slow open, receive deadline) resynchronises
-		// with the group at the next call rather than trailing forever.
-		return st, st.err
-	}
-	st.inputs[me] = input
-	st.got[me] = true
-	st.arrived++
-	if perRankBytes > st.bytes {
-		st.bytes = perRankBytes
-	}
-	if st.arrived == len(c.ranks) && !(st.timer != nil && c.cut()) {
-		// Last arrival, communicator reachable: everyone resumes after the
-		// modelled completion time.
-		delete(c.states, n)
-		if st.timer != nil {
-			st.timer.Stop()
-		}
-		st.inputs = c.settle(kind, st.inputs)
-		cost := c.collCost(kind, perRankBytes)
-		st.finish = r.proc.Now() + cost
-		for _, wr := range st.waiters {
-			c.w.k.WakeAt(st.finish, wr.proc)
-		}
-		r.proc.Sleep(cost)
-		return st, nil
-	}
-	if st.arrived == len(c.ranks) {
-		// All arrived but a partition cuts the communicator: hold the
-		// collective open until the fabric heals or the timer fires.
-		delete(c.states, n)
-		c.w.heldColl = append(c.w.heldColl, st)
-	}
-	st.waiters = append(st.waiters, r)
-	r.collSt = st
-	r.proc.Park()
-	r.collSt = nil
-	r.checkKilled()
-	return st, st.err
+	return me, st
 }
 
 // timeoutColl fails a stalled collective: every parked participant wakes
@@ -485,27 +496,24 @@ func (c *Comm) collCost(kind string, n int64) sim.Time {
 // behind World.CollBalance: a call that never reaches end (the rank parked
 // forever, or unwound by Kill) stays visible as an imbalance.
 type collSpan struct {
-	c  *Comm
-	sp trace.Span
-	h  *metrics.Histogram
-	t0 sim.Time
+	c    *Comm
+	name string
+	t0   sim.Time
 }
 
 // beginColl opens a collSpan for one collective call (both execution models
-// route through the public wrappers).
+// route through the public wrappers). The span holds only the call's name
+// and start, and end records it: every rank parks in a collective under
+// the caller's copy of it.
 func (c *Comm) beginColl(r *Rank, name string) collSpan {
-	cs := collSpan{c: c}
 	c.w.collStarted[r.id]++
 	if tr := c.w.k.Tracer(); tr != nil {
-		cs.sp = tr.Begin(r.TraceTrack(tr), "mpi", name, int64(r.proc.Now()))
+		r.TraceTrack(tr) // registers the rank's timeline when the call starts
 	}
 	if m := c.w.k.Metrics(); m != nil {
-		cm := c.w.collMetricsFor(m, name)
-		cs.h = cm.ns
-		cm.calls.Inc()
-		cs.t0 = r.proc.Now()
+		c.w.collMetricsFor(m, name).calls.Inc()
 	}
-	return cs
+	return collSpan{c: c, name: name, t0: r.proc.Now()}
 }
 
 // collMetrics is one collective op's cached metric handles.
@@ -536,10 +544,15 @@ func (w *World) collMetricsFor(m *metrics.Registry, name string) collMetrics {
 
 // end closes the span at the rank's current virtual time.
 func (cs collSpan) end(r *Rank) {
-	cs.c.w.collDone[r.id]++
+	w := cs.c.w
+	w.collDone[r.id]++
 	now := r.proc.Now()
-	cs.sp.End(int64(now))
-	cs.h.Observe(int64(now - cs.t0))
+	if tr := w.k.Tracer(); tr != nil {
+		tr.SpanAt(r.TraceTrack(tr), "mpi", cs.name, int64(cs.t0), int64(now))
+	}
+	if m := w.k.Metrics(); m != nil {
+		w.collMetricsFor(m, cs.name).ns.Observe(int64(now - cs.t0))
+	}
 }
 
 // Op is a reduction operator over int64.
@@ -717,6 +730,21 @@ func (c *Comm) Alltoall(r *Rank, send []int64) []int64 {
 // TryAlltoall is Alltoall with timeout surfacing. A timed-out call
 // returns nothing from the ranks that never arrived.
 func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
+	c.checkAlltoallSend(send)
+	sp := c.beginColl(r, "alltoall")
+	defer func() { sp.end(r) }()
+	if c.model == MessagePassing {
+		return c.msgAlltoall(r, send), nil
+	}
+	st, err := c.rendezvous(r, "alltoall", 8, send)
+	return st.inputs[c.RankOf(r)], err
+}
+
+// checkAlltoallSend panics unless send holds (dest, count) pairs with
+// destinations in c, ascending. It runs under a frame of its own, so the
+// panic's formatting takes no room in the collective's frame, under which
+// every rank parks.
+func (c *Comm) checkAlltoallSend(send []int64) {
 	if len(send)%2 != 0 {
 		panic("mpi: alltoall send list must hold (dest, count) pairs")
 	}
@@ -725,13 +753,6 @@ func (c *Comm) TryAlltoall(r *Rank, send []int64) ([]int64, error) {
 			panic(fmt.Sprintf("mpi: alltoall destination %d out of range or order", send[k]))
 		}
 	}
-	sp := c.beginColl(r, "alltoall")
-	defer func() { sp.end(r) }()
-	if c.model == MessagePassing {
-		return c.msgAlltoall(r, send), nil
-	}
-	st, err := c.rendezvous(r, "alltoall", 8, send)
-	return st.inputs[c.RankOf(r)], err
 }
 
 // Split partitions the communicator by color; ranks with equal color land

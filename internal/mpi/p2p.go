@@ -172,29 +172,23 @@ func (r *Rank) Isend(dst, tag int, m Message) *Request {
 	if m.Data != nil && m.Data.Len() > m.Size {
 		panic("mpi: message payload exceeds declared size")
 	}
-	if m.Size == 0 && m.Vals != nil {
-		m.Size = int64(8 * len(m.Vals))
+	x := &transfer{w: r.w, m: m, req: &Request{w: r.w}}
+	if x.m.Size == 0 && x.m.Vals != nil {
+		x.m.Size = int64(8 * len(x.m.Vals))
 	}
-	m.Src = r.id
-	m.Dst = dst
-	m.Tag = tag
-	req := &Request{w: r.w}
-	dstRank := r.w.ranks[dst]
-	if r.node == dstRank.node {
+	x.m.Src, x.m.Dst, x.m.Tag = r.id, dst, tag
+	if dstRank := r.w.ranks[dst]; r.node == dstRank.node {
 		// Same-node messages never touch the wire: no fate, no sequence
 		// numbers, identical to the pre-reliability fast path.
-		r.w.send(&transfer{w: r.w, m: m, req: req, local: true})
-		return req
+		x.local = true
+	} else {
+		x.fate = r.w.fabric.MessageFate(r.node.ID(), dstRank.node.ID())
+		if rel := r.w.rel; rel != nil {
+			rel.stamp(&x.m)
+		}
 	}
-	fate := r.w.fabric.MessageFate(r.node.ID(), dstRank.node.ID())
-	if rel := r.w.rel; rel != nil {
-		k := relKey{src: r.id, dst: dst, tag: tag}
-		m.relSeq = rel.nextSeq[k]
-		rel.nextSeq[k]++
-		rel.retain(k, m)
-	}
-	r.w.send(&transfer{w: r.w, m: m, req: req, fate: fate})
-	return req
+	r.w.send(x)
+	return x.req
 }
 
 // transfer is one message in flight. The step process that carries it

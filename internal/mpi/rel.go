@@ -69,14 +69,16 @@ type relState struct {
 
 // getOut returns a retention record for m, reusing a released one when
 // possible.
-func (rel *relState) getOut(m Message) *outMsg {
+func (rel *relState) getOut(m *Message) *outMsg {
+	var om *outMsg
 	if n := len(rel.free); n > 0 {
-		om := rel.free[n-1]
+		om = rel.free[n-1]
 		rel.free = rel.free[:n-1]
-		*om = outMsg{msg: m, backoff: retransmitAfter}
-		return om
+	} else {
+		om = new(outMsg)
 	}
-	return &outMsg{msg: m, backoff: retransmitAfter}
+	om.msg, om.attempts, om.backoff, om.timer = *m, 0, retransmitAfter, nil
+	return om
 }
 
 // putOut releases om for reuse. Safe against the stale-timer race: a
@@ -120,8 +122,12 @@ func (w *World) DedupDrops() int64 {
 	return w.rel.dedups
 }
 
-// retain registers a freshly sequenced message as awaiting its ack.
-func (rel *relState) retain(k relKey, m Message) {
+// stamp gives m, which its sender has addressed, the next sequence number
+// of its stream and retains a copy of it until its ack arrives.
+func (rel *relState) stamp(m *Message) {
+	k := relKey{src: m.Src, dst: m.Dst, tag: m.Tag}
+	m.relSeq = rel.nextSeq[k]
+	rel.nextSeq[k]++
 	if rel.outstanding[k] == nil {
 		rel.outstanding[k] = make(map[uint64]*outMsg)
 	}

@@ -23,9 +23,7 @@ func BenchmarkRelRetainAck(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := Message{Src: k.src, Dst: k.dst, Tag: k.tag, Size: 1024}
-		m.relSeq = rel.nextSeq[k]
-		rel.nextSeq[k]++
-		rel.retain(k, m)
+		rel.stamp(&m)
 		rel.ack(k, m.relSeq)
 	}
 	if n := len(rel.outstanding[k]); n != 0 {
@@ -44,9 +42,7 @@ func BenchmarkRelRetainAckManyStreams(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := relKey{src: i % streams, dst: streams, tag: 3}
 		m := Message{Src: k.src, Dst: k.dst, Tag: k.tag, Size: 1024}
-		m.relSeq = rel.nextSeq[k]
-		rel.nextSeq[k]++
-		rel.retain(k, m)
+		rel.stamp(&m)
 		rel.ack(k, m.relSeq)
 	}
 }
@@ -59,9 +55,7 @@ func TestRelRetainAckSteadyStateZeroAlloc(t *testing.T) {
 	k := relKey{src: 1, dst: 2, tag: 5}
 	cycle := func() {
 		m := Message{Src: k.src, Dst: k.dst, Tag: k.tag, Size: 64}
-		m.relSeq = rel.nextSeq[k]
-		rel.nextSeq[k]++
-		rel.retain(k, m)
+		rel.stamp(&m)
 		rel.ack(k, m.relSeq)
 	}
 	for i := 0; i < 64; i++ {

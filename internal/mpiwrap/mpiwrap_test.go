@@ -95,7 +95,7 @@ func wrapRig(t *testing.T) (*mpiio.Env, *mpi.World, *pfs.System) {
 	fs := pfs.New(k, cfg, store.NewNull)
 	w := mpi.NewWorld(k, fab, 1)
 	client := fs.NewClient(fab.Node(0))
-	dev := nvm.NewDevice(k, "ssd", nvm.DeviceConfig{
+	dev := nvm.NewDevice(k, "ssd", "ssd", nvm.DeviceConfig{
 		WriteRate: 500 * sim.MBps, ReadRate: 520 * sim.MBps,
 		Latency: 100 * sim.Microsecond, Capacity: 1 << 30,
 	})

@@ -66,9 +66,9 @@ func New(k *sim.Kernel, cfg Config) *Fabric {
 		f.nodes[i] = &Node{
 			id:     i,
 			fabric: f,
-			inj:    sim.NewStation(k, fmt.Sprintf("node%d.tx", i), 1),
-			eje:    sim.NewStation(k, fmt.Sprintf("node%d.rx", i), 1),
-			mem:    sim.NewStation(k, fmt.Sprintf("node%d.mem", i), 1),
+			inj:    sim.NewStation(k, "node.tx", fmt.Sprintf("node%d.tx", i), 1),
+			eje:    sim.NewStation(k, "node.rx", fmt.Sprintf("node%d.rx", i), 1),
+			mem:    sim.NewStation(k, "node.mem", fmt.Sprintf("node%d.mem", i), 1),
 			slow:   1,
 		}
 	}

@@ -90,8 +90,8 @@ func (d *Device) opHist(op string) *metrics.Histogram {
 }
 
 // NewDevice creates a device on kernel k.
-func NewDevice(k *sim.Kernel, name string, cfg DeviceConfig) *Device {
-	return &Device{k: k, cfg: cfg, name: name, ch: sim.NewStation(k, name, 1)}
+func NewDevice(k *sim.Kernel, kind, name string, cfg DeviceConfig) *Device {
+	return &Device{k: k, cfg: cfg, name: name, ch: sim.NewStation(k, kind, name, 1)}
 }
 
 // Name returns the device name.

@@ -12,7 +12,7 @@ import (
 )
 
 func testDevice(k *sim.Kernel, capacity int64) *Device {
-	return NewDevice(k, "ssd0", DeviceConfig{
+	return NewDevice(k, "ssd", "ssd0", DeviceConfig{
 		WriteRate: 100 * sim.MBps,
 		ReadRate:  200 * sim.MBps,
 		Latency:   10 * sim.Microsecond,

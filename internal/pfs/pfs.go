@@ -138,13 +138,13 @@ func New(k *sim.Kernel, cfg Config, factory store.Factory) *System {
 	s := &System{
 		k:       k,
 		cfg:     cfg,
-		meta:    sim.NewStation(k, "pfs.meta", 1),
+		meta:    sim.NewStation(k, "pfs.meta", "pfs.meta", 1),
 		files:   make(map[string]*FileMeta),
 		factory: factory,
 		Locks:   NewLockManager(k),
 	}
 	for i := 0; i < cfg.Targets; i++ {
-		s.targets = append(s.targets, sim.NewStation(k, fmt.Sprintf("pfs.tgt%d", i), 1))
+		s.targets = append(s.targets, sim.NewStation(k, "pfs.tgt", fmt.Sprintf("pfs.tgt%d", i), 1))
 		s.tstate = append(s.tstate, targetState{speed: 1})
 	}
 	return s
@@ -240,7 +240,7 @@ func (s *System) NewClient(node *netsim.Node) *Client {
 	return &Client{
 		sys:  s,
 		node: node,
-		cap:  sim.NewStation(s.k, fmt.Sprintf("pfs.client.n%d", node.ID()), 1),
+		cap:  sim.NewStation(s.k, "pfs.client", fmt.Sprintf("pfs.client.n%d", node.ID()), 1),
 	}
 }
 

@@ -41,7 +41,6 @@ type Kernel struct {
 	dispatched int64
 
 	live     map[int]*Proc // all spawned, unfinished processes
-	cur      *Proc         // process the driver resumes next; nil stops the run
 	idle     []*worker     // workers of finished processes, reused LIFO
 	workers  int64         // workers started over the kernel's lifetime
 	stopped  chan struct{} // driver -> Run: "the run has stopped"
@@ -50,6 +49,8 @@ type Kernel struct {
 
 	tracer *trace.Tracer
 	ktrack trace.TrackID
+
+	probe func() // called at every worker block point, or nil
 
 	metrics *metrics.Registry
 	mEvents *metrics.Counter // kernel events dispatched
@@ -96,6 +97,13 @@ func (k *Kernel) SetMetrics(m *metrics.Registry) {
 
 // Metrics returns the attached registry, or nil when metrics are disabled.
 func (k *Kernel) Metrics() *metrics.Registry { return k.metrics }
+
+// SetBlockProbe attaches fn, which a worker process then calls on its own
+// stack each time it blocks, before it gives up control: the point where
+// its stack is deepest. It is off (nil) by default. Like the tracer, a
+// probe must only observe: it must schedule no events and draw no
+// randomness, so it cannot perturb virtual time.
+func (k *Kernel) SetBlockProbe(fn func()) { k.probe = fn }
 
 // SetEventBudget arms the liveness watchdog: Run aborts with an error
 // wrapping ErrEventBudget once more than n events have been dispatched
@@ -214,9 +222,8 @@ func (k *Kernel) spawn(name string, nameFn func() string, fn, step func(p *Proc)
 // clock; callbacks, service starts, step processes' steps and stale wakes
 // for finished processes are consumed inline. next returns nil when the
 // queue drains, when the event budget trips, or when a callback or a step
-// panics (the value is kept for Run to re-raise). It runs on Run's
-// goroutine to start a run, and otherwise on the worker of the process that
-// blocks or finishes.
+// panics (the value is kept for Run to re-raise). It runs on the driver
+// goroutine only, so no callback or step ever runs on a worker's stack.
 func (k *Kernel) next() *Proc {
 	for k.queue.Len() > 0 {
 		if k.budget > 0 && k.dispatched >= k.budget {
@@ -302,8 +309,7 @@ func (k *Kernel) retire(p *Proc) {
 }
 
 // call runs a kernel callback, recording a panic for Run to re-raise with
-// its original value rather than letting it unwind the process worker the
-// callback happens to run on.
+// its original value rather than letting it unwind the driver.
 func (k *Kernel) call(fn func()) (ok bool) {
 	defer func() {
 		if !ok {
@@ -368,34 +374,39 @@ func (p *Proc) run() {
 	fn(p)
 }
 
-// exit retires a finishing process and dispatches the next event from its
-// worker. A process panic stops the run: control goes straight back to Run,
-// which re-raises it.
+// exit retires a finishing process; its worker then goes idle and yields
+// to the driver, which dispatches the next event. A process panic is kept
+// for Run to re-raise, and the driver stops the run on it.
 func (p *Proc) exit() {
 	k := p.k
 	r := recover()
 	k.retire(p)
 	if r != nil {
 		k.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r)
-		k.cur = nil
-		return
 	}
-	k.cur = k.next()
 }
 
-// drive resumes k.cur until the run stops, then tells Run. A body that calls
-// runtime.Goexit ends its worker, and iter.Pull passes the Goexit on to the
-// goroutine that resumed the worker: this one. The deferred handler then
-// carries the run on from a fresh driver.
+// drive is the run's driver: it dispatches events with next and resumes
+// each worker process next returns, until next returns nil or a process
+// panics, then tells Run. Every callback and step runs here, between
+// resumes, so a worker's stack holds only its own body's frames. A body
+// that calls runtime.Goexit ends its worker, and iter.Pull passes the
+// Goexit on to the goroutine that resumed the worker: this one. The
+// deferred handler then carries the run on from a fresh driver.
 func (k *Kernel) drive() {
+	stopped := false
 	defer func() {
-		if k.cur != nil {
+		if !stopped {
 			go k.drive()
 			return
 		}
 		k.stopped <- struct{}{}
 	}()
-	for p := k.cur; p != nil; p = k.cur {
+	for k.panicked == nil {
+		p := k.next()
+		if p == nil {
+			break
+		}
 		if p.w == nil {
 			k.attach(p)
 		}
@@ -403,6 +414,7 @@ func (k *Kernel) drive() {
 			panic(fmt.Sprintf("sim: process %q resumed on an ended worker", p.Name()))
 		}
 	}
+	stopped = true
 }
 
 // WorkersStarted returns how many worker coroutines the kernel has started
@@ -423,10 +435,8 @@ func (k *Kernel) Run() error {
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	if k.cur = k.next(); k.cur != nil {
-		go k.drive()
-		<-k.stopped
-	}
+	go k.drive()
+	<-k.stopped
 	for _, w := range k.idle {
 		w.stop()
 	}
@@ -501,17 +511,14 @@ func (p *Proc) mustBlock() {
 	}
 }
 
-// block gives up control until the process is resumed. The blocking
-// process dispatches the next event itself: when that resumes this same
-// process, block returns without any switch; otherwise it names the next
-// process (nil when the run stops) and yields to the driver, which resumes
-// that process's worker.
+// block gives up control until the process is resumed: it yields to the
+// driver, which dispatches events until one resumes a worker and switches
+// to it, this one included.
 func (p *Proc) block() {
-	k := p.k
-	if q := k.next(); q != p {
-		k.cur = q
-		p.w.yield(struct{}{})
+	if p.k.probe != nil {
+		p.k.probe()
 	}
+	p.w.yield(struct{}{})
 }
 
 // Then arranges for the step process p to resume after d of virtual time

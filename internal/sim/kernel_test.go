@@ -135,7 +135,7 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestStationSerializesSingleServer(t *testing.T) {
 	k := NewKernel(1)
-	s := NewStation(k, "disk", 1)
+	s := NewStation(k, "disk", "disk", 1)
 	var ends []Time
 	for i := 0; i < 4; i++ {
 		k.Spawn("client", func(p *Proc) {
@@ -158,7 +158,7 @@ func TestStationSerializesSingleServer(t *testing.T) {
 
 func TestStationParallelServers(t *testing.T) {
 	k := NewKernel(1)
-	s := NewStation(k, "raid", 2)
+	s := NewStation(k, "raid", "raid", 2)
 	var ends []Time
 	for i := 0; i < 4; i++ {
 		k.Spawn("client", func(p *Proc) {
@@ -180,7 +180,7 @@ func TestStationParallelServers(t *testing.T) {
 
 func TestStationServeBytesAccounting(t *testing.T) {
 	k := NewKernel(1)
-	s := NewStation(k, "link", 1)
+	s := NewStation(k, "link", "link", 1)
 	k.Spawn("client", func(p *Proc) {
 		s.ServeBytes(p, 1*Millisecond, 1000*MBps, 500_000_000)
 	})
@@ -198,7 +198,7 @@ func TestStationServeBytesAccounting(t *testing.T) {
 func TestDeterminismSameSeedSameSchedule(t *testing.T) {
 	run := func(seed int64) []Time {
 		k := NewKernel(seed)
-		s := NewStation(k, "disk", 1)
+		s := NewStation(k, "disk", "disk", 1)
 		jit := UnitLogNormal(0.4)
 		var ends []Time
 		for i := 0; i < 16; i++ {
@@ -319,7 +319,7 @@ func TestWakeAtFiresAtGivenTime(t *testing.T) {
 
 func TestStationQueueHighWaterMark(t *testing.T) {
 	k := NewKernel(1)
-	s := NewStation(k, "disk", 1)
+	s := NewStation(k, "disk", "disk", 1)
 	for i := 0; i < 5; i++ {
 		k.Spawn("c", func(p *Proc) { s.Serve(p, Second) })
 	}
@@ -444,7 +444,7 @@ func TestProcessPanicNamesProcess(t *testing.T) {
 func TestCallbackPanicReachesRunCaller(t *testing.T) {
 	sentinel := errors.New("callback failure")
 	cases := map[string]func(k *Kernel){
-		// The callback is popped by the process's own dispatch while it
+		// The callback is popped by the driver while the process
 		// blocks in Sleep.
 		"while blocked": func(k *Kernel) {
 			k.Spawn("sleeper", func(p *Proc) { p.Sleep(Second) })
@@ -734,7 +734,7 @@ func BenchmarkKernelSpawn(b *testing.B) {
 func TestWokenWaiterSlotReleased(t *testing.T) {
 	k := NewKernel(1)
 	c := NewCond(k)
-	s := NewStation(k, "disk", 1)
+	s := NewStation(k, "disk", "disk", 1)
 	var condBacking, stationBacking []*Proc
 	k.Spawn("waiter", func(p *Proc) { c.Wait(p) })
 	k.Spawn("holder", func(p *Proc) { s.Serve(p, Second) })

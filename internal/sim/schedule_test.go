@@ -125,7 +125,7 @@ func scheduleDigest(t *testing.T, seed int64) string {
 		rng:  rand.New(rand.NewSource(seed)),
 		log:  sha256.New(),
 		cond: NewCond(k),
-		st:   NewStation(k, "st", 2),
+		st:   NewStation(k, "st", "st", 2),
 	}
 	for i, n := 0, g.rng.Intn(4)+3; i < n; i++ {
 		k.Spawn("root", g.body(g.rng.Intn(12)+4, 2))

@@ -8,7 +8,8 @@ import "repro/internal/trace"
 // each occupies one server for its service time.
 type Station struct {
 	k       *Kernel
-	name    string
+	kind    string // what the station models, which names its service spans
+	name    string // this station, which names its trace track
 	servers int
 	busy    int
 	waiters procQueue
@@ -24,11 +25,15 @@ type Station struct {
 }
 
 // NewStation creates a station with the given number of parallel servers.
-func NewStation(k *Kernel, name string, servers int) *Station {
+// kind says what it models ("node.tx", "pfs.tgt") and names the spans of
+// its services in a trace; name tells this station from the others of its
+// kind ("node3.tx", "pfs.tgt1") and names its trace track. So a trace has
+// one service name per kind, however many nodes the machine has.
+func NewStation(k *Kernel, kind, name string, servers int) *Station {
 	if servers < 1 {
 		panic("sim: station needs at least one server")
 	}
-	return &Station{k: k, name: name, servers: servers}
+	return &Station{k: k, kind: kind, name: name, servers: servers}
 }
 
 // TraceTrack lazily registers and returns this station's trace timeline
@@ -84,7 +89,7 @@ func (s *Station) Serve(p *Proc, d Time) {
 // resumes the served process.
 func (s *Station) finish(d Time) {
 	if tr := s.k.tracer; tr != nil {
-		tr.SpanAt(s.TraceTrack(tr), "station", s.name, int64(s.k.now-d), int64(s.k.now))
+		tr.SpanAt(s.TraceTrack(tr), "station", s.kind, int64(s.k.now-d), int64(s.k.now))
 	}
 	s.BusyTime += d
 	s.Served++

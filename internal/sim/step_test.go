@@ -179,7 +179,7 @@ func runStepProgram(t *testing.T, seed int64, traced bool, asStep func(id int) b
 		k.SetTracer(r.tr)
 	}
 	for i := 0; i < 3; i++ {
-		r.sts = append(r.sts, NewStation(k, fmt.Sprintf("st%d", i), i+1))
+		r.sts = append(r.sts, NewStation(k, "st", fmt.Sprintf("st%d", i), i+1))
 	}
 	r.cs = []*Cond{NewCond(k), NewCond(k)}
 	for i, n := 0, rng.Intn(6)+2; i < n; i++ {
@@ -240,7 +240,7 @@ func TestStepProcessCannotBlock(t *testing.T) {
 	cases := map[string]func(k *Kernel, p *Proc){
 		"Sleep":     func(k *Kernel, p *Proc) { p.Sleep(Second) },
 		"Park":      func(k *Kernel, p *Proc) { p.Park() },
-		"Serve":     func(k *Kernel, p *Proc) { NewStation(k, "s", 1).Serve(p, Second) },
+		"Serve":     func(k *Kernel, p *Proc) { NewStation(k, "s", "s", 1).Serve(p, Second) },
 		"Cond.Wait": func(k *Kernel, p *Proc) { NewCond(k).Wait(p) },
 	}
 	for name, call := range cases {
@@ -274,7 +274,7 @@ func TestStepPanicNamesProcess(t *testing.T) {
 func TestStepDeadlockNamesProcess(t *testing.T) {
 	k := NewKernel(1)
 	c := NewCond(k)
-	s := NewStation(k, "s", 1)
+	s := NewStation(k, "s", "s", 1)
 	k.Spawn("holder", func(p *Proc) { c.Wait(p) })
 	k.SpawnStep("", func() string { return "queued-step" }, func(p *Proc) {
 		if s.Served == 0 {
@@ -312,7 +312,7 @@ func (m *benchMsg) step(p *Proc) {
 // single-server station, so about half of them queue.
 func runStepMessages(n int) error {
 	k := NewKernel(1)
-	st := NewStation(k, "nic", 1)
+	st := NewStation(k, "nic", "nic", 1)
 	k.Spawn("sender", func(p *Proc) {
 		for i := 0; i < n; i++ {
 			m := &benchMsg{st: st}

@@ -3,11 +3,11 @@
 // The kernel models virtual time as int64 nanoseconds and runs each
 // simulation process's body on a worker, a coroutine from iter.Pull: at any
 // instant exactly one body runs. A process that blocks (Sleep, Park,
-// resource acquisition) or finishes dispatches the next event itself,
-// running due callbacks inline. When that event resumes the same process,
-// it just keeps running; otherwise it yields to the one driver loop, which
-// resumes the next process's worker. A switch therefore costs two coroutine
-// switches and never enters the Go scheduler. A finished process leaves its
+// resource acquisition) or finishes yields to the one driver loop, which
+// dispatches events, running due callbacks and step processes' steps on
+// its own stack, and resumes the next process's worker. A switch therefore
+// costs two coroutine switches and never enters the Go scheduler, and a
+// worker's stack holds only its body's frames. A finished process leaves its
 // worker on an idle list, and the next process to start reuses it. Events
 // that fire at the same virtual time are ordered by creation sequence, so a
 // run with a given seed is bit-for-bit reproducible.

@@ -8,7 +8,10 @@ import (
 	"strings"
 )
 
-// spanStat aggregates all spans sharing one (category, name) pair.
+// spanStat aggregates all spans sharing one (category, name) pair. A
+// station span's name is its station's kind ("pfs.tgt"), shared by every
+// station of that kind, so its row is named by its track ("pfs.tgt1")
+// instead: that keeps one hot or slowed target or node visible.
 type spanStat struct {
 	cat, name string
 	count     int64
@@ -18,6 +21,7 @@ type spanStat struct {
 
 // topSpans returns per-(cat, name) span aggregates sorted by total virtual
 // time descending, ties broken by category then name so the order is total.
+// Station spans are keyed by their track's name, as spanStat says.
 func (t *Tracer) topSpans() []spanStat {
 	if t == nil {
 		return nil
@@ -29,11 +33,15 @@ func (t *Tracer) topSpans() []spanStat {
 		if ev.Kind != KindSpan {
 			continue
 		}
-		key := [2]string{ev.Cat, ev.Name}
+		name := ev.Name
+		if ev.Cat == "station" && ev.Track >= 0 && int(ev.Track) < len(t.tracks) {
+			name = t.tracks[ev.Track].name
+		}
+		key := [2]string{ev.Cat, name}
 		j, ok := idx[key]
 		if !ok {
 			j = len(stats)
-			stats = append(stats, spanStat{cat: ev.Cat, name: ev.Name})
+			stats = append(stats, spanStat{cat: ev.Cat, name: name})
 			idx[key] = j
 		}
 		st := &stats[j]

@@ -84,3 +84,37 @@ func TestSummaryCounterHighWater(t *testing.T) {
 		t.Errorf("want max=9 last=2 samples=3, got line %q", line)
 	}
 }
+
+// TestSummaryStationRowsPerTrack pins that station spans, which are named
+// by their station's kind, are summed per station track: two PFS targets
+// of kind "pfs.tgt" get one row each, so a slowed target stands out, while
+// other categories are still keyed by span name.
+func TestSummaryStationRowsPerTrack(t *testing.T) {
+	tr := New()
+	tgt0 := tr.Track(GroupStations, "pfs.tgt0")
+	tgt1 := tr.Track(GroupStations, "pfs.tgt1")
+	rank := tr.Track(GroupRanks, "rank 0")
+	tr.SpanAt(tgt0, "station", "pfs.tgt", 0, 1_000)
+	tr.SpanAt(tgt1, "station", "pfs.tgt", 0, 5_000)
+	tr.SpanAt(tgt1, "station", "pfs.tgt", 5_000, 9_000)
+	tr.SpanAt(rank, "mpi", "alltoall", 0, 2_000)
+	tr.SpanAt(rank, "mpi", "alltoall", 2_000, 3_000)
+	rows := map[string][]string{}
+	for _, l := range strings.Split(tr.Summary(), "\n") {
+		if f := strings.Fields(l); len(f) == 5 && (f[0] == "station" || f[0] == "mpi") {
+			rows[f[1]] = f
+		}
+	}
+	want := map[string]string{"pfs.tgt0": "1", "pfs.tgt1": "2", "alltoall": "2"}
+	if len(rows) != len(want) {
+		t.Fatalf("summary rows %v, want one per station track plus alltoall:\n%s", rows, tr.Summary())
+	}
+	for name, count := range want {
+		if f, ok := rows[name]; !ok || f[2] != count {
+			t.Errorf("row %q = %v, want count %s", name, f, count)
+		}
+	}
+	if rows["pfs.tgt1"][3] != "9.000us" || rows["pfs.tgt0"][3] != "1.000us" {
+		t.Errorf("station totals: tgt0 %v, tgt1 %v; want 1.000us and 9.000us", rows["pfs.tgt0"], rows["pfs.tgt1"])
+	}
+}

@@ -241,12 +241,7 @@ func (t *Tracer) SpanAt(tk TrackID, cat, name string, start, end int64, args ...
 	if t == nil || tk < 0 {
 		return
 	}
-	ev := Event{Kind: KindSpan, Track: tk, Cat: cat, Name: name, Start: start, Dur: end - start}
-	if ev.Dur < 0 {
-		ev.Dur = 0
-	}
-	setArgs(&ev, args)
-	t.events = append(t.events, ev)
+	t.add(KindSpan, tk, cat, name, start, max(end-start, 0), 0, args)
 }
 
 // Instant records a point event at virtual time now.
@@ -254,7 +249,16 @@ func (t *Tracer) Instant(tk TrackID, cat, name string, now int64, args ...Arg) {
 	if t == nil || tk < 0 {
 		return
 	}
-	ev := Event{Kind: KindInstant, Track: tk, Cat: cat, Name: name, Start: now}
+	t.add(KindInstant, tk, cat, name, now, 0, 0, args)
+}
+
+// add appends one event. The recorders that call it keep only their nil
+// check inline, so an Event never takes room in a caller's frame: a
+// simulated rank's stack stays small.
+//
+//go:noinline
+func (t *Tracer) add(kind Kind, tk TrackID, cat, name string, start, dur int64, id uint64, args []Arg) {
+	ev := Event{Kind: kind, Track: tk, Cat: cat, Name: name, Start: start, Dur: dur, ID: id}
 	setArgs(&ev, args)
 	t.events = append(t.events, ev)
 }
@@ -288,9 +292,7 @@ func (t *Tracer) AsyncBegin(tk TrackID, cat, name string, now int64, args ...Arg
 		return 0
 	}
 	t.asyncSeq++
-	ev := Event{Kind: KindAsyncBegin, Track: tk, Cat: cat, Name: name, Start: now, ID: t.asyncSeq}
-	setArgs(&ev, args)
-	t.events = append(t.events, ev)
+	t.add(KindAsyncBegin, tk, cat, name, now, 0, t.asyncSeq, args)
 	return t.asyncSeq
 }
 
@@ -299,5 +301,5 @@ func (t *Tracer) AsyncEnd(tk TrackID, cat, name string, id uint64, now int64) {
 	if t == nil || tk < 0 || id == 0 {
 		return
 	}
-	t.events = append(t.events, Event{Kind: KindAsyncEnd, Track: tk, Cat: cat, Name: name, Start: now, ID: id})
+	t.add(KindAsyncEnd, tk, cat, name, now, 0, id, nil)
 }

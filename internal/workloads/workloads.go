@@ -137,6 +137,16 @@ func (c CollPerf) Segments(rank, nranks int) []extent.Extent {
 // through a flattened strided view, like MPI_File_write_all over a
 // subarray datatype.
 func (c CollPerf) WritePhase(r *mpi.Rank, f *mpiio.File, payload bool) error {
+	data, err := c.setView(r, f, payload)
+	if err != nil {
+		return err
+	}
+	return f.WriteAtAll(0, data, c.BlockBytes())
+}
+
+// setView sets rank r's view of f to its block and returns the block's
+// payload (nil without one).
+func (c CollPerf) setView(r *mpi.Rank, f *mpiio.File, payload bool) ([]byte, error) {
 	nranks := f.Comm().Size()
 	segs := c.Segments(f.Comm().RankOf(r), nranks)
 	base := segs[0].Off
@@ -145,17 +155,16 @@ func (c CollPerf) WritePhase(r *mpi.Rank, f *mpiio.File, payload bool) error {
 		ft.Segs = append(ft.Segs, extent.Extent{Off: s.Off - base, Len: s.Len})
 	}
 	if err := f.SetView(base, ft); err != nil {
-		return err
+		return nil, err
 	}
-	n := c.BlockBytes()
-	var data []byte
-	if payload {
-		data = make([]byte, 0, n)
-		for _, s := range segs {
-			data = append(data, fill(f.Comm().RankOf(r), s.Off, s.Len)...)
-		}
+	if !payload {
+		return nil, nil
 	}
-	return f.WriteAtAll(0, data, n)
+	data := make([]byte, 0, c.BlockBytes())
+	for _, s := range segs {
+		data = append(data, fill(f.Comm().RankOf(r), s.Off, s.Len)...)
+	}
+	return data, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@
 # benchmark/, read-only) with `go build -cover -coverpkg=repro/...` into a
 # temporary directory and runs the targets the repo already has: the
 # e10bench figures, bench record/compare, the 4096-rank scale record,
-# ablations, fault, trace, critical-path, timeline and metrics demos and
+# ablations, fault, trace (16x4, linted), critical-path, timeline and metrics demos and
 # the 1024-rank scale variants; the four 25-iteration chaos smokes and every committed chaos
 # fixture; collperf, ior and flashio cells; e10stat over the demo outputs
 # and every committed artifact; and one 1-second traced benchmark pass.
@@ -62,7 +62,9 @@ if [ -z "$funcs" ]; then
         echo "figs $bin/e10bench -fig all -sweep quick -csv $out/figs.csv"
         echo "ablation $bin/e10bench -ablation -scale 8x4 -files 2"
         echo "faultdemo $bin/e10bench -faultdemo -scale 8x4 -files 2"
-        echo "trace $bin/e10bench -trace $out/trace.json -scale 8x4 -files 2"
+        # 16 nodes: a trace name that carries a node number crosses
+        # e10stat's 64-name budget from 12 nodes on.
+        echo "trace $bin/e10bench -trace $out/trace.json -scale 16x4 -files 2"
         echo "critpath $bin/e10bench -critpath -timeline 24 -scale 8x4 -files 2"
         echo "metrics $bin/e10bench -metrics -metrics-out $out/metrics.json -scale 8x4 -files 2"
         echo "scale-record $bin/e10bench -scale-bench-record $out/scale.json"
