@@ -252,7 +252,8 @@ func (f *File) writeRound(ep *epoch, m int) error {
 		f.Stats.CollRounds++
 		ep.mRounds.Inc()
 	}
-	ep.msgs, ep.selfExts = nil, nil
+	clear(ep.msgs) // a delivered message keeps its sender's record alive
+	f.msgs, ep.msgs, ep.selfExts = ep.msgs[:0], nil, nil
 	f.endRound(ep, m, roundT0)
 	if ep.fo == nil {
 		return nil
@@ -271,11 +272,11 @@ func (f *File) writeRound(ep *epoch, m int) error {
 func (f *File) shuffle(ep *epoch, recv []int64, m int) int64 {
 	r := f.rank
 	span := mpe.StartSpan(r.Now())
-	recvReqs, sendReqs := f.postShuffle(ep, recv, ep.tag0+(m&0xffff))
-	r.Waitall(sendReqs)
+	f.postShuffle(ep, recv, ep.tag0+(m&0xffff))
+	r.Waitall(f.sendReqs)
 	code := int64(ackOK)
-	ep.msgs = make([]*mpi.Message, 0, len(recvReqs))
-	for _, q := range recvReqs {
+	ep.msgs = f.msgs[:0]
+	for _, q := range f.recvReqs {
 		var msg *mpi.Message
 		var err error
 		if ep.fo == nil {
@@ -286,19 +287,23 @@ func (f *File) shuffle(ep *epoch, recv []int64, m int) int64 {
 		}
 		ep.msgs = append(ep.msgs, msg)
 	}
+	clear(f.recvReqs)
+	clear(f.sendReqs)
+	f.recvReqs, f.sendReqs = f.recvReqs[:0], f.sendReqs[:0]
 	span.End(ep.log, mpe.PhaseExchWaitall, r.Now())
 	return code
 }
 
 // postShuffle posts the shuffle's receives (an aggregator's, from every
-// other rank that sends to it) and sends under tag, and keeps this rank's
-// pieces for its own domain in ep.
-func (f *File) postShuffle(ep *epoch, recv []int64, tag int) (recvReqs, sendReqs []*mpi.Request) {
+// other rank that sends to it) and sends under tag, appending their
+// requests to the file's lists, and keeps this rank's pieces for its own
+// domain in ep.
+func (f *File) postShuffle(ep *epoch, recv []int64, tag int) {
 	r, c, p, rp := f.rank, ep.c, &ep.p, &f.round
 	if p.myAgg >= 0 {
 		for k := 0; k < len(recv); k += 2 {
 			if src := int(recv[k]); src != p.me {
-				recvReqs = append(recvReqs, r.Irecv(c.Member(src).ID(), tag))
+				f.recvReqs = append(f.recvReqs, r.Irecv(c.Member(src).ID(), tag))
 			}
 		}
 	}
@@ -311,9 +316,8 @@ func (f *File) postShuffle(ep *epoch, recv []int64, tag int) (recvReqs, sendReqs
 		msg := exchangeMsg(exts, true, ep.own)
 		f.Stats.BytesExchanged += msg.Size
 		ep.mExch.Add(msg.Size)
-		sendReqs = append(sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
+		f.sendReqs = append(f.sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
 	}
-	return recvReqs, sendReqs
 }
 
 // endRound traces round m, which started at t0, and times it.

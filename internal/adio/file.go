@@ -73,6 +73,11 @@ type File struct {
 	round   roundPlan // the two-phase drivers' reused round plan
 	buf     []byte    // the collective buffer (see collBuf)
 
+	// The shuffle's request and message lists, empty between rounds and
+	// reused from round to round.
+	recvReqs, sendReqs []*mpi.Request
+	msgs               []*mpi.Message
+
 	resilCall int // resilient collective-write call counter (epoch comm scoping)
 
 	Stats Stats

@@ -832,10 +832,8 @@ const (
 // startSyncThread starts the thread, idle until its first request.
 func startSyncThread(c *Cache) *syncThread {
 	k := c.f.Rank().Proc().Kernel()
-	st := &syncThread{c: c, k: k, cond: sim.NewCond(k), tk: trace.NoTrack}
-	st.proc = k.SpawnStep("", func() string {
-		return fmt.Sprintf("sync.%s.r%d", c.f.Path(), c.f.Rank().ID())
-	}, st.step)
+	st := &syncThread{c: c, k: k, cond: sim.NewCond(k), tk: trace.NoTrack, proc: new(sim.Proc)}
+	k.SpawnStep(st.proc, st)
 	if tr := k.Tracer(); tr != nil {
 		st.tk = tr.Track(trace.GroupSync, st.proc.Name())
 		st.proc.SetTraceTrack(st.tk)
@@ -874,14 +872,19 @@ func (st *syncThread) crash() {
 	st.cond.Signal()
 }
 
-// step runs the thread up to its next wait. The thread drains its queue a
+// Name names the thread's process by file and rank.
+func (st *syncThread) Name() string {
+	return fmt.Sprintf("sync.%s.r%d", st.c.f.Path(), st.c.f.Rank().ID())
+}
+
+// Step runs the thread up to its next wait. The thread drains its queue a
 // request at a time, each request's extent through the synchronisation
 // buffer: a serial read(cache) -> write(global) pipeline in bufSize chunks,
 // exactly like the pthread implementation in the paper. Failed chunks
 // (cache read or global write) are retried with exponential backoff up to
 // the RetryLimit budget; the extent's journal entry is cleared chunk by
 // chunk as data reaches the global file.
-func (st *syncThread) step(p *sim.Proc) {
+func (st *syncThread) Step(p *sim.Proc) {
 	for !st.advance(p) {
 	}
 }

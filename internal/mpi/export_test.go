@@ -41,9 +41,5 @@ func (w *World) Outstanding() int {
 	if w.rel == nil {
 		return 0
 	}
-	n := 0
-	for _, m := range w.rel.outstanding {
-		n += len(m)
-	}
-	return n
+	return len(w.rel.outstanding)
 }

@@ -35,7 +35,8 @@ type World struct {
 	comm     *Comm
 	interned map[internKey][]*Comm // shared communicators; see intern
 
-	pool *bufpool.Pool // the cluster's byte pool (see SetPool)
+	pool  *bufpool.Pool // the cluster's byte pool (see SetPool)
+	recvs []postedRecv  // receive records not yet handed out (see newRecv)
 
 	rel         *relState    // reliable-delivery layer, nil when disabled
 	collTimeout sim.Time     // collective timeout; 0 = wait forever

@@ -105,11 +105,29 @@ func (r *Rank) Waitall(reqs []*Request) {
 	}
 }
 
-// postedRecv is a receive waiting for a matching message.
+// postedRecv is a receive: it waits in the mailbox for a matching message
+// unless one has already arrived. Its request is the one Irecv returns.
 type postedRecv struct {
 	src int
 	tag int
-	req *Request
+	req Request
+}
+
+// recvChunk is how many receive records the world allocates at once.
+const recvChunk = 32
+
+// newRecv returns a fresh receive record. Records come from chunks the
+// world allocates recvChunk at a time and never reuses, so a receive costs
+// no allocation of its own; a chunk stays reachable until its last record
+// is handed out and every record's request is dropped.
+func (w *World) newRecv(src, tag int) *postedRecv {
+	if len(w.recvs) == 0 {
+		w.recvs = make([]postedRecv, recvChunk)
+	}
+	pr := &w.recvs[0]
+	w.recvs = w.recvs[1:]
+	pr.src, pr.tag, pr.req.w = src, tag, w
+	return pr
 }
 
 // mailbox holds posted receives and unexpected messages, in arrival order.
@@ -143,17 +161,17 @@ func (r *Rank) deliver(m *Message) {
 // AnySource and AnyTag are honoured in posting order.
 func (r *Rank) Irecv(src, tag int) *Request {
 	r.checkKilled()
-	req := &Request{w: r.w}
+	pr := r.w.newRecv(src, tag)
 	for i, m := range r.mbox.unexpected {
 		if match(src, tag, m) {
 			r.mbox.unexpected = append(r.mbox.unexpected[:i], r.mbox.unexpected[i+1:]...)
-			req.msg = m
-			req.done = true
-			return req
+			pr.req.msg = m
+			pr.req.done = true
+			return &pr.req
 		}
 	}
-	r.mbox.posted = append(r.mbox.posted, &postedRecv{src: src, tag: tag, req: req})
-	return req
+	r.mbox.posted = append(r.mbox.posted, pr)
+	return &pr.req
 }
 
 // Recv blocks until a matching message arrives.
@@ -172,7 +190,8 @@ func (r *Rank) Isend(dst, tag int, m Message) *Request {
 	if m.Data != nil && m.Data.Len() > m.Size {
 		panic("mpi: message payload exceeds declared size")
 	}
-	x := &transfer{w: r.w, m: m, req: &Request{w: r.w}}
+	x := &transfer{w: r.w, m: m}
+	x.req.w = r.w
 	if x.m.Size == 0 && x.m.Vals != nil {
 		x.m.Size = int64(8 * len(x.m.Vals))
 	}
@@ -188,20 +207,25 @@ func (r *Rank) Isend(dst, tag int, m Message) *Request {
 		}
 	}
 	r.w.send(x)
-	return x.req
+	return &x.req
 }
 
-// transfer is one message in flight. The step process that carries it
-// walks the record through the sender's NIC, the wire and the receiver's
-// NIC (or through the node's memory path), one stage per resume, so a
-// message holds no worker while it waits. A retransmit charges the NIC and
-// wire again, but the logical message was already traced and counted. A
-// dropped or partitioned message charges the sender's injection port and
-// vanishes; the reliable layer's loss reaction schedules the retransmit.
+// transfer is one message in flight, and the message's only allocation:
+// it holds the message, the send request and the step process that
+// carries it. The process walks the record through the sender's NIC, the
+// wire and the receiver's NIC (or through the node's memory path), one
+// stage per resume, so a message holds no worker while it waits. The
+// delivered *Message points into the record, so a receiver holding the
+// message keeps the whole record alive; a record is never reused. A
+// retransmit is a record of its own that charges the NIC and wire again,
+// but the logical message was already traced and counted. A dropped or
+// partitioned message charges the sender's injection port and vanishes;
+// the reliable layer's loss reaction schedules the retransmit.
 type transfer struct {
+	proc    sim.Proc // the process carrying the message
+	req     Request  // send request to complete, unused by a retransmit
 	w       *World
 	m       Message
-	req     *Request // send request to complete, nil for a retransmit
 	fate    netsim.Fate
 	local   bool // same-node message: the memory path
 	retrans bool
@@ -213,10 +237,10 @@ type transfer struct {
 	tSvc    sim.Time           // start of the current NIC service
 }
 
-// name names the process that carries the message. It is passed lazily to
-// SpawnStep: the formatting only runs if a deadlock report or panic ever
+// Name names the process that carries the message. The kernel asks for it
+// lazily: the formatting only runs if a deadlock report or panic ever
 // needs the name.
-func (x *transfer) name() string {
+func (x *transfer) Name() string {
 	name := fmt.Sprintf("msg.%d->%d.t%d", x.m.Src, x.m.Dst, x.m.Tag)
 	if x.retrans {
 		return "re" + name
@@ -254,11 +278,11 @@ func (w *World) send(x *transfer) {
 	if !x.retrans {
 		x.start()
 	}
-	w.k.SpawnStep("", x.name, x.step)
+	w.k.SpawnStep(&x.proc, x)
 }
 
-// step advances the message by one stage at each resume of its process.
-func (x *transfer) step(p *sim.Proc) {
+// Step advances the message by one stage at each resume of its process.
+func (x *transfer) Step(p *sim.Proc) {
 	w := x.w
 	src, dst := w.ranks[x.m.Src], w.ranks[x.m.Dst]
 	switch x.stage {
@@ -278,7 +302,7 @@ func (x *transfer) step(p *sim.Proc) {
 			return
 		}
 		src.node.InjectDone(x.tSvc, x.m.Size)
-		if x.req != nil {
+		if !x.retrans {
 			x.req.Complete() // eager semantics: the send buffer has left the node
 		}
 		if x.fate == netsim.FateDrop || x.fate == netsim.FatePartition {

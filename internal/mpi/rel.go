@@ -40,6 +40,12 @@ type relKey struct {
 	src, dst, tag int
 }
 
+// relMsgKey identifies one message of a stream.
+type relMsgKey struct {
+	relKey
+	seq uint64
+}
+
 // outMsg is one unacked message retained by the sender.
 type outMsg struct {
 	msg      Message
@@ -52,10 +58,10 @@ type outMsg struct {
 // is single-threaded, so one shared structure stands in for every rank's
 // protocol endpoint).
 type relState struct {
-	nextSeq     map[relKey]uint64              // sender: next seq per stream
-	outstanding map[relKey]map[uint64]*outMsg  // sender: unacked messages
-	nextDeliver map[relKey]uint64              // receiver: next in-order seq
-	pending     map[relKey]map[uint64]*Message // receiver: out-of-order buffer
+	nextSeq     map[relKey]uint64      // sender: next seq per stream
+	outstanding map[relMsgKey]*outMsg  // sender: unacked messages
+	nextDeliver map[relKey]uint64      // receiver: next in-order seq
+	pending     map[relMsgKey]*Message // receiver: out-of-order buffer
 	retransmits int64
 	dedups      int64
 	giveUps     int64
@@ -93,12 +99,14 @@ func (rel *relState) putOut(om *outMsg) {
 // EnableReliable arms the reliable-delivery layer for all inter-node
 // point-to-point traffic (same-node messages never touch the wire and need
 // no protection). Must be called before Run.
-func (w *World) EnableReliable() {
-	w.rel = &relState{
+func (w *World) EnableReliable() { w.rel = newRelState() }
+
+func newRelState() *relState {
+	return &relState{
 		nextSeq:     make(map[relKey]uint64),
-		outstanding: make(map[relKey]map[uint64]*outMsg),
+		outstanding: make(map[relMsgKey]*outMsg),
 		nextDeliver: make(map[relKey]uint64),
-		pending:     make(map[relKey]map[uint64]*Message),
+		pending:     make(map[relMsgKey]*Message),
 	}
 }
 
@@ -128,22 +136,20 @@ func (rel *relState) stamp(m *Message) {
 	k := relKey{src: m.Src, dst: m.Dst, tag: m.Tag}
 	m.relSeq = rel.nextSeq[k]
 	rel.nextSeq[k]++
-	if rel.outstanding[k] == nil {
-		rel.outstanding[k] = make(map[uint64]*outMsg)
-	}
-	rel.outstanding[k][m.relSeq] = rel.getOut(m)
+	rel.outstanding[relMsgKey{k, m.relSeq}] = rel.getOut(m)
 }
 
 // ack releases the retained copy of (k, seq): the receiver has it.
 func (rel *relState) ack(k relKey, seq uint64) {
-	om := rel.outstanding[k][seq]
+	mk := relMsgKey{k, seq}
+	om := rel.outstanding[mk]
 	if om == nil {
 		return
 	}
 	if om.timer != nil {
 		om.timer.Stop()
 	}
-	delete(rel.outstanding[k], seq)
+	delete(rel.outstanding, mk)
 	rel.putOut(om)
 }
 
@@ -156,8 +162,8 @@ func (w *World) onLost(m Message) {
 	if rel == nil {
 		return
 	}
-	k := relKey{src: m.Src, dst: m.Dst, tag: m.Tag}
-	om := rel.outstanding[k][m.relSeq]
+	mk := relMsgKey{relKey{src: m.Src, dst: m.Dst, tag: m.Tag}, m.relSeq}
+	om := rel.outstanding[mk]
 	if om == nil {
 		return // already acked or given up
 	}
@@ -166,7 +172,7 @@ func (w *World) onLost(m Message) {
 		if om.timer != nil {
 			om.timer.Stop()
 		}
-		delete(rel.outstanding[k], m.relSeq)
+		delete(rel.outstanding, mk)
 		rel.putOut(om)
 		return
 	}
@@ -177,7 +183,7 @@ func (w *World) onLost(m Message) {
 		om.backoff = backoffCap
 	}
 	om.timer = w.k.AfterTimer(d, func() {
-		if rel.outstanding[k][m.relSeq] != om {
+		if rel.outstanding[mk] != om {
 			return // acked in the meantime
 		}
 		rel.retransmits++
@@ -208,7 +214,7 @@ func (w *World) arrived(dst *Rank, m *Message) {
 	}
 	k := relKey{src: m.Src, dst: m.Dst, tag: m.Tag}
 	next := rel.nextDeliver[k]
-	if m.relSeq < next || (rel.pending[k] != nil && rel.pending[k][m.relSeq] != nil) {
+	if m.relSeq < next || rel.pending[relMsgKey{k, m.relSeq}] != nil {
 		rel.dedups++
 		if mt := w.k.Metrics(); mt != nil {
 			mt.Counter("mpi_dedup_drops_total", metrics.L(metrics.KeyLayer, "mpi")).Inc()
@@ -217,21 +223,20 @@ func (w *World) arrived(dst *Rank, m *Message) {
 	}
 	rel.ack(k, m.relSeq)
 	if m.relSeq > next {
-		if rel.pending[k] == nil {
-			rel.pending[k] = make(map[uint64]*Message)
-		}
-		rel.pending[k][m.relSeq] = m
+		rel.pending[relMsgKey{k, m.relSeq}] = m
 		return
 	}
 	rel.nextDeliver[k] = next + 1
 	dst.deliver(m)
-	for {
-		nm := rel.pending[k][rel.nextDeliver[k]]
+	for len(rel.pending) > 0 {
+		next++
+		mk := relMsgKey{k, next}
+		nm := rel.pending[mk]
 		if nm == nil {
 			return
 		}
-		delete(rel.pending[k], rel.nextDeliver[k])
-		rel.nextDeliver[k]++
+		delete(rel.pending, mk)
+		rel.nextDeliver[k] = next + 1
 		dst.deliver(nm)
 	}
 }
@@ -273,7 +278,7 @@ func (r *Rank) WaitDeadline(q *Request, d sim.Time) (*Message, error) {
 // cancelRecv withdraws the posted receive backing q, if any.
 func (r *Rank) cancelRecv(q *Request) {
 	for i, pr := range r.mbox.posted {
-		if pr.req == q {
+		if &pr.req == q {
 			r.mbox.posted = append(r.mbox.posted[:i], r.mbox.posted[i+1:]...)
 			return
 		}

@@ -2,22 +2,11 @@ package mpi
 
 import "testing"
 
-// newBenchRelState builds a relState with the protocol's fixed timing,
-// bypassing World so the bookkeeping can be driven directly.
-func newBenchRelState() *relState {
-	return &relState{
-		nextSeq:     make(map[relKey]uint64),
-		outstanding: make(map[relKey]map[uint64]*outMsg),
-		nextDeliver: make(map[relKey]uint64),
-		pending:     make(map[relKey]map[uint64]*Message),
-	}
-}
-
 // BenchmarkRelRetainAck measures the fault-free reliable-delivery cost per
 // message: sequence assignment, sender-side retention and the ack release.
 // With the outMsg free list this is allocation-free in steady state.
 func BenchmarkRelRetainAck(b *testing.B) {
-	rel := newBenchRelState()
+	rel := newRelState()
 	k := relKey{src: 0, dst: 9, tag: 7}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -26,7 +15,7 @@ func BenchmarkRelRetainAck(b *testing.B) {
 		rel.stamp(&m)
 		rel.ack(k, m.relSeq)
 	}
-	if n := len(rel.outstanding[k]); n != 0 {
+	if n := len(rel.outstanding); n != 0 {
 		b.Fatalf("%d messages still outstanding", n)
 	}
 }
@@ -35,7 +24,7 @@ func BenchmarkRelRetainAck(b *testing.B) {
 // streams — one per (aggregator, writer) pair at the bench-tier scale — so
 // the per-stream map overhead is measured too.
 func BenchmarkRelRetainAckManyStreams(b *testing.B) {
-	rel := newBenchRelState()
+	rel := newRelState()
 	const streams = 4096
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -51,7 +40,7 @@ func BenchmarkRelRetainAckManyStreams(b *testing.B) {
 // free list and stream maps are warm, the fault-free retain/ack cycle
 // allocates nothing per message.
 func TestRelRetainAckSteadyStateZeroAlloc(t *testing.T) {
-	rel := newBenchRelState()
+	rel := newRelState()
 	k := relKey{src: 1, dst: 2, tag: 5}
 	cycle := func() {
 		m := Message{Src: k.src, Dst: k.dst, Tag: k.tag, Size: 64}
@@ -63,5 +52,30 @@ func TestRelRetainAckSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 		t.Fatalf("steady-state retain/ack allocated %.1f times per message, want 0", allocs)
+	}
+}
+
+// TestRelRetainAckUniqueTagsZeroAlloc is the same cycle with a fresh tag
+// per message, as the two-phase shuffle sends every round under a tag of
+// its own: a stream that carries one message must leave no per-stream
+// retention record behind. Only the per-stream sequence counters grow, by
+// map growth that amortizes to well under one allocation per message.
+func TestRelRetainAckUniqueTagsZeroAlloc(t *testing.T) {
+	rel := newRelState()
+	tag := 0
+	cycle := func() {
+		tag++
+		m := Message{Src: 1, Dst: 2, Tag: tag, Size: 64}
+		rel.stamp(&m)
+		rel.ack(relKey{src: 1, dst: 2, tag: tag}, m.relSeq)
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // warm the free list
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Fatalf("retain/ack over unique tags allocated %.1f times per message, want 0", allocs)
+	}
+	if n := len(rel.outstanding); n != 0 {
+		t.Fatalf("%d messages still outstanding", n)
 	}
 }

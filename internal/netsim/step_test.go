@@ -53,9 +53,12 @@ type stepTransfer struct {
 	size     int64
 	stage    int
 	t0       sim.Time
+	name     string
 }
 
-func (x *stepTransfer) step(p *sim.Proc) {
+func (x *stepTransfer) Name() string { return x.name }
+
+func (x *stepTransfer) Step(p *sim.Proc) {
 	local := x.src == x.dst
 	switch {
 	case x.stage == 0 && local:
@@ -103,8 +106,8 @@ func runTransfers(t *testing.T, seed int64, steps bool) string {
 		name := fmt.Sprintf("x%d", i)
 		k.After(sim.Time(rng.Intn(300))*sim.Microsecond, func() {
 			if steps {
-				x := &stepTransfer{src: src, dst: dst, size: size}
-				k.SpawnStep(name, nil, x.step)
+				x := &stepTransfer{src: src, dst: dst, size: size, name: name}
+				k.SpawnStep(new(sim.Proc), x)
 				return
 			}
 			k.Spawn(name, func(p *sim.Proc) { refTransfer(p, src, dst, size) })

@@ -45,17 +45,16 @@ func writeAllocs(streams int) (float64, error) {
 
 // BenchmarkPFSWrite runs b.N writes of one stream and of four. It first
 // fails if a write costs more allocations than its bound: none for one
-// stream, which runs on the calling process; 14 for four: the op's join
-// record and its streams, and a Proc, a step function and a lazy name for
-// each stream's process. The client cap's wait queue, which three of the
-// four streams join at once, keeps its array from write to write. The 0.1
-// allowance absorbs amortized growth (the event queue, the live-process
-// map).
+// stream, which runs on the calling process; 6 for four: the op's join
+// record and its streams, and a Proc for each stream's process. The client
+// cap's wait queue, which three of the four streams join at once, keeps
+// its array from write to write. The 0.1 allowance absorbs amortized
+// growth (the event queue).
 func BenchmarkPFSWrite(b *testing.B) {
 	for _, tc := range []struct {
 		streams int
 		bound   float64
-	}{{1, 0}, {4, 14}} {
+	}{{1, 0}, {4, 6}} {
 		b.Run(fmt.Sprintf("streams=%d", tc.streams), func(b *testing.B) {
 			b.ReportAllocs()
 			per, err := writeAllocs(tc.streams)

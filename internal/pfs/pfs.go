@@ -468,7 +468,7 @@ func (op *Op) Step(p *sim.Proc) bool {
 		s.Locks.granted(op.lock, p.Now())
 		return op.stream(p)
 	case opStream:
-		if op.one.step(p) {
+		if op.one.advance(p) {
 			return true
 		}
 		op.err = op.one.err
@@ -501,7 +501,8 @@ func (op *Op) stream(p *sim.Proc) bool {
 	for i := range j.streams {
 		s := &j.streams[i]
 		*s = stream{join: j, i: i, write: op.write, cur: h.cursor(i, op.off, op.size)}
-		h.client.sys.k.SpawnStep("", s.name, s.run)
+		// A fresh Proc: the streams slab is refilled by the op's next call.
+		h.client.sys.k.SpawnStep(new(sim.Proc), s)
 	}
 	op.stage = opJoin
 	p.ParkThen()
@@ -565,11 +566,11 @@ const (
 	rpcEject                // in the NIC's ejection port
 )
 
-// run is the step of a stream's own process: it reports to its join when
+// Step is the step of a stream's own process: it reports to its join when
 // the stream ends, and the last stream to end wakes the op's caller, which
 // finishes the op.
-func (st *stream) run(p *sim.Proc) {
-	if st.step(p) {
+func (st *stream) Step(p *sim.Proc) {
+	if st.advance(p) {
 		return
 	}
 	j := st.join
@@ -581,14 +582,14 @@ func (st *stream) run(p *sim.Proc) {
 	}
 }
 
-// name names a stream's process by node and target.
-func (st *stream) name() string {
+// Name names a stream's process by node and target.
+func (st *stream) Name() string {
 	return fmt.Sprintf("pfs.stream.n%d.t%d", st.cur.h.client.node.ID(), st.cur.tgt)
 }
 
-// step runs the stream up to its next wait and reports whether there is
+// advance runs the stream up to its next wait and reports whether there is
 // one; false means the stream is over, with err set when it failed.
-func (st *stream) step(p *sim.Proc) bool {
+func (st *stream) advance(p *sim.Proc) bool {
 	c := st.cur.h.client
 	s := c.sys
 	n := st.rpc.Len

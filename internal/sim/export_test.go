@@ -11,6 +11,11 @@ func (c *Cond) Waiting() int { return c.waiters.len() }
 // Fired reports whether the timer's callback has run.
 func (t *Timer) Fired() bool { return t.fired }
 
+// eventBefore is the queue's total order (keyBefore) on events.
+func eventBefore(a, b *event) bool {
+	return keyBefore(&eventKey{t: a.t, seq: a.seq}, &eventKey{t: b.t, seq: b.seq})
+}
+
 // ID returns the process's unique id within its kernel.
 func (p *Proc) ID() int { return p.id }
 

@@ -20,7 +20,7 @@ type event struct {
 	seq uint64 // tie-break: FIFO among same-time events
 	p   *Proc  // process to resume, or nil
 	fn  func() // kernel callback, run inline (must not block)
-	tm  *Timer // cancellable-timer handle, or nil
+	tm  *Timer // cancellable timer whose callback runs, or nil
 }
 
 // ErrEventBudget is wrapped by the error Run returns when the liveness
@@ -40,7 +40,7 @@ type Kernel struct {
 	budget     int64 // max events Run may dispatch; 0 = unlimited
 	dispatched int64
 
-	live     map[int]*Proc // all spawned, unfinished processes
+	live     liveSet       // all spawned, unfinished processes
 	idle     []*worker     // workers of finished processes, reused LIFO
 	workers  int64         // workers started over the kernel's lifetime
 	stopped  chan struct{} // driver -> Run: "the run has stopped"
@@ -62,7 +62,6 @@ type Kernel struct {
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
 		rng:     rand.New(rand.NewSource(seed)),
-		live:    make(map[int]*Proc),
 		stopped: make(chan struct{}),
 	}
 }
@@ -145,6 +144,7 @@ func (k *Kernel) After(d Time, fn func()) {
 // on an ack'd message) is completely invisible to the golden trace and to
 // every determinism oracle.
 type Timer struct {
+	fn      func() // the callback, until it fires
 	stopped bool
 	fired   bool
 }
@@ -161,60 +161,101 @@ func (t *Timer) Stop() bool {
 }
 
 // AfterTimer schedules fn like After but returns a handle that can cancel
-// the callback before it fires. fn must not block.
+// the callback before it fires. fn must not block. It stays out of line:
+// inlined, its event would take room in the frame of a rank that arms a
+// deadline and then blocks.
+//
+//go:noinline
 func (k *Kernel) AfterTimer(d Time, fn func()) *Timer {
-	tm := &Timer{}
-	k.schedule(event{t: k.now + d, tm: tm, fn: func() {
-		tm.fired = true
-		fn()
-	}})
+	tm := &Timer{fn: fn}
+	k.schedule(event{t: k.now + d, tm: tm})
 	return tm
 }
 
 // Spawn creates a new simulation process that begins executing fn at the
 // current virtual time (or, when called before Run, at time zero).
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.spawn(name, nil, fn, nil)
+	if fn == nil {
+		panic("sim: spawn with a nil process body")
+	}
+	p := &Proc{name: name, fn: fn}
+	k.start(p)
+	return p
 }
 
-// SpawnStep creates a step process: a process that never gets a worker.
-// step runs inline in the kernel at the process's first resume (the current
-// virtual time) and at every resume after it. Each run either arranges the
-// next resume, with Then, ParkThen, Station.ServeThen or Cond.WaitThen, or
-// returns without one, which ends the process.
+// Stepper is the body of a step process: Step runs at each of its resumes,
+// and Name names the process the first time the name is observed — a
+// deadlock report, a panic, an explicit Proc.Name call — so the fast path
+// never pays for formatting it.
+type Stepper interface {
+	Step(p *Proc)
+	Name() string
+}
+
+// SpawnStep starts a step process, a process that never gets a worker, in
+// storage p that the caller owns; a caller with none passes new(Proc).
+// s.Step runs inline in the kernel at the process's first resume (the
+// current virtual time) and at every resume after it. Each run either
+// arranges the next resume, with Then, ParkThen, Station.ServeThen or
+// Cond.WaitThen, or returns without one, which ends the process.
 //
 // A step must not block: Sleep, Park, Serve and Cond.Wait panic on a step
 // process. Step processes suit the many waiting-mostly processes (one per
 // simulated message, PFS stream or cache sync thread) whose worker stacks
 // would dominate memory; a blocking call has a step form for them, and
 // the blocking form is that step form followed by Park.
-// When name is empty, nameFn computes it the first time it is observed — a
-// deadlock report, a panic, an explicit Name() call — so the fast path
-// never pays for formatting it.
-func (k *Kernel) SpawnStep(name string, nameFn func() string, step func(p *Proc)) *Proc {
-	return k.spawn(name, nameFn, nil, step)
-}
-
-func (k *Kernel) spawn(name string, nameFn func() string, fn, step func(p *Proc)) *Proc {
-	if fn == nil && step == nil {
+//
+// SpawnStep overwrites *p. A stale event may still name a finished
+// process, so p may be embedded only in a record that is never reused
+// while an event can still name it: the record of one message, say, but
+// not an element of a slab that is refilled for the next operation.
+func (k *Kernel) SpawnStep(p *Proc, s Stepper) {
+	if s == nil {
 		panic("sim: spawn with a nil process body")
 	}
-	p := &Proc{
-		k:      k,
-		name:   name,
-		nameFn: nameFn,
-		id:     k.nextID,
-		fn:     fn,
-		step:   step,
-		since:  k.now,
-		ttk:    trace.NoTrack,
-	}
+	*p = Proc{s: s}
+	k.start(p)
+}
+
+// start makes p, which names its body, live and schedules its first
+// resume at the current virtual time.
+func (k *Kernel) start(p *Proc) {
+	p.k, p.id, p.since, p.ttk = k, k.nextID, k.now, trace.NoTrack
 	k.nextID++
-	k.live[p.id] = p
+	k.live.add(p)
 	k.mSpawns.Inc()
-	k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(len(k.live)))
+	k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(k.live.n))
 	k.schedule(event{t: k.now, p: p}) // the first resume starts it
-	return p
+}
+
+// liveSet is the set of spawned, unfinished processes: a doubly linked
+// list threaded through the processes themselves, so a process joins and
+// leaves it without allocating.
+type liveSet struct {
+	head *Proc
+	n    int
+}
+
+func (s *liveSet) add(p *Proc) {
+	p.next = s.head
+	if s.head != nil {
+		s.head.prev = p
+	}
+	s.head = p
+	s.n++
+}
+
+func (s *liveSet) remove(p *Proc) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		s.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	}
+	p.prev, p.next = nil, nil
+	s.n--
 }
 
 // next dispatches events until one resumes a live worker process and
@@ -236,8 +277,12 @@ func (k *Kernel) next() *Proc {
 		k.now = ev.t
 		k.dispatched++
 		k.mEvents.Inc()
-		if ev.fn != nil {
-			if !k.call(ev.fn) {
+		if ev.p == nil { // a callback, or a timer's
+			fn := ev.fn
+			if tm := ev.tm; tm != nil {
+				fn, tm.fn, tm.fired = tm.fn, nil, true
+			}
+			if !k.call(fn) {
 				return nil
 			}
 			continue
@@ -246,7 +291,7 @@ func (k *Kernel) next() *Proc {
 		if p.done || !k.resume(p) {
 			continue // a stale wake for a finished process, or a service start
 		}
-		if p.step != nil {
+		if p.s != nil {
 			if !k.runStep(p) {
 				return nil
 			}
@@ -288,24 +333,25 @@ func (k *Kernel) runStep(p *Proc) (ok bool) {
 	defer func() {
 		if !ok {
 			r := recover()
-			k.retire(p)
 			k.panicked = fmt.Sprintf("sim: process %q panicked: %v", p.Name(), r)
+			k.retire(p)
 		}
 	}()
 	p.armed = false
-	p.step(p)
+	p.s.Step(p)
 	if !p.armed {
 		k.retire(p)
 	}
 	return true
 }
 
-// retire removes a finished process from the live set.
+// retire removes a finished process from the live set. It drops the
+// process's stepper, which the caller may reuse once no event names p.
 func (k *Kernel) retire(p *Proc) {
 	p.done = true
-	p.w, p.step = nil, nil
-	delete(k.live, p.id)
-	k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(len(k.live)))
+	p.w, p.s = nil, nil
+	k.live.remove(p)
+	k.tracer.Counter(k.ktrack, "live_procs", int64(k.now), int64(k.live.n))
 }
 
 // call runs a kernel callback, recording a panic for Run to re-raise with
@@ -449,9 +495,9 @@ func (k *Kernel) Run() error {
 		return fmt.Errorf("%w: %d events dispatched at t=%v (livelock?)",
 			ErrEventBudget, k.dispatched, k.now)
 	}
-	if len(k.live) > 0 {
-		names := make([]string, 0, len(k.live))
-		for _, p := range k.live {
+	if k.live.n > 0 {
+		names := make([]string, 0, k.live.n)
+		for p := k.live.head; p != nil; p = p.next {
 			names = append(names, p.Name())
 		}
 		sort.Strings(names)
@@ -461,33 +507,32 @@ func (k *Kernel) Run() error {
 }
 
 // Proc is a simulation process: a body that the kernel runs on a worker
-// coroutine, or a step function that it runs inline (SpawnStep), scheduled
-// in virtual time. All Proc methods must be called from the process's own
+// coroutine, or a Stepper that it runs inline (SpawnStep), scheduled in
+// virtual time. All Proc methods must be called from the process's own
 // body or step.
 type Proc struct {
-	k      *Kernel
-	name   string
-	nameFn func() string // lazy name, resolved on first Name() call
-	id     int
-	fn     func(p *Proc) // worker body until the first resume starts it; nil = started
-	step   func(p *Proc) // step function of a step process; nil for a worker process
-	w      *worker       // worker running the body; nil for steps, before start and after exit
-	since  Time          // when the process last gave up control
-	svc    *Station      // station the process waits on, or nil
-	svcD   Time          // service time at svc
-	ttk    trace.TrackID
+	k          *Kernel
+	name       string // empty for a step process until Name resolves it
+	id         int
+	fn         func(p *Proc) // worker body until the first resume starts it; nil = started
+	s          Stepper       // body of a step process until it ends; nil for a worker process
+	w          *worker       // worker running the body; nil for steps, before start and after exit
+	prev, next *Proc         // neighbours in the kernel's live set
+	since      Time          // when the process last gave up control
+	svc        *Station      // station the process waits on, or nil
+	svcD       Time          // service time at svc
+	ttk        trace.TrackID
 
 	done    bool
 	armed   bool // the running step has arranged its next resume
 	serving bool // svc is serving the process (else it queues there)
 }
 
-// Name returns the process name given at Spawn, resolving a lazily named
-// step process's name on first use.
+// Name returns the process name given at Spawn, or a step process's
+// Stepper name, resolved on first use.
 func (p *Proc) Name() string {
-	if p.name == "" && p.nameFn != nil {
-		p.name = p.nameFn()
-		p.nameFn = nil
+	if p.name == "" && p.s != nil {
+		p.name = p.s.Name()
 	}
 	return p.name
 }

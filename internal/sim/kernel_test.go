@@ -707,8 +707,8 @@ func mallocs(f func()) uint64 {
 // a spawned process costs more than 1 allocation (the Proc itself: each
 // child reuses the worker the previous one left idle), measured as the
 // difference between runs of 2000 and 1000 spawns so the per-kernel setup
-// cancels out. The 0.1 allowance absorbs amortized growth (the
-// live-process map, the event queue); a second allocation per spawn would
+// cancels out. The 0.1 allowance absorbs amortized growth (the event
+// queue); a second allocation per spawn would
 // show as a full unit.
 func BenchmarkKernelSpawn(b *testing.B) {
 	b.ReportAllocs()

@@ -12,8 +12,11 @@ package sim
 //     consumed in seq order, so a ring is already sorted — push and pop
 //     are O(1).
 //   - future: a 4-ary min-heap of events scheduled for a later time.
-//     4-ary halves the tree depth of a binary heap and keeps children in
-//     one cache line.
+//     4-ary halves the tree depth of a binary heap. The heap holds only
+//     pointer-free (t, seq, slot) keys, so its sifts move 24-byte keys
+//     with no write barriers and the garbage collector never scans it;
+//     each key's payload (the process, callback and timer) waits in slot
+//     of a slab, whose freed slots a free list hands out again.
 //
 // Pop compares the ring head against the heap top under the same (t, seq)
 // total order the old heap used, so the pop sequence — and with it every
@@ -28,10 +31,26 @@ package sim
 //   - time only advances by popping a future event, which the compare
 //     permits only once the ring is empty.
 type eventQueue struct {
-	now     []event // FIFO ring of events at the current virtual time
-	head    int     // index of the ring's oldest entry
-	future  []event // 4-ary min-heap on (t, seq)
-	current Time    // the "now" the ring is bucketed on
+	now     []event    // FIFO ring of events at the current virtual time
+	head    int        // index of the ring's oldest entry
+	future  []eventKey // 4-ary min-heap on (t, seq)
+	slab    []payload  // payloads of the future events, by eventKey.slot
+	free    []int32    // unused slab slots, reused LIFO
+	current Time       // the "now" the ring is bucketed on
+}
+
+// eventKey orders a future event; slot locates its payload in the slab.
+type eventKey struct {
+	t    Time
+	seq  uint64
+	slot int32
+}
+
+// payload is what a future event does when it fires.
+type payload struct {
+	p  *Proc
+	fn func()
+	tm *Timer
 }
 
 // Len returns the number of pending events.
@@ -39,9 +58,9 @@ func (q *eventQueue) Len() int {
 	return (len(q.now) - q.head) + len(q.future)
 }
 
-// eventBefore is the queue's total order: earlier time first, then lower
+// keyBefore is the queue's total order: earlier time first, then lower
 // sequence number (FIFO among same-time events).
-func eventBefore(a, b *event) bool {
+func keyBefore(a, b *eventKey) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
@@ -56,7 +75,16 @@ func (q *eventQueue) Push(ev event, now Time) {
 		q.current = now
 		return
 	}
-	q.future = append(q.future, ev)
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+	} else {
+		slot = int32(len(q.slab))
+		q.slab = append(q.slab, payload{})
+	}
+	q.slab[slot] = payload{p: ev.p, fn: ev.fn, tm: ev.tm}
+	q.future = append(q.future, eventKey{t: ev.t, seq: ev.seq, slot: slot})
 	q.up(len(q.future) - 1)
 }
 
@@ -74,59 +102,69 @@ func (q *eventQueue) ringUsable(now Time) bool {
 // Pop removes and returns the smallest pending event under (t, seq).
 // It must not be called on an empty queue.
 func (q *eventQueue) Pop() event {
-	ringOK := q.head < len(q.now)
-	heapOK := len(q.future) > 0
-	if ringOK && (!heapOK || eventBefore(&q.now[q.head], &q.future[0])) {
-		ev := q.now[q.head]
-		q.now[q.head] = event{} // release fn/p/tm references
-		q.head++
-		return ev
+	if q.head < len(q.now) {
+		ev := &q.now[q.head]
+		if len(q.future) == 0 || keyBefore(&eventKey{t: ev.t, seq: ev.seq}, &q.future[0]) {
+			out := *ev
+			*ev = event{} // release fn/p/tm references
+			q.head++
+			return out
+		}
 	}
-	ev := q.future[0]
+	key := q.future[0]
 	n := len(q.future) - 1
 	q.future[0] = q.future[n]
-	q.future[n] = event{}
 	q.future = q.future[:n]
 	if n > 0 {
-		q.down(0)
+		q.down()
 	}
+	pl := &q.slab[key.slot]
+	ev := event{t: key.t, seq: key.seq, p: pl.p, fn: pl.fn, tm: pl.tm}
+	*pl = payload{} // the slab must not keep a finished event's references
+	q.free = append(q.free, key.slot)
 	return ev
 }
 
 const heapArity = 4
 
 func (q *eventQueue) up(i int) {
+	h := q.future
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !eventBefore(&q.future[i], &q.future[parent]) {
-			return
+		if !keyBefore(&x, &h[parent]) {
+			break
 		}
-		q.future[i], q.future[parent] = q.future[parent], q.future[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = x
 }
 
-func (q *eventQueue) down(i int) {
-	n := len(q.future)
+// down sifts the root key to its place: the hole moves down to the
+// smallest child until no child is smaller than the key.
+func (q *eventQueue) down() {
+	h := q.future
+	n := len(h)
+	x := h[0]
+	i := 0
 	for {
 		first := heapArity*i + 1
 		if first >= n {
-			return
+			break
 		}
-		min := first
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
+		best := first
+		last := min(first+heapArity, n)
 		for c := first + 1; c < last; c++ {
-			if eventBefore(&q.future[c], &q.future[min]) {
-				min = c
+			if keyBefore(&h[c], &h[best]) {
+				best = c
 			}
 		}
-		if !eventBefore(&q.future[min], &q.future[i]) {
-			return
+		if !keyBefore(&h[best], &x) {
+			break
 		}
-		q.future[i], q.future[min] = q.future[min], q.future[i]
-		i = min
+		h[i] = h[best]
+		i = best
 	}
+	h[i] = x
 }

@@ -115,22 +115,33 @@ func grid(n int) (int, int, int) {
 
 // Segments returns rank's file extents for an nranks-process run.
 func (c CollPerf) Segments(rank, nranks int) []extent.Extent {
+	segs, _ := c.runs(rank, nranks, false)
+	return segs
+}
+
+// runs returns rank's file extents and the file offset of the first. With
+// rebase, every extent is shifted by that offset, so the first starts at 0.
+func (c CollPerf) runs(rank, nranks int, rebase bool) ([]extent.Extent, int64) {
 	px, py, _ := grid(nranks)
 	ix := rank % px
 	iy := (rank / px) % py
 	iz := rank / (px * py)
 	rowLen := int64(px) * c.RunBytes        // one global x-row
 	planeRows := int64(py) * int64(c.RunsY) // global rows per z-plane
+	first := (int64(iz)*int64(c.RunsZ)*planeRows+int64(iy)*int64(c.RunsY))*rowLen +
+		int64(ix)*c.RunBytes
+	base := first
+	if rebase {
+		base = 0
+	}
 	segs := make([]extent.Extent, 0, c.RunsY*c.RunsZ)
 	for jz := 0; jz < c.RunsZ; jz++ {
 		for jy := 0; jy < c.RunsY; jy++ {
-			globalRow := (int64(iz)*int64(c.RunsZ)+int64(jz))*planeRows +
-				int64(iy)*int64(c.RunsY) + int64(jy)
-			off := globalRow*rowLen + int64(ix)*c.RunBytes
+			off := base + (int64(jz)*planeRows+int64(jy))*rowLen
 			segs = append(segs, extent.Extent{Off: off, Len: c.RunBytes})
 		}
 	}
-	return segs
+	return segs, first
 }
 
 // WritePhase implements Workload: one collective write of the whole block
@@ -147,13 +158,9 @@ func (c CollPerf) WritePhase(r *mpi.Rank, f *mpiio.File, payload bool) error {
 // setView sets rank r's view of f to its block and returns the block's
 // payload (nil without one).
 func (c CollPerf) setView(r *mpi.Rank, f *mpiio.File, payload bool) ([]byte, error) {
-	nranks := f.Comm().Size()
-	segs := c.Segments(f.Comm().RankOf(r), nranks)
-	base := segs[0].Off
-	ft := mpiio.FlatType{Extent: segs[len(segs)-1].End() - base, Segs: make([]extent.Extent, 0, len(segs))}
-	for _, s := range segs {
-		ft.Segs = append(ft.Segs, extent.Extent{Off: s.Off - base, Len: s.Len})
-	}
+	me := f.Comm().RankOf(r)
+	segs, base := c.runs(me, f.Comm().Size(), true)
+	ft := mpiio.FlatType{Extent: segs[len(segs)-1].End(), Segs: segs}
 	if err := f.SetView(base, ft); err != nil {
 		return nil, err
 	}
@@ -162,7 +169,7 @@ func (c CollPerf) setView(r *mpi.Rank, f *mpiio.File, payload bool) ([]byte, err
 	}
 	data := make([]byte, 0, c.BlockBytes())
 	for _, s := range segs {
-		data = append(data, fill(f.Comm().RankOf(r), s.Off, s.Len)...)
+		data = append(data, fill(me, base+s.Off, s.Len)...)
 	}
 	return data, nil
 }

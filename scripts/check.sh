@@ -26,7 +26,7 @@
 # write microbenchmarks run once after the tests, so they keep compiling
 # and their built-in equality and allocation checks keep running (an
 # append into a pre-grown cache journal must not allocate; a one-stream
-# PFS write must not allocate, a four-stream one at most 14 times).
+# PFS write must not allocate, a four-stream one at most 6 times).
 #
 # A kilo-rank scale smoke also gates the run: the TestScale_ suite at
 # 1024 ranks (clean, lossy and aggregator-crash collective writes checked
