@@ -36,3 +36,21 @@ func (c *Cache) Outstanding() int {
 	}
 	return n
 }
+
+// ImagePeak returns the largest image capacity, in bytes, over the
+// journals e retains: no image has held more since its journal was made.
+func (e *Env) ImagePeak() int {
+	peak := 0
+	for _, j := range e.journals {
+		peak = max(peak, cap(j.img))
+	}
+	return peak
+}
+
+// NeverCheckpoint switches journal checkpoints off until the returned
+// function restores them.
+func NeverCheckpoint() (restore func()) {
+	slack := checkpointSlack
+	checkpointSlack = 1 << 40
+	return func() { checkpointSlack = slack }
+}

@@ -44,15 +44,58 @@ var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 // the only thing corruption faults touch) and the folded extent set the
 // cache layer reads. The image is the only copy of the records. It
 // outlives the open, like the cache file itself.
+//
+// The image holds history only back to its last checkpoint, so its size
+// follows the live extents rather than the run's length (see append).
 type Journal struct {
 	img  []byte
 	recs int // records appended and not truncated by Scrub; the image may hold fewer whole ones
 	seq  uint64
 	set  extent.Set
+	// damaged is set when a checkpoint finds the image torn or rotted.
+	// Only Scrub repairs an image, so until it runs no append rescans it.
+	damaged bool
 }
 
-// append encodes one commit record in place at the tail of the image.
+// checkpointSlack is how many records beyond two per live extent the
+// image may hold before the next append checkpoints it. It is a variable
+// only so that a test can switch checkpoints off.
+var checkpointSlack = 16
+
+// append commits one record at the tail of the image. When the image holds
+// more than 2·live + checkpointSlack records and every one of them is
+// intact, it is first checkpointed, as a write-ahead log is: rewritten in
+// place as one add record per live extent, with fresh sequence numbers.
+// The records a checkpoint drops are dead, since their extents are synced
+// or covered by a live extent, so replay folds the same set from it.
+//
+// Checkpointing before the append keeps the new record last, so a Tear
+// still cuts exactly the record being appended, and a torn trim still
+// widens replay. A damaged image (a torn tail, or a record failing its
+// checks) is never checkpointed: it keeps growing until Scrub finds and
+// reports the damage, exactly as it would without checkpoints.
 func (j *Journal) append(op byte, e extent.Extent) {
+	if !j.damaged && j.recs > 2*j.set.Len()+checkpointSlack {
+		if j.intact(j.validRecords()) {
+			j.checkpoint()
+		} else {
+			j.damaged = true
+		}
+	}
+	j.put(op, e)
+}
+
+// checkpoint rewrites the image in place as one add record per live
+// extent. It reuses the image's backing array, so it allocates nothing.
+func (j *Journal) checkpoint() {
+	j.img, j.recs = j.img[:0], 0
+	for i := range j.set.Len() {
+		j.put(opAdd, j.set.At(i))
+	}
+}
+
+// put encodes one commit record in place at the tail of the image.
+func (j *Journal) put(op byte, e extent.Extent) {
 	j.seq++
 	j.recs++
 	off := len(j.img)
@@ -65,6 +108,28 @@ func (j *Journal) append(op byte, e extent.Extent) {
 	binary.LittleEndian.PutUint64(frame[12:20], uint64(e.Off))
 	binary.LittleEndian.PutUint64(frame[20:28], uint64(e.Len))
 	binary.LittleEndian.PutUint32(frame[28:32], crc32.Checksum(frame[:28], journalCRC))
+}
+
+// validRecords returns the length, in records, of the image's longest
+// prefix of whole records that pass their checks.
+func (j *Journal) validRecords() int {
+	valid := 0
+	for off := 0; off+journalRecSize <= len(j.img); off += journalRecSize {
+		frame := j.img[off : off+journalRecSize]
+		if frame[0] != journalMagic || (frame[1] != opAdd && frame[1] != opTrim) ||
+			binary.LittleEndian.Uint16(frame[2:4]) != journalPayload ||
+			binary.LittleEndian.Uint32(frame[28:32]) != crc32.Checksum(frame[:28], journalCRC) {
+			break
+		}
+		valid++
+	}
+	return valid
+}
+
+// intact reports whether the image holds exactly its appended records and
+// the first valid of them pass their checks: nothing torn, nothing rotted.
+func (j *Journal) intact(valid int) bool {
+	return valid == j.recs && len(j.img) == j.recs*journalRecSize
 }
 
 // Add journals e as dirty (a committed cache write).
@@ -121,17 +186,8 @@ func (j *Journal) Tear() {
 // is idempotent. Dropped add records are the dangerous case, and exactly
 // those ranges are reported as lost.
 func (j *Journal) Scrub() []extent.Extent {
-	valid := 0
-	for off := 0; off+journalRecSize <= len(j.img); off += journalRecSize {
-		frame := j.img[off : off+journalRecSize]
-		if frame[0] != journalMagic || (frame[1] != opAdd && frame[1] != opTrim) ||
-			binary.LittleEndian.Uint16(frame[2:4]) != journalPayload ||
-			binary.LittleEndian.Uint32(frame[28:32]) != crc32.Checksum(frame[:28], journalCRC) {
-			break
-		}
-		valid++
-	}
-	if valid >= j.recs && len(j.img) == j.recs*journalRecSize {
+	valid := j.validRecords()
+	if j.intact(valid) {
 		return nil
 	}
 	var kept extent.Set
@@ -154,6 +210,7 @@ func (j *Journal) Scrub() []extent.Extent {
 	j.recs = valid
 	j.img = j.img[:valid*journalRecSize]
 	j.set = kept
+	j.damaged = false
 	return lost
 }
 

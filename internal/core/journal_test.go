@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"slices"
@@ -13,12 +15,16 @@ import (
 
 // listJournal is the journal as it was kept before the image became the
 // only copy of the records: a decoded record list next to the image, with
-// Scrub refolding the surviving prefix from the list.
+// Scrub refolding the surviving prefix from the list. It checkpoints by the
+// same rule as Journal, rebuilding both from the folded set, unless full is
+// set: then it keeps every record, the uncompacted reference.
 type listJournal struct {
-	recs []listRec
-	img  []byte
-	seq  uint64
-	set  extent.Set
+	recs    []listRec
+	img     []byte
+	seq     uint64
+	set     extent.Set
+	full    bool
+	damaged bool
 }
 
 type listRec struct {
@@ -27,6 +33,20 @@ type listRec struct {
 }
 
 func (j *listJournal) append(op byte, e extent.Extent) {
+	if live := j.set.Extents(); !j.full && !j.damaged && len(j.recs) > 2*len(live)+checkpointSlack {
+		if j.valid() == len(j.recs) && len(j.img) == len(j.recs)*journalRecSize {
+			j.recs, j.img = nil, nil
+			for _, x := range live {
+				j.write(opAdd, x)
+			}
+		} else {
+			j.damaged = true
+		}
+	}
+	j.write(op, e)
+}
+
+func (j *listJournal) write(op byte, e extent.Extent) {
 	j.seq++
 	j.recs = append(j.recs, listRec{op: op, ext: e})
 	var frame [journalRecSize]byte
@@ -68,7 +88,10 @@ func (j *listJournal) Rot(off int) {
 	}
 }
 
-func (j *listJournal) Scrub() []extent.Extent {
+func (j *listJournal) Extents() []extent.Extent { return j.set.Extents() }
+
+// valid returns how many leading whole records of the image pass their checks.
+func (j *listJournal) valid() int {
 	valid := 0
 	for off := 0; off+journalRecSize <= len(j.img); off += journalRecSize {
 		frame := j.img[off : off+journalRecSize]
@@ -79,6 +102,11 @@ func (j *listJournal) Scrub() []extent.Extent {
 		}
 		valid++
 	}
+	return valid
+}
+
+func (j *listJournal) Scrub() []extent.Extent {
+	valid := j.valid()
 	if valid >= len(j.recs) && len(j.img) == len(j.recs)*journalRecSize {
 		return nil
 	}
@@ -97,13 +125,14 @@ func (j *listJournal) Scrub() []extent.Extent {
 	j.recs = j.recs[:valid]
 	j.img = j.img[:valid*journalRecSize]
 	j.set = kept
+	j.damaged = false
 	return lost
 }
 
 // TestJournalImageMatchesRecordList drives the journal and the record-list
 // journal through the same random Add/Remove/Tear/Rot/Scrub sequences: every
 // step must leave the same lost ranges, folded extents, commit sequence and
-// image bytes.
+// image bytes, checkpoints included.
 func TestJournalImageMatchesRecordList(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for seq := 0; seq < 300; seq++ {
@@ -187,6 +216,29 @@ func TestJournalScrubFoldsTheImage(t *testing.T) {
 	}
 }
 
+// TestJournalCheckpointZeroAlloc checks that a warm journal checkpoints
+// without allocating and that its image stays bounded: each cycle dirties
+// 40 disjoint extents and trims them again, which checkpoints the image
+// several times.
+func TestJournalCheckpointZeroAlloc(t *testing.T) {
+	var j Journal
+	cycle := func() {
+		for i := range 40 {
+			j.Add(extent.Extent{Off: int64(i) * 8192, Len: 4096})
+		}
+		for i := range 40 {
+			j.Remove(extent.Extent{Off: int64(i) * 8192, Len: 4096})
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(10, cycle); allocs != 0 {
+		t.Errorf("a warm cycle of 80 appends allocated %.0f times, want 0", allocs)
+	}
+	if limit := (2*40 + checkpointSlack + 1) * journalRecSize; cap(j.img) > limit {
+		t.Errorf("image capacity %d bytes after 12 cycles, want <= %d", cap(j.img), limit)
+	}
+}
+
 // BenchmarkJournalAppend appends b.N commit records into a journal whose
 // image has already grown to hold them, and fails if an append allocates.
 func BenchmarkJournalAppend(b *testing.B) {
@@ -201,5 +253,214 @@ func BenchmarkJournalAppend(b *testing.B) {
 	b.ResetTimer()
 	if allocs := testing.AllocsPerRun(1, appendAll); allocs != 0 {
 		b.Fatalf("%d appends into a pre-grown journal allocated %.0f times, want 0", b.N, allocs)
+	}
+}
+
+// modelJournal is what the recovery model drives beside its reference:
+// Journal and the sabotaged checkpoints.
+type modelJournal interface {
+	Add(extent.Extent)
+	Remove(extent.Extent)
+	Tear()
+	Rot(off int)
+	Scrub() []extent.Extent
+	Extents() []extent.Extent
+}
+
+// checkRecovery drives journals from newJ through nseq random
+// Add/Remove/Tear/Rot/Scrub sequences and returns the first fault it finds.
+//
+// Without damage, or with a single tear in the sequence (damage false),
+// each journal runs beside the uncompacted reference: every Scrub must
+// report the same lost ranges and every step must leave the same folded
+// extents. A tear cuts the last record, which is the same record in both
+// until a Scrub or an earlier tear has cut records off. With rot and
+// repeated tears (damage true) the images differ: rot flips other bytes of
+// a shorter image, and once a Scrub or a burst of tears has cut records a
+// further tear can reach into the last checkpoint. So the journal is held
+// to what recovery needs: every byte written and not since trimmed or
+// reported lost is kept or reported lost, and no byte that was never
+// written is kept.
+func checkRecovery(newJ func() modelJournal, damage bool, nseq int, seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	for seq := 0; seq < nseq; seq++ {
+		got, want := newJ(), &listJournal{full: true}
+		var dirty, written extent.Set
+		torn := false
+		scrub := func(step int) error {
+			lost := got.Scrub()
+			if !damage {
+				if wl := want.Scrub(); !slices.Equal(lost, wl) {
+					return fmt.Errorf("sequence %d step %d: Scrub lost %v, want %v", seq, step, lost, wl)
+				}
+				return nil
+			}
+			var held extent.Set
+			for _, e := range append(got.Extents(), lost...) {
+				held.Add(e)
+			}
+			for _, e := range dirty.Extents() {
+				if !held.Covers(e) {
+					return fmt.Errorf("sequence %d step %d: dirty %v neither kept nor reported lost (kept %v, lost %v)",
+						seq, step, e, got.Extents(), lost)
+				}
+			}
+			for _, e := range got.Extents() {
+				if !written.Covers(e) {
+					return fmt.Errorf("sequence %d step %d: kept %v, never written", seq, step, e)
+				}
+			}
+			for _, e := range lost {
+				dirty.Remove(e)
+			}
+			return nil
+		}
+		for step := 0; step < 200; step++ {
+			op := rng.Intn(21)
+			e := extent.Extent{Off: rng.Int63n(64) * 512, Len: 1 + rng.Int63n(8*512)}
+			off := rng.Intn(1 << 12)
+			switch {
+			case op < 9:
+				got.Add(e)
+				want.Add(e)
+				dirty.Add(e)
+				written.Add(e)
+			case op < 15:
+				got.Remove(e)
+				want.Remove(e)
+				dirty.Remove(e)
+			case op < 16:
+				if !damage && torn {
+					continue
+				}
+				got.Tear()
+				want.Tear()
+				torn = true
+			case op < 17 && damage:
+				for range 32 {
+					got.Tear()
+				}
+				if err := scrub(step); err != nil {
+					return err
+				}
+			case op < 18 && damage:
+				got.Rot(off)
+			default:
+				if err := scrub(step); err != nil {
+					return err
+				}
+			}
+			if !damage && !slices.Equal(got.Extents(), want.Extents()) {
+				return fmt.Errorf("sequence %d step %d: extents %v, want %v", seq, step, got.Extents(), want.Extents())
+			}
+		}
+	}
+	return nil
+}
+
+// withSlack runs fn with checkpointSlack set to each of 0, which
+// checkpoints whenever records outnumber twice the live extents, and the
+// production value.
+func withSlack(t *testing.T, fn func(slack int) error) []error {
+	t.Helper()
+	defer func(s int) { checkpointSlack = s }(checkpointSlack)
+	var errs []error
+	for _, slack := range []int{0, checkpointSlack} {
+		checkpointSlack = slack
+		errs = append(errs, fn(slack))
+	}
+	return errs
+}
+
+// TestJournalCheckpointRecoversLikeFullHistory is the checkpoint's
+// recovery-equivalence model test: a checkpointing Journal must recover
+// like the journal that keeps every record (see checkRecovery).
+func TestJournalCheckpointRecoversLikeFullHistory(t *testing.T) {
+	errs := withSlack(t, func(slack int) error {
+		checkpoints := 0
+		newJ := func() modelJournal { return &countingJournal{n: &checkpoints} }
+		for _, damage := range []bool{false, true} {
+			if err := checkRecovery(newJ, damage, 200, 36); err != nil {
+				return fmt.Errorf("slack %d, damage %v: %w", slack, damage, err)
+			}
+		}
+		t.Logf("slack %d: %d checkpoints", slack, checkpoints)
+		if checkpoints == 0 {
+			return fmt.Errorf("slack %d: no append checkpointed", slack)
+		}
+		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// countingJournal counts the appends that checkpointed: those after which
+// the image holds no more records than before.
+type countingJournal struct {
+	Journal
+	n *int
+}
+
+func (c *countingJournal) Add(e extent.Extent) {
+	seq, recs := c.seq, c.recs
+	c.Journal.Add(e)
+	c.count(seq, recs)
+}
+
+func (c *countingJournal) Remove(e extent.Extent) {
+	seq, recs := c.seq, c.recs
+	c.Journal.Remove(e)
+	c.count(seq, recs)
+}
+
+func (c *countingJournal) count(seq uint64, recs int) {
+	if c.seq != seq && c.recs <= recs {
+		*c.n++
+	}
+}
+
+// healingJournal checkpoints whatever state the image is in, so a torn or
+// rotted image is rewritten clean before Scrub can see the damage.
+type healingJournal struct{ Journal }
+
+func (h *healingJournal) Add(e extent.Extent)    { h.heal(); h.Journal.Add(e) }
+func (h *healingJournal) Remove(e extent.Extent) { h.heal(); h.Journal.Remove(e) }
+
+func (h *healingJournal) heal() {
+	if h.recs > 2*h.set.Len()+checkpointSlack {
+		h.checkpoint()
+	}
+}
+
+// lateJournal checkpoints after the append instead of before it, so the
+// record a Tear cuts is a checkpoint record, not the one appended.
+type lateJournal struct{ Journal }
+
+func (l *lateJournal) Add(e extent.Extent)    { l.Journal.Add(e); l.late() }
+func (l *lateJournal) Remove(e extent.Extent) { l.Journal.Remove(e); l.late() }
+
+func (l *lateJournal) late() {
+	if l.recs > 2*l.set.Len()+checkpointSlack && l.intact(l.validRecords()) {
+		l.checkpoint()
+	}
+}
+
+// TestJournalRecoveryModelCatchesBadCheckpoints is the model test's
+// sabotage self-test: a checkpoint that rewrites a damaged image, and one
+// that runs after the append, must each make the model report a fault.
+func TestJournalRecoveryModelCatchesBadCheckpoints(t *testing.T) {
+	for name, newJ := range map[string]func() modelJournal{
+		"healing": func() modelJournal { return &healingJournal{} },
+		"late":    func() modelJournal { return &lateJournal{} },
+	} {
+		errs := withSlack(t, func(int) error { return checkRecovery(newJ, false, 200, 36) })
+		if errors.Join(errs...) == nil {
+			t.Errorf("%s checkpoint: the recovery model found no fault", name)
+			continue
+		}
+		t.Logf("%s checkpoint: %v", name, errors.Join(errs...))
 	}
 }

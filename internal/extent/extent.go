@@ -101,6 +101,10 @@ func (s *Set) Extents() []Extent {
 // Len returns the number of disjoint extents.
 func (s *Set) Len() int { return len(s.ext) }
 
+// At returns the i-th extent in ascending offset order, 0 <= i < Len():
+// a walk over the set without the copy Extents makes.
+func (s *Set) At(i int) Extent { return s.ext[i] }
+
 // TotalBytes returns the number of bytes covered.
 func (s *Set) TotalBytes() int64 {
 	var n int64

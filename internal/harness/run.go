@@ -278,8 +278,12 @@ func run(spec Spec) (*Result, *Cluster, error) {
 		Phases:     make([]PhaseMetrics, spec.NFiles),
 		Breakdown:  make(map[mpe.Phase]sim.Time),
 	}
+	names := make([]string, spec.NFiles)
+	for k := range names {
+		names[k] = fmt.Sprintf("%s.%04d", spec.Workload.Name(), k)
+	}
 	fig := &figure3{cl: cl, spec: &spec, res: res, world: cl.World.Comm(), info: spec.hints(),
-		logs: logs, errs: make([]error, nranks)}
+		names: names, logs: logs, errs: make([]error, nranks)}
 	err := cl.World.Run(fig.rank)
 	if err != nil {
 		return nil, nil, err
@@ -335,6 +339,7 @@ type figure3 struct {
 	res   *Result
 	world *mpi.Comm
 	info  mpi.Info
+	names []string   // per file of the run
 	logs  []*mpe.Log // per world rank
 	errs  []error    // each world rank's first error
 }
@@ -369,7 +374,7 @@ func (g *figure3) rank(r *mpi.Rank) {
 
 // open opens file k of the run on r.
 func (g *figure3) open(r *mpi.Rank, k int) (*mpiio.File, error) {
-	return g.cl.Env.OpenWithLog(r, g.world, fmt.Sprintf("%s.%04d", g.spec.Workload.Name(), k),
+	return g.cl.Env.OpenWithLog(r, g.world, g.names[k],
 		mpiio.ModeCreate|mpiio.ModeWrOnly, g.info, g.logs[r.ID()])
 }
 

@@ -43,3 +43,19 @@ func (w *World) Outstanding() int {
 	}
 	return len(w.rel.outstanding)
 }
+
+// Streams returns how many streams hold sequence numbers.
+func (w *World) Streams() int { return len(w.rel.streams) }
+
+// Unsettled returns how many stamped messages are outstanding, pending or
+// were given up.
+func (w *World) Unsettled() int {
+	return len(w.rel.outstanding) + len(w.rel.pending) + int(w.rel.giveUps)
+}
+
+// KeepStreams switches stream retirement off until the returned function
+// restores it.
+func KeepStreams() (restore func()) {
+	retireStreams = false
+	return func() { retireStreams = true }
+}

@@ -318,11 +318,11 @@ func (x *transfer) Step(p *sim.Proc) {
 		dst.node.EjectDone(x.tSvc, x.m.Size)
 		x.end(dst, p.Now())
 		x.p2pNs.Observe(int64(p.Now() - x.t0))
-		w.arrived(dst, &x.m)
+		w.arrived(dst, &x.m, false)
 		if x.fate == netsim.FateDup {
 			dst.node.CountDup()
 			dup := x.m
-			w.arrived(dst, &dup)
+			w.arrived(dst, &dup, true)
 		}
 		return
 	}

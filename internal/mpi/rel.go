@@ -12,7 +12,9 @@ import (
 // sequence numbers assigned at Isend, sender-side retention of every
 // in-flight message until the receiver's ack, retransmission on loss with
 // capped exponential backoff and a bounded attempt budget, and
-// receiver-side dedup of duplicated (or re-delivered) copies.
+// receiver-side dedup of duplicated (or re-delivered) copies. A stream's
+// sequence numbers live only while it has messages in flight (see
+// relState.streams).
 //
 // Acks are modelled as zero-cost control-plane messages: the receiving NIC
 // acknowledges synchronously at delivery time, and acks are never lost.
@@ -40,6 +42,12 @@ type relKey struct {
 	src, dst, tag int
 }
 
+// relStream is one stream's sequence numbers: the next its sender stamps
+// and the next its receiver delivers.
+type relStream struct {
+	send, deliver uint64
+}
+
 // relMsgKey identifies one message of a stream.
 type relMsgKey struct {
 	relKey
@@ -58,9 +66,15 @@ type outMsg struct {
 // is single-threaded, so one shared structure stands in for every rank's
 // protocol endpoint).
 type relState struct {
-	nextSeq     map[relKey]uint64      // sender: next seq per stream
+	// streams holds the sequence numbers of every stream that has stamped
+	// a message its receiver has not delivered. A stream whose receiver
+	// has delivered all of them is retired: nothing of it is outstanding
+	// (a message is acked before it is delivered) or pending (a pending
+	// message waits on an undelivered predecessor), so no copy of it is in
+	// flight, and its next message restarts it at 0 on both ends. A stream
+	// whose message was given up never retires; it stalls as before.
+	streams     map[relKey]relStream
 	outstanding map[relMsgKey]*outMsg  // sender: unacked messages
-	nextDeliver map[relKey]uint64      // receiver: next in-order seq
 	pending     map[relMsgKey]*Message // receiver: out-of-order buffer
 	retransmits int64
 	dedups      int64
@@ -87,10 +101,10 @@ func (rel *relState) getOut(m *Message) *outMsg {
 	return om
 }
 
-// putOut releases om for reuse. Safe against the stale-timer race: a
-// recycled record can never be re-keyed under its old (stream, seq) —
-// sequence numbers are never reused — so the pointer-identity check in the
-// retransmit callback stays sound.
+// putOut releases om for reuse. Safe against the stale-timer race: every
+// release stops the record's retransmit timer first, so no callback runs
+// for a record once it is recycled, even though a retired stream reuses
+// its sequence numbers.
 func (rel *relState) putOut(om *outMsg) {
 	*om = outMsg{}
 	rel.free = append(rel.free, om)
@@ -103,9 +117,8 @@ func (w *World) EnableReliable() { w.rel = newRelState() }
 
 func newRelState() *relState {
 	return &relState{
-		nextSeq:     make(map[relKey]uint64),
+		streams:     make(map[relKey]relStream),
 		outstanding: make(map[relMsgKey]*outMsg),
-		nextDeliver: make(map[relKey]uint64),
 		pending:     make(map[relMsgKey]*Message),
 	}
 }
@@ -134,8 +147,10 @@ func (w *World) DedupDrops() int64 {
 // of its stream and retains a copy of it until its ack arrives.
 func (rel *relState) stamp(m *Message) {
 	k := relKey{src: m.Src, dst: m.Dst, tag: m.Tag}
-	m.relSeq = rel.nextSeq[k]
-	rel.nextSeq[k]++
+	st := rel.streams[k]
+	m.relSeq = st.send
+	st.send++
+	rel.streams[k] = st
 	rel.outstanding[relMsgKey{k, m.relSeq}] = rel.getOut(m)
 }
 
@@ -206,15 +221,21 @@ func (w *World) onLost(m Message) {
 // deliver. A stream whose gap message exhausted its retransmit budget
 // stalls; recovery from that belongs to the collective-timeout and
 // failover layers above.
-func (w *World) arrived(dst *Rank, m *Message) {
+//
+// dup marks the copy of m that the fabric duplicated, which arrives right
+// behind m. Without reliable delivery the receiver gets it too. With it
+// the copy is always dropped, without consulting the stream: m has just
+// been delivered, buffered or dropped itself, and may have retired the
+// stream.
+func (w *World) arrived(dst *Rank, m *Message, dup bool) {
 	rel := w.rel
 	if rel == nil {
 		dst.deliver(m)
 		return
 	}
 	k := relKey{src: m.Src, dst: m.Dst, tag: m.Tag}
-	next := rel.nextDeliver[k]
-	if m.relSeq < next || rel.pending[relMsgKey{k, m.relSeq}] != nil {
+	st := rel.streams[k]
+	if dup || m.relSeq < st.deliver || rel.pending[relMsgKey{k, m.relSeq}] != nil {
 		rel.dedups++
 		if mt := w.k.Metrics(); mt != nil {
 			mt.Counter("mpi_dedup_drops_total", metrics.L(metrics.KeyLayer, "mpi")).Inc()
@@ -222,24 +243,33 @@ func (w *World) arrived(dst *Rank, m *Message) {
 		return
 	}
 	rel.ack(k, m.relSeq)
-	if m.relSeq > next {
+	if m.relSeq > st.deliver {
 		rel.pending[relMsgKey{k, m.relSeq}] = m
 		return
 	}
-	rel.nextDeliver[k] = next + 1
+	st.deliver++
 	dst.deliver(m)
 	for len(rel.pending) > 0 {
-		next++
-		mk := relMsgKey{k, next}
+		mk := relMsgKey{k, st.deliver}
 		nm := rel.pending[mk]
 		if nm == nil {
-			return
+			break
 		}
 		delete(rel.pending, mk)
-		rel.nextDeliver[k] = next + 1
+		st.deliver++
 		dst.deliver(nm)
 	}
+	if st.deliver == st.send && retireStreams {
+		delete(rel.streams, k)
+	} else {
+		rel.streams[k] = st
+	}
 }
+
+// retireStreams is whether a stream's sequence numbers are dropped once it
+// has delivered everything it stamped. It is a variable only so that a
+// test can keep every stream.
+var retireStreams = true
 
 // WaitDeadline waits for req like Wait but gives up after d, cancelling
 // the posted receive so a late message cannot complete the abandoned

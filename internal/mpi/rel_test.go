@@ -62,34 +62,43 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 	}
 }
 
+// TestReliableDedupUnderDuplication sends each message after the previous
+// one was delivered, so its stream retires between messages and restarts at
+// sequence 0: a duplicate must still be dropped, not taken for the next
+// message.
 func TestReliableDedupUnderDuplication(t *testing.T) {
 	w := testWorldSeed(t, 5, 2, 1)
 	w.EnableReliable()
 	w.fabric.Node(0).SetDup(0.5)
 	const n = 40
-	recvd := 0
+	recvd, strays := 0, 0
 	err := w.Run(func(r *Rank) {
 		switch r.ID() {
 		case 0:
 			for i := 0; i < n; i++ {
 				r.Send(1, 9, Message{Size: 64})
+				r.Compute(sim.Millisecond)
 			}
-			r.Compute(50 * sim.Millisecond) // let stray duplicates land
 		case 1:
 			for i := 0; i < n; i++ {
 				r.Recv(0, 9)
 				recvd++
 			}
+			r.Compute(50 * sim.Millisecond) // let stray duplicates land
+			strays = len(r.mbox.unexpected)
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recvd != n {
-		t.Fatalf("received %d, want exactly %d", recvd, n)
+	if recvd != n || strays != 0 {
+		t.Fatalf("received %d and %d more, want exactly %d", recvd, strays, n)
 	}
 	if w.DedupDrops() == 0 {
 		t.Fatal("a 50% dup link must force at least one dedup")
+	}
+	if w.Streams() != 0 {
+		t.Fatalf("%d streams hold sequence numbers after every message was delivered, want 0", w.Streams())
 	}
 }
 
