@@ -22,15 +22,16 @@ cover:
 	go test -count=1 -coverprofile=cover.out ./...
 	go tool cover -func=cover.out | tail -20
 
-# Trace one representative cache-enabled coll_perf cell to trace.json;
-# open the file with https://ui.perfetto.dev (byte-reproducible per seed).
+# Trace one representative cache-enabled coll_perf cell (16 aggregators,
+# 16 MB buffers, 8x4 ranks, 2 files) to trace.json; open the file with
+# https://ui.perfetto.dev (byte-reproducible per seed).
 trace-demo:
-	go run ./cmd/e10bench -trace trace.json -scale 8x4 -files 2
+	go run ./cmd/collperf -aggs 16 -cb 16 -nodes 8 -ppn 4 -files 2 -trace trace.json
 
 # Critical-path report plus 24-bucket run timeline for the same
 # representative cell (post-hoc analysis; byte-reproducible per seed).
 critpath-demo:
-	go run ./cmd/e10bench -critpath -timeline 24 -scale 8x4 -files 2
+	go run ./cmd/collperf -aggs 16 -cb 16 -nodes 8 -ppn 4 -files 2 -critpath -timeline 24
 
 # Deterministic chaos soak: 200 seeded scenarios of each family — cache
 # (cache-stack crashes and device faults), netfaults (degraded-mode

@@ -35,8 +35,5 @@ func main() {
 	if err != nil {
 		cli.Fatalf("collperf", "%v", err)
 	}
-	cli.Report(os.Stdout, res)
-	flags.ReportTrace(os.Stdout, res)
-	flags.ReportMetrics(os.Stdout, "collperf", res)
-	flags.MaybeReport(os.Stdout, res)
+	flags.Report(os.Stdout, "collperf", res)
 }

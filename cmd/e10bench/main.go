@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -37,10 +36,6 @@ func main() {
 		ablation = flag.Bool("ablation", false, "run the design-choice ablations instead of the figures")
 		faults   = flag.String("faults", "", "fault schedule armed on every cell (see internal/fault)")
 		fdemo    = flag.Bool("faultdemo", false, "run the degraded-PFS-target scenario instead of the figures")
-		tracef   = flag.String("trace", "", "trace one representative cache-enabled coll_perf cell to this Chrome/Perfetto JSON file instead of the figures")
-		critf    = flag.Bool("critpath", false, "run one representative cache-enabled coll_perf cell and print its critical-path report instead of the figures")
-		timelf   = flag.Int("timeline", 0, "run the representative cell and print its timeline in this many buckets instead of the figures (combines with -critpath)")
-		mflags   = cli.RegisterMetrics(flag.CommandLine)
 		brecord  = flag.String("bench-record", "", "run the fixed regression matrix and write the baseline JSON to this file")
 		bcompare = flag.String("bench-compare", "", "run the fixed regression matrix and compare against this baseline JSON (exit 1 on >2% regression); also gates the newest BENCH_SCALE_*.json kilo-rank baseline when one is committed")
 		srecord  = flag.String("scale-bench-record", "", "run the 4096-rank kilo-scale benchmark 10 times and write the baseline JSON, with floors from the runs' spread, to this file")
@@ -100,18 +95,6 @@ func main() {
 	}
 	if *fdemo {
 		runFaultDemo(sw)
-		return
-	}
-	if *tracef != "" {
-		runTraceDemo(sw, *tracef)
-		return
-	}
-	if *critf || *timelf > 0 {
-		runCritPathDemo(sw, *critf, *timelf)
-		return
-	}
-	if mflags.Enabled() {
-		runMetricsDemo(sw, mflags)
 		return
 	}
 
@@ -286,60 +269,6 @@ func runFaultDemo(sw harness.Sweep) {
 	fmt.Print(report)
 }
 
-// demoSpec builds the demos' representative cache-enabled coll_perf cell:
-// 16 aggregators (at most one per rank) and 16 MB collective buffers — the
-// middle of Figure 4's grid — on the sweep's cluster, file count, compute
-// time and fault schedule.
-func demoSpec(sw harness.Sweep) harness.Spec {
-	aggs := min(16, sw.Cluster.Nodes*sw.Cluster.RanksPerNode)
-	spec := harness.DefaultSpec(workloads.DefaultCollPerf(), harness.CacheEnabled, aggs, 16<<20)
-	spec.Cluster = sw.Cluster
-	spec.NFiles = sw.NFiles
-	spec.ComputeDelay = sw.Compute
-	spec.FaultSpec = sw.FaultSpec
-	return spec
-}
-
-// runTraceDemo runs the representative cell (demoSpec) with the event
-// tracer attached, writes the Perfetto-loadable trace file and prints the
-// trace digest. Traces are deterministic: the same seed and scale
-// reproduce the file byte for byte.
-func runTraceDemo(sw harness.Sweep, path string) {
-	spec := demoSpec(sw)
-	spec.TracePath = path
-	res, err := harness.Run(spec)
-	if err != nil {
-		fatalf("trace: %v", err)
-	}
-	fmt.Printf("traced %s cell=%s case=%s: %.2f GB/s, %.2f s simulated\n",
-		spec.Workload.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
-	fmt.Print(res.Trace.Summary())
-	fmt.Printf("wrote %s (%d events on %d tracks); open with https://ui.perfetto.dev or chrome://tracing\n",
-		path, res.Trace.Len(), res.Trace.Tracks())
-}
-
-// runCritPathDemo runs the same representative cell as runTraceDemo with
-// the critical-path analyzer (and optionally the timeline sampler) attached
-// and prints the reports. The analysis is post-hoc: the cell's virtual
-// times are identical to an unobserved run.
-func runCritPathDemo(sw harness.Sweep, critpath bool, timelineBuckets int) {
-	spec := demoSpec(sw)
-	spec.CritPath = critpath
-	spec.TimelineBuckets = timelineBuckets
-	res, err := harness.Run(spec)
-	if err != nil {
-		fatalf("critpath: %v", err)
-	}
-	fmt.Printf("analyzed %s cell=%s case=%s: %.2f GB/s, %.2f s simulated\n",
-		spec.Workload.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
-	if res.CritPath != nil {
-		fmt.Print(res.CritPath.Markdown())
-	}
-	if res.Timeline != nil {
-		fmt.Print(res.Timeline.Markdown())
-	}
-}
-
 // benchTolerancePct is the wall-time regression the compare gate accepts.
 // The simulation is deterministic, so unchanged code reproduces the
 // baseline exactly; the headroom only absorbs intentional model tweaks.
@@ -462,25 +391,6 @@ func runScaleCritPath(variant string, ranks int) {
 	fmt.Printf("digest=%s\n", rep.Digest())
 	if rep.CritPathFull != nil {
 		fmt.Print(rep.CritPathFull.Markdown())
-	}
-}
-
-// runMetricsDemo runs the same representative cache-enabled coll_perf cell
-// as the trace demo, but with the metrics registry attached: -metrics
-// prints the registry text, -metrics-out writes the e10stat input JSON.
-// Metrics are deterministic: the same seed and scale reproduce the
-// registry text byte for byte.
-func runMetricsDemo(sw harness.Sweep, mflags *cli.MetricsFlags) {
-	spec := demoSpec(sw)
-	mflags.Apply(&spec)
-	res, err := harness.Run(spec)
-	if err != nil {
-		fatalf("metrics: %v", err)
-	}
-	fmt.Printf("measured %s cell=%s case=%s: %.2f GB/s, %.2f s simulated\n",
-		spec.Workload.Name(), spec.Label(), spec.Case, res.BandwidthGBs, res.WallTime.Seconds())
-	if err := mflags.Report(os.Stdout, res); err != nil {
-		fatalf("%v", err)
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"os"
 
 	"repro/internal/chaos"
+	"repro/internal/critpath"
 	"repro/internal/estat"
 )
 
@@ -122,12 +123,12 @@ func main() {
 }
 
 // runReplay re-executes a committed reproducer and verifies the recorded
-// verdict still holds. With critpath/timeline the replayed run's
+// verdict still holds. With showCrit/showTimeline the replayed run's
 // critical-path report and timeline are printed too — the replay is the
 // cheapest way to get an attributed view of a failing schedule — and
 // metricsOut exports the metric snapshot as e10stat input, which is how
 // the scrub/quarantine counters of a corruption fixture reach e10stat.
-func runReplay(path string, critpath, timeline bool, metricsOut string) {
+func runReplay(path string, showCrit, showTimeline bool, metricsOut string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("%v", err)
@@ -151,16 +152,16 @@ func runReplay(path string, critpath, timeline bool, metricsOut string) {
 	for _, v := range res.Violations {
 		fmt.Printf("    %s\n", v)
 	}
-	if critpath {
+	if showCrit {
 		if res.CritPath != nil {
 			fmt.Print(res.CritPath.Markdown())
 		} else {
 			fmt.Println("  (no critical-path report: the run did not terminate cleanly)")
 		}
 	}
-	if timeline {
-		if res.Timeline != nil {
-			fmt.Print(res.Timeline.Markdown())
+	if showTimeline {
+		if res.CritPath != nil {
+			fmt.Print(critpath.BuildTimeline(res.Trace, res.CritPath.WallNs, critpath.DefaultTimelineBuckets).Markdown())
 		} else {
 			fmt.Println("  (no timeline: the run did not terminate cleanly)")
 		}

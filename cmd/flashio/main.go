@@ -64,10 +64,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("flashio", "%v", err)
 	}
-	cli.Report(os.Stdout, res)
-	flags.ReportTrace(os.Stdout, res)
-	flags.ReportMetrics(os.Stdout, "flashio", res)
-	flags.MaybeReport(os.Stdout, res)
+	flags.Report(os.Stdout, "flashio", res)
 	fmt.Printf("  checkpoint size    : %.2f GB/process-file\n",
 		float64(base.FileBytes(spec.Cluster.Nodes*spec.Cluster.RanksPerNode))/1e9)
 }

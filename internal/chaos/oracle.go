@@ -363,8 +363,7 @@ func (r *run) checkLockRelease(add func(inv, format string, args ...interface{})
 func (r *run) checkCritPath(res *Result, add func(inv, format string, args ...interface{})) {
 	wall := int64(r.cl.Kernel.Now())
 	rep := critpath.Analyze(r.tracer, wall)
-	res.CritPath = rep
-	res.Timeline = critpath.BuildTimeline(r.tracer, wall, critpath.DefaultTimelineBuckets)
+	res.CritPath, res.Trace = rep, r.tracer
 	if rep.AttributedNs != wall {
 		add(InvCritPath, "attributed path time %d ns != virtual wall time %d ns", rep.AttributedNs, wall)
 	}

@@ -75,12 +75,12 @@ type Result struct {
 	AckedOps   int         `json:"acked_ops"`
 	Fallbacks  int         `json:"fallbacks"`
 
-	// CritPath is the analysis the critpath_consistency oracle ran (and
-	// Timeline the matching run timeline, built on demand by e10chaos).
-	// Both are excluded from the JSON so repro fixtures and soak report
-	// digests stay byte-identical.
-	CritPath *critpath.Report   `json:"-"`
-	Timeline *critpath.Timeline `json:"-"`
+	// CritPath is the analysis the critpath_consistency oracle ran, and
+	// Trace the run's tracer it read (e10chaos builds the run timeline
+	// from it on demand). Both are excluded from the JSON so repro
+	// fixtures and soak report digests stay byte-identical.
+	CritPath *critpath.Report `json:"-"`
+	Trace    *trace.Tracer    `json:"-"`
 
 	// Metrics is the run's full metric snapshot (recovery and scrub
 	// counters included), for e10chaos -metrics-out. Excluded from the

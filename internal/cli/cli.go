@@ -10,6 +10,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/critpath"
 	"repro/internal/harness"
 	"repro/internal/mpe"
 	"repro/internal/sim"
@@ -18,69 +19,25 @@ import (
 
 // Flags holds the common benchmark options.
 type Flags struct {
-	Aggs      *int
-	CBMB      *int
-	Case      *string
-	Files     *int
-	Compute   *float64
-	Nodes     *int
-	PPN       *int
-	Seed      *int64
-	LastNHS   *bool
-	Trace     *string
-	TraceSum  *bool
-	CritPath  *bool
-	Timeline  *int
-	Stats     *bool
-	Faults    *string
-	Reliable  *bool
-	Resilient *bool
-	Metrics   *MetricsFlags
-}
-
-// MetricsFlags holds the metrics options every binary shares: printing the
-// registry text after a run and exporting the e10stat exchange JSON.
-type MetricsFlags struct {
-	Show *bool
-	Out  *string
-}
-
-// RegisterMetrics installs the shared metrics flags on fs. The workload
-// binaries get them through Register; e10bench installs them directly.
-func RegisterMetrics(fs *flag.FlagSet) *MetricsFlags {
-	return &MetricsFlags{
-		Show: fs.Bool("metrics", false, "collect metrics during the run and print the registry text"),
-		Out:  fs.String("metrics-out", "", "collect metrics and write the e10stat input JSON to this file"),
-	}
-}
-
-// Enabled reports whether either metrics flag asks for collection.
-func (m *MetricsFlags) Enabled() bool { return *m.Show || *m.Out != "" }
-
-// Apply turns on metrics collection in spec when requested.
-func (m *MetricsFlags) Apply(spec *harness.Spec) {
-	if m.Enabled() {
-		spec.Metrics = true
-	}
-}
-
-// Report prints the registry text and/or writes the e10stat input file,
-// according to the flags.
-func (m *MetricsFlags) Report(out io.Writer, res *harness.Result) error {
-	if *m.Show {
-		fmt.Fprint(out, res.Metrics.Text())
-	}
-	if *m.Out != "" {
-		b, err := json.MarshalIndent(res.StatInput(), "", "  ")
-		if err != nil {
-			return fmt.Errorf("metrics-out: %w", err)
-		}
-		if err := os.WriteFile(*m.Out, append(b, '\n'), 0o644); err != nil {
-			return fmt.Errorf("metrics-out: %w", err)
-		}
-		fmt.Fprintf(out, "metrics: wrote %s (feed it to e10stat)\n", *m.Out)
-	}
-	return nil
+	Aggs       *int
+	CBMB       *int
+	Case       *string
+	Files      *int
+	Compute    *float64
+	Nodes      *int
+	PPN        *int
+	Seed       *int64
+	LastNHS    *bool
+	Trace      *string
+	TraceSum   *bool
+	CritPath   *bool
+	Timeline   *int
+	Stats      *bool
+	Faults     *string
+	Reliable   *bool
+	Resilient  *bool
+	Metrics    *bool
+	MetricsOut *string
 }
 
 // Register installs the common flags on fs with the paper's defaults.
@@ -109,7 +66,8 @@ func Register(fs *flag.FlagSet, includeLastSync bool) *Flags {
 			"arm reliable message delivery (acks, retransmit, dedup) and collective timeouts; required for lossy-link/dup-link/partition faults"),
 		Resilient: fs.Bool("resilient", false,
 			"use the failover-capable collective write path (aggregator crash recovery); implies -reliable"),
-		Metrics: RegisterMetrics(fs),
+		Metrics:    fs.Bool("metrics", false, "collect metrics during the run and print the registry text"),
+		MetricsOut: fs.String("metrics-out", "", "collect metrics and write the e10stat input JSON to this file"),
 	}
 }
 
@@ -133,37 +91,22 @@ func (f *Flags) Spec(w workloads.Workload) (harness.Spec, error) {
 	spec.NFiles = *f.Files
 	spec.ComputeDelay = sim.FromSeconds(*f.Compute)
 	spec.IncludeLastSync = *f.LastNHS
-	spec.TracePath = *f.Trace
-	spec.TraceEvents = *f.TraceSum
-	spec.CritPath = *f.CritPath
-	spec.TimelineBuckets = *f.Timeline
+	spec.TraceEvents = *f.Trace != "" || *f.TraceSum || *f.CritPath || *f.Timeline > 0
+	spec.Metrics = *f.Metrics || *f.MetricsOut != ""
 	spec.FaultSpec = *f.Faults
 	spec.Reliable = *f.Reliable
 	spec.Resilient = *f.Resilient
-	f.Metrics.Apply(&spec)
 	return spec, nil
 }
 
-// ReportTrace announces the written trace file and prints the trace digest
-// when requested; the harness itself exports the file (Spec.TracePath).
-func (f *Flags) ReportTrace(out io.Writer, res *harness.Result) {
-	if *f.Trace != "" && res.Trace != nil {
-		fmt.Fprintf(out, "trace: wrote %s (%d events on %d tracks); open with https://ui.perfetto.dev\n",
-			*f.Trace, res.Trace.Len(), res.Trace.Tracks())
-	}
-	if *f.TraceSum {
-		fmt.Fprint(out, res.Trace.Summary())
-	}
-	if res.CritPath != nil {
-		fmt.Fprint(out, res.CritPath.Markdown())
-	}
-	if res.Timeline != nil {
-		fmt.Fprint(out, res.Timeline.Markdown())
-	}
-}
-
-// Report prints a Result in the style of the paper's per-cell numbers.
-func Report(out io.Writer, res *harness.Result) {
+// Report prints a Result in the style of the paper's per-cell numbers,
+// then what the flags ask of the run's trace and registry: the Chrome
+// trace file, the trace digest, the critical-path report, the timeline,
+// the registry text, the e10stat input file and the cluster resource
+// summary. Every one of them is read from the finished run, so none can
+// change a reported number. A file that cannot be written exits via
+// Fatalf.
+func (f *Flags) Report(out io.Writer, tool string, res *harness.Result) {
 	spec := res.Spec
 	fmt.Fprintf(out, "%s cell=%s case=%s ranks=%d files=%d compute=%.0fs\n",
 		spec.Workload.Name(), spec.Label(), spec.Case,
@@ -188,18 +131,44 @@ func Report(out io.Writer, res *harness.Result) {
 	if res.FaultReport != "" {
 		fmt.Fprint(out, res.FaultReport)
 	}
-}
 
-// ReportMetrics prints the registry text and/or writes the e10stat input
-// file per the shared metrics flags, exiting on write errors.
-func (f *Flags) ReportMetrics(out io.Writer, tool string, res *harness.Result) {
-	if err := f.Metrics.Report(out, res); err != nil {
-		Fatalf(tool, "%v", err)
+	wall := int64(res.WallTime)
+	if *f.Trace != "" {
+		file, err := os.Create(*f.Trace)
+		if err == nil {
+			err = res.Trace.WriteChrome(file)
+			if cerr := file.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			Fatalf(tool, "trace: %v", err)
+		}
+		fmt.Fprintf(out, "trace: wrote %s (%d events on %d tracks); open with https://ui.perfetto.dev\n",
+			*f.Trace, res.Trace.Len(), res.Trace.Tracks())
 	}
-}
-
-// MaybeReport prints the cluster resource summary when -stats was given.
-func (f *Flags) MaybeReport(out io.Writer, res *harness.Result) {
+	if *f.TraceSum {
+		fmt.Fprint(out, res.Trace.Summary())
+	}
+	if *f.CritPath {
+		fmt.Fprint(out, critpath.Analyze(res.Trace, wall).Markdown())
+	}
+	if *f.Timeline > 0 {
+		fmt.Fprint(out, critpath.BuildTimeline(res.Trace, wall, *f.Timeline).Markdown())
+	}
+	if *f.Metrics {
+		fmt.Fprint(out, res.Metrics.Text())
+	}
+	if *f.MetricsOut != "" {
+		b, err := json.MarshalIndent(res.StatInput(), "", "  ")
+		if err == nil {
+			err = os.WriteFile(*f.MetricsOut, append(b, '\n'), 0o644)
+		}
+		if err != nil {
+			Fatalf(tool, "metrics-out: %v", err)
+		}
+		fmt.Fprintf(out, "metrics: wrote %s (feed it to e10stat)\n", *f.MetricsOut)
+	}
 	if *f.Stats {
 		fmt.Fprint(out, res.Report)
 	}

@@ -46,6 +46,39 @@ func TestJournalTearDropsOnlyLastRecord(t *testing.T) {
 	}
 }
 
+// TestJournalTearCutsOnlyTheAppendInFlight checks that a torn write with
+// no append since the last tear or Scrub cuts nothing: a crash can tear
+// only the append it interrupts, never a record committed before it.
+func TestJournalTearCutsOnlyTheAppendInFlight(t *testing.T) {
+	var j Journal
+	a := extent.Extent{Off: 0, Len: 4096}
+	b := extent.Extent{Off: 1 << 20, Len: 8192}
+	j.Add(a)
+	j.Add(b)
+	j.Tear()
+	if lost := j.Scrub(); len(lost) != 1 || lost[0] != b {
+		t.Fatalf("first Scrub lost %v, want [%v]", lost, b)
+	}
+	j.Tear() // a second crash, after recovery, with nothing in flight
+	if lost := j.Scrub(); lost != nil {
+		t.Fatalf("a tear after Scrub lost %v, want nothing", lost)
+	}
+	if !j.Covers(a) {
+		t.Fatalf("the record committed before the crash was cut: covers(a)=false")
+	}
+
+	// A pristine Scrub also ends the append in flight.
+	var k Journal
+	k.Add(a)
+	if lost := k.Scrub(); lost != nil {
+		t.Fatalf("pristine Scrub lost %v", lost)
+	}
+	k.Tear()
+	if lost := k.Scrub(); lost != nil || !k.Covers(a) {
+		t.Fatalf("a tear after a pristine Scrub lost %v, covers(a)=%v", lost, k.Covers(a))
+	}
+}
+
 func TestJournalTornTrimWidensReplay(t *testing.T) {
 	// Tearing a TRIM record must make replay strictly more conservative:
 	// the synced extent reappears as dirty (idempotent to replay), and

@@ -55,6 +55,9 @@ type Journal struct {
 	// damaged is set when a checkpoint finds the image torn or rotted.
 	// Only Scrub repairs an image, so until it runs no append rescans it.
 	damaged bool
+	// inFlight is set by an append and cleared by Tear and Scrub: it says
+	// the image's last record is the append a crash can still tear.
+	inFlight bool
 }
 
 // checkpointSlack is how many records beyond two per live extent the
@@ -83,6 +86,7 @@ func (j *Journal) append(op byte, e extent.Extent) {
 		}
 	}
 	j.put(op, e)
+	j.inFlight = true
 }
 
 // checkpoint rewrites the image in place as one add record per live
@@ -164,12 +168,15 @@ func (j *Journal) Gaps(e extent.Extent) []extent.Extent { return j.set.Gaps(e) }
 
 // Tear simulates a crash mid-append: the tail of the image — the last
 // record's commit CRC plus one payload byte — is lost, leaving a prefix
-// of the record persisted. No-op on an empty journal.
+// of the record persisted. A crash can tear only the append it
+// interrupts, so Tear is a no-op unless a record was appended since the
+// last Tear or Scrub.
 func (j *Journal) Tear() {
 	const lost = 5
-	if len(j.img) < lost {
+	if !j.inFlight {
 		return
 	}
+	j.inFlight = false
 	j.img = j.img[:len(j.img)-lost]
 }
 
@@ -186,6 +193,7 @@ func (j *Journal) Tear() {
 // is idempotent. Dropped add records are the dangerous case, and exactly
 // those ranges are reported as lost.
 func (j *Journal) Scrub() []extent.Extent {
+	j.inFlight = false
 	valid := j.validRecords()
 	if j.intact(valid) {
 		return nil

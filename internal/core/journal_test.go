@@ -19,12 +19,13 @@ import (
 // same rule as Journal, rebuilding both from the folded set, unless full is
 // set: then it keeps every record, the uncompacted reference.
 type listJournal struct {
-	recs    []listRec
-	img     []byte
-	seq     uint64
-	set     extent.Set
-	full    bool
-	damaged bool
+	recs     []listRec
+	img      []byte
+	seq      uint64
+	set      extent.Set
+	full     bool
+	damaged  bool
+	inFlight bool
 }
 
 type listRec struct {
@@ -44,6 +45,7 @@ func (j *listJournal) append(op byte, e extent.Extent) {
 		}
 	}
 	j.write(op, e)
+	j.inFlight = true
 }
 
 func (j *listJournal) write(op byte, e extent.Extent) {
@@ -77,7 +79,8 @@ func (j *listJournal) Remove(e extent.Extent) {
 }
 
 func (j *listJournal) Tear() {
-	if len(j.img) >= 5 {
+	if j.inFlight {
+		j.inFlight = false
 		j.img = j.img[:len(j.img)-5]
 	}
 }
@@ -106,6 +109,7 @@ func (j *listJournal) valid() int {
 }
 
 func (j *listJournal) Scrub() []extent.Extent {
+	j.inFlight = false
 	valid := j.valid()
 	if valid >= len(j.recs) && len(j.img) == len(j.recs)*journalRecSize {
 		return nil
@@ -153,13 +157,10 @@ func TestJournalImageMatchesRecordList(t *testing.T) {
 				got.Tear()
 				want.Tear()
 			case op < 17:
-				// 32 torn 5-byte tails leave the image on a frame boundary;
-				// recovery scrubs before anything is appended again (see
-				// TestJournalScrubFoldsTheImage for an append in between).
-				for range 32 {
-					got.Tear()
-					want.Tear()
-				}
+				// A crash tears the append in flight and recovery scrubs
+				// before anything is appended again.
+				got.Tear()
+				want.Tear()
 				gl, wl := got.Scrub(), want.Scrub()
 				if !slices.Equal(gl, wl) {
 					t.Fatalf("sequence %d step %d: Scrub after tears lost %v, want %v", seq, step, gl, wl)
@@ -188,20 +189,18 @@ func TestJournalImageMatchesRecordList(t *testing.T) {
 }
 
 // TestJournalScrubFoldsTheImage covers the one case where the image and
-// the record list disagree: tears cut the image back to a frame boundary and
-// a later append commits a record right after the surviving prefix. Scrub
-// must keep that record, which is valid on the device, and report the
-// torn-away records as lost. Folding the first records of the list instead
-// kept a torn-away record and quarantined the valid one.
+// the record list disagree: the image loses its tail back to a frame
+// boundary and a later append commits a record right after the surviving
+// prefix. Scrub must keep that record, which is valid on the device, and
+// report the cut-away records as lost. Folding the first records of the
+// list instead kept a cut-away record and quarantined the valid one.
 func TestJournalScrubFoldsTheImage(t *testing.T) {
 	var j Journal
 	rec := func(i int) extent.Extent { return extent.Extent{Off: int64(i) * 1000, Len: 100} }
 	for i := 1; i <= 10; i++ {
 		j.Add(rec(i))
 	}
-	for range 32 { // 160 bytes: records 6..10
-		j.Tear()
-	}
+	j.img = j.img[:5*journalRecSize] // records 6..10 lost at rest
 	j.Add(rec(20))
 	lost := j.Scrub()
 	if want := []extent.Extent{rec(6), rec(7), rec(8), rec(9), rec(10)}; !slices.Equal(lost, want) {
@@ -270,23 +269,20 @@ type modelJournal interface {
 // checkRecovery drives journals from newJ through nseq random
 // Add/Remove/Tear/Rot/Scrub sequences and returns the first fault it finds.
 //
-// Without damage, or with a single tear in the sequence (damage false),
-// each journal runs beside the uncompacted reference: every Scrub must
-// report the same lost ranges and every step must leave the same folded
-// extents. A tear cuts the last record, which is the same record in both
-// until a Scrub or an earlier tear has cut records off. With rot and
-// repeated tears (damage true) the images differ: rot flips other bytes of
-// a shorter image, and once a Scrub or a burst of tears has cut records a
-// further tear can reach into the last checkpoint. So the journal is held
-// to what recovery needs: every byte written and not since trimmed or
-// reported lost is kept or reported lost, and no byte that was never
+// Without rot (damage false), each journal runs beside the uncompacted
+// reference: every Scrub must report the same lost ranges and every step
+// must leave the same folded extents. A tear cuts only the record appended
+// since the last tear or Scrub, which is the same record in both, since a
+// checkpoint runs before its append. With rot (damage true) the images
+// differ, because rot flips other bytes of a shorter image. So the journal
+// is held to what recovery needs: every byte written and not since trimmed
+// or reported lost is kept or reported lost, and no byte that was never
 // written is kept.
 func checkRecovery(newJ func() modelJournal, damage bool, nseq int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	for seq := 0; seq < nseq; seq++ {
 		got, want := newJ(), &listJournal{full: true}
 		var dirty, written extent.Set
-		torn := false
 		scrub := func(step int) error {
 			lost := got.Scrub()
 			if !damage {
@@ -330,19 +326,8 @@ func checkRecovery(newJ func() modelJournal, damage bool, nseq int, seed int64) 
 				want.Remove(e)
 				dirty.Remove(e)
 			case op < 16:
-				if !damage && torn {
-					continue
-				}
 				got.Tear()
 				want.Tear()
-				torn = true
-			case op < 17 && damage:
-				for range 32 {
-					got.Tear()
-				}
-				if err := scrub(step); err != nil {
-					return err
-				}
 			case op < 18 && damage:
 				got.Rot(off)
 			default:

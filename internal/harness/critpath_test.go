@@ -4,34 +4,28 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/critpath"
 )
 
-// critSpec is the golden-critpath cell: the golden-trace cell with the
-// critical-path analyzer and the run timeline switched on.
-func critSpec() Spec {
-	spec := traceSpec()
-	spec.CritPath = true
-	spec.TimelineBuckets = critpath.DefaultTimelineBuckets
-	return spec
-}
-
-func runCrit(t *testing.T) *Result {
+// runCrit runs the golden-trace cell and analyses its trace: the
+// critical-path report and the run timeline.
+func runCrit(t *testing.T) (*critpath.Report, *critpath.Timeline) {
 	t.Helper()
-	res, err := Run(critSpec())
+	res, err := Run(traceSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CritPath == nil {
-		t.Fatal("CritPath requested but no report produced")
-	}
-	if res.Timeline == nil {
-		t.Fatal("TimelineBuckets requested but no timeline produced")
-	}
-	return res
+	return analyze(res)
+}
+
+// analyze runs the critical-path analyzer and builds the default timeline
+// on res's trace, as the bench CLIs do for -critpath and -timeline.
+func analyze(res *Result) (*critpath.Report, *critpath.Timeline) {
+	wall := int64(res.WallTime)
+	return critpath.Analyze(res.Trace, wall),
+		critpath.BuildTimeline(res.Trace, wall, critpath.DefaultTimelineBuckets)
 }
 
 // TestGoldenCritPath locks the rendered critical-path and timeline reports
@@ -41,13 +35,13 @@ func runCrit(t *testing.T) *Result {
 //
 //	go test ./internal/harness -run TestGoldenCritPath -update
 func TestGoldenCritPath(t *testing.T) {
-	res := runCrit(t)
+	rep, tl := runCrit(t)
 	goldens := []struct {
 		file string
 		got  string
 	}{
-		{"golden_critpath.md", res.CritPath.Markdown()},
-		{"golden_timeline.md", res.Timeline.Markdown()},
+		{"golden_critpath.md", rep.Markdown()},
+		{"golden_timeline.md", tl.Markdown()},
 	}
 	for _, g := range goldens {
 		path := filepath.Join("testdata", g.file)
@@ -73,18 +67,19 @@ func TestGoldenCritPath(t *testing.T) {
 // analyzer and timeline output to be byte-identical across fresh kernels:
 // the reports are pure functions of the deterministic trace.
 func TestCritPathRunDeterminism(t *testing.T) {
-	a, b := runCrit(t), runCrit(t)
-	if a.CritPath.Markdown() != b.CritPath.Markdown() {
+	arep, atl := runCrit(t)
+	brep, btl := runCrit(t)
+	if arep.Markdown() != brep.Markdown() {
 		t.Error("two identical runs produced different critical-path reports")
 	}
-	if a.Timeline.Markdown() != b.Timeline.Markdown() {
+	if atl.Markdown() != btl.Markdown() {
 		t.Error("two identical runs produced different timeline reports")
 	}
-	aj, err := a.CritPath.JSON()
+	aj, err := arep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bj, err := b.CritPath.JSON()
+	bj, err := brep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,33 +88,27 @@ func TestCritPathRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestCritPathDoesNotPerturb runs the golden-trace cell with and without
-// the analyzer and requires every reported number AND the exported trace to
-// be identical: the analyzer is post-hoc — it reads the trace after the
-// kernel stops and never advances virtual time.
+// TestCritPathDoesNotPerturb exports the golden-trace cell's trace, runs
+// the analyzer and builds the timeline on it, and exports it again: the
+// two exports must be byte-identical. The analyses only read the recorded
+// trace, after the kernel stops, so they can change neither it nor any
+// number the run reported.
 func TestCritPathDoesNotPerturb(t *testing.T) {
-	plain, err := Run(traceSpec())
+	res, err := Run(traceSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	crit, err := Run(critSpec())
-	if err != nil {
-		t.Fatal(err)
+	export := func() []byte {
+		var buf bytes.Buffer
+		if err := res.Trace.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	if plain.WallTime != crit.WallTime {
-		t.Errorf("wall time perturbed: %v vs %v", plain.WallTime, crit.WallTime)
-	}
-	if plain.BandwidthGBs != crit.BandwidthGBs {
-		t.Errorf("bandwidth perturbed: %v vs %v", plain.BandwidthGBs, crit.BandwidthGBs)
-	}
-	if !reflect.DeepEqual(plain.Breakdown, crit.Breakdown) {
-		t.Errorf("breakdown perturbed:\n off: %v\n  on: %v", plain.Breakdown, crit.Breakdown)
-	}
-	plainTrace := exportTraceSpec(t, traceSpec())
-	critTrace := exportTraceSpec(t, critSpec())
-	if !bytes.Equal(plainTrace, critTrace) {
-		t.Errorf("enabling the analyzer changed the exported trace (%d vs %d bytes)",
-			len(plainTrace), len(critTrace))
+	before := export()
+	analyze(res)
+	if after := export(); !bytes.Equal(before, after) {
+		t.Errorf("analysing the trace changed its export (%d vs %d bytes)", len(before), len(after))
 	}
 }
 
@@ -137,15 +126,12 @@ func TestBenchMatrixCritPathExact(t *testing.T) {
 		cell := cell
 		t.Run(cell.Name, func(t *testing.T) {
 			spec := cell.Spec
-			spec.CritPath = true
+			spec.TraceEvents = true
 			res, err := Run(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep := res.CritPath
-			if rep == nil {
-				t.Fatal("no critical-path report")
-			}
+			rep := critpath.Analyze(res.Trace, int64(res.WallTime))
 			if rep.AttributedNs != int64(res.WallTime) {
 				t.Errorf("attributed %d ns, want wall time %d ns", rep.AttributedNs, int64(res.WallTime))
 			}

@@ -2,13 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 
 	"repro/internal/adio"
 	"repro/internal/burst"
 	"repro/internal/core"
-	"repro/internal/critpath"
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/mpe"
@@ -62,19 +60,6 @@ type Spec struct {
 	// Tracing records events only — it never perturbs virtual time, so every
 	// measured number is identical with it on or off.
 	TraceEvents bool
-	// TracePath additionally writes the recorded events as Chrome
-	// trace-event JSON (Perfetto-loadable) to this file after the run.
-	// Setting it implies TraceEvents.
-	TracePath string
-	// CritPath runs the critical-path analyzer (internal/critpath) on the
-	// recorded trace after the run, exposing Result.CritPath. It implies
-	// TraceEvents; the analysis is post-hoc, so enabling it never perturbs
-	// virtual time or the recorded trace.
-	CritPath bool
-	// TimelineBuckets, when > 0, builds the interval-sampled run timeline
-	// (internal/critpath.BuildTimeline) with that many buckets, exposing
-	// Result.Timeline. It implies TraceEvents and is likewise post-hoc.
-	TimelineBuckets int
 	// Metrics enables the metrics registry (internal/metrics): label-aware
 	// counters, gauges and latency histograms across every simulated layer,
 	// exposed as Result.Metrics. Like tracing, metrics record values only —
@@ -166,14 +151,10 @@ type Result struct {
 	// aggregator crashed mid-write on the resilient path).
 	FailoverEpochs int64
 	// Trace is the event tracer with all recorded events, non-nil only when
-	// tracing was on (Trace.Summary renders its digest).
+	// tracing was on. Every analysis of a run reads it after the run:
+	// Trace.Summary, Trace.WriteChrome, critpath.Analyze and
+	// critpath.BuildTimeline.
 	Trace *trace.Tracer
-	// CritPath is the critical-path analysis of the recorded trace, non-nil
-	// only when Spec.CritPath was set.
-	CritPath *critpath.Report
-	// Timeline is the interval-sampled run timeline, non-nil only when
-	// Spec.TimelineBuckets > 0.
-	Timeline *critpath.Timeline
 	// Metrics is the populated registry, non-nil only when Spec.Metrics was
 	// set (Metrics.Text renders its digest).
 	Metrics *metrics.Registry
@@ -238,8 +219,7 @@ func run(spec Spec) (*Result, *Cluster, error) {
 		spec.Cluster.BurstBuffer = &bb
 	}
 	cl := NewCluster(spec.Cluster)
-	tr, reg, logs := observe(cl,
-		spec.TraceEvents || spec.TracePath != "" || spec.CritPath || spec.TimelineBuckets > 0, spec.Metrics)
+	tr, reg, logs := observe(cl, spec.TraceEvents, spec.Metrics)
 	switch {
 	case spec.Case == CacheTheoretical:
 		cl.CoreEnv.SkipSync = true
@@ -301,26 +281,8 @@ func run(spec Spec) (*Result, *Cluster, error) {
 	if injector != nil {
 		res.FaultReport = injector.Report()
 	}
-	if tr != nil {
-		res.Trace = tr
-		if spec.TracePath != "" {
-			if werr := writeTraceFile(tr, spec.TracePath); werr != nil {
-				return nil, nil, werr
-			}
-		}
-	}
-	if reg != nil {
-		res.Metrics = reg
-	}
-	// Post-hoc analyses: both only read the already-recorded trace, so the
-	// trace bytes and every measured virtual time are identical with or
-	// without them.
-	if spec.CritPath {
-		res.CritPath = critpath.Analyze(tr, int64(res.WallTime))
-	}
-	if spec.TimelineBuckets > 0 {
-		res.Timeline = critpath.BuildTimeline(tr, int64(res.WallTime), spec.TimelineBuckets)
-	}
+	res.Trace = tr
+	res.Metrics = reg
 	for _, ph := range mpe.BreakdownPhases {
 		res.Breakdown[ph] = mpe.Aggregate(logs, ph).Max
 	}
@@ -446,17 +408,4 @@ func bandwidth(times []PhaseMetrics, total int64, lastSync bool) float64 {
 		return 0
 	}
 	return float64(total) / denom.Seconds() / 1e9
-}
-
-// writeTraceFile exports the tracer as Chrome trace-event JSON at path.
-func writeTraceFile(tr *trace.Tracer, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("harness: trace export: %w", err)
-	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return fmt.Errorf("harness: trace export: %w", err)
-	}
-	return f.Close()
 }

@@ -220,8 +220,7 @@ func runScale(cfg ScaleConfig, probe func()) (*ScaleReport, error) {
 		StripeCount:  4,
 		SyncBuffer:   512 << 10,
 		Metrics:      cfg.Metrics,
-		TraceEvents:  cfg.TraceEvents,
-		CritPath:     cfg.CritPath,
+		TraceEvents:  cfg.TraceEvents || cfg.CritPath,
 		blockProbe:   probe,
 	}
 	switch cfg.Variant {
@@ -292,13 +291,14 @@ func runScale(cfg ScaleConfig, probe func()) (*ScaleReport, error) {
 		rep.EventsPerSec = float64(rep.Events) / (float64(hostNs) / 1e9)
 	}
 
-	if res.CritPath != nil {
-		if res.CritPath.AttributedNs != int64(res.WallTime) {
+	if cfg.CritPath {
+		crit := critpath.Analyze(res.Trace, int64(res.WallTime))
+		if crit.AttributedNs != int64(res.WallTime) {
 			return nil, fmt.Errorf("scale: critical path attributed %d ns, want wall time %d",
-				res.CritPath.AttributedNs, int64(res.WallTime))
+				crit.AttributedNs, int64(res.WallTime))
 		}
-		rep.CritPath = res.CritPath.Shares
-		rep.CritPathFull = res.CritPath
+		rep.CritPath = crit.Shares
+		rep.CritPathFull = crit
 	}
 
 	if err := checkScaleConservation(cfg, cl, rep); err != nil {

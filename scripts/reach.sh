@@ -11,10 +11,12 @@
 # benchmark/, read-only) with `go build -cover -coverpkg=repro/...` into a
 # temporary directory and runs the targets the repo already has: the
 # e10bench figures, bench record/compare, the 4096-rank scale record,
-# ablations, fault, trace (16x4, linted), critical-path, timeline and metrics demos and
-# the 1024-rank scale variants; the four 25-iteration chaos smokes and every committed chaos
-# fixture; collperf, ior and flashio cells; e10stat over the demo outputs
-# and every committed artifact; and one 1-second traced benchmark pass.
+# ablations, the fault demo and the 1024-rank scale variants; the four
+# 25-iteration chaos smokes and every committed chaos fixture; collperf,
+# ior and flashio cells, among them collperf's trace (16x4, linted),
+# critical-path, timeline and metrics runs of one representative cell;
+# e10stat over the demo outputs and every committed artifact; and one
+# 1-second traced benchmark pass.
 # Every target must exit 0. The merged counters (go tool covdata) give each
 # function's statement coverage; every function at 0% must be listed in
 # the allowlist (default scripts/reach.allow), each line naming the test
@@ -62,11 +64,14 @@ if [ -z "$funcs" ]; then
         echo "figs $bin/e10bench -fig all -sweep quick -csv $out/figs.csv"
         echo "ablation $bin/e10bench -ablation -scale 8x4 -files 2"
         echo "faultdemo $bin/e10bench -faultdemo -scale 8x4 -files 2"
-        # 16 nodes: a trace name that carries a node number crosses
-        # e10stat's 64-name budget from 12 nodes on.
-        echo "trace $bin/e10bench -trace $out/trace.json -scale 16x4 -files 2"
-        echo "critpath $bin/e10bench -critpath -timeline 24 -scale 8x4 -files 2"
-        echo "metrics $bin/e10bench -metrics -metrics-out $out/metrics.json -scale 8x4 -files 2"
+        # The representative cache-enabled coll_perf cell: 16 aggregators,
+        # 16 MB buffers. The trace runs on 16 nodes: a trace name that
+        # carries a node number crosses e10stat's 64-name budget from 12
+        # nodes on.
+        demo="-aggs 16 -cb 16 -ppn 4 -files 2"
+        echo "trace $bin/collperf $demo -nodes 16 -trace $out/trace.json"
+        echo "critpath $bin/collperf $demo -nodes 8 -critpath -timeline 24"
+        echo "metrics $bin/collperf $demo -nodes 8 -metrics -metrics-out $out/metrics.json"
         echo "scale-record $bin/e10bench -scale-bench-record $out/scale.json"
         for v in clean lossy crash; do
             echo "scale-$v $bin/e10bench -scale-critpath $v -scale-ranks 1024"
