@@ -58,7 +58,7 @@ bench-record:
 	go run ./cmd/e10bench -bench-record BENCH_$$(date +%Y-%m-%d).json
 
 # Re-run the matrix and gate against the newest committed baseline
-# (>2% virtual wall-time regression on any scenario fails). The glob
+# (any scenario that does not reproduce it byte for byte fails). The glob
 # excludes the BENCH_SCALE_*.json kilo-rank baselines, which e10bench
 # gates separately as part of the same -bench-compare invocation.
 bench-compare:

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/estat"
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/workloads"
@@ -37,7 +38,7 @@ func main() {
 		faults   = flag.String("faults", "", "fault schedule armed on every cell (see internal/fault)")
 		fdemo    = flag.Bool("faultdemo", false, "run the degraded-PFS-target scenario instead of the figures")
 		brecord  = flag.String("bench-record", "", "run the fixed regression matrix and write the baseline JSON to this file")
-		bcompare = flag.String("bench-compare", "", "run the fixed regression matrix and compare against this baseline JSON (exit 1 on >2% regression); also gates the newest BENCH_SCALE_*.json kilo-rank baseline when one is committed")
+		bcompare = flag.String("bench-compare", "", "run the fixed regression matrix and compare against this baseline JSON (exit 1 unless it reproduces the file byte for byte); also gates the newest BENCH_SCALE_*.json kilo-rank baseline when one is committed")
 		srecord  = flag.String("scale-bench-record", "", "run the 4096-rank kilo-scale benchmark 10 times and write the baseline JSON, with floors from the runs' spread, to this file")
 		scrit    = flag.String("scale-critpath", "", "run a kilo-rank scale variant (clean | lossy | crash) with the critical-path analyzer and print the report")
 		sranks   = flag.Int("scale-ranks", 4096, "rank count for -scale-critpath")
@@ -49,7 +50,7 @@ func main() {
 		return
 	}
 	if *bcompare != "" {
-		runBenchCompare(*seed, *bcompare)
+		runBenchCompare(*bcompare)
 		runScaleBenchCompare()
 		return
 	}
@@ -269,11 +270,6 @@ func runFaultDemo(sw harness.Sweep) {
 	fmt.Print(report)
 }
 
-// benchTolerancePct is the wall-time regression the compare gate accepts.
-// The simulation is deterministic, so unchanged code reproduces the
-// baseline exactly; the headroom only absorbs intentional model tweaks.
-const benchTolerancePct = 2
-
 // runBenchRecord runs the regression matrix and writes the baseline file.
 func runBenchRecord(seed int64, path string) {
 	rep, err := harness.RunBenchReport(seed)
@@ -287,12 +283,17 @@ func runBenchRecord(seed int64, path string) {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		fatalf("bench-record: %v", err)
 	}
-	fmt.Print(harness.RenderBench(rep))
+	text, err := estat.RenderAny([]*estat.Artifact{{Kind: estat.KindBench, Bench: rep}}, estat.FormatMarkdown)
+	if err != nil {
+		fatalf("bench-record: %v", err)
+	}
+	fmt.Print(text)
 	fmt.Fprintf(os.Stderr, "wrote %s (%d scenarios)\n", path, len(rep.Scenarios))
 }
 
-// runBenchCompare re-runs the matrix and gates on the baseline file.
-func runBenchCompare(seed int64, path string) {
+// runBenchCompare re-runs the matrix on the baseline's seed and fails
+// unless it reproduces the baseline file byte for byte.
+func runBenchCompare(path string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatalf("bench-compare: %v", err)
@@ -301,18 +302,14 @@ func runBenchCompare(seed int64, path string) {
 	if err != nil {
 		fatalf("bench-compare: %s: %v", path, err)
 	}
-	if base.Seed != seed {
-		seed = base.Seed // compare on the baseline's seed, not the default
-	}
-	cur, err := harness.RunBenchReport(seed)
+	cur, err := harness.RunBenchReport(base.Seed)
 	if err != nil {
 		fatalf("bench-compare: %v", err)
 	}
-	if err := harness.CompareBenchReports(base, cur, benchTolerancePct); err != nil {
+	if err := harness.CheckBench(data, cur); err != nil {
 		fatalf("bench-compare vs %s: %v", path, err)
 	}
-	fmt.Printf("bench-compare: %d scenarios within %d%% of %s\n",
-		len(base.Scenarios), benchTolerancePct, path)
+	fmt.Printf("bench-compare: %d scenarios reproduce %s byte for byte\n", len(cur.Scenarios), path)
 }
 
 // runScaleBenchRecord runs the kilo-rank kernel benchmark repeatedly and

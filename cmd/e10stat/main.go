@@ -1,14 +1,14 @@
 // Command e10stat analyses experiment results into paper-figure-style
 // reports: the per-phase cost breakdown (Figures 5/6/8/10), the cache
 // speedup comparison (Figures 4/7/9) and the flush-overlap accounting of
-// Equation 1. It accepts every artifact the repo's tools write: the JSON
-// files from the workload binaries' -metrics-out flag (and from
+// Equation 1. It reads five artifact shapes: the e10stat input written by
+// the workload binaries' -metrics-out flag (and by
 // `e10chaos -replay ... -metrics-out`, whose recovery/scrub counters feed
-// the crash-recovery section), Chrome traces from
-// -trace, bench baselines (BENCH_<date>.json), kilo-rank scale baselines
-// (BENCH_SCALE_<date>.json), scale reports and digest goldens, and the
-// critical-path / timeline reports from -critpath and -timeline; results
-// from multiple files can be combined in one report.
+// the crash-recovery section), Chrome traces from -trace, bench baselines
+// (BENCH_<date>.json), kilo-rank scale baselines (BENCH_SCALE_<date>.json)
+// and scale digest goldens (internal/harness/testdata/scale_digest_*.json).
+// Any other file is an error. Results from multiple files can be combined
+// in one report.
 //
 //	collperf -case disabled -metrics-out dis.json
 //	collperf -case enabled  -metrics-out en.json
@@ -61,7 +61,7 @@ func main() {
 		arts = append(arts, art)
 	}
 	if len(arts) == 0 {
-		cli.Fatalf("e10stat", "no inputs: pass JSON artifacts (metrics, traces, bench/scale baselines, critpath reports) or use -run")
+		cli.Fatalf("e10stat", "no inputs: pass -metrics-out files, -trace files, BENCH_*.json or BENCH_SCALE_*.json baselines or scale digest goldens, or use -run")
 	}
 
 	text, err := estat.RenderAny(arts, *format)
@@ -124,7 +124,7 @@ func runDemo() []estat.Input {
 		if err != nil {
 			cli.Fatalf("e10stat", "demo %s: %v", cs, err)
 		}
-		ins = append(ins, res.StatInput())
+		ins = append(ins, estat.FromResult(res))
 	}
 	return ins
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"repro/internal/critpath"
+	"repro/internal/estat"
 	"repro/internal/harness"
 	"repro/internal/mpe"
 	"repro/internal/sim"
@@ -160,7 +161,7 @@ func (f *Flags) Report(out io.Writer, tool string, res *harness.Result) {
 		fmt.Fprint(out, res.Metrics.Text())
 	}
 	if *f.MetricsOut != "" {
-		b, err := json.MarshalIndent(res.StatInput(), "", "  ")
+		b, err := json.MarshalIndent(estat.FromResult(res), "", "  ")
 		if err == nil {
 			err = os.WriteFile(*f.MetricsOut, append(b, '\n'), 0o644)
 		}

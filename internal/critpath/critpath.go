@@ -97,7 +97,7 @@ type WhatIf struct {
 	ReductionPctX10 int64    `json:"reduction_pct_x10"`
 }
 
-// ReportSchema identifies the critical-path report JSON format.
+// ReportSchema versions the critical-path report; its Markdown header names it.
 const ReportSchema = "e10critpath/v1"
 
 // Report is one run's critical-path analysis.

@@ -1,7 +1,6 @@
 package critpath
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -80,49 +79,6 @@ func (r *Report) Markdown() string {
 	return b.String()
 }
 
-// CSV renders the report as section-tagged rows.
-func (r *Report) CSV() string {
-	var b strings.Builder
-	b.WriteString("section,key,category,ns,extra\n")
-	fmt.Fprintf(&b, "summary,wall_ns,,%d,\n", r.WallNs)
-	fmt.Fprintf(&b, "summary,attributed_ns,,%d,%s\n", r.AttributedNs, r.StartTrack)
-	for _, sh := range r.Shares {
-		fmt.Fprintf(&b, "share,%s,%s,%d,%d\n", sh.Category, sh.Category, sh.Ns, sh.Segments)
-	}
-	for _, w := range r.WhatIf {
-		fmt.Fprintf(&b, "whatif,%s,%s,%d,%d\n", w.Scenario, w.Category, w.SavedNs, w.NewWallNs)
-	}
-	for _, s := range r.Stragglers {
-		fmt.Fprintf(&b, "straggler,%s,%s,%d,\n", s.Track, s.Top, s.OnPathNs)
-	}
-	for _, e := range r.Edges {
-		fmt.Fprintf(&b, "edge,%d,,%d,%s->%s\n", e.ID, e.RecvNs-e.SendNs, e.From, e.To)
-	}
-	return b.String()
-}
-
-// JSON renders the report as indented JSON.
-func (r *Report) JSON() (string, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
-
-// ParseReport decodes a report produced by (*Report).JSON, validating the
-// schema. It never panics on malformed input.
-func ParseReport(data []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("critpath: parse report: %w", err)
-	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("critpath: parse report: schema %q, want %q", r.Schema, ReportSchema)
-	}
-	return &r, nil
-}
-
 // Markdown renders the timeline as a bucketed table.
 func (t *Timeline) Markdown() string {
 	var b strings.Builder
@@ -145,38 +101,4 @@ func (t *Timeline) Markdown() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// CSV renders the timeline as long-form rows.
-func (t *Timeline) CSV() string {
-	var b strings.Builder
-	b.WriteString("series,bucket_end_ns,value\n")
-	for _, s := range t.Series {
-		for i, v := range s.Values {
-			fmt.Fprintf(&b, "%s,%d,%d\n", s.Name, t.BucketNs[i], v)
-		}
-	}
-	return b.String()
-}
-
-// JSON renders the timeline as indented JSON.
-func (t *Timeline) JSON() (string, error) {
-	out, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out) + "\n", nil
-}
-
-// ParseTimeline decodes a timeline produced by (*Timeline).JSON, validating
-// the schema. It never panics on malformed input.
-func ParseTimeline(data []byte) (*Timeline, error) {
-	var t Timeline
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("critpath: parse timeline: %w", err)
-	}
-	if t.Schema != TimelineSchema {
-		return nil, fmt.Errorf("critpath: parse timeline: schema %q, want %q", t.Schema, TimelineSchema)
-	}
-	return &t, nil
 }

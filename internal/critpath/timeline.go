@@ -6,7 +6,7 @@ import (
 	"repro/internal/trace"
 )
 
-// TimelineSchema identifies the run-timeline JSON format.
+// TimelineSchema versions the run timeline; its Markdown header names it.
 const TimelineSchema = "e10timeline/v1"
 
 // Series is one named time series sampled at every bucket end.

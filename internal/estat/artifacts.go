@@ -5,160 +5,64 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/critpath"
+	"repro/internal/harness"
 )
 
 // Artifact kinds, one per recognised file format.
 const (
-	KindStat       = "stat"       // e10stat/v1 inputs, arrays, Chrome traces
+	KindStat       = "stat"       // e10stat/v1 inputs and Chrome traces
 	KindBench      = "bench"      // e10bench/v1 (BENCH_<date>.json)
 	KindScaleBench = "scalebench" // e10scalebench/v1 (BENCH_SCALE_<date>.json)
-	KindScale      = "scale"      // e10scale/v1 (scale reports and digest goldens)
-	KindCritPath   = "critpath"   // e10critpath/v1 critical-path reports
-	KindTimeline   = "timeline"   // e10timeline/v1 run timelines
+	KindScale      = "scale"      // scale digest goldens (testdata/scale_digest_*.json)
 )
-
-// Schema identifiers of the non-stat artifacts. estat mirrors the harness
-// shapes instead of importing them: the harness imports estat, so estat
-// cannot import the harness back.
-const (
-	benchSchema      = "e10bench/v1"
-	scaleBenchSchema = "e10scalebench/v1"
-	scaleSchema      = "e10scale/v1"
-)
-
-// BenchFileScenario is one cell of a committed bench-matrix baseline.
-type BenchFileScenario struct {
-	Name            string  `json:"name"`
-	WallTimeNs      int64   `json:"wall_time_ns"`
-	BandwidthGBs    float64 `json:"bandwidth_gbs"`
-	NotHiddenSyncNs int64   `json:"not_hidden_sync_ns"`
-	SyncedBytes     int64   `json:"synced_bytes"`
-}
-
-// BenchFile mirrors a BENCH_<date>.json bench-matrix baseline.
-type BenchFile struct {
-	Schema    string              `json:"schema"`
-	Seed      int64               `json:"seed"`
-	Scenarios []BenchFileScenario `json:"scenarios"`
-}
-
-// ScaleBenchFile mirrors a BENCH_SCALE_<date>.json kilo-rank baseline.
-type ScaleBenchFile struct {
-	Schema               string  `json:"schema"`
-	Variant              string  `json:"variant"`
-	Ranks                int     `json:"ranks"`
-	Seed                 int64   `json:"seed"`
-	Digest               string  `json:"digest"`
-	WallTimeNs           int64   `json:"wall_time_ns"`
-	Events               int64   `json:"events"`
-	EventsPerSec         float64 `json:"events_per_sec"`
-	EventsPerSecFloor    float64 `json:"events_per_sec_floor"`
-	CritPathEventsPerSec float64 `json:"critpath_events_per_sec,omitempty"`
-	CritPathFloor        float64 `json:"critpath_floor,omitempty"`
-}
-
-// ScaleFileReport mirrors the deterministic fields of a scale report.
-type ScaleFileReport struct {
-	Schema         string           `json:"schema"`
-	Variant        string           `json:"variant"`
-	Ranks          int              `json:"ranks"`
-	Nodes          int              `json:"nodes"`
-	PerNode        int              `json:"per_node"`
-	Seed           int64            `json:"seed"`
-	DropPct        int              `json:"drop_pct"`
-	WallTimeNs     int64            `json:"wall_time_ns"`
-	Events         int64            `json:"events"`
-	ExpectedBytes  int64            `json:"expected_bytes"`
-	PFSBytes       int64            `json:"pfs_bytes"`
-	Retransmits    int64            `json:"retransmits"`
-	NetDrops       int64            `json:"net_drops"`
-	FailoverEpochs int64            `json:"failover_epochs"`
-	CritPath       []critpath.Share `json:"critpath,omitempty"`
-}
-
-// ScaleFile is either a bare scale report or a committed digest golden
-// ({"report": {...}, "digest": "..."}); Digest is empty for the bare shape.
-type ScaleFile struct {
-	Report ScaleFileReport `json:"report"`
-	Digest string          `json:"digest,omitempty"`
-}
 
 // Artifact is one parsed file of any recognised format. Exactly one of the
-// payload fields is populated, selected by Kind.
+// payload fields is populated, selected by Kind. Each non-stat payload is
+// the type its writer marshals.
 type Artifact struct {
-	Kind       string             `json:"kind"`
-	Inputs     []Input            `json:"inputs,omitempty"`
-	Bench      *BenchFile         `json:"bench,omitempty"`
-	ScaleBench *ScaleBenchFile    `json:"scalebench,omitempty"`
-	Scale      *ScaleFile         `json:"scale,omitempty"`
-	CritPath   *critpath.Report   `json:"critpath,omitempty"`
-	Timeline   *critpath.Timeline `json:"timeline,omitempty"`
+	Kind       string                    `json:"kind"`
+	Inputs     []Input                   `json:"inputs,omitempty"`
+	Bench      *harness.BenchReport      `json:"bench,omitempty"`
+	ScaleBench *harness.ScaleBenchReport `json:"scalebench,omitempty"`
+	Scale      *harness.ScaleGolden      `json:"scale,omitempty"`
 }
 
-// ParseAny decodes any artifact the repo's tools write: e10stat inputs
-// (single, array or Chrome trace — everything Parse accepts), bench and
-// scale-bench baselines, scale reports and digest goldens, critical-path
-// reports and run timelines. The schema field (or container shape) selects
-// the decoder; malformed content returns an error, never a panic.
+// ParseAny decodes one of the five artifact shapes the repo's tools write:
+// an e10stat input object or a Chrome trace (Parse), a bench or scale-bench
+// baseline, or a scale digest golden ({"report": {...}, "digest": "..."}).
+// The schema field (or the nested report) selects the decoder; anything
+// else returns an error, never a panic.
 func ParseAny(data []byte) (*Artifact, error) {
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(data, &probe); err != nil {
-		// Not an object: only the stat-input array shape remains.
-		ins, err := Parse(data)
-		if err != nil {
-			return nil, err
-		}
-		return &Artifact{Kind: KindStat, Inputs: ins}, nil
+		return nil, fmt.Errorf("estat: artifact is not a JSON object: %w", err)
 	}
 	var schema string
-	if raw, ok := probe["schema"]; ok {
-		_ = json.Unmarshal(raw, &schema)
-	}
-	switch schema {
-	case benchSchema:
-		var f BenchFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, fmt.Errorf("estat: bench artifact: %w", err)
-		}
-		return &Artifact{Kind: KindBench, Bench: &f}, nil
-	case scaleBenchSchema:
-		var f ScaleBenchFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, fmt.Errorf("estat: scale-bench artifact: %w", err)
-		}
-		return &Artifact{Kind: KindScaleBench, ScaleBench: &f}, nil
-	case scaleSchema:
-		var r ScaleFileReport
-		if err := json.Unmarshal(data, &r); err != nil {
-			return nil, fmt.Errorf("estat: scale artifact: %w", err)
-		}
-		return &Artifact{Kind: KindScale, Scale: &ScaleFile{Report: r}}, nil
-	case critpath.ReportSchema:
-		rep, err := critpath.ParseReport(data)
+	_ = json.Unmarshal(probe["schema"], &schema)
+	_, golden := probe["report"]
+	switch {
+	case schema == harness.BenchSchema:
+		rep, err := harness.ParseBench(data)
 		if err != nil {
 			return nil, fmt.Errorf("estat: %w", err)
 		}
-		return &Artifact{Kind: KindCritPath, CritPath: rep}, nil
-	case critpath.TimelineSchema:
-		tl, err := critpath.ParseTimeline(data)
+		return &Artifact{Kind: KindBench, Bench: rep}, nil
+	case schema == harness.ScaleBenchSchema:
+		rep, err := harness.ParseScaleBench(data)
 		if err != nil {
 			return nil, fmt.Errorf("estat: %w", err)
 		}
-		return &Artifact{Kind: KindTimeline, Timeline: tl}, nil
-	}
-	// Scale digest golden: {"report": {...}, "digest": "..."} with the
-	// schema nested inside the report.
-	if _, ok := probe["report"]; ok {
-		var f ScaleFile
-		if err := json.Unmarshal(data, &f); err != nil {
-			return nil, fmt.Errorf("estat: scale digest artifact: %w", err)
+		return &Artifact{Kind: KindScaleBench, ScaleBench: rep}, nil
+	case golden:
+		var g harness.ScaleGolden
+		if err := json.Unmarshal(data, &g); err != nil {
+			return nil, fmt.Errorf("estat: scale digest: %w", err)
 		}
-		if f.Report.Schema == scaleSchema {
-			return &Artifact{Kind: KindScale, Scale: &f}, nil
+		if g.Report.Schema != harness.ScaleSchema {
+			return nil, fmt.Errorf("estat: scale digest: schema %q (want %q)", g.Report.Schema, harness.ScaleSchema)
 		}
+		return &Artifact{Kind: KindScale, Scale: &g}, nil
 	}
-	// Everything else — bare stat inputs and Chrome traces — is Parse's job.
 	ins, err := Parse(data)
 	if err != nil {
 		return nil, err
@@ -170,16 +74,20 @@ func ParseAny(data []byte) (*Artifact, error) {
 // are combined into the standard report; each non-stat artifact appends its
 // own section. Formats mirror Render: md, csv, or json.
 func RenderAny(arts []*Artifact, format string) (string, error) {
-	var ins []Input
-	for _, a := range arts {
-		ins = append(ins, a.Inputs...)
-	}
-	if format == FormatJSON {
+	switch format {
+	case FormatMarkdown, "", FormatCSV:
+	case FormatJSON:
 		b, err := json.MarshalIndent(arts, "", "  ")
 		if err != nil {
 			return "", fmt.Errorf("estat: %w", err)
 		}
 		return string(b) + "\n", nil
+	default:
+		return "", fmt.Errorf("estat: unknown format %q (want md, csv or json)", format)
+	}
+	var ins []Input
+	for _, a := range arts {
+		ins = append(ins, a.Inputs...)
 	}
 	var sb strings.Builder
 	if len(ins) > 0 {
@@ -192,23 +100,11 @@ func RenderAny(arts []*Artifact, format string) (string, error) {
 	for _, a := range arts {
 		switch a.Kind {
 		case KindBench:
-			renderBenchFile(&sb, a.Bench, format)
+			renderBench(&sb, a.Bench, format)
 		case KindScaleBench:
-			renderScaleBenchFile(&sb, a.ScaleBench, format)
+			renderScaleBench(&sb, a.ScaleBench, format)
 		case KindScale:
-			renderScaleFile(&sb, a.Scale, format)
-		case KindCritPath:
-			if format == FormatCSV {
-				sb.WriteString(a.CritPath.CSV())
-			} else {
-				sb.WriteString(a.CritPath.Markdown())
-			}
-		case KindTimeline:
-			if format == FormatCSV {
-				sb.WriteString(a.Timeline.CSV())
-			} else {
-				sb.WriteString(a.Timeline.Markdown())
-			}
+			renderScaleGolden(&sb, a.Scale, format)
 		}
 	}
 	if sb.Len() == 0 {
@@ -217,7 +113,7 @@ func RenderAny(arts []*Artifact, format string) (string, error) {
 	return sb.String(), nil
 }
 
-func renderBenchFile(sb *strings.Builder, f *BenchFile, format string) {
+func renderBench(sb *strings.Builder, f *harness.BenchReport, format string) {
 	if format == FormatCSV {
 		for _, s := range f.Scenarios {
 			fmt.Fprintf(sb, "bench,%s,wall_time_ns,%d\n", s.Name, s.WallTimeNs)
@@ -234,7 +130,7 @@ func renderBenchFile(sb *strings.Builder, f *BenchFile, format string) {
 	}
 }
 
-func renderScaleBenchFile(sb *strings.Builder, f *ScaleBenchFile, format string) {
+func renderScaleBench(sb *strings.Builder, f *harness.ScaleBenchReport, format string) {
 	if format == FormatCSV {
 		fmt.Fprintf(sb, "scalebench,%s/%d,wall_time_ns,%d\n", f.Variant, f.Ranks, f.WallTimeNs)
 		fmt.Fprintf(sb, "scalebench,%s/%d,events,%d\n", f.Variant, f.Ranks, f.Events)
@@ -254,7 +150,7 @@ func renderScaleBenchFile(sb *strings.Builder, f *ScaleBenchFile, format string)
 	}
 }
 
-func renderScaleFile(sb *strings.Builder, f *ScaleFile, format string) {
+func renderScaleGolden(sb *strings.Builder, f *harness.ScaleGolden, format string) {
 	r := f.Report
 	name := fmt.Sprintf("%s/%d", r.Variant, r.Ranks)
 	if format == FormatCSV {
@@ -274,9 +170,7 @@ func renderScaleFile(sb *strings.Builder, f *ScaleFile, format string) {
 		ms(r.WallTimeNs), r.Events, r.PFSBytes, r.ExpectedBytes)
 	fmt.Fprintf(sb, "- retransmits %d, net drops %d, failover epochs %d\n",
 		r.Retransmits, r.NetDrops, r.FailoverEpochs)
-	if f.Digest != "" {
-		fmt.Fprintf(sb, "- digest %s\n", f.Digest)
-	}
+	fmt.Fprintf(sb, "- digest %s\n", f.Digest)
 	if len(r.CritPath) > 0 {
 		sb.WriteString("\n| critical path category | time (ms) | share |\n|---|---:|---:|\n")
 		for _, sh := range r.CritPath {

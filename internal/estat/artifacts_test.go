@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/critpath"
+	"repro/internal/harness"
 	"repro/internal/metrics"
 )
 
@@ -72,63 +73,18 @@ func TestParseAnyCommittedArtifacts(t *testing.T) {
 	}
 }
 
-// TestParseAnyCritPathAndTimeline round-trips analyzer output through the
-// union: Analyze -> JSON -> ParseAny -> render must reproduce the original
-// report rendering.
-func TestParseAnyCritPathAndTimeline(t *testing.T) {
-	tr := critpath.SyntheticTrace(32)
-	rep := critpath.Analyze(tr, 0)
-	repJSON, err := rep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := ParseAny([]byte(repJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.Kind != KindCritPath {
-		t.Fatalf("kind = %q, want %q", art.Kind, KindCritPath)
-	}
-	md, err := RenderAny([]*Artifact{art}, FormatMarkdown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if md != rep.Markdown() {
-		t.Error("critpath rendering diverges after the round trip")
-	}
-
-	tl := critpath.BuildTimeline(tr, 0, 8)
-	tlJSON, err := tl.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err = ParseAny([]byte(tlJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if art.Kind != KindTimeline {
-		t.Fatalf("kind = %q, want %q", art.Kind, KindTimeline)
-	}
-	csv, err := RenderAny([]*Artifact{art}, FormatCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if csv != tl.CSV() {
-		t.Error("timeline CSV diverges after the round trip")
-	}
-}
-
-// TestParseAnyStatInput keeps the union backward compatible: plain e10stat
-// inputs and arrays still parse, as KindStat.
+// TestParseAnyStatInput reads a plain e10stat input as KindStat and
+// rejects an array of them: no tool writes one.
 func TestParseAnyStatInput(t *testing.T) {
-	for _, data := range []string{sampleInput, "[" + sampleInput + "]"} {
-		art, err := ParseAny([]byte(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if art.Kind != KindStat || len(art.Inputs) != 1 {
-			t.Fatalf("kind = %q with %d inputs, want stat/1", art.Kind, len(art.Inputs))
-		}
+	art, err := ParseAny([]byte(sampleInput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Kind != KindStat || len(art.Inputs) != 1 {
+		t.Fatalf("kind = %q with %d inputs, want stat/1", art.Kind, len(art.Inputs))
+	}
+	if art, err := ParseAny([]byte("[" + sampleInput + "]")); err == nil {
+		t.Errorf("input array accepted as %q", art.Kind)
 	}
 }
 
@@ -141,6 +97,48 @@ func TestParseAnyRejectsMalformed(t *testing.T) {
 	} {
 		if _, err := ParseAny([]byte(data)); err == nil {
 			t.Errorf("ParseAny(%q) accepted malformed input", data)
+		}
+	}
+}
+
+// TestParseAnyRejectsUnwrittenShapes reads only the five shapes the repo's
+// tools write. Every other JSON file is an error, not an empty "unknown"
+// cell: unrelated objects, e10stat's own JSON output, input arrays, a
+// digest golden of another schema, a bare scale report and a critical-path
+// report.
+func TestParseAnyRejectsUnwrittenShapes(t *testing.T) {
+	self, err := RenderAny([]*Artifact{{Kind: KindStat, Inputs: []Input{{Schema: Schema}}}}, FormatJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	critJSON, err := json.Marshal(critpath.Analyze(critpath.SyntheticTrace(8), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{
+		"unrelated object":   `{"foo":1}`,
+		"e10stat json":       self,
+		"foreign golden":     `{"report":{"schema":"nope"},"digest":"x"}`,
+		"bare scale report":  `{"schema":"e10scale/v1","variant":"clean","ranks":1024}`,
+		"critical-path json": string(critJSON),
+	} {
+		if art, err := ParseAny([]byte(data)); err == nil {
+			t.Errorf("%s: ParseAny accepted it as %q", name, art.Kind)
+		}
+		if problems := LintData([]byte(data), 0); len(problems) != 1 || !strings.HasPrefix(problems[0], "unparseable") {
+			t.Errorf("%s: lint = %v, want it unparseable", name, problems)
+		}
+	}
+}
+
+// TestRenderAnyRejectsUnknownFormat checks the format whatever artifacts
+// are given, not only when stat inputs are among them.
+func TestRenderAnyRejectsUnknownFormat(t *testing.T) {
+	bench := &Artifact{Kind: KindBench, Bench: &harness.BenchReport{Schema: harness.BenchSchema}}
+	stat := &Artifact{Kind: KindStat, Inputs: []Input{{Schema: Schema}}}
+	for _, arts := range [][]*Artifact{{bench}, {stat}, {stat, bench}} {
+		if _, err := RenderAny(arts, "xml"); err == nil {
+			t.Errorf("%d artifacts of kind %q first: format xml accepted", len(arts), arts[0].Kind)
 		}
 	}
 }

@@ -1,22 +1,24 @@
 // Package estat defines the serializable experiment-statistics exchange
-// format consumed by the e10stat analyzer and produced by the harness (and
-// by the -metrics-out flag of the workload binaries). An Input is one
-// experiment cell's outcome: identity, timing, per-file phases, the
-// Figure-5-style breakdown, and optionally the full metrics snapshot.
+// format consumed by the e10stat analyzer and produced by FromResult (the
+// -metrics-out flag of the workload binaries and of e10chaos -replay). An
+// Input is one experiment cell's outcome: identity, timing, per-file
+// phases, the Figure-5-style breakdown, and optionally the full metrics
+// snapshot.
 //
-// Parse is deliberately forgiving about container shape — a single Input, a
-// JSON array of Inputs, or a Chrome trace-event file all work — but strict
-// about malformed content: it returns errors, never panics (there is a fuzz
-// target holding it to that).
+// Parse accepts an Input object or a Chrome trace-event file, and ParseAny
+// adds the committed baselines and scale digests, read through the harness
+// types that write them. Both are strict about malformed content: they
+// return errors, never panic (there is a fuzz target holding Parse to that).
 package estat
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 
+	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/mpe"
 )
 
 // Schema is the current Input schema identifier.
@@ -73,56 +75,86 @@ func (in Input) Name() string {
 	return n
 }
 
+// FromResult converts a run's outcome into an Input. The metrics snapshot
+// is included when the run recorded one (Spec.Metrics); everything else
+// derives from fields the harness always computes.
+func FromResult(r *harness.Result) Input {
+	// One compute phase per file, except that IncludeLastSync (the IOR
+	// setup) drops the one after the final write.
+	computes := r.Spec.NFiles
+	if r.Spec.IncludeLastSync {
+		computes--
+	}
+	in := Input{
+		Schema:       Schema,
+		Workload:     r.Spec.Workload.Name(),
+		Case:         string(r.Spec.Case),
+		Cell:         r.Spec.Label(),
+		Ranks:        r.Spec.Cluster.Nodes * r.Spec.Cluster.RanksPerNode,
+		Files:        r.Spec.NFiles,
+		WallTimeNs:   int64(r.WallTime),
+		ComputeNs:    int64(r.Spec.ComputeDelay) * int64(max(computes, 0)),
+		TotalBytes:   r.TotalBytes,
+		BandwidthGBs: r.BandwidthGBs,
+
+		EventsDispatched: r.EventsDispatched,
+		FailoverEpochs:   r.FailoverEpochs,
+	}
+	for _, ph := range r.Phases {
+		in.Phases = append(in.Phases, PhaseTime{
+			WriteNs:     int64(ph.WriteTime),
+			CloseWaitNs: int64(ph.CloseWait),
+		})
+	}
+	// Stacking order follows the paper's breakdown figures; zero phases are
+	// kept so reports across cells stay column-aligned.
+	for _, ph := range mpe.BreakdownPhases {
+		in.Breakdown = append(in.Breakdown, BreakdownEntry{
+			Phase: string(ph),
+			Ns:    int64(r.Breakdown[ph]),
+		})
+	}
+	if r.Metrics != nil {
+		snap := r.Metrics.Snapshot()
+		in.Metrics = &snap
+	}
+	return in
+}
+
 // Parse decodes report input from raw JSON. Accepted shapes:
 //
-//   - a single Input object,
-//   - a JSON array of Input objects,
+//   - a single Input object, whose schema must be Schema,
 //   - a Chrome trace-event file ({"traceEvents": [...]}, as written by
-//     -trace-out), from which the phase breakdown and wall time are derived.
+//     -trace), from which the phase breakdown and wall time are derived.
 //
 // Malformed input returns an error; Parse never panics.
 func Parse(data []byte) ([]Input, error) {
-	if len(data) == 0 {
-		return nil, errors.New("estat: empty input")
-	}
-	// Chrome trace? Detect by the top-level traceEvents key.
 	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(data, &probe); err == nil {
-		if raw, ok := probe["traceEvents"]; ok {
-			in, err := fromChrome(raw)
-			if err != nil {
-				return nil, err
-			}
-			return []Input{in}, nil
-		}
-		var in Input
-		if err := json.Unmarshal(data, &in); err != nil {
-			return nil, fmt.Errorf("estat: %w", err)
-		}
-		if err := validate(in); err != nil {
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return nil, fmt.Errorf("estat: input is not a JSON object: %w", err)
+	}
+	if raw, ok := probe["traceEvents"]; ok {
+		in, err := fromChrome(raw)
+		if err != nil {
 			return nil, err
 		}
 		return []Input{in}, nil
 	}
-	var ins []Input
-	if err := json.Unmarshal(data, &ins); err != nil {
-		return nil, fmt.Errorf("estat: input is neither an object nor an array: %w", err)
+	var in Input
+	if err := json.Unmarshal(data, &in); err != nil {
+		return nil, fmt.Errorf("estat: %w", err)
 	}
-	if len(ins) == 0 {
-		return nil, errors.New("estat: empty input array")
+	if err := validate(in); err != nil {
+		return nil, err
 	}
-	for _, in := range ins {
-		if err := validate(in); err != nil {
-			return nil, err
-		}
-	}
-	return ins, nil
+	return []Input{in}, nil
 }
 
-// validate rejects inputs a report could not be built from.
+// validate rejects inputs a report could not be built from, and objects
+// that are not e10stat inputs at all: every writer sets the schema.
 func validate(in Input) error {
-	if in.Schema != "" && in.Schema != Schema {
-		return fmt.Errorf("estat: unsupported schema %q (want %q)", in.Schema, Schema)
+	if in.Schema != Schema {
+		return fmt.Errorf("estat: schema %q is not an e10stat input (want %q)", in.Schema, Schema)
 	}
 	if in.WallTimeNs < 0 || in.ComputeNs < 0 || in.TotalBytes < 0 {
 		return fmt.Errorf("estat: negative timing/size fields in input %q", in.Name())

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -32,8 +33,7 @@ type BenchScenario struct {
 
 // BenchReport is the full matrix outcome, serialized as BENCH_<date>.json.
 // The simulation is deterministic, so re-running the matrix on the same
-// seed must reproduce every scenario's virtual times exactly; the compare
-// tolerance only gives headroom for intentional model changes.
+// seed must reproduce the file byte for byte (CheckBench).
 type BenchReport struct {
 	Schema    string          `json:"schema"`
 	Seed      int64           `json:"seed"`
@@ -195,13 +195,43 @@ func CompareBenchReports(base, cur *BenchReport, tolPct int64) error {
 	return nil
 }
 
-// RenderBench prints the matrix as an aligned table for the terminal.
-func RenderBench(rep *BenchReport) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-42s %14s %10s %16s\n", "scenario", "wall[ms]", "BW[GB/s]", "not_hidden[ms]")
-	for _, s := range rep.Scenarios {
-		fmt.Fprintf(&sb, "%-42s %14.3f %10.2f %16.3f\n",
-			s.Name, float64(s.WallTimeNs)/1e6, s.BandwidthGBs, float64(s.NotHiddenSyncNs)/1e6)
+// CheckBench is the matrix gate: cur, marshalled, must equal the committed
+// baseline file byte for byte. The error names every scenario that is
+// missing, new, or differs from the baseline in any field.
+func CheckBench(baseline []byte, cur *BenchReport) error {
+	got, err := MarshalBench(cur)
+	if err != nil {
+		return err
 	}
-	return sb.String()
+	if bytes.Equal(got, baseline) {
+		return nil
+	}
+	base, err := ParseBench(baseline)
+	if err != nil {
+		return err
+	}
+	var problems []string
+	current := make(map[string]BenchScenario, len(cur.Scenarios))
+	for _, c := range cur.Scenarios {
+		current[c.Name] = c
+	}
+	for _, b := range base.Scenarios {
+		c, ok := current[b.Name]
+		switch {
+		case !ok:
+			problems = append(problems, fmt.Sprintf("%s: missing from current run", b.Name))
+		case c != b:
+			problems = append(problems, fmt.Sprintf("%s: %+v, baseline %+v", b.Name, c, b))
+		}
+		delete(current, b.Name)
+	}
+	for _, c := range cur.Scenarios {
+		if _, ok := current[c.Name]; ok {
+			problems = append(problems, fmt.Sprintf("%s: not in the baseline", c.Name))
+		}
+	}
+	if len(problems) == 0 {
+		problems = append(problems, "the header, scenario order or file layout differs")
+	}
+	return fmt.Errorf("bench drift from the baseline:\n  %s", strings.Join(problems, "\n  "))
 }

@@ -94,12 +94,41 @@ func TestCommittedBaselineParsesAndGates(t *testing.T) {
 	}
 }
 
-// TestRenderBench smoke-checks the terminal table.
-func TestRenderBench(t *testing.T) {
-	out := RenderBench(sampleBench())
-	for _, want := range []string{"scenario", "interleaved/disabled/2x2", "wall[ms]"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
+// TestCheckBenchNamesEveryDrift holds the matrix gate to the committed
+// baseline byte for byte: the file passes against its own parse, and a
+// scenario whose exchange bytes moved (a field CompareBenchReports does
+// not read), a missing one and a new one each fail, named.
+func TestCheckBenchNamesEveryDrift(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_2026-08-05.json"))
+	if err != nil {
+		t.Skipf("no committed baseline: %v", err)
+	}
+	base, err := ParseBench(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckBench(data, base); err != nil {
+		t.Fatalf("baseline must pass against itself: %v", err)
+	}
+	cur, err := ParseBench(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := cur.Scenarios[3].Name
+	cur.Scenarios[3].ExchangeBytes++
+	if err := CompareBenchReports(base, cur, 0); err != nil {
+		t.Fatalf("CompareBenchReports flags exchange bytes (%v), so the case does not test the exact gate", err)
+	}
+	err = CheckBench(data, cur)
+	if err == nil || !strings.Contains(err.Error(), moved+":") {
+		t.Fatalf("changed exchange_bytes: err %v, want it to name %s", err, moved)
+	}
+	missing := cur.Scenarios[0].Name
+	cur.Scenarios[0].Name = "extra/cell/1x1"
+	err = CheckBench(data, cur)
+	for _, want := range []string{moved + ":", missing + ": missing", "extra/cell/1x1: not in the baseline"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("err %v, want it to contain %q", err, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/critpath"
@@ -64,27 +65,16 @@ func TestGoldenCritPath(t *testing.T) {
 }
 
 // TestCritPathRunDeterminism re-runs the golden cell and requires the
-// analyzer and timeline output to be byte-identical across fresh kernels:
-// the reports are pure functions of the deterministic trace.
+// analyzer report and the timeline to be identical across fresh kernels:
+// they are pure functions of the deterministic trace.
 func TestCritPathRunDeterminism(t *testing.T) {
 	arep, atl := runCrit(t)
 	brep, btl := runCrit(t)
-	if arep.Markdown() != brep.Markdown() {
+	if !reflect.DeepEqual(arep, brep) {
 		t.Error("two identical runs produced different critical-path reports")
 	}
-	if atl.Markdown() != btl.Markdown() {
-		t.Error("two identical runs produced different timeline reports")
-	}
-	aj, err := arep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := brep.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aj != bj {
-		t.Error("two identical runs produced different critical-path JSON")
+	if !reflect.DeepEqual(atl, btl) {
+		t.Error("two identical runs produced different timelines")
 	}
 }
 

@@ -154,6 +154,14 @@ type ScaleReport struct {
 	CritPathFull *critpath.Report `json:"-"`
 }
 
+// ScaleGolden is a committed scale digest (testdata/scale_digest_*.json):
+// the full deterministic report plus its digest, so a mismatch diff shows
+// which field moved.
+type ScaleGolden struct {
+	Report ScaleReport `json:"report"`
+	Digest string      `json:"digest"`
+}
+
 // Text renders the deterministic portion of the report, one "k=v" per
 // line. This is the digest's preimage.
 func (r *ScaleReport) Text() string {

@@ -209,13 +209,6 @@ func TestScale_ObservabilityNoPerturbation(t *testing.T) {
 	}
 }
 
-// scaleGoldenFile is the committed digest format: the full deterministic
-// report plus its digest, so a mismatch diff shows which field moved.
-type scaleGoldenFile struct {
-	Report ScaleReport `json:"report"`
-	Digest string      `json:"digest"`
-}
-
 func scaleGoldenPath(v ScaleVariant, ranks int) string {
 	return filepath.Join("testdata", fmt.Sprintf("scale_digest_%s_%d.json", v, ranks))
 }
@@ -243,7 +236,7 @@ func checkScaleGolden(t *testing.T, cfg ScaleConfig, rep *ScaleReport) {
 	if err != nil {
 		t.Fatalf("no committed digest for this cell (regenerate with -scale.update): %v", err)
 	}
-	var g scaleGoldenFile
+	var g ScaleGolden
 	if err := json.Unmarshal(data, &g); err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
@@ -257,7 +250,7 @@ func writeScaleGolden(t *testing.T, path string, rep *ScaleReport) {
 	t.Helper()
 	clean := *rep
 	clean.HostNs, clean.EventsPerSec = 0, 0 // host-dependent, not digested
-	b, err := json.MarshalIndent(scaleGoldenFile{Report: clean, Digest: rep.Digest()}, "", "  ")
+	b, err := json.MarshalIndent(ScaleGolden{Report: clean, Digest: rep.Digest()}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +299,7 @@ func TestScale_GoldenDigests(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var g scaleGoldenFile
+		var g ScaleGolden
 		if err := json.Unmarshal(data, &g); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}

@@ -34,12 +34,13 @@
 # SKIP_SCALE=1 skips it; `make scale` runs the 4096-rank soak.
 #
 # When a BENCH_*.json baseline is committed, the newest one also gates the
-# run: the 18-cell matrix re-recorded with -bench-record must match it byte
-# for byte, and any scenario whose virtual completion time regresses by
-# more than 2% fails (SKIP_BENCH=1 skips this pass). A committed BENCH_SCALE_*.json
-# additionally gates the 4096-rank kernel: its report digest must
-# reproduce exactly and the measured events/sec must stay above the
-# recorded floor (including the critical-path analyzer's own floor).
+# run: e10bench -bench-compare runs the 18-cell matrix once and fails
+# unless it reproduces the file byte for byte, naming every scenario that
+# differs (SKIP_BENCH=1 skips this pass). A committed BENCH_SCALE_*.json
+# additionally gates the 4096-rank kernel in the same call: its report
+# digest must reproduce exactly and the measured events/sec must stay
+# above the recorded floor (including the critical-path analyzer's own
+# floor).
 #
 # A reachability gate follows the scale smoke: scripts/reach.sh runs the
 # repo's artifact-producing targets on cover-instrumented binaries and
@@ -150,16 +151,7 @@ else
     # e10bench picks it up itself inside the same -bench-compare run.
     base=$(ls BENCH_*.json 2>/dev/null | grep -v '^BENCH_SCALE_' | sort | tail -1 || true)
     if [ -n "$base" ]; then
-        echo "== bench-record vs $base (the 18-cell matrix must reproduce byte for byte)"
-        rec=$(mktemp)
-        go run ./cmd/e10bench -bench-record "$rec" >/dev/null
-        if ! cmp "$rec" "$base"; then
-            rm -f "$rec"
-            echo "bench-record output differs from $base" >&2
-            exit 1
-        fi
-        rm -f "$rec"
-        echo "== bench-compare vs $base (>2% virtual-time regression fails)"
+        echo "== bench-compare vs $base (the 18-cell matrix must reproduce it byte for byte)"
         go run ./cmd/e10bench -bench-compare "$base"
     else
         echo "== bench-compare skipped (no BENCH_*.json baseline)"

@@ -15,8 +15,8 @@
 # 25-iteration chaos smokes and every committed chaos fixture; collperf,
 # ior and flashio cells, among them collperf's trace (16x4, linted),
 # critical-path, timeline and metrics runs of one representative cell;
-# e10stat over the demo outputs and every committed artifact; and one
-# 1-second traced benchmark pass.
+# e10stat over the demo outputs and every committed artifact; one
+# 1-second traced benchmark pass and one 1-second timed readback_64 pass.
 # Every target must exit 0. The merged counters (go tool covdata) give each
 # function's statement coverage; every function at 0% must be listed in
 # the allowlist (default scripts/reach.allow), each line naming the test
@@ -92,6 +92,9 @@ if [ -z "$funcs" ]; then
             echo "example-$ex $bin/$ex"
         done
         echo "bench1s $bin/benchmark -seconds 1 -trace 1 -out $out/bench-layers.json"
+        # A timed pass ends with the benchmark's bench guard, which checks
+        # the matrix with harness.CompareBenchReports; the traced pass does not.
+        echo "bench1s-timed $bin/benchmark -workload readback_64 -seconds 1"
     } >"$tmp/targets"
 
     echo "== reach: running $(wc -l <"$tmp/targets") targets"
