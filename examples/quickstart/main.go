@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/store"
 )
 
 func main() {
@@ -72,7 +73,7 @@ func main() {
 		log.Fatal("global file missing")
 	}
 	buf := make([]byte, meta.Size())
-	meta.Store().ReadAt(buf, 0)
+	meta.Store().ReadAt(store.Bytes(buf, 0), 0, int64(len(buf)))
 	for block := 0; block < 4*nranks; block++ {
 		owner := byte(block%nranks + 1)
 		for b := 0; b < blockLen; b++ {

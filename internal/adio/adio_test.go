@@ -212,7 +212,7 @@ func TestCollectiveWriteInterleavedPattern(t *testing.T) {
 	}
 	// Verify every byte.
 	got := make([]byte, meta.Size())
-	meta.Store().ReadAt(got, 0)
+	meta.Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 	for rank := 0; rank < nranks; rank++ {
 		for i := 0; i < cycles; i++ {
 			off := i*nranks*chunk + rank*chunk
@@ -383,7 +383,7 @@ func TestCollectiveWriteMatchesSerialProperty(t *testing.T) {
 			rng.Read(piece)
 			pats[r].segs = append(pats[r].segs, extent.Extent{Off: off, Len: l})
 			pats[r].data = append(pats[r].data, piece...)
-			ref.WriteAt(piece, off, l)
+			ref.WriteAt(store.Bytes(piece, off), off, l)
 			off += l + int64(rng.Intn(500))
 		}
 		cl := newCluster(t, seed, nodes, perNode, store.NewMem)
@@ -401,8 +401,8 @@ func TestCollectiveWriteMatchesSerialProperty(t *testing.T) {
 		}
 		got := make([]byte, meta.Size())
 		want := make([]byte, ref.Size())
-		meta.Store().ReadAt(got, 0)
-		ref.ReadAt(want, 0)
+		meta.Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
+		ref.ReadAt(store.Bytes(want, 0), 0, int64(len(want)))
 		return bytes.Equal(got, want)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
@@ -433,7 +433,7 @@ func TestIndependentStridedWriteBytes(t *testing.T) {
 	err := cl.w.Run(func(r *mpi.Rank) {
 		f, _ := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "f", Create: true})
 		old := bytes.Repeat([]byte{0xEE}, 50*120)
-		if err := f.WriteContig(old, 0, int64(len(old))); err != nil {
+		if err := f.WriteContig(store.Bytes(old, 0), 0, int64(len(old))); err != nil {
 			t.Fatal(err)
 		}
 		// Dense hole-y pattern: 100 bytes written, 20-byte holes; the
@@ -456,7 +456,7 @@ func TestIndependentStridedWriteBytes(t *testing.T) {
 			t.Errorf("wrote %d bytes, want exactly the %d segment bytes", got, len(data))
 		}
 		got := make([]byte, len(old))
-		if err := f.ReadContig(got, 0, int64(len(got))); err != nil {
+		if err := f.ReadContig(store.Bytes(got, 0), 0, int64(len(got))); err != nil {
 			t.Fatal(err)
 		}
 		for off, b := range got {
@@ -590,7 +590,7 @@ func TestIndependentStridedReadBytes(t *testing.T) {
 		for i := range content {
 			content[i] = byte(i % 251)
 		}
-		if err := f.WriteContig(content, 0, int64(len(content))); err != nil {
+		if err := f.WriteContig(store.Bytes(content, 0), 0, int64(len(content))); err != nil {
 			t.Error(err)
 			return
 		}
@@ -636,7 +636,7 @@ func TestCollectiveWriteHolesPreserveExistingData(t *testing.T) {
 		// Pre-fill the file with 0xEE via rank 0.
 		if cl.w.Comm().RankOf(r) == 0 {
 			pre := bytes.Repeat([]byte{0xEE}, 8192)
-			if err := f.WriteContig(pre, 0, int64(len(pre))); err != nil {
+			if err := f.WriteContig(store.Bytes(pre, 0), 0, int64(len(pre))); err != nil {
 				t.Error(err)
 			}
 		}
@@ -662,7 +662,7 @@ func TestCollectiveWriteHolesPreserveExistingData(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, 8192)
-	cl.fs.Lookup("f").Store().ReadAt(got, 0)
+	cl.fs.Lookup("f").Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 	for i := 0; i < 16; i++ {
 		base := i * 192
 		for b := 0; b < 64; b++ {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mpe"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -243,7 +244,7 @@ func (f *File) writeRound(ep *epoch, m int) error {
 
 	code := f.shuffle(ep, recv, m)
 
-	// Aggregator: pack the collective buffer and write the domain.
+	// Aggregator: pack and write the round's window of the domain.
 	if win := ep.p.window(m); !win.Empty() && code == ackOK {
 		if err := f.packAndWrite(ep, win); err != nil {
 			code = ackIOErr
@@ -313,12 +314,21 @@ func (f *File) postShuffle(ep *epoch, recv []int64, tag int) {
 			ep.selfExts = exts
 			continue
 		}
-		msg := exchangeMsg(exts, true, ep.own)
+		msg := exchangeMsg(exts, ep.own)
 		f.Stats.BytesExchanged += msg.Size
 		ep.mExch.Add(msg.Size)
 		f.sendReqs = append(f.sendReqs, r.Isend(c.Member(p.aggList[g.agg]).ID(), tag, msg))
 	}
+	if shuffleSent != nil {
+		shuffleSent(ep.own.buf)
+	}
 }
+
+// shuffleSent, when set, sees a rank's payload right after the rank has
+// posted a round's shuffle messages. It is a test-only hook: a test clears
+// the payload to check that the byte check catches a sender that changes
+// its buffer while the aggregators have yet to copy from it.
+var shuffleSent func(data []byte)
 
 // endRound traces round m, which started at t0, and times it.
 func (f *File) endRound(ep *epoch, m int, t0 sim.Time) {
@@ -605,25 +615,18 @@ func roundWindow(fd extent.Extent, cb int64, m int) extent.Extent {
 	return extent.Extent{Off: off, Len: min(cb, fd.End()-off)}
 }
 
-// exchangeMsg builds the shuffle message (vals set) or read reply that
-// carries the bytes of exts. A shuffle message lists the extents in Vals
-// as (off, len) pairs, and a reply answers a request that listed them.
-// Size adds a 16-byte per-extent header to the bytes. When src has a
-// buffer, the payload is a view of the bytes in it.
-func exchangeMsg(exts []extent.Extent, vals bool, src *view) mpi.Message {
+// exchangeMsg builds the shuffle message that carries the bytes of exts
+// from src, this rank's access. It lists the extents in Vals as (off, len)
+// pairs, and its Size is their wireSize. When src has a buffer, the
+// payload is a view of the bytes in it.
+func exchangeMsg(exts []extent.Extent, src *view) mpi.Message {
 	var m mpi.Message
-	if vals {
-		m.Vals = make([]int64, 0, 2*len(exts))
-	}
-	var bytes int64
+	m.Vals = make([]int64, 0, 2*len(exts))
 	for _, e := range exts {
-		if vals {
-			m.Vals = append(m.Vals, e.Off, e.Len)
-		}
-		bytes += e.Len
+		m.Vals = append(m.Vals, e.Off, e.Len)
 	}
-	m.Size = bytes + 16*int64(len(exts))
-	if src.buf != nil && bytes > 0 {
+	m.Size = wireSize(exts)
+	if bytes := m.Size - 16*int64(len(exts)); src.buf != nil && bytes > 0 {
 		v := *src
 		v.n = bytes
 		m.Data = &v
@@ -631,17 +634,26 @@ func exchangeMsg(exts []extent.Extent, vals bool, src *view) mpi.Message {
 	return m
 }
 
-// view is the payload of a shuffle message or read reply: n bytes of file
-// extents, which the receiver reads in place from buf, memory the sender
-// holds. Byte off of segs[i] lies at buf[pre[i]+off-segs[i].Off], and each
-// extent the message names lies inside one segment. A shuffle message
-// names its extents in Vals and views the sender's payload in segment
-// order; a read reply answers its request's extents and views the
-// aggregator's collective buffer holding window win, as segs [win] and pre
-// [0, win.Len]. A collective write's own view of the rank's access, with n
-// unset, is what its shuffle messages copy. The sender keeps buf valid
-// and unchanged until the collective call has returned on every rank
-// (DESIGN.md, adio).
+// wireSize is the wire size of a shuffle message or read reply that
+// carries the bytes of exts: the bytes plus a 16-byte header per extent.
+func wireSize(exts []extent.Extent) int64 {
+	var size int64
+	for _, e := range exts {
+		size += e.Len + 16
+	}
+	return size
+}
+
+// view is a rank's buffer lent to a two-phase message: buf holds the bytes
+// of file extents segs in segment order, so byte off of segs[i] lies at
+// buf[pre[i]+off-segs[i].Off]. A shuffle message views the sender's
+// payload and counts n, the bytes of the extents it names in Vals, which
+// the aggregator's store write copies straight out of buf. A read request
+// views the requester's destination with n zero: the aggregator's store
+// read copies the bytes of the extents it names straight into buf. A
+// collective write's own view of the rank's access, with n unset, is what
+// its shuffle messages copy. DESIGN.md (adio) gives the rules that keep
+// buf valid while it is lent.
 type view struct {
 	n    int64
 	segs []extent.Extent
@@ -652,18 +664,13 @@ type view struct {
 // Len implements mpi.Payload.
 func (v *view) Len() int64 { return v.n }
 
-// at returns the bytes of file extent e.
-func (v *view) at(e extent.Extent) []byte {
-	i := segSearch(v.segs, e.Off)
-	o := v.pre[i] + e.Off - v.segs[i].Off
-	return v.buf[o : o+e.Len]
-}
-
-// packAndWrite fills the collective buffer with the received and local
-// contributions for win, charges the memory-copy cost, and writes every
-// contiguous covered run via WriteContig (holes are skipped, as ROMIO does
-// when hole detection shows no read-modify-write is needed). A piece from a
-// metadata-only sender (nil Data, or nil data here) is written as zeros.
+// packAndWrite charges the memory-copy cost of packing the round's
+// received and local contributions for win, as ROMIO packs them into its
+// collective buffer, and writes every contiguous covered run via
+// WriteContig (holes are skipped, as ROMIO does when hole detection shows
+// no read-modify-write is needed). Nothing is staged: the store write
+// reads each byte straight from the buffer of the rank that sent it (see
+// roundSource).
 func (f *File) packAndWrite(ep *epoch, win extent.Extent) error {
 	r := f.rank
 	runs, packed, payload := ep.cover()
@@ -672,7 +679,11 @@ func (f *File) packAndWrite(ep *epoch, win extent.Extent) error {
 	span := mpe.StartSpan(r.Now())
 	r.Node().LocalCopy(r.Proc(), packed)
 	span.End(f.log, mpe.PhasePack, r.Now())
-	return f.writeRuns(ep, win, runs, packed, payload)
+	var src store.Source
+	if payload {
+		src = &roundSource{msgs: ep.msgs, self: ep.selfExts, own: ep.own}
+	}
+	return f.writeRuns(win, runs, packed, src)
 }
 
 // cover returns the round's covered runs, the union of the pieces the
@@ -695,66 +706,95 @@ func (ep *epoch) cover() (runs []extent.Extent, packed int64, payload bool) {
 	return cover.Extents(), packed, payload
 }
 
-// writeRuns writes the covered runs of win from the collective buffer,
-// which it fills first when the round carries payload.
-func (f *File) writeRuns(ep *epoch, win extent.Extent, runs []extent.Extent, packed int64, payload bool) error {
+// writeRuns writes the covered runs of win from src, nil when the round
+// carries no payload.
+func (f *File) writeRuns(win extent.Extent, runs []extent.Extent, packed int64, src store.Source) error {
 	r := f.rank
 	span := mpe.StartSpan(r.Now())
 	defer func() { span.End(f.log, mpe.PhaseWrite, r.Now()) }()
 
-	var buf []byte
-	if payload {
-		buf = f.collBuf(win.Len)
-	}
 	// Hole handling, as in ADIOI_Exch_and_write: when the window is
 	// fragmented but mostly covered, read-modify-write the whole window
 	// once instead of issuing one write per fragment. Sparse coverage,
 	// or any under a hook (sievesHoles), writes the runs individually.
 	if len(runs) > 1 && packed*2 >= win.Len && f.sievesHoles() {
 		f.Stats.SievedWrites++
-		if err := f.ReadContig(buf, win.Off, win.Len); err != nil {
-			return err
-		}
-		runs = append(runs[:0], win)
-	}
-	if payload {
-		ep.fill(buf, win)
+		return f.sieve(win, src)
 	}
 	var err error
 	for _, run := range runs {
-		var rd []byte
-		if payload {
-			rd = buf[run.Off-win.Off : run.End()-win.Off]
-		}
-		if werr := f.WriteContig(rd, run.Off, run.Len); werr != nil && err == nil {
+		if werr := f.WriteContig(src, run.Off, run.Len); werr != nil && err == nil {
 			err = werr
 		}
 	}
 	return err
 }
 
-// fill copies the round's pieces into buf, which holds win: received
-// bytes from the views their senders lent, kept ones from this rank's
-// payload, and a metadata-only piece as zeros.
-func (ep *epoch) fill(buf []byte, win extent.Extent) {
-	for _, m := range ep.msgs {
+// sieve writes win whole by read-modify-write: it reads the window,
+// overlays the round's pieces from src and writes the window back. With a
+// payload the window's bytes stay in a pool buffer taken and returned
+// within the call, the only window-sized buffer of the two-phase path.
+func (f *File) sieve(win extent.Extent, src store.Source) error {
+	var b []byte
+	if src != nil {
+		pool := f.rank.World().Pool()
+		b = pool.Get(int(win.Len))
+		defer pool.Put(b)
+	}
+	buf := store.Bytes(b, win.Off)
+	if err := f.ReadContig(buf, win.Off, win.Len); err != nil {
+		return err
+	}
+	if src != nil {
+		src.ReadAt(b, win.Off)
+	}
+	return f.WriteContig(buf, win.Off, win.Len)
+}
+
+// roundSource is a write round's payload as the aggregator's store writes
+// read it: the epoch's received messages and kept pieces. A received
+// piece's bytes come from the view its sender lent, a kept one's from this
+// rank's own payload, and a metadata-only piece's are zeros: the mix of
+// payload and metadata-only ranks WriteStridedColl allows. Where pieces
+// overlap, a later message wins over an earlier one and a kept piece over
+// both.
+type roundSource struct {
+	msgs []*mpi.Message
+	self []extent.Extent
+	own  *view
+}
+
+// ReadAt implements store.Source. Bytes of p in no piece keep what p
+// holds.
+func (s *roundSource) ReadAt(p []byte, off int64) {
+	e := extent.Extent{Off: off, Len: int64(len(p))}
+	for _, m := range s.msgs {
 		v, _ := m.Data.(*view)
-		for i := 0; i+1 < len(m.Vals); i += 2 {
-			e := extent.Extent{Off: m.Vals[i], Len: m.Vals[i+1]}
-			if dst := buf[e.Off-win.Off : e.End()-win.Off]; v == nil {
-				clear(dst)
-			} else {
-				copy(dst, v.at(e))
-			}
+		for i := pairSearch(m.Vals, off); i+1 < len(m.Vals) && m.Vals[i] < e.End(); i += 2 {
+			v.copyPiece(p, e, extent.Extent{Off: m.Vals[i], Len: m.Vals[i+1]})
 		}
 	}
-	for _, e := range ep.selfExts {
-		if dst := buf[e.Off-win.Off : e.End()-win.Off]; ep.own.buf == nil {
-			clear(dst)
-		} else {
-			copyFromSegs(dst, e, ep.own.segs, ep.own.pre, ep.own.buf)
-		}
+	for i := segSearch(s.self, off); i < len(s.self) && s.self[i].Off < e.End(); i++ {
+		s.own.copyPiece(p, e, s.self[i])
 	}
+}
+
+// copyPiece copies the bytes of piece that lie in e from v into p, which
+// holds e; a nil v, or one without a buffer, copies zeros.
+func (v *view) copyPiece(p []byte, e, piece extent.Extent) {
+	ov := piece.Intersect(e)
+	dst := p[ov.Off-e.Off : ov.End()-e.Off]
+	if v == nil || v.buf == nil {
+		clear(dst)
+	} else {
+		copyFromSegs(dst, ov, v.segs, v.pre, v.buf)
+	}
+}
+
+// pairSearch returns the index in vals, a list of (off, len) pairs sorted
+// and disjoint, of the first pair ending after off (len(vals) if none).
+func pairSearch(vals []int64, off int64) int {
+	return 2 * sort.Search(len(vals)/2, func(i int) bool { return vals[2*i]+vals[2*i+1] > off })
 }
 
 // copyFromSegs copies the bytes of file extent e from data, the rank's

@@ -22,9 +22,8 @@ func secondCall(segs []extent.Extent, data []byte) ([]extent.Extent, []byte) {
 }
 
 // TestMixedPayloadWritesZeros pins the rule that mixing payload and
-// metadata-only ranks writes zeros for the metadata-only ranks' extents, on
-// a handle whose first, all-payload write left its bytes in the collective
-// buffer. In the second write rank 1 passes nil data; in the sieved variant
+// metadata-only ranks writes zeros for the metadata-only ranks' extents,
+// over a file whose first, all-payload write left other bytes there. In the second write rank 1 passes nil data; in the sieved variant
 // rank 2 also writes nothing, so its blocks are holes in the middle of
 // mostly covered windows, which read-modify-write keeps.
 func TestMixedPayloadWritesZeros(t *testing.T) {
@@ -66,7 +65,7 @@ func TestMixedPayloadWritesZeros(t *testing.T) {
 				t.Fatalf("%d sieved writes, want sieving %v", sievedWrites, sieved)
 			}
 			got := make([]byte, n*blocks*block)
-			cl.fs.Lookup("mix.dat").Store().ReadAt(got, 0)
+			cl.fs.Lookup("mix.dat").Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 			for rank := 0; rank < n; rank++ {
 				segs, want := secondCall(blockCyclic(n, rank, block, blocks))
 				if rank == 2 && sieved {
@@ -90,18 +89,18 @@ func TestMixedPayloadWritesZeros(t *testing.T) {
 }
 
 // TestCollectiveBufferAllocation gates the bytes a payload two-phase
-// write and read allocate per payload byte they move. Past the first
-// call, a File stages every window in its one collective buffer, and the
-// shuffle messages and read replies borrow their payload from the sender's
-// buffer instead of carrying a copy. What remains is the
-// per-round plan and message bookkeeping; a payload, buffer or window
-// allocated afresh per round shows up as at least one more byte per
-// byte.
+// write and read allocate per payload byte they move. Nothing is staged:
+// the aggregators' store writes copy from the senders' buffers and their
+// store reads into the requesters' buffers, and the messages only lend
+// those buffers. What remains is the per-round plan and message
+// bookkeeping, measured at 0.046 (64 KiB windows) and 0.023 (256 KiB);
+// the gate allows 10% over the larger. A payload, buffer or window
+// allocated afresh per round shows up as at least one more byte per byte.
 func TestCollectiveBufferAllocation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate runs 3 payload write+read reps per buffer size")
 	}
-	const blocks, block, maxPerByte = 32, 16 << 10, 0.25
+	const blocks, block, maxPerByte = 32, 16 << 10, 0.046 * 1.1
 	for _, cb := range []int{64 << 10, 256 << 10} {
 		t.Run("cb="+strconv.Itoa(cb), func(t *testing.T) {
 			cl := newCluster(t, 1, 4, 2, store.NewMem)
@@ -149,9 +148,9 @@ func TestCollectiveBufferAllocation(t *testing.T) {
 			}
 			moved := 2 * 2 * n * blocks * block // 2 reps of a write and a read
 			perByte := float64(to-from) / float64(moved)
-			t.Logf("cb %d: %.2f bytes allocated per payload byte moved", cb, perByte)
+			t.Logf("cb %d: %.3f bytes allocated per payload byte moved", cb, perByte)
 			if perByte > maxPerByte {
-				t.Fatalf("cb %d: %.2f bytes allocated per payload byte moved, want <= %.2f", cb, perByte, maxPerByte)
+				t.Fatalf("cb %d: %.3f bytes allocated per payload byte moved, want <= %.3f", cb, perByte, maxPerByte)
 			}
 		})
 	}

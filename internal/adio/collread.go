@@ -6,15 +6,18 @@ import (
 	"repro/internal/extent"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
+	"repro/internal/store"
 )
 
 // ReadStridedColl is ADIOI_GEN_ReadStridedColl: the collective read twin of
 // the extended two-phase algorithm. Aggregators read their file-domain
 // windows from the file system and scatter the pieces to the requesting
-// ranks round by round; the structure (offset exchange, interleaving check,
-// file domains, per-round Alltoall dissemination, Isend/Irecv/Waitall)
-// mirrors the write path. Reads always target the global file: §III-B of
-// the paper explains why reads from other ranks' caches are unsupported.
+// ranks round by round, the store read copying each byte straight into the
+// buffer its requester lent with the request. The structure (offset
+// exchange, interleaving check, file domains, per-round Alltoall
+// dissemination, Isend/Irecv/Waitall) mirrors the write path. Reads always
+// target the global file: §III-B of the paper explains why reads from
+// other ranks' caches are unsupported.
 func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	r, c, log := f.rank, f.comm, f.log
 	total, err := validateSegs(segs)
@@ -41,8 +44,12 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		c.Allreduce(r, []int64{0}, mpi.MaxOp)
 		return nil
 	}
-	pre := prefixSums(segs, buf)
-	payload := buf != nil
+	// This rank's destination, which each of its requests lends to the
+	// aggregator serving it.
+	var own *view
+	if buf != nil {
+		own = &view{segs: segs, pre: prefixSums(segs, buf), buf: buf}
+	}
 
 	var firstErr error
 	rp := &f.round
@@ -71,7 +78,6 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 		}
 		// Send extent requests; post receives for the replies.
 		var replyReqs []*mpi.Request
-		var replyExts [][]extent.Extent
 		var selfExts []extent.Extent
 		for _, g := range rp.groups {
 			exts := rp.exts(g)
@@ -79,25 +85,24 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 				selfExts = exts
 				continue
 			}
-			vals := make([]int64, 0, 2*len(exts))
+			var req mpi.Message
+			req.Vals = make([]int64, 0, 2*len(exts))
 			for _, e := range exts {
-				vals = append(vals, e.Off, e.Len)
+				req.Vals = append(req.Vals, e.Off, e.Len)
+			}
+			if own != nil {
+				req.Data = own
 			}
 			aggWorld := c.Member(p.aggList[g.agg]).ID()
 			replyReqs = append(replyReqs, r.Irecv(aggWorld, repTag))
-			replyExts = append(replyExts, exts)
-			r.Send(aggWorld, reqTag, mpi.Message{Vals: vals})
+			r.Send(aggWorld, reqTag, req)
 		}
 		r.Waitall(reqReqs)
 
-		// Aggregator: read the covering range once (data-sieving read) and
-		// answer every request.
+		// Aggregator: read the covering range once (data-sieving read)
+		// straight into the requesters' buffers, and answer every request.
 		if win := p.window(m); !win.Empty() {
 			var need extent.Set
-			type request struct {
-				src  int
-				exts []extent.Extent
-			}
 			var reqs []request
 			for i, q := range reqReqs {
 				msg := r.Wait(q)
@@ -107,63 +112,43 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 					exts = append(exts, e)
 					need.Add(e)
 				}
-				reqs = append(reqs, request{src: reqSrcs[i], exts: exts})
+				dst, _ := msg.Data.(*view)
+				if dropScatter != nil && dropScatter(reqSrcs[i]) {
+					dst = nil
+				}
+				reqs = append(reqs, request{src: reqSrcs[i], exts: exts, dst: dst})
 			}
 			for _, e := range selfExts {
 				need.Add(e)
 			}
-			// Each needed run is read to its offset in the collective
-			// buffer; a failed read leaves zeros, never an earlier round's
-			// bytes. The replies view the window in place.
-			var wbuf []byte
-			var wv view
-			if payload {
-				wbuf = f.collBuf(win.Len)
-				wv = view{segs: []extent.Extent{win}, pre: []int64{0, win.Len}, buf: wbuf}
+			var sink store.Sink
+			if own != nil {
+				sink = &scatter{append(reqs, request{src: p.me, exts: selfExts, dst: own})}
 			}
+			// Each needed run is read straight into every requester's
+			// buffer; a failed read hands them zeros, never stale bytes.
 			span2 := mpe.StartSpan(r.Now())
 			for _, run := range need.Extents() {
-				var rd []byte
-				if payload {
-					rd = wbuf[run.Off-win.Off : run.End()-win.Off]
-				}
-				if err := f.ReadContig(rd, run.Off, run.Len); err != nil {
-					clear(rd)
+				if err := f.ReadContig(sink, run.Off, run.Len); err != nil {
+					if sink != nil {
+						store.Zero(sink, run.Off, run.Len)
+					}
 					if firstErr == nil {
 						firstErr = err
 					}
 				}
 			}
 			span2.End(log, mpe.PhaseWrite, r.Now()) // file I/O time
-			// Reply to every requester.
+			// Reply to every requester: its bytes are in its buffer.
 			for _, q := range reqs {
-				msg := exchangeMsg(q.exts, false, &wv)
+				msg := mpi.Message{Size: wireSize(q.exts)}
 				f.Stats.BytesExchanged += msg.Size
 				r.Send(c.Member(q.src).ID(), repTag, msg)
 			}
-			if repliesSent != nil {
-				repliesSent(wbuf)
-			}
-			// Local pieces for this aggregator's own request.
-			if payload {
-				for _, e := range selfExts {
-					copyIntoSegs(wv.at(e), e, segs, pre, buf)
-				}
-			}
 		}
 
-		// Collect the replies and place them into the caller's buffer.
+		// The replies say the bytes are in place.
 		r.Waitall(replyReqs)
-		for i, q := range replyReqs {
-			msg := r.Wait(q)
-			if !payload {
-				continue
-			}
-			v := msg.Data.(*view)
-			for _, e := range replyExts[i] {
-				copyIntoSegs(v.at(e), e, segs, pre, buf)
-			}
-		}
 		span.End(log, mpe.PhaseExchWaitall, r.Now())
 	}
 
@@ -172,8 +157,36 @@ func (f *File) ReadStridedColl(segs []extent.Extent, buf []byte) error {
 	return f.exchangeErr(c, nil, firstErr, "read")
 }
 
-// repliesSent, when set, sees an aggregator's window right after the
-// aggregator has sent a round's replies. It is a test-only hook: a test
-// clears the window to check that the read-back check catches a window
-// changed while replies still view it.
-var repliesSent func(window []byte)
+// request is one rank's request to an aggregator in a collective read
+// round: the extents it asked for, in file order, and the buffer it lent
+// for their bytes (nil without payload).
+type request struct {
+	src  int // the requester's rank in the communicator
+	exts []extent.Extent
+	dst  *view
+}
+
+// scatter is a collective read round's sink: the aggregator's store read
+// hands it each run, and it copies every byte straight into the buffer of
+// each requester whose extents hold it. Overlapping requests each get
+// their own copy.
+type scatter struct{ reqs []request }
+
+// WriteAt implements store.Sink.
+func (s *scatter) WriteAt(p []byte, off int64) {
+	e := extent.Extent{Off: off, Len: int64(len(p))}
+	for _, q := range s.reqs {
+		if q.dst == nil {
+			continue
+		}
+		for i := segSearch(q.exts, off); i < len(q.exts) && q.exts[i].Off < e.End(); i++ {
+			ov := q.exts[i].Intersect(e)
+			copyIntoSegs(p[ov.Off-off:ov.End()-off], ov, q.dst.segs, q.dst.pre, q.dst.buf)
+		}
+	}
+}
+
+// dropScatter, when set, makes an aggregator leave out of its scatter the
+// requesters it reports. It is a test-only hook: a requester whose bytes
+// never land must fail the read-back check.
+var dropScatter func(src int) bool

@@ -94,7 +94,7 @@ func TestCollectiveReadMatchesIndependent(t *testing.T) {
 				return
 			}
 			if cl.w.Comm().RankOf(r) == 0 {
-				if err := f.WriteContig(content, 0, fileLen); err != nil {
+				if err := f.WriteContig(store.Bytes(content, 0), 0, fileLen); err != nil {
 					t.Error(err)
 				}
 			}
@@ -104,9 +104,9 @@ func TestCollectiveReadMatchesIndependent(t *testing.T) {
 			for _, s := range segs {
 				total += s.Len
 			}
-			collBuf := make([]byte, total)
+			collGot := make([]byte, total)
 			indBuf := make([]byte, total)
-			if err := f.ReadStridedColl(segs, collBuf); err != nil {
+			if err := f.ReadStridedColl(segs, collGot); err != nil {
 				t.Error(err)
 				return
 			}
@@ -114,7 +114,7 @@ func TestCollectiveReadMatchesIndependent(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if !bytes.Equal(collBuf, indBuf) {
+			if !bytes.Equal(collGot, indBuf) {
 				ok = false
 			}
 			_ = f.Close()
@@ -134,7 +134,7 @@ func TestCollectiveReadNonInterleavedFallsBack(t *testing.T) {
 	err := cl.w.Run(func(r *mpi.Rank) {
 		f, _ := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "f", Create: true})
 		if cl.w.Comm().RankOf(r) == 0 {
-			if err := f.WriteContig(bytes.Repeat([]byte{9}, 4096), 0, 4096); err != nil {
+			if err := f.WriteContig(store.Bytes(bytes.Repeat([]byte{9}, 4096), 0), 0, 4096); err != nil {
 				t.Error(err)
 			}
 		}
@@ -243,7 +243,7 @@ func TestBeeGFSDriverEndToEndContent(t *testing.T) {
 	}
 	meta := cl.fs.Lookup("aligned.dat")
 	got := make([]byte, meta.Size())
-	meta.Store().ReadAt(got, 0)
+	meta.Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 	for rank := 0; rank < nranks; rank++ {
 		for i := 0; i < 3; i++ {
 			base := i*nranks*chunk + rank*chunk
@@ -260,7 +260,8 @@ func TestBeeGFSDriverEndToEndContent(t *testing.T) {
 // collectively after every storage target went down: every rank must
 // return (none may wait forever for a reply), an aggregator with its own
 // failed read reports that error, every other rank reports that the
-// collective read failed elsewhere, and no rank gets bytes back.
+// collective read failed elsewhere, and every rank's buffer, filled with
+// 0xee before the read, holds zeros after it.
 func TestCollectiveReadReportsReadErrors(t *testing.T) {
 	cl := newCluster(t, 1, 4, 2, store.NewMem)
 	n := cl.w.Size()
@@ -282,10 +283,10 @@ func TestCollectiveReadReportsReadErrors(t *testing.T) {
 		for i := 0; i < cl.fs.Config().Targets; i++ {
 			cl.fs.SetTargetDown(i, true)
 		}
-		got := make([]byte, len(data))
+		// A failed read must leave zeros, never the bytes the buffer
+		// held before.
+		got := bytes.Repeat([]byte{0xee}, len(data))
 		errs[r.ID()] = f.ReadStridedColl(segs, got)
-		// The write left its last window in each aggregator's collective
-		// buffer; a failed read must not hand those bytes back.
 		if !bytes.Equal(got, make([]byte, len(got))) {
 			t.Errorf("rank %d: a failed collective read returned stale bytes", r.ID())
 		}

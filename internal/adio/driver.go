@@ -26,13 +26,15 @@ type Driver interface {
 
 // DriverFile is one rank's open backend file.
 type DriverFile interface {
-	// WriteContig writes size contiguous bytes at off (ADIO_WriteContig).
-	WriteContig(p *sim.Proc, data []byte, off, size int64) error
+	// WriteContig writes size contiguous bytes at off from src, or
+	// metadata-only when src is nil (ADIO_WriteContig).
+	WriteContig(p *sim.Proc, src store.Source, off, size int64) error
 	// StartWrite sets op up as WriteContig's step form, for a step
 	// process: op.Step runs the write to each of its waits.
-	StartWrite(op *pfs.Op, data []byte, off, size int64)
-	// ReadContig reads into buf (or size bytes metadata-only when buf nil).
-	ReadContig(p *sim.Proc, buf []byte, off, size int64) error
+	StartWrite(op *pfs.Op, src store.Source, off, size int64)
+	// ReadContig reads size bytes at off into dst (metadata-only when dst
+	// is nil).
+	ReadContig(p *sim.Proc, dst store.Sink, off, size int64) error
 	// Flush pushes dirty state to stable storage.
 	Flush(p *sim.Proc)
 	// Close releases the handle.
@@ -175,16 +177,16 @@ type ufsFile struct {
 	rank *mpi.Rank
 }
 
-func (f *ufsFile) WriteContig(p *sim.Proc, data []byte, off, size int64) error {
-	return f.h.WriteAt(p, data, off, size)
+func (f *ufsFile) WriteContig(p *sim.Proc, src store.Source, off, size int64) error {
+	return f.h.WriteAt(p, src, off, size)
 }
 
-func (f *ufsFile) StartWrite(op *pfs.Op, data []byte, off, size int64) {
-	f.h.StartWrite(op, data, off, size)
+func (f *ufsFile) StartWrite(op *pfs.Op, src store.Source, off, size int64) {
+	f.h.StartWrite(op, src, off, size)
 }
 
-func (f *ufsFile) ReadContig(p *sim.Proc, buf []byte, off, size int64) error {
-	return f.h.ReadAt(p, buf, off, size)
+func (f *ufsFile) ReadContig(p *sim.Proc, dst store.Sink, off, size int64) error {
+	return f.h.ReadAt(p, dst, off, size)
 }
 
 func (f *ufsFile) Flush(p *sim.Proc) { f.h.Sync(p) }

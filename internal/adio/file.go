@@ -10,6 +10,7 @@ import (
 	"repro/internal/extent"
 	"repro/internal/mpe"
 	"repro/internal/mpi"
+	"repro/internal/store"
 )
 
 // Hooks are the integration points the paper adds to ROMIO for the
@@ -21,8 +22,8 @@ type Hooks interface {
 	// error makes the implementation revert to the standard path.
 	AtOpenColl(f *File) error
 	// WriteContig may intercept ADIOI_GEN_WriteContig. It returns true if
-	// it handled the write (data went to the cache).
-	WriteContig(f *File, data []byte, off, size int64) (bool, error)
+	// it handled the write (the bytes of src went to the cache).
+	WriteContig(f *File, src store.Source, off, size int64) (bool, error)
 	// AtFlush runs inside ADIOI_GEN_Flush: wait for (or trigger and wait
 	// for) completion of outstanding cache-sync requests.
 	AtFlush(f *File) error
@@ -35,8 +36,9 @@ type Hooks interface {
 // the first item of the paper's future work (§VI). A hook set that also
 // implements ReadHooks may serve ReadContig from the local cache.
 type ReadHooks interface {
-	// ReadContig returns true when it served the read from the cache.
-	ReadContig(f *File, buf []byte, off, size int64) (bool, error)
+	// ReadContig returns true when it served the read into dst from the
+	// cache.
+	ReadContig(f *File, dst store.Sink, off, size int64) (bool, error)
 }
 
 // HooksFactory builds the hook set for a freshly opened file, typically by
@@ -71,7 +73,6 @@ type File struct {
 	myAgg   int   // my index in aggList, or -1
 	closed  bool
 	round   roundPlan // the two-phase drivers' reused round plan
-	buf     []byte    // the collective buffer (see collBuf)
 
 	// The shuffle's request and message lists, empty between rounds and
 	// reused from round to round.
@@ -284,10 +285,11 @@ func (f *File) Aggregators() []int {
 }
 
 // WriteContig is ADIOI_GEN_WriteContig: the cache hook may intercept it;
-// otherwise data goes straight to the backend file system.
-func (f *File) WriteContig(data []byte, off, size int64) error {
+// otherwise the bytes of src go straight to the backend file system. Every
+// layer below copies them before WriteContig returns.
+func (f *File) WriteContig(src store.Source, off, size int64) error {
 	if f.hooks != nil {
-		handled, err := f.hooks.WriteContig(f, data, off, size)
+		handled, err := f.hooks.WriteContig(f, src, off, size)
 		if err != nil {
 			return err
 		}
@@ -297,7 +299,7 @@ func (f *File) WriteContig(data []byte, off, size int64) error {
 			return nil
 		}
 	}
-	if err := f.backend.WriteContig(f.rank.Proc(), data, off, size); err != nil {
+	if err := f.backend.WriteContig(f.rank.Proc(), src, off, size); err != nil {
 		return err
 	}
 	f.Stats.BytesWritten += size
@@ -305,17 +307,18 @@ func (f *File) WriteContig(data []byte, off, size int64) error {
 	return nil
 }
 
-// ReadContig reads from the global file. The base system does not read
-// from the cache (§III-B of the paper); when the cache layer implements
-// the optional ReadHooks extension (future work implemented here), locally
-// cached extents may be served from the SSD instead.
-func (f *File) ReadContig(buf []byte, off, size int64) error {
+// ReadContig reads size bytes at off from the global file into dst. The
+// base system does not read from the cache (§III-B of the paper); when the
+// cache layer implements the optional ReadHooks extension (future work
+// implemented here), locally cached extents may be served from the SSD
+// instead.
+func (f *File) ReadContig(dst store.Sink, off, size int64) error {
 	if rh, ok := f.hooks.(ReadHooks); ok {
-		if handled, err := rh.ReadContig(f, buf, off, size); err == nil && handled {
+		if handled, err := rh.ReadContig(f, dst, off, size); err == nil && handled {
 			return nil
 		}
 	}
-	return f.backend.ReadContig(f.rank.Proc(), buf, off, size)
+	return f.backend.ReadContig(f.rank.Proc(), dst, off, size)
 }
 
 // Flush is ADIOI_GEN_Flush: drain the cache (when present), then flush the
@@ -328,22 +331,6 @@ func (f *File) Flush() error {
 	}
 	f.backend.Flush(f.rank.Proc())
 	return nil
-}
-
-// collBuf returns the file's collective buffer cut to n bytes. It is the
-// one staging area for two-phase windows, as ROMIO's
-// cb_buffer_size buffer is, so a window's bytes last until the next
-// window. It comes from the World's pool, grows to the largest window
-// served (handing the smaller one back), only payload mode asks for it,
-// and Close returns it to the pool for the next file. A collective read's
-// replies view the window in place (see view).
-func (f *File) collBuf(n int64) []byte {
-	if int64(cap(f.buf)) < n {
-		pool := f.rank.World().Pool()
-		pool.Put(f.buf)
-		f.buf = pool.Get(int(n))
-	}
-	return f.buf[:n]
 }
 
 // sievesHoles reports whether a write whose window has holes may fill them
@@ -366,8 +353,7 @@ func (f *File) Close() error {
 		err = f.hooks.AtClose(f)
 	}
 	f.backend.Close(f.rank.Proc())
-	f.rank.World().Pool().Put(f.buf)
-	f.closed, f.buf = true, nil
+	f.closed = true
 	span.End(f.log, mpe.PhaseClose, f.rank.Now())
 	return err
 }

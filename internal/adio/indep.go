@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/extent"
 	"repro/internal/mpe"
+	"repro/internal/store"
 )
 
 // WriteStrided is ADIOI_GEN_WriteStrided: an independent strided write.
@@ -28,7 +29,9 @@ func (f *File) WriteStrided(segs []extent.Extent, data []byte) error {
 
 	span := mpe.StartSpan(f.rank.Now())
 	defer func() { span.End(f.log, mpe.PhaseWrite, f.rank.Now()) }()
-	return eachRun(segs, data, f.WriteContig)
+	return eachRun(segs, data, func(src store.Payload, off, size int64) error {
+		return f.WriteContig(src, off, size)
+	})
 }
 
 // ReadStrided is ADIOI_GEN_ReadStrided: an independent strided read. Each
@@ -43,22 +46,25 @@ func (f *File) ReadStrided(segs []extent.Extent, buf []byte) error {
 	if buf != nil && int64(len(buf)) != total {
 		return fmt.Errorf("adio: buffer length %d != segment total %d", len(buf), total)
 	}
-	return eachRun(segs, buf, f.ReadContig)
+	return eachRun(segs, buf, func(dst store.Payload, off, size int64) error {
+		return f.ReadContig(dst, off, size)
+	})
 }
 
 // eachRun calls io once per covered run of segs, which must be sorted and
-// disjoint, with the run's bytes of buf (buf holds the segments' bytes in
-// segment order, so a run's bytes are contiguous in it; nil stays nil).
-func eachRun(segs []extent.Extent, buf []byte, io func(b []byte, off, size int64) error) error {
+// disjoint, with the run's bytes of buf as its payload (buf holds the
+// segments' bytes in segment order, so a run's bytes are contiguous in it;
+// nil stays nil).
+func eachRun(segs []extent.Extent, buf []byte, io func(b store.Payload, off, size int64) error) error {
 	var at int64
 	for i := 0; i < len(segs); {
 		run := segs[i]
 		for i++; i < len(segs) && segs[i].Off == run.End(); i++ {
 			run.Len += segs[i].Len
 		}
-		var b []byte
+		var b store.Payload
 		if buf != nil {
-			b = buf[at : at+run.Len]
+			b = store.Bytes(buf[at:at+run.Len], run.Off)
 		}
 		if err := io(b, run.Off, run.Len); err != nil {
 			return err

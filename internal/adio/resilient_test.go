@@ -137,7 +137,7 @@ func TestResilientWriteSurvivesAggregatorCrash(t *testing.T) {
 		t.Fatal("file not created")
 	}
 	got := make([]byte, int64(cycles*nranks*chunk))
-	meta.Store().ReadAt(got, 0)
+	meta.Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 	for rank := 0; rank < nranks; rank++ {
 		if !cl.w.Alive(rank) {
 			continue // a dead rank's unsent data is legitimately lost
@@ -330,7 +330,7 @@ func TestStaleShuffleMessageCannotCorruptLaterWrite(t *testing.T) {
 			}
 			meta := cl.fs.Lookup(tc.second)
 			got := make([]byte, meta.Size())
-			meta.Store().ReadAt(got, 0)
+			meta.Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 			for rank := 0; rank < nranks; rank++ {
 				segs, data := second(rank)
 				var cursor int64

@@ -131,7 +131,7 @@ func twoPhaseGoldenRun(t *testing.T, op string, payload bool, driver, placement 
 	}
 	meta := cl.fs.Lookup("golden.dat")
 	file := make([]byte, meta.Size())
-	meta.Store().ReadAt(file, 0)
+	meta.Store().ReadAt(store.Bytes(file, 0), 0, int64(len(file)))
 	return twoPhaseRun{End: int64(cl.k.Now()), Events: cl.k.EventsDispatched(), Ranks: ranks, file: file}
 }
 

@@ -4,18 +4,21 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/mpi"
 	"repro/internal/store"
 )
 
-// Shuffle messages and read replies borrow their payload: a shuffle
-// message views the sender's data, a read reply the aggregator's
-// collective buffer. These tests hold the lifetime rule to the cases that
-// could break it: copies of a message that arrive late or twice, a writer
-// that reuses its buffer as soon as the call returns, and an aggregator
-// whose collective buffer goes back to the pool, poisoned, at Close.
+// Two-phase messages lend buffers instead of carrying bytes: a shuffle
+// message views the sender's data, which the aggregator's store write
+// copies, and a read request views the requester's destination, into which
+// the aggregator's store read copies. These tests hold the gather/scatter
+// rule to the cases that could break it: copies of a message that arrive
+// late or twice, a writer that reuses its buffer as soon as the call
+// returns, and, as sabotage self-tests, a sender that changes its buffer
+// too early and an aggregator that skips a requester.
 
 // viewInfo runs every call collectively over two aggregators in 4 KiB
 // rounds, so each call takes several rounds and every rank sends and
@@ -25,19 +28,29 @@ var viewInfo = mpi.Info{HintCBWrite: "enable", HintCBRead: "enable", HintCBNodes
 // checkFile fails unless path holds every rank's blockCyclic bytes.
 func checkFile(t *testing.T, cl *cluster, path string, chunk, cycles int) {
 	t.Helper()
+	if bad := badSegments(cl, path, chunk, cycles); len(bad) > 0 {
+		t.Fatalf("%s: %s", path, bad[0])
+	}
+}
+
+// badSegments names each segment of path that does not hold the
+// blockCyclic bytes of the rank that wrote it.
+func badSegments(cl *cluster, path string, chunk, cycles int) []string {
 	n := cl.w.Size()
 	got := make([]byte, n*chunk*cycles)
-	cl.fs.Lookup(path).Store().ReadAt(got, 0)
+	cl.fs.Lookup(path).Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
+	var bad []string
 	for rank := 0; rank < n; rank++ {
 		segs, want := blockCyclic(n, rank, chunk, cycles)
 		var cursor int64
 		for _, s := range segs {
 			if !bytes.Equal(got[s.Off:s.End()], want[cursor:cursor+s.Len]) {
-				t.Fatalf("%s: rank %d segment %v holds other bytes than it wrote", path, rank, s)
+				bad = append(bad, fmt.Sprintf("rank %d segment %v holds other bytes than it wrote", rank, s))
 			}
 			cursor += s.Len
 		}
 	}
+	return bad
 }
 
 // TestShuffleOverLossyLinksWritesOriginalBytes: over links that drop and
@@ -117,10 +130,38 @@ func TestWriterReusesBufferAfterWriteAll(t *testing.T) {
 	checkFile(t, cl, "second.dat", chunk, cycles)
 }
 
+// TestByteCheckCatchesChangedSendBuffer is the sabotage self-test of the
+// write side: a sender that clears its buffer right after posting a
+// round's shuffle messages, while the aggregator has yet to copy from it,
+// must leave other bytes in the file than it wrote.
+func TestByteCheckCatchesChangedSendBuffer(t *testing.T) {
+	const chunk, cycles = 2048, 4
+	shuffleSent = func(data []byte) { clear(data) }
+	defer func() { shuffleSent = nil }()
+	cl := newCluster(t, 1, 4, 2, store.NewMem)
+	err := cl.w.Run(func(r *mpi.Rank) {
+		f, err := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "early.dat", Create: true, Info: viewInfo})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		segs, data := blockCyclic(cl.w.Size(), r.ID(), chunk, cycles)
+		if err := f.WriteStridedColl(segs, data); err != nil {
+			t.Error(err)
+		}
+		_ = f.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(badSegments(cl, "early.dat", chunk, cycles)) == 0 {
+		t.Fatal("the file holds every rank's bytes although the senders cleared their buffers under the shuffle")
+	}
+}
+
 // readBack writes every rank's blockCyclic bytes to n files in turn, reads
-// each back collectively and closes it, which hands the aggregators'
-// collective buffers back to the pool (poisoned under TestMain) for the
-// next file to draw. It returns the ranks whose read-back differed.
+// each back collectively into a buffer filled with 0xee and closes it. It
+// returns the ranks whose read-back differed.
 func readBack(t *testing.T, cl *cluster, files int) []int {
 	const chunk, cycles = 2048, 4
 	var bad []int
@@ -138,6 +179,7 @@ func readBack(t *testing.T, cl *cluster, files int) []int {
 			if err := f.WriteStridedColl(segs, data); err != nil {
 				t.Error(err)
 			}
+			copy(got, bytes.Repeat([]byte{0xee}, len(got)))
 			if err := f.ReadStridedColl(segs, got); err != nil {
 				t.Error(err)
 			}
@@ -145,7 +187,6 @@ func readBack(t *testing.T, cl *cluster, files int) []int {
 				t.Error(err)
 			}
 			ok = ok && bytes.Equal(got, data)
-			clear(got)
 		}
 		if !ok {
 			bad = append(bad, r.ID())
@@ -157,23 +198,22 @@ func readBack(t *testing.T, cl *cluster, files int) []int {
 	return bad
 }
 
-// TestReadRepliesSurviveWindowRecycling: read replies view the
-// aggregators' collective buffers, which Close poisons and hands to the
-// next file; every rank still reads back what it wrote, file after file.
-func TestReadRepliesSurviveWindowRecycling(t *testing.T) {
+// TestReadScattersIntoEveryRequester: the aggregators' store reads copy
+// each requested byte straight into the buffer its requester lent, file
+// after file; every rank reads back what it wrote.
+func TestReadScattersIntoEveryRequester(t *testing.T) {
 	if bad := readBack(t, newCluster(t, 1, 4, 2, store.NewMem), 3); len(bad) > 0 {
 		t.Fatalf("ranks %v read back other bytes than they wrote", bad)
 	}
 }
 
-// TestReadBackCatchesChangedWindow is the sabotage self-test of the read
-// check above: an aggregator that clears its window right after sending a
-// round's replies, while they still view it, must make ranks read back
-// other bytes.
-func TestReadBackCatchesChangedWindow(t *testing.T) {
-	repliesSent = func(window []byte) { clear(window) }
-	defer func() { repliesSent = nil }()
-	if bad := readBack(t, newCluster(t, 1, 4, 2, store.NewMem), 1); len(bad) == 0 {
-		t.Fatal("no rank read back other bytes although the aggregators cleared their windows under the replies")
+// TestReadBackCatchesSkippedScatter is the sabotage self-test of the read
+// check above: an aggregator that leaves rank 1 out of its scatter must
+// make rank 1, and only it, read back other bytes.
+func TestReadBackCatchesSkippedScatter(t *testing.T) {
+	dropScatter = func(src int) bool { return src == 1 }
+	defer func() { dropScatter = nil }()
+	if bad := readBack(t, newCluster(t, 1, 4, 2, store.NewMem), 1); !slices.Equal(bad, []int{1}) {
+		t.Fatalf("ranks %v read back other bytes, want exactly rank 1, whose scatter the aggregators skipped", bad)
 	}
 }

@@ -1,12 +1,13 @@
 // Package bufpool is the payload path's byte pool: one size-classed free
-// list per simulated cluster. Every layer that stages payload bytes draws
-// from the cluster's pool and hands its buffers back when their lifetime
-// ends: MemStore pages (freed by a cache discard or a Truncate), ADIO
-// collective buffers (freed at Close) and the cache sync and recovery
-// buffers. MPI messages stage nothing: a shuffle message or read reply
-// borrows its payload from the sender's buffer. ROMIO likewise stages
-// every window in one cb_buffer_size buffer that it keeps from call to
-// call instead of allocating a fresh one.
+// list per simulated cluster. Every layer that keeps payload bytes of its
+// own draws from the cluster's pool and hands its buffers back when their
+// lifetime ends: MemStore pages (freed by a cache discard or a Truncate),
+// the cache sync and recovery buffers, and a sieved two-phase write's
+// window (freed within its round). Nothing else stages a two-phase window:
+// an aggregator's store write copies from the senders' buffers and its
+// store read into the requesters', and MPI messages only lend those
+// buffers. Like ROMIO's I/O buffers, pooled ones are reused from call to
+// call instead of allocated afresh.
 //
 // A buffer nobody hands back is simply collected by the garbage collector,
 // so a lost release costs memory, never correctness. A release that comes

@@ -159,13 +159,11 @@ func (px *proxy) drain(dp *sim.Proc, req *drainReq) {
 			n = req.ext.End()
 		}
 		size := n - off
-		var buf []byte
+		var buf store.Payload
 		if _, mem := f.Store().(store.PayloadBacked); mem {
-			buf = make([]byte, size)
-			f.ReadAt(dp, buf, off, size)
-		} else {
-			f.ReadAt(dp, nil, off, size)
+			buf = store.Bytes(make([]byte, size), off)
 		}
+		f.ReadAt(dp, buf, off, size)
 		gh.WriteAt(dp, buf, off, size)
 		px.pool.Drained += size
 	}
@@ -200,7 +198,7 @@ func (h *hooks) AtOpenColl(f *adio.File) error {
 // WriteContig implements adio.Hooks: push the extent over the fabric to
 // its proxy, store it on the proxy NVMe, and enqueue the background drain.
 // The call returns once the proxy has the data (burst absorbed).
-func (h *hooks) WriteContig(f *adio.File, data []byte, off, size int64) (bool, error) {
+func (h *hooks) WriteContig(f *adio.File, src store.Source, off, size int64) (bool, error) {
 	p := f.Rank().Proc()
 	// Route in slab-sized pieces so large writes spread over proxies.
 	for cur := off; cur < off+size; {
@@ -211,17 +209,13 @@ func (h *hooks) WriteContig(f *adio.File, data []byte, off, size int64) (bool, e
 			end = slabEnd
 		}
 		n := end - cur
-		var piece []byte
-		if data != nil {
-			piece = data[cur-off : cur-off+n]
-		}
 		// Fabric transfer to the proxy, then NVMe write.
 		f.Rank().Node().Transfer(p, px.node, n)
 		bf, err := px.fs.Open(f.Path(), true)
 		if err != nil {
 			return false, err
 		}
-		if err := bf.WriteAt(p, piece, cur, n); err != nil {
+		if err := bf.WriteAt(p, src, cur, n); err != nil {
 			return false, nil // proxy full: fall through to the global FS
 		}
 		h.pool.Absorbed += n

@@ -96,7 +96,7 @@ func TestBurstPreservesContent(t *testing.T) {
 		}
 		// Cross a slab boundary so both proxies are involved.
 		data := bytes.Repeat([]byte{byte(r.ID() + 1)}, 10<<20)
-		if err := f.WriteContig(data, int64(r.ID())*(10<<20), int64(len(data))); err != nil {
+		if err := f.WriteContig(store.Bytes(data, int64(r.ID())*(10<<20)), int64(r.ID())*(10<<20), int64(len(data))); err != nil {
 			t.Error(err)
 		}
 		if err := f.Close(); err != nil {
@@ -108,7 +108,7 @@ func TestBurstPreservesContent(t *testing.T) {
 	}
 	meta := fs.Lookup("out")
 	got := make([]byte, 4*10<<20)
-	meta.Store().ReadAt(got, 0)
+	meta.Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 	for rank := 0; rank < 4; rank++ {
 		base := rank * 10 << 20
 		for _, idx := range []int{0, 5 << 20, 10<<20 - 1} {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/sim"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -92,7 +93,7 @@ func applyInjection(r *run, phase injPhase, mr ...*mpi.Rank) {
 			for i := range junk {
 				junk[i] = ^pattern(rec.rank, rec.ext.Off+int64(i))
 			}
-			meta.Store().WriteAt(junk, rec.ext.Off, n)
+			meta.Store().WriteAt(store.Bytes(junk, rec.ext.Off), rec.ext.Off, n)
 			return
 		}
 	case "corrupt-replay":
@@ -113,7 +114,7 @@ func applyInjection(r *run, phase injPhase, mr ...*mpi.Rank) {
 				}
 				off := exts[0].Off
 				b := []byte{^pattern(rank, off)}
-				cf.Store().WriteAt(b, off, 1)
+				cf.Store().WriteAt(store.Bytes(b, off), off, 1)
 				return
 			}
 		}
@@ -153,7 +154,7 @@ func applyInjection(r *run, phase injPhase, mr ...*mpi.Rank) {
 				}
 			}
 		}
-		meta.Store().WriteAt(patternBuf(0, span, 64), span, 64)
+		meta.Store().WriteAt(store.Bytes(patternBuf(0, span, 64), span), span, 64)
 	case "silent-corrupt":
 		// One durable byte under the first recovered extent of the first
 		// rank whose recovery replayed anything.
@@ -167,7 +168,7 @@ func applyInjection(r *run, phase injPhase, mr ...*mpi.Rank) {
 				return
 			}
 			off := exts[0].Off
-			meta.Store().WriteAt([]byte{^pattern(rank, off)}, off, 1)
+			meta.Store().WriteAt(store.Bytes([]byte{^pattern(rank, off)}, off), off, 1)
 			return
 		}
 	}

@@ -136,7 +136,7 @@ func (r *run) checkConservation(add func(inv, format string, args ...interface{}
 			return nil
 		}
 		buf := make([]byte, n)
-		cf.Store().ReadAt(buf, off)
+		cf.Store().ReadAt(store.Bytes(buf, off), off, int64(len(buf)))
 		return buf
 	}
 	// The scrub-loss ledger: ranges a recovery scrub condemned. It outlives
@@ -178,10 +178,10 @@ func (r *run) checkConservation(add func(inv, format string, args ...interface{}
 	for _, rec := range r.acked {
 		fv := view(rec.file)
 		want := make([]byte, rec.ext.Len)
-		r.refFor(rec.file).ReadAt(want, rec.ext.Off)
+		r.refFor(rec.file).ReadAt(store.Bytes(want, rec.ext.Off), rec.ext.Off, int64(len(want)))
 		got := make([]byte, rec.ext.Len)
 		if fv.st != nil {
-			fv.st.ReadAt(got, rec.ext.Off)
+			fv.st.ReadAt(store.Bytes(got, rec.ext.Off), rec.ext.Off, int64(len(got)))
 		}
 		if fv.durable.Covers(rec.ext) && bytes.Equal(want, got) {
 			continue // fully durable, payload-identical
@@ -291,11 +291,11 @@ func (r *run) checkRecoveryEquivalence(add func(inv, format string, args ...inte
 				}
 				got := make([]byte, sub.Len)
 				if st != nil {
-					st.ReadAt(got, sub.Off)
+					st.ReadAt(store.Bytes(got, sub.Off), sub.Off, int64(len(got)))
 				}
 				want := make([]byte, sub.Len)
 				if cacheStore != nil {
-					cacheStore.ReadAt(want, sub.Off)
+					cacheStore.ReadAt(store.Bytes(want, sub.Off), sub.Off, int64(len(want)))
 				}
 				if !bytes.Equal(got, want) {
 					i := 0

@@ -364,13 +364,13 @@ func (r *run) write(f *adio.File, me, ti int) {
 	}
 	ack := func(off int64, data []byte) {
 		r.acked = append(r.acked, writeRec{rank: me, ext: extent.Extent{Off: off, Len: bs}, file: path})
-		r.refFor(path).WriteAt(data, off, bs)
+		r.refFor(path).WriteAt(store.Bytes(data, off), off, bs)
 	}
 	if !r.sc.Collective {
 		for b := 0; b < blocks; b++ {
 			off := offsetFor(r.sc.Shape, ranks, blocks, rank, b, bs)
 			data := patternBuf(me, off, bs)
-			if err := f.WriteContig(data, off, bs); err != nil {
+			if err := f.WriteContig(store.Bytes(data, off), off, bs); err != nil {
 				r.fail(me, "write", err)
 			} else {
 				ack(off, data)
@@ -548,7 +548,7 @@ func (r *run) snapshotPFS() []byte {
 		for _, e := range r.idemJ[k] {
 			buf := make([]byte, e.Len)
 			if meta != nil {
-				meta.Store().ReadAt(buf, e.Off)
+				meta.Store().ReadAt(store.Bytes(buf, e.Off), e.Off, int64(len(buf)))
 			}
 			out = append(out, buf...)
 		}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // tenantName returns tenant i's e10_tenant hint value.
@@ -46,7 +47,7 @@ func (r *run) digestTenant(i int) string {
 			binary.LittleEndian.PutUint64(hdr[8:], uint64(e.Len))
 			h.Write(hdr[:])
 			buf := make([]byte, e.Len)
-			st.ReadAt(buf, e.Off)
+			st.ReadAt(store.Bytes(buf, e.Off), e.Off, int64(len(buf)))
 			h.Write(buf)
 		}
 	}

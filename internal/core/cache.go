@@ -429,8 +429,11 @@ func (c *Cache) recover(f *adio.File) error {
 			}
 			n := min(bufSize, ext.End()-off)
 			chunk := extent.Extent{Off: off, Len: n}
-			buf, err := c.readChunk(p, rbuf, off, n)
-			if err != nil {
+			var buf []byte // nil without a payload: the read is charged either way
+			if rbuf != nil {
+				buf = rbuf[:n]
+			}
+			if err := c.cfile.ReadAt(p, store.Bytes(buf, off), off, n); err != nil {
 				return err
 			}
 			// Re-verify AFTER the read: bit-rot can land between the
@@ -455,12 +458,12 @@ func (c *Cache) recover(f *adio.File) error {
 				if buf != nil {
 					gbuf = buf[g.Off-off : g.Off-off+g.Len]
 				}
-				if err := f.Backend().WriteContig(p, gbuf, g.Off, g.Len); err != nil {
+				if err := f.Backend().WriteContig(p, store.Bytes(gbuf, g.Off), g.Off, g.Len); err != nil {
 					return err
 				}
 				if verify && gbuf != nil {
 					vb := vbuf[:g.Len]
-					if err := f.Backend().ReadContig(p, vb, g.Off, g.Len); err != nil {
+					if err := f.Backend().ReadContig(p, store.Bytes(vb, g.Off), g.Off, g.Len); err != nil {
 						return err
 					}
 					if !bytes.Equal(gbuf, vb) {
@@ -510,7 +513,7 @@ func (c *Cache) noteWriteThrough(off, size int64) {
 // posts a synchronisation request with an associated MPI_Request handle.
 // When the cache partition is full — or the device has failed mid-run —
 // the write falls through to the global file system (handled=false).
-func (c *Cache) WriteContig(f *adio.File, data []byte, off, size int64) (bool, error) {
+func (c *Cache) WriteContig(f *adio.File, src store.Source, off, size int64) (bool, error) {
 	if c.crashed {
 		return false, ErrCrashed
 	}
@@ -528,7 +531,7 @@ func (c *Cache) WriteContig(f *adio.File, data []byte, off, size int64) (bool, e
 		c.noteWriteThrough(off, size)
 		return false, nil
 	}
-	lock, ok, err := c.writeLocal(f, data, e)
+	lock, ok, err := c.writeLocal(f, src, e)
 	if !ok {
 		return false, err
 	}
@@ -540,7 +543,7 @@ func (c *Cache) WriteContig(f *adio.File, data []byte, off, size int64) (bool, e
 // the lock held (nil outside coherent mode) once the bytes are in the
 // cache file; otherwise the lock is released and the write goes to the
 // global file, or fails with ErrCrashed.
-func (c *Cache) writeLocal(f *adio.File, data []byte, e extent.Extent) (lock *pfs.Lock, ok bool, err error) {
+func (c *Cache) writeLocal(f *adio.File, src store.Source, e extent.Extent) (lock *pfs.Lock, ok bool, err error) {
 	p := f.Rank().Proc()
 	if c.opts.Mode == CacheCoherent && c.env.Locks != nil {
 		lock = c.env.Locks.Acquire(p, f.Path(), pfs.WriteLock, e)
@@ -552,7 +555,7 @@ func (c *Cache) writeLocal(f *adio.File, data []byte, e extent.Extent) (lock *pf
 	if err := c.allocCache(p, e.Off, e.Len); err != nil {
 		return nil, false, c.allocFailed(lock, e, err)
 	}
-	if err := c.cfile.WriteAt(p, data, e.Off, e.Len); err != nil {
+	if err := c.cfile.WriteAt(p, src, e.Off, e.Len); err != nil {
 		c.writeFailed(lock, e, err)
 		return nil, false, nil
 	}
@@ -647,12 +650,9 @@ func (c *Cache) postSync(r *mpi.Rank, e extent.Extent, lock *pfs.Lock) (bool, er
 // without touching the global file system. This is always consistent with
 // the reading rank's own writes; cross-rank reads still go to the global
 // file.
-func (c *Cache) ReadContig(f *adio.File, buf []byte, off, size int64) (bool, error) {
+func (c *Cache) ReadContig(f *adio.File, dst store.Sink, off, size int64) (bool, error) {
 	if !c.opts.ReadCache || c.cfile == nil || c.degraded || c.crashed {
 		return false, nil
-	}
-	if buf != nil {
-		size = int64(len(buf))
 	}
 	if !c.cfile.Store().Written().Covers(extent.Extent{Off: off, Len: size}) {
 		return false, nil
@@ -662,7 +662,7 @@ func (c *Cache) ReadContig(f *adio.File, buf []byte, off, size int64) (bool, err
 	if c.quarantine.Len() > 0 && c.quarantine.Overlaps(extent.Extent{Off: off, Len: size}) {
 		return false, nil
 	}
-	if err := c.cfile.ReadAt(f.Rank().Proc(), buf, off, size); err != nil {
+	if err := c.cfile.ReadAt(f.Rank().Proc(), dst, off, size); err != nil {
 		// Device died underneath us: fall through to the global file.
 		c.noteCacheError(err)
 		return false, nil
@@ -804,8 +804,9 @@ type syncThread struct {
 type syncWork struct {
 	stage   syncStage
 	bufSize int64
-	payload bool   // the cache file carries bytes
-	buf     []byte // the synchronisation buffer; nil while idle or without a payload
+	payload bool      // the cache file carries bytes
+	buf     []byte    // the synchronisation buffer; nil while idle or without a payload
+	at      store.Buf // the chunk in flight's payload, a window of buf
 
 	req      *syncReq
 	extT0    sim.Time // when the request's extent began to sync
@@ -985,14 +986,15 @@ func (st *syncThread) take(p *sim.Proc) bool {
 	return false
 }
 
-// chunk returns the synchronisation buffer cut to the chunk in flight, or
-// nil when no payload-carrying store backs the cache file (the device time
-// is charged either way).
-func (w *syncWork) chunk() []byte {
+// chunk returns the synchronisation buffer cut to the chunk in flight as
+// its payload, or nil when no payload-carrying store backs the cache file
+// (the device time is charged either way).
+func (w *syncWork) chunk() store.Payload {
 	if w.buf == nil {
 		return nil
 	}
-	return w.buf[:w.n]
+	w.at = store.Buf{B: w.buf[:w.n], Off: w.off}
+	return &w.at
 }
 
 // read starts an attempt at the chunk: its read from the cache file.
@@ -1137,21 +1139,4 @@ func (st *syncThread) endExtent(p *sim.Proc, err error) bool {
 	}
 	req.greq.Complete()
 	return false
-}
-
-// readChunk reads n bytes at off from the cache file into buf and returns
-// buf[:n]. buf is nil when no payload-carrying store backs the cache file;
-// readChunk then returns nil (the device time cost is charged either way).
-func (c *Cache) readChunk(p *sim.Proc, buf []byte, off, n int64) ([]byte, error) {
-	if buf != nil {
-		buf = buf[:n]
-		if err := c.cfile.ReadAt(p, buf, off, n); err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-	if err := c.cfile.ReadAt(p, nil, off, n); err != nil {
-		return nil, err
-	}
-	return nil, nil
 }

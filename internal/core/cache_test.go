@@ -175,7 +175,7 @@ func TestCachedCollectiveWriteReachesGlobalFile(t *testing.T) {
 		t.Fatalf("global size = %d, want %d", meta.Size(), 3*4*chunk)
 	}
 	got := make([]byte, meta.Size())
-	meta.Store().ReadAt(got, 0)
+	meta.Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 	for rank := 0; rank < 4; rank++ {
 		for i := 0; i < 3; i++ {
 			off := i*4*chunk + rank*chunk

@@ -145,10 +145,10 @@ func TestRecoverTornLastRecord(t *testing.T) {
 		f1 := rg.open(r, t, mpi.Info{
 			adio.HintCBWrite: "enable", HintCache: "enable", HintFlushFlag: "flush_onclose",
 		})
-		if err := f1.WriteContig(dataA, offA, sizeA); err != nil {
+		if err := f1.WriteContig(store.Bytes(dataA, offA), offA, sizeA); err != nil {
 			t.Error(err)
 		}
-		if err := f1.WriteContig(dataB, offB, sizeB); err != nil {
+		if err := f1.WriteContig(store.Bytes(dataB, offB), offB, sizeB); err != nil {
 			t.Error(err)
 		}
 		f1.InstalledHooks().(*Cache).Crash()
@@ -200,13 +200,13 @@ func TestRecoverTornLastRecord(t *testing.T) {
 		// payload, and a rewrite goes through to the global file and lifts
 		// the quarantine.
 		got := make([]byte, sizeB)
-		if err := f2.ReadContig(got, offB, sizeB); err != nil {
+		if err := f2.ReadContig(store.Bytes(got, offB), offB, sizeB); err != nil {
 			t.Error(err)
 		}
 		if bytes.Equal(got, dataB) {
 			t.Error("read of a quarantined range served the condemned cache payload")
 		}
-		if err := f2.WriteContig(dataB, offB, sizeB); err != nil {
+		if err := f2.WriteContig(store.Bytes(dataB, offB), offB, sizeB); err != nil {
 			t.Error(err)
 		}
 		for _, e := range c2.Quarantined() {
@@ -226,12 +226,12 @@ func TestRecoverTornLastRecord(t *testing.T) {
 		t.Fatal("global file missing after recovery")
 	}
 	gotA := make([]byte, sizeA)
-	meta.Store().ReadAt(gotA, offA)
+	meta.Store().ReadAt(store.Bytes(gotA, offA), offA, int64(len(gotA)))
 	if !bytes.Equal(gotA, dataA) {
 		t.Fatal("replayed payload does not match the crashed session's write")
 	}
 	gotB := make([]byte, sizeB)
-	meta.Store().ReadAt(gotB, offB)
+	meta.Store().ReadAt(store.Bytes(gotB, offB), offB, int64(len(gotB)))
 	if !bytes.Equal(gotB, dataB) {
 		t.Fatal("written-through payload does not match")
 	}
@@ -253,7 +253,7 @@ func TestDoubleCrashDuringRecoveryIsIdempotent(t *testing.T) {
 		f1 := rg.open(r, t, mpi.Info{
 			adio.HintCBWrite: "enable", HintCache: "enable", HintFlushFlag: "flush_onclose",
 		})
-		if err := f1.WriteContig(data, off, size); err != nil {
+		if err := f1.WriteContig(store.Bytes(data, off), off, size); err != nil {
 			t.Error(err)
 		}
 		f1.InstalledHooks().(*Cache).Crash()
@@ -286,7 +286,7 @@ func TestDoubleCrashDuringRecoveryIsIdempotent(t *testing.T) {
 		}
 		key := c2.JournalKey()
 		snapA := make([]byte, size)
-		rg.fs.Lookup("global.dat").Store().ReadAt(snapA, off)
+		rg.fs.Lookup("global.dat").Store().ReadAt(store.Bytes(snapA, off), off, int64(len(snapA)))
 
 		// Second crash: the data landed but the journal trims were lost, and
 		// the dying append was torn on top. The tear shears the second
@@ -306,7 +306,7 @@ func TestDoubleCrashDuringRecoveryIsIdempotent(t *testing.T) {
 				c3.Stats.CorruptExtents, c3.Stats.QuarantinedBytes, half)
 		}
 		snapB := make([]byte, size)
-		rg.fs.Lookup("global.dat").Store().ReadAt(snapB, off)
+		rg.fs.Lookup("global.dat").Store().ReadAt(store.Bytes(snapB, off), off, int64(len(snapB)))
 		if !bytes.Equal(snapA, snapB) {
 			t.Error("second replay changed the global file: recovery is not idempotent")
 		}

@@ -43,7 +43,7 @@ func TestCacheReadServesLocalExtent(t *testing.T) {
 			HintFlushFlag:    "flush_onclose", // global file still empty
 		})
 		payload := []byte("cached-bytes")
-		if err := f.WriteContig(payload, 100, int64(len(payload))); err != nil {
+		if err := f.WriteContig(store.Bytes(payload, 100), 100, int64(len(payload))); err != nil {
 			t.Error(err)
 		}
 		// The global file has nothing yet; the read must come from cache.
@@ -51,14 +51,14 @@ func TestCacheReadServesLocalExtent(t *testing.T) {
 			t.Error("precondition: global file must still be empty")
 		}
 		buf := make([]byte, len(payload))
-		f.ReadContig(buf, 100, 0)
+		f.ReadContig(store.Bytes(buf, 100), 100, int64(len(buf)))
 		if !bytes.Equal(buf, payload) {
 			t.Errorf("cache read returned %q", buf)
 		}
 		// A read outside the cached extent must fall through to the
 		// global file (and read zeros).
 		miss := make([]byte, 4)
-		f.ReadContig(miss, 1<<20, 0)
+		f.ReadContig(store.Bytes(miss, 1<<20), 1<<20, int64(len(miss)))
 		if !bytes.Equal(miss, []byte{0, 0, 0, 0}) {
 			t.Errorf("miss read = %v", miss)
 		}
@@ -80,12 +80,12 @@ func TestCacheReadDisabledByDefault(t *testing.T) {
 			HintFlushFlag:    "flush_onclose",
 		})
 		payload := []byte("cached")
-		if err := f.WriteContig(payload, 0, int64(len(payload))); err != nil {
+		if err := f.WriteContig(store.Bytes(payload, 0), 0, int64(len(payload))); err != nil {
 			t.Error(err)
 		}
 		// Without e10_cache_read the read goes to the (empty) global file.
 		buf := make([]byte, len(payload))
-		f.ReadContig(buf, 0, 0)
+		f.ReadContig(store.Bytes(buf, 0), 0, int64(len(buf)))
 		if !bytes.Equal(buf, make([]byte, len(payload))) {
 			t.Errorf("read must hit the global file, got %q", buf)
 		}

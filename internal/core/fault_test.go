@@ -145,7 +145,7 @@ func TestCrashRecoveryReplaysJournalWithVerification(t *testing.T) {
 			f1 := rg.open(r, t, mpi.Info{
 				adio.HintCBWrite: "enable", HintCache: "enable", HintFlushFlag: "flush_onclose",
 			})
-			if err := f1.WriteContig(data, 256<<10, size); err != nil {
+			if err := f1.WriteContig(store.Bytes(data, 256<<10), 256<<10, size); err != nil {
 				t.Error(err)
 			}
 			c1 := f1.InstalledHooks().(*Cache)
@@ -194,7 +194,7 @@ func TestCrashRecoveryReplaysJournalWithVerification(t *testing.T) {
 			t.Fatal("global file missing after recovery")
 		}
 		got := make([]byte, size)
-		meta.Store().ReadAt(got, 256<<10)
+		meta.Store().ReadAt(store.Bytes(got, 256<<10), 256<<10, int64(len(got)))
 		if !bytes.Equal(got, data) {
 			t.Fatal("recovered payload does not match the crashed session's writes")
 		}
@@ -408,7 +408,7 @@ func TestRecoveryReplayIsIdempotent(t *testing.T) {
 		f1 := rg.open(r, t, mpi.Info{
 			adio.HintCBWrite: "enable", HintCache: "enable", HintFlushFlag: "flush_onclose",
 		})
-		if err := f1.WriteContig(data, 128<<10, size); err != nil {
+		if err := f1.WriteContig(store.Bytes(data, 128<<10), 128<<10, size); err != nil {
 			t.Error(err)
 		}
 		f1.InstalledHooks().(*Cache).Crash()
@@ -443,7 +443,7 @@ func TestRecoveryReplayIsIdempotent(t *testing.T) {
 				t.Fatal("global file missing")
 			}
 			buf := make([]byte, size)
-			meta.Store().ReadAt(buf, 128<<10)
+			meta.Store().ReadAt(store.Bytes(buf, 128<<10), 128<<10, int64(len(buf)))
 			return buf
 		}
 

@@ -142,7 +142,7 @@ func testPayloadReadback(t *testing.T) {
 			rg.nvms[1].Device().SetFailed(true)
 		}
 		off := int64(r.ID()) * half
-		if err := f.WriteContig(data[off:off+half], off, half); err != nil {
+		if err := f.WriteContig(store.Bytes(data[off:off+half], off), off, half); err != nil {
 			t.Error(err)
 		}
 		if err := f.Flush(); err != nil {
@@ -150,7 +150,7 @@ func testPayloadReadback(t *testing.T) {
 		}
 		rg.w.Comm().Barrier(r)
 		got := make([]byte, len(data))
-		if err := f.ReadContig(got, 0, int64(len(got))); err != nil {
+		if err := f.ReadContig(store.Bytes(got, 0), 0, int64(len(got))); err != nil {
 			t.Error(err)
 		}
 		if !bytes.Equal(got, data) {
@@ -185,7 +185,7 @@ func testMultiStripeSync(t *testing.T) {
 			adio.HintCBWrite: "enable", HintCache: "enable", HintFlushFlag: "flush_immediate",
 			adio.HintIndWrBufferSize: "6291456",
 		})
-		if err := f.WriteContig(data, off, size); err != nil {
+		if err := f.WriteContig(store.Bytes(data, off), off, size); err != nil {
 			t.Error(err)
 		}
 		rg.setTargets(true)
@@ -194,7 +194,7 @@ func testMultiStripeSync(t *testing.T) {
 			t.Error(err)
 		}
 		got := make([]byte, size)
-		if err := f.ReadContig(got, off, size); err != nil {
+		if err := f.ReadContig(store.Bytes(got, off), off, size); err != nil {
 			t.Error(err)
 		}
 		if !bytes.Equal(got, data) {

@@ -58,7 +58,7 @@ func TestCollectiveWriteKeepsUnsyncedBytesInHoles(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := make([]byte, blocks*4*chunk)
-			rg.fs.Lookup("global.dat").Store().ReadAt(got, 0)
+			rg.fs.Lookup("global.dat").Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 			for rank := 0; rank < 4; rank++ {
 				call := 1
 				if rank == 3 {
@@ -82,7 +82,7 @@ func TestIndependentWriteKeepsUnsyncedBytesInHoles(t *testing.T) {
 	fill := func(n int, v byte) []byte { return bytes.Repeat([]byte{v}, n) }
 	err := rg.w.Run(func(r *mpi.Rank) {
 		f := rg.open(r, t, mpi.Info{HintCache: "enable", HintFlushFlag: "flush_onclose"})
-		if err := f.WriteContig(fill(1024, 'x'), 1024, 1024); err != nil {
+		if err := f.WriteContig(store.Bytes(fill(1024, 'x'), 1024), 1024, 1024); err != nil {
 			t.Error(err)
 		}
 		segs := []extent.Extent{{Off: 0, Len: 1024}, {Off: 2048, Len: 2048}}
@@ -97,7 +97,7 @@ func TestIndependentWriteKeepsUnsyncedBytesInHoles(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]byte, 4096)
-	rg.fs.Lookup("global.dat").Store().ReadAt(got, 0)
+	rg.fs.Lookup("global.dat").Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 	for _, w := range []struct {
 		off, n int
 		v      byte

@@ -32,7 +32,7 @@ func TestSyncThreadReusesOneBuffer(t *testing.T) {
 			adio.HintIndWrBufferSize: strconv.Itoa(chunk),
 		})
 		pass := func() {
-			if err := f.WriteContig(data, 0, size); err != nil {
+			if err := f.WriteContig(store.Bytes(data, 0), 0, size); err != nil {
 				t.Error(err)
 			}
 			if err := f.Flush(); err != nil {

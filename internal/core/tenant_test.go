@@ -48,7 +48,7 @@ func quotaRun(t *testing.T, hints mpi.Info) Stats {
 		t.Fatal(err)
 	}
 	got := make([]byte, 4*block)
-	rg.fs.Lookup("global.dat").Store().ReadAt(got, 0)
+	rg.fs.Lookup("global.dat").Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 	for rank := 0; rank < 4; rank++ {
 		if !bytes.Equal(got[rank*block:][:block], payload(rank)) {
 			t.Errorf("rank %d's block did not reach the global file", rank)

@@ -59,42 +59,42 @@ type Share struct {
 
 // Segment is one contiguous attributed interval of the path.
 type Segment struct {
-	Track    string   `json:"track"`
-	FromNs   int64    `json:"from_ns"`
-	ToNs     int64    `json:"to_ns"`
-	Category Category `json:"category"`
-	Via      string   `json:"via,omitempty"` // innermost span name, or "p2p" for message edges
+	Track    string
+	FromNs   int64
+	ToNs     int64
+	Category Category
+	Via      string // innermost span name, or "p2p" for message edges
 }
 
 // Edge is one cross-rank message hop the path followed (sender at SendNs to
 // receiver at RecvNs). ID is the trace async-span id, so every edge can be
 // checked against the trace.
 type Edge struct {
-	ID     uint64 `json:"id"`
-	From   string `json:"from"`
-	To     string `json:"to"`
-	SendNs int64  `json:"send_ns"`
-	RecvNs int64  `json:"recv_ns"`
-	Bytes  int64  `json:"bytes,omitempty"`
+	ID     uint64
+	From   string
+	To     string
+	SendNs int64
+	RecvNs int64
+	Bytes  int64
 }
 
 // Straggler ranks one track by its time on the critical path.
 type Straggler struct {
-	Track    string   `json:"track"`
-	OnPathNs int64    `json:"on_path_ns"`
-	Top      Category `json:"top_category"`
+	Track    string
+	OnPathNs int64
+	Top      Category
 }
 
 // WhatIf is one Eq.-1-style estimate: scale a category's on-path time and
 // report the wall-time saving. It is a lower bound — shrinking the path can
 // expose a different chain.
 type WhatIf struct {
-	Scenario        string   `json:"scenario"`
-	Category        Category `json:"category"`
-	FactorPct       int      `json:"factor_pct"` // 50 = 2x faster, 0 = eliminated
-	SavedNs         int64    `json:"saved_ns"`
-	NewWallNs       int64    `json:"new_wall_ns"`
-	ReductionPctX10 int64    `json:"reduction_pct_x10"`
+	Scenario        string
+	Category        Category
+	FactorPct       int // 50 = 2x faster, 0 = eliminated
+	SavedNs         int64
+	NewWallNs       int64
+	ReductionPctX10 int64
 }
 
 // ReportSchema versions the critical-path report; its Markdown header names it.
@@ -102,16 +102,15 @@ const ReportSchema = "e10critpath/v1"
 
 // Report is one run's critical-path analysis.
 type Report struct {
-	Schema       string      `json:"schema"`
-	WallNs       int64       `json:"wall_ns"`
-	AttributedNs int64       `json:"attributed_ns"`
-	StartTrack   string      `json:"start_track"`
-	Shares       []Share     `json:"shares"`
-	Segments     int         `json:"segments"`
-	TopSegments  []Segment   `json:"top_segments,omitempty"`
-	Edges        []Edge      `json:"edges,omitempty"`
-	Stragglers   []Straggler `json:"stragglers,omitempty"`
-	WhatIf       []WhatIf    `json:"what_if,omitempty"`
+	WallNs       int64
+	AttributedNs int64
+	StartTrack   string
+	Shares       []Share
+	Segments     int
+	TopSegments  []Segment
+	Edges        []Edge
+	Stragglers   []Straggler
+	WhatIf       []WhatIf
 }
 
 // spanRef is one span on a track, in analysis form.
@@ -414,7 +413,7 @@ func (a *analysis) classify(td *trackData, u, t int64) (Category, string) {
 // the run's virtual wall time; the attributed span is max(wallNs, last event
 // end), so on an honest trace AttributedNs == wallNs exactly.
 func Analyze(tr *trace.Tracer, wallNs int64) *Report {
-	rep := &Report{Schema: ReportSchema, WallNs: wallNs}
+	rep := &Report{WallNs: wallNs}
 	a := build(tr)
 
 	// T0 bounds the run; pick the start track holding the bounding event,

@@ -31,7 +31,7 @@ func shareX10(part, total int64) int64 {
 // Markdown renders the critical-path report for terminals and docs.
 func (r *Report) Markdown() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "## critical path (%s)\n\n", r.Schema)
+	fmt.Fprintf(&b, "## critical path (%s)\n\n", ReportSchema)
 	fmt.Fprintf(&b, "wall %s, attributed %s (%s), start track %q, %d segments, %d message edges\n\n",
 		msStr(r.WallNs), msStr(r.AttributedNs), pctX10(shareX10(r.AttributedNs, r.WallNs)),
 		r.StartTrack, r.Segments, len(r.Edges))
@@ -82,7 +82,7 @@ func (r *Report) Markdown() string {
 // Markdown renders the timeline as a bucketed table.
 func (t *Timeline) Markdown() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "## run timeline (%s)\n\n", t.Schema)
+	fmt.Fprintf(&b, "## run timeline (%s)\n\n", TimelineSchema)
 	fmt.Fprintf(&b, "wall %s in %d buckets of %s\n\n", msStr(t.WallNs), t.Buckets, msStr(t.WallNs/int64(max(t.Buckets, 1))))
 	b.WriteString("| series |")
 	for _, te := range t.BucketNs {

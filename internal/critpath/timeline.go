@@ -11,8 +11,8 @@ const TimelineSchema = "e10timeline/v1"
 
 // Series is one named time series sampled at every bucket end.
 type Series struct {
-	Name   string  `json:"name"`
-	Values []int64 `json:"values"`
+	Name   string
+	Values []int64
 }
 
 // Timeline is a compact interval-sampled view of one run: every counter the
@@ -21,11 +21,10 @@ type Series struct {
 // end, plus derived in-flight series. Like the critical path it is built
 // post-hoc from the trace, so it can never perturb virtual time.
 type Timeline struct {
-	Schema   string   `json:"schema"`
-	WallNs   int64    `json:"wall_ns"`
-	Buckets  int      `json:"buckets"`
-	BucketNs []int64  `json:"bucket_ns"` // bucket end times
-	Series   []Series `json:"series"`
+	WallNs   int64
+	Buckets  int
+	BucketNs []int64 // bucket end times
+	Series   []Series
 }
 
 // DefaultTimelineBuckets is the bucket count CLIs use for `-timeline` when
@@ -37,7 +36,7 @@ func BuildTimeline(tr *trace.Tracer, wallNs int64, buckets int) *Timeline {
 	if buckets <= 0 {
 		buckets = DefaultTimelineBuckets
 	}
-	tl := &Timeline{Schema: TimelineSchema, WallNs: wallNs, Buckets: buckets}
+	tl := &Timeline{WallNs: wallNs, Buckets: buckets}
 	tl.BucketNs = make([]int64, buckets)
 	for b := 0; b < buckets; b++ {
 		tl.BucketNs[b] = wallNs * int64(b+1) / int64(buckets)

@@ -82,14 +82,14 @@ func TestContainerLayoutAndContent(t *testing.T) {
 	}
 	meta := fs.Lookup("ckpt")
 	sig := make([]byte, 8)
-	meta.Store().ReadAt(sig, 0)
+	meta.Store().ReadAt(store.Bytes(sig, 0), 0, int64(len(sig)))
 	if !bytes.Equal(sig, signature) {
 		t.Fatalf("superblock signature = %q", sig)
 	}
 	// Dataset content: rank r wrote byte r+1 at base0 + r*1024.
 	for me := 0; me < 4; me++ {
 		b := make([]byte, 1024)
-		meta.Store().ReadAt(b, base0+int64(me)*1024)
+		meta.Store().ReadAt(store.Bytes(b, base0+int64(me)*1024), base0+int64(me)*1024, int64(len(b)))
 		if b[0] != byte(me+1) || b[1023] != byte(me+1) {
 			t.Fatalf("dataset bytes for rank %d wrong: %d", me, b[0])
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/sim"
+	"repro/internal/store"
 )
 
 // crashTracker wires Cluster.OnCrash the way internal/chaos does: every
@@ -65,7 +66,7 @@ func verifyGlobal(t *testing.T, cl *Cluster, r *mpi.Rank, size int64) {
 	}
 	defer vf.Close()
 	got := make([]byte, size)
-	if err := vf.ReadContig(got, int64(r.ID())*size, size); err != nil {
+	if err := vf.ReadContig(store.Bytes(got, int64(r.ID())*size), int64(r.ID())*size, size); err != nil {
 		t.Errorf("verification read: %v", err)
 		return
 	}
@@ -108,7 +109,7 @@ func TestTwoNodeCrashesInOneRun(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := f1.WriteContig(crashPattern(r.ID(), size), int64(r.ID())*size, size); err != nil {
+		if err := f1.WriteContig(store.Bytes(crashPattern(r.ID(), size), int64(r.ID())*size), int64(r.ID())*size, size); err != nil {
 			t.Error(err)
 		}
 		r.Compute(20 * sim.Millisecond) // let both crash faults land
@@ -186,7 +187,7 @@ func TestSecondCrashDuringJournalReplay(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := f1.WriteContig(crashPattern(r.ID(), size), int64(r.ID())*size, size); err != nil {
+		if err := f1.WriteContig(store.Bytes(crashPattern(r.ID(), size), int64(r.ID())*size), int64(r.ID())*size, size); err != nil {
 			t.Error(err)
 		}
 		r.Compute(20 * sim.Millisecond)

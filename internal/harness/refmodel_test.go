@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/adio"
 	"repro/internal/mpi"
+	"repro/internal/store"
 )
 
 // refOutcome is what a run must reproduce under the message-passing
@@ -49,7 +50,7 @@ func outcome(t *testing.T, cl *Cluster, files []*adio.File) refOutcome {
 			t.Fatalf("global file %s not found", f.Path())
 		}
 		b := make([]byte, meta.Size())
-		meta.Store().ReadAt(b, 0)
+		meta.Store().ReadAt(store.Bytes(b, 0), 0, int64(len(b)))
 		o.files[f.Path()] = b
 	}
 	return o

@@ -24,15 +24,17 @@ type Message struct {
 	relSeq uint64 // reliable-delivery stream sequence number
 }
 
-// Payload is a message's payload bytes, which the message borrows from its
-// sender and never owns: the receiver reads them in place from memory the
-// sender holds, and the sender keeps them valid and unchanged until every
-// receiver is done with them. A duplicated or retransmitted copy of the
-// message borrows the same bytes. The sender and receiver agree on the
-// concrete type and on where each byte lies.
+// Payload is memory a message lends and never owns: a buffer one end
+// holds, which the other end reads in place (a sender's bytes) or writes
+// into (a destination a request lends, as a collective read's requester
+// does). The owner keeps the buffer valid, and a sender's bytes unchanged,
+// until the other end is done with it. A duplicated or retransmitted copy
+// of the message lends the same buffer. The two ends agree on the concrete
+// type and on where each byte lies.
 type Payload interface {
 	// Len returns the number of payload bytes the message carries on the
-	// wire, which may be fewer than the memory it points into.
+	// wire, which may be fewer than the memory it points into: zero for a
+	// lent destination.
 	Len() int64
 }
 

@@ -154,7 +154,7 @@ func TestCollectiveWriteThroughView(t *testing.T) {
 		t.Fatal("file missing")
 	}
 	got := make([]byte, nranks*rows*rowLen)
-	meta.Store().ReadAt(got, 0)
+	meta.Store().ReadAt(store.Bytes(got, 0), 0, int64(len(got)))
 	for row := 0; row < nranks*rows; row++ {
 		owner := byte(row%nranks + 1)
 		for b := 0; b < rowLen; b++ {

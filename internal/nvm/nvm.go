@@ -409,22 +409,22 @@ func (f *File) Fallocate(p *sim.Proc, off, size int64) error {
 	return nil
 }
 
-// WriteAt writes size bytes at off, charging device time. data may be nil
-// for metadata-only simulation.
-func (f *File) WriteAt(p *sim.Proc, data []byte, off, size int64) error {
+// WriteAt writes size bytes at off from src, charging device time. src
+// may be nil for metadata-only simulation.
+func (f *File) WriteAt(p *sim.Proc, src store.Source, off, size int64) error {
 	if _, err := f.reserve(extent.Extent{Off: off, Len: size}); err != nil {
 		return err
 	}
 	f.fs.dev.write(p, size)
-	f.data.WriteAt(data, off, size)
+	f.data.WriteAt(src, off, size)
 	return nil
 }
 
-// ReadAt reads len(buf) bytes (or size when buf is nil) at off. A failed
-// device returns ErrIO after charging the attempt's latency, mirroring a
-// timed-out block-layer read.
-func (f *File) ReadAt(p *sim.Proc, buf []byte, off, size int64) error {
-	rd, err := f.ReadThen(p, buf, off, size)
+// ReadAt reads size bytes at off into dst (metadata-only when dst is nil).
+// A failed device returns ErrIO after charging the attempt's latency,
+// mirroring a timed-out block-layer read.
+func (f *File) ReadAt(p *sim.Proc, dst store.Sink, off, size int64) error {
+	rd, err := f.ReadThen(p, dst, off, size)
 	if err != nil {
 		return err
 	}
@@ -434,7 +434,7 @@ func (f *File) ReadAt(p *sim.Proc, buf []byte, off, size int64) error {
 
 // Read is a read that ReadThen queued on the device, for ReadDone.
 type Read struct {
-	buf       []byte
+	dst       store.Sink
 	off, size int64
 	t0        sim.Time
 	failed    bool // the device had failed when the read was queued
@@ -443,14 +443,11 @@ type Read struct {
 // ReadThen is ReadAt's step form: it queues the read, and p resumes once
 // the device has served it; the resumed step must call ReadDone with the
 // returned Read. An error means nothing was queued: the file was removed.
-func (f *File) ReadThen(p *sim.Proc, buf []byte, off, size int64) (Read, error) {
-	if buf != nil {
-		size = int64(len(buf))
-	}
+func (f *File) ReadThen(p *sim.Proc, dst store.Sink, off, size int64) (Read, error) {
 	if f.unlinked {
 		return Read{}, fmt.Errorf("%w: %s", ErrStale, f.name)
 	}
-	rd := Read{buf: buf, off: off, size: size, failed: f.fs.dev.failed}
+	rd := Read{dst: dst, off: off, size: size, failed: f.fs.dev.failed}
 	if rd.failed {
 		rd.t0 = f.fs.dev.serveThen(p, "read", 0, 0)
 	} else {
@@ -460,7 +457,7 @@ func (f *File) ReadThen(p *sim.Proc, buf []byte, off, size int64) (Read, error) 
 }
 
 // ReadDone completes a read that ReadThen queued: it copies the bytes out
-// into the buffer, or returns ErrIO when the device had failed.
+// into the sink, or returns ErrIO when the device had failed.
 func (f *File) ReadDone(rd Read) error {
 	if rd.failed {
 		f.fs.dev.serveDone("read", rd.t0)
@@ -468,8 +465,6 @@ func (f *File) ReadDone(rd Read) error {
 		return fmt.Errorf("%w: %s", ErrIO, f.fs.dev.name)
 	}
 	f.fs.dev.readDone(rd.t0, rd.size)
-	if rd.buf != nil {
-		f.data.ReadAt(rd.buf, rd.off)
-	}
+	f.data.ReadAt(rd.dst, rd.off, rd.size)
 	return nil
 }

@@ -48,12 +48,12 @@ func TestReadBackRoundTrip(t *testing.T) {
 	fs := NewFS(testDevice(k, 1<<20), FSConfig{SupportsFallocate: true}, store.NewMem)
 	k.Spawn("rw", func(p *sim.Proc) {
 		f, _ := fs.Create("f")
-		if err := f.WriteAt(p, []byte("payload"), 100, 7); err != nil {
+		if err := f.WriteAt(p, store.Bytes([]byte("payload"), 100), 100, 7); err != nil {
 			t.Error(err)
 			return
 		}
 		buf := make([]byte, 7)
-		f.ReadAt(p, buf, 100, 7)
+		f.ReadAt(p, store.Bytes(buf, 100), 100, 7)
 		if !bytes.Equal(buf, []byte("payload")) {
 			t.Errorf("read %q", buf)
 		}
@@ -106,7 +106,7 @@ func TestStaleHandleCannotStrandBytes(t *testing.T) {
 			t.Errorf("stale write: want ErrStale, got %v", err)
 		}
 		buf := make([]byte, 4)
-		if err := f.ReadAt(p, buf, 0, 4); !errors.Is(err, ErrStale) {
+		if err := f.ReadAt(p, store.Bytes(buf, 0), 0, 4); !errors.Is(err, ErrStale) {
 			t.Errorf("stale read: want ErrStale, got %v", err)
 		}
 		if dev.Used() != 0 {
@@ -141,7 +141,7 @@ func TestRemovedPagesStayOutOfReach(t *testing.T) {
 	fresh := bytes.Repeat([]byte{0x22}, size)
 	k.Spawn("w", func(p *sim.Proc) {
 		f, _ := fs.Create("discarded")
-		if err := f.WriteAt(p, old, 0, size); err != nil {
+		if err := f.WriteAt(p, store.Bytes(old, 0), 0, size); err != nil {
 			t.Error(err)
 			return
 		}
@@ -150,14 +150,14 @@ func TestRemovedPagesStayOutOfReach(t *testing.T) {
 			return
 		}
 		g, _ := fs.Create("reuser")
-		if err := g.WriteAt(p, fresh, 0, size); err != nil {
+		if err := g.WriteAt(p, store.Bytes(fresh, 0), 0, size); err != nil {
 			t.Error(err)
 			return
 		}
 		if n := f.Store().Written().TotalBytes(); n != 0 {
 			t.Errorf("the removed file's store still holds %d bytes", n)
 		}
-		if err := f.ReadAt(p, make([]byte, 4), 0, 4); !errors.Is(err, ErrStale) {
+		if err := f.ReadAt(p, store.Bytes(make([]byte, 4), 0), 0, 4); !errors.Is(err, ErrStale) {
 			t.Errorf("removed handle's read: want ErrStale, got %v", err)
 		}
 		for _, h := range fs.Files() {
@@ -167,7 +167,7 @@ func TestRemovedPagesStayOutOfReach(t *testing.T) {
 		}
 		f.Store().(store.Integrity).CorruptAt(0, size)
 		got := make([]byte, size)
-		if err := g.ReadAt(p, got, 0, size); err != nil {
+		if err := g.ReadAt(p, store.Bytes(got, 0), 0, size); err != nil {
 			t.Error(err)
 		}
 		if !bytes.Equal(got, fresh) {
@@ -379,19 +379,19 @@ func TestFailedDeviceReadAt(t *testing.T) {
 	fs := NewFS(dev, FSConfig{SupportsFallocate: true}, store.NewMem)
 	k.Spawn("rw", func(p *sim.Proc) {
 		f, _ := fs.Create("f")
-		if err := f.WriteAt(p, []byte("data"), 0, 4); err != nil {
+		if err := f.WriteAt(p, store.Bytes([]byte("data"), 0), 0, 4); err != nil {
 			t.Error(err)
 		}
 		dev.SetFailed(true)
 		buf := make([]byte, 4)
-		if err := f.ReadAt(p, buf, 0, 4); !errors.Is(err, ErrIO) {
+		if err := f.ReadAt(p, store.Bytes(buf, 0), 0, 4); !errors.Is(err, ErrIO) {
 			t.Errorf("want ErrIO from failed device, got %v", err)
 		}
 		if err := f.WriteAt(p, nil, 4, 4); !errors.Is(err, ErrIO) {
 			t.Errorf("want ErrIO write, got %v", err)
 		}
 		dev.SetFailed(false)
-		if err := f.ReadAt(p, buf, 0, 4); err != nil {
+		if err := f.ReadAt(p, store.Bytes(buf, 0), 0, 4); err != nil {
 			t.Errorf("read after repair: %v", err)
 		}
 		if !bytes.Equal(buf, []byte("data")) {

@@ -351,25 +351,25 @@ func (c *rpcCursor) next() (extent.Extent, bool) {
 	return extent.Extent{}, false
 }
 
-// WriteAt writes size bytes at off. data may be nil for metadata-only
-// payloads. The client streams to each involved target in parallel while
-// the per-client cap and the node NIC serialize the client side, modelling
-// a pipelined file-system client. Blocks p until all data is stored. A
-// down target fails the whole write with ErrTargetDown; no payload is
-// committed in that case.
-func (h *Handle) WriteAt(p *sim.Proc, data []byte, off, size int64) error {
+// WriteAt writes size bytes at off from src, which may be nil for
+// metadata-only payloads. The client streams to each involved target in
+// parallel while the per-client cap and the node NIC serialize the client
+// side, modelling a pipelined file-system client. Blocks p until all data
+// is stored. A down target fails the whole write with ErrTargetDown; no
+// payload is committed in that case.
+func (h *Handle) WriteAt(p *sim.Proc, src store.Source, off, size int64) error {
 	var op Op
-	h.StartWrite(&op, data, off, size)
+	h.StartWrite(&op, src, off, size)
 	for op.Step(p) {
 		p.Park()
 	}
 	return op.Err()
 }
 
-// ReadAt reads into buf (or size bytes metadata-only when buf is nil).
-func (h *Handle) ReadAt(p *sim.Proc, buf []byte, off, size int64) error {
+// ReadAt reads size bytes at off into dst (metadata-only when dst is nil).
+func (h *Handle) ReadAt(p *sim.Proc, dst store.Sink, off, size int64) error {
 	var op Op
-	h.StartRead(&op, buf, off, size)
+	h.StartRead(&op, dst, off, size)
 	for op.Step(p) {
 		p.Park()
 	}
@@ -385,7 +385,8 @@ func (h *Handle) ReadAt(p *sim.Proc, buf []byte, off, size int64) error {
 // reusable once it is over.
 type Op struct {
 	h     *Handle
-	data  []byte // payload written, or read into
+	src   store.Source // payload written
+	dst   store.Sink   // payload read into
 	off   int64
 	size  int64
 	write bool
@@ -418,22 +419,21 @@ const (
 )
 
 // StartWrite sets op up as WriteAt's step form.
-func (h *Handle) StartWrite(op *Op, data []byte, off, size int64) {
-	op.start(h, data, off, size, true)
+func (h *Handle) StartWrite(op *Op, src store.Source, off, size int64) {
+	op.start(h, off, size, true)
+	op.src = src
 }
 
 // StartRead sets op up as ReadAt's step form.
-func (h *Handle) StartRead(op *Op, buf []byte, off, size int64) {
-	if buf != nil {
-		size = int64(len(buf))
-	}
-	op.start(h, buf, off, size, false)
+func (h *Handle) StartRead(op *Op, dst store.Sink, off, size int64) {
+	op.start(h, off, size, false)
+	op.dst = dst
 }
 
 // start resets op for a new transfer, field by field: Step sets up the
 // streams, and the join is kept for reuse.
-func (op *Op) start(h *Handle, data []byte, off, size int64, write bool) {
-	op.h, op.data, op.off, op.size, op.write = h, data, off, size, write
+func (op *Op) start(h *Handle, off, size int64, write bool) {
+	op.h, op.src, op.dst, op.off, op.size, op.write = h, nil, nil, off, size, write
 	op.stage, op.lock, op.err = opStart, nil, nil
 }
 
@@ -515,7 +515,7 @@ func (op *Op) finish() {
 	h := op.h
 	op.stage = opDone
 	if op.write && op.err == nil {
-		h.meta.data.WriteAt(op.data, op.off, op.size)
+		h.meta.data.WriteAt(op.src, op.off, op.size)
 	}
 	if op.lock != nil {
 		h.client.sys.Locks.Unlock(op.lock)
@@ -526,9 +526,7 @@ func (op *Op) finish() {
 	case op.write:
 		h.client.BytesWritten += op.size
 	default:
-		if op.data != nil {
-			h.meta.data.ReadAt(op.data, op.off)
-		}
+		h.meta.data.ReadAt(op.dst, op.off, op.size)
 		h.client.BytesRead += op.size
 	}
 }

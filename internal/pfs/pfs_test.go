@@ -76,9 +76,9 @@ func TestWriteReadRoundTripAcrossStripes(t *testing.T) {
 		for i := range data {
 			data[i] = byte(i % 251)
 		}
-		h.WriteAt(p, data, 1000, int64(len(data)))
+		h.WriteAt(p, store.Bytes(data, 1000), 1000, int64(len(data)))
 		buf := make([]byte, len(data))
-		h.ReadAt(p, buf, 1000, 0)
+		h.ReadAt(p, store.Bytes(buf, 1000), 1000, int64(len(buf)))
 		if !bytes.Equal(buf, data) {
 			t.Error("round trip mismatch")
 		}
@@ -445,13 +445,13 @@ func TestTruncate(t *testing.T) {
 	c := s.NewClient(f.Node(0))
 	k.Spawn("client", func(p *sim.Proc) {
 		h, _ := c.Open(p, "f", true, Striping{})
-		h.WriteAt(p, []byte("abcdef"), 0, 6)
+		h.WriteAt(p, store.Bytes([]byte("abcdef"), 0), 0, 6)
 		h.Truncate(p, 3)
 		if h.Meta().Size() != 3 {
 			t.Errorf("size = %d", h.Meta().Size())
 		}
 		buf := make([]byte, 6)
-		h.ReadAt(p, buf, 0, 0)
+		h.ReadAt(p, store.Bytes(buf, 0), 0, int64(len(buf)))
 		if buf[2] != 'c' || buf[3] != 0 {
 			t.Errorf("truncated content = %v", buf)
 		}

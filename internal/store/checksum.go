@@ -76,8 +76,8 @@ func Checksummed(inner Store) Store {
 }
 
 // WriteAt implements Store; a write over a corrupt range heals it.
-func (cs *ChecksumStore) WriteAt(data []byte, off, size int64) {
-	cs.inner.WriteAt(data, off, size)
+func (cs *ChecksumStore) WriteAt(src Source, off, size int64) {
+	cs.inner.WriteAt(src, off, size)
 	if size <= 0 {
 		return
 	}
@@ -106,7 +106,7 @@ func (cs *ChecksumStore) chunkSum(ci int64) uint32 {
 }
 
 // ReadAt implements Store.
-func (cs *ChecksumStore) ReadAt(buf []byte, off int64) { cs.inner.ReadAt(buf, off) }
+func (cs *ChecksumStore) ReadAt(dst Sink, off, size int64) { cs.inner.ReadAt(dst, off, size) }
 
 // Written implements Store.
 func (cs *ChecksumStore) Written() *extent.Set { return cs.inner.Written() }
@@ -143,10 +143,11 @@ func (cs *ChecksumStore) CorruptAt(off, n int64) {
 	}
 	// Really flip the stored bytes, bypassing the checksum update, so a
 	// re-hash sees a genuine mismatch.
-	buf := make([]byte, n)
-	cs.inner.ReadAt(buf, off)
-	for i := range buf {
-		buf[i] ^= 0xFF
+	b := make([]byte, n)
+	buf := Bytes(b, off)
+	cs.inner.ReadAt(buf, off, n)
+	for i := range b {
+		b[i] ^= 0xFF
 	}
 	cs.inner.WriteAt(buf, off, n)
 }

@@ -28,7 +28,7 @@ func TestChecksumDetectsSingleFlippedByte(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 7)
 	}
-	s.WriteAt(data, 0, int64(len(data)))
+	s.WriteAt(Bytes(data, 0), 0, int64(len(data)))
 	if bad := integ.VerifyExtent(extent.Extent{Off: 0, Len: int64(len(data))}); len(bad) != 0 {
 		t.Fatalf("clean store verified corrupt: %v", bad)
 	}
@@ -45,7 +45,7 @@ func TestChecksumDetectsSingleFlippedByte(t *testing.T) {
 	}
 	// The flip really changed the stored content.
 	buf := make([]byte, 1)
-	s.ReadAt(buf, ChecksumChunk+5)
+	s.ReadAt(Bytes(buf, ChecksumChunk+5), ChecksumChunk+5, int64(len(buf)))
 	if buf[0] == data[ChecksumChunk+5] {
 		t.Fatal("CorruptAt did not change the stored byte")
 	}
@@ -62,17 +62,17 @@ func TestChecksumRewriteHeals(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i)
 	}
-	s.WriteAt(data, 0, int64(len(data)))
+	s.WriteAt(Bytes(data, 0), 0, int64(len(data)))
 	integ.CorruptAt(10, 4)
 	if len(integ.VerifyExtent(extent.Extent{Off: 0, Len: ChecksumChunk})) == 0 {
 		t.Fatal("corruption not detected before the heal")
 	}
-	s.WriteAt(data[:ChecksumChunk], 0, ChecksumChunk)
+	s.WriteAt(Bytes(data[:ChecksumChunk], 0), 0, ChecksumChunk)
 	if bad := integ.VerifyExtent(extent.Extent{Off: 0, Len: 2 * ChecksumChunk}); len(bad) != 0 {
 		t.Fatalf("rewrite did not heal: %v", bad)
 	}
 	buf := make([]byte, 4)
-	s.ReadAt(buf, 10)
+	s.ReadAt(Bytes(buf, 10), 10, int64(len(buf)))
 	for i, b := range buf {
 		if b != data[10+i] {
 			t.Fatalf("healed byte %d = %#x, want %#x", 10+i, b, data[10+i])
@@ -115,14 +115,14 @@ func TestChecksumTruncateDropsState(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i % 251)
 	}
-	s.WriteAt(data, 0, int64(len(data)))
+	s.WriteAt(Bytes(data, 0), 0, int64(len(data)))
 	integ.CorruptAt(ChecksumChunk+1, 1)
 	s.Truncate(ChecksumChunk / 2)
 	if bad := integ.VerifyExtent(extent.Extent{Off: 0, Len: 2 * ChecksumChunk}); len(bad) != 0 {
 		t.Fatalf("truncated-away corruption still reported: %v", bad)
 	}
 	// Content before the cut still matches its (re-hashed) checksum.
-	s.WriteAt(data[:16], 0, 16)
+	s.WriteAt(Bytes(data[:16], 0), 0, 16)
 	if bad := integ.VerifyExtent(extent.Extent{Off: 0, Len: ChecksumChunk}); len(bad) != 0 {
 		t.Fatalf("boundary chunk broken after truncate: %v", bad)
 	}
@@ -140,13 +140,13 @@ type copyingSums struct {
 
 func (c *copyingSums) rehash(lo, hi int64) {
 	for ci := lo / ChecksumChunk; ci <= (hi-1)/ChecksumChunk; ci++ {
-		c.inner.ReadAt(c.chunk, ci*ChecksumChunk)
+		c.inner.ReadAt(Bytes(c.chunk, ci*ChecksumChunk), ci*ChecksumChunk, int64(len(c.chunk)))
 		c.sums[ci] = crc32.Checksum(c.chunk, crcTable)
 	}
 }
 
-func (c *copyingSums) WriteAt(data []byte, off, size int64) {
-	c.inner.WriteAt(data, off, size)
+func (c *copyingSums) WriteAt(src Source, off, size int64) {
+	c.inner.WriteAt(src, off, size)
 	c.bad.Remove(extent.Extent{Off: off, Len: size})
 	c.rehash(off, off+size)
 }
@@ -169,11 +169,11 @@ func (c *copyingSums) Truncate(size int64) {
 func (c *copyingSums) CorruptAt(off, n int64) {
 	c.bad.Add(extent.Extent{Off: off, Len: n})
 	buf := make([]byte, n)
-	c.inner.ReadAt(buf, off)
+	c.inner.ReadAt(Bytes(buf, off), off, int64(len(buf)))
 	for i := range buf {
 		buf[i] ^= 0xFF
 	}
-	c.inner.WriteAt(buf, off, n)
+	c.inner.WriteAt(Bytes(buf, off), off, n)
 }
 
 func (c *copyingSums) VerifyExtent(e extent.Extent) []extent.Extent {
@@ -188,7 +188,7 @@ func (c *copyingSums) VerifyExtent(e extent.Extent) []extent.Extent {
 		if !ok {
 			continue
 		}
-		c.inner.ReadAt(c.chunk, ci*ChecksumChunk)
+		c.inner.ReadAt(Bytes(c.chunk, ci*ChecksumChunk), ci*ChecksumChunk, int64(len(c.chunk)))
 		if crc32.Checksum(c.chunk, crcTable) == want {
 			continue
 		}
@@ -239,7 +239,7 @@ func TestChecksumInPlaceMatchesCopying(t *testing.T) {
 		}
 	}
 	type mutator = interface {
-		WriteAt([]byte, int64, int64)
+		WriteAt(Source, int64, int64)
 		Truncate(int64)
 		CorruptAt(int64, int64)
 	}
@@ -249,14 +249,20 @@ func TestChecksumInPlaceMatchesCopying(t *testing.T) {
 		f(ref)
 		check(step)
 	}
-	both("write across pages 0-1", func(s mutator) { s.WriteAt(payload(9000, 1), pageSize-5000, 9000) })
-	both("write spanning page 2", func(s mutator) { s.WriteAt(payload(int(pageSize)+300, 2), 2*pageSize-150, pageSize+300) })
+	both("write across pages 0-1", func(s mutator) { s.WriteAt(Bytes(payload(9000, 1), pageSize-5000), pageSize-5000, 9000) })
+	both("write spanning page 2", func(s mutator) {
+		s.WriteAt(Bytes(payload(int(pageSize)+300, 2), 2*pageSize-150), 2*pageSize-150, pageSize+300)
+	})
 	both("metadata-only write into page 5", func(s mutator) { s.WriteAt(nil, 5*pageSize+10, 100) })
-	both("sparse write into page 3", func(s mutator) { s.WriteAt(payload(10, 3), 3*pageSize+ChecksumChunk+3, 10) })
+	both("sparse write into page 3", func(s mutator) {
+		s.WriteAt(Bytes(payload(10, 3), 3*pageSize+ChecksumChunk+3), 3*pageSize+ChecksumChunk+3, 10)
+	})
 	both("corrupt across pages 1-2", func(s mutator) { s.CorruptAt(2*pageSize-2, 4) })
 	both("corrupt inside page 0", func(s mutator) { s.CorruptAt(pageSize-4000, 1) })
 	both("truncate mid-chunk of page 2", func(s mutator) { s.Truncate(2*pageSize + 2*ChecksumChunk + 17) })
-	both("regrow over the cut", func(s mutator) { s.WriteAt(payload(5000, 4), 2*pageSize+2*ChecksumChunk, 5000) })
+	both("regrow over the cut", func(s mutator) {
+		s.WriteAt(Bytes(payload(5000, 4), 2*pageSize+2*ChecksumChunk), 2*pageSize+2*ChecksumChunk, 5000)
+	})
 }
 
 // TestReleaseRecyclesPages checks that a pooled MemStore draws its pages
@@ -266,7 +272,7 @@ func TestReleaseRecyclesPages(t *testing.T) {
 	p := bufpool.New()
 	a := PooledMemChecksummed(p)().(*memChecksumStore)
 	full := bytes.Repeat([]byte{0xAB}, int(2*pageSize))
-	a.WriteAt(full, 0, int64(len(full)))
+	a.WriteAt(Bytes(full, 0), 0, int64(len(full)))
 	pages := map[*byte]bool{}
 	for _, pg := range a.mem.pages {
 		pages[&pg[0]] = true
@@ -277,15 +283,15 @@ func TestReleaseRecyclesPages(t *testing.T) {
 		t.Fatalf("released store not empty: size %d written %d sums %d", a.Size(), a.Written().TotalBytes(), len(a.sums))
 	}
 	b := PooledMem(p)().(*MemStore)
-	b.WriteAt([]byte{1, 2, 3}, 100, 3)
-	b.WriteAt([]byte{4}, pageSize+5, 1)
+	b.WriteAt(Bytes([]byte{1, 2, 3}, 100), 100, 3)
+	b.WriteAt(Bytes([]byte{4}, pageSize+5), pageSize+5, 1)
 	for _, pg := range b.pages {
 		if !pages[&pg[0]] {
 			t.Fatal("second store allocated a page instead of reusing a released one")
 		}
 	}
 	got := make([]byte, 2*pageSize)
-	b.ReadAt(got, 0)
+	b.ReadAt(Bytes(got, 0), 0, int64(len(got)))
 	want := make([]byte, 2*pageSize)
 	copy(want[100:], []byte{1, 2, 3})
 	want[pageSize+5] = 4

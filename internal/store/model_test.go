@@ -53,7 +53,7 @@ func (f *flatModel) apply(m Store, kind int, off, n int64, fill byte) error {
 				data[i] = fill + byte(i)
 			}
 		}
-		m.WriteAt(data, off, n)
+		m.WriteAt(Bytes(data, off), off, n)
 		if n > 0 {
 			for i := int64(0); i < n; i++ {
 				f.data[off+i] = 0
@@ -76,7 +76,7 @@ func (f *flatModel) apply(m Store, kind int, off, n int64, fill byte) error {
 		for i := range got {
 			got[i] = 0xA5 // ReadAt must overwrite every byte
 		}
-		m.ReadAt(got, off)
+		m.ReadAt(Bytes(got, off), off, int64(len(got)))
 		for i := range got {
 			want := byte(0)
 			if b := off + int64(i); b < modelUniverse {
@@ -98,7 +98,7 @@ func (f *flatModel) apply(m Store, kind int, off, n int64, fill byte) error {
 // bitmap.
 func (f *flatModel) check(m Store) error {
 	got := make([]byte, modelUniverse+pageSize)
-	m.ReadAt(got, 0)
+	m.ReadAt(Bytes(got, 0), 0, int64(len(got)))
 	if i := slices.IndexFunc(got[modelUniverse:], func(b byte) bool { return b != 0 }); i >= 0 {
 		return fmt.Errorf("byte %d past the universe reads %d", modelUniverse+int64(i), got[modelUniverse+int64(i)])
 	}

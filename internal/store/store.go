@@ -5,6 +5,13 @@
 // touches), however much the file already holds. NullStore tracks only
 // written extents so the 32 GB evaluation runs execute the identical
 // control flow without allocating payload memory.
+//
+// A store's payload is offset-addressed: a write reads its bytes from a
+// Source and a read hands them to a Sink, both by file offset, a page at a
+// time. So the bytes move in one copy between the store's pages and
+// wherever the caller keeps them: a contiguous buffer (Bytes), or the
+// many ranks' buffers a two-phase aggregator gathers from or scatters to.
+// Every layer above passes the payload through unchanged.
 package store
 
 import (
@@ -14,14 +21,67 @@ import (
 	"repro/internal/extent"
 )
 
+// Source supplies the bytes of a write: ReadAt fills p with the bytes of
+// file range [off, off+len(p)). It is io.ReaderAt without the error.
+type Source interface{ ReadAt(p []byte, off int64) }
+
+// Sink takes the bytes of a read: WriteAt takes p, the bytes of file range
+// [off, off+len(p)), and must not keep p. It is io.WriterAt without the
+// error.
+type Sink interface{ WriteAt(p []byte, off int64) }
+
+// Payload is a buffer that can be both written from and read into.
+type Payload interface {
+	Source
+	Sink
+}
+
+// Bytes returns b as the payload of file range [off, off+len(b)), or nil
+// (metadata-only) when b is nil. Asking it for a byte outside that range
+// panics.
+func Bytes(b []byte, off int64) Payload {
+	if b == nil {
+		return nil
+	}
+	return &Buf{B: b, Off: off}
+}
+
+// Buf is the contiguous payload Bytes returns: B holds the bytes of file
+// range [Off, Off+len(B)). A caller that reuses one Buf for buffer after
+// buffer passes &buf without a fresh allocation.
+type Buf struct {
+	B   []byte
+	Off int64
+}
+
+// ReadAt implements Source.
+func (b *Buf) ReadAt(p []byte, off int64) { copy(p, b.B[off-b.Off:off-b.Off+int64(len(p))]) }
+
+// WriteAt implements Sink.
+func (b *Buf) WriteAt(p []byte, off int64) { copy(b.B[off-b.Off:off-b.Off+int64(len(p))], p) }
+
+// zeros is the page a read of bytes never written hands its sink.
+var zeros [pageSize]byte
+
+// Zero hands dst the zero bytes of file range [off, off+size), a page at
+// a time.
+func Zero(dst Sink, off, size int64) {
+	for pos, end := off, off+size; pos < end; {
+		n := min(pageSize, end-pos)
+		dst.WriteAt(zeros[:n], pos)
+		pos += n
+	}
+}
+
 // Store records the logical content of one file.
 type Store interface {
-	// WriteAt records a write of length len(data) bytes, or of size bytes
-	// when data is nil (metadata-only write).
-	WriteAt(data []byte, off, size int64)
-	// ReadAt fills buf from the store. Bytes never written read as zero.
-	// Metadata-only stores return zeros for all content.
-	ReadAt(buf []byte, off int64)
+	// WriteAt records a write of size bytes at off, read from src, or a
+	// metadata-only write when src is nil.
+	WriteAt(src Source, off, size int64)
+	// ReadAt hands dst the size bytes at off; a nil dst reads nothing.
+	// Bytes never written read as zero. Metadata-only stores return zeros
+	// for all content.
+	ReadAt(dst Sink, off, size int64)
 	// Written returns the set of extents ever written.
 	Written() *extent.Set
 	// Size returns the file size (highest written offset, or the size set
@@ -74,11 +134,11 @@ type MemStore struct {
 	pool    *bufpool.Pool // where pages come from and go back to; nil allocates
 }
 
-// WriteAt implements Store. A nil-data write clears the bytes it covers
-// and allocates no page.
-func (m *MemStore) WriteAt(data []byte, off, size int64) {
-	if (data != nil && int64(len(data)) != size) || size < 0 {
-		panic(fmt.Sprintf("store: data length %d != size %d", len(data), size))
+// WriteAt implements Store, copying src page by page straight into the
+// pages. A nil-src write clears the bytes it covers and allocates no page.
+func (m *MemStore) WriteAt(src Source, off, size int64) {
+	if size < 0 {
+		panic(fmt.Sprintf("store: negative write size %d", size))
 	}
 	if size == 0 {
 		return
@@ -91,7 +151,7 @@ func (m *MemStore) WriteAt(data []byte, off, size int64) {
 		pi, po := pos/pageSize, pos%pageSize
 		n := min(pageSize-po, end-pos)
 		page := m.pages[pi]
-		if data == nil {
+		if src == nil {
 			if page != nil {
 				clear(page[po : po+n])
 			}
@@ -107,22 +167,25 @@ func (m *MemStore) WriteAt(data []byte, off, size int64) {
 				clear(page[po+n:])
 				m.pages[pi] = page
 			}
-			copy(page[po:po+n], data[pos-off:])
+			src.ReadAt(page[po:po+n], pos)
 		}
 		pos += n
 	}
 }
 
-// ReadAt implements Store.
-func (m *MemStore) ReadAt(buf []byte, off int64) {
-	for pos, end := off, off+int64(len(buf)); pos < end; {
+// ReadAt implements Store, handing dst each page's bytes in place (zeros
+// for a page never written).
+func (m *MemStore) ReadAt(dst Sink, off, size int64) {
+	if dst == nil {
+		return
+	}
+	for pos, end := off, off+size; pos < end; {
 		pi, po := pos/pageSize, pos%pageSize
 		n := min(pageSize-po, end-pos)
-		dst := buf[pos-off : pos-off+n]
 		if page := m.pages[pi]; page != nil {
-			copy(dst, page[po:])
+			dst.WriteAt(page[po:po+n], pos)
 		} else {
-			clear(dst)
+			Zero(dst, pos, n)
 		}
 		pos += n
 	}
@@ -180,11 +243,8 @@ type NullStore struct {
 	size    int64
 }
 
-// WriteAt implements Store.
-func (n *NullStore) WriteAt(data []byte, off, size int64) {
-	if data != nil && int64(len(data)) != size {
-		panic(fmt.Sprintf("store: data length %d != size %d", len(data), size))
-	}
+// WriteAt implements Store; the bytes of src are not kept.
+func (n *NullStore) WriteAt(_ Source, off, size int64) {
 	if size == 0 {
 		return
 	}
@@ -195,9 +255,9 @@ func (n *NullStore) WriteAt(data []byte, off, size int64) {
 }
 
 // ReadAt implements Store.
-func (n *NullStore) ReadAt(buf []byte, off int64) {
-	for i := range buf {
-		buf[i] = 0
+func (n *NullStore) ReadAt(dst Sink, off, size int64) {
+	if dst != nil {
+		Zero(dst, off, size)
 	}
 }
 

@@ -27,11 +27,11 @@ func BenchmarkMemStoreStridedAssemble(b *testing.B) {
 		for r := 0; r < ranks; r++ {
 			for j := 0; j < blocks; j++ {
 				off := int64(j*ranks+r) * block
-				m.WriteAt(src[off:off+block], off, block)
+				m.WriteAt(Bytes(src[off:off+block], off), off, block)
 			}
 		}
 		for off := int64(0); off < fileSize; off += block {
-			m.ReadAt(got, off)
+			m.ReadAt(Bytes(got, off), off, int64(len(got)))
 			if !bytes.Equal(got, src[off:off+block]) {
 				b.Fatalf("block at %d differs after assembly", off)
 			}

@@ -7,9 +7,9 @@ import (
 
 func TestMemStoreRoundTrip(t *testing.T) {
 	m := NewMem()
-	m.WriteAt([]byte("hello"), 10, 5)
+	m.WriteAt(Bytes([]byte("hello"), 10), 10, 5)
 	buf := make([]byte, 5)
-	m.ReadAt(buf, 10)
+	m.ReadAt(Bytes(buf, 10), 10, int64(len(buf)))
 	if string(buf) != "hello" {
 		t.Fatalf("read %q", buf)
 	}
@@ -20,10 +20,10 @@ func TestMemStoreRoundTrip(t *testing.T) {
 
 func TestMemStoreHolesReadZero(t *testing.T) {
 	m := NewMem()
-	m.WriteAt([]byte{1, 2}, 0, 2)
-	m.WriteAt([]byte{9}, 10, 1)
+	m.WriteAt(Bytes([]byte{1, 2}, 0), 0, 2)
+	m.WriteAt(Bytes([]byte{9}, 10), 10, 1)
 	buf := make([]byte, 11)
-	m.ReadAt(buf, 0)
+	m.ReadAt(Bytes(buf, 0), 0, int64(len(buf)))
 	want := []byte{1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 9}
 	if !bytes.Equal(buf, want) {
 		t.Fatalf("read %v, want %v", buf, want)
@@ -32,10 +32,10 @@ func TestMemStoreHolesReadZero(t *testing.T) {
 
 func TestMemStoreOverwrite(t *testing.T) {
 	m := NewMem()
-	m.WriteAt([]byte("aaaaaa"), 0, 6)
-	m.WriteAt([]byte("BB"), 2, 2)
+	m.WriteAt(Bytes([]byte("aaaaaa"), 0), 0, 6)
+	m.WriteAt(Bytes([]byte("BB"), 2), 2, 2)
 	buf := make([]byte, 6)
-	m.ReadAt(buf, 0)
+	m.ReadAt(Bytes(buf, 0), 0, int64(len(buf)))
 	if string(buf) != "aaBBaa" {
 		t.Fatalf("read %q", buf)
 	}
@@ -43,10 +43,10 @@ func TestMemStoreOverwrite(t *testing.T) {
 
 func TestMemStoreNilDataWritesZeros(t *testing.T) {
 	m := NewMem()
-	m.WriteAt([]byte{7, 7, 7}, 0, 3)
-	m.WriteAt(nil, 1, 1)
+	m.WriteAt(Bytes([]byte{7, 7, 7}, 0), 0, 3)
+	m.WriteAt(Bytes(nil, 1), 1, 1) // a nil buffer is a nil payload, not an empty one
 	buf := make([]byte, 3)
-	m.ReadAt(buf, 0)
+	m.ReadAt(Bytes(buf, 0), 0, int64(len(buf)))
 	if !bytes.Equal(buf, []byte{7, 0, 7}) {
 		t.Fatalf("read %v", buf)
 	}
@@ -54,13 +54,13 @@ func TestMemStoreNilDataWritesZeros(t *testing.T) {
 
 func TestMemStoreTruncate(t *testing.T) {
 	m := NewMem()
-	m.WriteAt([]byte("abcdef"), 0, 6)
+	m.WriteAt(Bytes([]byte("abcdef"), 0), 0, 6)
 	m.Truncate(3)
 	if m.Size() != 3 {
 		t.Fatalf("size = %d", m.Size())
 	}
 	buf := make([]byte, 6)
-	m.ReadAt(buf, 0)
+	m.ReadAt(Bytes(buf, 0), 0, int64(len(buf)))
 	if !bytes.Equal(buf, []byte{'a', 'b', 'c', 0, 0, 0}) {
 		t.Fatalf("read %v", buf)
 	}
@@ -82,7 +82,7 @@ func TestNullStoreTracksExtentsOnly(t *testing.T) {
 		t.Fatalf("written = %v", w.Extents())
 	}
 	buf := []byte{1, 2, 3}
-	n.ReadAt(buf, 100)
+	n.ReadAt(Bytes(buf, 100), 100, int64(len(buf)))
 	if !bytes.Equal(buf, []byte{0, 0, 0}) {
 		t.Fatal("null store must read zeros")
 	}
@@ -103,5 +103,5 @@ func TestWriteSizeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMem().WriteAt([]byte{1}, 0, 2)
+	NewMem().WriteAt(Bytes([]byte{1}, 0), 0, 2)
 }

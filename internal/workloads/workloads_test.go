@@ -177,7 +177,7 @@ func TestCollPerfWritePhaseContent(t *testing.T) {
 		for r := 0; r < nranks; r++ {
 			for _, s := range cp.Segments(r, nranks) {
 				buf := make([]byte, s.Len)
-				meta.Store().ReadAt(buf, s.Off)
+				meta.Store().ReadAt(store.Bytes(buf, s.Off), s.Off, int64(len(buf)))
 				for i, b := range buf {
 					if want := patternByte(r, s.Off+int64(i)); b != want {
 						t.Fatalf("rank %d seg %v byte %d: got %d want %d", r, s, i, b, want)
@@ -199,7 +199,7 @@ func TestIORWritePhaseContent(t *testing.T) {
 			for s := 0; s < ior.Segments; s++ {
 				off := ior.Offset(r, nranks, s)
 				buf := make([]byte, 8)
-				meta.Store().ReadAt(buf, off)
+				meta.Store().ReadAt(store.Bytes(buf, off), off, int64(len(buf)))
 				if buf[0] != patternByte(r, off) {
 					t.Fatalf("segment %d rank %d wrong content", s, r)
 				}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/store"
 )
 
 // TestFacadeEndToEnd drives the library exactly the way the README's quick
@@ -61,7 +62,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("size = %d", meta.Size())
 	}
 	buf := make([]byte, meta.Size())
-	meta.Store().ReadAt(buf, 0)
+	meta.Store().ReadAt(store.Bytes(buf, 0), 0, int64(len(buf)))
 	for block := 0; block < 4*nranks; block++ {
 		owner := byte(block%nranks + 1)
 		for b := 0; b < blockLen; b++ {
