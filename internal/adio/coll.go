@@ -71,7 +71,7 @@ func (f *File) WriteStridedColl(segs []extent.Extent, data []byte) error {
 	if data != nil && int64(len(data)) != total {
 		return fmt.Errorf("adio: payload length %d != segment total %d", len(data), total)
 	}
-	resilient := f.hints.Extra[HintResilientWrite] == "enable"
+	resilient := f.hints.ResilientWrite == HintEnable
 	t0 := f.beginCollWrite()
 	defer f.endCollWrite(t0, resilient, len(segs), total)
 	own := view{segs: segs, pre: prefixSums(segs, data), buf: data}
@@ -409,7 +409,7 @@ type sharedPlan struct {
 // domains and the round count. cbMode is the romio_cb_write/_read hint:
 // "disable", or "automatic" with no rank's range overlapping the next
 // one's, selects independent I/O and nothing else is planned. The
-// aggregators of c are placed by the same rule as at open, memoized per
+// aggregators of c are placed by placeAggregators, memoized per
 // communicator, so a failover epoch's survivors share one placement. A
 // timed-out offset exchange returns its error.
 //

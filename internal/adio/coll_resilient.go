@@ -32,11 +32,6 @@ import (
 // World.SetCollTimeout armed: without it a collective with a dead rank
 // waits forever.
 
-// HintResilientWrite enables the failover-capable collective write path
-// ("enable"/"disable"). It rides in the hint Extra set, like the e10_*
-// cache hints.
-const HintResilientWrite = "e10_resilient_write"
-
 // maxFailoverEpochs bounds the epoch loop: each epoch either finishes the
 // write, or shrinks the membership / waits out a partition. Repeated
 // failure without progress gives up with ErrFailoverExhausted.

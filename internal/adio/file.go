@@ -69,8 +69,6 @@ type File struct {
 	backend DriverFile
 	hooks   Hooks
 	log     *mpe.Log
-	aggList []int // comm ranks acting as aggregators, shared read-only (see placeAggregators)
-	myAgg   int   // my index in aggList, or -1
 	closed  bool
 	round   roundPlan // the two-phase drivers' reused round plan
 
@@ -143,9 +141,7 @@ func OpenColl(r *mpi.Rank, a OpenArgs) (*File, error) {
 		driver:  drv,
 		backend: backend,
 		log:     log,
-		aggList: placeAggregators(a.Comm, hints),
 	}
-	f.myAgg = aggIndex(f.aggList, me)
 	if a.Hooks != nil {
 		// Paper: "If for any reason the open of the cache file fails, the
 		// implementation reverts to standard open."
@@ -201,7 +197,7 @@ type placementKey struct{ nodes, perNode int }
 // in ascending order: packed per cb_config_list "*:N" when that hint is
 // set, spread over the communicator otherwise. The placement is computed
 // once per communicator and hint pair and shared read-only by every
-// caller: at open and in every failover epoch's plan.
+// caller: every plan, including each failover epoch's, and Aggregators.
 func placeAggregators(c *mpi.Comm, h *Hints) []int {
 	return c.Memo(placementKey{h.CBNodes, h.CBPerNode}, func() any {
 		if h.CBPerNode > 0 {
@@ -279,9 +275,7 @@ func (f *File) InstalledHooks() Hooks { return f.hooks }
 
 // Aggregators returns the comm ranks of the aggregators.
 func (f *File) Aggregators() []int {
-	out := make([]int, len(f.aggList))
-	copy(out, f.aggList)
-	return out
+	return slices.Clone(placeAggregators(f.comm, f.hints))
 }
 
 // WriteContig is ADIOI_GEN_WriteContig: the cache hook may intercept it;

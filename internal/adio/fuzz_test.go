@@ -9,7 +9,8 @@ import (
 // FuzzParseHints drives the Table I hint parser with adversarial key/value
 // pairs. ParseHints must never panic; accepted hint sets must be normalized
 // (positive sizes, cb_nodes within the communicator) and leave unknown keys
-// untouched in Extra.
+// untouched in Extra, and a rejected one must name the same hint on every
+// parse.
 func FuzzParseHints(f *testing.F) {
 	f.Add("romio_cb_write", "enable", "cb_nodes", "16", 64)
 	f.Add("cb_buffer_size", "16777216", "striping_unit", "4194304", 512)
@@ -33,6 +34,10 @@ func FuzzParseHints(f *testing.F) {
 		}
 		h, err := ParseHints(info, commSize)
 		if err != nil {
+			// The first invalid hint in table order is reported, every time.
+			if _, err2 := ParseHints(info, commSize); err2 == nil || err2.Error() != err.Error() {
+				t.Fatalf("ParseHints(%v) not deterministic: %v, then %v", info, err, err2)
+			}
 			return
 		}
 		if h.CBNodes < 1 || h.CBNodes > commSize {
@@ -60,7 +65,7 @@ func FuzzParseHints(f *testing.F) {
 			switch k {
 			case HintCBWrite, HintCBRead, HintCBNodes, HintCBBufferSize,
 				HintIndWrBufferSize,
-				HintStripingFactor, HintStripingUnit, HintCBConfigList:
+				HintStripingFactor, HintStripingUnit, HintCBConfigList, HintResilientWrite:
 				t.Fatalf("ParseHints(%v): interpreted key %q leaked into Extra", info, k)
 			}
 			if got, ok := info.Get(k); !ok || got != v {

@@ -105,3 +105,51 @@ func TestOpenCollInvalidHintFailsEveryRank(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestParseHintsFirstInvalidInTableOrder parses an Info whose every adio
+// hint is invalid 100 times: the error must always name the first hint of
+// the table, romio_cb_write.
+func TestParseHintsFirstInvalidInTableOrder(t *testing.T) {
+	info := mpi.Info{}
+	for _, row := range hintTable {
+		info[row.Key] = "x"
+	}
+	errs := map[string]int{}
+	for range 100 {
+		_, err := ParseHints(info, 8)
+		if err == nil {
+			t.Fatalf("ParseHints(%v) accepted every hint invalid", info)
+		}
+		errs[err.Error()]++
+	}
+	want := `adio: hint romio_cb_write: invalid value "x"`
+	if len(errs) != 1 || errs[want] != 100 {
+		t.Fatalf("errors over 100 parses: %v, want only %q", errs, want)
+	}
+}
+
+// TestOpenCollRejectsBadResilientWrite checks that e10_resilient_write is
+// a parsed hint: a value other than enable or disable fails the open, and
+// the valid ones are echoed and kept out of Extra.
+func TestOpenCollRejectsBadResilientWrite(t *testing.T) {
+	cl := newCluster(t, 1, 2, 4, store.NewMem)
+	err := cl.w.Run(func(r *mpi.Rank) {
+		_, err := OpenColl(r, OpenArgs{Comm: cl.w.Comm(), Registry: cl.reg, Path: "f", Create: true,
+			Info: mpi.Info{HintResilientWrite: "enabled"}})
+		if want := `adio: hint e10_resilient_write: invalid value "enabled"`; err == nil || err.Error() != want {
+			t.Errorf("open error %v, want %s", err, want)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{HintEnable, HintDisable} {
+		h, err := ParseHints(mpi.Info{HintResilientWrite: v}, 8)
+		if err != nil || h.ResilientWrite != v || h.Echo()[HintResilientWrite] != v {
+			t.Fatalf("e10_resilient_write=%s: %v %+v", v, err, h)
+		}
+		if _, leaked := h.Extra[HintResilientWrite]; leaked {
+			t.Fatalf("e10_resilient_write=%s leaked into Extra", v)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/adio"
 	"repro/internal/fault"
 )
 
@@ -440,6 +441,12 @@ func TestScenarioValidateRejectsBadInput(t *testing.T) {
 			sc.Collective = true
 			sc.Nodes = 1
 		},
+		func(sc *Scenario) { // core rejects the admission mode
+			sc.Tenants = []TenantSpec{{Ranks: 1, Blocks: 1, BlockKB: 4, Admit: "beg"}}
+		},
+		func(sc *Scenario) { // core rejects a reservation beyond the quota
+			sc.Tenants = []TenantSpec{{Ranks: 1, Blocks: 1, BlockKB: 4, QuotaKB: 64, ReserveKB: 128}}
+		},
 	}
 	for i, mutate := range cases {
 		sc := base()
@@ -467,6 +474,20 @@ func TestOffsetsAreDisjoint(t *testing.T) {
 				}
 				seen[off] = "earlier write"
 			}
+		}
+	}
+}
+
+// TestCollectiveScenarioOpensResilient checks that a collective scenario
+// opens with the failover write selected and a cached one without it.
+func TestCollectiveScenarioOpensResilient(t *testing.T) {
+	for _, sc := range []Scenario{collective(), base()} {
+		h, err := adio.ParseHints(sc.hints(-1, false), sc.ranks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.ResilientWrite == adio.HintEnable; got != sc.Collective {
+			t.Errorf("collective=%v: failover write selected=%v", sc.Collective, got)
 		}
 	}
 }

@@ -275,48 +275,57 @@ func (r *run) fail(rank int, session string, err error) {
 	}
 }
 
-// open performs one collective open over comm: uncached with resilient
-// two-phase hints in collective scenarios, otherwise with the cache hints
-// plus, for ti >= 0, tenant ti's file and capacity contract. recovery
-// selects the e10_cache_recovery + retain-cache hint set of sessions 2-3.
-func (r *run) open(mr *mpi.Rank, comm *mpi.Comm, ti int, recovery bool) (*adio.File, error) {
-	args := adio.OpenArgs{Comm: comm, Registry: r.cl.Env.Registry, Path: FilePath, Create: true}
-	if r.sc.Collective {
-		args.Info = mpi.Info{
+// hints returns the MPI_Info a session opens with: uncached with resilient
+// two-phase hints in collective scenarios, otherwise the cache hints plus,
+// for ti >= 0, tenant ti's capacity contract. recovery selects the
+// e10_cache_recovery + retain-cache hint set of sessions 2-3.
+func (sc *Scenario) hints(ti int, recovery bool) mpi.Info {
+	if sc.Collective {
+		return mpi.Info{
 			adio.HintCBNodes:        "2",
 			adio.HintCBBufferSize:   "1048576",
 			adio.HintResilientWrite: "enable",
 		}
-	} else {
-		info := mpi.Info{
-			adio.HintCBWrite:   "enable",
-			core.HintCache:     r.sc.Mode,
-			core.HintFlushFlag: r.sc.FlushFlag,
+	}
+	info := mpi.Info{
+		adio.HintCBWrite:   "enable",
+		core.HintCache:     sc.Mode,
+		core.HintFlushFlag: sc.FlushFlag,
+	}
+	if recovery {
+		info[core.HintCacheRecovery] = "enable"
+		info[core.HintDiscardFlag] = "disable"
+	} else if !sc.Discard {
+		info[core.HintDiscardFlag] = "disable"
+	}
+	if ti >= 0 {
+		t := sc.Tenants[ti]
+		info[core.HintTenant] = tenantName(ti)
+		if t.QuotaKB > 0 {
+			info[core.HintTenantQuotaBytes] = fmt.Sprintf("%d", t.QuotaKB<<10)
 		}
-		if recovery {
-			info[core.HintCacheRecovery] = "enable"
-			info[core.HintDiscardFlag] = "disable"
-		} else if !r.sc.Discard {
-			info[core.HintDiscardFlag] = "disable"
+		if t.ReserveKB > 0 {
+			info[core.HintTenantReserve] = fmt.Sprintf("%d", t.ReserveKB<<10)
 		}
+		if t.Admit != "" {
+			info[core.HintTenantAdmit] = t.Admit
+		}
+		if t.Policy != "" {
+			info[core.HintTenantPolicy] = t.Policy
+		}
+	}
+	return info
+}
+
+// open performs one collective open over comm with the session's hints
+// (Scenario.hints) and, for ti >= 0, tenant ti's file.
+func (r *run) open(mr *mpi.Rank, comm *mpi.Comm, ti int, recovery bool) (*adio.File, error) {
+	args := adio.OpenArgs{Comm: comm, Registry: r.cl.Env.Registry, Path: FilePath, Create: true,
+		Info: r.sc.hints(ti, recovery)}
+	if !r.sc.Collective {
 		if ti >= 0 {
-			t := r.sc.Tenants[ti]
 			args.Path = tenantFile(ti)
-			info[core.HintTenant] = tenantName(ti)
-			if t.QuotaKB > 0 {
-				info[core.HintTenantQuotaBytes] = fmt.Sprintf("%d", t.QuotaKB<<10)
-			}
-			if t.ReserveKB > 0 {
-				info[core.HintTenantReserve] = fmt.Sprintf("%d", t.ReserveKB<<10)
-			}
-			if t.Admit != "" {
-				info[core.HintTenantAdmit] = t.Admit
-			}
-			if t.Policy != "" {
-				info[core.HintTenantPolicy] = t.Policy
-			}
 		}
-		args.Info = info
 		args.Hooks = r.cl.CoreEnv.HooksFactory()
 	}
 	f, err := adio.OpenColl(mr, args)

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/adio"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sim"
 )
@@ -215,9 +217,21 @@ func (sc *Scenario) Schedule() *fault.Schedule {
 	return s
 }
 
-// Validate checks the scenario's internal consistency: workload bounds,
-// known enum values, fault locations within the cluster, and a valid fault
-// schedule. It reports the first problem found.
+// checkHints parses the Info that open passes for tenant ti (-1: none),
+// so the hint rules of adio and core apply to the scenario as they do to
+// its run.
+func (sc *Scenario) checkHints(ti int) error {
+	h, err := adio.ParseHints(sc.hints(ti, false), sc.ranks())
+	if err == nil {
+		_, err = core.ParseOptions(h.Extra)
+	}
+	return err
+}
+
+// Validate checks the scenario's internal consistency: workload bounds, a
+// known shape and cache mode, hints that adio and core accept (checkHints),
+// fault locations within the cluster, and a valid fault schedule. It
+// reports the first problem found.
 func (sc *Scenario) Validate() error {
 	switch {
 	case sc.Nodes < 1 || sc.Nodes > 8:
@@ -240,11 +254,6 @@ func (sc *Scenario) Validate() error {
 	case "enable", "coherent":
 	default:
 		return fmt.Errorf("chaos: unknown cache_mode %q", sc.Mode)
-	}
-	switch sc.FlushFlag {
-	case "flush_immediate", "flush_onclose", "flush_adaptive":
-	default:
-		return fmt.Errorf("chaos: unknown flush_flag %q", sc.FlushFlag)
 	}
 	if sc.Collective {
 		if sc.Sessions != 1 {
@@ -275,24 +284,17 @@ func (sc *Scenario) Validate() error {
 				return fmt.Errorf("chaos: tenant %d: block_kb %d outside [4,1024]", i, t.BlockKB)
 			case t.QuotaKB < 0 || t.ReserveKB < 0 || t.CrashUS < 0:
 				return fmt.Errorf("chaos: tenant %d: negative capacity or crash time", i)
-			case t.QuotaKB > 0 && t.ReserveKB > t.QuotaKB:
-				return fmt.Errorf("chaos: tenant %d: reserve %d KB beyond quota %d KB", i, t.ReserveKB, t.QuotaKB)
 			}
-			switch t.Admit {
-			case "", "reject", "queue":
-			default:
-				return fmt.Errorf("chaos: tenant %d: unknown admit %q", i, t.Admit)
-			}
-			switch t.Policy {
-			case "", "block", "writethrough":
-			default:
-				return fmt.Errorf("chaos: tenant %d: unknown policy %q", i, t.Policy)
+			if err := sc.checkHints(i); err != nil {
+				return fmt.Errorf("chaos: tenant %d: %w", i, err)
 			}
 			sum += t.Ranks
 		}
 		if sum > sc.ranks() {
 			return fmt.Errorf("chaos: tenants need %d ranks, world has %d", sum, sc.ranks())
 		}
+	} else if err := sc.checkHints(-1); err != nil {
+		return fmt.Errorf("chaos: %w", err)
 	}
 	if sc.SSDCapKB < 0 {
 		return fmt.Errorf("chaos: negative ssd_cap_kb %d", sc.SSDCapKB)

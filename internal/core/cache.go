@@ -400,9 +400,6 @@ func (c *Cache) condemn(f *adio.File, lost []extent.Extent) {
 func (c *Cache) recover(f *adio.File) error {
 	p := f.Rank().Proc()
 	bufSize := f.Hints().IndWrBufferSize
-	if bufSize <= 0 {
-		bufSize = adio.DefaultIndWrBufferSize
-	}
 	_, cachePayload := c.cfile.Store().(store.PayloadBacked)
 	verifier, _ := f.Backend().(interface{ PayloadBacked() bool })
 	verify := cachePayload && verifier != nil && verifier.PayloadBacked()
@@ -907,9 +904,7 @@ func (st *syncThread) advance(p *sim.Proc) bool {
 		}
 		w.n = min(w.bufSize, w.req.ext.End()-w.off)
 		w.start, w.attempt = p.Now(), 0
-		if w.backoff = st.c.opts.RetryBackoff; w.backoff <= 0 {
-			w.backoff = DefaultRetryBackoff
-		}
+		w.backoff = st.c.opts.RetryBackoff
 		return st.read(p)
 	case syncRead:
 		if err := st.c.cfile.ReadDone(w.rd); err != nil {
@@ -964,9 +959,6 @@ func (st *syncThread) take(p *sim.Proc) bool {
 	}
 	if w == nil {
 		w = &syncWork{bufSize: c.f.Hints().IndWrBufferSize}
-		if w.bufSize <= 0 {
-			w.bufSize = adio.DefaultIndWrBufferSize
-		}
 		_, w.payload = c.cfile.Store().(store.PayloadBacked)
 		st.w = w
 	}

@@ -18,7 +18,7 @@ import (
 	"repro/internal/trace"
 )
 
-var updateFaultPath = flag.Bool("update", false, "rewrite testdata/faultpath from the current run")
+var update = flag.Bool("update", false, "rewrite testdata/faultpath and testdata/hints_golden.json from the current code")
 
 // faultPathScenarios are the sync thread's fault paths, each a test of this
 // package: every scenario of fault_test.go, an adaptive-flush run backing
@@ -88,7 +88,7 @@ func checkFaultPathFile(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", "faultpath", name)
 	zipped := strings.HasSuffix(name, ".gz")
-	if *updateFaultPath {
+	if *update {
 		out := got
 		if zipped {
 			var b bytes.Buffer

@@ -9,13 +9,19 @@
 // visible after the immediate-flush sync completes, after MPI_File_close,
 // or after MPI_File_sync; the coherent mode additionally write-locks
 // in-transit extents.
+//
+// The Table II hints, their extensions and the tenant hints are declared
+// once each, as rows of optionHints and tenantHints (adio.Hint), which
+// ParseOptions applies in table order with adio.DecodeHints: the first
+// invalid hint is the one reported, and the options it returns are
+// normalized (a zero retry backoff reads as the default), so no consumer
+// checks them again.
 package core
 
 import (
 	"fmt"
-	"strconv"
-	"time"
 
+	"repro/internal/adio"
 	"repro/internal/mpi"
 	"repro/internal/sim"
 )
@@ -171,9 +177,34 @@ const (
 	PartitionBackoffCap = 80 * sim.Millisecond
 )
 
+// optionHints are Table II's hints, their extensions and e10_tenant, in
+// the order ParseOptions applies them.
+var optionHints = []adio.Hint[Options]{
+	adio.Enum(HintCache, func(o *Options) *string { return &o.Mode }, CacheEnable, CacheDisable, CacheCoherent),
+	adio.NonEmpty(HintCachePath, "path", func(o *Options) *string { return &o.Path }),
+	adio.Enum(HintFlushFlag, func(o *Options) *string { return &o.FlushFlag }, FlushImmediate, FlushOnClose, FlushAdaptive),
+	adio.Flag(HintCacheRead, func(o *Options) *bool { return &o.ReadCache }),
+	adio.Flag(HintDiscardFlag, func(o *Options) *bool { return &o.Discard }),
+	adio.Flag(HintCacheRecovery, func(o *Options) *bool { return &o.Recover }),
+	adio.Int(HintSyncRetryLimit, 0, func(o *Options) *int { return &o.RetryLimit }),
+	adio.Duration(HintSyncRetryBackoff, func(o *Options) *sim.Time { return &o.RetryBackoff }),
+	adio.NonEmpty(HintTenant, "tenant name", func(o *Options) *string { return &o.Tenant.Name }),
+}
+
+// tenantHints are the e10_tenant_* hints that need e10_tenant, in the
+// order ParseOptions applies them.
+var tenantHints = []adio.Hint[Options]{
+	adio.Int(HintTenantQuotaBytes, 0, func(o *Options) *int64 { return &o.Tenant.QuotaBytes }),
+	adio.Int(HintTenantQuotaFiles, 0, func(o *Options) *int { return &o.Tenant.QuotaFiles }),
+	adio.Int(HintTenantReserve, 0, func(o *Options) *int64 { return &o.Tenant.Reserve }),
+	adio.Enum(HintTenantAdmit, func(o *Options) *string { return &o.Tenant.Admit }, AdmitReject, AdmitQueue),
+	adio.Enum(HintTenantPolicy, func(o *Options) *string { return &o.Tenant.Policy }, PolicyBlock, PolicyWriteThrough),
+	adio.Duration(HintTenantBlockTimeout, func(o *Options) *sim.Time { return &o.Tenant.BlockTimeout }),
+}
+
 // ParseOptions extracts and validates the e10_* hints. Cache mode defaults
 // to disable, flush flag to flush_onclose and discard to enable (cache
-// files are scratch data).
+// files are scratch data); a zero retry backoff means the default.
 func ParseOptions(extra mpi.Info) (Options, error) {
 	o := Options{
 		Mode:         CacheDisable,
@@ -182,169 +213,32 @@ func ParseOptions(extra mpi.Info) (Options, error) {
 		Discard:      true,
 		RetryLimit:   DefaultRetryLimit,
 		RetryBackoff: DefaultRetryBackoff,
+		Tenant: TenantOptions{
+			Admit:        AdmitReject,
+			Policy:       PolicyBlock,
+			BlockTimeout: DefaultBlockTimeout,
+		},
 	}
-	if v, ok := extra.Get(HintCache); ok {
-		switch v {
-		case CacheEnable, CacheDisable, CacheCoherent:
-			o.Mode = v
-		default:
-			return o, fmt.Errorf("core: %s: invalid value %q", HintCache, v)
-		}
-	}
-	if v, ok := extra.Get(HintCachePath); ok {
-		if v == "" {
-			return o, fmt.Errorf("core: %s: empty path", HintCachePath)
-		}
-		o.Path = v
-	}
-	if v, ok := extra.Get(HintFlushFlag); ok {
-		switch v {
-		case FlushImmediate, FlushOnClose, FlushAdaptive:
-			o.FlushFlag = v
-		default:
-			return o, fmt.Errorf("core: %s: invalid value %q", HintFlushFlag, v)
-		}
-	}
-	if v, ok := extra.Get(HintCacheRead); ok {
-		switch v {
-		case "enable":
-			o.ReadCache = true
-		case "disable":
-			o.ReadCache = false
-		default:
-			return o, fmt.Errorf("core: %s: invalid value %q", HintCacheRead, v)
-		}
-	}
-	if v, ok := extra.Get(HintDiscardFlag); ok {
-		switch v {
-		case "enable":
-			o.Discard = true
-		case "disable":
-			o.Discard = false
-		default:
-			return o, fmt.Errorf("core: %s: invalid value %q", HintDiscardFlag, v)
-		}
-	}
-	if v, ok := extra.Get(HintCacheRecovery); ok {
-		switch v {
-		case "enable":
-			o.Recover = true
-		case "disable":
-			o.Recover = false
-		default:
-			return o, fmt.Errorf("core: %s: invalid value %q", HintCacheRecovery, v)
-		}
-	}
-	if v, ok := extra.Get(HintSyncRetryLimit); ok {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return o, fmt.Errorf("core: %s: invalid value %q", HintSyncRetryLimit, v)
-		}
-		o.RetryLimit = n
-	}
-	if v, ok := extra.Get(HintSyncRetryBackoff); ok {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return o, fmt.Errorf("core: %s: invalid value %q", HintSyncRetryBackoff, v)
-		}
-		o.RetryBackoff = sim.Time(d.Nanoseconds())
-	}
-	t, err := parseTenantOptions(extra)
-	if err != nil {
+	if err := adio.DecodeHints(extra, &o, optionHints, "core: "); err != nil {
 		return o, err
 	}
-	o.Tenant = t
-	return o, nil
-}
-
-// parseTenantOptions extracts and validates the e10_tenant_* hints. Every
-// tenant hint other than e10_tenant itself requires e10_tenant to be set:
-// a quota without an owner is a configuration error, not a default.
-func parseTenantOptions(extra mpi.Info) (TenantOptions, error) {
-	t := TenantOptions{
-		Admit:        AdmitReject,
-		Policy:       PolicyBlock,
-		BlockTimeout: DefaultBlockTimeout,
-	}
-	if v, ok := extra.Get(HintTenant); ok {
-		if v == "" {
-			return t, fmt.Errorf("core: %s: empty tenant name", HintTenant)
-		}
-		t.Name = v
-	}
-	requireTenant := func(key string) error {
-		if t.Name == "" {
-			return fmt.Errorf("core: %s requires %s", key, HintTenant)
-		}
-		return nil
-	}
-	if v, ok := extra.Get(HintTenantQuotaBytes); ok {
-		if err := requireTenant(HintTenantQuotaBytes); err != nil {
-			return t, err
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			return t, fmt.Errorf("core: %s: invalid value %q", HintTenantQuotaBytes, v)
-		}
-		t.QuotaBytes = n
-	}
-	if v, ok := extra.Get(HintTenantQuotaFiles); ok {
-		if err := requireTenant(HintTenantQuotaFiles); err != nil {
-			return t, err
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return t, fmt.Errorf("core: %s: invalid value %q", HintTenantQuotaFiles, v)
-		}
-		t.QuotaFiles = n
-	}
-	if v, ok := extra.Get(HintTenantReserve); ok {
-		if err := requireTenant(HintTenantReserve); err != nil {
-			return t, err
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			return t, fmt.Errorf("core: %s: invalid value %q", HintTenantReserve, v)
-		}
-		t.Reserve = n
-	}
-	if v, ok := extra.Get(HintTenantAdmit); ok {
-		if err := requireTenant(HintTenantAdmit); err != nil {
-			return t, err
-		}
-		switch v {
-		case AdmitReject, AdmitQueue:
-			t.Admit = v
-		default:
-			return t, fmt.Errorf("core: %s: invalid value %q", HintTenantAdmit, v)
+	// A quota without an owner is a configuration error, not a default.
+	for _, h := range tenantHints {
+		if _, ok := extra[h.Key]; ok && o.Tenant.Name == "" {
+			return o, fmt.Errorf("core: %s requires %s", h.Key, HintTenant)
 		}
 	}
-	if v, ok := extra.Get(HintTenantPolicy); ok {
-		if err := requireTenant(HintTenantPolicy); err != nil {
-			return t, err
-		}
-		switch v {
-		case PolicyBlock, PolicyWriteThrough:
-			t.Policy = v
-		default:
-			return t, fmt.Errorf("core: %s: invalid value %q", HintTenantPolicy, v)
-		}
+	if err := adio.DecodeHints(extra, &o, tenantHints, "core: "); err != nil {
+		return o, err
 	}
-	if v, ok := extra.Get(HintTenantBlockTimeout); ok {
-		if err := requireTenant(HintTenantBlockTimeout); err != nil {
-			return t, err
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return t, fmt.Errorf("core: %s: invalid value %q", HintTenantBlockTimeout, v)
-		}
-		t.BlockTimeout = sim.Time(d.Nanoseconds())
-	}
-	if t.QuotaBytes > 0 && t.Reserve > t.QuotaBytes {
-		return t, fmt.Errorf("core: %s %d exceeds %s %d",
+	if t := o.Tenant; t.QuotaBytes > 0 && t.Reserve > t.QuotaBytes {
+		return o, fmt.Errorf("core: %s %d exceeds %s %d",
 			HintTenantReserve, t.Reserve, HintTenantQuotaBytes, t.QuotaBytes)
 	}
-	return t, nil
+	if o.RetryBackoff == 0 {
+		o.RetryBackoff = DefaultRetryBackoff
+	}
+	return o, nil
 }
 
 // Enabled reports whether the cache data path is active.

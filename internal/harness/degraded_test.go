@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/adio"
 	"repro/internal/workloads"
 )
 
@@ -55,6 +56,22 @@ func TestResilientImpliesReliable(t *testing.T) {
 	both, bothTrace := run(true)
 	if !reflect.DeepEqual(alone, both) || !bytes.Equal(aloneTrace, bothTrace) {
 		t.Fatalf("Resilient alone ran differently from Resilient+Reliable:\n%+v\n%+v", alone, both)
+	}
+}
+
+// TestResilientSelectsFailoverWrite checks that Spec.Resilient, and only
+// it, opens the file with the failover collective write selected.
+func TestResilientSelectsFailoverWrite(t *testing.T) {
+	for _, resilient := range []bool{false, true} {
+		spec := traceSpec()
+		spec.Resilient = resilient
+		h, err := adio.ParseHints(spec.hints(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.ResilientWrite == adio.HintEnable; got != resilient {
+			t.Errorf("Resilient=%v: failover write selected=%v", resilient, got)
+		}
 	}
 }
 
