@@ -2,6 +2,7 @@ package adio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -572,10 +573,13 @@ func TestCBConfigListOnePerNodeMatchesSpread(t *testing.T) {
 	}
 }
 
+// TestCBConfigListRejectsBadValues also rejects input after "*:N" and a
+// space before N: a value is "*:" and a whole decimal count, nothing else.
 func TestCBConfigListRejectsBadValues(t *testing.T) {
-	for _, bad := range []string{"node1:2", "*:0", "*:x", ""} {
-		if _, err := ParseHints(mpi.Info{HintCBConfigList: bad}, 8); err == nil {
-			t.Errorf("value %q must be rejected", bad)
+	for _, bad := range []string{"node1:2", "*:0", "*:x", "", "*:3x", "*: 3"} {
+		_, err := ParseHints(mpi.Info{HintCBConfigList: bad}, 8)
+		if want := fmt.Sprintf("adio: hint cb_config_list: unsupported value %q (want \"*:N\")", bad); err == nil || err.Error() != want {
+			t.Errorf("value %q: error %v, want %s", bad, err, want)
 		}
 	}
 }

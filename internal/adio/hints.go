@@ -21,6 +21,7 @@ import (
 	"maps"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/mpi"
@@ -191,9 +192,12 @@ var hintTable = []Hint[Hints]{
 	Int(HintStripingUnit, 1, func(h *Hints) *int64 { return &h.StripingUnit }),
 	{Key: HintCBConfigList,
 		Set: func(h *Hints, v string) string {
-			if _, err := fmt.Sscanf(v, "*:%d", &h.CBPerNode); err != nil || h.CBPerNode <= 0 {
+			per, ok := strings.CutPrefix(v, "*:")
+			n, err := strconv.Atoi(per)
+			if !ok || err != nil || n <= 0 {
 				return fmt.Sprintf("unsupported value %q (want \"*:N\")", v)
 			}
+			h.CBPerNode = n
 			return ""
 		},
 		Echo: func(h *Hints) string {

@@ -1,9 +1,11 @@
 // Package bufpool is the payload path's byte pool: one size-classed free
 // list per simulated cluster. Every layer that keeps payload bytes of its
 // own draws from the cluster's pool and hands its buffers back when their
-// lifetime ends: MemStore pages (freed by a cache discard or a Truncate),
-// the cache sync and recovery buffers, and a sieved two-phase write's
-// window (freed within its round). Nothing else stages a two-phase window:
+// lifetime ends: MemStore pages (freed when their last reference drops,
+// since a cache file and its global file share them), the cache's
+// recovery buffers, and a sieved two-phase write's window (freed within
+// its round). The cache sync thread holds no buffer: it hands the global
+// file the cache's pages. Nothing else stages a two-phase window:
 // an aggregator's store write copies from the senders' buffers and its
 // store read into the requesters', and MPI messages only lend those
 // buffers. Like ROMIO's I/O buffers, pooled ones are reused from call to

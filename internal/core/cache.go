@@ -404,8 +404,8 @@ func (c *Cache) recover(f *adio.File) error {
 	verifier, _ := f.Backend().(interface{ PayloadBacked() bool })
 	verify := cachePayload && verifier != nil && verifier.PayloadBacked()
 	exts := c.dirty.Extents()
-	// Recovery's own buffers (the sync thread keeps its own) come from the
-	// World's pool and go back to it when the replay ends.
+	// Recovery's buffers come from the World's pool and go back to it when
+	// the replay ends.
 	pool := f.Rank().World().Pool()
 	var rbuf, vbuf []byte
 	if cachePayload && len(exts) > 0 {
@@ -780,10 +780,12 @@ func (c *Cache) Recovered() []extent.Extent { return c.recovered.Extents() }
 
 // syncThread is the background cache-synchronisation agent
 // (ADIOI_Sync_thread_start): a dedicated simulated thread that reads data
-// back from the cache file into its synchronisation buffer
-// (ind_wr_buffer_size bytes at a time) and writes it to the global file,
-// then calls MPI_Grequest_complete on the request handle. It is a step
-// process: it never takes a worker, waiting or working.
+// back from the cache file ind_wr_buffer_size bytes at a time and writes
+// it to the global file, then calls MPI_Grequest_complete on the request
+// handle. It is a step process: it never takes a worker, waiting or
+// working. On the host it holds no buffer: a chunk's read pins the cache
+// file's store pages, and the global write adopts them (store.Pages), so
+// a synced byte lives in one page that both files share copy-on-write.
 type syncThread struct {
 	c       *Cache
 	k       *sim.Kernel
@@ -801,9 +803,8 @@ type syncThread struct {
 type syncWork struct {
 	stage   syncStage
 	bufSize int64
-	payload bool      // the cache file carries bytes
-	buf     []byte    // the synchronisation buffer; nil while idle or without a payload
-	at      store.Buf // the chunk in flight's payload, a window of buf
+	pins    store.Pages   // the chunk in flight's cache pages, pinned by its read
+	payload store.Payload // &pins, or nil when no payload-carrying store backs the cache file
 
 	req      *syncReq
 	extT0    sim.Time // when the request's extent began to sync
@@ -876,9 +877,9 @@ func (st *syncThread) Name() string {
 }
 
 // Step runs the thread up to its next wait. The thread drains its queue a
-// request at a time, each request's extent through the synchronisation
-// buffer: a serial read(cache) -> write(global) pipeline in bufSize chunks,
-// exactly like the pthread implementation in the paper. Failed chunks
+// request at a time, each request's extent as a serial read(cache) ->
+// write(global) pipeline in bufSize chunks, exactly like the pthread
+// implementation in the paper. Failed chunks
 // (cache read or global write) are retried with exponential backoff up to
 // the RetryLimit budget; the extent's journal entry is cleared chunk by
 // chunk as data reaches the global file.
@@ -918,7 +919,7 @@ func (st *syncThread) advance(p *sim.Proc) bool {
 		if st.crashed {
 			return st.endChunk(p, ErrCrashed)
 		}
-		st.c.f.Backend().StartWrite(&w.wr, w.chunk(), w.off, w.n)
+		st.c.f.Backend().StartWrite(&w.wr, w.payload, w.off, w.n)
 		w.stage = syncWrite
 	case syncWrite:
 		if w.wr.Step(p) {
@@ -938,20 +939,11 @@ func (st *syncThread) advance(p *sim.Proc) bool {
 }
 
 // take is the thread's loop head: it takes the next request, or, with an
-// empty queue, hands the buffer back to the World's pool and waits for a
-// request — or ends, once stopped or crashed. The thread holds its buffer
-// only while it has work, so no idle thread keeps a chunk-sized buffer;
-// while it works, every chunk goes through that one buffer, and no backend
-// keeps a slice it was given to write.
+// empty queue, waits for one — or ends, once stopped or crashed.
 func (st *syncThread) take(p *sim.Proc) bool {
 	c := st.c
-	pool := c.f.Rank().World().Pool()
 	w := st.w
 	if len(st.queue) == 0 {
-		if w != nil {
-			pool.Put(w.buf)
-			w.buf = nil
-		}
 		if !st.stopped && !st.crashed {
 			st.cond.WaitThen(p)
 		}
@@ -959,11 +951,10 @@ func (st *syncThread) take(p *sim.Proc) bool {
 	}
 	if w == nil {
 		w = &syncWork{bufSize: c.f.Hints().IndWrBufferSize}
-		_, w.payload = c.cfile.Store().(store.PayloadBacked)
+		if _, ok := c.cfile.Store().(store.PayloadBacked); ok {
+			w.payload = &w.pins
+		}
 		st.w = w
-	}
-	if w.payload && w.buf == nil {
-		w.buf = pool.Get(int(w.bufSize))
 	}
 	if st.crashed {
 		return true
@@ -978,21 +969,12 @@ func (st *syncThread) take(p *sim.Proc) bool {
 	return false
 }
 
-// chunk returns the synchronisation buffer cut to the chunk in flight as
-// its payload, or nil when no payload-carrying store backs the cache file
-// (the device time is charged either way).
-func (w *syncWork) chunk() store.Payload {
-	if w.buf == nil {
-		return nil
-	}
-	w.at = store.Buf{B: w.buf[:w.n], Off: w.off}
-	return &w.at
-}
-
-// read starts an attempt at the chunk: its read from the cache file.
+// read starts an attempt at the chunk: its read from the cache file,
+// which pins the chunk's cache pages when it completes (the device time
+// is charged with or without a payload).
 func (st *syncThread) read(p *sim.Proc) bool {
 	w := st.w
-	rd, err := st.c.cfile.ReadThen(p, w.chunk(), w.off, w.n)
+	rd, err := st.c.cfile.ReadThen(p, w.payload, w.off, w.n)
 	if err != nil {
 		return st.retry(p, err)
 	}
@@ -1003,13 +985,15 @@ func (st *syncThread) read(p *sim.Proc) bool {
 // retry handles a failed attempt at the chunk. Both legs can fail: the
 // cache read (SSD died) and the global write (storage target down); either
 // way the data is still safe in one of the two copies, so retrying is
-// always sound. A network partition (pfs.ErrPartitioned) is environmental
+// always sound. The attempt's pins are dropped; the next read takes them
+// afresh. A network partition (pfs.ErrPartitioned) is environmental
 // rather than a fault of either copy: it heals when the fabric does, so
 // partition retries do not consume the RetryLimit budget — they back off
 // (capped, so a long partition polls instead of sleeping geometrically)
 // until the fabric heals or the node crashes.
 func (st *syncThread) retry(p *sim.Proc, err error) bool {
 	c, w := st.c, st.w
+	w.pins.Release()
 	if st.crashed {
 		return st.endChunk(p, err)
 	}
@@ -1041,13 +1025,15 @@ func (st *syncThread) retry(p *sim.Proc, err error) bool {
 	return true
 }
 
-// endChunk ends the chunk in flight, failed with err or synced. A synced
-// chunk leaves the journal; under flush_adaptive the thread then paces
+// endChunk ends the chunk in flight, failed with err or synced, and drops
+// its pins: the global file holds the pages it adopted. A synced chunk
+// leaves the journal; under flush_adaptive the thread then paces
 // itself (§III suggestion): it tracks the extent's best chunk time as the
 // uncongested baseline and, when a chunk runs far above it, backs off by
 // the excess, ceding the I/O servers to foreground traffic.
 func (st *syncThread) endChunk(p *sim.Proc, err error) bool {
 	c, w := st.c, st.w
+	w.pins.Release()
 	tr := st.k.Tracer()
 	m := c.meters()
 	tr.SpanAt(st.tk, "cache", "sync_chunk", int64(w.start), int64(p.Now()),

@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/extent"
+import (
+	"repro/internal/extent"
+	"repro/internal/store"
+)
 
 // Tenancy reports whether multi-tenant service mode is active.
 func (o Options) Tenancy() bool { return o.Tenant.Name != "" }
@@ -54,3 +57,6 @@ func NeverCheckpoint() (restore func()) {
 	checkpointSlack = 1 << 40
 	return func() { checkpointSlack = slack }
 }
+
+// CacheStore returns the cache file's store.
+func (c *Cache) CacheStore() store.Store { return c.cfile.Store() }

@@ -35,7 +35,17 @@ const (
 	// changeResilientValue: e10_resilient_write is neither enable nor
 	// disable; the open fails (the old parser ignored the value).
 	changeResilientValue = "resilient_write_validated"
+	// changeConfigListStrict: cb_config_list has input after "*:N" and
+	// no other adio hint is invalid; the open fails (the old parse
+	// ignored the trailing input and echoed "*:N").
+	changeConfigListStrict = "cb_config_list_strict"
 )
+
+// trailingConfigList is the generator's cb_config_list value with input
+// after "*:N". The parser accepted it when the golden's inputs were drawn,
+// so the generator's filter and the change marks still count it valid:
+// the drawn inputs and their marks stay the ones recorded.
+const trailingConfigList = "*:3x"
 
 // tableIKeys are the Table I hints and cb_config_list, in table order.
 var tableIKeys = []string{
@@ -54,7 +64,7 @@ var hintValues = map[string][]string{
 	adio.HintIndWrBufferSize: {"524288", "4096", "0", "-1", "big", ""},
 	adio.HintStripingFactor:  {"1", "4", "0", "-2", "four", ""},
 	adio.HintStripingUnit:    {"1048576", "4194304", "0", "x", ""},
-	adio.HintCBConfigList:    {"*:1", "*:2", "*:0", "*:-1", "2", "", "*:3x", "node:1"},
+	adio.HintCBConfigList:    {"*:1", "*:2", "*:0", "*:-1", "2", "", trailingConfigList, "node:1"},
 	adio.HintResilientWrite:  {"enable", "disable", "enabled", "", "ENABLE"},
 	HintCache:                {CacheEnable, CacheDisable, CacheCoherent, "please", ""},
 	HintCachePath:            {"/scratch", "/nvm/cache", ""},
@@ -134,7 +144,7 @@ func hintGoldenInputs(t *testing.T) []hintRecord {
 		// Keep at most one invalid Table I hint.
 		bad := 0
 		for _, k := range tableIKeys {
-			if v, ok := info[k]; ok && !validAlone(k, v) {
+			if v, ok := info[k]; ok && !validWhenDrawn(k, v) {
 				if bad++; bad > 1 {
 					delete(info, k)
 				}
@@ -178,7 +188,12 @@ func readCorpusInfo(t *testing.T, name string) hintRecord {
 	return rec
 }
 
-func validAlone(k, v string) bool {
+// validWhenDrawn reports whether the parser accepted k=v alone when the
+// golden's inputs were drawn.
+func validWhenDrawn(k, v string) bool {
+	if k == adio.HintCBConfigList && v == trailingConfigList {
+		return true
+	}
 	_, err := adio.ParseHints(mpi.Info{k: v}, 8)
 	return err == nil
 }
@@ -187,12 +202,15 @@ func validAlone(k, v string) bool {
 func change(info mpi.Info) string {
 	bad := 0
 	for _, k := range tableIKeys {
-		if v, ok := info[k]; ok && !validAlone(k, v) {
+		if v, ok := info[k]; ok && !validWhenDrawn(k, v) {
 			bad++
 		}
 	}
 	if bad > 1 {
 		return changeFirstInvalid
+	}
+	if bad == 0 && info[adio.HintCBConfigList] == trailingConfigList {
+		return changeConfigListStrict
 	}
 	if v, ok := info[adio.HintResilientWrite]; ok && v != adio.HintEnable && v != adio.HintDisable {
 		return changeResilientValue

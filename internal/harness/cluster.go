@@ -92,9 +92,10 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		netCfg.Nodes = cfg.Nodes + bbProxies
 	}
 	fab := netsim.New(k, netCfg)
-	// One byte pool serves the cluster's whole payload path: file pages,
-	// message payloads, collective and sync buffers. A run without a
-	// payload never draws from it.
+	// One byte pool serves the cluster's whole payload path: the file
+	// pages, which a cache file and its global file share, recovery's
+	// buffers and a sieved write's window. A run without a payload never
+	// draws from it.
 	pool := bufpool.New()
 	factory := store.NewNull
 	if cfg.Payload {

@@ -275,7 +275,7 @@ func TestReleaseRecyclesPages(t *testing.T) {
 	a.WriteAt(Bytes(full, 0), 0, int64(len(full)))
 	pages := map[*byte]bool{}
 	for _, pg := range a.mem.pages {
-		pages[&pg[0]] = true
+		pages[&pg.b[0]] = true
 	}
 	a.Truncate(pageSize)
 	a.Release()
@@ -286,7 +286,7 @@ func TestReleaseRecyclesPages(t *testing.T) {
 	b.WriteAt(Bytes([]byte{1, 2, 3}, 100), 100, 3)
 	b.WriteAt(Bytes([]byte{4}, pageSize+5), pageSize+5, 1)
 	for _, pg := range b.pages {
-		if !pages[&pg[0]] {
+		if !pages[&pg.b[0]] {
 			t.Fatal("second store allocated a page instead of reusing a released one")
 		}
 	}
