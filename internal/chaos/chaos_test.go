@@ -239,10 +239,10 @@ func TestExploreSoakIsClean(t *testing.T) {
 		seed   int64
 		digest string
 	}{
-		FamilyCache:     {1, "b605f0e5869acf507d2e8e90fbaa24b6013dd1c87b1678044889c57ec0461107"},
-		FamilyNetFaults: {2, "2715ee1b246ae49b209bfe432a9ffa83883258c59dfc2c4965b063bffc3b25bf"},
-		FamilyTenants:   {3, "0827c127153a628374fc61354b747f47fa27da13fb8a5976ba7bbbe9857912ea"},
-		FamilyCorrupt:   {4, "72b99af68a49820ee39727e8f0f5ca8a1e50f7f38675cd917eb8142cff036ac5"},
+		FamilyCache:     {1, "0f4e684b2122daef5b506ae4c1a45a906f7bf561d0a5bc189a89dee044219d8e"},
+		FamilyNetFaults: {2, "7419f3ce890b19ed613116533d30591375b5f42e2118a353f8ae4c068233ed59"},
+		FamilyTenants:   {3, "684720ff4f328929c5e32932108ec943633ad69059d7eb3b39176a30fc04d7d3"},
+		FamilyCorrupt:   {4, "faee58ec8b0f704e426cc2be1f60127d71a0bf6eac1bd318366a25cd7f9eb4e1"},
 	}
 	for _, fam := range Families {
 		fam, pin := fam, pinned[fam]

@@ -231,7 +231,7 @@ func (r *run) cacheWrites(i int) int64 {
 // neighbour has closed, and a reserved tenant is never displaced.
 func TestTenantAdmission(t *testing.T) {
 	t.Run("reject", func(t *testing.T) {
-		r, res := fixtureRun(t, "admission_reject.json", 12978858, 91, 2)
+		r, res := fixtureRun(t, "admission_reject.json", 12978858, 74, 2)
 		rejects := tenantInstants(r, "tenant_admit_reject")
 		if len(rejects[0]) != 0 || len(rejects[1]) != r.sc.Tenants[1].Ranks {
 			t.Fatalf("reject instants per tenant = %v, want none for t0 and one per t1 rank", rejects)
@@ -255,7 +255,7 @@ func TestTenantAdmission(t *testing.T) {
 	})
 
 	t.Run("queue", func(t *testing.T) {
-		r, res := fixtureRun(t, "admission_queue.json", 20967171, 131, 0)
+		r, res := fixtureRun(t, "admission_queue.json", 20967171, 106, 0)
 		queued, admitted := tenantInstants(r, "tenant_admit_queued"), tenantInstants(r, "tenant_admitted")
 		if len(queued[0]) != 0 || len(queued[1]) != r.sc.Tenants[1].Ranks {
 			t.Fatalf("queued instants per tenant = %v, want none for t0 and one per t1 rank", queued)
@@ -280,7 +280,7 @@ func TestTenantAdmission(t *testing.T) {
 	})
 
 	t.Run("noisy neighbour", func(t *testing.T) {
-		r, res := fixtureRun(t, "noisy_neighbor.json", 25380059, 169, 0)
+		r, res := fixtureRun(t, "noisy_neighbor.json", 25380059, 128, 0)
 		reserved := 1
 		if r.sc.Tenants[reserved].ReserveKB == 0 {
 			t.Fatal("noisy_neighbor.json: tenant 1 holds no reservation")

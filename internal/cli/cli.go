@@ -74,16 +74,9 @@ func Register(fs *flag.FlagSet, includeLastSync bool) *Flags {
 
 // Spec builds the experiment spec from the parsed flags.
 func (f *Flags) Spec(w workloads.Workload) (harness.Spec, error) {
-	var cs harness.Case
-	switch *f.Case {
-	case "disabled":
-		cs = harness.CacheDisabled
-	case "enabled":
-		cs = harness.CacheEnabled
-	case "theoretical":
-		cs = harness.CacheTheoretical
-	case "burstbuffer":
-		cs = harness.BurstBuffer
+	cs := harness.Case(*f.Case)
+	switch cs {
+	case harness.CacheDisabled, harness.CacheEnabled, harness.CacheTheoretical, harness.BurstBuffer:
 	default:
 		return harness.Spec{}, fmt.Errorf("unknown -case %q", *f.Case)
 	}

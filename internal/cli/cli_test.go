@@ -63,10 +63,30 @@ func TestSpecDegradedFlags(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsBadCase checks that every bad flag value fails with an
+// error naming it, either when the flags build the spec or when the
+// harness takes the spec, before any simulation starts.
 func TestSpecRejectsBadCase(t *testing.T) {
-	f := parse(t, "-case", "turbo")
-	if _, err := f.Spec(workloads.DefaultIOR()); err == nil {
-		t.Fatal("expected error")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-case", "turbo"}, `unknown -case "turbo"`},
+		{[]string{"-files", "0"}, "harness: files must be at least 1, got 0"},
+		{[]string{"-files", "-1"}, "harness: files must be at least 1, got -1"},
+		{[]string{"-compute", "-1"}, "harness: compute delay must not be negative, got -1s"},
+		{[]string{"-nodes", "0"}, "harness: nodes must be at least 1, got 0"},
+		{[]string{"-ppn", "0"}, "harness: ranks per node must be at least 1, got 0"},
+		{[]string{"-aggs", "-1"}, `adio: hint cb_nodes: invalid value "-1"`},
+	} {
+		args := append([]string{"-nodes", "2", "-ppn", "2", "-aggs", "2", "-files", "1"}, tc.args...)
+		spec, err := parse(t, args...).Spec(workloads.DefaultIOR())
+		if err == nil {
+			_, err = harness.Run(spec)
+		}
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%v: error %v, want %q", tc.args, err, tc.want)
+		}
 	}
 }
 

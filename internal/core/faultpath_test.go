@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -119,8 +120,34 @@ func checkFaultPathFile(t *testing.T, name string, got []byte) {
 		if strings.HasSuffix(name, ".txt") {
 			t.Fatalf("%s differs:\ngot:\n%s\nwant:\n%s", path, got, want)
 		}
-		t.Fatalf("%s differs (%d bytes, want %d)", path, len(got), len(want))
+		t.Fatalf("%s differs (%d bytes, want %d); %s", path, len(got), len(want), traceEventDiff(got, want))
 	}
+}
+
+// traceEventDiff says whether two Chrome exports, which hold one event per
+// line, hold the same multiset of events, so that a failing golden tells an
+// order-only change from a changed event. It lists up to 5 events found on
+// one side only, each with its surplus count (+ got, - golden).
+func traceEventDiff(got, want []byte) string {
+	n := map[string]int{}
+	for _, l := range bytes.Split(got, []byte("\n")) {
+		n[strings.TrimSuffix(string(l), ",")]++
+	}
+	for _, l := range bytes.Split(want, []byte("\n")) {
+		n[strings.TrimSuffix(string(l), ",")]--
+	}
+	var only []string
+	for l, c := range n {
+		if c != 0 {
+			only = append(only, fmt.Sprintf("%+d %s", c, l))
+		}
+	}
+	if len(only) == 0 {
+		return "same event multiset: only the order differs"
+	}
+	sort.Strings(only)
+	head := only[:min(5, len(only))]
+	return fmt.Sprintf("event multisets differ in %d distinct events, e.g.\n%s", len(only), strings.Join(head, "\n"))
 }
 
 // testPayloadReadback writes real bytes from two nodes, one through its

@@ -212,8 +212,19 @@ func Run(spec Spec) (*Result, error) {
 	return res, err
 }
 
-// run is Run that also returns the cluster, for post-run oracles.
+// run is Run that also returns the cluster, for post-run oracles. It
+// first rejects a spec that no run can carry out, naming its field.
 func run(spec Spec) (*Result, *Cluster, error) {
+	switch c := spec.Cluster; {
+	case c.Nodes < 1:
+		return nil, nil, fmt.Errorf("harness: nodes must be at least 1, got %d", c.Nodes)
+	case c.RanksPerNode < 1:
+		return nil, nil, fmt.Errorf("harness: ranks per node must be at least 1, got %d", c.RanksPerNode)
+	case spec.NFiles < 1:
+		return nil, nil, fmt.Errorf("harness: files must be at least 1, got %d", spec.NFiles)
+	case spec.ComputeDelay < 0:
+		return nil, nil, fmt.Errorf("harness: compute delay must not be negative, got %gs", spec.ComputeDelay.Seconds())
+	}
 	if spec.Case == BurstBuffer && spec.Cluster.BurstBuffer == nil {
 		bb := burst.DefaultConfig()
 		spec.Cluster.BurstBuffer = &bb

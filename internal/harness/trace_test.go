@@ -3,9 +3,12 @@ package harness
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -82,9 +85,35 @@ func TestGoldenTrace(t *testing.T) {
 			}
 			return string(b[lo:hi])
 		}
-		t.Fatalf("trace diverges from golden at byte %d (got %d bytes, want %d)\n got: ...%s...\nwant: ...%s...",
-			i, len(got), len(want), ctx(got), ctx(want))
+		t.Fatalf("trace diverges from golden at byte %d (got %d bytes, want %d)\n got: ...%s...\nwant: ...%s...\n%s",
+			i, len(got), len(want), ctx(got), ctx(want), traceEventDiff(got, want))
 	}
+}
+
+// traceEventDiff says whether two Chrome exports, which hold one event per
+// line, hold the same multiset of events, so that a failing golden tells an
+// order-only change from a changed event. It lists up to 5 events found on
+// one side only, each with its surplus count (+ got, - golden).
+func traceEventDiff(got, want []byte) string {
+	n := map[string]int{}
+	for _, l := range bytes.Split(got, []byte("\n")) {
+		n[strings.TrimSuffix(string(l), ",")]++
+	}
+	for _, l := range bytes.Split(want, []byte("\n")) {
+		n[strings.TrimSuffix(string(l), ",")]--
+	}
+	var only []string
+	for l, c := range n {
+		if c != 0 {
+			only = append(only, fmt.Sprintf("%+d %s", c, l))
+		}
+	}
+	if len(only) == 0 {
+		return "same event multiset: only the order differs"
+	}
+	sort.Strings(only)
+	head := only[:min(5, len(only))]
+	return fmt.Sprintf("event multisets differ in %d distinct events, e.g.\n%s", len(only), strings.Join(head, "\n"))
 }
 
 // TestTraceRunDeterminism re-runs the golden cell in-process and asserts the

@@ -71,14 +71,12 @@ func ParseConfig(text string) (*Config, error) {
 				return nil, fmt.Errorf("mpiwrap: line %d: unterminated section", lineNo)
 			}
 			inner := strings.TrimSpace(line[1 : len(line)-1])
-			if !strings.HasPrefix(inner, "file") {
-				return nil, fmt.Errorf("mpiwrap: line %d: unknown section %q", lineNo, inner)
+			rest, ok := strings.CutPrefix(inner, "file")
+			q := strings.TrimSpace(rest) // one quoted, non-empty pattern holding no quote
+			if !ok || q == rest || len(q) < 3 || q[0] != '"' || q[len(q)-1] != '"' || strings.Count(q, `"`) != 2 {
+				return nil, fmt.Errorf("mpiwrap: line %d: section %q is not [file \"<pattern>\"]", lineNo, inner)
 			}
-			pat := strings.TrimSpace(strings.TrimPrefix(inner, "file"))
-			pat = strings.Trim(pat, `"`)
-			if pat == "" {
-				return nil, fmt.Errorf("mpiwrap: line %d: empty file pattern", lineNo)
-			}
+			pat := q[1 : len(q)-1]
 			cfg.Rules = append(cfg.Rules, Rule{Pattern: pat, Hints: mpi.Info{}})
 			cur = &cfg.Rules[len(cfg.Rules)-1]
 			continue
@@ -92,14 +90,10 @@ func ParseConfig(text string) (*Config, error) {
 			return nil, fmt.Errorf("mpiwrap: line %d: key outside a [file] section", lineNo)
 		}
 		if k == "defer_close" {
-			switch v {
-			case "true":
-				cur.DeferClose = true
-			case "false":
-				cur.DeferClose = false
-			default:
+			if v != "true" && v != "false" {
 				return nil, fmt.Errorf("mpiwrap: line %d: defer_close must be true or false", lineNo)
 			}
+			cur.DeferClose = v == "true"
 			continue
 		}
 		cur.Hints.Set(k, v)

@@ -59,6 +59,12 @@ func TestParseConfigErrors(t *testing.T) {
 		"[file \"x\"]\ndefer_close = banana\n",
 		"[file \"x\"]\nnot-an-assignment\n",
 		"[file \"\"]\n",
+		"[filename \"x\"]\n",
+		"[file \"a\" \"b\"]\n",
+		"[file \"ckpt*]\n",
+		"[file ckpt*]\n",
+		"[file]\n",
+		"[file\"x\"]\n",
 	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Errorf("expected error for %q", bad)

@@ -260,10 +260,10 @@ func (s *liveSet) remove(p *Proc) {
 
 // next dispatches events until one resumes a live worker process and
 // returns that process. Cancelled timers are dropped before they touch the
-// clock; callbacks, service starts, step processes' steps and stale wakes
-// for finished processes are consumed inline. next returns nil when the
-// queue drains, when the event budget trips, or when a callback or a step
-// panics (the value is kept for Run to re-raise). It runs on the driver
+// clock; callbacks, step processes' steps and stale wakes for finished
+// processes are consumed inline. next returns nil when the queue drains,
+// when the event budget trips, or when a callback or a step panics (the
+// value is kept for Run to re-raise). It runs on the driver
 // goroutine only, so no callback or step ever runs on a worker's stack.
 func (k *Kernel) next() *Proc {
 	for k.queue.Len() > 0 {
@@ -288,9 +288,10 @@ func (k *Kernel) next() *Proc {
 			continue
 		}
 		p := ev.p
-		if p.done || !k.resume(p) {
-			continue // a stale wake for a finished process, or a service start
+		if p.done {
+			continue // a stale wake for a finished process
 		}
+		k.resume(p)
 		if p.s != nil {
 			if !k.runStep(p) {
 				return nil
@@ -302,28 +303,23 @@ func (k *Kernel) next() *Proc {
 	return nil
 }
 
-// resume ends p's wait. It records the blocked interval on p's trace track
-// (zero-length blocks, pure scheduling yields, are skipped) and moves on a
-// service p waits for at a station. It reports whether p runs now: false
-// means the station has just handed p a server, and p stays blocked until
-// the service ends.
-func (k *Kernel) resume(p *Proc) bool {
+// resume ends p's wait and finishes the service p waited for at a
+// station, if any.
+func (k *Kernel) resume(p *Proc) {
+	k.endWait(p)
+	if s := p.svc; s != nil {
+		p.svc = nil
+		s.finish(p.svcD)
+	}
+}
+
+// endWait records p's blocked interval on its trace track (zero-length
+// blocks, pure scheduling yields, are skipped) and restarts it at now.
+func (k *Kernel) endWait(p *Proc) {
 	if tr := k.tracer; tr != nil && p.ttk >= 0 && k.now > p.since {
 		tr.SpanAt(p.ttk, "sim", "blocked", int64(p.since), int64(k.now))
 	}
 	p.since = k.now
-	s := p.svc
-	if s == nil {
-		return true
-	}
-	if !p.serving {
-		p.serving = true
-		k.schedule(event{t: k.now + p.svcD, p: p})
-		return false
-	}
-	p.svc, p.serving = nil, false
-	s.finish(p.svcD)
-	return true
 }
 
 // runStep runs the step of step process p. A step that arranges no resume
@@ -519,13 +515,12 @@ type Proc struct {
 	w          *worker       // worker running the body; nil for steps, before start and after exit
 	prev, next *Proc         // neighbours in the kernel's live set
 	since      Time          // when the process last gave up control
-	svc        *Station      // station the process waits on, or nil
+	svc        *Station      // station the process queues at or is served by, or nil
 	svcD       Time          // service time at svc
 	ttk        trace.TrackID
 
-	done    bool
-	armed   bool // the running step has arranged its next resume
-	serving bool // svc is serving the process (else it queues there)
+	done  bool
+	armed bool // the running step has arranged its next resume
 }
 
 // Name returns the process name given at Spawn, or a step process's

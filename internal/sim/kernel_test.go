@@ -2,11 +2,15 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/trace"
 )
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
@@ -133,12 +137,21 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestStationSerializesSingleServer also pins the hand-off: a freed server
+// goes straight to the head waiter, so each service costs the client one
+// event, its end, however long it queued (4 starts plus 4 ends), and the
+// client's blocked spans are its queue wait and its service.
 func TestStationSerializesSingleServer(t *testing.T) {
 	k := NewKernel(1)
+	tr := trace.New()
+	k.SetTracer(tr)
 	s := NewStation(k, "disk", "disk", 1)
 	var ends []Time
-	for i := 0; i < 4; i++ {
+	tracks := make([]trace.TrackID, 4)
+	for i := range tracks {
+		tracks[i] = tr.Track(trace.GroupRanks, fmt.Sprintf("client %d", i))
 		k.Spawn("client", func(p *Proc) {
+			p.SetTraceTrack(tracks[i])
 			s.Serve(p, 1*Second)
 			ends = append(ends, p.Now())
 		})
@@ -153,6 +166,25 @@ func TestStationSerializesSingleServer(t *testing.T) {
 	}
 	if s.Served != 4 || s.BusyTime != 4*Second {
 		t.Fatalf("stats: served=%d busy=%v", s.Served, s.BusyTime)
+	}
+	if n := k.EventsDispatched(); n != 8 {
+		t.Errorf("%d events dispatched, want 8: a queued service must cost only its end", n)
+	}
+	blocked := make(map[trace.TrackID][][2]Time)
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindSpan && ev.Name == "blocked" {
+			blocked[ev.Track] = append(blocked[ev.Track], [2]Time{Time(ev.Start), Time(ev.Start + ev.Dur)})
+		}
+	}
+	for i, tk := range tracks {
+		var want [][2]Time
+		if i > 0 { // client 0 finds the server free: no queue wait
+			want = append(want, [2]Time{0, Time(i) * Second})
+		}
+		want = append(want, [2]Time{Time(i) * Second, Time(i+1) * Second})
+		if got := blocked[tk]; !reflect.DeepEqual(got, want) {
+			t.Errorf("client %d blocked spans %v, want %v", i, got, want)
+		}
 	}
 }
 

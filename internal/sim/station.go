@@ -51,10 +51,10 @@ func (s *Station) TraceTrack(tr *trace.Tracer) trace.TrackID {
 }
 
 // ServeThen occupies one server for duration d on p's behalf, queueing FIFO
-// behind earlier requests, and resumes p when the service ends. The kernel
-// starts and ends the service, so p does not run in between: a step
-// process calls ServeThen as its resume, and Serve is ServeThen followed by
-// a block.
+// behind earlier requests, and resumes p when the service ends. That end is
+// p's only event, scheduled here or by release, so p does not run in
+// between: a step process calls ServeThen as its resume, and Serve is
+// ServeThen followed by a block.
 func (s *Station) ServeThen(p *Proc, d Time) {
 	if d < 0 {
 		panic("sim: negative service time")
@@ -63,7 +63,6 @@ func (s *Station) ServeThen(p *Proc, d Time) {
 	p.svc, p.svcD = s, d
 	if s.busy < s.servers {
 		s.busy++
-		p.serving = true
 		s.k.schedule(event{t: s.k.now + d, p: p})
 		return
 	}
@@ -74,8 +73,6 @@ func (s *Station) ServeThen(p *Proc, d Time) {
 	if tr := s.k.tracer; tr != nil {
 		tr.Counter(s.TraceTrack(tr), "queue", int64(s.k.now), int64(s.waiters.len()))
 	}
-	// release hands the server on with a wake; the kernel then times the
-	// service from that instant.
 }
 
 // Serve occupies one server for duration d.
@@ -96,14 +93,16 @@ func (s *Station) finish(d Time) {
 	s.release()
 }
 
-// release frees one server, handing it to the head waiter if present.
+// release frees one server, or hands it straight to the head waiter: the
+// waiter's queue wait ends now and its service end is scheduled, no wake.
 func (s *Station) release() {
 	if s.waiters.len() > 0 {
 		p := s.waiters.pop()
 		if tr := s.k.tracer; tr != nil {
 			tr.Counter(s.TraceTrack(tr), "queue", int64(s.k.now), int64(s.waiters.len()))
 		}
-		s.k.Wake(p)
+		s.k.endWait(p)
+		s.k.schedule(event{t: s.k.now + p.svcD, p: p})
 		return
 	}
 	s.busy--
