@@ -1,6 +1,7 @@
 package adio
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -175,9 +176,12 @@ func TestTwoPhaseGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
+	// A key no field writes any more fails the decode instead of lingering.
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
 	var want map[string]twoPhaseRun
-	if err := json.Unmarshal(b, &want); err != nil {
-		t.Fatal(err)
+	if err := dec.Decode(&want); err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
 	}
 	if len(want) != len(got) {
 		t.Fatalf("golden has %d runs, this run has %d", len(want), len(got))

@@ -63,8 +63,6 @@ type Pool struct {
 	cfg     Config
 	proxies []*proxy
 
-	openFiles int // per-rank open handles staging into the pool
-
 	// Statistics.
 	Absorbed int64 // bytes accepted from compute nodes
 	Drained  int64 // bytes pushed to the parallel file system
@@ -76,8 +74,7 @@ type proxy struct {
 	fs      *nvm.FS
 	client  *pfs.Client
 	queue   []*drainReq
-	cond    *sim.Cond
-	running bool
+	running bool // a drainer runs; it ends when the queue is empty
 }
 
 type drainReq struct {
@@ -103,7 +100,6 @@ func NewPool(k *sim.Kernel, cfg Config, nodes []*netsim.Node, clients []*pfs.Cli
 			node:   nodes[i],
 			fs:     nvm.NewFS(dev, nvm.FSConfig{SupportsFallocate: true}, factory),
 			client: clients[i],
-			cond:   sim.NewCond(k),
 		}
 		p.proxies = append(p.proxies, px)
 	}
@@ -117,28 +113,23 @@ func (p *Pool) proxyFor(off int64) *proxy {
 	return p.proxies[int(slab)%len(p.proxies)]
 }
 
-// ensureRunning launches the proxy's background drainer on demand. The
-// drainer exits once its queue is empty and no file handles stage into the
-// pool anymore, so the simulation can run to quiescence.
-func (px *proxy) ensureRunning() {
+// enqueue queues req for the background drain and starts the proxy's
+// drainer when none runs. The drainer ends once its queue is empty, so an
+// idle proxy holds no process and the simulation runs to quiescence.
+func (px *proxy) enqueue(req *drainReq) {
+	px.queue = append(px.queue, req)
 	if px.running {
 		return
 	}
 	px.running = true
 	px.pool.k.Spawn(fmt.Sprintf("bb.drain.%s", px.fs.Device().Name()), func(dp *sim.Proc) {
-		defer func() { px.running = false }()
-		for {
-			for len(px.queue) == 0 {
-				if px.pool.openFiles == 0 {
-					return
-				}
-				px.cond.Wait(dp)
-			}
+		for len(px.queue) > 0 {
 			req := px.queue[0]
 			px.queue = px.queue[1:]
 			px.drain(dp, req)
 			req.greq.Complete()
 		}
+		px.running = false
 	})
 }
 
@@ -185,15 +176,9 @@ type hooks struct {
 	outstanding []*drainReq
 }
 
-// AtOpenColl implements adio.Hooks: register the handle and make sure the
-// drainers are up.
-func (h *hooks) AtOpenColl(f *adio.File) error {
-	h.pool.openFiles++
-	for _, px := range h.pool.proxies {
-		px.ensureRunning()
-	}
-	return nil
-}
+// AtOpenColl implements adio.Hooks: the proxies are always ready, and a
+// drainer starts with the first write it has to drain.
+func (h *hooks) AtOpenColl(f *adio.File) error { return nil }
 
 // WriteContig implements adio.Hooks: push the extent over the fabric to
 // its proxy, store it on the proxy NVMe, and enqueue the background drain.
@@ -222,8 +207,7 @@ func (h *hooks) WriteContig(f *adio.File, src store.Source, off, size int64) (bo
 		req := &drainReq{file: f.Path(), ext: extent.Extent{Off: cur, Len: n},
 			greq: f.Rank().World().NewGrequest()}
 		h.outstanding = append(h.outstanding, req)
-		px.queue = append(px.queue, req)
-		px.cond.Signal()
+		px.enqueue(req)
 		cur = end
 	}
 	return true, nil
@@ -243,13 +227,6 @@ func (h *hooks) AtFlush(f *adio.File) error {
 	return nil
 }
 
-// AtClose implements adio.Hooks: deregister the handle and nudge the
-// drainers so idle ones can exit.
-func (h *hooks) AtClose(f *adio.File) error {
-	err := h.AtFlush(f)
-	h.pool.openFiles--
-	for _, px := range h.pool.proxies {
-		px.cond.Broadcast()
-	}
-	return err
-}
+// AtClose implements adio.Hooks: close is a flush; the drainers end on
+// their own once their queues are empty.
+func (h *hooks) AtClose(f *adio.File) error { return h.AtFlush(f) }

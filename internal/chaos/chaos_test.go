@@ -239,10 +239,10 @@ func TestExploreSoakIsClean(t *testing.T) {
 		seed   int64
 		digest string
 	}{
-		FamilyCache:     {1, "0f4e684b2122daef5b506ae4c1a45a906f7bf561d0a5bc189a89dee044219d8e"},
+		FamilyCache:     {1, "84ee497a9800fee042bfdaa516fcfed689cd56dfcbe7d53d5b21fcbcb380754e"},
 		FamilyNetFaults: {2, "7419f3ce890b19ed613116533d30591375b5f42e2118a353f8ae4c068233ed59"},
-		FamilyTenants:   {3, "684720ff4f328929c5e32932108ec943633ad69059d7eb3b39176a30fc04d7d3"},
-		FamilyCorrupt:   {4, "faee58ec8b0f704e426cc2be1f60127d71a0bf6eac1bd318366a25cd7f9eb4e1"},
+		FamilyTenants:   {3, "f8a3efc37c6a9e7600d4addb5158f064ffe1a55dfdc80a2f5c7b6c8e63ba6457"},
+		FamilyCorrupt:   {4, "e3bea459238b560c99afebbcd5510d9fa0cdeafea7ac95de8bc43c60725fb1fc"},
 	}
 	for _, fam := range Families {
 		fam, pin := fam, pinned[fam]

@@ -296,9 +296,8 @@ func (c *Cache) tracer() (*trace.Tracer, trace.TrackID) {
 	return tr, c.f.Rank().TraceTrack(tr)
 }
 
-// AtOpenColl implements adio.Hooks: create the cache file, replay any
-// retained journal from a previous crashed session (e10_cache_recovery),
-// and start the sync thread.
+// AtOpenColl implements adio.Hooks: create the cache file and replay any
+// retained journal from a previous crashed session (e10_cache_recovery).
 func (c *Cache) AtOpenColl(f *adio.File) error {
 	// Multi-tenant admission first: a tenant whose reservation cannot be
 	// met never creates a cache file (the open reverts to the standard
@@ -320,21 +319,19 @@ func (c *Cache) AtOpenColl(f *adio.File) error {
 		tr, tk := c.tracer()
 		tr.Instant(tk, "cache", "journal_replay", int64(f.Rank().Now()),
 			trace.I("extents", int64(c.dirty.Len())), trace.I("bytes", c.dirty.TotalBytes()))
-		rsp := tr.Begin(tk, "cache", "recovery", int64(f.Rank().Now()))
+		t0 := f.Rank().Now()
 		if err := c.recover(f); err != nil {
 			// The cache file and journal stay behind for a later attempt;
 			// this open reverts to the standard path.
 			c.tenantWithdraw()
 			return fmt.Errorf("core: cache recovery: %w", err)
 		}
-		rsp.End(int64(f.Rank().Now()), trace.I("bytes", c.Stats.RecoveredBytes))
+		tr.SpanAt(tk, "cache", "recovery", int64(t0), int64(f.Rank().Now()),
+			trace.I("bytes", c.Stats.RecoveredBytes))
 		if m := c.meters(); m != nil {
 			m.replays.Inc()
 			m.recovered.Add(c.Stats.RecoveredBytes)
 		}
-	}
-	if !c.env.SkipSync {
-		c.syncer = startSyncThread(c)
 	}
 	return nil
 }
@@ -636,7 +633,7 @@ func (c *Cache) postSync(r *mpi.Rank, e extent.Extent, lock *pfs.Lock) (bool, er
 		c.pending = append(c.pending, req)
 	} else {
 		// flush_immediate and flush_adaptive both start sync right away.
-		c.syncer.submit(req)
+		c.submit(req)
 	}
 	return true, nil
 }
@@ -683,7 +680,7 @@ func (c *Cache) AtFlush(f *adio.File) error {
 		return ErrCrashed
 	}
 	for _, req := range c.pending {
-		c.syncer.submit(req)
+		c.submit(req)
 	}
 	c.pending = nil
 	r := f.Rank()
@@ -714,16 +711,13 @@ func (c *Cache) AtFlush(f *adio.File) error {
 }
 
 // AtClose implements adio.Hooks: ADIO_Close invokes ADIOI_GEN_Flush to
-// drain the cache, stops the sync thread, closes the cache file and, when
-// e10_cache_discard_flag is enable, removes it to free local space. When
-// the flush failed, the cache file holds the only surviving copy of the
-// unsynced extents, so it is retained regardless of the discard flag (its
-// journal stays with it) for recovery by a later open.
+// drain the cache, closes the cache file and, when e10_cache_discard_flag
+// is enable, removes it to free local space. When the flush failed, the
+// cache file holds the only surviving copy of the unsynced extents, so it
+// is retained regardless of the discard flag (its journal stays with it)
+// for recovery by a later open.
 func (c *Cache) AtClose(f *adio.File) error {
 	err := c.AtFlush(f)
-	if c.syncer != nil {
-		c.syncer.stop()
-	}
 	if err != nil {
 		// The retained cache file stays charged to the tenant, but the
 		// session itself is over: release the admission reservation.
@@ -782,25 +776,19 @@ func (c *Cache) Recovered() []extent.Extent { return c.recovered.Extents() }
 // (ADIOI_Sync_thread_start): a dedicated simulated thread that reads data
 // back from the cache file ind_wr_buffer_size bytes at a time and writes
 // it to the global file, then calls MPI_Grequest_complete on the request
-// handle. It is a step process: it never takes a worker, waiting or
-// working. On the host it holds no buffer: a chunk's read pins the cache
-// file's store pages, and the global write adopts them (store.Pages), so
-// a synced byte lives in one page that both files share copy-on-write.
+// handle. It is made at the cache's first sync request and runs only
+// while it has requests: submit starts its step process, which never
+// takes a worker, and the process ends when it finds the queue empty. On
+// the host it holds no buffer: a chunk's read pins the cache file's store
+// pages, and the global write adopts them (store.Pages), so a synced byte
+// lives in one page that both files share copy-on-write.
 type syncThread struct {
 	c       *Cache
 	k       *sim.Kernel
 	queue   []*syncReq
-	cond    *sim.Cond
-	stopped bool
-	crashed bool
-	proc    *sim.Proc
+	running bool // the step process runs; it ends at an empty queue
 	tk      trace.TrackID
-	w       *syncWork // nil until the first request
-}
 
-// syncWork is a sync thread's working state, made at its first request so
-// that a thread that never gets one stays small.
-type syncWork struct {
 	stage   syncStage
 	bufSize int64
 	pins    store.Pages   // the chunk in flight's cache pages, pinned by its read
@@ -820,7 +808,7 @@ type syncWork struct {
 type syncStage int8
 
 const (
-	syncIdle  syncStage = iota // take the next request, or wait for one
+	syncIdle  syncStage = iota // take the next request, or end the run
 	syncChunk                  // start the extent's next chunk, or end the extent
 	syncRead                   // reading the chunk from the cache file
 	syncWrite                  // writing the chunk to the global file
@@ -828,39 +816,41 @@ const (
 	syncPace                   // flush_adaptive backoff after a congested chunk
 )
 
-// startSyncThread starts the thread, idle until its first request.
-func startSyncThread(c *Cache) *syncThread {
+// submit enqueues a request for background synchronisation, making the
+// sync thread at the cache's first request and starting its process when
+// it is not running.
+func (c *Cache) submit(req *syncReq) {
+	st := c.syncer
 	k := c.f.Rank().Proc().Kernel()
-	st := &syncThread{c: c, k: k, cond: sim.NewCond(k), tk: trace.NoTrack, proc: new(sim.Proc)}
-	k.SpawnStep(st.proc, st)
-	if tr := k.Tracer(); tr != nil {
-		st.tk = tr.Track(trace.GroupSync, st.proc.Name())
-		st.proc.SetTraceTrack(st.tk)
+	tr := k.Tracer()
+	if st == nil {
+		st = &syncThread{c: c, k: k, tk: trace.NoTrack, bufSize: c.f.Hints().IndWrBufferSize}
+		if _, ok := c.cfile.Store().(store.PayloadBacked); ok {
+			st.payload = &st.pins
+		}
+		if tr != nil {
+			st.tk = tr.Track(trace.GroupSync, st.Name())
+		}
+		c.syncer = st
 	}
-	return st
-}
-
-// submit enqueues a request for background synchronisation.
-func (st *syncThread) submit(req *syncReq) {
 	st.queue = append(st.queue, req)
-	if tr := st.k.Tracer(); tr != nil {
-		tr.Counter(st.tk, "sync_queue", int64(st.k.Now()), int64(len(st.queue)))
+	if !st.running {
+		st.running = true
+		p := new(sim.Proc) // fresh for each run: an event may still name the last one
+		k.SpawnStep(p, st)
+		p.SetTraceTrack(st.tk)
 	}
-	st.cond.Signal()
-}
-
-// stop terminates the thread once the queue is drained.
-func (st *syncThread) stop() {
-	st.stopped = true
-	st.cond.Signal()
+	if tr != nil {
+		tr.Counter(st.tk, "sync_queue", int64(k.Now()), int64(len(st.queue)))
+	}
 }
 
 // crash kills the thread immediately: queued requests abort (the node is
 // gone), their locks are released, and their request handles complete with
 // ErrCrashed — a rank already parked in AtFlush waiting on one of them must
-// wake and observe the crash, not deadlock the whole run.
+// wake and observe the crash, not deadlock the whole run. A request in
+// flight ends at the thread's next resume, which finds the cache crashed.
 func (st *syncThread) crash() {
-	st.crashed = true
 	for _, req := range st.queue {
 		if req.lock != nil {
 			st.c.env.Locks.Unlock(req.lock)
@@ -868,7 +858,6 @@ func (st *syncThread) crash() {
 		req.greq.CompleteWithError(ErrCrashed)
 	}
 	st.queue = nil
-	st.cond.Signal()
 }
 
 // Name names the thread's process by file and rank.
@@ -891,24 +880,22 @@ func (st *syncThread) Step(p *sim.Proc) {
 // advance runs the thread's current stage and reports whether the step is
 // over: a resume is arranged, or the thread has ended.
 func (st *syncThread) advance(p *sim.Proc) bool {
-	w := st.w
-	if w == nil || w.stage == syncIdle {
+	switch st.stage {
+	case syncIdle:
 		return st.take(p)
-	}
-	switch w.stage {
 	case syncChunk:
-		if w.off >= w.req.ext.End() {
+		if st.off >= st.req.ext.End() {
 			return st.endExtent(p, nil)
 		}
-		if st.crashed {
+		if st.c.crashed {
 			return st.endExtent(p, ErrCrashed)
 		}
-		w.n = min(w.bufSize, w.req.ext.End()-w.off)
-		w.start, w.attempt = p.Now(), 0
-		w.backoff = st.c.opts.RetryBackoff
+		st.n = min(st.bufSize, st.req.ext.End()-st.off)
+		st.start, st.attempt = p.Now(), 0
+		st.backoff = st.c.opts.RetryBackoff
 		return st.read(p)
 	case syncRead:
-		if err := st.c.cfile.ReadDone(w.rd); err != nil {
+		if err := st.c.cfile.ReadDone(st.rd); err != nil {
 			return st.retry(p, err)
 		}
 		// The crash can land while the cache read is in flight; the
@@ -916,56 +903,42 @@ func (st *syncThread) advance(p *sim.Proc) bool {
 		// global write with whatever the read captured (the at-rest
 		// bytes may have rotted since). The chunk stays journalled for
 		// recovery, where it is checksum-scrubbed before replay.
-		if st.crashed {
+		if st.c.crashed {
 			return st.endChunk(p, ErrCrashed)
 		}
-		st.c.f.Backend().StartWrite(&w.wr, w.payload, w.off, w.n)
-		w.stage = syncWrite
+		st.c.f.Backend().StartWrite(&st.wr, st.payload, st.off, st.n)
+		st.stage = syncWrite
 	case syncWrite:
-		if w.wr.Step(p) {
+		if st.wr.Step(p) {
 			return true
 		}
-		if err := w.wr.Err(); err != nil {
+		if err := st.wr.Err(); err != nil {
 			return st.retry(p, err)
 		}
 		return st.endChunk(p, nil)
 	case syncRetry:
 		return st.read(p)
 	case syncPace:
-		w.off += w.bufSize
-		w.stage = syncChunk
+		st.off += st.bufSize
+		st.stage = syncChunk
 	}
 	return false
 }
 
-// take is the thread's loop head: it takes the next request, or, with an
-// empty queue, waits for one — or ends, once stopped or crashed.
+// take is the thread's loop head: it takes the next request or, with an
+// empty queue, ends the thread's run; the next submit starts another.
 func (st *syncThread) take(p *sim.Proc) bool {
-	c := st.c
-	w := st.w
 	if len(st.queue) == 0 {
-		if !st.stopped && !st.crashed {
-			st.cond.WaitThen(p)
-		}
+		st.running = false
 		return true
 	}
-	if w == nil {
-		w = &syncWork{bufSize: c.f.Hints().IndWrBufferSize}
-		if _, ok := c.cfile.Store().(store.PayloadBacked); ok {
-			w.payload = &w.pins
-		}
-		st.w = w
-	}
-	if st.crashed {
-		return true
-	}
-	w.req = st.queue[0]
+	st.req = st.queue[0]
 	st.queue = st.queue[1:]
 	if tr := st.k.Tracer(); tr != nil {
 		tr.Counter(st.tk, "sync_queue", int64(p.Now()), int64(len(st.queue)))
 	}
-	w.extT0, w.baseline, w.off = p.Now(), 0, w.req.ext.Off
-	w.stage = syncChunk
+	st.extT0, st.baseline, st.off = p.Now(), 0, st.req.ext.Off
+	st.stage = syncChunk
 	return false
 }
 
@@ -973,12 +946,11 @@ func (st *syncThread) take(p *sim.Proc) bool {
 // which pins the chunk's cache pages when it completes (the device time
 // is charged with or without a payload).
 func (st *syncThread) read(p *sim.Proc) bool {
-	w := st.w
-	rd, err := st.c.cfile.ReadThen(p, w.payload, w.off, w.n)
+	rd, err := st.c.cfile.ReadThen(p, st.payload, st.off, st.n)
 	if err != nil {
 		return st.retry(p, err)
 	}
-	w.rd, w.stage = rd, syncRead
+	st.rd, st.stage = rd, syncRead
 	return true
 }
 
@@ -992,17 +964,17 @@ func (st *syncThread) read(p *sim.Proc) bool {
 // (capped, so a long partition polls instead of sleeping geometrically)
 // until the fabric heals or the node crashes.
 func (st *syncThread) retry(p *sim.Proc, err error) bool {
-	c, w := st.c, st.w
-	w.pins.Release()
-	if st.crashed {
+	c := st.c
+	st.pins.Release()
+	if c.crashed {
 		return st.endChunk(p, err)
 	}
 	partitioned := errors.Is(err, pfs.ErrPartitioned)
 	if !partitioned {
-		if w.attempt >= c.opts.RetryLimit {
-			return st.endChunk(p, fmt.Errorf("%w (after %d attempts)", err, w.attempt+1))
+		if st.attempt >= c.opts.RetryLimit {
+			return st.endChunk(p, fmt.Errorf("%w (after %d attempts)", err, st.attempt+1))
 		}
-		w.attempt++
+		st.attempt++
 	}
 	c.Stats.SyncRetries++
 	if m := c.meters(); m != nil {
@@ -1010,18 +982,18 @@ func (st *syncThread) retry(p *sim.Proc, err error) bool {
 	}
 	if tr := st.k.Tracer(); tr != nil {
 		tr.Instant(st.tk, "cache", "sync_retry", int64(p.Now()),
-			trace.I("attempt", int64(w.attempt)), trace.I("backoff_ns", int64(w.backoff)))
+			trace.I("attempt", int64(st.attempt)), trace.I("backoff_ns", int64(st.backoff)))
 	}
-	p.Then(w.backoff)
-	if w.backoff < PartitionBackoffCap {
-		w.backoff *= 2
-		if partitioned && w.backoff > PartitionBackoffCap {
-			w.backoff = PartitionBackoffCap
+	p.Then(st.backoff)
+	if st.backoff < PartitionBackoffCap {
+		st.backoff *= 2
+		if partitioned && st.backoff > PartitionBackoffCap {
+			st.backoff = PartitionBackoffCap
 		}
 	} else if !partitioned {
-		w.backoff *= 2
+		st.backoff *= 2
 	}
-	w.stage = syncRetry
+	st.stage = syncRetry
 	return true
 }
 
@@ -1032,73 +1004,73 @@ func (st *syncThread) retry(p *sim.Proc, err error) bool {
 // uncongested baseline and, when a chunk runs far above it, backs off by
 // the excess, ceding the I/O servers to foreground traffic.
 func (st *syncThread) endChunk(p *sim.Proc, err error) bool {
-	c, w := st.c, st.w
-	w.pins.Release()
+	c := st.c
+	st.pins.Release()
 	tr := st.k.Tracer()
 	m := c.meters()
-	tr.SpanAt(st.tk, "cache", "sync_chunk", int64(w.start), int64(p.Now()),
-		trace.I("off", w.off), trace.I("len", w.n))
+	tr.SpanAt(st.tk, "cache", "sync_chunk", int64(st.start), int64(p.Now()),
+		trace.I("off", st.off), trace.I("len", st.n))
 	if m != nil {
-		m.chunkNs.Observe(int64(p.Now() - w.start))
+		m.chunkNs.Observe(int64(p.Now() - st.start))
 	}
 	if err != nil {
 		return st.endExtent(p, err)
 	}
-	c.Stats.SyncedBytes += w.n
+	c.Stats.SyncedBytes += st.n
 	if m != nil {
-		m.synced.Add(w.n)
+		m.synced.Add(st.n)
 	}
-	c.dirty.Remove(extent.Extent{Off: w.off, Len: w.n})
+	c.dirty.Remove(extent.Extent{Off: st.off, Len: st.n})
 	if tr != nil {
 		tr.Counter(st.tk, "dirty_bytes", int64(p.Now()), c.dirty.TotalBytes())
 	}
-	w.stage = syncChunk
+	st.stage = syncChunk
 	if c.opts.FlushFlag == FlushAdaptive {
-		took := p.Now() - w.start
-		if w.baseline == 0 || took < w.baseline {
-			w.baseline = took
+		took := p.Now() - st.start
+		if st.baseline == 0 || took < st.baseline {
+			st.baseline = took
 		}
-		if took > 2*w.baseline {
+		if took > 2*st.baseline {
 			c.Stats.Backoffs++
 			if m != nil {
 				m.backoffs.Inc()
 			}
 			if tr != nil {
 				tr.Instant(st.tk, "cache", "adaptive_backoff", int64(p.Now()),
-					trace.I("excess_ns", int64(took-w.baseline)))
+					trace.I("excess_ns", int64(took-st.baseline)))
 			}
-			p.Then(took - w.baseline)
-			w.stage = syncPace
+			p.Then(took - st.baseline)
+			st.stage = syncPace
 			return true
 		}
 	}
-	w.off += w.bufSize
+	st.off += st.bufSize
 	return false
 }
 
 // endExtent ends the request in flight, its extent synced or failed with
-// err, and reports whether the thread ends: it does when the node died
-// mid-extent. The lock is released whether the sync succeeded or aborted —
-// a terminal failure must not leave the extent locked forever — and the
+// err, and takes the next; after a crash there is none, so the thread
+// ends. The lock is released whether the sync succeeded or aborted — a
+// terminal failure must not leave the extent locked forever — and the
 // handle always completes, with ErrCrashed after a crash, so a rank parked
 // in AtFlush waiting on it wakes instead of deadlocking.
 func (st *syncThread) endExtent(p *sim.Proc, err error) bool {
-	c, w := st.c, st.w
-	req := w.req
-	w.req, w.stage = nil, syncIdle
+	c := st.c
+	req := st.req
+	st.req, st.stage = nil, syncIdle
 	tr := st.k.Tracer()
-	tr.SpanAt(st.tk, "cache", "sync_extent", int64(w.extT0), int64(p.Now()),
+	tr.SpanAt(st.tk, "cache", "sync_extent", int64(st.extT0), int64(p.Now()),
 		trace.I("off", req.ext.Off), trace.I("len", req.ext.Len))
 	m := c.meters()
 	if m != nil {
-		m.extentNs.Observe(int64(p.Now() - w.extT0))
+		m.extentNs.Observe(int64(p.Now() - st.extT0))
 	}
 	if req.lock != nil {
 		c.env.Locks.Unlock(req.lock)
 	}
-	if st.crashed {
+	if c.crashed {
 		req.greq.CompleteWithError(ErrCrashed)
-		return true
+		return st.take(p)
 	}
 	if tr != nil {
 		tr.AsyncEnd(st.tk, "cache", "sync_req", req.aid, int64(p.Now()))
@@ -1113,8 +1085,8 @@ func (st *syncThread) endExtent(p *sim.Proc, err error) bool {
 				trace.I("off", req.ext.Off), trace.I("len", req.ext.Len))
 		}
 		req.greq.CompleteWithError(fmt.Errorf("core: sync [%d,+%d): %w", req.ext.Off, req.ext.Len, err))
-		return false
+		return st.take(p)
 	}
 	req.greq.Complete()
-	return false
+	return st.take(p)
 }

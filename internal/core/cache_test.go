@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/adio"
@@ -15,6 +14,7 @@ import (
 	"repro/internal/pfs"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/trace"
 )
 
 // rig is a small simulated cluster with local SSDs on every node.
@@ -466,20 +466,86 @@ func TestMPIFileSyncSemantics(t *testing.T) {
 	}
 }
 
-func TestForgettingCloseReportsStuckSyncThread(t *testing.T) {
-	// The sync thread lives until AtClose stops it; a file that is never
-	// closed leaves it parked, and the kernel's deadlock detector names
-	// it instead of hanging — a safety net for harness bugs.
+// TestUnclosedFileStillSyncs checks that a file written but never closed
+// still reaches the global file: the sync thread runs only while it has
+// requests, so it drains its queue and ends without a close to stop it,
+// and the run ends with no process live.
+func TestUnclosedFileStillSyncs(t *testing.T) {
 	rg := newRig(t, 1, 1, store.NewNull)
+	tr := trace.New()
+	rg.k.SetTracer(tr)
 	err := rg.w.Run(func(r *mpi.Rank) {
-		f := rg.open(r, t, mpi.Info{adio.HintCBWrite: "enable", HintCache: "enable"})
-		_ = f // never closed
+		f := rg.open(r, t, mpi.Info{
+			adio.HintCBWrite: "enable", HintCache: "enable", HintFlushFlag: "flush_immediate",
+		})
+		if err := f.WriteContig(nil, 0, 4<<20); err != nil {
+			t.Error(err)
+		}
+		// never closed
 	})
-	if err == nil {
-		t.Fatal("expected a deadlock error naming the sync thread")
+	if err != nil {
+		t.Fatalf("Run = %v, want nil", err)
 	}
-	if !strings.Contains(err.Error(), "sync.") {
-		t.Fatalf("error should identify the stuck sync thread: %v", err)
+	c := rg.caches[0]
+	if n := c.Dirty().Len(); n != 0 {
+		t.Fatalf("journal holds %d extents, want 0", n)
+	}
+	if c.Stats.SyncedBytes != 4<<20 || rg.fs.TotalBytesWritten() < 4<<20 {
+		t.Fatalf("synced %d bytes, global file got %d, want %d", c.Stats.SyncedBytes, rg.fs.TotalBytesWritten(), 4<<20)
+	}
+	live := int64(-1)
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindCounter && ev.Name == "live_procs" {
+			live = ev.Value
+		}
+	}
+	if live != 0 {
+		t.Fatalf("last live_procs sample %d, want 0", live)
+	}
+}
+
+// TestSyncTracksOnlyForSyncingCaches is the idle-agent gate: in a
+// cache-enabled 4x2 collective write with 2 aggregators, only the
+// aggregators' caches get sync requests, so only they may start a sync
+// thread, and a trace holds one sync track per cache with requests.
+func TestSyncTracksOnlyForSyncingCaches(t *testing.T) {
+	rg := newRig(t, 4, 2, store.NewNull)
+	tr := trace.New()
+	rg.k.SetTracer(tr)
+	const chunk = 2048
+	err := rg.w.Run(func(r *mpi.Rank) {
+		f := rg.open(r, t, mpi.Info{
+			adio.HintCBWrite: "enable", adio.HintCBNodes: "2",
+			HintCache: "enable", HintFlushFlag: "flush_immediate",
+		})
+		var segs []extent.Extent
+		for i := 0; i < 3; i++ {
+			segs = append(segs, extent.Extent{Off: int64(i*8*chunk + r.ID()*chunk), Len: chunk})
+		}
+		if err := f.WriteStridedColl(segs, nil); err != nil {
+			t.Error(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncing := 0
+	for _, c := range rg.caches {
+		if c.Stats.SyncRequests > 0 {
+			syncing++
+		}
+	}
+	tracks := 0
+	for id := 0; id < tr.Tracks(); id++ {
+		if tr.TrackGroup(trace.TrackID(id)) == trace.GroupSync {
+			tracks++
+		}
+	}
+	if len(rg.caches) != 8 || syncing != 2 || tracks != syncing {
+		t.Fatalf("%d caches, %d with sync requests, %d sync tracks; want 8, 2, 2", len(rg.caches), syncing, tracks)
 	}
 }
 

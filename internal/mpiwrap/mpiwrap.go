@@ -86,6 +86,9 @@ func ParseConfig(text string) (*Config, error) {
 			return nil, fmt.Errorf("mpiwrap: line %d: expected key = value", lineNo)
 		}
 		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
+		if k == "" {
+			return nil, fmt.Errorf("mpiwrap: line %d: empty key", lineNo)
+		}
 		if cur == nil {
 			return nil, fmt.Errorf("mpiwrap: line %d: key outside a [file] section", lineNo)
 		}

@@ -65,10 +65,14 @@ func TestParseConfigErrors(t *testing.T) {
 		"[file ckpt*]\n",
 		"[file]\n",
 		"[file\"x\"]\n",
+		"[file \"x\"]\n= v\n",
 	} {
 		if _, err := ParseConfig(bad); err == nil {
 			t.Errorf("expected error for %q", bad)
 		}
+	}
+	if _, err := ParseConfig("[file \"x\"]\n= v\n"); err == nil || err.Error() != "mpiwrap: line 2: empty key" {
+		t.Errorf("empty key: error %v, want line 2's empty key", err)
 	}
 }
 

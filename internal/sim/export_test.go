@@ -5,9 +5,6 @@ import "math/rand"
 // Name returns the station name.
 func (s *Station) Name() string { return s.name }
 
-// Waiting returns the number of parked processes.
-func (c *Cond) Waiting() int { return c.waiters.len() }
-
 // Fired reports whether the timer's callback has run.
 func (t *Timer) Fired() bool { return t.fired }
 

@@ -196,11 +196,11 @@ type Stepper interface {
 // storage p that the caller owns; a caller with none passes new(Proc).
 // s.Step runs inline in the kernel at the process's first resume (the
 // current virtual time) and at every resume after it. Each run either
-// arranges the next resume, with Then, ParkThen, Station.ServeThen or
-// Cond.WaitThen, or returns without one, which ends the process.
+// arranges the next resume, with Then, ParkThen or Station.ServeThen, or
+// returns without one, which ends the process.
 //
-// A step must not block: Sleep, Park, Serve and Cond.Wait panic on a step
-// process. Step processes suit the many waiting-mostly processes (one per
+// A step must not block: Sleep, Park and Serve panic on a step process.
+// Step processes suit the many waiting-mostly processes (one per
 // simulated message, PFS stream or cache sync thread) whose worker stacks
 // would dominate memory; a blocking call has a step form for them, and
 // the blocking form is that step form followed by Park.
@@ -581,8 +581,8 @@ func (p *Proc) Sleep(d Time) {
 
 // Park blocks the process until its next resume: a Kernel.Wake from another
 // process or a kernel callback, or one the process arranged itself with
-// Then, Station.ServeThen or Cond.WaitThen. Each Park must be matched by
-// exactly one resume.
+// Then or Station.ServeThen. Each Park must be matched by exactly one
+// resume.
 func (p *Proc) Park() {
 	p.mustBlock()
 	p.block()

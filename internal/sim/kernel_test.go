@@ -102,36 +102,9 @@ func TestSpawnFromProcess(t *testing.T) {
 	}
 }
 
-func TestCondSignalWakesFIFO(t *testing.T) {
-	k := NewKernel(1)
-	c := NewCond(k)
-	var woken []int
-	for i := 0; i < 3; i++ {
-		i := i
-		k.Spawn("waiter", func(p *Proc) {
-			p.Sleep(Time(i) * Millisecond) // park in index order
-			c.Wait(p)
-			woken = append(woken, i)
-		})
-	}
-	k.Spawn("signaller", func(p *Proc) {
-		p.Sleep(1 * Second)
-		c.Signal()
-		p.Sleep(1 * Second)
-		c.Broadcast()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(woken) != 3 || woken[0] != 0 || woken[1] != 1 || woken[2] != 2 {
-		t.Fatalf("wake order = %v, want [0 1 2]", woken)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel(1)
-	c := NewCond(k)
-	k.Spawn("stuck", func(p *Proc) { c.Wait(p) })
+	k.Spawn("stuck", func(p *Proc) { p.Park() })
 	if err := k.Run(); err == nil {
 		t.Fatal("expected deadlock error, got nil")
 	}
@@ -760,26 +733,21 @@ func BenchmarkKernelSpawn(b *testing.B) {
 	}
 }
 
-// TestWokenWaiterSlotReleased checks that Cond.Signal and Station.Release
-// clear the popped waiter slot, so the backing array does not keep a woken
-// (and later finished) process reachable.
+// TestWokenWaiterSlotReleased checks that Station.Release clears the
+// popped waiter slot, so the backing array does not keep a woken (and
+// later finished) process reachable.
 func TestWokenWaiterSlotReleased(t *testing.T) {
 	k := NewKernel(1)
-	c := NewCond(k)
 	s := NewStation(k, "disk", "disk", 1)
-	var condBacking, stationBacking []*Proc
-	k.Spawn("waiter", func(p *Proc) { c.Wait(p) })
+	var backing []*Proc
 	k.Spawn("holder", func(p *Proc) { s.Serve(p, Second) })
 	k.Spawn("queued", func(p *Proc) { s.Serve(p, Second) })
-	k.After(Millisecond, func() {
-		condBacking, stationBacking = c.waiters.ps, s.waiters.ps
-		c.Signal()
-	})
+	k.After(Millisecond, func() { backing = s.waiters.ps })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if condBacking[0] != nil || stationBacking[0] != nil {
-		t.Fatalf("popped waiter slots still set: cond %v, station %v", condBacking[0], stationBacking[0])
+	if backing[0] != nil {
+		t.Fatalf("popped waiter slot still set: %v", backing[0])
 	}
 }
 

@@ -25,7 +25,7 @@ type schedProgram struct {
 	k    *Kernel
 	rng  *rand.Rand // drives every choice; consumed in dispatch order
 	log  hash.Hash
-	cond *Cond
+	cond *waitQueue
 	st   *Station
 }
 
@@ -124,7 +124,7 @@ func scheduleDigest(t *testing.T, seed int64) string {
 		k:    k,
 		rng:  rand.New(rand.NewSource(seed)),
 		log:  sha256.New(),
-		cond: NewCond(k),
+		cond: &waitQueue{k: k},
 		st:   NewStation(k, "st", "st", 2),
 	}
 	for i, n := 0, g.rng.Intn(4)+3; i < n; i++ {
@@ -140,8 +140,9 @@ func scheduleDigest(t *testing.T, seed int64) string {
 
 // TestKernelScheduleGolden pins the kernel's interleaving of process
 // resumes, spawns (from processes and from callbacks), Sleep(0)/Sleep(d),
-// Park/Wake, WakeAt, Cond, a two-server Station, After and AfterTimer with
-// and without Stop, for seeds 1..64. Regenerate deliberately with
+// Park/Wake, WakeAt, a wait queue on Park/Wake, a two-server Station,
+// After and AfterTimer with and without Stop, for seeds 1..64. Regenerate
+// deliberately with
 //
 //	go test ./internal/sim -run TestKernelScheduleGolden -update
 func TestKernelScheduleGolden(t *testing.T) {

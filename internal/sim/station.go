@@ -124,3 +124,31 @@ func (s *Station) Utilization(horizon Time) float64 {
 	}
 	return float64(s.BusyTime) / (float64(horizon) * float64(s.servers))
 }
+
+// procQueue is a FIFO of parked processes that keeps its backing array: a
+// pop advances a head index, and a push into a full array whose front half
+// is popped slides the queue to the front instead of growing it (O(1)
+// amortized). The array stops growing once it is twice the longest queue.
+type procQueue struct {
+	ps   []*Proc
+	head int // ps[head:] are queued, oldest first
+}
+
+func (q *procQueue) len() int { return len(q.ps) - q.head }
+
+func (q *procQueue) push(p *Proc) {
+	if len(q.ps) == cap(q.ps) && q.head > 0 && 2*q.head >= len(q.ps) {
+		n := copy(q.ps, q.ps[q.head:])
+		clear(q.ps[n:])
+		q.ps, q.head = q.ps[:n], 0
+	}
+	q.ps = append(q.ps, p)
+}
+
+// pop removes and returns the oldest process; the queue must not be empty.
+func (q *procQueue) pop() *Proc {
+	p := q.ps[q.head]
+	q.ps[q.head] = nil // the backing array must not keep p reachable
+	q.head++
+	return p
+}

@@ -60,7 +60,7 @@ type stepRun struct {
 	k      *Kernel
 	tr     *trace.Tracer
 	sts    []*Station
-	cs     []*Cond
+	cs     []*waitQueue
 	asStep func(id int) bool
 	log    strings.Builder
 }
@@ -186,7 +186,7 @@ func runStepProgram(t *testing.T, seed int64, traced bool, asStep func(id int) b
 	for i := 0; i < 3; i++ {
 		r.sts = append(r.sts, NewStation(k, "st", fmt.Sprintf("st%d", i), i+1))
 	}
-	r.cs = []*Cond{NewCond(k), NewCond(k)}
+	r.cs = []*waitQueue{{k: k}, {k: k}}
 	for i, n := 0, rng.Intn(6)+2; i < n; i++ {
 		r.spawn(fmt.Sprintf("root%d", i), genStepOps(rng, rng.Intn(8)+1, 2))
 	}
@@ -243,10 +243,9 @@ func TestStepProcessesMatchWorkers(t *testing.T) {
 
 func TestStepProcessCannotBlock(t *testing.T) {
 	cases := map[string]func(k *Kernel, p *Proc){
-		"Sleep":     func(k *Kernel, p *Proc) { p.Sleep(Second) },
-		"Park":      func(k *Kernel, p *Proc) { p.Park() },
-		"Serve":     func(k *Kernel, p *Proc) { NewStation(k, "s", "s", 1).Serve(p, Second) },
-		"Cond.Wait": func(k *Kernel, p *Proc) { NewCond(k).Wait(p) },
+		"Sleep": func(k *Kernel, p *Proc) { p.Sleep(Second) },
+		"Park":  func(k *Kernel, p *Proc) { p.Park() },
+		"Serve": func(k *Kernel, p *Proc) { NewStation(k, "s", "s", 1).Serve(p, Second) },
 	}
 	for name, call := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -278,7 +277,7 @@ func TestStepPanicNamesProcess(t *testing.T) {
 
 func TestStepDeadlockNamesProcess(t *testing.T) {
 	k := NewKernel(1)
-	c := NewCond(k)
+	c := &waitQueue{k: k}
 	s := NewStation(k, "s", "s", 1)
 	k.Spawn("holder", func(p *Proc) { c.Wait(p) })
 	k.SpawnStep(new(Proc), stepFunc{"queued-step", func(p *Proc) {
@@ -291,6 +290,46 @@ func TestStepDeadlockNamesProcess(t *testing.T) {
 	err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "[holder queued-step]") {
 		t.Fatalf("Run = %v, want a deadlock naming holder and queued-step", err)
+	}
+}
+
+// waitQueue is the tests' wait primitive: a FIFO of parked processes on
+// Park/ParkThen and Kernel.Wake, which Signal and Broadcast pop.
+type waitQueue struct {
+	k *Kernel
+	q procQueue
+}
+
+// Wait parks the worker process p until a Signal or Broadcast wakes it.
+func (w *waitQueue) Wait(p *Proc) {
+	w.q.push(p)
+	p.Park()
+}
+
+// WaitThen queues the step process p to resume at the Signal or Broadcast
+// that wakes it.
+func (w *waitQueue) WaitThen(p *Proc) {
+	p.ParkThen()
+	w.q.push(p)
+}
+
+// Waiting returns the number of parked processes.
+func (w *waitQueue) Waiting() int { return w.q.len() }
+
+// Signal wakes the longest-waiting process, if any, and reports whether a
+// process was woken.
+func (w *waitQueue) Signal() bool {
+	if w.q.len() == 0 {
+		return false
+	}
+	w.k.Wake(w.q.pop())
+	return true
+}
+
+// Broadcast wakes every waiting process in FIFO order.
+func (w *waitQueue) Broadcast() {
+	for w.q.len() > 0 {
+		w.k.Wake(w.q.pop())
 	}
 }
 

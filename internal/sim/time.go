@@ -13,8 +13,8 @@
 // run with a given seed is bit-for-bit reproducible.
 //
 // The package also provides the building blocks used by the cluster models
-// layered on top of it: FIFO queueing stations (Station), condition
-// variables (Cond) and seeded random distributions.
+// layered on top of it: FIFO queueing stations (Station) and seeded
+// random distributions.
 package sim
 
 import "fmt"

@@ -210,32 +210,6 @@ func setArgs(ev *Event, args []Arg) {
 	}
 }
 
-// Span is an open interval handle: s := tr.Begin(...); ...; s.End(now).
-// The zero Span (from a disabled tracer) is safe to End.
-type Span struct {
-	t     *Tracer
-	track TrackID
-	cat   string
-	name  string
-	start int64
-}
-
-// Begin opens a span on a track at virtual time now.
-func (t *Tracer) Begin(tk TrackID, cat, name string, now int64) Span {
-	if t == nil || tk < 0 {
-		return Span{}
-	}
-	return Span{t: t, track: tk, cat: cat, name: name, start: now}
-}
-
-// End closes the span at virtual time now, recording a complete event.
-func (s Span) End(now int64, args ...Arg) {
-	if s.t == nil {
-		return
-	}
-	s.t.SpanAt(s.track, s.cat, s.name, s.start, now, args...)
-}
-
 // SpanAt records a complete span over [start, end].
 func (t *Tracer) SpanAt(tk TrackID, cat, name string, start, end int64, args ...Arg) {
 	if t == nil || tk < 0 {
